@@ -68,10 +68,10 @@ global options (valid on every command):
   --metrics-out FILE   write a JSONL run report (counters, histograms,
              span timings) when the command finishes
   --deadline-ticks N   cooperative work budget for the heavy phases
-             (`spheres`, `infmax --method greedy|ris`); on expiry the
+             (`spheres`, `infmax --method tc|greedy|ris`); on expiry the
              command writes what it completed and exits with code 3
   --checkpoint-dir DIR write periodic, atomic, checksummed checkpoints
-             (`spheres`, `infmax --method greedy`) into DIR
+             (`spheres`, `infmax --method tc|greedy`) into DIR
   --checkpoint-every N checkpoint / deadline block granularity in work
              units (default 64)
   --resume             resume from a checkpoint in --checkpoint-dir when
@@ -623,8 +623,33 @@ fn cmd_infmax<W: Write>(
     let seeds: Vec<NodeId> = match method.as_str() {
         "tc" => {
             let index = build_index();
-            let spheres = soi_core::all_typical_cascades(&index, &MedianConfig::default(), 0);
-            let cascades: Vec<Vec<NodeId>> = spheres.into_iter().map(|s| s.median).collect();
+            let ckpt_path = rt.checkpoint_file("infmax-tc.ckpt")?;
+            // With neither a budget nor a checkpoint file nothing happens
+            // between blocks, so all nodes are one block: one pool fan-out.
+            let block = if rt.deadline_ticks.is_none() && ckpt_path.is_none() {
+                index.num_nodes()
+            } else {
+                rt.checkpoint_every
+            };
+            let outcome = soi_core::all_typical_cascades_resumable(
+                &index,
+                &MedianConfig::default(),
+                0,
+                &EngineRunOpts {
+                    deadline: &deadline,
+                    checkpoint: ckpt_path.as_deref(),
+                    checkpoint_every: block,
+                    resume: rt.resume,
+                },
+            )?;
+            status = RunStatus::from_outcome(&outcome);
+            if matches!(status, RunStatus::Complete) {
+                discard_checkpoint(ckpt_path.as_ref());
+            }
+            // On expiry the cover runs over the spheres of the solved node
+            // prefix, exactly as the daemon's `infmax-tc` answers partial.
+            let cascades: Vec<Vec<NodeId>> =
+                outcome.value().into_iter().map(|s| s.median).collect();
             infmax_tc(&cascades, k, 0).seeds
         }
         "greedy" => {
@@ -674,6 +699,19 @@ fn cmd_infmax<W: Write>(
         other => return Err(SoiError::usage(format!("unknown method {other:?}"))),
     };
     let sigma = soi_sampling::estimate_spread(&pg, &seeds, samples.max(1000), seed ^ 0xE7A1);
+    write_infmax_report(out, &seeds, sigma, None, status);
+    Ok(status)
+}
+
+/// The `infmax` stdout report: seeds, their Monte-Carlo spread, the
+/// backend line (sketch runs only), and the `partial` trailer.
+fn write_infmax_report<W: Write>(
+    out: &mut W,
+    seeds: &[NodeId],
+    sigma: f64,
+    backend: Option<&str>,
+    status: RunStatus,
+) {
     writeln!(
         out,
         "seeds\t{}",
@@ -685,6 +723,9 @@ fn cmd_infmax<W: Write>(
     )
     .ok();
     writeln!(out, "expected_spread\t{sigma:.2}").ok();
+    if let Some(backend) = backend {
+        writeln!(out, "backend\t{backend}").ok();
+    }
     if let RunStatus::Partial { fraction } = status {
         writeln!(
             out,
@@ -693,7 +734,6 @@ fn cmd_infmax<W: Write>(
         )
         .ok();
     }
-    Ok(status)
 }
 
 /// `infmax --backend sketch`: bottom-k sketch build (budgeted and
@@ -743,31 +783,8 @@ fn infmax_sketch<W: Write>(
     }
     let seeds = outcome.value().seeds;
     let sigma = soi_sampling::estimate_spread(pg, &seeds, samples.max(1000), seed ^ 0xE7A1);
-    writeln!(
-        out,
-        "seeds\t{}",
-        seeds
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    )
-    .ok();
-    writeln!(out, "expected_spread\t{sigma:.2}").ok();
-    writeln!(
-        out,
-        "backend\tsketch (worlds {}, k {sketch_k})",
-        sk.num_worlds()
-    )
-    .ok();
-    if let RunStatus::Partial { fraction } = status {
-        writeln!(
-            out,
-            "partial\t{:.1}% (deadline expired; resumable with --resume)",
-            fraction * 100.0
-        )
-        .ok();
-    }
+    let backend = format!("sketch (worlds {}, k {sketch_k})", sk.num_worlds());
+    write_infmax_report(out, &seeds, sigma, Some(&backend), status);
     Ok(status)
 }
 

@@ -146,6 +146,24 @@ fn every_registered_site_crashes_then_resumes_byte_identical() {
     });
     assert_code(&golden_sketch, 0, "golden sketch");
 
+    // `infmax --method tc` runs the node-block engine `spheres` runs, so
+    // the `engine.block` crash below is replayed through it as well.
+    let tc_cmd = |ck: Option<&Path>, resume: bool| {
+        let mut c = soi();
+        c.args(["infmax", &graph]);
+        c.args("--k 5 --method tc --samples 32 --seed 4".split(' '));
+        if let Some(ck) = ck {
+            c.arg("--checkpoint-dir").arg(ck);
+            c.args(["--checkpoint-every", "10"]);
+        }
+        if resume {
+            c.arg("--resume");
+        }
+        c
+    };
+    let golden_tc = run(tc_cmd(None, false));
+    assert_code(&golden_tc, 0, "golden tc");
+
     // Which pipeline exercises each site, and on which hit to fire so
     // at least one checkpoint usually exists before the crash.
     for &site in soi_util::failpoint::SITES {
@@ -242,6 +260,21 @@ fn every_registered_site_crashes_then_resumes_byte_identical() {
             continue;
         }
 
+        if site == "engine.block" {
+            let (ck, file) = (dir.join("ck-tc"), dir.join("ck-tc/infmax-tc.ckpt"));
+            let mut crash = tc_cmd(Some(&ck), false);
+            crash.env(soi_util::failpoint::ENV_VAR, &spec);
+            assert_code(&run(crash), CRASH, "crash run (infmax tc)");
+            assert!(file.exists(), "two blocks were durable before the crash");
+            let resumed = run(tc_cmd(Some(&ck), true));
+            assert_code(&resumed, 0, "resume run (infmax tc)");
+            assert_eq!(
+                resumed.stdout, golden_tc.stdout,
+                "resumed tc infmax output differs from uninterrupted run"
+            );
+            assert!(!file.exists(), "tc checkpoint not discarded on completion");
+        }
+
         let crash = run({
             let mut c = soi();
             c.args(spheres_args(
@@ -328,6 +361,34 @@ fn deadline_expiry_exits_partial_with_fraction_in_metrics() {
     // Partial output is a strict prefix: header plus 10 of 50 rows.
     let tsv = std::fs::read_to_string(&out_path).unwrap();
     assert_eq!(tsv.lines().count(), 11, "{tsv}");
+
+    // `infmax --method tc` under the same budget stops at the same node
+    // prefix, exits 3, and prints the max-cover over exactly those spheres.
+    let members = |row: &str| -> Vec<u32> {
+        let list = row.rsplit('\t').next().unwrap();
+        list.split(',').map(|v| v.parse().unwrap()).collect()
+    };
+    let prefix: Vec<Vec<u32>> = tsv.lines().skip(1).map(members).collect();
+    let seeds: Vec<String> = soi_influence::infmax_tc(&prefix, 5, 0)
+        .seeds
+        .iter()
+        .map(|v| v.to_string())
+        .collect();
+    let out = run({
+        let mut c = soi();
+        c.args(["infmax", &graph]);
+        c.args("--k 5 --method tc --samples 32".split(' '));
+        c.args("--deadline-ticks 15 --checkpoint-every 10".split(' '));
+        c
+    });
+    assert_code(&out, 3, "deadline-limited infmax tc");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines[0], format!("seeds\t{}", seeds.join(",")), "{stdout}");
+    assert_eq!(
+        lines[2], "partial\t20.0% (deadline expired; resumable with --resume)",
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

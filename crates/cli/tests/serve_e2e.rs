@@ -16,7 +16,9 @@
 //! * the introspection plane: masked `soi stats` snapshots with exact
 //!   request/hit counts around the mixed batch, `--watch` counter
 //!   deltas, the Prometheus exposition, `"trace":true` phase timelines,
-//!   and the slow-query log.
+//!   and the slow-query log;
+//! * batch/serving agreement: `soi infmax --method tc` and the daemon's
+//!   `infmax-tc` select the same seeds from the same worlds.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -496,5 +498,49 @@ fn stdio_front_end_serves_through_the_binary() {
     assert!(lines[0].contains("\"ok\":true"));
     assert!(lines[1].contains("\"sphere\":["));
     assert!(lines[2].contains("\"draining\":true"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn batch_infmax_tc_and_the_daemon_select_the_same_seeds() {
+    // Both front-ends run one typical-cascade engine and one max-cover
+    // loop, so the same worlds (count, seed) must give the same seeds —
+    // 150 nodes is one block for the batch command, three for the daemon.
+    let dir = fresh_dir("one-path");
+    let graph = make_graph(&dir, 150);
+    let batch = soi()
+        .args(["infmax", &graph])
+        .args("--method tc --k 4 --samples 24 --seed 13".split(' '))
+        .output()
+        .expect("spawn soi infmax");
+    let batch = stdout_str(&batch);
+    let seeds = batch.lines().next().and_then(|l| l.strip_prefix("seeds\t"));
+    let seeds = seeds.unwrap_or_else(|| panic!("no seeds line: {batch}"));
+
+    let mut child = soi()
+        .args(["serve", &format!("net={graph}"), "--stdio"])
+        .args(["--worlds", "24", "--seed", "13"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn soi serve --stdio");
+    use std::io::Write as _;
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            b"{\"v\":1,\"id\":1,\"type\":\"infmax-tc\",\"graph\":\"net\",\"k\":4}\n\
+              {\"v\":1,\"id\":2,\"type\":\"shutdown\"}\n",
+        )
+        .unwrap();
+    let out = child.wait_with_output().expect("wait for stdio serve");
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.starts_with("{") && text.contains(&format!("\"seeds\":[{seeds}],")),
+        "daemon answered {text}, batch selected {seeds}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

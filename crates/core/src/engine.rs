@@ -155,17 +155,13 @@ pub(crate) fn sample_set_cascades(
     count: usize,
     seed: u64,
 ) -> Vec<Vec<NodeId>> {
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut out = Vec::new();
-    (0..count)
-        .map(|i| {
-            let mut rng = soi_sampling::world::world_rng(seed, i);
-            sampler.sample_multi(pg, seeds, &mut rng, &mut out);
-            let mut set = out.clone();
-            set.sort_unstable();
-            set
-        })
-        .collect()
+    let mut sets = Vec::with_capacity(count);
+    let unlimited = Deadline::unlimited();
+    CascadeSampler::for_each_cascade(pg, seeds, count, seed, &unlimited, |cascade| {
+        cascade.sort_unstable();
+        sets.push(cascade.to_vec());
+    });
+    sets
 }
 
 /// The typical cascade of one node as produced by the batch pipeline.
@@ -193,38 +189,21 @@ pub fn all_typical_cascades(
     median: &MedianConfig,
     threads: usize,
 ) -> Vec<NodeTypicalCascade> {
-    let n = index.num_nodes();
-    let threads = soi_util::pool::effective_threads(threads, n);
-    let mut results: Vec<Option<NodeTypicalCascade>> = (0..n).map(|_| None).collect();
-    let solve = |v: NodeId| {
-        // Per-node phase breakdown — the Figure 4 quantity: index lookup
-        // vs median fit, aggregated in the span table.
-        soi_obs::counter_add!("engine.nodes_solved", 1);
-        let samples = {
-            let _s = soi_obs::span("engine.index_lookup");
-            index.cascades_of(v)
-        };
-        let fit = {
-            let _s = soi_obs::span("engine.median_fit");
-            jaccard_median_with(&samples, median)
-        };
-        soi_obs::hist_observe!("engine.sphere_size", SPHERE_SIZE_BUCKETS, fit.median.len());
-        NodeTypicalCascade {
-            node: v,
-            median: fit.median,
-            training_cost: fit.cost,
-        }
+    // One block of all n nodes — a single pool fan-out — that nothing can
+    // stop and nothing persists.
+    let opts = EngineRunOpts {
+        deadline: &Deadline::unlimited(),
+        checkpoint: None,
+        checkpoint_every: index.num_nodes(),
+        resume: false,
     };
-    soi_util::pool::for_each_indexed(&mut results, threads, |v, slot| {
-        *slot = Some(solve(v as NodeId));
-    });
-    soi_obs::event!(
-        soi_obs::Level::Info,
-        "typical cascades solved for {n} nodes on {threads} thread(s)"
-    );
-    // The chunked scoped threads fill every slot exactly once, and
-    // thread::scope joins before this point. xtask-allow: panic_policy
-    results.into_iter().map(|r| r.expect("filled")).collect()
+    match all_typical_cascades_resumable(index, median, threads, &opts) {
+        Ok(outcome) => outcome.value(),
+        // Checkpoint I/O and the `engine.block` failpoint are the only
+        // error sources, and both need a checkpoint path.
+        // xtask-allow: panic_policy
+        Err(e) => unreachable!("checkpoint-free typical-cascade batch failed: {e}"),
+    }
 }
 
 /// Options for [`all_typical_cascades_resumable`]: deadline budget,
@@ -369,6 +348,8 @@ pub fn all_typical_cascades_resumable(
     }
 
     let solve = |v: NodeId| {
+        // Per-node phase breakdown — the Figure 4 quantity: index lookup
+        // vs median fit, aggregated in the span table.
         soi_obs::counter_add!("engine.nodes_solved", 1);
         let samples = {
             let _s = soi_obs::span("engine.index_lookup");
@@ -397,7 +378,12 @@ pub fn all_typical_cascades_resumable(
         if start > resumed_from && !proceed {
             break;
         }
-        soi_util::failpoint!("engine.block");
+        // A crash site only where a crash leaves something to resume from;
+        // runs without a checkpoint file (the plain entry point, the
+        // daemon) have no failure source at all.
+        if opts.checkpoint.is_some() {
+            soi_util::failpoint!("engine.block");
+        }
         let mut block: Vec<Option<NodeTypicalCascade>> = (start..end).map(|_| None).collect();
         soi_util::pool::for_each_indexed(&mut block, threads, |j, slot| {
             *slot = Some(solve((start + j) as NodeId));
@@ -421,6 +407,10 @@ pub fn all_typical_cascades_resumable(
         }
     }
     let done = results.len() as u64;
+    soi_obs::event!(
+        soi_obs::Level::Info,
+        "typical cascades solved for {done} of {n} nodes on {threads} thread(s)"
+    );
     Ok(opts.deadline.outcome(results, done, n as u64))
 }
 

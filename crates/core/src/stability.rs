@@ -11,6 +11,7 @@
 use soi_graph::{NodeId, ProbGraph};
 use soi_jaccard::distance::jaccard_distance;
 use soi_sampling::CascadeSampler;
+use soi_util::runtime::Deadline;
 
 /// Monte-Carlo estimate of `ρ_{G,s}(candidate)` from `samples` fresh
 /// cascades. `candidate` must be canonical (sorted, deduplicated).
@@ -39,15 +40,12 @@ pub fn expected_cost_of_seed_set(
         candidate.windows(2).all(|w| w[0] < w[1]),
         "candidate not canonical"
     );
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut cascade = Vec::new();
     let mut total = 0.0;
-    for i in 0..samples {
-        let mut rng = soi_sampling::world::world_rng(seed, i);
-        sampler.sample_multi(pg, seeds, &mut rng, &mut cascade);
+    let unlimited = Deadline::unlimited();
+    CascadeSampler::for_each_cascade(pg, seeds, samples, seed, &unlimited, |cascade| {
         cascade.sort_unstable();
-        total += jaccard_distance(candidate, &cascade);
-    }
+        total += jaccard_distance(candidate, cascade);
+    });
     total / samples as f64
 }
 
@@ -89,15 +87,12 @@ pub fn expected_cost_with_ci(
 ) -> CostEstimate {
     assert!(samples > 1, "need at least two samples for a CI");
     assert!(z > 0.0, "z must be positive");
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut cascade = Vec::new();
     let mut stats = soi_util::RunningStats::new();
-    for i in 0..samples {
-        let mut rng = soi_sampling::world::world_rng(seed, i);
-        sampler.sample_multi(pg, seeds, &mut rng, &mut cascade);
+    let unlimited = Deadline::unlimited();
+    CascadeSampler::for_each_cascade(pg, seeds, samples, seed, &unlimited, |cascade| {
         cascade.sort_unstable();
-        stats.push(jaccard_distance(candidate, &cascade));
-    }
+        stats.push(jaccard_distance(candidate, cascade));
+    });
     CostEstimate {
         mean: stats.mean(),
         half_width: z * stats.sample_sd() / (samples as f64).sqrt(),

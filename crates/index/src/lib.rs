@@ -24,6 +24,7 @@ pub mod io;
 use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
 use soi_sampling::world::world_rng;
 use soi_sampling::WorldSampler;
+use soi_util::runtime::{Deadline, Outcome};
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -126,50 +127,9 @@ impl CascadeIndex {
     /// assert!(index.cascades_of(1).iter().all(|c| c == &vec![1, 2, 3]));
     /// ```
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
-        assert!(config.num_worlds > 0, "need at least one world");
-        let _span = soi_obs::span("index.build");
-        let n = pg.num_nodes();
-        let ell = config.num_worlds;
-        let threads = effective_threads(config.threads, ell);
-
-        // Each world is independent; distribute world ids across workers.
-        // Contiguous world-id chunks per worker, one sampler allocation
-        // per worker. World `i` depends only on `(seed, i)`, so the
-        // partition does not affect the result.
-        let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = (0..ell).map(|_| None).collect();
-        soi_util::pool::for_each_indexed_with(
-            &mut slots,
-            threads,
-            WorldSampler::new,
-            |sampler, i, slot| {
-                *slot = Some(build_world(pg, &config, i, sampler));
-            },
-        );
-
-        let mut worlds = Vec::with_capacity(ell);
-        let mut comp_matrix = vec![0u32; n * ell];
-        let mut max_comps = 0usize;
-        for (i, slot) in slots.into_iter().enumerate() {
-            // The chunked scoped threads cover every slot exactly once,
-            // and thread::scope joins before we get here.
-            // xtask-allow: panic_policy
-            let (w, comp_of) = slot.expect("world built");
-            max_comps = max_comps.max(w.num_comps());
-            for v in 0..n {
-                comp_matrix[v * ell + i] = comp_of[v];
-            }
-            worlds.push(w);
-        }
-
-        let index = CascadeIndex {
-            num_nodes: n,
-            worlds,
-            comp_matrix,
-            max_comps,
-            config,
-        };
-        index.record_build_metrics();
-        index
+        // One block of all ℓ worlds — a single pool fan-out — under a
+        // deadline that never expires.
+        Self::build_blocks(pg, config, config.num_worlds, &Deadline::unlimited()).value()
     }
 
     /// Budgeted [`build`](CascadeIndex::build): one tick per sampled
@@ -183,18 +143,30 @@ impl CascadeIndex {
     pub fn build_budgeted(
         pg: &ProbGraph,
         config: IndexConfig,
-        deadline: &soi_util::runtime::Deadline,
-    ) -> soi_util::runtime::Outcome<Self> {
+        deadline: &Deadline,
+    ) -> Outcome<Self> {
+        Self::build_blocks(pg, config, BUILD_BLOCK, deadline)
+    }
+
+    /// The block-synchronous build loop: worlds are sampled and condensed
+    /// `block` at a time, one pool fan-out per block, with the deadline
+    /// consulted between blocks.
+    fn build_blocks(
+        pg: &ProbGraph,
+        config: IndexConfig,
+        block: usize,
+        deadline: &Deadline,
+    ) -> Outcome<Self> {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
-        let n = pg.num_nodes();
         let ell = config.num_worlds;
-        let threads = effective_threads(config.threads, BUILD_BLOCK);
 
+        // World `i` depends only on `(seed, i)`, so neither the block size
+        // nor the worker partition affects the result.
         let mut built: Vec<(WorldIndex, Vec<u32>)> = Vec::with_capacity(ell);
-        let mut next = 0usize;
-        while next < ell {
-            let block_len = BUILD_BLOCK.min(ell - next);
+        while built.len() < ell {
+            let next = built.len();
+            let block_len = block.min(ell - next);
             // The first block runs unconditionally (its ticks still count)
             // so a partial index is never empty.
             let proceed = deadline.tick(block_len as u64);
@@ -203,47 +175,55 @@ impl CascadeIndex {
             }
             let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> =
                 (0..block_len).map(|_| None).collect();
+            // Contiguous world-id chunks per worker, one sampler
+            // allocation per worker.
             soi_util::pool::for_each_indexed_with(
                 &mut slots,
-                threads,
+                config.threads,
                 WorldSampler::new,
                 |sampler, j, slot| {
                     *slot = Some(build_world(pg, &config, next + j, sampler));
                 },
             );
-            for slot in slots {
-                // Chunked scoped threads fill every slot before the scope
-                // joins. xtask-allow: panic_policy
-                built.push(slot.expect("world built"));
-            }
-            next += block_len;
+            // Chunked scoped threads fill every slot before the scope
+            // joins. xtask-allow: panic_policy
+            built.extend(slots.into_iter().map(|slot| slot.expect("world built")));
         }
 
         let done = built.len();
-        let mut worlds = Vec::with_capacity(done);
-        let mut comp_matrix = vec![0u32; n * done];
+        // Record the ℓ actually built so the stored config matches a
+        // partial index's true dimensions.
+        let config = IndexConfig {
+            num_worlds: done,
+            ..config
+        };
+        let index = Self::assemble(pg.num_nodes(), built, config);
+        deadline.outcome(index, done as u64, ell as u64)
+    }
+
+    /// Transposes the per-world component assignments into the node-major
+    /// matrix and records the build metrics.
+    fn assemble(num_nodes: usize, built: Vec<(WorldIndex, Vec<u32>)>, config: IndexConfig) -> Self {
+        let ell = built.len();
+        let mut worlds = Vec::with_capacity(ell);
+        let mut comp_matrix = vec![0u32; num_nodes * ell];
         let mut max_comps = 0usize;
         for (i, (w, comp_of)) in built.into_iter().enumerate() {
             max_comps = max_comps.max(w.num_comps());
-            for v in 0..n {
-                comp_matrix[v * done + i] = comp_of[v];
+            for v in 0..num_nodes {
+                comp_matrix[v * ell + i] = comp_of[v];
             }
             worlds.push(w);
         }
         let index = CascadeIndex {
-            num_nodes: n,
+            num_nodes,
             worlds,
             comp_matrix,
             max_comps,
-            // Record the ℓ actually built so the stored config matches
-            // the partial index's true dimensions.
-            config: IndexConfig {
-                num_worlds: done,
-                ..config
-            },
+            config,
         };
         index.record_build_metrics();
-        deadline.outcome(index, done as u64, ell as u64)
+        index
     }
 
     /// A 64-bit fingerprint of the index identity: dimensions, build
@@ -312,26 +292,7 @@ impl CascadeIndex {
             })
             .collect();
         assert!(!built.is_empty(), "need at least one world");
-        let ell = built.len();
-        let mut worlds_out = Vec::with_capacity(ell);
-        let mut comp_matrix = vec![0u32; num_nodes * ell];
-        let mut max_comps = 0usize;
-        for (i, (w, comp_of)) in built.into_iter().enumerate() {
-            max_comps = max_comps.max(w.num_comps());
-            for v in 0..num_nodes {
-                comp_matrix[v * ell + i] = comp_of[v];
-            }
-            worlds_out.push(w);
-        }
-        let index = CascadeIndex {
-            num_nodes,
-            worlds: worlds_out,
-            comp_matrix,
-            max_comps,
-            config,
-        };
-        index.record_build_metrics();
-        index
+        Self::assemble(num_nodes, built, config)
     }
 
     /// Records closure/size counters and gauges for a finished build.
@@ -486,10 +447,6 @@ pub struct IndexQuery {
 /// block size (independent of thread count) keeps the partial prefix
 /// deterministic across machines.
 pub const BUILD_BLOCK: usize = 16;
-
-fn effective_threads(requested: usize, work_items: usize) -> usize {
-    soi_util::pool::effective_threads(requested, work_items)
-}
 
 fn build_world(
     pg: &ProbGraph,

@@ -9,9 +9,10 @@
 //!   Figure 7 saturation study needs ("we need to run the standard greedy
 //!   algorithm with no optimization at all");
 //! * [`GreedyMode::Celf`] is the lazy-evaluation optimization (Leskovec
-//!   et al.; the CELF++ implementation of Goyal et al. is what the paper
-//!   runs): stale gains are upper bounds by submodularity, so most
-//!   re-evaluations are skipped.
+//!   et al.; Goyal et al.'s implementation of it is what the paper runs):
+//!   stale gains are upper bounds by submodularity, so most
+//!   re-evaluations are skipped. It is [`infmax_celf_resumable`] under a
+//!   deadline that never expires and with no checkpoint file.
 //!
 //! Ties break toward the smaller node id in both variants, keeping them
 //! seed-for-seed identical.
@@ -21,9 +22,7 @@ use soi_graph::NodeId;
 use soi_index::CascadeIndex;
 use soi_util::ckpt::{self, ByteReader, Checkpoint, KIND_GREEDY};
 use soi_util::runtime::{Deadline, Outcome};
-use soi_util::SoiError;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use soi_util::{LazyGreedy, SoiError};
 use std::path::Path;
 
 /// Which greedy implementation to run.
@@ -56,11 +55,26 @@ pub struct GreedyResult {
 
 /// Runs `InfMax_std` for `k` seeds over the index's sampled worlds.
 pub fn infmax_std(index: &CascadeIndex, k: usize, mode: GreedyMode) -> GreedyResult {
-    let _span = soi_obs::span("influence.greedy");
-    let mut oracle = SpreadOracle::new(index);
     match mode {
-        GreedyMode::Plain { capture_top } => plain(&mut oracle, k, capture_top),
-        GreedyMode::Celf => celf(&mut oracle, k),
+        GreedyMode::Plain { capture_top } => {
+            let _span = soi_obs::span("influence.greedy");
+            plain(&mut SpreadOracle::new(index), k, capture_top)
+        }
+        GreedyMode::Celf => {
+            let opts = GreedyRunOpts {
+                deadline: &Deadline::unlimited(),
+                checkpoint: None,
+                checkpoint_every: 1,
+                resume: false,
+            };
+            match infmax_celf_resumable(index, k, &opts) {
+                Ok(outcome) => outcome.value(),
+                // Checkpoint I/O and the `greedy.round` failpoint are the
+                // only error sources, and both need a checkpoint path.
+                // xtask-allow: panic_policy
+                Err(e) => unreachable!("checkpoint-free greedy selection failed: {e}"),
+            }
+        }
     }
 }
 
@@ -96,82 +110,6 @@ fn plain(oracle: &mut SpreadOracle<'_>, k: usize, capture_top: usize) -> GreedyR
         seeds,
         spread_curve: curve,
         gain_rankings: rankings,
-    }
-}
-
-/// Heap entry ordered by (gain desc, node asc) — `BinaryHeap` is a
-/// max-heap, so we invert the node ordering.
-#[derive(Debug)]
-struct CelfEntry {
-    gain: f64,
-    node: NodeId,
-    /// Iteration at which `gain` was computed.
-    round: usize,
-}
-
-impl PartialEq for CelfEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for CelfEntry {}
-impl PartialOrd for CelfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CelfEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .total_cmp(&other.gain)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-fn celf(oracle: &mut SpreadOracle<'_>, k: usize) -> GreedyResult {
-    let n = oracle.index().num_nodes();
-    let k = k.min(n);
-    let mut heap: BinaryHeap<CelfEntry> = (0..n as NodeId)
-        .map(|v| CelfEntry {
-            gain: oracle.marginal_gain(v),
-            node: v,
-            round: 0,
-        })
-        .collect();
-    let mut seeds = Vec::with_capacity(k);
-    let mut curve = Vec::with_capacity(k);
-
-    for round in 1..=k {
-        loop {
-            let Some(top) = heap.pop() else {
-                return GreedyResult {
-                    seeds,
-                    spread_curve: curve,
-                    gain_rankings: Vec::new(),
-                };
-            };
-            if top.round == round {
-                // Fresh this round: by submodularity every stale entry
-                // below is also below its (upper-bound) stale gain, so this
-                // is the true argmax.
-                oracle.commit(top.node);
-                seeds.push(top.node);
-                curve.push(oracle.current_spread());
-                break;
-            }
-            soi_obs::counter_add!("influence.celf_reevals", 1);
-            let fresh = oracle.marginal_gain(top.node);
-            heap.push(CelfEntry {
-                gain: fresh,
-                node: top.node,
-                round,
-            });
-        }
-    }
-    GreedyResult {
-        seeds,
-        spread_curve: curve,
-        gain_rankings: Vec::new(),
     }
 }
 
@@ -297,11 +235,11 @@ pub fn infmax_celf_resumable(
         gain_rankings: Vec::new(),
     };
 
-    // Initial heap: gains w.r.t. the committed prefix, marked stale (the
-    // same shape a from-scratch CELF starts with), so the round loop
-    // re-verifies the top exactly like an uninterrupted run.
+    // Initial heap: gains w.r.t. the committed prefix, stale from the
+    // first round on (the same shape a from-scratch CELF starts with), so
+    // the round loop re-verifies the top exactly like an uninterrupted run.
     let base = seeds.len();
-    let mut heap: BinaryHeap<CelfEntry> = BinaryHeap::with_capacity(n - base);
+    let mut lazy = LazyGreedy::with_capacity(n - base);
     for v in 0..n as NodeId {
         if in_solution[v as usize] {
             continue;
@@ -309,37 +247,28 @@ pub fn infmax_celf_resumable(
         if !deadline.tick(1) {
             return Ok(deadline.outcome(result(seeds, curve), base as u64, k as u64));
         }
-        heap.push(CelfEntry {
-            gain: oracle.marginal_gain(v),
-            node: v,
-            round: base,
-        });
+        lazy.push(v, oracle.marginal_gain(v));
     }
 
-    for round in base + 1..=k {
-        soi_util::failpoint!("greedy.round");
-        loop {
-            let Some(top) = heap.pop() else {
-                return Ok(Outcome::Completed(result(seeds, curve)));
-            };
-            if top.round == round {
-                oracle.commit(top.node);
-                seeds.push(top.node);
-                curve.push(oracle.current_spread());
-                break;
-            }
+    for _ in base..k {
+        // A crash site only where a crash leaves something to resume from.
+        if opts.checkpoint.is_some() {
+            soi_util::failpoint!("greedy.round");
+        }
+        let best = lazy.pop_best(|v| {
             if !deadline.tick(1) {
-                let done = seeds.len() as u64;
-                return Ok(deadline.outcome(result(seeds, curve), done, k as u64));
+                return None;
             }
             soi_obs::counter_add!("influence.celf_reevals", 1);
-            let fresh = oracle.marginal_gain(top.node);
-            heap.push(CelfEntry {
-                gain: fresh,
-                node: top.node,
-                round,
-            });
-        }
+            Some(oracle.marginal_gain(v))
+        });
+        let Some((node, _)) = best else {
+            let done = seeds.len() as u64;
+            return Ok(deadline.outcome(result(seeds, curve), done, k as u64));
+        };
+        oracle.commit(node);
+        seeds.push(node);
+        curve.push(oracle.current_spread());
         if let Some(path) = opts.checkpoint {
             if seeds.len().is_multiple_of(every) || seeds.len() == k {
                 ckpt::write_checkpoint(
@@ -359,124 +288,6 @@ pub fn infmax_celf_resumable(
     }
     let done = seeds.len() as u64;
     Ok(deadline.outcome(result(seeds, curve), done, k as u64))
-}
-
-/// CELF++ (Goyal, Lu & Lakshmanan, WWW 2011) — the optimization of the
-/// implementation the paper actually runs for `InfMax_std` ([18]).
-///
-/// Beyond CELF's lazy upper bounds, each evaluation of a node `v` also
-/// computes the marginal gain of `v` w.r.t. `S ∪ {cur_best}` — the likely
-/// next seed set — so when `cur_best` is indeed committed, `v`'s cached
-/// gain is already exact for the next round and a full re-evaluation is
-/// skipped. Seed-for-seed identical to CELF/plain greedy (same oracle,
-/// same tie-breaks); only the number of oracle calls drops.
-pub fn infmax_celfpp(index: &CascadeIndex, k: usize) -> GreedyResult {
-    let _span = soi_obs::span("influence.greedy");
-    let mut oracle = SpreadOracle::new(index);
-    let n = oracle.index().num_nodes();
-    let k = k.min(n);
-
-    #[derive(Debug)]
-    struct Entry {
-        gain: f64,
-        /// Gain w.r.t. `S ∪ {best_at_eval}`, if computed.
-        gain_after_best: Option<(NodeId, f64)>,
-        node: NodeId,
-        round: usize,
-    }
-
-    // Initial pass: gains w.r.t. the empty set; no "previous best" yet
-    // except the running best of the pass itself.
-    let mut entries: Vec<Entry> = Vec::with_capacity(n);
-    let mut cur_best: Option<(f64, NodeId)> = None;
-    for v in 0..n as NodeId {
-        let gain = oracle.marginal_gain(v);
-        entries.push(Entry {
-            gain,
-            gain_after_best: None,
-            node: v,
-            round: 0,
-        });
-        if cur_best.is_none_or(|(g, b)| gain > g || (gain == g && v < b)) {
-            cur_best = Some((gain, v));
-        }
-    }
-    // Max-heap keyed like CELF (gain desc, node asc).
-    use std::collections::BinaryHeap;
-    struct HeapEntry(Entry);
-    impl PartialEq for HeapEntry {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for HeapEntry {}
-    impl PartialOrd for HeapEntry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for HeapEntry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.0
-                .gain
-                .total_cmp(&other.0.gain)
-                .then(other.0.node.cmp(&self.0.node))
-        }
-    }
-    let mut heap: BinaryHeap<HeapEntry> = entries.into_iter().map(HeapEntry).collect();
-
-    let mut seeds = Vec::with_capacity(k);
-    let mut curve = Vec::with_capacity(k);
-    let mut last_committed: Option<NodeId> = None;
-    for round in 1..=k {
-        loop {
-            let Some(HeapEntry(mut top)) = heap.pop() else {
-                return GreedyResult {
-                    seeds,
-                    spread_curve: curve,
-                    gain_rankings: Vec::new(),
-                };
-            };
-            if top.round == round {
-                oracle.commit(top.node);
-                last_committed = Some(top.node);
-                seeds.push(top.node);
-                curve.push(oracle.current_spread());
-                break;
-            }
-            // CELF++ shortcut: if this node's gain-after-best was taken
-            // against exactly the node that was committed last round, it
-            // is already the fresh gain.
-            let fresh = match top.gain_after_best {
-                Some((b, g)) if top.round + 1 == round && Some(b) == last_committed => {
-                    soi_obs::counter_add!("influence.celfpp_shortcut_hits", 1);
-                    g
-                }
-                _ => {
-                    soi_obs::counter_add!("influence.celf_reevals", 1);
-                    oracle.marginal_gain(top.node)
-                }
-            };
-            top.gain = fresh;
-            // Record gain w.r.t. S ∪ {current heap best} for next round:
-            // approximate "current best" by the top of the heap.
-            top.gain_after_best = heap.peek().map(|best| {
-                let b = best.0.node;
-                // gain(v | S ∪ {b}) = |cascade(v) \ (covered ∪ cascade(b))|
-                // — evaluating it exactly costs another oracle call, which
-                // defeats the purpose; CELF++ evaluates both in one pass.
-                // Our oracle exposes that as a paired evaluation:
-                (b, oracle.marginal_gain_after(top.node, b))
-            });
-            top.round = round;
-            heap.push(HeapEntry(top));
-        }
-    }
-    GreedyResult {
-        seeds,
-        spread_curve: curve,
-        gain_rankings: Vec::new(),
-    }
 }
 
 /// Configuration for the paper-faithful Monte-Carlo greedy
@@ -511,7 +322,7 @@ impl Default for McGreedyConfig {
 
 /// `InfMax_std` exactly as the paper runs it: CELF over *fresh
 /// Monte-Carlo estimates* of the expected spread (Kempe et al.'s
-/// estimator inside Goyal et al.'s CELF++-style lazy greedy).
+/// estimator inside Goyal et al.'s lazy greedy).
 ///
 /// Unlike [`infmax_std`], which shares one live-edge world pool across
 /// the whole run (zero in-pool evaluation noise — a stronger, more modern
@@ -541,70 +352,37 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
         *slot = estimate_spread(pg, &[v as NodeId], config.samples, fresh_seed());
     });
 
-    let mut heap: BinaryHeap<CelfEntry> = initial
-        .into_iter()
-        .enumerate()
-        .map(|(v, gain)| CelfEntry {
-            gain,
-            node: v as NodeId,
-            round: 0,
-        })
-        .collect();
+    let mut lazy = LazyGreedy::with_capacity(n);
+    for (v, gain) in initial.into_iter().enumerate() {
+        lazy.push(v as NodeId, gain);
+    }
 
     let cap = config.max_reevals_per_round.max(1);
     let mut seeds: Vec<NodeId> = Vec::with_capacity(k);
     let mut curve = Vec::with_capacity(k);
     let mut sigma_s = 0.0f64;
-    for round in 1..=k {
+    for _ in 0..k {
         let mut reevals = 0usize;
-        let committed: Option<CelfEntry> = loop {
-            let Some(top) = heap.pop() else { break None };
-            if top.round == round {
-                // Freshly evaluated this round and still on top: commit.
-                break Some(top);
-            }
+        let best = lazy.pop_best(|v| {
             if reevals >= cap {
-                // Budget exhausted: commit the best fresh entry in the
-                // heap (at least one exists since cap >= 1). O(n) scan +
-                // rebuild, once per capped round.
-                heap.push(top);
-                let best = heap
-                    .iter()
-                    .filter(|e| e.round == round)
-                    .max_by(|a, b| a.cmp(b))
-                    .map(|e| (e.node, e.gain))
-                    // `top` was just pushed back with `round == round`,
-                    // so the filter matches at least one entry.
-                    // xtask-allow: panic_policy
-                    .expect("cap >= 1 guarantees a fresh entry");
-                let rest: Vec<CelfEntry> = heap
-                    .drain()
-                    .filter(|e| !(e.round == round && e.node == best.0))
-                    .collect();
-                heap = rest.into();
-                break Some(CelfEntry {
-                    gain: best.1,
-                    node: best.0,
-                    round,
-                });
+                return None;
             }
             // Fresh evaluation of the marginal gain.
             soi_obs::counter_add!("influence.celf_reevals", 1);
             soi_obs::counter_add!("influence.mc_spread_evals", 1);
             let mut with_v: Vec<NodeId> = seeds.clone();
-            with_v.push(top.node);
-            let gain =
-                (estimate_spread(pg, &with_v, config.samples, fresh_seed()) - sigma_s).max(0.0);
+            with_v.push(v);
             reevals += 1;
-            heap.push(CelfEntry {
-                gain,
-                node: top.node,
-                round,
-            });
+            Some((estimate_spread(pg, &with_v, config.samples, fresh_seed()) - sigma_s).max(0.0))
+        });
+        // Budget exhausted: commit the best candidate evaluated this
+        // round (at least one exists since cap >= 1). O(n) scan +
+        // rebuild, once per capped round.
+        let Some((node, gain)) = best.or_else(|| lazy.pop_fresh()) else {
+            break;
         };
-        let Some(chosen) = committed else { break };
-        sigma_s += chosen.gain;
-        seeds.push(chosen.node);
+        sigma_s += gain;
+        seeds.push(node);
         curve.push(sigma_s);
     }
     GreedyResult {
@@ -693,29 +471,6 @@ mod tests {
         s.sort_unstable();
         s.dedup();
         assert_eq!(s.len(), 4, "no duplicate seeds");
-    }
-
-    #[test]
-    fn celfpp_matches_celf_seed_for_seed() {
-        for seed in [3u64, 7, 11] {
-            let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
-            let pg = ProbGraph::fixed(gen::gnm(50, 250, &mut rng), 0.2).unwrap();
-            let index = index_for(&pg, 100, seed ^ 0xAA);
-            let celf = infmax_std(&index, 8, GreedyMode::Celf);
-            let celfpp = infmax_celfpp(&index, 8);
-            assert_eq!(celf.seeds, celfpp.seeds, "seed {seed}");
-            for (a, b) in celf.spread_curve.iter().zip(&celfpp.spread_curve) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn celfpp_clamps_k() {
-        let pg = ProbGraph::fixed(gen::path(4), 0.5).unwrap();
-        let index = index_for(&pg, 16, 1);
-        let r = infmax_celfpp(&index, 100);
-        assert_eq!(r.seeds.len(), 4);
     }
 
     #[test]

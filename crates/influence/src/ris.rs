@@ -13,8 +13,8 @@
 use soi_graph::{GraphBuilder, NodeId, ProbGraph};
 use soi_util::rng::derive_seed;
 use soi_util::rng::Rng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use soi_util::runtime::{Deadline, Outcome};
+use soi_util::LazyGreedy;
 
 /// Result of an RIS run.
 #[derive(Clone, Debug)]
@@ -44,7 +44,7 @@ fn transpose(pg: &ProbGraph) -> ProbGraph {
 /// Samples `num_rr` reverse-reachable sets. Exposed for tests and for the
 /// benchmark harness's cost accounting.
 pub fn sample_rr_sets(pg: &ProbGraph, num_rr: usize, seed: u64) -> Vec<Vec<NodeId>> {
-    sample_rr_sets_budgeted(pg, num_rr, seed, &soi_util::runtime::Deadline::unlimited()).value()
+    sample_rr_sets_budgeted(pg, num_rr, seed, &Deadline::unlimited()).value()
 }
 
 /// Budgeted [`sample_rr_sets`]: one tick per RR set. On expiry returns
@@ -54,8 +54,8 @@ pub fn sample_rr_sets_budgeted(
     pg: &ProbGraph,
     num_rr: usize,
     seed: u64,
-    deadline: &soi_util::runtime::Deadline,
-) -> soi_util::runtime::Outcome<Vec<Vec<NodeId>>> {
+    deadline: &Deadline,
+) -> Outcome<Vec<Vec<NodeId>>> {
     let tp = transpose(pg);
     let n = pg.num_nodes();
     let mut sampler = soi_sampling::CascadeSampler::new(n);
@@ -80,36 +80,10 @@ pub fn sample_rr_sets_budgeted(
     deadline.outcome(sets, done, num_rr as u64)
 }
 
-#[derive(Debug)]
-struct Entry {
-    gain: usize,
-    node: NodeId,
-    round: usize,
-}
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain.cmp(&other.gain).then(other.node.cmp(&self.node))
-    }
-}
-
 /// RIS influence maximization: `num_rr` RR sets, then lazy greedy
 /// max-cover. Deterministic in `seed`.
 pub fn infmax_ris(pg: &ProbGraph, k: usize, num_rr: usize, seed: u64) -> RisResult {
-    assert!(num_rr > 0, "need RR sets");
-    let _span = soi_obs::span("influence.ris");
-    let rr = sample_rr_sets(pg, num_rr, seed);
-    greedy_max_cover(pg.num_nodes(), k, &rr)
+    infmax_ris_budgeted(pg, k, num_rr, seed, &Deadline::unlimited()).value()
 }
 
 /// Budgeted [`infmax_ris`]: the RR-sampling phase ticks the deadline once
@@ -121,8 +95,8 @@ pub fn infmax_ris_budgeted(
     k: usize,
     num_rr: usize,
     seed: u64,
-    deadline: &soi_util::runtime::Deadline,
-) -> soi_util::runtime::Outcome<RisResult> {
+    deadline: &Deadline,
+) -> Outcome<RisResult> {
     assert!(num_rr > 0, "need RR sets");
     let _span = soi_obs::span("influence.ris");
     let n = pg.num_nodes();
@@ -154,44 +128,30 @@ fn greedy_max_cover(n: usize, k: usize, rr: &[Vec<NodeId>]) -> RisResult {
     let mut covered_count = 0usize;
     let scale = n as f64 / rr.len() as f64;
 
-    let mut heap: BinaryHeap<Entry> = (0..n as NodeId)
-        .map(|v| Entry {
-            gain: containing[v as usize].len(),
-            node: v,
-            round: 0,
-        })
-        .collect();
+    let uncovered = |v: NodeId, covered: &[bool]| {
+        containing[v as usize]
+            .iter()
+            .filter(|&&i| !covered[i as usize])
+            .count() as f64
+    };
+    let mut lazy = LazyGreedy::with_capacity(n);
+    for v in 0..n as NodeId {
+        lazy.push(v, uncovered(v, &covered));
+    }
     let mut seeds = Vec::with_capacity(k);
     let mut curve = Vec::with_capacity(k);
-    for round in 1..=k {
-        loop {
-            let Some(top) = heap.pop() else {
-                return RisResult {
-                    seeds,
-                    spread_curve: curve,
-                };
-            };
-            if top.round == round {
-                for &i in &containing[top.node as usize] {
-                    if !covered[i as usize] {
-                        covered[i as usize] = true;
-                        covered_count += 1;
-                    }
-                }
-                seeds.push(top.node);
-                curve.push(covered_count as f64 * scale);
-                break;
+    for _ in 0..k {
+        let Some((node, _)) = lazy.pop_best(|v| Some(uncovered(v, &covered))) else {
+            break;
+        };
+        for &i in &containing[node as usize] {
+            if !covered[i as usize] {
+                covered[i as usize] = true;
+                covered_count += 1;
             }
-            let fresh = containing[top.node as usize]
-                .iter()
-                .filter(|&&i| !covered[i as usize])
-                .count();
-            heap.push(Entry {
-                gain: fresh,
-                node: top.node,
-                round,
-            });
         }
+        seeds.push(node);
+        curve.push(covered_count as f64 * scale);
     }
     RisResult {
         seeds,

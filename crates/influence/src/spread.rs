@@ -5,7 +5,7 @@
 //! `σ(S ∪ {v}) − σ(S)` against the running solution. Both are computed
 //! over the ℓ live-edge worlds of a [`CascadeIndex`] (the standard Kempe
 //! et al. estimator, sharing one world pool across the whole greedy run as
-//! the CELF++ implementation the paper uses does). The oracle keeps one
+//! the CELF implementation the paper uses does). The oracle keeps one
 //! covered-bitset per world so a marginal gain is just "new nodes this
 //! cascade would add".
 
@@ -88,42 +88,6 @@ impl<'a> SpreadOracle<'a> {
                 .scratch
                 .iter()
                 .filter(|&&w| !self.covered[i].contains(w as usize))
-                .count();
-        }
-        gain as f64 / ell as f64
-    }
-
-    /// Marginal gain of `v` *assuming `b` gets committed first*:
-    /// `σ(S ∪ {b, v}) − σ(S ∪ {b})`. The CELF++ paired evaluation —
-    /// computed against the current covered state plus `b`'s cascades,
-    /// without mutating the oracle.
-    pub fn marginal_gain_after(&mut self, v: NodeId, b: NodeId) -> f64 {
-        soi_obs::counter_add!("influence.marginal_gain_pair_calls", 1);
-        let ell = self.index.num_worlds();
-        let mut gain = 0usize;
-        let mut b_cascade: Vec<NodeId> = Vec::new();
-        let mut aux = soi_util::BitSet::new(self.index.num_nodes());
-        for i in 0..ell {
-            if self.covered[i].contains(v as usize) {
-                continue;
-            }
-            // Mark b's cascade for this world (unless b is covered, in
-            // which case its cascade is already inside covered[i]).
-            aux.clear();
-            if !self.covered[i].contains(b as usize) {
-                self.index.cascade(b, i, &mut self.query, &mut b_cascade);
-                for &w in &b_cascade {
-                    aux.insert(w as usize);
-                }
-            }
-            if aux.contains(v as usize) {
-                continue; // v is swallowed by b's cascade in this world
-            }
-            self.index.cascade(v, i, &mut self.query, &mut self.scratch);
-            gain += self
-                .scratch
-                .iter()
-                .filter(|&&w| !self.covered[i].contains(w as usize) && !aux.contains(w as usize))
                 .count();
         }
         gain as f64 / ell as f64
@@ -243,26 +207,6 @@ mod tests {
             let now = oracle.marginal_gain(probe);
             assert!(now <= last + 1e-12, "gain grew after committing {v}");
             last = now;
-        }
-    }
-
-    #[test]
-    fn marginal_gain_after_matches_commit_sequence() {
-        let (_pg, index) = build(6, 64);
-        let mut oracle = SpreadOracle::new(&index);
-        oracle.commit(3);
-        for (v, b) in [(10u32, 20u32), (7, 7), (15, 3)] {
-            let paired = oracle.marginal_gain_after(v, b);
-            // Reference: actually commit b on a fresh oracle with the same
-            // prefix, then measure v.
-            let mut reference = SpreadOracle::new(&index);
-            reference.commit(3);
-            reference.commit(b);
-            let expected = reference.marginal_gain(v);
-            assert!(
-                (paired - expected).abs() < 1e-12,
-                "v={v}, b={b}: paired {paired} vs sequential {expected}"
-            );
         }
     }
 

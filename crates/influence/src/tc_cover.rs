@@ -13,9 +13,7 @@
 //! seeding *costs* (budgeted max-cover via the greedy ratio rule).
 
 use soi_graph::NodeId;
-use soi_util::BitSet;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use soi_util::{BitSet, LazyGreedy};
 
 /// Output of an `InfMax_TC` run.
 #[derive(Clone, Debug)]
@@ -80,32 +78,6 @@ fn gain_of(cascade: &[NodeId], covered: &BitSet, values: &[f64]) -> f64 {
         .sum()
 }
 
-#[derive(Debug)]
-struct LazyEntry {
-    gain: f64,
-    node: NodeId,
-    round: usize,
-}
-
-impl PartialEq for LazyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for LazyEntry {}
-impl PartialOrd for LazyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LazyEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .total_cmp(&other.gain)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
 fn weighted_inner(
     cascades: &[Vec<NodeId>],
     values: &[f64],
@@ -146,39 +118,22 @@ fn weighted_inner(
         }
     } else {
         // Lazy mode.
-        let mut heap: BinaryHeap<LazyEntry> = (0..n as NodeId)
-            .map(|v| LazyEntry {
-                gain: gain_of(&cascades[v as usize], &covered, values),
-                node: v,
-                round: 0,
-            })
-            .collect();
-        for round in 1..=k {
-            loop {
-                let Some(top) = heap.pop() else {
-                    return TcResult {
-                        seeds,
-                        coverage_curve: curve,
-                        gain_rankings: rankings,
-                    };
-                };
-                if top.round == round {
-                    for &w in &cascades[top.node as usize] {
-                        covered.insert(w as usize);
-                    }
-                    total += top.gain;
-                    seeds.push(top.node);
-                    curve.push(total);
-                    break;
-                }
+        let mut lazy = LazyGreedy::with_capacity(n);
+        for v in 0..n as NodeId {
+            lazy.push(v, gain_of(&cascades[v as usize], &covered, values));
+        }
+        for _ in 0..k {
+            let best = lazy.pop_best(|v| {
                 soi_obs::counter_add!("influence.tc_reevals", 1);
-                let fresh = gain_of(&cascades[top.node as usize], &covered, values);
-                heap.push(LazyEntry {
-                    gain: fresh,
-                    node: top.node,
-                    round,
-                });
+                Some(gain_of(&cascades[v as usize], &covered, values))
+            });
+            let Some((node, gain)) = best else { break };
+            for &w in &cascades[node as usize] {
+                covered.insert(w as usize);
             }
+            total += gain;
+            seeds.push(node);
+            curve.push(total);
         }
     }
 

@@ -109,6 +109,35 @@ impl CascadeSampler {
         soi_obs::hist_observe!("sampling.cascade_size", SIZE_BUCKETS, out.len());
     }
 
+    /// The one seeded cascade loop behind every Monte-Carlo estimator in
+    /// the workspace: draws cascade `i` of `seeds` from
+    /// `world_rng(seed, i)` on one reused sampler, ticks `deadline` once
+    /// per cascade, and hands each cascade (activation order, no
+    /// duplicates) to `fold`. Returns how many cascades were drawn —
+    /// `count` unless the deadline expired first, in which case the fold
+    /// saw exactly the prefix an uninterrupted run would have drawn
+    /// first, because cascade `i` depends only on `(seed, i)`.
+    pub fn for_each_cascade(
+        pg: &ProbGraph,
+        seeds: &[NodeId],
+        count: usize,
+        seed: u64,
+        deadline: &Deadline,
+        mut fold: impl FnMut(&mut [NodeId]),
+    ) -> usize {
+        let mut sampler = CascadeSampler::new(pg.num_nodes());
+        let mut out = Vec::new();
+        for i in 0..count {
+            if !deadline.tick(1) {
+                return i;
+            }
+            let mut rng = crate::world::world_rng(seed, i);
+            sampler.sample_multi(pg, seeds, &mut rng, &mut out);
+            fold(&mut out);
+        }
+        count
+    }
+
     /// Samples `count` independent cascades from `source`, returning them
     /// as sorted node-id vectors (the canonical set representation used by
     /// the Jaccard machinery). Cascade `i` depends only on `(seed, i)`.
@@ -118,17 +147,7 @@ impl CascadeSampler {
         count: usize,
         seed: u64,
     ) -> Vec<Vec<NodeId>> {
-        let mut sampler = CascadeSampler::new(pg.num_nodes());
-        let mut out = Vec::new();
-        (0..count)
-            .map(|i| {
-                let mut rng = crate::world::world_rng(seed, i);
-                sampler.sample(pg, source, &mut rng, &mut out);
-                let mut set = out.clone();
-                set.sort_unstable();
-                set
-            })
-            .collect()
+        Self::sample_many_budgeted(pg, source, count, seed, &Deadline::unlimited()).value()
     }
 
     /// Budgeted [`sample_many`](CascadeSampler::sample_many): one tick per
@@ -142,21 +161,12 @@ impl CascadeSampler {
         seed: u64,
         deadline: &Deadline,
     ) -> Outcome<Vec<Vec<NodeId>>> {
-        let mut sampler = CascadeSampler::new(pg.num_nodes());
-        let mut out = Vec::new();
         let mut sets = Vec::with_capacity(count);
-        for i in 0..count {
-            if !deadline.tick(1) {
-                break;
-            }
-            let mut rng = crate::world::world_rng(seed, i);
-            sampler.sample(pg, source, &mut rng, &mut out);
-            let mut set = out.clone();
-            set.sort_unstable();
-            sets.push(set);
-        }
-        let done = sets.len() as u64;
-        deadline.outcome(sets, done, count as u64)
+        let done = Self::for_each_cascade(pg, &[source], count, seed, deadline, |cascade| {
+            cascade.sort_unstable();
+            sets.push(cascade.to_vec());
+        });
+        deadline.outcome(sets, done as u64, count as u64)
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::CascadeSampler;
 use soi_graph::{NodeId, ProbGraph};
+use soi_util::runtime::Deadline;
 
 /// Monte-Carlo estimate of the 2-terminal reliability `rel(source, target)`.
 /// Deterministic in `seed`.
@@ -26,16 +27,13 @@ pub fn two_terminal(
     seed: u64,
 ) -> f64 {
     assert!(samples > 0);
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut out = Vec::new();
     let mut hits = 0usize;
-    for i in 0..samples {
-        let mut rng = crate::world::world_rng(seed, i);
-        sampler.sample(pg, source, &mut rng, &mut out);
-        if out.contains(&target) {
+    let unlimited = Deadline::unlimited();
+    CascadeSampler::for_each_cascade(pg, &[source], samples, seed, &unlimited, |cascade| {
+        if cascade.contains(&target) {
             hits += 1;
         }
-    }
+    });
     hits as f64 / samples as f64
 }
 
@@ -50,15 +48,12 @@ pub fn reachability_probabilities(
     assert!(samples > 0);
     let n = pg.num_nodes();
     let mut counts = vec![0u32; n];
-    let mut sampler = CascadeSampler::new(n);
-    let mut out = Vec::new();
-    for i in 0..samples {
-        let mut rng = crate::world::world_rng(seed, i);
-        sampler.sample_multi(pg, sources, &mut rng, &mut out);
-        for &v in &out {
+    let unlimited = Deadline::unlimited();
+    CascadeSampler::for_each_cascade(pg, sources, samples, seed, &unlimited, |cascade| {
+        for &v in cascade.iter() {
             counts[v as usize] += 1;
         }
-    }
+    });
     counts
         .into_iter()
         .map(|c| c as f64 / samples as f64)

@@ -8,6 +8,7 @@
 
 use crate::CascadeSampler;
 use soi_graph::{NodeId, ProbGraph};
+use soi_util::runtime::{Deadline, Outcome};
 
 /// Estimates `σ(seeds)` as the mean cascade size over `samples` independent
 /// cascades. Deterministic in `seed`.
@@ -22,16 +23,7 @@ use soi_graph::{NodeId, ProbGraph};
 /// ```
 pub fn estimate_spread(pg: &ProbGraph, seeds: &[NodeId], samples: usize, seed: u64) -> f64 {
     assert!(samples > 0, "need at least one sample");
-    soi_obs::counter_add!("sampling.spread_estimates", 1);
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut out = Vec::new();
-    let mut total = 0usize;
-    for i in 0..samples {
-        let mut rng = crate::world::world_rng(seed, i as u64 as usize);
-        sampler.sample_multi(pg, seeds, &mut rng, &mut out);
-        total += out.len();
-    }
-    total as f64 / samples as f64
+    estimate_spread_budgeted(pg, seeds, samples, seed, &Deadline::unlimited()).value()
 }
 
 /// Budgeted [`estimate_spread`]: one tick per sampled cascade. On expiry
@@ -43,22 +35,13 @@ pub fn estimate_spread_budgeted(
     seeds: &[NodeId],
     samples: usize,
     seed: u64,
-    deadline: &soi_util::runtime::Deadline,
-) -> soi_util::runtime::Outcome<f64> {
+    deadline: &Deadline,
+) -> Outcome<f64> {
     soi_obs::counter_add!("sampling.spread_estimates", 1);
-    let mut sampler = CascadeSampler::new(pg.num_nodes());
-    let mut out = Vec::new();
     let mut total = 0usize;
-    let mut done = 0usize;
-    for i in 0..samples {
-        if !deadline.tick(1) {
-            break;
-        }
-        let mut rng = crate::world::world_rng(seed, i);
-        sampler.sample_multi(pg, seeds, &mut rng, &mut out);
-        total += out.len();
-        done += 1;
-    }
+    let done = CascadeSampler::for_each_cascade(pg, seeds, samples, seed, deadline, |cascade| {
+        total += cascade.len();
+    });
     let mean = if done == 0 {
         0.0
     } else {

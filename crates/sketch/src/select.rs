@@ -25,9 +25,7 @@ use soi_graph::{NodeId, ProbGraph};
 use soi_sampling::world::world_rng;
 use soi_sampling::WorldSampler;
 use soi_util::runtime::{Deadline, Outcome};
-use soi_util::BitSet;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use soi_util::{BitSet, LazyGreedy};
 
 /// Result of a sketch-based seed selection.
 #[derive(Clone, Debug)]
@@ -37,34 +35,6 @@ pub struct SelectResult {
     /// Exact (over the ℓ sampled worlds) expected spread of the seed
     /// prefix after each selection: `covered pairs / ℓ`.
     pub coverage: Vec<f64>,
-}
-
-#[derive(Debug)]
-struct Cand {
-    gain: f64,
-    node: NodeId,
-    round: usize,
-}
-
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on gain; ties go to the lower node id so selection is
-        // deterministic even under heavy gain collisions.
-        self.gain
-            .total_cmp(&other.gain)
-            .then(other.node.cmp(&self.node))
-    }
 }
 
 /// Estimated marginal spread of `u` given the per-world covered sets.
@@ -111,13 +81,12 @@ pub fn select_seeds(
 
     let mut covered: Vec<BitSet> = (0..ell).map(|_| BitSet::new(n)).collect();
     let mut covered_pairs = 0u64;
-    let mut heap: BinaryHeap<Cand> = (0..n as NodeId)
-        .map(|v| Cand {
-            gain: residual_gain(sk, v, &covered),
-            node: v,
-            round: 0,
-        })
-        .collect();
+    // Ties go to the lower node id, so selection is deterministic even
+    // under heavy gain collisions.
+    let mut lazy = LazyGreedy::with_capacity(n);
+    for v in 0..n as NodeId {
+        lazy.push(v, residual_gain(sk, v, &covered));
+    }
 
     let mut sampler = WorldSampler::new();
     let mut queue: Vec<NodeId> = Vec::new();
@@ -128,43 +97,32 @@ pub fn select_seeds(
         if round > 1 && !proceed {
             break;
         }
-        loop {
-            let Some(top) = heap.pop() else {
-                let done = seeds.len() as u64;
-                return deadline.outcome(SelectResult { seeds, coverage }, done, k_seeds as u64);
-            };
-            if top.round == round {
-                // Exact marginal coverage: forward BFS per re-derived
-                // world over still-uncovered nodes.
-                for (i, cov) in covered.iter_mut().enumerate() {
-                    let world = sampler.sample(pg, &mut world_rng(sk.config().seed, i));
-                    if cov.contains(top.node as usize) {
-                        continue;
-                    }
-                    cov.insert(top.node as usize);
-                    covered_pairs += 1;
-                    queue.clear();
-                    queue.push(top.node);
-                    while let Some(u) = queue.pop() {
-                        for &w in world.out_neighbors(u) {
-                            if cov.insert(w as usize) {
-                                covered_pairs += 1;
-                                queue.push(w);
-                            }
-                        }
+        let Some((node, _)) = lazy.pop_best(|v| Some(residual_gain(sk, v, &covered))) else {
+            break;
+        };
+        // Exact marginal coverage: forward BFS per re-derived world over
+        // still-uncovered nodes.
+        for (i, cov) in covered.iter_mut().enumerate() {
+            let world = sampler.sample(pg, &mut world_rng(sk.config().seed, i));
+            if cov.contains(node as usize) {
+                continue;
+            }
+            cov.insert(node as usize);
+            covered_pairs += 1;
+            queue.clear();
+            queue.push(node);
+            while let Some(u) = queue.pop() {
+                for &w in world.out_neighbors(u) {
+                    if cov.insert(w as usize) {
+                        covered_pairs += 1;
+                        queue.push(w);
                     }
                 }
-                seeds.push(top.node);
-                coverage.push(covered_pairs as f64 / ell as f64);
-                soi_obs::counter_add!("sketch.select_rounds", 1);
-                break;
             }
-            heap.push(Cand {
-                gain: residual_gain(sk, top.node, &covered),
-                node: top.node,
-                round,
-            });
         }
+        seeds.push(node);
+        coverage.push(covered_pairs as f64 / ell as f64);
+        soi_obs::counter_add!("sketch.select_rounds", 1);
     }
     let done = seeds.len() as u64;
     deadline.outcome(SelectResult { seeds, coverage }, done, k_seeds as u64)

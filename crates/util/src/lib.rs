@@ -16,7 +16,9 @@
 //! perturbation at the same sites ([`schedule`]), and the workspace-wide
 //! error type ([`error`]), plus worker-count resolution and chunked
 //! scoped fan-out shared by every parallel pipeline ([`pool`]) and
-//! deterministic capped-exponential retry schedules ([`backoff`]).
+//! deterministic capped-exponential retry schedules ([`backoff`]), and
+//! the one lazy-greedy (CELF) candidate heap every seed-selection loop in
+//! the workspace pulls from ([`lazy`]).
 //!
 //! Nothing in this crate knows about graphs or cascades; it exists so the
 //! algorithmic crates stay focused and allocation-conscious.
@@ -29,6 +31,7 @@ pub mod error;
 pub mod failpoint;
 pub mod hash;
 pub mod invariant;
+pub mod lazy;
 pub mod pool;
 pub mod rng;
 pub mod runtime;
@@ -39,6 +42,7 @@ pub mod tsv;
 
 pub use bitset::BitSet;
 pub use error::{ProtoErrorKind, SoiError};
+pub use lazy::LazyGreedy;
 pub use runtime::{Deadline, Outcome, Progress, StopReason};
 pub use stats::{RunningStats, Summary};
 pub use timer::Timer;
