@@ -593,6 +593,27 @@ fn background_probe_readopts_a_restarted_replica() {
     assert_all_answered(&got, 9);
     assert!(!got.contains("\"status\":\"error\""), "{got}");
 
+    // Dozens of probes later, the per-replica `forwarded` tallies still
+    // count relayed client requests only: they sum to the counter.
+    let stats = router.stats();
+    let number_after = |rest: &str| -> u64 {
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..digits].parse().expect("a number")
+    };
+    let per_replica: u64 = stats
+        .split(",\"forwarded\":")
+        .skip(1)
+        .map(number_after)
+        .sum();
+    let relayed = stats
+        .split("\"router.forwarded\":")
+        .nth(1)
+        .map(number_after);
+    assert_eq!(relayed, Some(12), "6 compute lines per batch: {stats}");
+    assert_eq!(per_replica, 12, "probes counted as relays: {stats}");
+
     router.shutdown();
     replacement.shutdown();
     sibling.shutdown();

@@ -29,6 +29,7 @@
 
 use crate::json;
 use crate::protocol;
+use crate::wire::Conn;
 use soi_util::{ProtoErrorKind, SoiError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -38,6 +39,18 @@ use std::time::Duration;
 
 /// Largest single backoff sleep (ticks ≈ milliseconds).
 const BACKOFF_CAP_TICKS: u64 = 1024;
+
+/// The backoff sleep before retry `attempt` of a client leg (`soi query`
+/// lanes, the router's relay): `base_ticks` doubling per attempt, capped,
+/// or a server-supplied hint when larger — honored only when backoff is
+/// enabled, so a base of 0 keeps retries immediate and tests fast.
+pub(crate) fn backoff_nap(base_ticks: u64, attempt: u32, hint_ticks: u64) {
+    let ticks =
+        soi_util::backoff::delay_with_hint(base_ticks, attempt, BACKOFF_CAP_TICKS, hint_ticks);
+    if ticks > 0 {
+        std::thread::sleep(Duration::from_millis(ticks));
+    }
+}
 
 /// Client options.
 #[derive(Clone, Debug)]
@@ -89,23 +102,13 @@ pub struct BatchReport {
 }
 
 /// Sends one request line over a fresh connection and returns the raw
-/// response line (used by tests and one-shot queries).
+/// response line (used by tests and one-shot queries). A peer that
+/// closes without answering is an error.
 pub fn send_one(host: &str, port: u16, line: &str) -> Result<String, SoiError> {
-    let stream = TcpStream::connect((host, port))
-        .map_err(|e| SoiError::io(format!("connect {host}:{port}"), e))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| SoiError::io("clone stream", e))?;
-    writeln!(writer, "{line}").map_err(|e| SoiError::io("send request", e))?;
-    writer
-        .flush()
-        .map_err(|e| SoiError::io("send request", e))?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader
-        .read_line(&mut response)
-        .map_err(|e| SoiError::io("read response", e))?;
-    Ok(response.trim_end().to_string())
+    Conn::connect((host, port), None)
+        .map_err(|e| SoiError::io(format!("connect {host}:{port}"), e))?
+        .exchange(line)
+        .map_err(|e| SoiError::io(format!("exchange with {host}:{port}"), e))
 }
 
 /// Sends a pre-composed multi-line byte stream over one connection,
@@ -177,7 +180,7 @@ struct Lane {
     retries: u32,
     backoff_ticks: u64,
     timeout_ms: u64,
-    conn: Option<(TcpStream, BufReader<TcpStream>)>,
+    conn: Option<Conn>,
     /// Set once retries are exhausted: every later request in the lane
     /// is lost without further connection attempts.
     dead: bool,
@@ -192,28 +195,9 @@ enum LaneAnswer {
 }
 
 impl Lane {
-    /// The backoff sleep before retry `attempt` (plus a server-supplied
-    /// hint, honored only when backoff is enabled so `--backoff-ticks 0`
-    /// keeps tests fast).
-    fn nap(&self, attempt: u32, hint_ticks: u64) {
-        let ticks = soi_util::backoff::delay_with_hint(
-            self.backoff_ticks,
-            attempt,
-            BACKOFF_CAP_TICKS,
-            hint_ticks,
-        );
-        if ticks > 0 {
-            std::thread::sleep(Duration::from_millis(ticks));
-        }
-    }
-
     fn connect(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect((self.host.as_str(), self.port))?;
-        if self.timeout_ms > 0 {
-            stream.set_read_timeout(Some(Duration::from_millis(self.timeout_ms)))?;
-        }
-        let reader = BufReader::new(stream.try_clone()?);
-        self.conn = Some((stream, reader));
+        let timeout = (self.timeout_ms > 0).then(|| Duration::from_millis(self.timeout_ms));
+        self.conn = Some(Conn::connect((self.host.as_str(), self.port), timeout)?);
         Ok(())
     }
 
@@ -234,18 +218,10 @@ impl Lane {
             }
             // Take the live connection for one write-then-read cycle;
             // it is only put back after a successful exchange.
-            let Some((mut stream, mut reader)) = self.conn.take() else {
+            let Some(mut conn) = self.conn.take() else {
                 continue;
             };
-            if writeln!(stream, "{request}")
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                self.retry_or_die(&mut attempt, 0);
-                continue;
-            }
-            let mut response = String::new();
-            match reader.read_line(&mut response) {
+            let line = match conn.exchange(request) {
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -261,35 +237,29 @@ impl Lane {
                         "no response within the request timeout",
                     ));
                 }
-                Err(_) | Ok(0) => {
-                    // Mid-batch EOF / reset: the server (or just this
-                    // connection) died before answering.
+                Err(_) => {
+                    // Failed send, mid-batch EOF or reset: the server (or
+                    // just this connection) died before answering.
                     self.retry_or_die(&mut attempt, 0);
                     continue;
                 }
-                Ok(_) => {
-                    let line = response.trim_end().to_string();
-                    // Version-skew handshake: a response speaking a
-                    // different protocol version gets a typed
-                    // protocol-mismatch diagnosis (naming both
-                    // versions), not a generic parse failure downstream.
-                    if let Err(SoiError::Protocol { kind, message }) =
-                        protocol::check_response_version(&line)
-                    {
-                        return LaneAnswer::Synthesized(synth_error(request, kind, &message));
-                    }
-                    if let Some(hint) = retryable_after(&line) {
-                        if attempt < self.retries {
-                            // Retryable server error: the connection is
-                            // still good, keep it for the retry.
-                            self.conn = Some((stream, reader));
-                            self.retry_or_die(&mut attempt, hint);
-                            continue;
-                        }
-                    }
-                    self.conn = Some((stream, reader));
-                    return LaneAnswer::Server(line);
-                }
+                Ok(line) => line,
+            };
+            // Version-skew handshake: a response speaking a different
+            // protocol version gets a typed protocol-mismatch diagnosis
+            // (naming both versions), not a generic parse failure
+            // downstream.
+            if let Err(SoiError::Protocol { kind, message }) =
+                protocol::check_response_version(&line)
+            {
+                return LaneAnswer::Synthesized(synth_error(request, kind, &message));
+            }
+            // Either way the connection is still good: keep it for the
+            // retry of a retryable server error, or the next request.
+            self.conn = Some(conn);
+            match retryable_after(&line) {
+                Some(hint) if attempt < self.retries => self.retry_or_die(&mut attempt, hint),
+                _ => return LaneAnswer::Server(line),
             }
         }
     }
@@ -301,7 +271,7 @@ impl Lane {
             self.dead = true;
             return;
         }
-        self.nap(*attempt, hint_ticks);
+        backoff_nap(self.backoff_ticks, *attempt, hint_ticks);
         *attempt += 1;
     }
 }

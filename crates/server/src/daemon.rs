@@ -1,5 +1,7 @@
-//! The long-lived daemon: TCP accept loop, per-connection protocol
-//! handling, and the stdio front-end for hermetic tests.
+//! The long-lived daemon: what a request line means at `soi serve`, over
+//! TCP and over the stdio lane for hermetic tests. Framing, the accept
+//! loop and the drain live in [`crate::wire`]; this module supplies the
+//! closures from line to answer.
 //!
 //! One thread per connection reads newline-delimited requests. Control
 //! requests (`health`/`stats`/`shutdown`) are answered inline by the
@@ -18,13 +20,13 @@
 use crate::engine::ServerEngine;
 use crate::protocol::{self, Envelope, Request, DEFAULT_MAX_LINE};
 use crate::trace::{PhaseTrace, SlowLog};
+use crate::wire::{self, ConnEnd, Listener, Step, Stop};
 use crate::worker::{self, Job, PoolHandle, WorkerPool};
 use soi_util::{ProtoErrorKind, SoiError};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 
 /// Version tag of the extended `stats` payload: the flat fields are
 /// frozen v1 shape, the structured `counters`/`gauges`/`histograms`/
@@ -68,88 +70,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// One read from the capped line reader.
-pub(crate) enum LineRead {
-    /// A complete line (newline stripped).
-    Line(String),
-    /// The line exceeded the cap; its remainder was discarded.
-    Oversized,
-    /// The line was not valid UTF-8; it was discarded whole rather
-    /// than lossily decoded (replacement characters would let a
-    /// corrupted request masquerade as a different well-formed one).
-    NotUtf8,
-    /// End of stream; `mid_line` when data arrived without a final
-    /// newline (a client that died mid-request).
-    Eof {
-        /// Whether the stream ended inside an unterminated line.
-        mid_line: bool,
-    },
-}
-
-/// Reads one newline-terminated line of at most `max_line` bytes.
-pub(crate) fn read_line_capped<R: BufRead>(r: &mut R, max_line: usize) -> io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if buf.is_empty() && !oversized {
-                LineRead::Eof { mid_line: false }
-            } else {
-                LineRead::Eof { mid_line: true }
-            });
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |at| at + 1);
-        if !oversized {
-            buf.extend_from_slice(&chunk[..take]);
-            if buf.len() > max_line + 1 {
-                oversized = true;
-                buf.clear();
-            }
-        }
-        r.consume(take);
-        if newline.is_some() {
-            if oversized {
-                return Ok(LineRead::Oversized);
-            }
-            while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            return Ok(match String::from_utf8(buf) {
-                Ok(line) => LineRead::Line(line),
-                Err(_) => LineRead::NotUtf8,
-            });
-        }
-    }
-}
-
-/// Builds the inline response for a control request.
-fn control_response(
+/// Answers a control request: the payload fragment, or a typed error.
+fn control_payload(
     engine: &ServerEngine,
-    id: u64,
     req: &Request,
     pool: Option<&PoolHandle>,
-) -> String {
+) -> Result<String, SoiError> {
     match req {
-        Request::Health => protocol::encode_ok(
-            id,
-            &format!("\"ok\":true,\"graphs\":{}", engine.graph_names().len()),
-            0,
-        ),
-        Request::Stats => protocol::encode_ok(id, &stats_payload(engine, pool), 0),
-        Request::Shutdown => protocol::encode_ok(id, "\"draining\":true", 0),
-        Request::Rebalance { .. } => protocol::encode_error(
-            Some(id),
-            &SoiError::protocol(
-                ProtoErrorKind::BadField,
-                "rebalance is a router control; this daemon holds no shard map",
-            ),
-        ),
-        _ => protocol::encode_error(
-            Some(id),
-            &SoiError::protocol(ProtoErrorKind::BadField, "not a control request"),
-        ),
+        Request::Health => Ok(format!(
+            "\"ok\":true,\"graphs\":{}",
+            engine.graph_names().len()
+        )),
+        Request::Stats => Ok(stats_payload(engine, pool)),
+        Request::Shutdown => Ok("\"draining\":true".to_string()),
+        Request::Rebalance { .. } => Err(SoiError::protocol(
+            ProtoErrorKind::BadField,
+            "rebalance is a router control; this daemon holds no shard map",
+        )),
+        _ => Err(SoiError::protocol(
+            ProtoErrorKind::BadField,
+            "not a control request",
+        )),
     }
 }
 
@@ -178,23 +119,30 @@ fn stats_payload(engine: &ServerEngine, pool: Option<&PoolHandle>) -> String {
         soi_obs::counter("server.requests_shed").get(),
         soi_obs::counter("server.requests_degraded").get(),
     );
-    format!("{flat},{}", v2_sections())
+    format!(
+        "{flat},\"stats_version\":{STATS_VERSION},{},{}",
+        counters_section(&soi_obs::metrics::registry().counter_values()),
+        registry_sections()
+    )
 }
 
-/// The v2 structured sections of a `stats` payload — a snapshot of this
-/// process's metric registry and per-thread timing plane, shared by the
-/// single daemon and the shard router (which appends its own
-/// shard-health sections on top).
-pub(crate) fn v2_sections() -> String {
+/// The `counters` section of a v2 `stats` payload over `counters` — this
+/// process's registry at a daemon, the fabric-wide merged map at the
+/// shard router.
+pub(crate) fn counters_section(counters: &BTreeMap<String, u64>) -> String {
+    let items: Vec<String> = counters
+        .iter()
+        .map(|(name, v)| format!("\"{name}\":{v}"))
+        .collect();
+    format!("\"counters\":{{{}}}", items.join(","))
+}
+
+/// The v2 `stats` sections after `counters` — this process's gauges,
+/// histograms, wall-timing histograms and per-thread timing plane —
+/// shared by the single daemon and the shard router.
+pub(crate) fn registry_sections() -> String {
     let registry = soi_obs::metrics::registry();
     let join = |items: Vec<String>| items.join(",");
-    let counters = join(
-        registry
-            .counter_values()
-            .iter()
-            .map(|(name, v)| format!("\"{name}\":{v}"))
-            .collect(),
-    );
     let gauges = join(
         registry
             .gauge_values()
@@ -249,8 +197,7 @@ pub(crate) fn v2_sections() -> String {
             .collect(),
     );
     format!(
-        "\"stats_version\":{STATS_VERSION},\"counters\":{{{counters}}},\
-         \"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}},\
+        "\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}},\
          \"timing_hists\":{{{timing_hists}}},\"threads\":[{threads}],\
          \"pool\":{{\"dispatches\":{},\"items\":{},\"workers_max\":{},\
          \"wall_capacity_ns\":{},\"wall_lifetime_ns\":{},\"wall_imbalance_ns\":{}}}",
@@ -263,159 +210,71 @@ pub(crate) fn v2_sections() -> String {
     )
 }
 
-/// What the connection loop should do after handling one line.
-enum Step {
-    Continue,
-    Shutdown,
-    Disconnect,
-}
-
-/// Handles one raw request line end-to-end: parse, dispatch, respond.
-/// `submit` runs a compute envelope to its encoded response line,
-/// carrying the phase timeline started here (the `parse` phase: one
-/// tick per request-line byte).
-fn handle_line<W: Write>(
+/// Answers one framed request line for either daemon lane: count it,
+/// parse, answer a control inline or run the compute envelope through
+/// `submit` (which carries the phase timeline started here — the `parse`
+/// phase: one tick per request-line byte). The flag reports a `shutdown`.
+fn answer(
     engine: &ServerEngine,
     pool: Option<&PoolHandle>,
     line: &str,
-    submit: &dyn Fn(Envelope, PhaseTrace) -> String,
-    writer: &mut W,
-) -> Step {
-    if line.trim().is_empty() {
-        return Step::Continue;
-    }
+    submit: impl FnOnce(Envelope, PhaseTrace) -> String,
+) -> (String, bool) {
     soi_obs::counter_add!("server.requests_total", 1);
-    let started = Instant::now();
-    let (response, shutdown) = match protocol::parse_request(line) {
-        Err(err) => (protocol::encode_error(None, &err), false),
-        Ok(envelope) if envelope.req.is_control() => {
-            let is_shutdown = envelope.req == Request::Shutdown;
-            let mut resp = control_response(engine, envelope.id, &envelope.req, pool);
-            // Control responses are cheap; stamp the measured wall time
-            // over the placeholder so every response carries one.
-            let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if let Some(stripped) = resp.strip_suffix("\"wall_ns\":0}") {
-                resp = format!("{stripped}\"wall_ns\":{wall_ns}}}");
-            }
-            (resp, is_shutdown)
-        }
-        Ok(envelope) => {
+    let result = protocol::dispatch(
+        line,
+        |req| control_payload(engine, req, pool),
+        |envelope, started| {
             let mut trace = PhaseTrace::new();
             trace.record(
                 "parse",
                 line.len() as u64,
                 crate::trace::elapsed_ns(started),
             );
-            (submit(envelope, trace), false)
-        }
-    };
+            submit(envelope, trace)
+        },
+    );
     soi_util::failpoint_crash!("server.response.write");
-    if writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_err()
-    {
-        soi_obs::counter_add!("server.client_disconnects", 1);
-        return Step::Disconnect;
-    }
-    if shutdown {
-        Step::Shutdown
-    } else {
-        Step::Continue
-    }
+    result
 }
 
-/// Shuts the socket down when the connection thread exits — including
-/// by unwinding (an armed `server.response.write` panic failpoint). The
-/// accept loop keeps its own clone of every stream for drain, so merely
-/// dropping this thread's handles would leave the underlying socket
-/// open and the client blocked forever on a response that will never
-/// come; `shutdown(Both)` reaches the socket itself, past every clone.
-struct ConnGuard(TcpStream);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
-    }
-}
-
-fn handle_conn(
-    stream: TcpStream,
-    engine: Arc<ServerEngine>,
-    pool: PoolHandle,
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
+/// Serves one TCP client: controls inline, compute requests through the
+/// bounded queue (one request in flight per connection). A `shutdown`
+/// requests the listener's stop and the loop keeps reading — the client
+/// closes when satisfied.
+fn serve_client(
+    engine: &ServerEngine,
+    pool: &PoolHandle,
+    stop: &Stop,
     max_line: usize,
+    mut reader: BufReader<TcpStream>,
+    mut writer: TcpStream,
 ) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let Ok(guard_stream) = stream.try_clone() else {
-        return;
-    };
-    let _guard = ConnGuard(guard_stream);
-    let mut reader = BufReader::new(stream);
-    let submit = |envelope: Envelope, trace: PhaseTrace| -> String {
-        let id = envelope.id;
-        let (tx, rx) = mpsc::channel();
-        pool.submit(Job::with_trace(envelope, tx, trace));
-        rx.recv().unwrap_or_else(|_| {
-            protocol::encode_error(
-                Some(id),
-                &SoiError::protocol(ProtoErrorKind::QueueFull, "worker pool unavailable"),
-            )
-        })
-    };
-    loop {
-        let read = match read_line_capped(&mut reader, max_line) {
-            Ok(read) => read,
-            Err(_) => {
-                soi_obs::counter_add!("server.client_disconnects", 1);
-                return;
-            }
-        };
-        let line = match read {
-            LineRead::Eof { mid_line } => {
-                if mid_line {
-                    soi_obs::counter_add!("server.client_disconnects", 1);
-                    soi_obs::event!(soi_obs::Level::Debug, "client disconnected mid-request");
-                }
-                return;
-            }
-            LineRead::Oversized | LineRead::NotUtf8 => {
-                let err = match read {
-                    LineRead::Oversized => SoiError::protocol(
-                        ProtoErrorKind::OversizedLine,
-                        format!("request line exceeds {max_line} bytes"),
-                    ),
-                    _ => SoiError::protocol(
-                        ProtoErrorKind::MalformedJson,
-                        "request line is not valid UTF-8",
-                    ),
-                };
-                let resp = protocol::encode_error(None, &err);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    soi_obs::counter_add!("server.client_disconnects", 1);
-                    return;
-                }
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        match handle_line(&engine, Some(&pool), &line, &submit, &mut writer) {
-            Step::Continue => {}
-            Step::Disconnect => return,
-            Step::Shutdown => {
-                // ordering: SeqCst on a once-per-process control flag —
-                // the flag is the whole payload and the path is cold,
-                // so clarity wins over saved cycles.
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so it observes the flag.
-                let _ = TcpStream::connect(addr);
-                // Keep reading: the client closes when satisfied.
-            }
+    let end = wire::serve_conn(&mut reader, &mut writer, max_line, |line| {
+        let (response, shutdown) = answer(engine, Some(pool), line, |envelope, trace| {
+            let id = envelope.id;
+            let (tx, rx) = mpsc::channel();
+            pool.submit(Job::with_trace(envelope, tx, trace));
+            rx.recv().unwrap_or_else(|_| {
+                protocol::encode_error(
+                    Some(id),
+                    &SoiError::protocol(ProtoErrorKind::QueueFull, "worker pool unavailable"),
+                )
+            })
+        });
+        if shutdown {
+            stop.request();
+        }
+        (response, Step::Continue)
+    });
+    match end {
+        ConnEnd::Eof | ConnEnd::Stopped => {}
+        ConnEnd::MidLine => {
+            soi_obs::counter_add!("server.client_disconnects", 1);
+            soi_obs::event!(soi_obs::Level::Debug, "client disconnected mid-request");
+        }
+        ConnEnd::ReadFailed(_) | ConnEnd::WriteFailed => {
+            soi_obs::counter_add!("server.client_disconnects", 1);
         }
     }
 }
@@ -427,11 +286,7 @@ pub fn run_tcp<W: Write>(
     config: &ServeConfig,
     out: &mut W,
 ) -> Result<(), SoiError> {
-    let listener = TcpListener::bind(("127.0.0.1", config.port))
-        .map_err(|e| SoiError::io("bind 127.0.0.1", e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| SoiError::io("local_addr", e))?;
+    let listener = Listener::bind(config.port)?;
     // Touch the self-healing counters so they appear in the metrics
     // report even when nothing failed (0 is an answer, not an absence).
     soi_obs::counter_add!("server.worker_panics", 0);
@@ -439,9 +294,9 @@ pub fn run_tcp<W: Write>(
     soi_obs::counter_add!("server.requests_shed", 0);
     soi_obs::counter_add!("server.requests_degraded", 0);
     let built = engine.warm();
+    let addr = listener.stop.addr;
     soi_obs::event!(soi_obs::Level::Info, "serving {built} graph(s) on {addr}");
-    writeln!(out, "listening on {addr}").map_err(|e| SoiError::io("stdout", e))?;
-    out.flush().map_err(|e| SoiError::io("stdout", e))?;
+    listener.announce(out)?;
 
     let workers = soi_util::pool::effective_threads(config.workers, usize::MAX);
     let slow = match (&config.slow_query_log, config.slow_query_ticks) {
@@ -452,44 +307,13 @@ pub fn run_tcp<W: Write>(
         _ => None,
     };
     let pool = WorkerPool::start_with(Arc::clone(&engine), workers, config.queue_cap, slow);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut conn_threads = Vec::new();
-
-    for stream in listener.incoming() {
-        // ordering: SeqCst pairs with the store in the shutdown step;
-        // one load per accepted connection is not a hot path.
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        if let Ok(clone) = stream.try_clone() {
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
-        }
-        let engine = Arc::clone(&engine);
-        let handle = pool.handle();
-        let shutdown = Arc::clone(&shutdown);
-        let max_line = config.max_line;
-        conn_threads.push(std::thread::spawn(move || {
-            handle_conn(stream, engine, handle, shutdown, addr, max_line);
-        }));
-    }
-    drop(listener);
-
+    let (handle, stop, max_line) = (pool.handle(), Arc::clone(&listener.stop), config.max_line);
     // Graceful drain: finish queued + in-flight jobs (responses still
-    // flow to their connections), then unblock idle readers and join.
-    pool.shutdown();
-    for stream in conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for thread in conn_threads {
-        let _ = thread.join();
-    }
+    // flow to their connections) before idle readers are unblocked.
+    listener.serve(
+        move |reader, writer| serve_client(&engine, &handle, &stop, max_line, reader, writer),
+        || pool.shutdown(),
+    );
     soi_obs::event!(soi_obs::Level::Info, "drained; shutting down");
     Ok(())
 }
@@ -498,7 +322,8 @@ pub fn run_tcp<W: Write>(
 /// compute requests synchronously (no worker pool). This is the
 /// hermetic front-end used by `soi serve --stdio` and the protocol
 /// tests; semantics match the TCP daemon except for admission control
-/// (a single sequential lane cannot overflow).
+/// (a single sequential lane cannot overflow) and `shutdown`, which ends
+/// the loop.
 pub fn run_stdio<R: BufRead, W: Write>(
     engine: &ServerEngine,
     max_line: usize,
@@ -506,43 +331,23 @@ pub fn run_stdio<R: BufRead, W: Write>(
     out: &mut W,
 ) -> Result<(), SoiError> {
     engine.warm();
-    loop {
-        let read = read_line_capped(input, max_line).map_err(|e| SoiError::io("stdin", e))?;
-        let line = match read {
-            LineRead::Eof { mid_line } => {
-                if mid_line {
-                    soi_obs::counter_add!("server.client_disconnects", 1);
-                }
-                return Ok(());
-            }
-            LineRead::Oversized | LineRead::NotUtf8 => {
-                let err = match read {
-                    LineRead::Oversized => SoiError::protocol(
-                        ProtoErrorKind::OversizedLine,
-                        format!("request line exceeds {max_line} bytes"),
-                    ),
-                    _ => SoiError::protocol(
-                        ProtoErrorKind::MalformedJson,
-                        "request line is not valid UTF-8",
-                    ),
-                };
-                writeln!(out, "{}", protocol::encode_error(None, &err))
-                    .map_err(|e| SoiError::io("stdout", e))?;
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        let submit = |envelope: Envelope, mut trace: PhaseTrace| {
+    let end = wire::serve_conn(input, out, max_line, |line| {
+        let (response, shutdown) = answer(engine, None, line, |envelope, mut trace| {
             // No queue on the synchronous lane; the phase is recorded at
             // zero so stdio timelines share the TCP schema.
             trace.record("queue_wait", 0, 0);
             worker::execute_job_traced(engine, &envelope, &mut trace, None)
-        };
-        match handle_line(engine, None, &line, &submit, out) {
-            Step::Continue => {}
-            Step::Disconnect => return Ok(()),
-            Step::Shutdown => return Ok(()),
+        });
+        let step = if shutdown { Step::Stop } else { Step::Continue };
+        (response, step)
+    });
+    match end {
+        ConnEnd::ReadFailed(err) => Err(SoiError::io("stdin", err)),
+        ConnEnd::MidLine | ConnEnd::WriteFailed => {
+            soi_obs::counter_add!("server.client_disconnects", 1);
+            Ok(())
         }
+        ConnEnd::Eof | ConnEnd::Stopped => Ok(()),
     }
 }
 
@@ -667,23 +472,6 @@ mod tests {
         );
         assert!(lines[0].contains("\"id\":null"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
-    }
-
-    #[test]
-    fn capped_reader_classifies_eof() {
-        let mut r = BufReader::new(&b"whole line\npartial"[..]);
-        assert!(matches!(
-            read_line_capped(&mut r, 64).expect("read"),
-            LineRead::Line(l) if l == "whole line"
-        ));
-        assert!(matches!(
-            read_line_capped(&mut r, 64).expect("read"),
-            LineRead::Eof { mid_line: true }
-        ));
-        assert!(matches!(
-            read_line_capped(&mut r, 64).expect("read"),
-            LineRead::Eof { mid_line: false }
-        ));
     }
 
     #[test]

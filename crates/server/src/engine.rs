@@ -133,6 +133,13 @@ fn last_good_k(kind: BackendKind, k: usize) -> u64 {
     }
 }
 
+/// The cache key folds in the backend tag, so a lookup can only ever
+/// yield the backend it asked for; the callers still answer this typed
+/// error rather than trusting that from a distance.
+fn wrong_backend() -> SoiError {
+    SoiError::invalid("oracle lookup returned the other backend")
+}
+
 impl ServerEngine {
     /// An engine with no graphs loaded yet.
     pub fn new(config: EngineConfig) -> Self {
@@ -205,53 +212,28 @@ impl ServerEngine {
 
     /// The warm index for `name`, building (and caching) it on a miss.
     pub fn index_for(&self, name: &str) -> Result<Arc<CascadeIndex>, SoiError> {
-        self.index_for_degraded(name, false).map(|(index, _)| index)
+        let mut trace = PhaseTrace::new();
+        let (oracle, _) = self.oracle(name, BackendKind::Cascade, None, false, &mut trace)?;
+        oracle.as_cascade().cloned().ok_or_else(wrong_backend)
     }
 
-    /// [`Self::index_for`] with opt-in degradation: when a fresh build
-    /// fails and `degrade` is set, the last successfully built index for
-    /// this graph name is served instead, flagged by the `true` half of
-    /// the return value — stale results are never silently substituted.
-    pub fn index_for_degraded(
-        &self,
-        name: &str,
-        degrade: bool,
-    ) -> Result<(Arc<CascadeIndex>, bool), SoiError> {
-        self.index_for_traced(name, degrade)
-            .map(|(index, degraded, _)| (index, degraded))
-    }
-
-    /// [`Self::index_for_degraded`] additionally reporting whether this
-    /// call *built* the index (the final `bool`): a cold `cache` phase
-    /// costs `num_worlds` deterministic ticks, a hit costs zero.
-    fn index_for_traced(
-        &self,
-        name: &str,
-        degrade: bool,
-    ) -> Result<(Arc<CascadeIndex>, bool, bool), SoiError> {
-        let (backend, degraded, built) =
-            self.backend_for_traced(name, BackendKind::Cascade, None, degrade)?;
-        match backend {
-            SpreadBackend::Cascade(index) => Ok((index, degraded, built)),
-            // The cache key folds in the backend tag, so a cascade
-            // lookup can only ever yield a cascade entry.
-            // xtask-allow: panic_policy
-            SpreadBackend::Sketch(_) => unreachable!("cascade lookup returned a sketch"),
-        }
-    }
-
-    /// The warm spread oracle for (`name`, `kind`, `sketch_k`), building
-    /// and caching it on a miss. Returns (oracle, degraded, built):
-    /// `degraded` flags a stale same-backend fallback, `built` reports
-    /// whether this call paid a build (a cold `cache` phase costs
-    /// `num_worlds` deterministic ticks, a hit costs zero).
-    fn backend_for_traced(
+    /// The one oracle lookup: the warm spread oracle for (`name`,
+    /// `kind`, `sketch_k`), built and cached on a miss, and whether it is
+    /// degraded — when a fresh build fails and `degrade` is set, the last
+    /// successfully built same-backend oracle for this graph name is
+    /// served instead, flagged; stale results are never silently
+    /// substituted. A successful lookup records the request's `cache`
+    /// phase: a build costs `num_worlds` deterministic ticks, a hit (or
+    /// a stale fallback) costs zero.
+    fn oracle(
         &self,
         name: &str,
         kind: BackendKind,
         sketch_k: Option<usize>,
         degrade: bool,
-    ) -> Result<(SpreadBackend, bool, bool), SoiError> {
+        trace: &mut PhaseTrace,
+    ) -> Result<(SpreadBackend, bool), SoiError> {
+        let started = std::time::Instant::now();
         let pg = self.graph(name)?;
         let k = sketch_k.unwrap_or(self.config.sketch_k);
         let inner = match kind {
@@ -260,38 +242,42 @@ impl ServerEngine {
         };
         let key = mixed_key(kind, inner);
         let last_key = (name.to_string(), kind.tag(), last_good_k(kind, k));
-        {
+        let hit = {
             // Waiting on the cache mutex is the engine's contention
             // point; attribute it to this worker's lock-wait slot.
             let mut cache =
                 soi_obs::perthread::timed_region(soi_obs::perthread::record_lock_wait, || {
                     self.cache.lock().unwrap_or_else(PoisonError::into_inner)
                 });
-            if let Some(entry) = cache.get(key) {
-                soi_obs::counter_add!("server.cache_hits", 1);
-                return Ok(((*entry).clone(), false, false));
-            }
-        }
-        soi_obs::counter_add!("server.cache_misses", 1);
-        match self.build_backend(pg, kind, k, key, &last_key) {
-            Ok(backend) => Ok((backend, false, true)),
-            Err(err) => {
-                if degrade {
-                    let stale = {
+            cache.get(key).map(|entry| (*entry).clone())
+        };
+        let (backend, degraded, ticks) = if let Some(backend) = hit {
+            soi_obs::counter_add!("server.cache_hits", 1);
+            (backend, false, 0)
+        } else {
+            soi_obs::counter_add!("server.cache_misses", 1);
+            match self.build_backend(pg, kind, k, key, &last_key) {
+                Ok(backend) => (backend, false, self.config.num_worlds as u64),
+                Err(err) => {
+                    let stale = if degrade {
                         let last = self
                             .last_good
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner);
                         last.get(&last_key).cloned()
+                    } else {
+                        None
                     };
-                    if let Some(backend) = stale {
-                        soi_obs::counter_add!("server.requests_degraded", 1);
-                        return Ok((backend, true, false));
-                    }
+                    let Some(backend) = stale else {
+                        return Err(err);
+                    };
+                    soi_obs::counter_add!("server.requests_degraded", 1);
+                    (backend, true, 0)
                 }
-                Err(err)
             }
-        }
+        };
+        trace.record("cache", ticks, crate::trace::elapsed_ns(started));
+        Ok((backend, degraded))
     }
 
     fn build_backend(
@@ -363,17 +349,9 @@ impl ServerEngine {
                 deadline_ticks,
                 degrade,
             } => {
-                let cache_start = std::time::Instant::now();
-                let (index, degraded, built) = self.index_for_traced(graph, *degrade)?;
-                trace.record(
-                    "cache",
-                    if built {
-                        self.config.num_worlds as u64
-                    } else {
-                        0
-                    },
-                    crate::trace::elapsed_ns(cache_start),
-                );
+                let (oracle, degraded) =
+                    self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
+                let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
                 if (*source as usize) >= index.num_nodes() {
                     return Err(SoiError::protocol(
                         ProtoErrorKind::BadField,
@@ -425,21 +403,9 @@ impl ServerEngine {
                     // The sketch backend answers from the warm sketches:
                     // the cache phase carries the (possible) build, the
                     // estimator itself is one O(seeds · k) evaluation.
-                    let cache_start = std::time::Instant::now();
-                    let (oracle, degraded, built) =
-                        self.backend_for_traced(graph, BackendKind::Sketch, *sketch_k, *degrade)?;
-                    trace.record(
-                        "cache",
-                        if built {
-                            self.config.num_worlds as u64
-                        } else {
-                            0
-                        },
-                        crate::trace::elapsed_ns(cache_start),
-                    );
-                    let SpreadBackend::Sketch(sk) = &oracle else {
-                        return Err(SoiError::invalid("sketch lookup returned a cascade index"));
-                    };
+                    let (oracle, degraded) =
+                        self.oracle(graph, BackendKind::Sketch, *sketch_k, *degrade, trace)?;
+                    let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
                     let compute_start = std::time::Instant::now();
                     let spread = sk.set_spread(seeds);
                     let payload = format!(
@@ -512,17 +478,9 @@ impl ServerEngine {
                         trace,
                     );
                 }
-                let cache_start = std::time::Instant::now();
-                let (index, degraded, built) = self.index_for_traced(graph, *degrade)?;
-                trace.record(
-                    "cache",
-                    if built {
-                        self.config.num_worlds as u64
-                    } else {
-                        0
-                    },
-                    crate::trace::elapsed_ns(cache_start),
-                );
+                let (oracle, degraded) =
+                    self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
+                let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
                 let deadline = self.deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
                 let opts = EngineRunOpts {
@@ -532,7 +490,7 @@ impl ServerEngine {
                     resume: false,
                 };
                 let outcome = soi_core::all_typical_cascades_resumable(
-                    &index,
+                    index,
                     &self.config.median,
                     self.config.threads,
                     &opts,
@@ -576,21 +534,9 @@ impl ServerEngine {
         sketch_k: Option<usize>,
         trace: &mut PhaseTrace,
     ) -> Result<ExecOutput, SoiError> {
-        let cache_start = std::time::Instant::now();
-        let (oracle, degraded, built) =
-            self.backend_for_traced(graph, BackendKind::Sketch, sketch_k, degrade)?;
-        trace.record(
-            "cache",
-            if built {
-                self.config.num_worlds as u64
-            } else {
-                0
-            },
-            crate::trace::elapsed_ns(cache_start),
-        );
-        let SpreadBackend::Sketch(sk) = &oracle else {
-            return Err(SoiError::invalid("sketch lookup returned a cascade index"));
-        };
+        let (oracle, degraded) =
+            self.oracle(graph, BackendKind::Sketch, sketch_k, degrade, trace)?;
+        let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
         let pg = self.graph(graph)?;
         if sk.graph_fingerprint() != pg.fingerprint() {
             // A stale sketch from a different graph revision cannot

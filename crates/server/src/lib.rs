@@ -28,6 +28,12 @@
 //! `soi serve` daemons with replica failover, drain/rebalance, and
 //! fabric-wide stats aggregation.
 //!
+//! All three front-ends — the TCP daemon, the stdio lane, the router —
+//! and every client leg frame lines through one private module, `wire`:
+//! one capped reader, one `write_line`, one connection loop, one
+//! accept/drain loop, one client `Conn`. A front-end is a closure from
+//! request line to answer.
+//!
 //! `soi query` ([`client`]) is the companion batch client. The wire
 //! protocol, deadline and admission semantics, and exit codes are
 //! specified in `docs/SERVING.md`.
@@ -45,6 +51,7 @@ pub mod queue;
 pub mod router;
 pub mod stats;
 pub mod trace;
+mod wire;
 pub mod worker;
 
 pub use client::{run_queries, send_one, send_stream, BatchReport, QueryConfig};

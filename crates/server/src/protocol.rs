@@ -16,6 +16,7 @@ use soi_graph::NodeId;
 use soi_influence::BackendKind;
 use soi_util::runtime::StopReason;
 use soi_util::{ProtoErrorKind, SoiError};
+use std::time::Instant;
 
 /// The protocol version this build speaks. Requests must carry
 /// `"v":1`; anything else is rejected with `version-mismatch`.
@@ -250,16 +251,20 @@ fn req_nodes(obj: &Value, key: &str) -> Result<Vec<NodeId>, SoiError> {
 /// Envelope fields every request may carry.
 const COMMON_KEYS: [&str; 4] = ["v", "id", "type", "trace"];
 
-/// Rejects fields outside the request type's schema. A misspelled
-/// field silently ignored would make the request mean something other
-/// than the client intended (e.g. `dedline_ticks` running unbounded),
-/// so unknown keys are a typed `bad-field` naming the offender.
-fn check_known_fields(obj: &Value, type_name: &str) -> Result<(), SoiError> {
-    let extra: &[&str] = match type_name {
-        "health" | "stats" | "shutdown" => &[],
-        "rebalance" => &["graph", "shard"],
-        "typical-cascade" => &["graph", "source", "deadline_ticks", "degrade"],
-        "spread-estimate" => &[
+/// The fields each request type accepts beyond [`COMMON_KEYS`]. The
+/// request table in docs/SERVING.md is checked against this one.
+const TYPE_FIELDS: [(&str, &[&str]); 7] = [
+    ("health", &[]),
+    ("stats", &[]),
+    ("shutdown", &[]),
+    ("rebalance", &["graph", "shard"]),
+    (
+        "typical-cascade",
+        &["graph", "source", "deadline_ticks", "degrade"],
+    ),
+    (
+        "spread-estimate",
+        &[
             "graph",
             "seeds",
             "samples",
@@ -269,7 +274,10 @@ fn check_known_fields(obj: &Value, type_name: &str) -> Result<(), SoiError> {
             "backend",
             "sketch_k",
         ],
-        "infmax-tc" => &[
+    ),
+    (
+        "infmax-tc",
+        &[
             "graph",
             "k",
             "deadline_ticks",
@@ -277,8 +285,17 @@ fn check_known_fields(obj: &Value, type_name: &str) -> Result<(), SoiError> {
             "backend",
             "sketch_k",
         ],
-        // Unknown types get their own typed error in the dispatch below.
-        _ => return Ok(()),
+    ),
+];
+
+/// Rejects fields outside the request type's schema. A misspelled
+/// field silently ignored would make the request mean something other
+/// than the client intended (e.g. `dedline_ticks` running unbounded),
+/// so unknown keys are a typed `bad-field` naming the offender.
+fn check_known_fields(obj: &Value, type_name: &str) -> Result<(), SoiError> {
+    // Unknown types get their own typed error in the dispatch below.
+    let Some((_, extra)) = TYPE_FIELDS.iter().find(|(name, _)| *name == type_name) else {
+        return Ok(());
     };
     if let Some(map) = obj.as_obj() {
         for key in map.keys() {
@@ -378,6 +395,36 @@ pub fn parse_request(line: &str) -> Result<Envelope, SoiError> {
     Ok(Envelope { id, req, trace })
 }
 
+/// Answers one framed request line, the way every front-end does. A
+/// line that does not parse is a typed error with a null id. A control
+/// request is answered by `control` — the payload fragment, or a typed
+/// error — and encoded here with the wall time measured here. Anything
+/// else goes to `compute` with the instant the line was taken up. The
+/// flag reports a `shutdown`; what that means is the front-end's call.
+pub(crate) fn dispatch(
+    line: &str,
+    control: impl FnOnce(&Request) -> Result<String, SoiError>,
+    compute: impl FnOnce(Envelope, Instant) -> String,
+) -> (String, bool) {
+    let started = Instant::now();
+    match parse_request(line) {
+        Err(err) => (encode_error(None, &err), false),
+        Ok(envelope) if envelope.req.is_control() => {
+            let response = match control(&envelope.req) {
+                Ok(payload) => encode_ok(envelope.id, &payload, crate::trace::elapsed_ns(started)),
+                Err(err) => encode_error(Some(envelope.id), &err),
+            };
+            (response, envelope.req == Request::Shutdown)
+        }
+        Ok(envelope) => (compute(envelope, started), false),
+    }
+}
+
+/// A field-less control request line (`health`, `stats`, `shutdown`).
+pub(crate) fn control_line(id: u64, type_name: &str) -> String {
+    format!("{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"type\":\"{type_name}\"}}")
+}
+
 /// Encodes a complete success response. `payload` is a pre-encoded JSON
 /// fragment (`"key":value,...`) or empty.
 pub fn encode_ok(id: u64, payload: &str, wall_ns: u64) -> String {
@@ -453,6 +500,17 @@ pub fn check_response_version(line: &str) -> Result<(), SoiError> {
             format!("peer response has no protocol version (this side speaks {PROTOCOL_VERSION})"),
         )),
     }
+}
+
+/// The control-plane acceptance test: `line` parsed, when it is a JSON
+/// object carrying this protocol version and `"status":"ok"`. Stricter
+/// than [`check_response_version`] on purpose — a peer that answers a
+/// `health` or `stats` poll with garbage is not a peer.
+pub(crate) fn parse_ok_response(line: &str) -> Option<Value> {
+    let doc = json::parse(line).ok()?;
+    let ok = doc.get("v").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
+        && doc.get("status").and_then(Value::as_str) == Some("ok");
+    ok.then_some(doc)
 }
 
 /// Encodes the structured `queue-full` rejection: the generic error
@@ -650,6 +708,46 @@ mod tests {
         .expect("full schema");
     }
 
+    /// docs/SERVING.md's request table, row by row, lists exactly what
+    /// the parser accepts: every request type, and for each the fields of
+    /// [`TYPE_FIELDS`] plus the optional envelope field `trace` (`v`,
+    /// `id` and `type` are stated once above the table).
+    #[test]
+    fn serving_doc_request_table_matches_the_field_whitelist() {
+        let doc = include_str!("../../../docs/SERVING.md");
+        let table: Vec<&str> = doc
+            .lines()
+            .skip_while(|l| !l.starts_with("| type | fields |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        let ticked = |cell: &str| -> Vec<String> {
+            cell.split('`')
+                .skip(1)
+                .step_by(2)
+                .map(|f| f.trim_end_matches('?').to_string())
+                .collect()
+        };
+        let mut documented = Vec::new();
+        for row in table {
+            let cells: Vec<&str> = row.split('|').collect();
+            let type_name = ticked(cells[1]).remove(0);
+            let mut fields = ticked(cells[2]);
+            fields.sort();
+            let (_, extra) = TYPE_FIELDS
+                .iter()
+                .find(|(name, _)| *name == type_name)
+                .unwrap_or_else(|| panic!("doc row for unknown type {type_name:?}"));
+            let mut accepted: Vec<String> = extra.iter().map(|f| f.to_string()).collect();
+            accepted.push("trace".to_string());
+            accepted.sort();
+            assert_eq!(fields, accepted, "fields of the {type_name:?} row");
+            documented.push(type_name);
+        }
+        let known: Vec<&str> = TYPE_FIELDS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(documented, known, "one row per request type, in order");
+    }
+
     #[test]
     fn responses_have_stable_shape() {
         assert_eq!(
@@ -736,6 +834,14 @@ mod tests {
         // Garbage is not skew — normal error handling applies.
         assert!(check_response_version("not json at all").is_ok());
         assert!(check_response_version("[1,2,3]").is_ok());
+        // The control plane is stricter: only a version-correct ok counts.
+        assert!(parse_ok_response(&encode_ok(1, "", 5)).is_some());
+        let typed_error = encode_error(Some(1), &err);
+        let skewed = r#"{"v":2,"id":1,"status":"ok"}"#;
+        for bad in [&typed_error, skewed, "not json at all", "[1,2,3]", ""] {
+            assert!(parse_ok_response(bad).is_none(), "{bad:?}");
+        }
+        assert_eq!(control_line(7, "stats"), r#"{"v":1,"id":7,"type":"stats"}"#);
     }
 
     #[test]

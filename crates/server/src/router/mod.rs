@@ -40,24 +40,27 @@
 
 pub mod shard;
 
-use crate::client;
-use crate::daemon::{self, read_line_capped, LineRead};
+use crate::daemon;
 use crate::json::{self, Value};
 use crate::protocol::{self, Request, DEFAULT_MAX_LINE};
-use shard::ShardMap;
+use crate::wire::{self, Conn, Listener, Step, Stop};
+use shard::{Exchange, ShardMap};
 use soi_util::ckpt::{self, ByteReader, Checkpoint, KIND_ROUTER_OVERRIDES};
 use soi_util::hash::Mix64Hasher;
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Largest single backoff sleep between replica attempts (ticks ≈ ms).
-const BACKOFF_CAP_TICKS: u64 = 1024;
+/// Read timeout of every control-plane exchange with a replica (the
+/// health probe and the `stats` poll). Both are answered inline by the
+/// replica's connection thread, so a live daemon answers in
+/// milliseconds; a peer that accepts and then says nothing must not hold
+/// the probe thread — and with it the router's drain — hostage.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Router options fixed at startup.
 #[derive(Clone, Debug)]
@@ -102,20 +105,26 @@ impl Default for RouterConfig {
     }
 }
 
+/// One control-plane round trip to the replica at `addr` over a fresh
+/// connection: the parsed answer when the peer gave a version-correct
+/// `ok` within [`CONTROL_TIMEOUT`], `None` for everything else (connect
+/// failure, silent close, garbage, skew, typed error, hang).
+fn control_exchange(addr: &str, type_name: &str) -> Option<Value> {
+    let mut conn = Conn::connect(addr, Some(CONTROL_TIMEOUT)).ok()?;
+    let line = conn.exchange(&protocol::control_line(0, type_name)).ok()?;
+    protocol::parse_ok_response(&line)
+}
+
 /// One background probe sweep: a `health` round-trip to every replica.
-/// A replica that answers a version-correct line is marked healthy (a
-/// previously-dark one counts as a recovery); one that does not is
-/// marked unhealthy, so probing also *detects* silent death instead of
-/// leaving it to the next client request.
+/// A replica that answers is marked healthy (a previously-dark one
+/// counts as a recovery); one that does not is marked unhealthy, so
+/// probing also *detects* silent death instead of leaving it to the next
+/// client request. Probes move health only, never the relay tallies.
 fn probe_sweep(state: &RouterState) {
     for (shard_idx, replicas) in state.map.health_snapshot().iter().enumerate() {
         for (replica_idx, replica) in replicas.iter().enumerate() {
             soi_obs::counter_add!("router.probe_attempts", 1);
-            let alive = split_addr(&replica.addr)
-                .and_then(|(host, port)| {
-                    client::send_one(host, port, "{\"v\":1,\"id\":0,\"type\":\"health\"}").ok()
-                })
-                .is_some_and(|line| protocol::check_response_version(&line).is_ok());
+            let alive = control_exchange(&replica.addr, "health").is_some();
             if alive && !replica.healthy {
                 soi_obs::counter_add!("router.probe_recoveries", 1);
                 soi_obs::event!(
@@ -124,7 +133,12 @@ fn probe_sweep(state: &RouterState) {
                     replica.addr
                 );
             }
-            state.map.mark(shard_idx, replica_idx, alive);
+            let outcome = if alive {
+                Exchange::Alive
+            } else {
+                Exchange::Failed
+            };
+            state.map.mark(shard_idx, replica_idx, outcome);
         }
     }
 }
@@ -226,125 +240,93 @@ fn load_overrides_file(
     decode_overrides(&loaded.payload)
 }
 
-/// `host:port` split for `TcpStream::connect` / `send_one`.
+/// `host:port` split, for validating replica addresses at startup.
 fn split_addr(addr: &str) -> Option<(&str, u16)> {
     let (host, port) = addr.rsplit_once(':')?;
     Some((host, port.parse().ok()?))
 }
 
-/// How one forwarded request came back.
-enum Forwarded {
-    /// The shard's raw response line, relayed verbatim.
-    Relay(String),
-    /// A router-synthesized error line (shard dark, or skewed).
-    Synthesized(String),
-}
-
 /// Relays one raw request line to a replica of `shard_idx`, failing
-/// over across replicas. `conn` caches this connection's open stream to
-/// the shard between requests (one request in flight per client
-/// connection, matching the daemon's own discipline).
-#[allow(clippy::type_complexity)]
+/// over across replicas, and returns the line to answer with: the
+/// shard's raw response, relayed verbatim, or a router-synthesized typed
+/// error (shed, dark, or skewed). `conn` caches this client connection's
+/// open connection to the shard between requests (one request in flight
+/// per client connection, matching the daemon's own discipline).
 fn forward(
     state: &RouterState,
-    conn: &mut Option<(usize, TcpStream, BufReader<TcpStream>)>,
+    conn: &mut Option<(usize, Conn)>,
     shard_idx: usize,
     id: u64,
     line: &str,
-) -> Forwarded {
+) -> String {
     // Shed window armed by a recent queue-full rejection: answer at the
     // router, re-emitting the shard's own depth and hint.
     if let Some((depth, hint)) = state.map.take_shed(shard_idx) {
         soi_obs::counter_add!("router.requests_shed", 1);
-        return Forwarded::Synthesized(protocol::encode_queue_full(id, depth as usize, hint));
+        return protocol::encode_queue_full(id, depth as usize, hint);
     }
     let mut last_skew: Option<String> = None;
     let mut attempt: u32 = 0;
     while attempt <= state.replica_retries {
-        let (replica_idx, mut stream, mut reader) = match conn.take() {
+        let (replica_idx, mut live) = match conn.take() {
             Some(live) => live,
             None => {
                 let order = state.map.replica_order(shard_idx);
                 let (ridx, addr) = &order[attempt as usize % order.len()];
-                match split_addr(addr).map(|(host, port)| TcpStream::connect((host, port))) {
-                    Some(Ok(stream)) => match stream.try_clone() {
-                        Ok(clone) => (*ridx, stream, BufReader::new(clone)),
-                        Err(_) => {
-                            retry(state, &mut attempt, shard_idx, *ridx);
-                            continue;
-                        }
-                    },
-                    _ => {
-                        retry(state, &mut attempt, shard_idx, *ridx);
-                        continue;
-                    }
-                }
+                let Ok(live) = Conn::connect(addr.as_str(), None) else {
+                    retry(state, &mut attempt, shard_idx, *ridx);
+                    continue;
+                };
+                (*ridx, live)
             }
         };
         soi_util::failpoint_crash!("router.forward.write");
-        if writeln!(stream, "{line}")
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
+        let Ok(response) = live.exchange(line) else {
+            retry(state, &mut attempt, shard_idx, replica_idx);
+            continue;
+        };
+        if let Err(skew) = protocol::check_response_version(&response) {
+            soi_obs::counter_add!("router.protocol_mismatches", 1);
+            last_skew = Some(skew.to_string());
             retry(state, &mut attempt, shard_idx, replica_idx);
             continue;
         }
-        let mut response = String::new();
-        match reader.read_line(&mut response) {
-            Ok(n) if n > 0 => {
-                let response = response.trim_end().to_string();
-                if let Err(skew) = protocol::check_response_version(&response) {
-                    soi_obs::counter_add!("router.protocol_mismatches", 1);
-                    last_skew = Some(skew.to_string());
-                    retry(state, &mut attempt, shard_idx, replica_idx);
-                    continue;
-                }
-                state.map.mark(shard_idx, replica_idx, true);
-                if attempt > 0 {
-                    soi_obs::counter_add!("router.failovers", 1);
-                }
-                soi_obs::counter_add!("router.forwarded", 1);
-                if let Some((depth, hint)) = queue_full_detail(&response) {
-                    state.map.arm_shed(shard_idx, depth, hint);
-                }
-                *conn = Some((replica_idx, stream, reader));
-                return Forwarded::Relay(response);
-            }
-            _ => {
-                retry(state, &mut attempt, shard_idx, replica_idx);
-                continue;
-            }
+        state.map.mark(shard_idx, replica_idx, Exchange::Relayed);
+        if attempt > 0 {
+            soi_obs::counter_add!("router.failovers", 1);
         }
+        soi_obs::counter_add!("router.forwarded", 1);
+        if let Some((depth, hint)) = queue_full_detail(&response) {
+            state.map.arm_shed(shard_idx, depth, hint);
+        }
+        *conn = Some((replica_idx, live));
+        return response;
     }
     // Budget spent. A consistently version-skewed shard is diagnosed as
     // skew; a dark one as shard-unavailable. Either way the client gets
     // a typed line, never a hang.
     if let Some(skew) = last_skew {
-        return Forwarded::Synthesized(protocol::encode_error(
+        return protocol::encode_error(
             Some(id),
             &SoiError::protocol(ProtoErrorKind::ProtocolMismatch, skew),
-        ));
+        );
     }
     soi_obs::counter_add!("router.shard_unavailable", 1);
-    Forwarded::Synthesized(protocol::encode_error(
+    protocol::encode_error(
         Some(id),
         &SoiError::protocol(
             ProtoErrorKind::ShardUnavailable,
             format!("all replicas of shard {shard_idx} are unreachable"),
         ),
-    ))
+    )
 }
 
 /// Books one failed attempt: marks the replica unhealthy, sleeps the
 /// backoff schedule, and advances the attempt counter.
 fn retry(state: &RouterState, attempt: &mut u32, shard_idx: usize, replica_idx: usize) {
-    state.map.mark(shard_idx, replica_idx, false);
+    state.map.mark(shard_idx, replica_idx, Exchange::Failed);
     soi_obs::counter_add!("router.forward_retries", 1);
-    let ticks =
-        soi_util::backoff::delay_with_hint(state.backoff_ticks, *attempt, BACKOFF_CAP_TICKS, 0);
-    if ticks > 0 {
-        std::thread::sleep(Duration::from_millis(ticks));
-    }
+    crate::client::backoff_nap(state.backoff_ticks, *attempt, 0);
     *attempt += 1;
 }
 
@@ -371,22 +353,10 @@ fn stats_payload(state: &RouterState) -> String {
     let mut graphs_total: u64 = 0;
     let mut shards_json: Vec<String> = Vec::with_capacity(snapshot.len());
     for (shard_idx, replicas) in snapshot.iter().enumerate() {
-        let mut polled = false;
-        for replica in replicas {
-            if polled {
-                break;
-            }
-            let Some((host, port)) = split_addr(&replica.addr) else {
-                continue;
-            };
-            let Ok(line) = client::send_one(host, port, "{\"v\":1,\"id\":0,\"type\":\"stats\"}")
-            else {
-                continue;
-            };
-            let Ok(doc) = json::parse(&line) else {
-                continue;
-            };
-            polled = true;
+        let answer = replicas
+            .iter()
+            .find_map(|replica| control_exchange(&replica.addr, "stats"));
+        if let Some(doc) = answer {
             graphs_total += doc.get("graphs").and_then(Value::as_u64).unwrap_or(0);
             if let Some(counters) = doc.get("counters").and_then(Value::as_obj) {
                 for (name, v) in counters {
@@ -419,207 +389,87 @@ fn stats_payload(state: &RouterState) -> String {
     for (name, v) in soi_obs::metrics::registry().counter_values() {
         *agg.entry(name).or_default() += v;
     }
-    let counters: Vec<String> = agg
-        .iter()
-        .map(|(name, v)| format!("\"{name}\":{v}"))
-        .collect();
     format!(
-        "\"graphs\":{graphs_total},\"shards\":[{}],\"counters\":{{{}}},{}",
+        "\"graphs\":{graphs_total},\"shards\":[{}],{},\"stats_version\":{},{}",
         shards_json.join(","),
-        counters.join(","),
-        v2_sections_without_counters()
+        daemon::counters_section(&agg),
+        daemon::STATS_VERSION,
+        daemon::registry_sections()
     )
 }
 
-/// The daemon's v2 sections minus its registry-only `counters` object
-/// (the router substitutes the merged fabric-wide map).
-fn v2_sections_without_counters() -> String {
-    let sections = daemon::v2_sections();
-    // v2_sections emits `"stats_version":N,"counters":{...},"gauges":…`;
-    // cut the counters object out by matching its brace span.
-    let Some(start) = sections.find("\"counters\":{") else {
-        return sections;
-    };
-    let tail = &sections[start..];
-    let mut depth = 0usize;
-    let mut end = None;
-    for (at, c) in tail.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(at);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(end) = end else {
-        return sections;
-    };
-    // Also consume the trailing comma separating it from the next key.
-    let mut rest = start + end + 1;
-    if sections[rest..].starts_with(',') {
-        rest += 1;
-    }
-    format!("{}{}", &sections[..start], &sections[rest..])
-}
-
-/// Builds the inline response for a control request at the router.
-fn control_response(state: &RouterState, id: u64, req: &Request) -> String {
+/// Answers a control request at the router: the payload fragment, or a
+/// typed error.
+fn control_payload(state: &RouterState, req: &Request) -> Result<String, SoiError> {
     match req {
-        Request::Health => protocol::encode_ok(
-            id,
-            &format!("\"ok\":true,\"shards\":{}", state.map.len()),
-            0,
-        ),
-        Request::Stats => protocol::encode_ok(id, &stats_payload(state), 0),
-        Request::Shutdown => protocol::encode_ok(id, "\"draining\":true", 0),
-        Request::Rebalance { graph, shard } => match state.map.rebalance(graph, *shard) {
-            Ok(()) => {
-                soi_obs::counter_add!("router.rebalances", 1);
-                // Persist best-effort: the in-memory override is already
-                // live, and failing the rebalance over a disk hiccup
-                // would leave the operator unsure which state won. The
-                // counter and event make the divergence visible.
-                if let Some((path, layout_fp)) = &state.persist {
-                    if let Err(err) =
-                        save_overrides(path, *layout_fp, &state.map.overrides_snapshot())
-                    {
-                        soi_obs::counter_add!("router.override_persist_errors", 1);
-                        soi_obs::event!(
-                            soi_obs::Level::Warn,
-                            "override persist to {} failed: {err}",
-                            path.display()
-                        );
-                    }
+        Request::Health => Ok(format!("\"ok\":true,\"shards\":{}", state.map.len())),
+        Request::Stats => Ok(stats_payload(state)),
+        Request::Shutdown => Ok("\"draining\":true".to_string()),
+        Request::Rebalance { graph, shard } => {
+            state
+                .map
+                .rebalance(graph, *shard)
+                .map_err(|message| SoiError::protocol(ProtoErrorKind::BadField, message))?;
+            soi_obs::counter_add!("router.rebalances", 1);
+            // Persist best-effort: the in-memory override is already
+            // live, and failing the rebalance over a disk hiccup
+            // would leave the operator unsure which state won. The
+            // counter and event make the divergence visible.
+            if let Some((path, layout_fp)) = &state.persist {
+                if let Err(err) = save_overrides(path, *layout_fp, &state.map.overrides_snapshot())
+                {
+                    soi_obs::counter_add!("router.override_persist_errors", 1);
+                    soi_obs::event!(
+                        soi_obs::Level::Warn,
+                        "override persist to {} failed: {err}",
+                        path.display()
+                    );
                 }
-                protocol::encode_ok(
-                    id,
-                    &format!(
-                        "\"rebalanced\":\"{}\",\"shard\":{shard}",
-                        json::escape(graph)
-                    ),
-                    0,
-                )
             }
-            Err(message) => protocol::encode_error(
-                Some(id),
-                &SoiError::protocol(ProtoErrorKind::BadField, message),
-            ),
-        },
-        _ => protocol::encode_error(
-            Some(id),
-            &SoiError::protocol(ProtoErrorKind::BadField, "not a control request"),
-        ),
+            Ok(format!(
+                "\"rebalanced\":\"{}\",\"shard\":{shard}",
+                json::escape(graph)
+            ))
+        }
+        _ => Err(SoiError::protocol(
+            ProtoErrorKind::BadField,
+            "not a control request",
+        )),
     }
 }
 
-/// Serves one client connection: reads request lines, answers controls
-/// inline, relays compute requests to the owning shard.
-fn handle_conn(
-    stream: TcpStream,
-    state: Arc<RouterState>,
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
+/// Serves one client connection: answers controls inline, relays
+/// compute requests to the owning shard over per-shard cached
+/// connections. A `shutdown` requests the listener's stop and the loop
+/// keeps reading, same as the daemon.
+fn serve_client(
+    state: &RouterState,
+    stop: &Stop,
     max_line: usize,
+    mut reader: BufReader<TcpStream>,
+    mut writer: TcpStream,
 ) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let Ok(guard_stream) = stream.try_clone() else {
-        return;
-    };
-    // Same discipline as the daemon: reach the socket past every clone
-    // when this thread exits, including by unwinding.
-    let _guard = ConnGuard(guard_stream);
-    let mut reader = BufReader::new(stream);
-    // Per-shard cached connections for this client connection.
-    let mut conns: Vec<Option<(usize, TcpStream, BufReader<TcpStream>)>> =
-        (0..state.map.len()).map(|_| None).collect();
-    loop {
-        let read = match read_line_capped(&mut reader, max_line) {
-            Ok(read) => read,
-            Err(_) => return,
-        };
-        let line = match read {
-            LineRead::Eof { .. } => return,
-            LineRead::Oversized | LineRead::NotUtf8 => {
-                let err = match read {
-                    LineRead::Oversized => SoiError::protocol(
-                        ProtoErrorKind::OversizedLine,
-                        format!("request line exceeds {max_line} bytes"),
-                    ),
-                    _ => SoiError::protocol(
-                        ProtoErrorKind::MalformedJson,
-                        "request line is not valid UTF-8",
-                    ),
-                };
-                let resp = protocol::encode_error(None, &err);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut conns: Vec<Option<(usize, Conn)>> = (0..state.map.len()).map(|_| None).collect();
+    wire::serve_conn(&mut reader, &mut writer, max_line, |line| {
         soi_obs::counter_add!("router.requests_total", 1);
-        let started = Instant::now();
-        let (response, is_shutdown) = match protocol::parse_request(&line) {
-            Err(err) => (protocol::encode_error(None, &err), false),
-            Ok(envelope) if envelope.req.is_control() => {
-                let is_shutdown = envelope.req == Request::Shutdown;
-                let mut resp = control_response(&state, envelope.id, &envelope.req);
-                let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Some(stripped) = resp.strip_suffix("\"wall_ns\":0}") {
-                    resp = format!("{stripped}\"wall_ns\":{wall_ns}}}");
-                }
-                (resp, is_shutdown)
-            }
-            Ok(envelope) => {
+        let (response, shutdown) = protocol::dispatch(
+            line,
+            |req| control_payload(state, req),
+            |envelope, _| {
                 // Compute requests always name a graph (the parser
                 // enforced it); resolve and relay the raw line so the
                 // shard's bytes are the client's bytes.
                 let graph = envelope.req.graph().unwrap_or_default();
                 let shard_idx = state.map.shard_for(graph);
-                let answer = forward(&state, &mut conns[shard_idx], shard_idx, envelope.id, &line);
-                match answer {
-                    Forwarded::Relay(line) | Forwarded::Synthesized(line) => (line, false),
-                }
-            }
-        };
+                forward(state, &mut conns[shard_idx], shard_idx, envelope.id, line)
+            },
+        );
         soi_util::failpoint_crash!("router.response.write");
-        if writeln!(writer, "{response}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
+        if shutdown {
+            stop.request();
         }
-        if is_shutdown {
-            // ordering: SeqCst on a once-per-process control flag; the
-            // cold path favors clarity (same as the daemon).
-            shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-        }
-    }
-}
-
-/// See [`crate::daemon`]: shuts the socket down when the connection
-/// thread exits, past every clone.
-struct ConnGuard(TcpStream);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
-    }
+        (response, Step::Continue)
+    });
 }
 
 /// Runs the router until a `shutdown` request arrives. Announces the
@@ -637,11 +487,7 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
             }
         }
     }
-    let listener = TcpListener::bind(("127.0.0.1", config.port))
-        .map_err(|e| SoiError::io("bind 127.0.0.1", e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| SoiError::io("local_addr", e))?;
+    let listener = Listener::bind(config.port)?;
     // Touch every router counter so 0 is reported, not absent.
     soi_obs::counter_add!("router.requests_total", 0);
     soi_obs::counter_add!("router.forwarded", 0);
@@ -677,27 +523,24 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
     });
     soi_obs::event!(
         soi_obs::Level::Info,
-        "routing {} shard(s) on {addr}",
-        state.map.len()
+        "routing {} shard(s) on {}",
+        state.map.len(),
+        listener.stop.addr
     );
-    writeln!(out, "listening on {addr}").map_err(|e| SoiError::io("stdout", e))?;
-    out.flush().map_err(|e| SoiError::io("stdout", e))?;
+    listener.announce(out)?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let stop = Arc::clone(&listener.stop);
     let probe_thread = (config.probe_interval_ms > 0).then(|| {
         let state = Arc::clone(&state);
-        let shutdown = Arc::clone(&shutdown);
+        let stop = Arc::clone(&stop);
         let interval = Duration::from_millis(config.probe_interval_ms);
         std::thread::spawn(move || {
-            // ordering: SeqCst pairs with the shutdown store; one load
-            // per probe period is not a hot path.
-            while !shutdown.load(Ordering::SeqCst) {
+            while !stop.requested() {
                 probe_sweep(&state);
                 // Sleep in small slices so shutdown is not delayed by
                 // up to a whole probe period.
                 let mut slept = Duration::ZERO;
-                // ordering: SeqCst pairs with the shutdown store, as above.
-                while slept < interval && !shutdown.load(Ordering::SeqCst) {
+                while slept < interval && !stop.requested() {
                     let step = (interval - slept).min(Duration::from_millis(20));
                     std::thread::sleep(step);
                     slept += step;
@@ -705,39 +548,13 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
             }
         })
     });
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut conn_threads = Vec::new();
-    for stream in listener.incoming() {
-        // ordering: SeqCst pairs with the store in the shutdown step.
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        if let Ok(clone) = stream.try_clone() {
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
-        }
-        let state = Arc::clone(&state);
-        let shutdown = Arc::clone(&shutdown);
-        let max_line = config.max_line;
-        conn_threads.push(std::thread::spawn(move || {
-            handle_conn(stream, state, shutdown, addr, max_line);
-        }));
-    }
-    drop(listener);
-
-    // Graceful drain: stop reading new requests; in-flight relays have
+    let max_line = config.max_line;
+    // Graceful drain: nothing to finish first — in-flight relays have
     // already resolved their shard and complete normally.
-    for stream in conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for thread in conn_threads {
-        let _ = thread.join();
-    }
+    listener.serve(
+        move |reader, writer| serve_client(&state, &stop, max_line, reader, writer),
+        || {},
+    );
     if let Some(thread) = probe_thread {
         let _ = thread.join();
     }
@@ -762,17 +579,6 @@ mod tests {
         let line = protocol::encode_queue_full(4, 8, 32);
         assert_eq!(queue_full_detail(&line), Some((8, 32)));
         assert_eq!(queue_full_detail("{\"v\":1,\"status\":\"ok\"}"), None);
-    }
-
-    #[test]
-    fn v2_sections_surgery_removes_exactly_the_counters_object() {
-        let cut = v2_sections_without_counters();
-        assert!(!cut.contains("\"counters\":{"), "{cut}");
-        for kept in ["\"stats_version\":", "\"gauges\":{", "\"timing_hists\":{"] {
-            assert!(cut.contains(kept), "missing {kept} in {cut}");
-        }
-        // The spliced fragment still parses when wrapped as an object.
-        crate::json::parse(&format!("{{{cut}}}")).expect("spliced sections parse");
     }
 
     #[test]

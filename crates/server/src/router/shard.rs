@@ -49,6 +49,18 @@ pub struct ReplicaState {
     pub failures: u64,
 }
 
+/// What one exchange with a replica showed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exchange {
+    /// A client request was relayed and answered: healthy, and one more
+    /// `forwarded`.
+    Relayed,
+    /// A health probe was answered: healthy, nothing relayed.
+    Alive,
+    /// Connect, I/O or version failure: unhealthy, one more `failures`.
+    Failed,
+}
+
 /// The immutable ring plus the mutable overlays (rebalance overrides,
 /// replica health, per-shard shed state).
 pub struct ShardMap {
@@ -199,7 +211,8 @@ impl ShardMap {
 
     /// Records the outcome of one exchange with `shard`/`replica` and
     /// keeps the `router.replicas_unhealthy` gauge in step.
-    pub fn mark(&self, shard: usize, replica: usize, ok: bool) {
+    pub fn mark(&self, shard: usize, replica: usize, outcome: Exchange) {
+        let ok = outcome != Exchange::Failed;
         let delta: i64;
         {
             let mut replicas = self.shards[shard]
@@ -214,10 +227,10 @@ impl ShardMap {
                 _ => 0,
             };
             r.healthy = ok;
-            if ok {
-                r.forwarded += 1;
-            } else {
-                r.failures += 1;
+            match outcome {
+                Exchange::Relayed => r.forwarded += 1,
+                Exchange::Alive => {}
+                Exchange::Failed => r.failures += 1,
             }
         }
         if delta != 0 {
@@ -331,15 +344,18 @@ mod tests {
     #[test]
     fn replica_order_prefers_healthy_but_never_abandons() {
         let m = map(1, 3);
-        m.mark(0, 0, false);
+        m.mark(0, 0, Exchange::Failed);
         let order = m.replica_order(0);
         assert_eq!(order.len(), 3, "dark replicas stay in rotation");
         assert_eq!(order[0].0, 1, "healthy first");
         assert_eq!(order[1].0, 2);
         assert_eq!(order[2].0, 0, "failed replica probed last");
-        // A success heals it back to the front.
-        m.mark(0, 0, true);
+        // An answered probe heals it back to the front without counting
+        // as a relayed request; a relay counts.
+        m.mark(0, 0, Exchange::Alive);
         assert_eq!(m.replica_order(0)[0].0, 0);
+        assert_eq!(m.health_snapshot()[0][0].forwarded, 0);
+        m.mark(0, 0, Exchange::Relayed);
         let snap = m.health_snapshot();
         assert_eq!(snap[0][0].failures, 1);
         assert_eq!(snap[0][0].forwarded, 1);

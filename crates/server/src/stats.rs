@@ -1,8 +1,9 @@
 //! The `soi stats` client: polls a running daemon's `stats` endpoint
 //! and renders the snapshot as JSON or Prometheus-style text.
 //!
-//! Each poll is one `{"v":1,"id":N,"type":"stats"}` request over a fresh
-//! connection ([`crate::client::send_one`]). In JSON mode the raw
+//! Each poll is one `stats` control line
+//! ([`crate::protocol::control_line`]) over a fresh connection
+//! ([`crate::client::send_one`]). In JSON mode the raw
 //! response line is printed per poll (optionally wall-masked), followed
 //! — from the second poll on — by a `{"stats_delta":{...}}` line showing
 //! how each counter moved since the previous poll, which is what makes
@@ -83,7 +84,7 @@ pub fn run_stats<W: Write>(config: &StatsConfig, out: &mut W) -> Result<u64, Soi
         if poll > 0 && config.interval_ms > 0 {
             std::thread::sleep(Duration::from_millis(config.interval_ms));
         }
-        let request = format!("{{\"v\":1,\"id\":{},\"type\":\"stats\"}}", poll + 1);
+        let request = crate::protocol::control_line(poll + 1, "stats");
         let line = client::send_one(&config.host, config.port, &request)?;
         let doc = json::parse(&line)
             .map_err(|e| SoiError::invalid(format!("malformed stats response: {e}")))?;

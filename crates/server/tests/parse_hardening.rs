@@ -19,7 +19,7 @@ fn engine() -> ServerEngine {
 }
 
 /// Serves raw bytes (not necessarily UTF-8) through the stdio daemon,
-/// which shares `read_line_capped` + `handle_line` with the TCP path.
+/// which shares the connection loop (`wire::serve_conn`) with the TCP path.
 fn serve_bytes(input: &[u8], max_line: usize) -> Vec<String> {
     let _g = soi_util::failpoint::test_guard();
     let engine = engine();

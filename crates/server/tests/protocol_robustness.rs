@@ -3,83 +3,12 @@
 //! worker or the accept loop, deadlines produce well-formed partials,
 //! admission control rejects deterministically, and shutdown drains.
 
-use soi_graph::{gen, ProbGraph};
-use soi_server::{json, EngineConfig, QueryConfig, Request, ServeConfig, ServerEngine};
+mod common;
+
+use common::FrontEnd;
+use soi_server::{json, QueryConfig, Request, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// A daemon running on an ephemeral port, torn down by `stop()`.
-struct TestDaemon {
-    port: u16,
-    thread: JoinHandle<()>,
-}
-
-/// `out` writer that forwards the `listening on HOST:PORT` announcement
-/// through a channel so the test learns the ephemeral port. Buffers
-/// until the newline: `write_fmt` may deliver the line in fragments.
-struct Announce {
-    buf: String,
-    tx: mpsc::Sender<u16>,
-}
-
-impl Write for Announce {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.buf.push_str(&String::from_utf8_lossy(buf));
-        if self.buf.contains('\n') {
-            if let Some(port) = self
-                .buf
-                .trim()
-                .rsplit(':')
-                .next()
-                .and_then(|p| p.parse::<u16>().ok())
-            {
-                let _ = self.tx.send(port);
-            }
-            self.buf.clear();
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn start_daemon(config: ServeConfig) -> TestDaemon {
-    let pg = ProbGraph::fixed(gen::path(30), 1.0).expect("graph");
-    let mut engine = ServerEngine::new(EngineConfig {
-        num_worlds: 8,
-        seed: 5,
-        ..EngineConfig::default()
-    });
-    engine.add_graph("g", pg);
-    let engine = Arc::new(engine);
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        let mut announce = Announce {
-            buf: String::new(),
-            tx,
-        };
-        soi_server::run_tcp(engine, &config, &mut announce).expect("daemon run");
-    });
-    let port = rx.recv().expect("port announcement");
-    TestDaemon { port, thread }
-}
-
-impl TestDaemon {
-    fn send(&self, line: &str) -> String {
-        soi_server::send_one("127.0.0.1", self.port, line).expect("round trip")
-    }
-
-    fn stop(self) {
-        let resp = self.send(r#"{"v":1,"id":999,"type":"shutdown"}"#);
-        assert!(resp.contains("\"draining\":true"), "{resp}");
-        self.thread.join().expect("daemon thread");
-    }
-}
 
 /// One persistent client connection with line-at-a-time round trips.
 struct Conn {
@@ -120,7 +49,7 @@ fn field_u64(resp: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn malformed_inputs_get_distinct_kinds_and_never_kill_the_server() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     let mut conn = Conn::open(daemon.port);
 
     let resp = conn.round_trip("this is { not json");
@@ -149,7 +78,7 @@ fn malformed_inputs_get_distinct_kinds_and_never_kill_the_server() {
 
 #[test]
 fn oversized_line_is_rejected_without_dropping_the_connection() {
-    let daemon = start_daemon(ServeConfig {
+    let daemon = FrontEnd::daemon(ServeConfig {
         max_line: 256,
         ..ServeConfig::default()
     });
@@ -167,7 +96,7 @@ fn oversized_line_is_rejected_without_dropping_the_connection() {
 
 #[test]
 fn mid_request_disconnect_is_counted_and_survived() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     {
         // Write half a request, then drop the connection.
         let mut stream = TcpStream::connect(("127.0.0.1", daemon.port)).expect("connect");
@@ -184,7 +113,7 @@ fn mid_request_disconnect_is_counted_and_survived() {
 
 #[test]
 fn deadline_limited_query_returns_well_formed_partial() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     let resp = daemon.send(
         r#"{"v":1,"id":1,"type":"spread-estimate","graph":"g","seeds":[0],"samples":64,"seed":3,"deadline_ticks":8}"#,
     );
@@ -208,7 +137,7 @@ fn deadline_limited_query_returns_well_formed_partial() {
 fn queue_overflow_returns_typed_rejection() {
     // One worker, queue capacity one: occupy the worker with a slow
     // query, fill the queue with a second, then watch the third bounce.
-    let daemon = start_daemon(ServeConfig {
+    let daemon = FrontEnd::daemon(ServeConfig {
         workers: 1,
         queue_cap: 1,
         ..ServeConfig::default()
@@ -260,7 +189,7 @@ fn queue_overflow_returns_typed_rejection() {
 
 #[test]
 fn client_batch_is_ordered_and_deterministic_under_masking() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     let mut requests = Vec::new();
     for i in 0..30u64 {
         requests.push(match i % 3 {
@@ -301,7 +230,7 @@ fn client_batch_is_ordered_and_deterministic_under_masking() {
 
 #[test]
 fn shutdown_drains_and_closes_idle_connections() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     // An idle connection that never sends anything.
     let mut idle = TcpStream::connect(("127.0.0.1", daemon.port)).expect("connect");
     daemon.stop();
@@ -314,7 +243,7 @@ fn shutdown_drains_and_closes_idle_connections() {
 
 #[test]
 fn infmax_roundtrip_over_tcp() {
-    let daemon = start_daemon(ServeConfig::default());
+    let daemon = FrontEnd::daemon(ServeConfig::default());
     let resp = daemon.send(r#"{"v":1,"id":1,"type":"infmax-tc","graph":"g","k":2}"#);
     assert!(resp.contains("\"status\":\"ok\""), "{resp}");
     assert!(resp.contains("\"seeds\":["), "{resp}");

@@ -27,8 +27,6 @@ pub enum ProtoErrorKind {
     OversizedLine,
     /// The `v` field does not match the server's protocol version.
     VersionMismatch,
-    /// The client closed the connection mid-request.
-    Disconnected,
     /// The bounded request queue is full (admission control rejected
     /// the request rather than letting it wait unboundedly).
     QueueFull,
@@ -61,7 +59,6 @@ impl ProtoErrorKind {
             ProtoErrorKind::UnknownType => "unknown-type",
             ProtoErrorKind::OversizedLine => "oversized-line",
             ProtoErrorKind::VersionMismatch => "version-mismatch",
-            ProtoErrorKind::Disconnected => "disconnected",
             ProtoErrorKind::QueueFull => "queue-full",
             ProtoErrorKind::UnknownGraph => "unknown-graph",
             ProtoErrorKind::BadField => "bad-field",
@@ -321,7 +318,6 @@ mod tests {
             ProtoErrorKind::UnknownType,
             ProtoErrorKind::OversizedLine,
             ProtoErrorKind::VersionMismatch,
-            ProtoErrorKind::Disconnected,
             ProtoErrorKind::QueueFull,
             ProtoErrorKind::UnknownGraph,
             ProtoErrorKind::BadField,

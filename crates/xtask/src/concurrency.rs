@@ -23,11 +23,13 @@
 //!    line(s) immediately above, like `xtask-allow`. Findings name the
 //!    atomic's declaration when it is visible in the same file.
 //! 4. **Scoped-spawn discipline**: raw `thread::spawn` (and
-//!    `thread::Builder`) is confined to `crates/util/src/pool.rs` and
-//!    `crates/server/` — everywhere else, fan-out goes through
-//!    `soi_util::pool`'s scoped helpers so panics propagate and joins
-//!    are never forgotten. Mirrors the hermeticity pass's path
-//!    confinement.
+//!    `thread::Builder`) is confined to the files in [`SPAWN_ALLOWED`] —
+//!    `crates/util/src/pool.rs` and the serving crate's three spawn
+//!    sites (the one accept/drain loop, the supervised worker pool, the
+//!    router's probe thread) plus its integration tests. Everywhere
+//!    else, fan-out goes through `soi_util::pool`'s scoped helpers so
+//!    panics propagate and joins are never forgotten. Test modules are
+//!    out of scope. Mirrors the hermeticity pass's path confinement.
 //!
 //! **Approximation contract** (same spirit as the determinism pass):
 //! the model over-approximates lock identity — a lock is named by the
@@ -47,10 +49,19 @@ use crate::walk::is_library_source;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// The only places permitted to call raw `thread::spawn`: the scoped
-/// fan-out helper and the serving crate (whose supervised workers and
-/// connection threads own their join/respawn story).
-const SPAWN_ALLOWED: &[&str] = &["crates/util/src/pool.rs", "crates/server"];
+/// The only places permitted to call raw `thread::spawn` outside test
+/// modules: the scoped fan-out helper, and the serving crate's spawn
+/// sites, each of which owns its join story — the one accept/drain loop
+/// (connection threads), the supervised worker pool (join + respawn),
+/// the router's probe thread — plus the serving integration tests that
+/// run a daemon in-process.
+const SPAWN_ALLOWED: &[&str] = &[
+    "crates/util/src/pool.rs",
+    "crates/server/src/wire.rs",
+    "crates/server/src/worker.rs",
+    "crates/server/src/router/mod.rs",
+    "crates/server/tests",
+];
 
 /// Atomic read-modify-write methods that make `Relaxed` a whitelisted
 /// idiom on the same line: counters whose value is only read for
@@ -297,14 +308,14 @@ fn ordering_audit(path: &Path, file: &SourceFile) -> Vec<Finding> {
 }
 
 /// Check 4: raw `thread::spawn` / `thread::Builder` outside the
-/// sanctioned prefixes.
+/// sanctioned files (test modules excepted).
 fn spawn_discipline(path: &Path, file: &SourceFile) -> Vec<Finding> {
     if SPAWN_ALLOWED.iter().any(|p| path.starts_with(p)) {
         return Vec::new();
     }
     let mut findings = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
-        if line.allows(Pass::Concurrency.name()) {
+        if line.in_test || line.allows(Pass::Concurrency.name()) {
             continue;
         }
         let hit = if line.code.contains("thread::spawn") {
@@ -320,7 +331,8 @@ fn spawn_discipline(path: &Path, file: &SourceFile) -> Vec<Finding> {
                 path: path.to_path_buf(),
                 line: idx + 1,
                 message: format!(
-                    "raw `{what}` outside `crates/util/src/pool.rs` and `crates/server/`; \
+                    "raw `{what}` outside `crates/util/src/pool.rs` and the serving \
+                     crate's spawn sites (`wire.rs`, `worker.rs`, the router's probe); \
                      use `soi_util::pool`'s scoped helpers so panics propagate and \
                      threads are always joined"
                 ),
@@ -716,17 +728,39 @@ mod tests {
     }
 
     #[test]
-    fn spawn_confined_to_pool_and_server() {
+    fn spawn_confined_to_pool_and_the_serving_spawn_sites() {
         let src = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
         let f = lib(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("thread::spawn"));
-        for ok in ["crates/util/src/pool.rs", "crates/server/src/worker.rs"] {
+        for ok in [
+            "crates/util/src/pool.rs",
+            "crates/server/src/wire.rs",
+            "crates/server/src/worker.rs",
+            "crates/server/src/router/mod.rs",
+            "crates/server/tests/front_end_parity.rs",
+        ] {
             assert!(
                 check_source(&PathBuf::from(ok), &scan(src)).is_empty(),
                 "{ok} is a sanctioned spawn site"
             );
         }
+        // Being in the serving crate is not enough: a second accept loop
+        // or a connection thread spawned outside `wire.rs` is a finding.
+        for denied in [
+            "crates/server/src/daemon.rs",
+            "crates/server/src/client.rs",
+            "crates/server/src/router/shard.rs",
+        ] {
+            assert_eq!(
+                check_source(&PathBuf::from(denied), &scan(src)).len(),
+                1,
+                "{denied} must not spawn"
+            );
+        }
+        // Test modules may spawn scripted peers anywhere.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() {\n        std::thread::spawn(|| {});\n    }\n}\n";
+        assert!(lib(in_test).is_empty());
         // Scoped spawns are the sanctioned idiom everywhere.
         assert!(lib("fn f() {\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n").is_empty());
     }

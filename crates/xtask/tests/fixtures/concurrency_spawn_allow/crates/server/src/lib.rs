@@ -1,9 +1,6 @@
-//! Fixture: the serving crate owns its worker threads' join story.
+//! Fixture: the serving crate's worker pool is a sanctioned spawn site.
 
-/// Spawns a supervised worker thread.
-pub fn run() -> std::thread::JoinHandle<()> {
-    std::thread::spawn(|| {})
-}
+pub mod worker;
 
 #[cfg(test)]
 mod tests {

@@ -185,7 +185,7 @@ fn concurrency_allow_fixtures_pass_clean() {
         "concurrency_guard_blocking_allow",
         // `// ordering:` justification plus whitelisted counter RMW.
         "concurrency_ordering_allow",
-        // Spawning inside `crates/server` is the sanctioned boundary.
+        // `crates/server/src/worker.rs` is a sanctioned spawn site.
         "concurrency_spawn_allow",
     ] {
         let out = run_lint(&fixtures_dir().join(fixture));
