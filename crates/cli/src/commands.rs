@@ -6,25 +6,24 @@
 //! in `docs/ROBUSTNESS.md`: 0 complete, 1 runtime failure, 2 usage,
 //! 3 deadline expired with partial output.
 
-use soi_core::{typical_cascade, EngineRunOpts, TypicalCascadeConfig};
+use soi_core::{typical_cascade, TypicalCascadeConfig};
 use soi_graph::{gen, io as gio, stats, DiGraph, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{
     degree_discount_seeds, high_degree_seeds, infmax_celf_resumable, infmax_ris_budgeted,
-    infmax_std_mc, infmax_tc, pagerank_seeds, random_seeds, BackendKind, GreedyRunOpts,
-    McGreedyConfig,
+    infmax_std_mc, infmax_tc, pagerank_seeds, random_seeds, BackendKind, McGreedyConfig,
 };
 use soi_jaccard::median::MedianConfig;
 use soi_problog::{
     learn_goyal, learn_goyal_jaccard, learn_saito, to_prob_graph, Action, ActionLog, SaitoConfig,
 };
-use soi_sketch::{select_seeds, BuildOpts, ReachSketches, SketchConfig};
+use soi_sketch::{select_seeds, ReachSketches, SketchConfig};
 use soi_util::rng::Xoshiro256pp;
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::SoiError;
 use std::collections::HashMap;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -36,7 +35,7 @@ commands:
   stats      GRAPH | --port P [--host H] [--watch N] [--interval-ms MS]
              [--format json|prom] [--mask-wall]
   sphere     GRAPH --source V [--samples N] [--seed S]
-  spheres    GRAPH [--samples N] [--seed S] [--threads T] --out FILE
+  spheres    GRAPH [--samples N] [--seed S] --out FILE
   infmax     GRAPH --k K [--backend cascade|sketch] [--sketch-k K]
              [--method tc|greedy|mc|ris|degree|degree-discount|
              pagerank|random] [--samples N] [--seed S]
@@ -68,10 +67,12 @@ global options (valid on every command):
   --metrics-out FILE   write a JSONL run report (counters, histograms,
              span timings) when the command finishes
   --deadline-ticks N   cooperative work budget for the heavy phases
-             (`spheres`, `infmax --method tc|greedy|ris`); on expiry the
-             command writes what it completed and exits with code 3
+             (`spheres`, `infmax --method tc|greedy|ris`, `infmax
+             --backend sketch`); on expiry the command writes what it
+             completed and exits with code 3
   --checkpoint-dir DIR write periodic, atomic, checksummed checkpoints
-             (`spheres`, `infmax --method tc|greedy`) into DIR
+             (`spheres`, `infmax --method tc|greedy`, `infmax --backend
+             sketch`) into DIR
   --checkpoint-every N checkpoint / deadline block granularity in work
              units (default 64)
   --resume             resume from a checkpoint in --checkpoint-dir when
@@ -206,24 +207,31 @@ impl RuntimeOpts {
         }
     }
 
-    /// Resolves the checkpoint path for a pipeline (creating the
-    /// directory), or `None` when checkpointing is off.
-    fn checkpoint_file(&self, name: &str) -> Result<Option<PathBuf>, SoiError> {
-        match &self.checkpoint_dir {
-            None => Ok(None),
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| SoiError::io(dir.as_str(), e))?;
-                Ok(Some(PathBuf::from(dir).join(name)))
-            }
+    /// The run policy for the pipeline that checkpoints to `file` under
+    /// `--checkpoint-dir` (created here).
+    fn run(&self, file: &str) -> Result<Run, SoiError> {
+        let dir = self.checkpoint_dir.as_deref();
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir).map_err(|e| SoiError::io(dir, e))?;
         }
+        let file = dir.map(|dir| Path::new(dir).join(file));
+        Ok(Run::new(
+            self.deadline(),
+            file,
+            self.checkpoint_every,
+            self.resume,
+        ))
     }
 }
 
-/// Removes a checkpoint after its pipeline completed (missing is fine).
-fn discard_checkpoint(path: Option<&PathBuf>) {
-    if let Some(p) = path {
-        let _ = std::fs::remove_file(p);
+/// How the pipeline that ran under `run` finished. A completed pipeline
+/// no longer needs its checkpoint (missing is fine).
+fn finish_run<T>(run: &Run, outcome: &Outcome<T>) -> RunStatus {
+    let status = RunStatus::from_outcome(outcome);
+    if let (RunStatus::Complete, Some(path)) = (status, &run.checkpoint) {
+        let _ = std::fs::remove_file(path);
     }
+    status
 }
 
 /// Strips the global options (`--trace`, `--metrics-out`,
@@ -523,7 +531,6 @@ fn cmd_spheres<W: Write>(
     let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     let samples: usize = opts.get("samples")?.unwrap_or(256);
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
-    let threads: usize = opts.get("threads")?.unwrap_or(0);
     let index = CascadeIndex::build(
         &pg,
         IndexConfig {
@@ -532,22 +539,11 @@ fn cmd_spheres<W: Write>(
             ..IndexConfig::default()
         },
     );
-    let deadline = rt.deadline();
-    let ckpt_path = rt.checkpoint_file("spheres.ckpt")?;
-    let outcome = soi_core::all_typical_cascades_resumable(
-        &index,
-        &MedianConfig::default(),
-        threads,
-        &EngineRunOpts {
-            deadline: &deadline,
-            checkpoint: ckpt_path.as_deref(),
-            checkpoint_every: rt.checkpoint_every,
-            resume: rt.resume,
-        },
-    )?;
-    let status = RunStatus::from_outcome(&outcome);
+    let run = rt.run("spheres.ckpt")?;
+    let outcome =
+        soi_core::all_typical_cascades_resumable(&index, &MedianConfig::default(), 0, &run)?;
     let total = index.num_nodes();
-    let spheres = outcome.value();
+    let spheres = outcome.value_ref();
 
     soi_util::failpoint!("cli.spheres.write");
     let path: String = opts.require("out")?;
@@ -555,7 +551,7 @@ fn cmd_spheres<W: Write>(
     let mut w = std::io::BufWriter::new(file);
     let write_err = |e| SoiError::io(path.as_str(), e);
     writeln!(w, "node\tsize\ttraining_cost\tmembers").map_err(write_err)?;
-    for s in &spheres {
+    for s in spheres {
         writeln!(
             w,
             "{}\t{}\t{:.4}\t{}",
@@ -571,9 +567,10 @@ fn cmd_spheres<W: Write>(
         .map_err(write_err)?;
     }
     w.flush().map_err(write_err)?;
+    // The checkpoint outlives the pipeline until its output is on disk.
+    let status = finish_run(&run, &outcome);
     match status {
         RunStatus::Complete => {
-            discard_checkpoint(ckpt_path.as_ref());
             writeln!(out, "wrote {} spheres to {path}", spheres.len()).ok();
         }
         RunStatus::Partial { .. } => {
@@ -618,34 +615,18 @@ fn cmd_infmax<W: Write>(
             },
         )
     };
-    let deadline = rt.deadline();
     let mut status = RunStatus::Complete;
     let seeds: Vec<NodeId> = match method.as_str() {
         "tc" => {
             let index = build_index();
-            let ckpt_path = rt.checkpoint_file("infmax-tc.ckpt")?;
-            // With neither a budget nor a checkpoint file nothing happens
-            // between blocks, so all nodes are one block: one pool fan-out.
-            let block = if rt.deadline_ticks.is_none() && ckpt_path.is_none() {
-                index.num_nodes()
-            } else {
-                rt.checkpoint_every
-            };
+            let run = rt.run("infmax-tc.ckpt")?;
             let outcome = soi_core::all_typical_cascades_resumable(
                 &index,
                 &MedianConfig::default(),
                 0,
-                &EngineRunOpts {
-                    deadline: &deadline,
-                    checkpoint: ckpt_path.as_deref(),
-                    checkpoint_every: block,
-                    resume: rt.resume,
-                },
+                &run,
             )?;
-            status = RunStatus::from_outcome(&outcome);
-            if matches!(status, RunStatus::Complete) {
-                discard_checkpoint(ckpt_path.as_ref());
-            }
+            status = finish_run(&run, &outcome);
             // On expiry the cover runs over the spheres of the solved node
             // prefix, exactly as the daemon's `infmax-tc` answers partial.
             let cascades: Vec<Vec<NodeId>> =
@@ -654,21 +635,9 @@ fn cmd_infmax<W: Write>(
         }
         "greedy" => {
             let index = build_index();
-            let ckpt_path = rt.checkpoint_file("greedy.ckpt")?;
-            let outcome = infmax_celf_resumable(
-                &index,
-                k,
-                &GreedyRunOpts {
-                    deadline: &deadline,
-                    checkpoint: ckpt_path.as_deref(),
-                    checkpoint_every: rt.checkpoint_every,
-                    resume: rt.resume,
-                },
-            )?;
-            status = RunStatus::from_outcome(&outcome);
-            if matches!(status, RunStatus::Complete) {
-                discard_checkpoint(ckpt_path.as_ref());
-            }
+            let run = rt.run("greedy.ckpt")?;
+            let outcome = infmax_celf_resumable(&index, k, &run)?;
+            status = finish_run(&run, &outcome);
             outcome.value().seeds
         }
         "mc" => {
@@ -684,8 +653,9 @@ fn cmd_infmax<W: Write>(
             .seeds
         }
         "ris" => {
+            let budget = rt.deadline();
             let outcome =
-                infmax_ris_budgeted(&pg, k, (20 * pg.num_nodes()).max(1000), seed, &deadline);
+                infmax_ris_budgeted(&pg, k, (20 * pg.num_nodes()).max(1000), seed, &budget);
             status = RunStatus::from_outcome(&outcome);
             outcome.value().seeds
         }
@@ -758,29 +728,17 @@ fn infmax_sketch<W: Write>(
         seed,
         threads: rt.threads,
     };
-    let deadline = rt.deadline();
-    let ckpt_path = rt.checkpoint_file("sketch.ckpt")?;
-    let build = ReachSketches::build_resumable(
-        pg,
-        config,
-        &BuildOpts {
-            deadline: &deadline,
-            checkpoint: ckpt_path.as_deref(),
-            checkpoint_every: rt.checkpoint_every as u64,
-            resume: rt.resume,
-        },
-    )?;
-    let mut status = RunStatus::from_outcome(&build);
+    let run = rt.run("sketch.ckpt")?;
+    let build = ReachSketches::build_resumable(pg, config, &run)?;
     // A partial build still yields a valid oracle over a world prefix;
-    // selection proceeds on whatever deadline budget remains.
-    let sk = build.value();
-    let outcome = select_seeds(pg, &sk, k, &deadline);
-    if matches!(status, RunStatus::Complete) {
-        status = RunStatus::from_outcome(&outcome);
-        if matches!(status, RunStatus::Complete) {
-            discard_checkpoint(ckpt_path.as_ref());
-        }
-    }
+    // selection proceeds on whatever deadline budget remains, and the
+    // checkpoint is kept until selection completed too.
+    let sk = build.value_ref();
+    let outcome = select_seeds(pg, sk, k, &run.deadline);
+    let status = match RunStatus::from_outcome(&build) {
+        RunStatus::Complete => finish_run(&run, &outcome),
+        partial => partial,
+    };
     let seeds = outcome.value().seeds;
     let sigma = soi_sampling::estimate_spread(pg, &seeds, samples.max(1000), seed ^ 0xE7A1);
     let backend = format!("sketch (worlds {}, k {sketch_k})", sk.num_worlds());

@@ -10,17 +10,13 @@
 //! Failpoints compile to no-ops in release builds; `cargo test` builds
 //! the binary with `debug_assertions` on, which is what arms the sites.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{fresh_dir, generate, soi};
+use std::path::Path;
 use std::process::{Command, Output};
 
 const CRASH: i32 = 41;
-
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    // Never inherit stray failpoints from the environment.
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
 
 fn run(mut cmd: Command) -> Output {
     cmd.output().expect("spawn soi")
@@ -37,26 +33,10 @@ fn assert_code(out: &Output, want: i32, what: &str) {
     );
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("soi-crash-resume-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Generates the shared test graph once per temp dir.
+/// The shared 50-node test graph.
 fn make_graph(dir: &Path) -> String {
-    let g = dir.join("g.tsv").to_string_lossy().into_owned();
-    let out = run({
-        let mut c = soi();
-        c.args([
-            "generate", "--model", "ba", "--nodes", "50", "--m", "2", "--prob", "wc", "--seed",
-            "9", "--out", &g,
-        ]);
-        c
-    });
-    assert_code(&out, 0, "generate");
-    g
+    let ba = "--model ba --nodes 50 --m 2 --prob wc --seed 9";
+    generate(dir, "g.tsv", &ba.split(' ').collect::<Vec<_>>())
 }
 
 fn spheres_args(graph: &str, out_path: &str, ckpt_dir: &str) -> Vec<String> {
@@ -212,6 +192,40 @@ fn every_registered_site_crashes_then_resumes_byte_identical() {
             assert!(
                 !ck.join("sketch.ckpt").exists(),
                 "{site}: sketch checkpoint not discarded after completion"
+            );
+
+            // A build shorter than the default cadence (40 < 64 worlds)
+            // whose budget runs out during selection: the exit-3 run must
+            // leave the finished build on disk. The resume's 25 ticks pay
+            // for the 20 selection rounds but not for rebuilding a world.
+            let short = |extra: &[&str]| {
+                let mut c = soi();
+                c.args(["infmax", &graph]);
+                c.args("--k 20 --backend sketch --sketch-k 16 --samples 40".split(' '));
+                c.args(extra);
+                c
+            };
+            let golden_short = run(short(&[]));
+            assert_code(&golden_short, 0, "golden short sketch");
+            let ck = dir.join("ck-sketch-short");
+            let ck = ck.to_str().unwrap();
+            let expired = run(short(&["--checkpoint-dir", ck, "--deadline-ticks", "45"]));
+            assert_code(&expired, 3, "short sketch build, budget spent in selection");
+            assert!(
+                Path::new(ck).join("sketch.ckpt").exists(),
+                "exit 3 says resumable but left no sketch checkpoint"
+            );
+            let resumed = run(short(&[
+                "--checkpoint-dir",
+                ck,
+                "--deadline-ticks",
+                "25",
+                "--resume",
+            ]));
+            assert_code(&resumed, 0, "resumed short sketch");
+            assert_eq!(
+                resumed.stdout, golden_short.stdout,
+                "resumed short sketch infmax output differs from uninterrupted run"
             );
             continue;
         }

@@ -6,21 +6,10 @@
 //! testing"). Divergence artifacts (replay file + transcript) land in
 //! `target/fuzz-artifacts/` for CI upload.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
-
-/// Where CI picks up divergence replays and transcripts.
-fn artifacts_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/fuzz-artifacts");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use common::{artifacts_dir, soi};
+use std::process::Output;
 
 fn run_fuzz(extra: &[&str]) -> Output {
     let mut cmd = soi();
@@ -30,7 +19,7 @@ fn run_fuzz(extra: &[&str]) -> Output {
 
 #[test]
 fn pinned_seed_batch_of_32_streams_passes_both_engines() {
-    let artifacts = artifacts_dir();
+    let artifacts = artifacts_dir("fuzz-artifacts");
     let out = run_fuzz(&[
         "--seed",
         "1",

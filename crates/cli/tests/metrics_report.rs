@@ -3,8 +3,9 @@
 //! the same seed once wall-clock fields are masked. Each run spawns the
 //! real binary so the process-global registry starts clean.
 
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("soi-metrics-tests");
@@ -13,33 +14,16 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn soi(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_soi"))
-        .args(args)
-        .output()
-        .expect("spawn soi")
+    common::soi().args(args).output().expect("spawn soi")
 }
 
 fn generate_graph(name: &str) -> PathBuf {
+    let gnm = "--model gnm --nodes 40 --edges 160 --prob wc --seed 3";
     let path = tmp(name);
-    let out = soi(&[
-        "generate",
-        "--model",
-        "gnm",
-        "--nodes",
-        "40",
-        "--edges",
-        "160",
-        "--prob",
-        "wc",
-        "--seed",
-        "3",
-        "--out",
-        path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    common::generate(
+        path.parent().unwrap(),
+        name,
+        &gnm.split(' ').collect::<Vec<_>>(),
     );
     path
 }

@@ -31,226 +31,17 @@
 //! Masked transcripts and stats payloads land in
 //! `target/chaos-artifacts/` for CI upload.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+mod common;
 
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("soi-route-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Where CI picks up transcripts and stats payloads.
-fn artifacts_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-artifacts");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn save_artifact(name: &str, contents: &str) {
-    std::fs::write(artifacts_dir().join(name), contents).unwrap();
-}
-
-fn make_graph(dir: &Path) -> String {
-    let g = dir.join("net.tsv").to_string_lossy().into_owned();
-    let out = soi()
-        .args([
-            "generate", "--model", "gnm", "--nodes", "16", "--edges", "64", "--prob", "wc",
-            "--seed", "11", "--out", &g,
-        ])
-        .output()
-        .expect("spawn soi generate");
-    assert!(out.status.success(), "generate failed");
-    g
-}
-
-/// A deterministic mixed batch of `n` compute/control requests,
-/// ids 1..=n. Controls answer at the router; computes relay to the
-/// shard owning `net`.
-fn batch(n: u64) -> String {
-    let mut reqs = String::new();
-    for id in 1..=n {
-        let body = match id % 3 {
-            0 => "\"type\":\"health\"".to_string(),
-            1 => format!(
-                "\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":{}",
-                id % 16
-            ),
-            _ => format!(
-                "\"type\":\"spread-estimate\",\"graph\":\"net\",\"seeds\":[{}],\
-                 \"samples\":16,\"seed\":7",
-                id % 16
-            ),
-        };
-        reqs.push_str(&format!("{{\"v\":1,\"id\":{id},{body}}}\n"));
-    }
-    reqs
-}
-
-/// One spawned `soi serve` or `soi route` process plus the port it
-/// announced on stdout.
-struct Proc {
-    child: Child,
-    port: String,
-}
-
-impl Proc {
-    fn announce(mut child: Child, what: &str) -> Proc {
-        let stdout = child.stdout.take().expect("child stdout");
-        let announce = BufReader::new(stdout)
-            .lines()
-            .next()
-            .unwrap_or_else(|| panic!("{what} announced nothing"))
-            .expect("read announce line");
-        let port = announce
-            .rsplit(':')
-            .next()
-            .unwrap_or_default()
-            .trim()
-            .to_string();
-        assert!(
-            announce.starts_with("listening on") && !port.is_empty(),
-            "bad {what} announce line: {announce:?}"
-        );
-        Proc { child, port }
-    }
-
-    /// Spawns one shard daemon serving `net`, optionally with
-    /// failpoints armed.
-    fn serve(graph: &str, extra: &[&str], failpoints: Option<&str>) -> Proc {
-        let mut cmd = soi();
-        cmd.arg("serve")
-            .arg(format!("net={graph}"))
-            .args(["--worlds", "16"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(spec) = failpoints {
-            cmd.env(soi_util::failpoint::ENV_VAR, spec);
-        }
-        Proc::announce(cmd.spawn().expect("spawn soi serve"), "shard daemon")
-    }
-
-    /// Spawns the router over `shards` (each entry one shard's
-    /// comma-joined replica list).
-    fn route(shards: &[String]) -> Proc {
-        Proc::route_with(shards, &[])
-    }
-
-    /// Spawns the router with extra flags (e.g. `--overrides-file`).
-    fn route_with(shards: &[String], extra: &[&str]) -> Proc {
-        let mut cmd = soi();
-        cmd.arg("route")
-            .args(shards)
-            .args(["--backoff-ticks", "0"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        Proc::announce(cmd.spawn().expect("spawn soi route"), "router")
-    }
-
-    fn addr(&self) -> String {
-        format!("127.0.0.1:{}", self.port)
-    }
-
-    /// Runs the batch through `soi query` with retries enabled. The
-    /// failpoint variable is never inherited: faults live server-side.
-    fn query_batch(&self, reqs_file: &str, retries: &str) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port, "--file", reqs_file])
-            .args(["--retries", retries, "--backoff-ticks", "0"])
-            .args(["--concurrency", "1", "--mask-wall"])
-            .output()
-            .expect("spawn soi query")
-    }
-
-    fn query_one(&self, request: &str) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port, request])
-            .output()
-            .expect("spawn soi query")
-    }
-
-    /// One `soi stats` snapshot against this process.
-    fn stats(&self) -> String {
-        let out = soi()
-            .arg("stats")
-            .args(["--port", &self.port, "--watch", "1", "--mask-wall"])
-            .output()
-            .expect("spawn soi stats");
-        assert!(
-            out.status.success(),
-            "stats failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    }
-
-    /// Pins `net` onto `shard` so the tests know which daemons own the
-    /// batch traffic (placement is deterministic but opaque).
-    fn rebalance_net_to(&self, shard: usize) {
-        let req = format!(
-            "{{\"v\":1,\"id\":900,\"type\":\"rebalance\",\"graph\":\"net\",\"shard\":{shard}}}"
-        );
-        let out = stdout_str(&self.query_one(&req));
-        assert!(
-            out.contains("\"rebalanced\":\"net\"") && out.contains(&format!("\"shard\":{shard}")),
-            "rebalance not acknowledged: {out}"
-        );
-    }
-
-    fn shutdown(mut self) {
-        let out = self.query_one("{\"v\":1,\"id\":9999,\"type\":\"shutdown\"}");
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"),
-            "shutdown not acknowledged"
-        );
-        let status = self.child.wait().expect("wait for process");
-        assert_eq!(status.code(), Some(0), "exit code after drain");
-    }
-}
-
-fn stdout_str(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// Invariant 1: ids 1..=n each answered exactly once, in request order.
-fn assert_all_answered(text: &str, n: u64) {
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), n as usize, "one response per request:\n{text}");
-    for (i, line) in lines.iter().enumerate() {
-        assert!(
-            line.contains(&format!("\"id\":{}", i + 1)),
-            "response {i} out of order: {line}"
-        );
-    }
-}
-
-fn write_batch(dir: &Path, n: u64) -> String {
-    let reqs_file = dir.join("reqs.jsonl").to_string_lossy().into_owned();
-    std::fs::write(&reqs_file, batch(n)).unwrap();
-    reqs_file
-}
+use common::{
+    assert_all_answered, fresh_dir, make_graph, save_artifact, soi, stdout_str, write_batch, Proc,
+};
+use std::path::Path;
 
 #[test]
 fn replica_crash_mid_batch_fails_over_and_converges() {
     let dir = fresh_dir("failover");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 12);
 
     // Fault-free baseline over the same 3-shard topology (one replica
@@ -311,7 +102,7 @@ fn replica_crash_mid_batch_fails_over_and_converges() {
 #[test]
 fn dark_shard_answers_typed_shard_unavailable_and_exits_3() {
     let dir = fresh_dir("dark-shard");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 6);
 
     let doomed = Proc::serve(&graph, &[], None);
@@ -363,7 +154,7 @@ fn dark_shard_answers_typed_shard_unavailable_and_exits_3() {
 #[test]
 fn shard_worker_panic_relays_typed_and_converges() {
     let dir = fresh_dir("worker-panic");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 10);
 
     let base = Proc::serve(&graph, &["--workers", "1"], None);
@@ -403,7 +194,7 @@ fn shard_worker_panic_relays_typed_and_converges() {
 #[test]
 fn rebalance_rehomes_one_graph_and_rejects_out_of_range() {
     let dir = fresh_dir("rebalance");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
 
     let s0 = Proc::serve(&graph, &[], None);
     let s1 = Proc::serve(&graph, &[], None);
@@ -439,7 +230,7 @@ fn rebalance_rehomes_one_graph_and_rejects_out_of_range() {
 #[test]
 fn router_restart_rehomes_from_persisted_overrides() {
     let dir = fresh_dir("override-persist");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let ovr = dir.join("overrides.ckpt").to_string_lossy().into_owned();
     let compute = "{\"v\":1,\"id\":5,\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":3}";
 
@@ -529,7 +320,7 @@ fn router_restart_rehomes_from_persisted_overrides() {
 #[test]
 fn background_probe_readopts_a_restarted_replica() {
     let dir = fresh_dir("probe-readopt");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 9);
 
     // Shard 0: a replica that dies before serving anything, plus a live
@@ -623,7 +414,7 @@ fn background_probe_readopts_a_restarted_replica() {
 #[test]
 fn router_stats_aggregate_the_fabric() {
     let dir = fresh_dir("stats");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 9);
 
     let s0 = Proc::serve(&graph, &[], None);

@@ -29,180 +29,28 @@
 //! Masked transcripts and the metrics report land in
 //! `target/chaos-artifacts/` for CI upload.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+mod common;
 
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("soi-serve-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Where CI picks up transcripts and metrics reports.
-fn artifacts_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-artifacts");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn save_artifact(name: &str, contents: &str) {
-    std::fs::write(artifacts_dir().join(name), contents).unwrap();
-}
-
-fn make_graph(dir: &Path) -> String {
-    let g = dir.join("net.tsv").to_string_lossy().into_owned();
-    let out = soi()
-        .args([
-            "generate", "--model", "gnm", "--nodes", "16", "--edges", "64", "--prob", "wc",
-            "--seed", "11", "--out", &g,
-        ])
-        .output()
-        .expect("spawn soi generate");
-    assert!(out.status.success(), "generate failed");
-    g
-}
-
-/// A deterministic mixed batch of `n` compute/control requests, ids 1..=n.
-fn batch(n: u64) -> String {
-    let mut reqs = String::new();
-    for id in 1..=n {
-        let body = match id % 3 {
-            0 => "\"type\":\"health\"".to_string(),
-            1 => format!(
-                "\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":{}",
-                id % 16
-            ),
-            _ => format!(
-                "\"type\":\"spread-estimate\",\"graph\":\"net\",\"seeds\":[{}],\
-                 \"samples\":16,\"seed\":7",
-                id % 16
-            ),
-        };
-        reqs.push_str(&format!("{{\"v\":1,\"id\":{id},{body}}}\n"));
-    }
-    reqs
-}
-
-/// A running `soi serve` child (optionally with failpoints armed) plus
-/// the port it announced.
-struct Daemon {
-    child: Child,
-    port: String,
-}
-
-impl Daemon {
-    fn spawn(graph: &str, extra: &[&str], failpoints: Option<&str>) -> Daemon {
-        let mut cmd = soi();
-        cmd.arg("serve")
-            .arg(format!("net={graph}"))
-            .args(["--worlds", "16"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(spec) = failpoints {
-            cmd.env(soi_util::failpoint::ENV_VAR, spec);
-        }
-        let mut child = cmd.spawn().expect("spawn soi serve");
-        let stdout = child.stdout.take().expect("serve stdout");
-        let announce = BufReader::new(stdout)
-            .lines()
-            .next()
-            .expect("daemon announced nothing")
-            .expect("read announce line");
-        let port = announce
-            .rsplit(':')
-            .next()
-            .unwrap_or_default()
-            .trim()
-            .to_string();
-        assert!(
-            announce.starts_with("listening on") && !port.is_empty(),
-            "bad announce line: {announce:?}"
-        );
-        Daemon { child, port }
-    }
-
-    /// Runs the batch through `soi query` with retries enabled. The
-    /// failpoint variable is never inherited: faults live server-side.
-    fn query_batch(&self, reqs_file: &str, retries: &str) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port, "--file", reqs_file])
-            .args(["--retries", retries, "--backoff-ticks", "0"])
-            .args(["--concurrency", "1", "--mask-wall"])
-            .output()
-            .expect("spawn soi query")
-    }
-
-    fn query_one(&self, request: &str) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port, request])
-            .output()
-            .expect("spawn soi query")
-    }
-
-    fn shutdown(mut self) {
-        let out = self.query_one("{\"v\":1,\"id\":9999,\"type\":\"shutdown\"}");
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"),
-            "shutdown not acknowledged"
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert_eq!(status.code(), Some(0), "daemon exit code after drain");
-    }
-}
-
-fn stdout_str(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// Invariant 1: ids 1..=n each answered exactly once, in request order.
-fn assert_all_answered(text: &str, n: u64) {
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), n as usize, "one response per request:\n{text}");
-    for (i, line) in lines.iter().enumerate() {
-        assert!(
-            line.contains(&format!("\"id\":{}", i + 1)),
-            "response {i} out of order: {line}"
-        );
-    }
-}
-
-fn write_batch(dir: &Path, n: u64) -> String {
-    let reqs_file = dir.join("reqs.jsonl").to_string_lossy().into_owned();
-    std::fs::write(&reqs_file, batch(n)).unwrap();
-    reqs_file
-}
+use common::{
+    assert_all_answered, fresh_dir, make_graph, save_artifact, stdout_str, write_batch,
+    Proc as Daemon,
+};
 
 #[test]
 fn connection_thread_panic_is_survived_and_converges() {
     let dir = fresh_dir("conn-panic");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 10);
 
     // Fault-free baseline.
-    let clean = Daemon::spawn(&graph, &[], None);
+    let clean = Daemon::serve(&graph, &[], None);
     let expected = stdout_str(&clean.query_batch(&reqs, "0"));
     clean.shutdown();
 
     // The 5th response write panics, killing that connection thread
     // mid-batch. The retrying client reconnects and resends; the daemon
     // keeps serving other connections.
-    let chaos = Daemon::spawn(&graph, &[], Some("server.response.write=panic@5"));
+    let chaos = Daemon::serve(&graph, &[], Some("server.response.write=panic@5"));
     let got = stdout_str(&chaos.query_batch(&reqs, "2"));
     save_artifact("conn-panic.transcript.jsonl", &got);
     assert_all_answered(&got, 10);
@@ -215,10 +63,10 @@ fn connection_thread_panic_is_survived_and_converges() {
 #[test]
 fn worker_panic_answers_typed_respawns_and_keeps_serving() {
     let dir = fresh_dir("worker-panic");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 10);
 
-    let clean = Daemon::spawn(&graph, &["--workers", "1"], None);
+    let clean = Daemon::serve(&graph, &["--workers", "1"], None);
     let expected = stdout_str(&clean.query_batch(&reqs, "0"));
     clean.shutdown();
 
@@ -226,7 +74,7 @@ fn worker_panic_answers_typed_respawns_and_keeps_serving() {
     // retries the client must still see a typed internal-error line —
     // never silence — and the respawned worker serves the rest.
     let metrics = dir.join("metrics.jsonl").to_string_lossy().into_owned();
-    let chaos = Daemon::spawn(
+    let chaos = Daemon::serve(
         &graph,
         &["--workers", "1", "--metrics-out", &metrics],
         Some("server.worker.dispatch=panic@1"),
@@ -276,10 +124,10 @@ fn worker_panic_answers_typed_respawns_and_keeps_serving() {
 #[test]
 fn persistent_build_faults_answer_typed_and_drain_cleanly() {
     let dir = fresh_dir("build-fault");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 6);
 
-    let chaos = Daemon::spawn(&graph, &[], Some("server.index.build=error"));
+    let chaos = Daemon::serve(&graph, &[], Some("server.index.build=error"));
     let got = stdout_str(&chaos.query_batch(&reqs, "0"));
     save_artifact("build-fault.transcript.jsonl", &got);
     assert_all_answered(&got, 6);
@@ -303,11 +151,11 @@ fn persistent_build_faults_answer_typed_and_drain_cleanly() {
 #[test]
 fn daemon_death_yields_typed_connection_lost_and_exit_3() {
     let dir = fresh_dir("daemon-death");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 16);
     let reqs = write_batch(&dir, 8);
 
     // The 4th response write exits the process: a hard crash mid-batch.
-    let mut chaos = Daemon::spawn(&graph, &[], Some("server.response.write=exit(41)@4"));
+    let mut chaos = Daemon::serve(&graph, &[], Some("server.response.write=exit(41)@4"));
     let out = chaos.query_batch(&reqs, "1");
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     save_artifact("daemon-death.transcript.jsonl", &text);

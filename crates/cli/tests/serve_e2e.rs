@@ -20,126 +20,12 @@
 //! * batch/serving agreement: `soi infmax --method tc` and the daemon's
 //!   `infmax-tc` select the same seeds from the same worlds.
 
-use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+mod common;
+
+use common::{fresh_dir, make_graph, soi, stdout_str, Proc as Daemon};
+use std::io::Read;
+use std::process::Stdio;
 use std::time::{Duration, Instant};
-
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("soi-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn make_graph(dir: &Path, nodes: usize) -> String {
-    let g = dir.join("net.tsv").to_string_lossy().into_owned();
-    let out = soi()
-        .args([
-            "generate",
-            "--model",
-            "gnm",
-            "--nodes",
-            &nodes.to_string(),
-            "--edges",
-            &(nodes * 4).to_string(),
-            "--prob",
-            "wc",
-            "--seed",
-            "11",
-            "--out",
-            &g,
-        ])
-        .output()
-        .expect("spawn soi generate");
-    assert!(out.status.success(), "generate failed");
-    g
-}
-
-/// A running `soi serve` child plus the port it announced.
-struct Daemon {
-    child: Child,
-    port: String,
-}
-
-impl Daemon {
-    /// Spawns `soi serve` with `extra` args and waits for the
-    /// `listening on HOST:PORT` announcement on its stdout.
-    fn spawn(graph_spec: &str, extra: &[&str]) -> Daemon {
-        let mut child = soi()
-            .arg("serve")
-            .arg(graph_spec)
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn soi serve");
-        let stdout = child.stdout.take().expect("serve stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let announce = lines
-            .next()
-            .expect("daemon announced nothing")
-            .expect("read announce line");
-        let port = announce
-            .rsplit(':')
-            .next()
-            .unwrap_or_default()
-            .trim()
-            .to_string();
-        assert!(
-            announce.starts_with("listening on") && !port.is_empty(),
-            "bad announce line: {announce:?}"
-        );
-        Daemon { child, port }
-    }
-
-    /// Runs one `soi query` batch against this daemon.
-    fn query(&self, args: &[&str]) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port])
-            .args(args)
-            .output()
-            .expect("spawn soi query")
-    }
-
-    /// Runs the `soi stats` client against this daemon with wall-clock
-    /// masking, so every asserted fragment is deterministic.
-    fn stats(&self, extra: &[&str]) -> Output {
-        soi()
-            .arg("stats")
-            .args(["--port", &self.port, "--mask-wall"])
-            .args(extra)
-            .output()
-            .expect("spawn soi stats")
-    }
-
-    /// Sends `shutdown`, waits for the daemon to drain, asserts exit 0.
-    fn shutdown(mut self) {
-        let out = self.query(&["{\"v\":1,\"id\":9999,\"type\":\"shutdown\"}"]);
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"),
-            "shutdown not acknowledged"
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert_eq!(status.code(), Some(0), "daemon exit code after drain");
-    }
-}
-
-fn stdout_str(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
 
 /// Builds the mixed batch: typical-cascade, spread-estimate, and health
 /// requests over every node, one deadline-limited query, one infmax-tc.
@@ -195,7 +81,7 @@ fn concurrent_mixed_batch_is_deterministic_and_drains_cleanly() {
 
     // Golden masked stats before any traffic: the warm-up build is the
     // one cache miss, and the poll counts itself in `requests_total`.
-    let before = stdout_str(&daemon.stats(&[]));
+    let before = stdout_str(&daemon.stats_with(&[]));
     for needle in [
         "\"stats_version\":2",
         "\"requests_total\":1,\"rejected_queue_full\":0,\"cache_hits\":0,\"cache_misses\":1",
@@ -258,7 +144,7 @@ fn concurrent_mixed_batch_is_deterministic_and_drains_cleanly() {
     // batch requests + this poll; index fetches are the 40 cascades and
     // the one infmax per batch (spread estimates bypass the cache); the
     // request/queue-wait wall histograms saw the 2×82 compute requests.
-    let after = stdout_str(&daemon.stats(&[]));
+    let after = stdout_str(&daemon.stats_with(&[]));
     for needle in [
         "\"requests_total\":246,\"rejected_queue_full\":0,\"cache_hits\":82,\"cache_misses\":1",
         "\"server.requests_total\":246",
@@ -414,7 +300,7 @@ fn introspection_trace_stats_watch_prom_and_slow_log() {
     // `--watch N` prints one snapshot per poll plus a counter-delta
     // line from the second poll on; between idle polls the only moving
     // counter is each poll counting itself.
-    let watch = stdout_str(&daemon.stats(&["--watch", "3", "--interval-ms", "40"]));
+    let watch = stdout_str(&daemon.stats_with(&["--watch", "3", "--interval-ms", "40"]));
     let lines: Vec<&str> = watch.lines().collect();
     assert_eq!(lines.len(), 5, "3 snapshots + 2 deltas:\n{watch}");
     for delta in [lines[2], lines[4]] {
@@ -427,7 +313,7 @@ fn introspection_trace_stats_watch_prom_and_slow_log() {
 
     // The Prometheus rendering exposes counters, histogram buckets,
     // wall-summary quantiles, and the per-thread/pool series.
-    let prom = stdout_str(&daemon.stats(&["--format", "prom"]));
+    let prom = stdout_str(&daemon.stats_with(&["--format", "prom"]));
     for needle in [
         "# TYPE soi_server_requests_total counter",
         "soi_server_requests_total ",

@@ -14,103 +14,14 @@
 //!   sketch-k values and the cascade index coexist without evicting or
 //!   aliasing each other (satellite: cache keyed on backend + params).
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+mod common;
 
-fn soi() -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_soi"));
-    c.env_remove(soi_util::failpoint::ENV_VAR);
-    c
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("soi-sketch-parity-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn make_graph(dir: &Path) -> String {
-    let g = dir.join("net.tsv").to_string_lossy().into_owned();
-    let out = soi()
-        .args([
-            "generate", "--model", "gnm", "--nodes", "24", "--edges", "96", "--prob", "wc",
-            "--seed", "11", "--out", &g,
-        ])
-        .output()
-        .expect("spawn soi generate");
-    assert!(out.status.success(), "generate failed");
-    g
-}
-
-struct Daemon {
-    child: Child,
-    port: String,
-}
-
-impl Daemon {
-    fn spawn(graph_spec: &str, extra: &[&str]) -> Daemon {
-        let mut child = soi()
-            .arg("serve")
-            .arg(graph_spec)
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn soi serve");
-        let stdout = child.stdout.take().expect("serve stdout");
-        let announce = BufReader::new(stdout)
-            .lines()
-            .next()
-            .expect("daemon announced nothing")
-            .expect("read announce line");
-        let port = announce
-            .rsplit(':')
-            .next()
-            .unwrap_or_default()
-            .trim()
-            .to_string();
-        assert!(
-            announce.starts_with("listening on") && !port.is_empty(),
-            "bad announce line: {announce:?}"
-        );
-        Daemon { child, port }
-    }
-
-    fn query(&self, args: &[&str]) -> Output {
-        soi()
-            .arg("query")
-            .args(["--port", &self.port])
-            .args(args)
-            .output()
-            .expect("spawn soi query")
-    }
-
-    fn shutdown(mut self) {
-        let out = self.query(&["{\"v\":1,\"id\":9999,\"type\":\"shutdown\"}"]);
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("\"draining\":true"),
-            "shutdown not acknowledged"
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert_eq!(status.code(), Some(0), "daemon exit code after drain");
-    }
-}
-
-fn stdout_str(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
+use common::{fresh_dir, make_graph, stdout_str, Proc as Daemon};
 
 #[test]
 fn both_backends_answer_deterministically_from_one_daemon() {
     let dir = fresh_dir("dual");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 24);
     let daemon = Daemon::spawn(&format!("net={graph}"), &["--worlds", "64"]);
 
     // The same questions through both oracles, plus a second sketch-k
@@ -204,7 +115,7 @@ fn both_backends_answer_deterministically_from_one_daemon() {
 #[test]
 fn unknown_backend_is_a_typed_bad_field() {
     let dir = fresh_dir("badfield");
-    let graph = make_graph(&dir);
+    let graph = make_graph(&dir, 24);
     let daemon = Daemon::spawn(&format!("net={graph}"), &["--worlds", "16"]);
     let out = daemon.query(&[
         "{\"v\":1,\"id\":1,\"type\":\"spread-estimate\",\"graph\":\"net\",\

@@ -4,11 +4,11 @@ use soi_graph::{NodeId, ProbGraph};
 use soi_index::CascadeIndex;
 use soi_jaccard::median::{jaccard_median_with, MedianConfig};
 use soi_sampling::CascadeSampler;
-use soi_util::ckpt::{self, ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
+use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
 use soi_util::rng::derive_seed;
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::SoiError;
-use std::path::Path;
+use std::convert::Infallible;
 
 /// Power-of-two buckets for the `engine.sphere_size` histogram (sphere
 /// sizes are counts, so bucket totals stay deterministic).
@@ -189,36 +189,20 @@ pub fn all_typical_cascades(
     median: &MedianConfig,
     threads: usize,
 ) -> Vec<NodeTypicalCascade> {
-    // One block of all n nodes — a single pool fan-out — that nothing can
-    // stop and nothing persists.
-    let opts = EngineRunOpts {
-        deadline: &Deadline::unlimited(),
-        checkpoint: None,
-        checkpoint_every: index.num_nodes(),
-        resume: false,
-    };
-    match all_typical_cascades_resumable(index, median, threads, &opts) {
-        Ok(outcome) => outcome.value(),
-        // Checkpoint I/O and the `engine.block` failpoint are the only
-        // error sources, and both need a checkpoint path.
-        // xtask-allow: panic_policy
-        Err(e) => unreachable!("checkpoint-free typical-cascade batch failed: {e}"),
-    }
-}
-
-/// Options for [`all_typical_cascades_resumable`]: deadline budget,
-/// checkpoint location, and resume behavior.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineRunOpts<'a> {
-    /// Cooperative budget, ticked once per node solved.
-    pub deadline: &'a Deadline,
-    /// Checkpoint file; `None` disables checkpointing.
-    pub checkpoint: Option<&'a Path>,
-    /// Write a checkpoint every this many nodes (also the block size for
-    /// deadline checks). Clamped to at least 1.
-    pub checkpoint_every: usize,
-    /// Resume from `checkpoint` if it exists (fresh start otherwise).
-    pub resume: bool,
+    // Nothing can stop it and nothing persists: one block of all n nodes,
+    // a single pool fan-out, with no hook that could fail.
+    let run = Run::unlimited();
+    let nothing = || Ok::<(), Infallible>(());
+    let Ok(outcome) = solve_blocks(
+        index,
+        median,
+        threads,
+        &run,
+        Vec::new(),
+        nothing,
+        |_| Ok(()),
+    );
+    outcome.value()
 }
 
 /// Binds the config fingerprint to everything that changes per-node
@@ -305,47 +289,77 @@ fn decode_tc_payload(
 /// Fault-tolerant [`all_typical_cascades`]: same node-order deterministic
 /// output, plus cooperative deadlines and checkpoint/resume.
 ///
-/// Nodes are solved in blocks of `opts.checkpoint_every`; each block ticks
-/// the deadline once per node up front, so on expiry the partial value is
-/// an exact node-prefix of the uninterrupted run (per-node work depends
-/// only on the index and the median config, never on other nodes). After
-/// each block a [`KIND_TYPICAL_CASCADES`] checkpoint is written atomically
-/// when a path is configured; resuming validates the checkpoint against
-/// the index fingerprint and median config and continues from the stored
-/// prefix, yielding byte-identical final output.
+/// Nodes are solved in blocks of `run.every` under [`Run::blocks`], so on
+/// expiry the partial value is an exact node-prefix of the uninterrupted
+/// run (per-node work depends only on the index and the median config,
+/// never on other nodes). After each block a [`KIND_TYPICAL_CASCADES`]
+/// checkpoint is written atomically when a path is configured; resuming
+/// validates the checkpoint against the index fingerprint and median
+/// config and continues from the stored prefix, yielding byte-identical
+/// final output.
 pub fn all_typical_cascades_resumable(
     index: &CascadeIndex,
     median: &MedianConfig,
     threads: usize,
-    opts: &EngineRunOpts<'_>,
+    run: &Run,
 ) -> Result<Outcome<Vec<NodeTypicalCascade>>, SoiError> {
     let n = index.num_nodes();
-    let graph_fp = index.fingerprint();
-    let config_fp = engine_config_fingerprint(median);
-    let every = opts.checkpoint_every.max(1);
-    let threads = soi_util::pool::effective_threads(threads, n);
-
-    let mut results: Vec<NodeTypicalCascade> = Vec::with_capacity(n);
-    if opts.resume {
-        if let Some(path) = opts.checkpoint.filter(|p| p.exists()) {
-            let c = ckpt::read_checkpoint(path, KIND_TYPICAL_CASCADES)?;
-            c.validate(KIND_TYPICAL_CASCADES, graph_fp, config_fp)?;
-            if c.total_units != n as u64 {
-                return Err(SoiError::CkptMismatch {
-                    field: "total_units",
-                    stored: c.total_units,
-                    expected: n as u64,
-                });
-            }
-            results = decode_tc_payload(&c, n)?;
-            soi_obs::counter_add!("engine.tc_resumes", 1);
-            soi_obs::event!(
-                soi_obs::Level::Info,
-                "resuming typical cascades from checkpoint: {} of {n} nodes done",
-                results.len()
-            );
-        }
+    let mut slot = run.slot(
+        KIND_TYPICAL_CASCADES,
+        index.fingerprint(),
+        engine_config_fingerprint(median),
+        n,
+    );
+    let mut results = Vec::new();
+    if let Some(c) = slot.load()? {
+        results = decode_tc_payload(&c, n)?;
+        soi_obs::counter_add!("engine.tc_resumes", 1);
+        soi_obs::event!(
+            soi_obs::Level::Info,
+            "resuming typical cascades from checkpoint: {} of {n} nodes done",
+            results.len()
+        );
     }
+    solve_blocks(
+        index,
+        median,
+        threads,
+        run,
+        results,
+        || {
+            // A crash site only where a crash leaves something to resume
+            // from: runs without a checkpoint file (the daemon) have no
+            // failure source at all.
+            if run.checkpoint.is_some() {
+                soi_util::failpoint!("engine.block");
+            }
+            Ok(())
+        },
+        |results| {
+            if slot.save(results.len(), || encode_tc_payload(results))? {
+                soi_obs::counter_add!("engine.tc_checkpoints", 1);
+            }
+            Ok(())
+        },
+    )
+}
+
+/// The one body behind both entry points: solves nodes `results.len()..n`
+/// in blocks of `run.every`, one pool fan-out per block, calling
+/// `before_block` / `after_block` around each. It can fail only through
+/// those hooks.
+fn solve_blocks<E>(
+    index: &CascadeIndex,
+    median: &MedianConfig,
+    threads: usize,
+    run: &Run,
+    mut results: Vec<NodeTypicalCascade>,
+    mut before_block: impl FnMut() -> Result<(), E>,
+    mut after_block: impl FnMut(&[NodeTypicalCascade]) -> Result<(), E>,
+) -> Result<Outcome<Vec<NodeTypicalCascade>>, E> {
+    let n = index.num_nodes();
+    let threads = soi_util::pool::effective_threads(threads, n);
+    results.reserve(n.saturating_sub(results.len()));
 
     let solve = |v: NodeId| {
         // Per-node phase breakdown — the Figure 4 quantity: index lookup
@@ -367,51 +381,21 @@ pub fn all_typical_cascades_resumable(
         }
     };
 
-    let resumed_from = results.len();
-    while results.len() < n {
-        let start = results.len();
-        let end = (start + every).min(n);
-        let block_len = (end - start) as u64;
-        // First block of this run is unconditional so a budgeted fresh run
-        // always makes progress; later blocks stop cleanly at a boundary.
-        let proceed = opts.deadline.tick(block_len);
-        if start > resumed_from && !proceed {
-            break;
-        }
-        // A crash site only where a crash leaves something to resume from;
-        // runs without a checkpoint file (the plain entry point, the
-        // daemon) have no failure source at all.
-        if opts.checkpoint.is_some() {
-            soi_util::failpoint!("engine.block");
-        }
-        let mut block: Vec<Option<NodeTypicalCascade>> = (start..end).map(|_| None).collect();
+    let done = run.blocks(n, results.len(), run.every, |lo, hi| {
+        before_block()?;
+        let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
         soi_util::pool::for_each_indexed(&mut block, threads, |j, slot| {
-            *slot = Some(solve((start + j) as NodeId));
+            *slot = Some(solve((lo + j) as NodeId));
         });
         // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
         results.extend(block.into_iter().map(|r| r.expect("filled")));
-        if let Some(path) = opts.checkpoint {
-            let c = Checkpoint {
-                kind: KIND_TYPICAL_CASCADES,
-                graph_fingerprint: graph_fp,
-                config_fingerprint: config_fp,
-                total_units: n as u64,
-                done_units: results.len() as u64,
-                payload: encode_tc_payload(&results),
-            };
-            ckpt::write_checkpoint(path, &c)?;
-            soi_obs::counter_add!("engine.tc_checkpoints", 1);
-        }
-        if !proceed {
-            break;
-        }
-    }
-    let done = results.len() as u64;
+        after_block(&results)
+    })?;
     soi_obs::event!(
         soi_obs::Level::Info,
         "typical cascades solved for {done} of {n} nodes on {threads} thread(s)"
     );
-    Ok(opts.deadline.outcome(results, done, n as u64))
+    Ok(run.deadline.outcome(results, done as u64, n as u64))
 }
 
 #[cfg(test)]
@@ -555,15 +539,14 @@ mod tests {
         use soi_util::runtime::Deadline;
         let index = test_index(16);
         let plain = all_typical_cascades(&index, &MedianConfig::default(), 2);
-        let unlimited = Deadline::unlimited();
         let out = all_typical_cascades_resumable(
             &index,
             &MedianConfig::default(),
             2,
-            &EngineRunOpts {
-                deadline: &unlimited,
+            &Run {
+                deadline: Deadline::unlimited(),
                 checkpoint: None,
-                checkpoint_every: 7,
+                every: 7,
                 resume: false,
             },
         )
@@ -577,17 +560,11 @@ mod tests {
         use soi_util::runtime::Deadline;
         let index = test_index(16);
         let plain = all_typical_cascades(&index, &MedianConfig::default(), 1);
-        let d = Deadline::ticks(10);
         let out = all_typical_cascades_resumable(
             &index,
             &MedianConfig::default(),
             1,
-            &EngineRunOpts {
-                deadline: &d,
-                checkpoint: None,
-                checkpoint_every: 5,
-                resume: false,
-            },
+            &Run::new(Deadline::ticks(10), None, 5, false),
         )
         .unwrap();
         assert!(!out.is_complete());
@@ -606,13 +583,7 @@ mod tests {
         let dir = tmp_dir("resume");
         let path = dir.join("tc.ckpt");
         let _ = std::fs::remove_file(&path);
-        let unlimited = Deadline::unlimited();
-        let opts = |resume| EngineRunOpts {
-            deadline: &unlimited,
-            checkpoint: Some(path.as_path()),
-            checkpoint_every: 6,
-            resume,
-        };
+        let opts = |resume| Run::new(Deadline::unlimited(), Some(path.clone()), 6, resume);
 
         // Crash the third block: blocks 1 and 2 (12 nodes) are durable.
         soi_util::failpoint::install("engine.block=error@3").unwrap();
@@ -621,7 +592,7 @@ mod tests {
         assert!(matches!(err, SoiError::Fault { .. }), "{err}");
         soi_util::failpoint::clear();
 
-        let c = ckpt::read_checkpoint(&path, KIND_TYPICAL_CASCADES).unwrap();
+        let c = soi_util::ckpt::read_checkpoint(&path, KIND_TYPICAL_CASCADES).unwrap();
         assert_eq!(c.done_units, 12, "two 6-node blocks checkpointed");
 
         let out = all_typical_cascades_resumable(&index, &MedianConfig::default(), 2, &opts(true))
@@ -637,13 +608,7 @@ mod tests {
         let index = test_index(16);
         let dir = tmp_dir("mismatch");
         let path = dir.join("tc.ckpt");
-        let unlimited = Deadline::unlimited();
-        let opts = |resume| EngineRunOpts {
-            deadline: &unlimited,
-            checkpoint: Some(path.as_path()),
-            checkpoint_every: 50,
-            resume,
-        };
+        let opts = |resume| Run::new(Deadline::unlimited(), Some(path.clone()), 50, resume);
         all_typical_cascades_resumable(&index, &MedianConfig::default(), 1, &opts(false)).unwrap();
 
         // Different median config: config fingerprint differs.

@@ -26,7 +26,7 @@ pub mod stability;
 pub use catalog::SphereCatalog;
 pub use engine::{
     all_typical_cascades, all_typical_cascades_resumable, typical_cascade, typical_cascade_of_set,
-    EngineRunOpts, NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
+    NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
 };
 pub use stability::{
     expected_cost, expected_cost_of_seed_set, expected_cost_with_ci, CostEstimate,

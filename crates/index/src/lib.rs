@@ -24,7 +24,8 @@ pub mod io;
 use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
 use soi_sampling::world::world_rng;
 use soi_sampling::WorldSampler;
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::runtime::{Deadline, Outcome, Run};
+use std::convert::Infallible;
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -127,9 +128,9 @@ impl CascadeIndex {
     /// assert!(index.cascades_of(1).iter().all(|c| c == &vec![1, 2, 3]));
     /// ```
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
-        // One block of all ℓ worlds — a single pool fan-out — under a
-        // deadline that never expires.
-        Self::build_blocks(pg, config, config.num_worlds, &Deadline::unlimited()).value()
+        // Nothing can stop it: one block of all ℓ worlds, a single pool
+        // fan-out.
+        Self::build_blocks(pg, config, &Run::unlimited()).value()
     }
 
     /// Budgeted [`build`](CascadeIndex::build): one tick per sampled
@@ -145,18 +146,14 @@ impl CascadeIndex {
         config: IndexConfig,
         deadline: &Deadline,
     ) -> Outcome<Self> {
-        Self::build_blocks(pg, config, BUILD_BLOCK, deadline)
+        let run = Run::new(deadline.clone(), None, BUILD_BLOCK, false);
+        Self::build_blocks(pg, config, &run)
     }
 
-    /// The block-synchronous build loop: worlds are sampled and condensed
-    /// `block` at a time, one pool fan-out per block, with the deadline
-    /// consulted between blocks.
-    fn build_blocks(
-        pg: &ProbGraph,
-        config: IndexConfig,
-        block: usize,
-        deadline: &Deadline,
-    ) -> Outcome<Self> {
+    /// The block-synchronous build: worlds are sampled and condensed
+    /// `run.every` at a time, one pool fan-out per block, under
+    /// [`Run::blocks`].
+    fn build_blocks(pg: &ProbGraph, config: IndexConfig, run: &Run) -> Outcome<Self> {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
         let ell = config.num_worlds;
@@ -164,17 +161,8 @@ impl CascadeIndex {
         // World `i` depends only on `(seed, i)`, so neither the block size
         // nor the worker partition affects the result.
         let mut built: Vec<(WorldIndex, Vec<u32>)> = Vec::with_capacity(ell);
-        while built.len() < ell {
-            let next = built.len();
-            let block_len = block.min(ell - next);
-            // The first block runs unconditionally (its ticks still count)
-            // so a partial index is never empty.
-            let proceed = deadline.tick(block_len as u64);
-            if next > 0 && !proceed {
-                break;
-            }
-            let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> =
-                (0..block_len).map(|_| None).collect();
+        let Ok(done) = run.blocks(ell, 0, run.every, |lo, hi| {
+            let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = (lo..hi).map(|_| None).collect();
             // Contiguous world-id chunks per worker, one sampler
             // allocation per worker.
             soi_util::pool::for_each_indexed_with(
@@ -182,15 +170,15 @@ impl CascadeIndex {
                 config.threads,
                 WorldSampler::new,
                 |sampler, j, slot| {
-                    *slot = Some(build_world(pg, &config, next + j, sampler));
+                    *slot = Some(build_world(pg, &config, lo + j, sampler));
                 },
             );
             // Chunked scoped threads fill every slot before the scope
             // joins. xtask-allow: panic_policy
             built.extend(slots.into_iter().map(|slot| slot.expect("world built")));
-        }
+            Ok::<(), Infallible>(())
+        });
 
-        let done = built.len();
         // Record the ℓ actually built so the stored config matches a
         // partial index's true dimensions.
         let config = IndexConfig {
@@ -198,7 +186,7 @@ impl CascadeIndex {
             ..config
         };
         let index = Self::assemble(pg.num_nodes(), built, config);
-        deadline.outcome(index, done as u64, ell as u64)
+        run.deadline.outcome(index, done as u64, ell as u64)
     }
 
     /// Transposes the per-world component assignments into the node-major

@@ -20,10 +20,10 @@
 use crate::spread::SpreadOracle;
 use soi_graph::NodeId;
 use soi_index::CascadeIndex;
-use soi_util::ckpt::{self, ByteReader, Checkpoint, KIND_GREEDY};
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::ckpt::{ByteReader, Checkpoint, KIND_GREEDY};
+use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::{LazyGreedy, SoiError};
-use std::path::Path;
+use std::convert::Infallible;
 
 /// Which greedy implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,19 +61,13 @@ pub fn infmax_std(index: &CascadeIndex, k: usize, mode: GreedyMode) -> GreedyRes
             plain(&mut SpreadOracle::new(index), k, capture_top)
         }
         GreedyMode::Celf => {
-            let opts = GreedyRunOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: None,
-                checkpoint_every: 1,
-                resume: false,
-            };
-            match infmax_celf_resumable(index, k, &opts) {
-                Ok(outcome) => outcome.value(),
-                // Checkpoint I/O and the `greedy.round` failpoint are the
-                // only error sources, and both need a checkpoint path.
-                // xtask-allow: panic_policy
-                Err(e) => unreachable!("checkpoint-free greedy selection failed: {e}"),
-            }
+            // No deadline, no file: no hook that could fail.
+            let nothing = || Ok::<(), Infallible>(());
+            let start = (Vec::new(), Vec::new());
+            let Ok(outcome) = celf(index, k, &Deadline::unlimited(), start, nothing, |_, _| {
+                Ok(())
+            });
+            outcome.value()
         }
     }
 }
@@ -111,18 +105,6 @@ fn plain(oracle: &mut SpreadOracle<'_>, k: usize, capture_top: usize) -> GreedyR
         spread_curve: curve,
         gain_rankings: rankings,
     }
-}
-
-/// Runtime options for [`infmax_celf_resumable`].
-pub struct GreedyRunOpts<'a> {
-    /// Cooperative deadline, ticked once per oracle evaluation.
-    pub deadline: &'a Deadline,
-    /// Checkpoint file; `None` disables checkpointing.
-    pub checkpoint: Option<&'a Path>,
-    /// Seeds committed between checkpoint writes (coerced to ≥ 1).
-    pub checkpoint_every: usize,
-    /// Resume from `checkpoint` when it exists (a fresh run otherwise).
-    pub resume: bool,
 }
 
 /// Fingerprint pinning a greedy checkpoint to its run configuration.
@@ -174,12 +156,13 @@ fn decode_greedy_payload(
 /// CELF with deadlines and checkpoint/resume — the fault-tolerant form of
 /// [`infmax_std`] with [`GreedyMode::Celf`].
 ///
-/// Seed selection is checkpointed after every `checkpoint_every` commits
-/// (kind-2 checkpoint files pinned to the index fingerprint and `k`).
-/// Resuming restarts CELF from the committed prefix: gains are
-/// re-evaluated against that prefix, and since ties break identically
-/// (gain descending, node id ascending), the resumed run commits exactly
-/// the seeds an uninterrupted run would — outputs are byte-identical.
+/// Seed selection is checkpointed after every `run.every` commits and
+/// after the last (kind-2 checkpoint files pinned to the index
+/// fingerprint and `k`). Resuming restarts CELF from the committed
+/// prefix: gains are re-evaluated against that prefix, and since ties
+/// break identically (gain descending, node id ascending), the resumed
+/// run commits exactly the seeds an uninterrupted run would — outputs are
+/// byte-identical.
 ///
 /// The deadline is ticked once per oracle evaluation; on expiry the
 /// committed prefix comes back as [`Outcome::Partial`] with
@@ -188,39 +171,68 @@ fn decode_greedy_payload(
 pub fn infmax_celf_resumable(
     index: &CascadeIndex,
     k: usize,
-    opts: &GreedyRunOpts<'_>,
+    run: &Run,
 ) -> Result<Outcome<GreedyResult>, SoiError> {
+    let n = index.num_nodes();
+    let k = k.min(n);
+    let mut slot = run.slot(
+        KIND_GREEDY,
+        index.fingerprint(),
+        greedy_config_fingerprint(k),
+        k,
+    );
+    let mut start = (Vec::new(), Vec::new());
+    if let Some(c) = slot.load()? {
+        start = decode_greedy_payload(&c, n)?;
+        if start.0.len() > k {
+            return Err(SoiError::invalid(format!(
+                "greedy checkpoint holds {} seeds for a k={k} run",
+                start.0.len()
+            )));
+        }
+        soi_obs::counter_add!("influence.greedy_resumes", 1);
+        soi_obs::event!(
+            soi_obs::Level::Info,
+            "resumed greedy selection: {} of {k} seeds from checkpoint",
+            start.0.len()
+        );
+    }
+    celf(
+        index,
+        k,
+        &run.deadline,
+        start,
+        || {
+            // A crash site only where a crash leaves something to resume from.
+            if run.checkpoint.is_some() {
+                soi_util::failpoint!("greedy.round");
+            }
+            Ok(())
+        },
+        |seeds, curve| {
+            if slot.save(seeds.len(), || encode_greedy_payload(seeds, curve))? {
+                soi_obs::counter_add!("influence.greedy_checkpoints", 1);
+            }
+            Ok(())
+        },
+    )
+}
+
+/// The one CELF body behind both entry points: continues from the
+/// committed `(seeds, spread curve)` prefix, calling `before_round` at the
+/// top of each round and `committed` after each commit. It can fail only
+/// through those hooks.
+fn celf<E>(
+    index: &CascadeIndex,
+    k: usize,
+    deadline: &Deadline,
+    (mut seeds, mut curve): (Vec<NodeId>, Vec<f64>),
+    mut before_round: impl FnMut() -> Result<(), E>,
+    mut committed: impl FnMut(&[NodeId], &[f64]) -> Result<(), E>,
+) -> Result<Outcome<GreedyResult>, E> {
     let _span = soi_obs::span("influence.greedy");
     let n = index.num_nodes();
     let k = k.min(n);
-    let graph_fp = index.fingerprint();
-    let config_fp = greedy_config_fingerprint(k);
-    let every = opts.checkpoint_every.max(1);
-    let deadline = opts.deadline;
-
-    let mut seeds: Vec<NodeId> = Vec::new();
-    let mut curve: Vec<f64> = Vec::new();
-    if opts.resume {
-        if let Some(path) = opts.checkpoint {
-            if path.exists() {
-                let c = ckpt::read_checkpoint(path, KIND_GREEDY)?;
-                c.validate(KIND_GREEDY, graph_fp, config_fp)?;
-                (seeds, curve) = decode_greedy_payload(&c, n)?;
-                if seeds.len() > k {
-                    return Err(SoiError::invalid(format!(
-                        "greedy checkpoint holds {} seeds for a k={k} run",
-                        seeds.len()
-                    )));
-                }
-                soi_obs::counter_add!("influence.greedy_resumes", 1);
-                soi_obs::event!(
-                    soi_obs::Level::Info,
-                    "resumed greedy selection: {} of {k} seeds from checkpoint",
-                    seeds.len()
-                );
-            }
-        }
-    }
 
     let mut oracle = SpreadOracle::new(index);
     let mut in_solution = vec![false; n];
@@ -251,10 +263,7 @@ pub fn infmax_celf_resumable(
     }
 
     for _ in base..k {
-        // A crash site only where a crash leaves something to resume from.
-        if opts.checkpoint.is_some() {
-            soi_util::failpoint!("greedy.round");
-        }
+        before_round()?;
         let best = lazy.pop_best(|v| {
             if !deadline.tick(1) {
                 return None;
@@ -263,28 +272,12 @@ pub fn infmax_celf_resumable(
             Some(oracle.marginal_gain(v))
         });
         let Some((node, _)) = best else {
-            let done = seeds.len() as u64;
-            return Ok(deadline.outcome(result(seeds, curve), done, k as u64));
+            break;
         };
         oracle.commit(node);
         seeds.push(node);
         curve.push(oracle.current_spread());
-        if let Some(path) = opts.checkpoint {
-            if seeds.len().is_multiple_of(every) || seeds.len() == k {
-                ckpt::write_checkpoint(
-                    path,
-                    &Checkpoint {
-                        kind: KIND_GREEDY,
-                        graph_fingerprint: graph_fp,
-                        config_fingerprint: config_fp,
-                        total_units: k as u64,
-                        done_units: seeds.len() as u64,
-                        payload: encode_greedy_payload(&seeds, &curve),
-                    },
-                )?;
-                soi_obs::counter_add!("influence.greedy_checkpoints", 1);
-            }
-        }
+        committed(&seeds, &curve)?;
     }
     let done = seeds.len() as u64;
     Ok(deadline.outcome(result(seeds, curve), done, k as u64))
@@ -556,17 +549,7 @@ mod tests {
         let pg = ProbGraph::fixed(gen::gnm(40, 200, &mut rng), 0.2).unwrap();
         let index = index_for(&pg, 64, 21);
         let plain = infmax_std(&index, 6, GreedyMode::Celf);
-        let out = infmax_celf_resumable(
-            &index,
-            6,
-            &GreedyRunOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: None,
-                checkpoint_every: 1,
-                resume: false,
-            },
-        )
-        .unwrap();
+        let out = infmax_celf_resumable(&index, 6, &Run::unlimited()).unwrap();
         assert!(out.is_complete());
         let r = out.value();
         assert_eq!(r.seeds, plain.seeds);
@@ -581,17 +564,7 @@ mod tests {
         let full = infmax_std(&index, 6, GreedyMode::Celf);
         // Enough budget for the initial pass plus a couple of rounds.
         let d = Deadline::ticks(index.num_nodes() as u64 + 4);
-        let out = infmax_celf_resumable(
-            &index,
-            6,
-            &GreedyRunOpts {
-                deadline: &d,
-                checkpoint: None,
-                checkpoint_every: 1,
-                resume: false,
-            },
-        )
-        .unwrap();
+        let out = infmax_celf_resumable(&index, 6, &Run::new(d, None, 1, false)).unwrap();
         assert!(!out.is_complete());
         let progress = out.progress().unwrap();
         assert_eq!(progress.total, 6);
@@ -618,13 +591,7 @@ mod tests {
         // Inject a fault on the 4th round: rounds 1-3 commit (and
         // checkpoint), then the run dies.
         soi_util::failpoint::install("greedy.round=error@4").unwrap();
-        let unlimited = Deadline::unlimited();
-        let opts = |resume| GreedyRunOpts {
-            deadline: &unlimited,
-            checkpoint: Some(&ckpt_path),
-            checkpoint_every: 1,
-            resume,
-        };
+        let opts = |resume| Run::new(Deadline::unlimited(), Some(ckpt_path.clone()), 1, resume);
         let err = infmax_celf_resumable(&index, 6, &opts(false)).unwrap_err();
         assert!(matches!(err, SoiError::Fault { .. }), "{err:?}");
         soi_util::failpoint::clear();
@@ -646,18 +613,8 @@ mod tests {
         let index = index_for(&pg, 32, 24);
         let dir = tmp_dir("mismatch");
         let ckpt_path = dir.join("greedy.ckpt");
-        let run = |k, resume| {
-            infmax_celf_resumable(
-                &index,
-                k,
-                &GreedyRunOpts {
-                    deadline: &Deadline::unlimited(),
-                    checkpoint: Some(&ckpt_path),
-                    checkpoint_every: 1,
-                    resume,
-                },
-            )
-        };
+        let opts = |resume| Run::new(Deadline::unlimited(), Some(ckpt_path.clone()), 1, resume);
+        let run = |k, resume| infmax_celf_resumable(&index, k, &opts(resume));
         run(4, false).unwrap();
         // Different k: the config fingerprint no longer matches.
         assert!(matches!(
@@ -670,17 +627,7 @@ mod tests {
         // Different index: the graph fingerprint no longer matches.
         let other = index_for(&pg, 32, 99);
         assert!(matches!(
-            infmax_celf_resumable(
-                &other,
-                4,
-                &GreedyRunOpts {
-                    deadline: &Deadline::unlimited(),
-                    checkpoint: Some(&ckpt_path),
-                    checkpoint_every: 1,
-                    resume: true,
-                },
-            )
-            .unwrap_err(),
+            infmax_celf_resumable(&other, 4, &opts(true)).unwrap_err(),
             SoiError::CkptMismatch {
                 field: "graph_fingerprint",
                 ..

@@ -32,8 +32,7 @@ pub use baselines::{
     core_seeds, degree_discount_seeds, high_degree_seeds, pagerank_seeds, random_seeds,
 };
 pub use greedy::{
-    infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyMode, GreedyResult, GreedyRunOpts,
-    McGreedyConfig,
+    infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyMode, GreedyResult, McGreedyConfig,
 };
 pub use ris::{infmax_ris, infmax_ris_budgeted};
 pub use spread::SpreadOracle;

@@ -15,14 +15,13 @@
 use crate::json::fmt_num;
 use crate::protocol::Request;
 use crate::trace::PhaseTrace;
-use soi_core::EngineRunOpts;
 use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{BackendKind, SpreadBackend};
 use soi_jaccard::median::MedianConfig;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::hash::Mix64Hasher;
-use soi_util::runtime::{Deadline, Outcome, StopReason};
+use soi_util::runtime::{Deadline, Outcome, Run, StopReason};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -481,19 +480,20 @@ impl ServerEngine {
                 let (oracle, degraded) =
                     self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
-                let deadline = self.deadline(*deadline_ticks);
-                let compute_start = std::time::Instant::now();
-                let opts = EngineRunOpts {
-                    deadline: &deadline,
+                // Blocks of 64 nodes whether or not the request is
+                // budgeted, so not `Run::new` and its one-block rule.
+                let run = Run {
+                    deadline: self.deadline(*deadline_ticks),
                     checkpoint: None,
-                    checkpoint_every: 64,
+                    every: 64,
                     resume: false,
                 };
+                let compute_start = std::time::Instant::now();
                 let outcome = soi_core::all_typical_cascades_resumable(
                     index,
                     &self.config.median,
                     self.config.threads,
-                    &opts,
+                    &run,
                 )?;
                 let spheres: Vec<Vec<u32>> = outcome
                     .value_ref()

@@ -449,7 +449,6 @@ pub fn encode_partial(
 ) -> String {
     let reason = match reason {
         StopReason::DeadlineExpired => "deadline-expired",
-        StopReason::Cancelled => "cancelled",
     };
     format!(
         "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"status\":\"partial\",\"reason\":\"{reason}\",\

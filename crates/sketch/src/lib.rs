@@ -42,8 +42,9 @@ use soi_sampling::WorldSampler;
 use soi_util::ckpt;
 use soi_util::hash::Mix64Hasher;
 use soi_util::rng::derive_seed;
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::runtime::{Outcome, Run};
 use soi_util::SoiError;
+use std::convert::Infallible;
 use std::path::Path;
 
 pub use select::{select_seeds, SelectResult};
@@ -132,19 +133,6 @@ pub struct ReachSketches {
     sizes: Vec<u32>,
 }
 
-/// Checkpoint/run options for [`ReachSketches::build_resumable`].
-pub struct BuildOpts<'a> {
-    /// Cooperative budget: one tick per sampled world, checked at block
-    /// boundaries.
-    pub deadline: &'a Deadline,
-    /// Checkpoint file to write between blocks (and resume from).
-    pub checkpoint: Option<&'a Path>,
-    /// Worlds between checkpoint writes (rounded up to block boundaries).
-    pub checkpoint_every: u64,
-    /// Resume from `checkpoint` when it exists (fresh start otherwise).
-    pub resume: bool,
-}
-
 impl ReachSketches {
     /// Builds combined sketches over `config.num_worlds` sampled worlds.
     /// Deterministic in `config.seed`; thread count never changes the
@@ -162,104 +150,69 @@ impl ReachSketches {
     /// assert!((sk.node_spread(0) - 4.0).abs() < 1e-9);
     /// ```
     pub fn build(pg: &ProbGraph, config: SketchConfig) -> Self {
-        Self::build_budgeted(pg, config, &Deadline::unlimited()).value()
+        // No deadline, no file: no hook that could fail.
+        let start = (0, Builder::new(pg.num_nodes(), config.k));
+        let Ok(outcome) = Self::build_blocks(pg, config, &Run::unlimited(), start, |_, _| {
+            Ok::<(), Infallible>(())
+        });
+        outcome.value()
     }
 
-    /// Budgeted [`build`](Self::build): one tick per sampled world,
-    /// checked at [`BUILD_BLOCK`] boundaries. On expiry the partial
-    /// sketches cover a *prefix* of the world ids — identical to the
-    /// first worlds of an uninterrupted build, regardless of thread
-    /// count. At least one block is always built.
-    pub fn build_budgeted(
-        pg: &ProbGraph,
-        config: SketchConfig,
-        deadline: &Deadline,
-    ) -> Outcome<Self> {
-        match Self::build_with(pg, config, deadline, None, &mut |_, _| Ok(())) {
-            Ok(outcome) => outcome,
-            // The no-op block callback is infallible and no failpoint is
-            // planted on this path. xtask-allow: panic_policy
-            Err(e) => unreachable!("unbudgeted sketch build failed: {e}"),
-        }
-    }
-
-    /// Checkpointable [`build_budgeted`](Self::build_budgeted): persists
-    /// progress to `opts.checkpoint` every `opts.checkpoint_every` worlds
-    /// (block-aligned, atomic, checksummed — kind
-    /// [`soi_util::ckpt::KIND_SKETCH_BUILD`]) and, with `opts.resume`,
-    /// continues from the recorded world prefix. A resumed build is
+    /// Budgeted, checkpointable [`build`](Self::build): one tick per
+    /// sampled world, checked at [`BUILD_BLOCK`] boundaries, at least one
+    /// block always built. On expiry the partial sketches cover a
+    /// *prefix* of the world ids — identical to the first worlds of an
+    /// uninterrupted build, regardless of thread count. Progress is
+    /// persisted to `run.checkpoint` every `run.every` worlds and after
+    /// the last (atomic, checksummed — kind
+    /// [`soi_util::ckpt::KIND_SKETCH_BUILD`]) and, with `run.resume`, the
+    /// build continues from the recorded world prefix. A resumed build is
     /// byte-identical to an uninterrupted one.
     pub fn build_resumable(
         pg: &ProbGraph,
         config: SketchConfig,
-        opts: &BuildOpts<'_>,
+        run: &Run,
     ) -> Result<Outcome<Self>, SoiError> {
-        let graph_fingerprint = pg.fingerprint();
-        let config_fingerprint = Self::config_fingerprint(&config);
-        let mut resume_state = None;
-        if opts.resume {
-            if let Some(path) = opts.checkpoint {
-                if path.exists() {
-                    let ck = ckpt::read_checkpoint(path, ckpt::KIND_SKETCH_BUILD)?;
-                    ck.validate(
-                        ckpt::KIND_SKETCH_BUILD,
-                        graph_fingerprint,
-                        config_fingerprint,
-                    )?;
-                    let builder = Builder::decode(&ck.payload, pg.num_nodes(), config.k)?;
-                    soi_obs::counter_add!("sketch.build_resumes", 1);
-                    soi_obs::event!(
-                        soi_obs::Level::Info,
-                        "sketch build resuming from world {}/{}",
-                        ck.done_units,
-                        ck.total_units
-                    );
-                    resume_state = Some((ck.done_units as usize, builder));
-                }
+        let mut slot = run.slot(
+            ckpt::KIND_SKETCH_BUILD,
+            pg.fingerprint(),
+            Self::config_fingerprint(&config),
+            config.num_worlds,
+        );
+        let start = match slot.load()? {
+            Some(ck) => {
+                let builder = Builder::decode(&ck.payload, pg.num_nodes(), config.k)?;
+                soi_obs::counter_add!("sketch.build_resumes", 1);
+                soi_obs::event!(
+                    soi_obs::Level::Info,
+                    "sketch build resuming from world {}/{}",
+                    ck.done_units,
+                    ck.total_units
+                );
+                (ck.done_units as usize, builder)
             }
-        }
-        let every = opts.checkpoint_every.max(1);
-        let mut since_ckpt = 0u64;
-        Self::build_with(
-            pg,
-            config,
-            opts.deadline,
-            resume_state,
-            &mut |done, builder| {
-                soi_util::failpoint!("sketch.build.block");
-                since_ckpt += BUILD_BLOCK as u64;
-                if let Some(path) = opts.checkpoint {
-                    if since_ckpt >= every {
-                        since_ckpt = 0;
-                        ckpt::write_checkpoint(
-                            path,
-                            &ckpt::Checkpoint {
-                                kind: ckpt::KIND_SKETCH_BUILD,
-                                graph_fingerprint,
-                                config_fingerprint,
-                                total_units: config.num_worlds as u64,
-                                done_units: done as u64,
-                                payload: builder.encode(config.seed),
-                            },
-                        )?;
-                        soi_obs::counter_add!("sketch.checkpoints_written", 1);
-                    }
-                }
-                Ok(())
-            },
-        )
+            None => (0, Builder::new(pg.num_nodes(), config.k)),
+        };
+        Self::build_blocks(pg, config, run, start, |done, builder| {
+            soi_util::failpoint!("sketch.build.block");
+            if slot.save(done, || builder.encode(config.seed))? {
+                soi_obs::counter_add!("sketch.checkpoints_written", 1);
+            }
+            Ok(())
+        })
     }
 
-    /// The shared block-synchronous build loop. `between(done, builder)`
-    /// runs after every block with the worlds-completed count; the
-    /// resumable entry point hangs failpoints and checkpoint writes on it.
-    fn build_with(
+    /// The one block-synchronous build body behind both entry points:
+    /// worlds `start.0..ℓ` are folded into `start.1`, [`BUILD_BLOCK`] at
+    /// a time under [`Run::blocks`]. `after_block(done, builder)` runs
+    /// after every block and is the only way it can fail.
+    fn build_blocks<E>(
         pg: &ProbGraph,
         config: SketchConfig,
-        deadline: &Deadline,
-        resume: Option<(usize, Builder)>,
-        between: &mut dyn FnMut(usize, &Builder) -> Result<(), SoiError>,
-    ) -> Result<Outcome<Self>, SoiError> {
+        run: &Run,
+        (start, mut combined): (usize, Builder),
+        mut after_block: impl FnMut(usize, &Builder) -> Result<(), E>,
+    ) -> Result<Outcome<Self>, E> {
         assert!(config.num_worlds > 0, "need at least one world");
         assert!(config.k > 0, "sketch size k must be positive");
         let _span = soi_obs::span("sketch.build");
@@ -268,33 +221,18 @@ impl ReachSketches {
         let k = config.k;
         let threads = soi_util::pool::effective_threads(config.threads, BUILD_BLOCK);
 
-        let (start, mut combined) = match resume {
-            Some((done, builder)) => (done.min(ell), builder),
-            None => (0, Builder::new(n, k)),
-        };
         // Worker-local builders are reused across blocks (reset is a size
         // fill, not a reallocation).
         let mut locals: Vec<Builder> = (0..threads).map(|_| Builder::new(n, k)).collect();
-        let mut next = start;
-        while next < ell {
-            let block_len = BUILD_BLOCK.min(ell - next);
-            // The first block of this run proceeds unconditionally (its
-            // ticks still count) so a partial build is never empty.
-            let proceed = deadline.tick(block_len as u64);
-            if next > start && !proceed {
-                break;
-            }
-            let per_worker = block_len.div_ceil(threads);
-            let block_start = next;
+        let done = run.blocks(ell, start, BUILD_BLOCK, |lo, hi| {
+            let per_worker = (hi - lo).div_ceil(threads);
             soi_util::pool::for_each_indexed_with(
                 &mut locals,
                 threads,
                 || WorldScratch::new(n),
                 |scratch, t, local| {
                     local.reset();
-                    let lo = block_start + (t * per_worker).min(block_len);
-                    let hi = block_start + ((t + 1) * per_worker).min(block_len);
-                    for i in lo..hi {
+                    for i in (lo + t * per_worker).min(hi)..(lo + (t + 1) * per_worker).min(hi) {
                         accumulate_world(pg, &config, i, scratch, local);
                     }
                 },
@@ -304,11 +242,9 @@ impl ReachSketches {
             for local in &locals {
                 combined.merge_from(local);
             }
-            next += block_len;
-            between(next, &combined)?;
-        }
+            after_block(hi, &combined)
+        })?;
 
-        let done = next;
         let sketches = combined.finish(ReachMeta {
             graph_fingerprint: pg.fingerprint(),
             config: SketchConfig {
@@ -319,7 +255,7 @@ impl ReachSketches {
             },
         });
         sketches.record_build_metrics();
-        Ok(deadline.outcome(sketches, done as u64, ell as u64))
+        Ok(run.deadline.outcome(sketches, done as u64, ell as u64))
     }
 
     /// A 64-bit fingerprint of build configuration fields that change
@@ -787,6 +723,7 @@ mod tests {
     use super::*;
     use soi_graph::{gen, Reachability};
     use soi_util::rng::Xoshiro256pp;
+    use soi_util::runtime::Deadline;
 
     fn test_graph(seed: u64) -> ProbGraph {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -894,17 +831,27 @@ mod tests {
         assert!((sk.set_spread(&[3, 3]) - sk.node_spread(3)).abs() < 1e-12);
     }
 
+    /// A run with a budget and (optionally) a file, saving every block.
+    fn run(deadline: Deadline, path: Option<&Path>, resume: bool) -> Run {
+        Run::new(deadline, path.map(Path::to_path_buf), 1, resume)
+    }
+
     #[test]
     fn budgeted_build_yields_a_world_prefix() {
+        let _g = soi_util::failpoint::test_guard();
         let pg = test_graph(8);
         let cfg = config(40, 16, 13, 2);
         let full = ReachSketches::build(&pg, cfg);
 
-        let complete = ReachSketches::build_budgeted(&pg, cfg, &Deadline::unlimited());
+        let complete =
+            ReachSketches::build_resumable(&pg, cfg, &run(Deadline::unlimited(), None, false))
+                .unwrap();
         assert!(complete.is_complete());
         assert_eq!(complete.value_ref().fingerprint(), full.fingerprint());
 
-        let partial = ReachSketches::build_budgeted(&pg, cfg, &Deadline::ticks(1));
+        let partial =
+            ReachSketches::build_resumable(&pg, cfg, &run(Deadline::ticks(1), None, false))
+                .unwrap();
         assert!(!partial.is_complete());
         let progress = partial.progress().unwrap();
         assert_eq!(progress.done, BUILD_BLOCK as u64);
@@ -924,6 +871,7 @@ mod tests {
 
     #[test]
     fn resumed_build_is_byte_identical() {
+        let _g = soi_util::failpoint::test_guard();
         let dir = std::env::temp_dir().join(format!("soi-sketch-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sketch.ckpt");
@@ -932,17 +880,9 @@ mod tests {
         let full = ReachSketches::build(&pg, cfg);
 
         // Interrupted run: one block, checkpoint written.
-        let interrupted = ReachSketches::build_resumable(
-            &pg,
-            cfg,
-            &BuildOpts {
-                deadline: &Deadline::ticks(1),
-                checkpoint: Some(&path),
-                checkpoint_every: 1,
-                resume: false,
-            },
-        )
-        .unwrap();
+        let interrupted =
+            ReachSketches::build_resumable(&pg, cfg, &run(Deadline::ticks(1), Some(&path), false))
+                .unwrap();
         assert!(!interrupted.is_complete());
         assert!(path.exists());
 
@@ -950,12 +890,7 @@ mod tests {
         let resumed = ReachSketches::build_resumable(
             &pg,
             SketchConfig { threads: 4, ..cfg },
-            &BuildOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: Some(&path),
-                checkpoint_every: 1,
-                resume: true,
-            },
+            &run(Deadline::unlimited(), Some(&path), true),
         )
         .unwrap();
         assert!(resumed.is_complete());
@@ -964,48 +899,54 @@ mod tests {
     }
 
     #[test]
+    fn a_build_shorter_than_the_cadence_still_checkpoints_at_completion() {
+        let _g = soi_util::failpoint::test_guard();
+        let dir = std::env::temp_dir().join(format!("soi-sketch-short-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sketch.ckpt");
+        let pg = test_graph(14);
+        let cfg = config(40, 12, 6, 2);
+        let opts = |resume| Run::new(Deadline::unlimited(), Some(path.clone()), 64, resume);
+
+        // 40 worlds never reach the 64-world cadence; the last block
+        // (8 worlds, not 16) is checkpointed because it is the last.
+        let built = ReachSketches::build_resumable(&pg, cfg, &opts(false)).unwrap();
+        assert!(built.is_complete());
+        let ck = ckpt::read_checkpoint(&path, ckpt::KIND_SKETCH_BUILD).unwrap();
+        assert_eq!((ck.done_units, ck.total_units), (40, 40));
+
+        // Resuming from it builds no further world: the per-block
+        // failpoint never fires.
+        soi_util::failpoint::install("sketch.build.block=error").unwrap();
+        let resumed = ReachSketches::build_resumable(&pg, cfg, &opts(true));
+        soi_util::failpoint::clear();
+        let resumed = resumed.unwrap();
+        assert!(resumed.is_complete());
+        assert_eq!(
+            resumed.value_ref().fingerprint(),
+            built.value_ref().fingerprint()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn checkpoint_rejects_mismatched_runs() {
+        let _g = soi_util::failpoint::test_guard();
         let dir = std::env::temp_dir().join(format!("soi-sketch-pin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sketch.ckpt");
         let pg = test_graph(10);
         let cfg = config(32, 8, 2, 1);
-        let _ = ReachSketches::build_resumable(
-            &pg,
-            cfg,
-            &BuildOpts {
-                deadline: &Deadline::ticks(1),
-                checkpoint: Some(&path),
-                checkpoint_every: 1,
-                resume: false,
-            },
-        )
-        .unwrap();
+        let _ =
+            ReachSketches::build_resumable(&pg, cfg, &run(Deadline::ticks(1), Some(&path), false))
+                .unwrap();
         // Different k: the config fingerprint must reject the resume.
-        let err = ReachSketches::build_resumable(
-            &pg,
-            SketchConfig { k: 9, ..cfg },
-            &BuildOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: Some(&path),
-                checkpoint_every: 1,
-                resume: true,
-            },
-        )
-        .unwrap_err();
+        let resuming = run(Deadline::unlimited(), Some(&path), true);
+        let err = ReachSketches::build_resumable(&pg, SketchConfig { k: 9, ..cfg }, &resuming)
+            .unwrap_err();
         assert!(matches!(err, SoiError::CkptMismatch { .. }), "{err:?}");
         // Different graph: rejected too.
-        let err = ReachSketches::build_resumable(
-            &test_graph(11),
-            cfg,
-            &BuildOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: Some(&path),
-                checkpoint_every: 1,
-                resume: true,
-            },
-        )
-        .unwrap_err();
+        let err = ReachSketches::build_resumable(&test_graph(11), cfg, &resuming).unwrap_err();
         assert!(matches!(err, SoiError::CkptMismatch { .. }), "{err:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1029,17 +970,8 @@ mod tests {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::install("sketch.build.block=error").unwrap();
         let pg = test_graph(13);
-        let err = ReachSketches::build_resumable(
-            &pg,
-            config(16, 8, 1, 1),
-            &BuildOpts {
-                deadline: &Deadline::unlimited(),
-                checkpoint: None,
-                checkpoint_every: 1,
-                resume: false,
-            },
-        )
-        .unwrap_err();
+        let err = ReachSketches::build_resumable(&pg, config(16, 8, 1, 1), &Run::unlimited())
+            .unwrap_err();
         soi_util::failpoint::clear();
         assert!(matches!(err, SoiError::Fault { .. }), "{err:?}");
     }

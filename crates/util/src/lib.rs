@@ -9,7 +9,9 @@
 //! and condensation DAGs.
 //!
 //! It also hosts the fault-tolerant execution substrate: cooperative
-//! cancellation/deadline tokens and typed partial results ([`runtime`]),
+//! deadline tokens, typed partial results and the one run policy —
+//! block loop, checkpoint cadence, resume — behind every budgeted
+//! pipeline ([`runtime`]),
 //! versioned checksummed checkpoint files ([`ckpt`]), streaming Mix64
 //! hashing for fingerprints and corruption detection ([`hash`]),
 //! deterministic fault injection ([`failpoint`]), seeded schedule
@@ -43,6 +45,6 @@ pub mod tsv;
 pub use bitset::BitSet;
 pub use error::{ProtoErrorKind, SoiError};
 pub use lazy::LazyGreedy;
-pub use runtime::{Deadline, Outcome, Progress, StopReason};
+pub use runtime::{Deadline, Outcome, Progress, Run, StopReason};
 pub use stats::{RunningStats, Summary};
 pub use timer::Timer;

@@ -1,36 +1,43 @@
-//! Cooperative cancellation and deterministic time budgets.
+//! Cooperative deadlines, and the one run policy built on them.
 //!
 //! Long-running pipelines (index builds, batch typical cascades, greedy
 //! seed selection, Monte-Carlo estimation) accept a [`Deadline`] and call
 //! [`Deadline::tick`] once per *unit of work* (one sampled world, one
-//! node solved, one oracle evaluation, …). When the budget is exhausted —
-//! or another thread calls [`Deadline::cancel`] — the pipeline stops at
-//! the next unit boundary and returns [`Outcome::Partial`] carrying
-//! whatever it completed plus a [`Progress`] fraction, instead of
-//! aborting or discarding work.
+//! node solved, one oracle evaluation, …). When the budget is exhausted
+//! the pipeline stops at the next unit boundary and returns
+//! [`Outcome::Partial`] carrying whatever it completed plus a
+//! [`Progress`] fraction, instead of aborting or discarding work.
 //!
 //! Budgets are counted in **ticks**, not wall-clock time, so tests and
 //! reproductions are deterministic: the same inputs and the same budget
 //! always stop at exactly the same unit. Callers that want wall-clock
 //! deadlines can size the tick budget from a measured tick rate.
+//!
+//! [`Run`] is the policy every budgeted, checkpointed pipeline runs
+//! under — deadline, checkpoint file, cadence, resume — stated once:
+//! [`Run::blocks`] is the block loop (tick a block, first block
+//! unconditional, stop at the next boundary) and [`Slot`] the checkpoint
+//! file (load-and-validate before, save every N units and after the last
+//! one). A pipeline is a body closure and a payload codec.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::ckpt::{self, Checkpoint};
+use crate::error::SoiError;
 
 /// Why a computation stopped before completing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// The tick budget ran out.
     DeadlineExpired,
-    /// [`Deadline::cancel`] was called.
-    Cancelled,
 }
 
 impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StopReason::DeadlineExpired => write!(f, "deadline expired"),
-            StopReason::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -124,14 +131,12 @@ struct DeadlineInner {
     limit: u64,
     /// Ticks recorded so far (across all clones and threads).
     spent: AtomicU64,
-    cancelled: AtomicBool,
 }
 
-/// A cooperative cancellation/deadline token.
+/// A cooperative deadline token.
 ///
 /// Cloning is cheap and shares the budget: ticks recorded through any
-/// clone count against the same limit, and [`cancel`](Deadline::cancel)
-/// through any clone stops them all. Hot loops should call
+/// clone count against the same limit. Hot loops should call
 /// [`tick`](Deadline::tick) once per unit of work and stop when it
 /// returns `false`.
 ///
@@ -149,57 +154,34 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// A deadline that never expires (but can still be cancelled).
+    /// A deadline that never expires.
     pub fn unlimited() -> Self {
-        Deadline::with_limit(u64::MAX)
+        Deadline::ticks(u64::MAX)
     }
 
     /// A deadline allowing `limit` ticks of work.
     pub fn ticks(limit: u64) -> Self {
-        Deadline::with_limit(limit)
-    }
-
-    fn with_limit(limit: u64) -> Self {
+        let spent = AtomicU64::new(0);
         Deadline {
-            inner: Arc::new(DeadlineInner {
-                limit,
-                spent: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-            }),
+            inner: Arc::new(DeadlineInner { limit, spent }),
         }
     }
 
     /// Records `n` ticks of completed work. Returns `true` while the
-    /// computation may continue (budget not exhausted, not cancelled).
+    /// computation may continue (budget not exhausted).
     #[inline]
     pub fn tick(&self, n: u64) -> bool {
-        // ordering: the budget only needs an exact count (RMW
-        // atomicity), and cancellation is advisory — observing the
-        // flag a few ticks late just means a few extra units of work.
+        // ordering: the budget only needs an exact count (RMW atomicity);
+        // no other data is published through it.
         let before = self.inner.spent.fetch_add(n, Ordering::Relaxed);
         before.saturating_add(n) <= self.inner.limit
-            && !self.inner.cancelled.load(Ordering::Relaxed) // ordering: advisory flag, see above
     }
 
-    /// `true` once the budget is exhausted or the token was cancelled.
+    /// `true` once the budget is exhausted.
     #[inline]
     pub fn expired(&self) -> bool {
-        // ordering: advisory cancellation/budget check; see `tick`.
-        self.inner.cancelled.load(Ordering::Relaxed)
-            || self.inner.spent.load(Ordering::Relaxed) > self.inner.limit // ordering: as above
-    }
-
-    /// Requests cooperative cancellation of every holder of this token.
-    pub fn cancel(&self) {
-        // ordering: the flag is the whole payload — no data rides on
-        // the cancellation edge, so no Release fence is needed.
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` when [`cancel`](Deadline::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        // ordering: advisory flag read; see `cancel`.
-        self.inner.cancelled.load(Ordering::Relaxed)
+        // ordering: advisory budget check; see `tick`.
+        self.inner.spent.load(Ordering::Relaxed) > self.inner.limit
     }
 
     /// Ticks recorded so far.
@@ -208,21 +190,15 @@ impl Deadline {
         self.inner.spent.load(Ordering::Relaxed)
     }
 
-    /// The tick budget (`u64::MAX` for unlimited tokens).
-    pub fn limit(&self) -> u64 {
-        self.inner.limit
+    /// `true` for a token that can never expire.
+    pub fn is_unlimited(&self) -> bool {
+        self.inner.limit == u64::MAX
     }
 
-    /// The stop reason an expired token implies (cancellation wins when
-    /// both apply; `None` while still running).
+    /// The stop reason an expired token implies (`None` while still
+    /// running).
     pub fn stop_reason(&self) -> Option<StopReason> {
-        if self.is_cancelled() {
-            Some(StopReason::Cancelled)
-        } else if self.expired() {
-            Some(StopReason::DeadlineExpired)
-        } else {
-            None
-        }
+        self.expired().then_some(StopReason::DeadlineExpired)
     }
 
     /// Packages `value` as [`Outcome::Partial`] when this token has
@@ -240,9 +216,161 @@ impl Deadline {
     }
 }
 
+/// How one pipeline run is budgeted and persisted. Every pipeline that
+/// can stop early or resume takes one of these.
+#[derive(Debug)]
+pub struct Run {
+    /// Cooperative budget, ticked once per unit of work.
+    pub deadline: Deadline,
+    /// Checkpoint file; `None` persists nothing.
+    pub checkpoint: Option<PathBuf>,
+    /// Units of work between checkpoint writes; pipelines whose block is
+    /// their cadence (typical cascades, index build) also work this many
+    /// units per block. Read as at least 1.
+    pub every: usize,
+    /// Resume from `checkpoint` when it exists (a fresh start otherwise).
+    pub resume: bool,
+}
+
+impl Run {
+    /// A run from its four settings. Nothing can happen between the
+    /// blocks of a run that can neither expire nor write a file, so such
+    /// a run is one block — one pool fan-out — whatever `every` says.
+    pub fn new(deadline: Deadline, checkpoint: Option<PathBuf>, every: usize, resume: bool) -> Run {
+        let one_block = checkpoint.is_none() && deadline.is_unlimited();
+        Run {
+            deadline,
+            checkpoint,
+            every: if one_block { usize::MAX } else { every },
+            resume,
+        }
+    }
+
+    /// The run nothing can stop and nothing persists.
+    pub fn unlimited() -> Run {
+        Run::new(Deadline::unlimited(), None, 1, false)
+    }
+
+    /// The block loop: calls `body(lo, hi)` for consecutive blocks of at
+    /// most `block` units from `start` up to `total`, ticking the
+    /// deadline once per unit before each block, and returns the units
+    /// done — `total`, or the block boundary the deadline stopped at.
+    ///
+    /// The first block of a run is unconditional (its ticks still count),
+    /// so a budgeted run always makes progress and a partial value is
+    /// never empty; once the budget is spent the loop stops at the next
+    /// boundary. When units are independent the value after `done` units
+    /// is therefore the exact prefix of an uninterrupted run's.
+    pub fn blocks<E>(
+        &self,
+        total: usize,
+        start: usize,
+        block: usize,
+        mut body: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let start = start.min(total);
+        let mut done = start;
+        while done < total {
+            let hi = done.saturating_add(block.max(1)).min(total);
+            let block_len = (hi - done) as u64;
+            let proceed = self.deadline.tick(block_len);
+            if done > start && !proceed {
+                break;
+            }
+            body(done, hi)?;
+            done = hi;
+            if !proceed {
+                break;
+            }
+        }
+        Ok(done)
+    }
+
+    /// This run's checkpoint file as used by one pipeline: `kind`, the
+    /// two fingerprints and `total` units pin the file to the run.
+    pub fn slot(&self, kind: u8, graph_fp: u64, config_fp: u64, total: usize) -> Slot<'_> {
+        let last = Checkpoint {
+            kind,
+            graph_fingerprint: graph_fp,
+            config_fingerprint: config_fp,
+            total_units: total as u64,
+            done_units: 0,
+            payload: Vec::new(),
+        };
+        Slot { run: self, last }
+    }
+}
+
+/// One pipeline's view of a [`Run`]'s checkpoint file: load-and-validate
+/// before the work, save at the run's cadence during it. The payload
+/// codec stays with the pipeline.
+pub struct Slot<'r> {
+    run: &'r Run,
+    /// The header this run writes; `done_units` is the progress at the
+    /// last write (or at the resumed start), the payload stays empty.
+    last: Checkpoint,
+}
+
+impl Slot<'_> {
+    /// The checkpoint to resume from: `None` when the run is not
+    /// resuming, has no file, or the file does not exist (a fresh start).
+    /// Otherwise the file, verified as one typed error path — container
+    /// and checksum, kind, both fingerprints, `total_units` — so the
+    /// caller only decodes the payload.
+    pub fn load(&mut self) -> Result<Option<Checkpoint>, SoiError> {
+        let (run, want) = (self.run, &mut self.last);
+        let Some(path) = run
+            .checkpoint
+            .as_deref()
+            .filter(|p| run.resume && p.exists())
+        else {
+            return Ok(None);
+        };
+        let c = ckpt::read_checkpoint(path, want.kind)?;
+        c.validate(want.kind, want.graph_fingerprint, want.config_fingerprint)?;
+        if c.total_units != want.total_units {
+            return Err(SoiError::CkptMismatch {
+                field: "total_units",
+                stored: c.total_units,
+                expected: want.total_units,
+            });
+        }
+        want.done_units = c.done_units;
+        Ok(Some(c))
+    }
+
+    /// Notes that `done` units are complete and writes the checkpoint
+    /// when one is due: after every `every` units and after the last one.
+    /// `payload` is encoded only for a write; returns whether one
+    /// happened (never, without a file).
+    pub fn save(
+        &mut self,
+        done: usize,
+        payload: impl FnOnce() -> Vec<u8>,
+    ) -> Result<bool, SoiError> {
+        let (done, last) = (done as u64, &mut self.last);
+        let due =
+            done - last.done_units >= self.run.every.max(1) as u64 || done == last.total_units;
+        let Some(path) = self.run.checkpoint.as_deref().filter(|_| due) else {
+            return Ok(false);
+        };
+        last.done_units = done;
+        let payload = payload();
+        ckpt::write_checkpoint(
+            path,
+            &Checkpoint {
+                payload,
+                ..last.clone()
+            },
+        )?;
+        Ok(true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     #[test]
     fn unlimited_never_expires() {
@@ -263,17 +391,6 @@ mod tests {
         assert!(d.expired());
         assert_eq!(d.stop_reason(), Some(StopReason::DeadlineExpired));
         assert_eq!(d.spent(), 6);
-    }
-
-    #[test]
-    fn cancel_stops_all_clones() {
-        let d = Deadline::unlimited();
-        let d2 = d.clone();
-        assert!(d2.tick(1));
-        d.cancel();
-        assert!(!d2.tick(1));
-        assert!(d2.expired());
-        assert_eq!(d2.stop_reason(), Some(StopReason::Cancelled));
     }
 
     #[test]
@@ -322,5 +439,262 @@ mod tests {
         assert_eq!(partial.map(|v| v * 2).value(), 14);
         // Expired but all units done => still Completed.
         assert_eq!(d.outcome(7, 3, 3), Outcome::Completed(7));
+    }
+
+    const TOTAL: usize = 23;
+    const BLOCKS: [usize; 3] = [1, 7, TOTAL];
+
+    fn budgeted(budget: u64, block: usize) -> Run {
+        Run {
+            deadline: Deadline::ticks(budget),
+            checkpoint: None,
+            every: block,
+            resume: false,
+        }
+    }
+
+    #[test]
+    fn one_block_rule_applies_only_to_runs_that_can_neither_expire_nor_save() {
+        assert_eq!(Run::unlimited().every, usize::MAX);
+        assert_eq!(
+            Run::new(Deadline::unlimited(), None, 64, true).every,
+            usize::MAX
+        );
+        assert_eq!(Run::new(Deadline::ticks(5), None, 64, false).every, 64);
+        let file = Some(PathBuf::from("x.ckpt"));
+        assert_eq!(Run::new(Deadline::unlimited(), file, 64, false).every, 64);
+        // One block means one call of the body.
+        let mut calls = Vec::new();
+        let run = Run::unlimited();
+        let Ok(done) = run.blocks(TOTAL, 0, run.every, |lo, hi| {
+            calls.push((lo, hi));
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!((done, calls), (TOTAL, vec![(0, TOTAL)]));
+    }
+
+    #[test]
+    fn every_budget_stops_at_a_block_boundary_with_the_exact_prefix() {
+        for block in BLOCKS {
+            for budget in 0..=(TOTAL + block) as u64 {
+                let run = budgeted(budget, block);
+                let mut value = Vec::new();
+                let Ok(done) = run.blocks(TOTAL, 0, block, |lo, hi| {
+                    value.extend(lo..hi);
+                    Ok::<(), Infallible>(())
+                });
+                let what = format!("block {block} budget {budget}");
+                // The blocks the budget covers, but never fewer than one.
+                let want = if budget >= TOTAL as u64 {
+                    TOTAL
+                } else {
+                    ((budget as usize / block).max(1) * block).min(TOTAL)
+                };
+                assert_eq!(done, want, "{what}");
+                assert!(done == TOTAL || done % block == 0, "{what}");
+                assert_eq!(value, (0..done).collect::<Vec<_>>(), "{what}");
+                // Ticks are spent per unit attempted: every unit run, plus
+                // the one refused block (if any) that ended the run.
+                let refused = if want < TOTAL && budget as usize >= block {
+                    block.min(TOTAL - done)
+                } else {
+                    0
+                };
+                assert_eq!(run.deadline.spent(), (done + refused) as u64, "{what}");
+                let outcome = run.deadline.outcome(value, done as u64, TOTAL as u64);
+                assert_eq!(outcome.is_complete(), done == TOTAL, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_start_gets_its_own_unconditional_first_block() {
+        let run = budgeted(0, 7);
+        let mut value: Vec<usize> = (0..7).collect();
+        let Ok(done) = run.blocks(TOTAL, 7, 7, |lo, hi| {
+            value.extend(lo..hi);
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(done, 14);
+        assert_eq!(value, (0..14).collect::<Vec<_>>());
+        // A start at (or past) the end runs nothing and spends nothing.
+        let Ok(done) = run.blocks(TOTAL, TOTAL + 5, 7, |_, _| -> Result<(), Infallible> {
+            panic!("no block left to run")
+        });
+        assert_eq!((done, run.deadline.spent()), (TOTAL, 7));
+    }
+
+    #[test]
+    fn a_failing_body_stops_the_loop_with_its_error() {
+        let run = budgeted(100, 7);
+        let mut calls = 0;
+        let err = run.blocks(TOTAL, 0, 7, |lo, _| {
+            calls += 1;
+            if lo == 7 {
+                Err("boom")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((err, calls), (Err("boom"), 2));
+    }
+
+    const KIND: u8 = ckpt::KIND_TYPICAL_CASCADES;
+    const GRAPH_FP: u64 = 0xAAAA;
+    const CONFIG_FP: u64 = 0xBBBB;
+
+    /// A toy pipeline over the whole policy: unit `i` appends `i`.
+    fn toy(run: &Run, total: usize, block: usize) -> Result<Outcome<Vec<u8>>, SoiError> {
+        let mut slot = run.slot(KIND, GRAPH_FP, CONFIG_FP, total);
+        let mut value = slot.load()?.map_or_else(Vec::new, |c| c.payload);
+        let done = run.blocks(total, value.len(), block, |lo, hi| {
+            value.extend((lo..hi).map(|i| i as u8));
+            slot.save(hi, || value.clone()).map(|_| ())
+        })?;
+        Ok(run.deadline.outcome(value, done as u64, total as u64))
+    }
+
+    fn tmp_file(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("soi-run-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("toy.ckpt")
+    }
+
+    fn done_units(path: &std::path::Path) -> Option<u64> {
+        path.exists()
+            .then(|| ckpt::read_checkpoint(path, KIND).unwrap().done_units)
+    }
+
+    #[test]
+    fn stopping_after_any_block_then_resuming_is_the_uninterrupted_run() {
+        let _g = crate::failpoint::test_guard();
+        let path = tmp_file("resume");
+        let golden: Vec<u8> = (0..TOTAL as u8).collect();
+        for block in BLOCKS {
+            for every in [1, block, 10] {
+                for stop_after in 1..=TOTAL.div_ceil(block) {
+                    let _ = std::fs::remove_file(&path);
+                    let what = format!("block {block} every {every} stop after {stop_after}");
+                    let budget = Deadline::ticks((stop_after * block) as u64);
+                    let first = toy(
+                        &Run::new(budget, Some(path.clone()), every, false),
+                        TOTAL,
+                        block,
+                    )
+                    .unwrap();
+                    let done = first.progress().map_or(TOTAL, |p| p.done as usize);
+                    assert_eq!(done, (stop_after * block).min(TOTAL), "{what}");
+                    // The file trails by less than one cadence, and not at
+                    // all when the cadence is at most a block or the run
+                    // finished.
+                    let on_file = done_units(&path).unwrap_or(0) as usize;
+                    assert!(on_file <= done && done - on_file < every, "{what}");
+                    if every <= block || done == TOTAL {
+                        assert_eq!(on_file, done, "{what}");
+                    }
+                    let resuming = Run::new(Deadline::unlimited(), Some(path.clone()), every, true);
+                    let second = toy(&resuming, TOTAL, block).unwrap();
+                    assert_eq!(second, Outcome::Completed(golden.clone()), "{what}");
+                    assert_eq!(done_units(&path), Some(TOTAL as u64), "{what}");
+                }
+            }
+        }
+        // One block per run, resumed until done: the cadence carries over
+        // each resume.
+        let _ = std::fs::remove_file(&path);
+        let mut runs = 0;
+        loop {
+            runs += 1;
+            let run = Run::new(Deadline::ticks(7), Some(path.clone()), 7, true);
+            let out = toy(&run, TOTAL, 7).unwrap();
+            assert_eq!(done_units(&path), Some(out.value_ref().len() as u64));
+            if out.is_complete() {
+                assert_eq!(out.value(), golden);
+                break;
+            }
+        }
+        assert_eq!(runs, TOTAL.div_ceil(7));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn load_is_one_typed_error_path_and_a_missing_file_is_a_fresh_start() {
+        let _g = crate::failpoint::test_guard();
+        let path = tmp_file("pin");
+        let run = |resume| Run::new(Deadline::unlimited(), Some(path.clone()), 5, resume);
+
+        // Resuming with no file on disk, or with no file configured.
+        assert_eq!(
+            run(true)
+                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .load()
+                .unwrap(),
+            None
+        );
+        assert_eq!(
+            Run::unlimited()
+                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .load()
+                .unwrap(),
+            None
+        );
+        assert!(toy(&run(true), TOTAL, 5).unwrap().is_complete());
+        let stored = run(true)
+            .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+            .load()
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (stored.done_units, stored.total_units),
+            (TOTAL as u64, TOTAL as u64)
+        );
+        // A run that is not resuming ignores the file.
+        assert_eq!(
+            run(false)
+                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .load()
+                .unwrap(),
+            None
+        );
+
+        let resuming = run(true);
+        let load = |kind, graph_fp, config_fp, total| {
+            resuming
+                .slot(kind, graph_fp, config_fp, total)
+                .load()
+                .unwrap_err()
+        };
+        assert!(matches!(
+            load(ckpt::KIND_GREEDY, GRAPH_FP, CONFIG_FP, TOTAL),
+            SoiError::CkptBadKind { .. }
+        ));
+        for (err, want) in [
+            (
+                load(KIND, GRAPH_FP ^ 1, CONFIG_FP, TOTAL),
+                "graph_fingerprint",
+            ),
+            (
+                load(KIND, GRAPH_FP, CONFIG_FP ^ 1, TOTAL),
+                "config_fingerprint",
+            ),
+            (load(KIND, GRAPH_FP, CONFIG_FP, TOTAL + 1), "total_units"),
+        ] {
+            assert!(
+                matches!(err, SoiError::CkptMismatch { field, .. } if field == want),
+                "{want}: {err:?}"
+            );
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn without_a_file_nothing_is_ever_written() {
+        let run = Run::new(Deadline::ticks(100), None, 1, true);
+        let mut slot = run.slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL);
+        let wrote = slot
+            .save(TOTAL, || panic!("payload encoded without a file"))
+            .unwrap();
+        assert!(!wrote);
     }
 }

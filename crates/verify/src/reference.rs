@@ -18,7 +18,6 @@
 //! `shutdown` stops the stream after its `draining` acknowledgement —
 //! the same contract `daemon::run_stdio` implements.
 
-use soi_core::EngineRunOpts;
 use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::BackendKind;
@@ -26,7 +25,7 @@ use soi_server::json::fmt_num;
 use soi_server::protocol::{self, Request};
 use soi_server::EngineConfig;
 use soi_sketch::{ReachSketches, SketchConfig};
-use soi_util::runtime::{Deadline, Outcome, StopReason};
+use soi_util::runtime::{Deadline, Outcome, Run, StopReason};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 
@@ -330,18 +329,15 @@ impl ReferenceEngine {
                     return Ok(RefOutput::from_outcome(&outcome, payload));
                 }
                 let index = self.fresh_index(pg);
-                let opts = EngineRunOpts {
-                    deadline: &deadline,
+                // The engine's blocks of 64, so partial prefixes agree.
+                let run = Run {
+                    deadline,
                     checkpoint: None,
-                    checkpoint_every: 64,
+                    every: 64,
                     resume: false,
                 };
-                let outcome = soi_core::all_typical_cascades_resumable(
-                    &index,
-                    &self.config.median,
-                    1,
-                    &opts,
-                )?;
+                let outcome =
+                    soi_core::all_typical_cascades_resumable(&index, &self.config.median, 1, &run)?;
                 let spheres: Vec<Vec<u32>> = outcome
                     .value_ref()
                     .iter()

@@ -22,12 +22,11 @@
 //! in `soi_util::invariant`. See `docs/STATIC_ANALYSIS.md` for the full
 //! policy.
 
+pub mod catalog;
 pub mod concurrency;
 pub mod determinism;
-pub mod failpoint_catalog;
 pub mod hermeticity;
 pub mod hygiene;
-pub mod metric_catalog;
 pub mod observability;
 pub mod panic_policy;
 pub mod report;
@@ -70,8 +69,8 @@ pub fn run_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(concurrency::check_source(path, file));
     }
     findings.extend(concurrency::check_lock_order(&scanned));
-    findings.extend(metric_catalog::check(root, &scanned));
-    findings.extend(failpoint_catalog::check(root, &scanned));
+    findings.extend(catalog::check(&catalog::METRICS, root, &scanned));
+    findings.extend(catalog::check(&catalog::FAILPOINTS, root, &scanned));
     for (path, text) in &manifests {
         findings.extend(hermeticity::check(path, text));
     }
