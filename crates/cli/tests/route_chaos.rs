@@ -26,7 +26,9 @@
 //!   converges against the respawned worker;
 //! * `rebalance` re-homes one graph and rejects out-of-range shards;
 //! * aggregated stats — `soi stats` against the router reports the v2
-//!   payload with fabric-summed counters and per-shard replica health.
+//!   payload with fabric-summed counters and per-shard replica health;
+//! * hop cost — a near-free request through all four socket legs takes
+//!   what it computes, not a Nagle × delayed-ACK stall per hop.
 //!
 //! Masked transcripts and stats payloads land in
 //! `target/chaos-artifacts/` for CI upload.
@@ -447,5 +449,52 @@ fn router_stats_aggregate_the_fabric() {
     router.shutdown();
     s0.shutdown();
     s1.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 44 ms per hop is what a line split over two writes costs on a socket
+/// without `TCP_NODELAY`: Nagle holds the second write until the peer's
+/// delayed ACK of the first. The request is a one-sample spread estimate
+/// so it crosses all four legs (a control would be answered at the
+/// router) and a debug build's kernels cannot matter; the line sits two
+/// orders of magnitude from either side (88 ms stalled, < 1 ms not).
+#[test]
+fn routed_round_trip_does_not_stall_on_the_sockets() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = fresh_dir("hop-cost");
+    let graph = make_graph(&dir, 16);
+    let shard = Proc::serve(&graph, &[], None);
+    let router = Proc::route(&[shard.addr()]);
+
+    // One connection held open and each line timed, as a closed-loop
+    // client does. xtask-allow: hermeticity — timing a line needs the socket
+    let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut trips: Vec<std::time::Duration> = (0..50)
+        .map(|id| {
+            let request = format!(
+                "{{\"v\":1,\"id\":{id},\"type\":\"spread-estimate\",\"graph\":\"net\",\
+                 \"seeds\":[1],\"samples\":1,\"seed\":7}}\n"
+            );
+            let sent = std::time::Instant::now();
+            stream.write_all(request.as_bytes()).expect("send");
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("answer");
+            let took = sent.elapsed();
+            assert!(answer.contains("\"status\":\"ok\",\"spread\":"), "{answer}");
+            took
+        })
+        .collect();
+    trips.sort_unstable();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median routed round trip {median:?}; all: {trips:?}"
+    );
+
+    drop((stream, reader));
+    router.shutdown();
+    shard.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -236,8 +236,15 @@ impl CascadeIndex {
     /// changes index contents (`threads` is excluded: builds are
     /// thread-count invariant). `soi serve` keys its index cache on this.
     pub fn cache_key(pg: &ProbGraph, config: &IndexConfig) -> u64 {
+        Self::cache_key_for(pg.fingerprint(), config)
+    }
+
+    /// [`cache_key`](Self::cache_key) from an already computed
+    /// [`ProbGraph::fingerprint`], for callers that look the same graph
+    /// up repeatedly: the fingerprint is O(n + m), the rest O(1).
+    pub fn cache_key_for(graph_fingerprint: u64, config: &IndexConfig) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
-        h.update_u64(pg.fingerprint());
+        h.update_u64(graph_fingerprint);
         h.update_u64(config.num_worlds as u64);
         h.update_u64(config.seed);
         h.update_u64(config.transitive_reduction as u64);

@@ -41,7 +41,7 @@ pub enum GreedyMode {
 }
 
 /// Output of a greedy run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GreedyResult {
     /// Selected seeds in selection order.
     pub seeds: Vec<NodeId>,
@@ -330,19 +330,17 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
     let _span = soi_obs::span("influence.mc_greedy");
     let n = pg.num_nodes();
     let k = k.min(n);
-    let eval_counter = std::sync::atomic::AtomicU64::new(0);
-    let fresh_seed = || {
-        derive_seed(
-            config.seed,
-            eval_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        )
-    };
+    // Evaluation `i` of the run is seeded `derive_seed(seed, i)`. The
+    // parallel initial pass takes i = v, the serial re-evaluations count
+    // on from n, so no draw depends on the schedule.
+    let mut next_eval = n as u64;
 
     // Initial pass: sigma({v}) for every node, parallel.
     let mut initial: Vec<f64> = vec![0.0; n];
     soi_util::pool::for_each_indexed(&mut initial, config.threads, |v, slot| {
         soi_obs::counter_add!("influence.mc_spread_evals", 1);
-        *slot = estimate_spread(pg, &[v as NodeId], config.samples, fresh_seed());
+        let seed = derive_seed(config.seed, v as u64);
+        *slot = estimate_spread(pg, &[v as NodeId], config.samples, seed);
     });
 
     let mut lazy = LazyGreedy::with_capacity(n);
@@ -366,7 +364,9 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
             let mut with_v: Vec<NodeId> = seeds.clone();
             with_v.push(v);
             reevals += 1;
-            Some((estimate_spread(pg, &with_v, config.samples, fresh_seed()) - sigma_s).max(0.0))
+            let seed = derive_seed(config.seed, next_eval);
+            next_eval += 1;
+            Some((estimate_spread(pg, &with_v, config.samples, seed) - sigma_s).max(0.0))
         });
         // Budget exhausted: commit the best candidate evaluated this
         // round (at least one exists since cap >= 1). O(n) scan +
@@ -486,9 +486,28 @@ mod tests {
         let b2 = infmax_std_mc(&pg, 3, &cfg);
         assert_eq!(a.seeds, b2.seeds);
         assert_eq!(a.spread_curve, b2.spread_curve);
-        // Parallel initial pass gives the same result.
-        let c = infmax_std_mc(&pg, 3, &McGreedyConfig { threads: 4, ..cfg });
-        assert_eq!(a.seeds, c.seeds);
+    }
+
+    /// Few samples on a graph with no clear winner: the selection follows
+    /// the noise, so any schedule-dependent draw would show.
+    #[test]
+    fn mc_greedy_is_thread_count_invariant() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(21);
+        let pg = ProbGraph::fixed(gen::gnm(120, 480, &mut rng), 0.2).unwrap();
+        let run = |threads| {
+            let cfg = McGreedyConfig {
+                samples: 20,
+                seed: 9,
+                threads,
+                max_reevals_per_round: 5,
+            };
+            infmax_std_mc(&pg, 6, &cfg)
+        };
+        let serial = run(1);
+        assert_eq!(serial.seeds.len(), 6);
+        for threads in [2, 8] {
+            assert_eq!(run(threads), serial, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -31,8 +31,7 @@ use crate::json;
 use crate::protocol;
 use crate::wire::Conn;
 use soi_util::{ProtoErrorKind, SoiError};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -118,24 +117,10 @@ pub fn send_one(host: &str, port: u16, line: &str) -> Result<String, SoiError> {
 /// deliberately invalid UTF-8 and oversized lines through this path,
 /// which a `&str` API could not carry.
 pub fn send_stream(host: &str, port: u16, payload: &[u8]) -> Result<Vec<String>, SoiError> {
-    let stream = TcpStream::connect((host, port))
-        .map_err(|e| SoiError::io(format!("connect {host}:{port}"), e))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| SoiError::io("clone stream", e))?;
-    writer
-        .write_all(payload)
-        .map_err(|e| SoiError::io("send stream", e))?;
-    writer.flush().map_err(|e| SoiError::io("send stream", e))?;
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .map_err(|e| SoiError::io("half-close stream", e))?;
-    let reader = BufReader::new(stream);
-    let mut lines = Vec::new();
-    for line in reader.lines() {
-        lines.push(line.map_err(|e| SoiError::io("read response", e))?);
-    }
-    Ok(lines)
+    Conn::connect((host, port), None)
+        .map_err(|e| SoiError::io(format!("connect {host}:{port}"), e))?
+        .stream(payload)
+        .map_err(|e| SoiError::io(format!("stream to {host}:{port}"), e))
 }
 
 /// The client-chosen `id` of a request line, when it parses far enough
@@ -246,9 +231,9 @@ impl Lane {
                 Ok(line) => line,
             };
             // Version-skew handshake: a response speaking a different
-            // protocol version gets a typed protocol-mismatch diagnosis
-            // (naming both versions), not a generic parse failure
-            // downstream.
+            // protocol version — or none: not a protocol line at all —
+            // gets a typed protocol-mismatch diagnosis, not a generic
+            // parse failure downstream.
             if let Err(SoiError::Protocol { kind, message }) =
                 protocol::check_response_version(&line)
             {
@@ -353,6 +338,7 @@ pub fn run_queries<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
     #[test]

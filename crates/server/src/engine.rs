@@ -98,7 +98,9 @@ impl ExecOutput {
 
 /// Loaded graphs plus the warm spread-oracle cache.
 pub struct ServerEngine {
-    graphs: BTreeMap<String, Arc<ProbGraph>>,
+    /// Each graph beside its [`ProbGraph::fingerprint`], hashed once at
+    /// load: a cache lookup forms its key from the stored value.
+    graphs: BTreeMap<String, (Arc<ProbGraph>, u64)>,
     /// One LRU for both backends. Keys mix the backend tag into the
     /// backend-specific cache key ([`mixed_key`]), so the key is
     /// (graph fingerprint, backend, build params) and a sketch entry can
@@ -151,10 +153,11 @@ impl ServerEngine {
     }
 
     /// Registers a graph under `name` (replacing any previous binding —
-    /// the cache key includes the graph fingerprint, so stale indexes
-    /// can never serve the new graph).
+    /// the cache key includes the graph fingerprint, recomputed here, so
+    /// stale indexes can never serve the new graph).
     pub fn add_graph(&mut self, name: impl Into<String>, pg: ProbGraph) {
-        self.graphs.insert(name.into(), Arc::new(pg));
+        let fingerprint = pg.fingerprint();
+        self.graphs.insert(name.into(), (Arc::new(pg), fingerprint));
     }
 
     /// Names of the loaded graphs, sorted.
@@ -200,7 +203,8 @@ impl ServerEngine {
         }
     }
 
-    fn graph(&self, name: &str) -> Result<&Arc<ProbGraph>, SoiError> {
+    /// The graph bound to `name` and its load-time fingerprint.
+    fn graph(&self, name: &str) -> Result<&(Arc<ProbGraph>, u64), SoiError> {
         self.graphs.get(name).ok_or_else(|| {
             SoiError::protocol(
                 ProtoErrorKind::UnknownGraph,
@@ -233,14 +237,15 @@ impl ServerEngine {
         trace: &mut PhaseTrace,
     ) -> Result<(SpreadBackend, bool), SoiError> {
         let started = std::time::Instant::now();
-        let pg = self.graph(name)?;
+        let (pg, fingerprint) = self.graph(name)?;
         let k = sketch_k.unwrap_or(self.config.sketch_k);
         let inner = match kind {
-            BackendKind::Cascade => CascadeIndex::cache_key(pg, &self.index_config()),
-            BackendKind::Sketch => ReachSketches::cache_key(pg, &self.sketch_config(k)),
+            BackendKind::Cascade => CascadeIndex::cache_key_for(*fingerprint, &self.index_config()),
+            BackendKind::Sketch => {
+                ReachSketches::cache_key_for(*fingerprint, &self.sketch_config(k))
+            }
         };
         let key = mixed_key(kind, inner);
-        let last_key = (name.to_string(), kind.tag(), last_good_k(kind, k));
         let hit = {
             // Waiting on the cache mutex is the engine's contention
             // point; attribute it to this worker's lock-wait slot.
@@ -255,6 +260,7 @@ impl ServerEngine {
             (backend, false, 0)
         } else {
             soi_obs::counter_add!("server.cache_misses", 1);
+            let last_key = (name.to_string(), kind.tag(), last_good_k(kind, k));
             match self.build_backend(pg, kind, k, key, &last_key) {
                 Ok(backend) => (backend, false, self.config.num_worlds as u64),
                 Err(err) => {
@@ -388,7 +394,7 @@ impl ServerEngine {
                 backend,
                 sketch_k,
             } => {
-                let pg = self.graph(graph)?;
+                let (pg, _) = self.graph(graph)?;
                 if let Some(&bad) = seeds.iter().find(|&&s| (s as usize) >= pg.num_nodes()) {
                     return Err(SoiError::protocol(
                         ProtoErrorKind::BadField,
@@ -480,14 +486,7 @@ impl ServerEngine {
                 let (oracle, degraded) =
                     self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
-                // Blocks of 64 nodes whether or not the request is
-                // budgeted, so not `Run::new` and its one-block rule.
-                let run = Run {
-                    deadline: self.deadline(*deadline_ticks),
-                    checkpoint: None,
-                    every: 64,
-                    resume: false,
-                };
+                let run = Run::new(self.deadline(*deadline_ticks), None, 64, false);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::all_typical_cascades_resumable(
                     index,
@@ -537,8 +536,8 @@ impl ServerEngine {
         let (oracle, degraded) =
             self.oracle(graph, BackendKind::Sketch, sketch_k, degrade, trace)?;
         let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
-        let pg = self.graph(graph)?;
-        if sk.graph_fingerprint() != pg.fingerprint() {
+        let (pg, fingerprint) = self.graph(graph)?;
+        if sk.graph_fingerprint() != *fingerprint {
             // A stale sketch from a different graph revision cannot
             // drive selection: the coverage BFS re-derives the worlds
             // the sketches were built over, which belong to the old
@@ -847,6 +846,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn stale_index_serves_flagged_when_build_fails() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::clear();
@@ -1031,6 +1031,107 @@ mod tests {
     }
 
     #[test]
+    fn warm_lookups_never_miss_and_key_on_the_load_time_fingerprint() {
+        let _g = soi_util::failpoint::test_guard();
+        let mut engine = engine();
+        let misses = || soi_obs::metrics::counter("server.cache_misses").get();
+        let tc = Request::TypicalCascade {
+            graph: "g".into(),
+            source: 5,
+            deadline_ticks: None,
+            degrade: false,
+        };
+        let cold = engine.execute(&tc).expect("tc");
+        let _ = engine.execute(&sketch_spread_req(None)).expect("sketch");
+        let warm = misses();
+        for _ in 0..8 {
+            assert_eq!(engine.execute(&tc).expect("tc"), cold);
+            let _ = engine.execute(&sketch_spread_req(None)).expect("sketch");
+        }
+        assert_eq!(misses(), warm);
+        // The stored fingerprint forms the keys the graph itself would.
+        let (pg, fingerprint) = engine.graph("g").expect("g");
+        assert_eq!(*fingerprint, pg.fingerprint());
+        let sketch_config = engine.sketch_config(engine.config.sketch_k);
+        for key in [
+            mixed_key(
+                BackendKind::Cascade,
+                CascadeIndex::cache_key(pg, &engine.index_config()),
+            ),
+            mixed_key(
+                BackendKind::Sketch,
+                ReachSketches::cache_key(pg, &sketch_config),
+            ),
+        ] {
+            let mut cache = engine.cache.lock().expect("cache");
+            assert!(cache.get(key).is_some());
+        }
+        // Re-binding the name re-hashes: the old entry cannot serve.
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
+        let pg2 = ProbGraph::fixed(gen::gnm(40, 120, &mut rng), 0.3).expect("graph2");
+        engine.add_graph("g", pg2);
+        assert_ne!(engine.execute(&tc).expect("rebound"), cold);
+        assert_eq!(misses(), warm + 1);
+    }
+
+    /// `infmax-tc` runs under `Run::new`; before, it ran under the
+    /// literal 64-node-block `Run` built here. Same answers, budgeted or
+    /// not — only the unbudgeted block count changed.
+    #[test]
+    fn infmax_tc_answers_as_the_64_node_blocks_did() {
+        let _g = soi_util::failpoint::test_guard();
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(17);
+        let pg = ProbGraph::fixed(gen::gnm(200, 600, &mut rng), 0.2).expect("graph");
+        let mut engine = ServerEngine::new(EngineConfig {
+            num_worlds: 8,
+            seed: 3,
+            ..EngineConfig::default()
+        });
+        engine.add_graph("g", pg);
+        let index = engine.index_for("g").expect("index");
+        for deadline_ticks in [None, Some(100)] {
+            let got = engine
+                .execute(&Request::InfmaxTc {
+                    graph: "g".into(),
+                    k: 4,
+                    deadline_ticks,
+                    degrade: false,
+                    backend: BackendKind::Cascade,
+                    sketch_k: None,
+                })
+                .expect("exec");
+            let run = Run {
+                deadline: engine.deadline(deadline_ticks),
+                checkpoint: None,
+                every: 64,
+                resume: false,
+            };
+            let outcome = soi_core::all_typical_cascades_resumable(
+                &index,
+                &engine.config.median,
+                engine.config.threads,
+                &run,
+            )
+            .expect("spheres");
+            let spheres: Vec<Vec<u32>> = outcome
+                .value_ref()
+                .iter()
+                .map(|tc| tc.median.clone())
+                .collect();
+            let cover = soi_influence::infmax_tc(&spheres, 4, 0);
+            let coverage: Vec<String> = cover.coverage_curve.iter().map(|&c| fmt_num(c)).collect();
+            let payload = format!(
+                "\"seeds\":{},\"coverage\":[{}]",
+                encode_nodes(&cover.seeds),
+                coverage.join(",")
+            );
+            assert_eq!(got, ExecOutput::from_outcome(&outcome, payload));
+            assert_eq!(got.partial.is_some(), deadline_ticks.is_some());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn sketch_build_failure_degrades_to_stale_sketch_or_fails_typed() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::clear();

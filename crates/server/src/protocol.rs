@@ -473,21 +473,22 @@ pub fn encode_error(id: Option<u64>, error: &SoiError) -> String {
     )
 }
 
-/// Checks the `v` field of a received response line against
-/// [`PROTOCOL_VERSION`]. `Ok(())` when the versions agree. A response
-/// that parses as JSON but carries a different (or no) version is
-/// **protocol skew**: the error is a typed `protocol-mismatch` naming
-/// both versions, so a client talking to a newer/older daemon gets a
-/// diagnosis instead of a generic parse failure. Lines that are not
-/// JSON objects are left to the caller's normal error handling — a
-/// garbled line is corruption, not skew.
+/// Checks that a received line is a response of this protocol version:
+/// a JSON object whose `v` is [`PROTOCOL_VERSION`]. A JSON object with a
+/// different (or no) version is **protocol skew**, and the typed
+/// `protocol-mismatch` names both versions, so a client talking to a
+/// newer/older daemon gets a diagnosis instead of a generic parse
+/// failure. A line that is no JSON object at all is the same typed
+/// error — whatever answered does not speak this protocol, and neither
+/// the client nor the router passes its bytes on.
 pub fn check_response_version(line: &str) -> Result<(), SoiError> {
-    let Ok(doc) = json::parse(line) else {
-        return Ok(());
+    let doc = json::parse(line).ok().filter(|doc| doc.as_obj().is_some());
+    let Some(doc) = doc else {
+        return Err(proto(
+            ProtoErrorKind::ProtocolMismatch,
+            format!("peer response is not a protocol line (this side speaks version {PROTOCOL_VERSION})"),
+        ));
     };
-    if doc.as_obj().is_none() {
-        return Ok(());
-    }
     match doc.get("v").and_then(Value::as_u64) {
         Some(v) if v == PROTOCOL_VERSION => Ok(()),
         Some(v) => Err(proto(
@@ -830,9 +831,17 @@ mod tests {
                 ..
             }
         ));
-        // Garbage is not skew — normal error handling applies.
-        assert!(check_response_version("not json at all").is_ok());
-        assert!(check_response_version("[1,2,3]").is_ok());
+        // Not a JSON object: not this protocol either.
+        for garbage in ["not json at all", "[1,2,3]", ""] {
+            let err = check_response_version(garbage).expect_err("garbage");
+            assert!(matches!(
+                err,
+                SoiError::Protocol {
+                    kind: ProtoErrorKind::ProtocolMismatch,
+                    ..
+                }
+            ));
+        }
         // The control plane is stricter: only a version-correct ok counts.
         assert!(parse_ok_response(&encode_ok(1, "", 5)).is_some());
         let typed_error = encode_error(Some(1), &err);

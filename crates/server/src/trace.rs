@@ -426,6 +426,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn forced_slow_failpoint_logs_a_fast_request() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::install("server.request.slow=error").expect("arm");

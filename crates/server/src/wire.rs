@@ -80,9 +80,12 @@ fn read_line_capped<R: BufRead>(r: &mut R, max_line: usize) -> io::Result<LineRe
 }
 
 /// Writes one line and flushes it. Every response, relayed request and
-/// client request on a socket goes through here.
+/// client request on a socket goes through here. Line and newline leave
+/// in one `write`: split in two, the second waits in Nagle's buffer for
+/// the peer's delayed ACK of the first.
 pub(crate) fn write_line<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
-    writeln!(w, "{line}").and_then(|()| w.flush())
+    w.write_all(format!("{line}\n").as_bytes())
+        .and_then(|()| w.flush())
 }
 
 /// What [`serve_conn`] does after writing an answer.
@@ -226,6 +229,9 @@ impl Listener {
             let Ok(stream) = stream else {
                 continue;
             };
+            // One line is one exchange: nothing follows for Nagle to
+            // coalesce it with.
+            let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
                 open.push(clone);
             }
@@ -264,6 +270,7 @@ impl Conn {
         read_timeout: Option<Duration>,
     ) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         if read_timeout.is_some() {
             stream.set_read_timeout(read_timeout)?;
         }
@@ -282,6 +289,14 @@ impl Conn {
         }
         response.truncate(response.trim_end().len());
         Ok(response)
+    }
+
+    /// Sends `payload` whole, half-closes the write side, and returns
+    /// every line the peer answers until it closes the connection.
+    pub(crate) fn stream(mut self, payload: &[u8]) -> io::Result<Vec<String>> {
+        self.stream.write_all(payload)?;
+        self.stream.shutdown(Shutdown::Write)?;
+        self.reader.lines().collect()
     }
 }
 
@@ -304,5 +319,43 @@ mod tests {
             read_line_capped(&mut r, 64).expect("read"),
             LineRead::Eof { mid_line: false }
         ));
+    }
+
+    #[test]
+    fn write_line_is_one_write() {
+        /// Records every `write` call it receives.
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Calls(Vec::new());
+        write_line(&mut w, r#"{"v":1,"id":7}"#).expect("write");
+        assert_eq!(w.0, [b"{\"v\":1,\"id\":7}\n".to_vec()]);
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = Listener::bind(0).expect("bind");
+        let stop = Arc::clone(&listener.stop);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            listener.serve(
+                move |_reader, writer| {
+                    let _ = tx.send(writer.nodelay());
+                },
+                || {},
+            );
+        });
+        let conn = Conn::connect(stop.addr, None).expect("connect");
+        assert!(conn.stream.nodelay().expect("client option"));
+        assert!(rx.recv().expect("accepted").expect("server option"));
+        stop.request();
+        server.join().expect("listener thread");
     }
 }

@@ -532,6 +532,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn panicked_worker_answers_typed_and_is_respawned() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::install("server.worker.dispatch=panic@1").expect("arm");
@@ -555,6 +556,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn shutdown_joins_respawned_generations() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::install("server.worker.dispatch=panic@1").expect("arm");

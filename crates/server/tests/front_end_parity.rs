@@ -7,7 +7,8 @@
 //! * **the router's view of its replicas** — a peer that closes silently,
 //!   one that answers garbage and one that accepts and hangs are each
 //!   judged unhealthy by the health probe, and none of them can hold the
-//!   router's drain past the control-plane timeout.
+//!   router's drain past the control-plane timeout; a replica's garbage
+//!   answer to a relayed request is a failed exchange, never relayed.
 
 mod common;
 
@@ -136,16 +137,67 @@ impl Peer {
     }
 }
 
+/// Reads the request, answers something that is not this protocol.
+fn garbage_peer() -> Peer {
+    Peer::start(|stream| {
+        let mut line = String::new();
+        let _ = BufReader::new(&stream).read_line(&mut line);
+        let _ = (&stream).write_all(b"HTTP/1.1 400 Bad Request\r\n\r\n");
+    })
+}
+
+#[test]
+fn replica_garbage_is_a_failed_exchange_never_relayed() {
+    let request = r#"{"v":1,"id":41,"type":"typical-cascade","graph":"g","source":3}"#;
+    let daemon = FrontEnd::daemon(ServeConfig::default());
+    let garbage = garbage_peer();
+    let mismatches = soi_obs::counter("router.protocol_mismatches");
+    let before = mismatches.get();
+
+    // Beside a real replica: the router fails over and the client sees
+    // the daemon's own answer.
+    let mixed = FrontEnd::router(RouterConfig {
+        shards: vec![vec![
+            garbage.addr.clone(),
+            format!("127.0.0.1:{}", daemon.port),
+        ]],
+        backoff_ticks: 0,
+        ..RouterConfig::default()
+    });
+    let masked = |line: String| soi_obs::report::mask_wall_clock(&line);
+    assert_eq!(masked(mixed.send(request)), masked(daemon.send(request)));
+    assert!(mismatches.get() > before);
+    let stats = mixed.send(r#"{"v":1,"id":1,"type":"stats"}"#);
+    assert!(
+        stats.contains(&format!("\"addr\":\"{}\",\"healthy\":false", garbage.addr)),
+        "{stats}"
+    );
+
+    // Alone: the retries run out and the answer is the typed mismatch
+    // under the request's id, not the peer's bytes.
+    let alone = FrontEnd::router(RouterConfig {
+        shards: vec![vec![garbage.addr.clone()]],
+        backoff_ticks: 0,
+        ..RouterConfig::default()
+    });
+    let answer = alone.send(request);
+    assert!(
+        answer
+            .starts_with(r#"{"v":1,"id":41,"status":"error","error":{"kind":"protocol-mismatch""#),
+        "{answer}"
+    );
+
+    alone.stop();
+    mixed.stop();
+    garbage.stop();
+    daemon.stop();
+}
+
 #[test]
 fn silent_garbage_and_hung_peers_are_unhealthy_and_cannot_hold_the_drain() {
     // Closes without a byte.
     let silent = Peer::start(drop);
-    // Reads the request, answers something that is not this protocol.
-    let garbage = Peer::start(|stream| {
-        let mut line = String::new();
-        let _ = BufReader::new(&stream).read_line(&mut line);
-        let _ = (&stream).write_all(b"HTTP/1.1 400 Bad Request\r\n\r\n");
-    });
+    let garbage = garbage_peer();
     // Accepts (the kernel completes the handshake into the backlog) and
     // never answers: a stopped process with a listening socket.
     let hung = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -273,8 +273,15 @@ impl ReachSketches {
     /// would produce for `(pg, config)`, computable without building.
     /// `soi serve` keys its backend cache on this plus a backend tag.
     pub fn cache_key(pg: &ProbGraph, config: &SketchConfig) -> u64 {
+        Self::cache_key_for(pg.fingerprint(), config)
+    }
+
+    /// [`cache_key`](Self::cache_key) from an already computed
+    /// [`ProbGraph::fingerprint`], for callers that look the same graph
+    /// up repeatedly: the fingerprint is O(n + m), the rest O(1).
+    pub fn cache_key_for(graph_fingerprint: u64, config: &SketchConfig) -> u64 {
         let mut h = Mix64Hasher::new();
-        h.update_u64(pg.fingerprint());
+        h.update_u64(graph_fingerprint);
         h.update_u64(Self::config_fingerprint(config));
         h.finish()
     }

@@ -14,7 +14,10 @@
 //! single sanctioned network boundary, so algorithms, pipelines, and
 //! their tests stay runnable in a fully sandboxed environment. Applies
 //! to test code too: integration tests elsewhere must drive the daemon
-//! through the `soi` binary, not open sockets of their own.
+//! through the `soi` binary, not open sockets of their own. Inside
+//! `crates/server/src/`, `TcpStream::connect` is allowed in `wire.rs`
+//! only: `Conn::connect` there configures the socket (`TCP_NODELAY`), so
+//! a connection opened anywhere else is an unconfigured one.
 //!
 //! The manifest parser is a minimal line-oriented TOML reader covering
 //! the shapes used here: `[.*dependencies]` sections with inline
@@ -33,15 +36,21 @@ const ALLOWED_EXTERNAL: &[&str] = &[];
 /// daemon (`soi-server`) and its tests.
 const NET_ALLOWED_PREFIX: &str = "crates/server";
 
+/// Where the serving crate's product sources live, and the one file in
+/// there that may open a client socket.
+const SERVER_SRC_PREFIX: &str = "crates/server/src";
+const CONNECT_ALLOWED_FILE: &str = "crates/server/src/wire.rs";
+
 /// Socket-type identifiers flagged even when imported without a
 /// `std::net` path in sight (`use std::net::*` or re-exports).
 const NET_IDENTS: &[&str] = &["TcpListener", "TcpStream", "UdpSocket", "SocketAddr"];
 
 /// Runs the source half of the hermeticity pass over one Rust file:
-/// no network primitives outside the serving crate.
+/// no network primitives outside the serving crate, and inside it no
+/// client socket opened by hand.
 pub fn check_source(path: &Path, file: &SourceFile) -> Vec<Finding> {
     if path.starts_with(NET_ALLOWED_PREFIX) {
-        return Vec::new();
+        return check_connect(path, file);
     }
     let mut findings = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
@@ -65,6 +74,29 @@ pub fn check_source(path: &Path, file: &SourceFile) -> Vec<Finding> {
                     "`{what}` outside `{NET_ALLOWED_PREFIX}/`; networking is confined to \
                      the soi-server crate — talk to the daemon through the `soi` binary \
                      instead, or justify with `xtask-allow: hermeticity`"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// Inside the serving crate's sources, `TcpStream::connect` belongs to
+/// [`CONNECT_ALLOWED_FILE`] alone.
+fn check_connect(path: &Path, file: &SourceFile) -> Vec<Finding> {
+    if !path.starts_with(SERVER_SRC_PREFIX) || path == Path::new(CONNECT_ALLOWED_FILE) {
+        return Vec::new();
+    }
+    let mut findings = Vec::new();
+    for (idx, line) in file.lines.iter().enumerate() {
+        if line.code.contains("TcpStream::connect") && !line.allows(Pass::Hermeticity.name()) {
+            findings.push(Finding {
+                pass: Pass::Hermeticity,
+                path: path.to_path_buf(),
+                line: idx + 1,
+                message: format!(
+                    "`TcpStream::connect` outside `{CONNECT_ALLOWED_FILE}`; open client \
+                     sockets through `wire::Conn::connect`, which sets `TCP_NODELAY`"
                 ),
             });
         }
@@ -263,6 +295,18 @@ mod tests {
         let src = "use std::net::{TcpListener, TcpStream};\n";
         assert!(run_src("crates/server/src/daemon.rs", src).is_empty());
         assert!(run_src("crates/server/tests/robustness.rs", src).is_empty());
+    }
+
+    #[test]
+    fn server_sources_connect_through_wire_only() {
+        let src = "fn f() { let _ = std::net::TcpStream::connect(\"127.0.0.1:1\"); }\n";
+        let f = run_src("crates/server/src/client.rs", src);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("Conn::connect"), "{}", f[0].message);
+        assert_eq!(run_src("crates/server/src/router/mod.rs", src).len(), 1);
+        assert!(run_src("crates/server/src/wire.rs", src).is_empty());
+        // Scripted peers in the crate's integration tests dial directly.
+        assert!(run_src("crates/server/tests/front_end_parity.rs", src).is_empty());
     }
 
     #[test]

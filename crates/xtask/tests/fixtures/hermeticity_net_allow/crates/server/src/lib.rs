@@ -1,5 +1,7 @@
 //! Fixture: the serving crate is the sanctioned network boundary.
 
+pub mod wire;
+
 use std::net::TcpListener;
 
 /// Binds an ephemeral loop-back listener.

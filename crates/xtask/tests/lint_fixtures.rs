@@ -83,6 +83,14 @@ fn hermeticity_flags_net_outside_server() {
 }
 
 #[test]
+fn hermeticity_flags_connect_outside_wire() {
+    assert_flags(
+        "hermeticity_connect",
+        "crates/server/src/lib.rs:8: [hermeticity]",
+    );
+}
+
+#[test]
 fn hermeticity_net_allowed_in_server_crate() {
     let out = run_lint(&fixtures_dir().join("hermeticity_net_allow"));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -208,6 +216,7 @@ fn each_bad_fixture_reports_exactly_one_finding() {
         "catch_unwind",
         "hermeticity",
         "hermeticity_net",
+        "hermeticity_connect",
         "hygiene_docs",
         "hygiene_tests",
         "observability",
