@@ -3,7 +3,8 @@
 //! index construction.
 
 use soi_bench::microbench::Bencher;
-use soi_graph::{gen, scc::Condensation, transitive, DiGraph};
+use soi_graph::{gen, scc::Condensation, transitive, DiGraph, ProbGraph};
+use soi_sampling::{world::world_rng, WorldSampler};
 use soi_util::rng::Xoshiro256pp;
 use std::hint::black_box;
 
@@ -41,6 +42,33 @@ fn bench_transitive_reduction() {
         let dag = Condensation::new(&world).dag;
         b.bench(format!("dag_comps_{}", dag.num_nodes()), || {
             transitive::transitive_reduction(black_box(&dag)).unwrap()
+        });
+    }
+    // The condensations the cascade index reduces, at the sizes the repo
+    // benchmark runs (`benchmark/src/spec.rs`: BA m = 5 under weighted
+    // cascade — near-forests of ~n singleton components) and the
+    // supercritical regime of the `-F` configs (one giant component with
+    // thousands of arcs in and out). One row is one world, the four
+    // worlds of `world_rng(42, 0..4)` taken in turn.
+    let ba = |n| {
+        let topology = gen::barabasi_albert(n, 5, true, &mut Xoshiro256pp::seed_from_u64(1));
+        ProbGraph::weighted_cascade(topology)
+    };
+    let gnm = ProbGraph::fixed(graph_with(100_000, 5, 1), 0.3).unwrap();
+    let inputs = [
+        ("wc_ba_20000", ba(20_000)),
+        ("wc_ba_100000", ba(100_000)),
+        ("gnm_100000_p030", gnm),
+    ];
+    for (id, pg) in inputs {
+        let mut sampler = WorldSampler::new();
+        let dags: Vec<DiGraph> = (0..4)
+            .map(|i| Condensation::new(&sampler.sample(&pg, &mut world_rng(42, i))).dag)
+            .collect();
+        let mut turn = (0..4).cycle();
+        b.bench(id, || {
+            let dag = &dags[turn.next().unwrap_or(0)];
+            transitive::transitive_reduction(black_box(dag)).unwrap()
         });
     }
 }

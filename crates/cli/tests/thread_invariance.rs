@@ -1,0 +1,63 @@
+//! Thread-count invariance through the real binary (ROADMAP 8b): every
+//! parallel phase fills position-indexed slots from per-unit seeds, and
+//! the pool's workers *claim* chunks, so which worker computed a slot
+//! varies from run to run while the output may not. Each heavy command's
+//! stdout (and the `spheres --out` file) must be byte-identical at
+//! `--threads 1`, `2` and `8` — under one worker, two, and more workers
+//! than this graph has chunks per worker.
+
+mod common;
+
+use common::{fresh_dir, generate, soi, stdout_str};
+
+/// Stdout of `soi ARGS --threads T`, followed by the `--out` file when
+/// the command writes one.
+fn output_at(args: &[&str], out_file: Option<&str>, threads: &str) -> String {
+    let mut command = soi();
+    command.args(args).args(["--threads", threads]);
+    if let Some(path) = out_file {
+        command.args(["--out", path]);
+    }
+    let mut text = stdout_str(&command.output().expect("spawn soi"));
+    if let Some(path) = out_file {
+        text.push_str(&std::fs::read_to_string(path).expect("spheres output"));
+    }
+    text
+}
+
+#[test]
+fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
+    let dir = fresh_dir("threads");
+    // 333 nodes: not a multiple of any chunk length in play.
+    let graph = generate(
+        &dir,
+        "g.tsv",
+        &[
+            "--model", "ba", "--nodes", "333", "--m", "4", "--prob", "wc", "--seed", "42",
+        ],
+    );
+    let spheres_out = dir.join("spheres.tsv").to_string_lossy().into_owned();
+    let commands = [
+        ("infmax --k 5 --method tc --samples 48 --seed 9", None),
+        (
+            "infmax --k 5 --backend sketch --sketch-k 16 --samples 48 --seed 9",
+            None,
+        ),
+        ("spheres --samples 48 --seed 7", Some(spheres_out.as_str())),
+        ("infmax --k 3 --method greedy --samples 24 --seed 9", None),
+    ];
+    for (line, out_file) in commands {
+        let mut args: Vec<&str> = line.split(' ').collect();
+        args.insert(1, &graph);
+        let args = &args[..];
+        let serial = output_at(args, out_file, "1");
+        assert!(!serial.is_empty(), "{args:?} printed nothing");
+        for threads in ["2", "8"] {
+            assert_eq!(
+                output_at(args, out_file, threads),
+                serial,
+                "{args:?} differs at --threads {threads}"
+            );
+        }
+    }
+}

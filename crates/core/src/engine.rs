@@ -1,7 +1,7 @@
 //! The typical-cascade solver (§3–§4, Algorithm 2).
 
 use soi_graph::{NodeId, ProbGraph};
-use soi_index::CascadeIndex;
+use soi_index::{CascadeIndex, IndexQuery};
 use soi_jaccard::median::{jaccard_median_with, MedianConfig};
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
@@ -361,17 +361,17 @@ fn solve_blocks<E>(
     let threads = soi_util::pool::effective_threads(threads, n);
     results.reserve(n.saturating_sub(results.len()));
 
-    let solve = |v: NodeId| {
+    let solve = |query: &mut IndexQuery, v: NodeId| {
         // Per-node phase breakdown — the Figure 4 quantity: index lookup
         // vs median fit, aggregated in the span table.
         soi_obs::counter_add!("engine.nodes_solved", 1);
         let samples = {
             let _s = soi_obs::span("engine.index_lookup");
-            index.cascades_of(v)
+            index.cascades_with(v, query)
         };
         let fit = {
             let _s = soi_obs::span("engine.median_fit");
-            jaccard_median_with(&samples, median)
+            jaccard_median_with(samples, median)
         };
         soi_obs::hist_observe!("engine.sphere_size", SPHERE_SIZE_BUCKETS, fit.median.len());
         NodeTypicalCascade {
@@ -384,8 +384,10 @@ fn solve_blocks<E>(
     let done = run.blocks(n, results.len(), run.every, |lo, hi| {
         before_block()?;
         let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
-        soi_util::pool::for_each_indexed(&mut block, threads, |j, slot| {
-            *slot = Some(solve((lo + j) as NodeId));
+        // One extraction scratch per worker, kept across its chunks.
+        let scratch = || index.query();
+        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |query, j, slot| {
+            *slot = Some(solve(query, (lo + j) as NodeId));
         });
         // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
         results.extend(block.into_iter().map(|r| r.expect("filled")));

@@ -334,4 +334,34 @@ mod tests {
     fn empty_stream_fails_cleanly() {
         assert!(matches!(load_index(&b""[..]), Err(LoadError::Io(_))));
     }
+
+    /// The transitive reduction of a DAG is unique, so however the kernel
+    /// finds it the stored index is the same bytes: length, content hash
+    /// and [`CascadeIndex::fingerprint`] below were recorded at commit
+    /// e817c42 (bitset-closure reduction) — checkpoints and caches keyed
+    /// on them stay valid across kernels.
+    #[test]
+    fn serialised_bytes_and_fingerprint_are_pinned() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(600, 5, true, &mut rng));
+        let supercritical = ProbGraph::fixed(gen::gnm(600, 3000, &mut rng), 0.3).unwrap();
+        let got = [&wc, &supercritical].map(|pg| {
+            let config = IndexConfig {
+                num_worlds: 16,
+                seed: 29,
+                threads: 2,
+                ..IndexConfig::default()
+            };
+            let index = CascadeIndex::build(pg, config);
+            let mut buf = Vec::new();
+            save_index(&index, &mut buf).unwrap();
+            let bytes = soi_util::hash::hash_bytes(&buf);
+            (buf.len(), bytes, index.fingerprint())
+        });
+        let pinned = [
+            (0x3f239, 0x3e26_7a25_5d5f_5e47, 0xa731_8c4c_7e3d_6853),
+            (0x32519, 0xf489_248b_edb6_bc00, 0x4745_6411_1710_acbb),
+        ];
+        assert_eq!(got, pinned, "got {got:#x?}");
+    }
 }

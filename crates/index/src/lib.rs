@@ -163,8 +163,8 @@ impl CascadeIndex {
         let mut built: Vec<(WorldIndex, Vec<u32>)> = Vec::with_capacity(ell);
         let Ok(done) = run.blocks(ell, 0, run.every, |lo, hi| {
             let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = (lo..hi).map(|_| None).collect();
-            // Contiguous world-id chunks per worker, one sampler
-            // allocation per worker.
+            // Workers claim chunks of world ids (`soi_util::pool`); each
+            // keeps one sampler allocation for all the chunks it claims.
             soi_util::pool::for_each_indexed_with(
                 &mut slots,
                 config.threads,
@@ -173,8 +173,8 @@ impl CascadeIndex {
                     *slot = Some(build_world(pg, &config, lo + j, sampler));
                 },
             );
-            // Chunked scoped threads fill every slot before the scope
-            // joins. xtask-allow: panic_policy
+            // The pool fills every slot before its scope joins.
+            // xtask-allow: panic_policy
             built.extend(slots.into_iter().map(|slot| slot.expect("world built")));
             Ok::<(), Infallible>(())
         });
@@ -345,6 +345,8 @@ impl CascadeIndex {
         IndexQuery {
             reach: Reachability::new(self.max_comps),
             comps: Vec::new(),
+            seed_comps: Vec::new(),
+            sets: Vec::new(),
         }
     }
 
@@ -364,9 +366,10 @@ impl CascadeIndex {
         out: &mut Vec<NodeId>,
     ) {
         let w = &self.worlds[i];
-        q.comps.clear();
-        let seed_comps: Vec<u32> = seeds.iter().map(|&s| self.comp_of(s, i)).collect();
-        q.reach.multi_source(&w.dag, &seed_comps, &mut q.comps);
+        q.seed_comps.clear();
+        q.seed_comps
+            .extend(seeds.iter().map(|&s| self.comp_of(s, i)));
+        q.reach.multi_source(&w.dag, &q.seed_comps, &mut q.comps);
         out.clear();
         for &c in &q.comps {
             out.extend_from_slice(w.members_of(c));
@@ -383,17 +386,25 @@ impl CascadeIndex {
 
     /// All ℓ cascades of `v` as canonical sorted sets — the input shape
     /// the Jaccard-median machinery expects (Algorithm 2's inner loop).
+    /// One-shot form of [`cascades_with`](Self::cascades_with).
     pub fn cascades_of(&self, v: NodeId) -> Vec<Vec<NodeId>> {
         let mut q = self.query();
-        let mut out = Vec::new();
-        (0..self.num_worlds())
-            .map(|i| {
-                self.cascade(v, i, &mut q, &mut out);
-                let mut set = out.clone();
-                set.sort_unstable();
-                set
-            })
-            .collect()
+        self.cascades_with(v, &mut q);
+        q.sets
+    }
+
+    /// [`cascades_of`](Self::cascades_of) into `q`'s own ℓ buffers, valid
+    /// until `q` is used again: a worker that solves node after node
+    /// allocates and zeroes nothing per node.
+    pub fn cascades_with<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [Vec<NodeId>] {
+        let mut sets = std::mem::take(&mut q.sets);
+        sets.resize_with(self.num_worlds(), Vec::new);
+        for (i, set) in sets.iter_mut().enumerate() {
+            self.cascade(v, i, q, set);
+            set.sort_unstable();
+        }
+        q.sets = sets;
+        &q.sets
     }
 
     /// Approximate heap footprint in bytes (matrix + world structures):
@@ -436,6 +447,10 @@ impl CascadeIndex {
 pub struct IndexQuery {
     reach: Reachability,
     comps: Vec<u32>,
+    /// The seeds' components in the world being queried.
+    seed_comps: Vec<u32>,
+    /// The ℓ cascades of the last [`CascadeIndex::cascades_with`] node.
+    sets: Vec<Vec<NodeId>>,
 }
 
 /// Worlds per deadline check in [`CascadeIndex::build_budgeted`]. A fixed

@@ -1,10 +1,8 @@
-//! Worker-count resolution and chunked scoped fan-out.
+//! Worker-count resolution and chunk-claiming scoped fan-out.
 //!
-//! Every parallel pipeline in the workspace used to hand-roll the same
-//! snippet: read `std::thread::available_parallelism`, substitute a
-//! requested override, clamp to the work size, then fan a mutable slice
-//! out over contiguous chunks with `std::thread::scope`. This module is
-//! that snippet, written once:
+//! Every parallel pipeline in the workspace fills a slice of independent
+//! slots; this module is the one place that decides how many workers do
+//! it and which worker does which slots:
 //!
 //! * [`effective_threads`] resolves a worker count from (in priority
 //!   order) the caller's explicit request, the process-global override
@@ -12,16 +10,21 @@
 //!   `SOI_THREADS` environment variable, and finally the hardware
 //!   parallelism — always clamped to `[1, work_items]`.
 //! * [`for_each_indexed`] / [`for_each_indexed_with`] fill a slice of
-//!   slots in parallel, one contiguous chunk per worker. Slot `i` is
-//!   computed by `f(i, &mut slots[i])` exactly once, and the scope joins
-//!   before returning, so results are position-deterministic regardless
-//!   of the worker count.
+//!   slots in parallel. The slice is cut into [`CHUNKS_PER_WORKER`]
+//!   contiguous chunks per worker; worker `t` starts on chunk `t` and then
+//!   claims the next unclaimed one, so a worker whose slots were cheap
+//!   takes work over from one whose slots were dear (on a BA graph the low
+//!   node ids are the heavy ones). The claim order decides only *which*
+//!   worker fills a slot: slot `i` is computed by `f(i, &mut slots[i])`
+//!   exactly once and the scope joins before returning, so results are
+//!   position-deterministic regardless of worker count and schedule.
 //!
 //! Thread-count resolution never affects *what* is computed — workspace
 //! pipelines derive per-unit seeds from `(seed, unit-id)` — only how the
 //! units are distributed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Process-global default worker count; 0 means "not set".
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -83,9 +86,13 @@ fn parse_threads(raw: &str) -> Option<usize> {
     }
 }
 
+/// Chunks per worker: the last one claimed is ~3 % of a worker's share,
+/// and a claim (one uncontended lock) stays invisible next to its chunk.
+pub const CHUNKS_PER_WORKER: usize = 32;
+
 /// Fills `slots` by calling `f(i, &mut slots[i])` for every index, fanned
 /// out over [`effective_threads`]`(requested, slots.len())` scoped
-/// workers in contiguous chunks. Runs inline when one worker suffices.
+/// workers claiming contiguous chunks. Inline when one worker suffices.
 pub fn for_each_indexed<T, F>(slots: &mut [T], requested: usize, f: F)
 where
     T: Send,
@@ -95,8 +102,9 @@ where
 }
 
 /// [`for_each_indexed`] with per-worker scratch state: each worker calls
-/// `init()` once and threads the state through its chunk — the pattern
-/// index builds use to reuse a sampler allocation across worlds.
+/// `init()` once and threads the state through every chunk it claims —
+/// the pattern index builds use to reuse a sampler allocation across
+/// worlds. With no more slots than workers, slot `t` runs on worker `t`.
 pub fn for_each_indexed_with<T, S, I, F>(slots: &mut [T], requested: usize, init: I, f: F)
 where
     T: Send,
@@ -107,7 +115,7 @@ where
 
     let n = slots.len();
     let threads = effective_threads(requested, n);
-    // Timing is per-dispatch and per-chunk only — never per-item — so
+    // Timing is per-dispatch and per-worker only — never per-item — so
     // the plane's cost stays bounded by the obs_overhead_* guard.
     let timed = perthread::enabled();
     if threads <= 1 || n <= 1 {
@@ -126,26 +134,40 @@ where
         }
         return;
     }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    let init = &init;
+    // `threads ≤ n`, so there are at least `threads` chunks: every worker
+    // is handed its first one, the rest sit behind the shared cursor.
+    let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER);
+    let mut chunks = slots.chunks_mut(chunk).enumerate();
+    let first: Vec<_> = chunks.by_ref().take(threads).collect();
+    let unclaimed = Mutex::new(chunks);
+    let (f, init, unclaimed) = (&f, &init, &unclaimed);
     let start = timed.then(std::time::Instant::now);
     std::thread::scope(|scope| {
-        for (t, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
+        for (t, first) in first.into_iter().enumerate() {
             scope.spawn(move || {
                 let _reg = perthread::register(t);
                 let worker_start = timed.then(std::time::Instant::now);
-                let len = chunk_slots.len() as u64;
+                let mut items = 0u64;
                 let mut state = init();
-                for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                    f(&mut state, t * chunk + j, slot);
+                let mut claimed = Some(first);
+                while let Some((c, chunk_slots)) = claimed {
+                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
+                        f(&mut state, c * chunk + j, slot);
+                    }
+                    items += chunk_slots.len() as u64;
+                    // The guard is a temporary: locked for one `next()`,
+                    // never while `f` runs, so `f` cannot poison it.
+                    claimed = unclaimed
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .next();
                 }
                 if let Some(worker_start) = worker_start {
                     let ns = perthread::clamp_ns(worker_start.elapsed().as_nanos());
-                    // One chunk per worker: the whole lifetime is busy.
+                    // A claim is one `next()`: the whole lifetime is busy.
                     perthread::record_busy(ns);
                     perthread::record_lifetime(ns);
-                    perthread::record_items(len);
+                    perthread::record_items(items);
                 }
             });
         }
@@ -247,26 +269,93 @@ mod tests {
     }
 
     #[test]
-    fn results_are_position_deterministic_under_oversubscription() {
-        let _g = lock();
-        set_default_threads(0);
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let mut serial = vec![0u64; 53];
-        for_each_indexed(&mut serial, 1, |i, slot| *slot = (i as u64) * 3 + 1);
-        let mut wide = vec![0u64; 53];
-        for_each_indexed(&mut wide, cores * 4, |i, slot| *slot = (i as u64) * 3 + 1);
-        assert_eq!(serial, wide, "worker count leaked into slot contents");
-    }
-
-    #[test]
     fn for_each_indexed_fills_every_slot_once() {
         let _g = lock();
         set_default_threads(0);
-        for threads in [1, 2, 3, 8] {
-            let mut slots = vec![0usize; 37];
-            for_each_indexed(&mut slots, threads, |i, slot| *slot = i * 2);
-            let expect: Vec<usize> = (0..37).map(|i| i * 2).collect();
-            assert_eq!(slots, expect, "threads={threads}");
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // Lengths on both sides of `threads` and of `threads × 32`, none a
+        // multiple of the chunk length; worker counts up to oversubscribed.
+        for n in [2usize, 3, 37, 65, 257, 1001] {
+            let expect: Vec<usize> = (0..n).map(|i| i * 2 + 1).collect();
+            for threads in [1, 2, 3, 8, cores * 4] {
+                let mut slots = vec![0usize; n];
+                for_each_indexed(&mut slots, threads, |i, slot| *slot += i * 2 + 1);
+                assert_eq!(slots, expect, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    /// The first slot waits until every slot outside its chunk is filled,
+    /// so the fan-out can only finish if the other worker goes on claiming
+    /// chunks past its own first one (a pre-assigned half per worker would
+    /// leave the rest of worker 0's half unfilled forever).
+    #[test]
+    fn a_stalled_worker_leaves_its_unclaimed_chunks_to_the_others() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{Condvar, Mutex};
+        let _g = lock();
+        set_default_threads(0);
+        let (n, threads) = (640usize, 2usize);
+        let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER);
+        let filled_elsewhere = (Mutex::new(0usize), Condvar::new());
+        let inits = AtomicUsize::new(0);
+        // (worker, chunk) pairs seen by `f`.
+        let claims = Mutex::new(std::collections::BTreeSet::new());
+        let mut slots = vec![0usize; n];
+        for_each_indexed_with(
+            &mut slots,
+            threads,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |worker, i, slot| {
+                claims.lock().unwrap().insert((*worker, i / chunk));
+                let (count, changed) = &filled_elsewhere;
+                if i == 0 {
+                    let mut count = count.lock().unwrap();
+                    while *count < n - chunk {
+                        count = changed.wait(count).unwrap();
+                    }
+                } else if i >= chunk {
+                    *count.lock().unwrap() += 1;
+                    changed.notify_all();
+                }
+                *slot += i + 1;
+            },
+        );
+        assert!(slots.iter().enumerate().all(|(i, &v)| v == i + 1));
+        assert!(
+            inits.load(Ordering::Relaxed) <= threads,
+            "one init per worker"
+        );
+        let claims = claims.into_inner().unwrap();
+        assert_eq!(claims.len(), n / chunk, "a chunk runs on one worker");
+        let stalled = claims.iter().find(|&&(_, c)| c == 0).unwrap().0;
+        let by_stalled = claims.iter().filter(|&&(w, _)| w == stalled).count();
+        assert_eq!(
+            by_stalled, 1,
+            "the stalled worker claimed only its first chunk"
+        );
+        assert!(
+            claims.len() - by_stalled > threads,
+            "chunks were claimed, not dealt"
+        );
+    }
+
+    /// `benchmark/src/load.rs` runs one closed-loop client per slot for
+    /// the whole measurement window, so the clients load the fabric
+    /// together only if, with no more slots than workers, every slot is
+    /// on a worker of its own — forced here by a barrier inside `f`.
+    #[test]
+    fn slots_up_to_the_worker_count_run_concurrently() {
+        let _g = lock();
+        set_default_threads(0);
+        for n in [2usize, 3] {
+            let barrier = std::sync::Barrier::new(n);
+            let mut slots = vec![0usize; n];
+            for_each_indexed(&mut slots, 8, |i, slot| {
+                barrier.wait();
+                *slot = i + 1;
+            });
+            assert_eq!(slots, (1..=n).collect::<Vec<_>>());
         }
     }
 
