@@ -31,24 +31,6 @@ fn bench_build() {
     }
 }
 
-fn bench_build_parallel() {
-    let pg = pg(3);
-    let b = Bencher::group("index_build_threads").sample_size(10);
-    for &threads in &[1usize, 4] {
-        b.bench(threads, || {
-            CascadeIndex::build(
-                black_box(&pg),
-                IndexConfig {
-                    num_worlds: 64,
-                    seed: 4,
-                    transitive_reduction: true,
-                    threads,
-                },
-            )
-        });
-    }
-}
-
 fn bench_query() {
     let pg = pg(5);
     let index = CascadeIndex::build(
@@ -69,7 +51,6 @@ fn bench_query() {
 
 fn main() {
     bench_build();
-    bench_build_parallel();
     bench_query();
     soi_bench::microbench::write_summary();
 }

@@ -42,18 +42,7 @@ fn bench_infmax() {
     b.bench("ris_5000_rr", || infmax_ris(black_box(&pg), 10, 5_000, 3));
 }
 
-fn bench_all_typical_cascades() {
-    let (_pg, index, _cascades) = setup();
-    let b = Bencher::group("all_typical_cascades_1000_nodes").sample_size(10);
-    for &threads in &[1usize, 4] {
-        b.bench(format!("threads_{threads}"), || {
-            all_typical_cascades(black_box(&index), &MedianConfig::default(), threads)
-        });
-    }
-}
-
 fn main() {
     bench_infmax();
-    bench_all_typical_cascades();
     soi_bench::microbench::write_summary();
 }

@@ -1,14 +1,12 @@
 //! Micro-benchmarks for the bottom-k sketch backend (`soi-sketch`) at
 //! serving scale: a 10⁵-node graph, measuring the three phases the
-//! backend adds — sketch build (with its t1→t8 thread-scaling curve),
+//! backend adds — sketch build,
 //! spread estimation, and SKIM-style seed selection — against the
 //! existing RIS and index-backed TC-cover selection paths.
 //!
 //! Entries land in `BENCH_summary.json` as `sketch_*` rows:
 //!
-//! * `sketch_build_1e5/t{n}` — `ReachSketches::build` at 1/2/4/8
-//!   threads (byte-identical output per the block-deterministic build,
-//!   so the curve measures distribution overhead only);
+//! * `sketch_build_1e5/t1` — `ReachSketches::build` on one thread;
 //! * `sketch_estimate_1e5/*` — one `set_spread` lookup vs the
 //!   Monte-Carlo estimator answering the same question;
 //! * `sketch_vs_baselines_1e5_k10/*` — seed selection through the
@@ -46,11 +44,7 @@ fn config(threads: usize) -> SketchConfig {
 
 fn bench_build(pg: &ProbGraph) {
     let b = Bencher::group("sketch_build_1e5").sample_size(3);
-    for threads in [1usize, 2, 4, 8] {
-        b.bench(format!("t{threads}"), || {
-            ReachSketches::build(black_box(pg), config(threads))
-        });
-    }
+    b.bench("t1", || ReachSketches::build(black_box(pg), config(1)));
 }
 
 fn bench_estimate(pg: &ProbGraph, sk: &ReachSketches) {

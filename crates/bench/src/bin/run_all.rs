@@ -1,6 +1,6 @@
 //! Runs the full experiment suite — every table and figure of §6 — and
 //! writes one TSV per experiment under `--out` (default
-//! `target/experiments/`). See the `soi-bench` crate docs for flags.
+//! `target/experiments/`), or only those named. See the `soi-bench` docs.
 //!
 //! The default scale/sample settings finish on a laptop; pass
 //! `--samples 1000 --scale 1` for the paper's sampling budget (slower).
@@ -14,27 +14,14 @@ fn main() {
     let dir = Path::new(&args.out);
     std::fs::create_dir_all(dir).expect("create output dir");
 
-    type Runner = fn(&soi_bench::Args, BufWriter<File>) -> std::io::Result<()>;
-    let suite: [(&str, Runner); 8] = [
-        ("table1.tsv", |a, w| soi_bench::experiments::table1(a, w)),
-        ("figure3.tsv", |a, w| soi_bench::experiments::figure3(a, w)),
-        ("table2.tsv", |a, w| soi_bench::experiments::table2(a, w)),
-        ("figure4.tsv", |a, w| soi_bench::experiments::figure4(a, w)),
-        ("figure5.tsv", |a, w| soi_bench::experiments::figure5(a, w)),
-        ("figure6.tsv", |a, w| soi_bench::experiments::figure6(a, w)),
-        ("figure7.tsv", |a, w| soi_bench::experiments::figure7(a, w)),
-        ("figure8.tsv", |a, w| soi_bench::experiments::figure8(a, w)),
-    ];
-
-    for (file, runner) in suite {
-        let path = dir.join(file);
+    for (name, runner) in &args.experiments {
+        let path = dir.join(format!("{name}.tsv"));
         eprintln!("=== {} ===", path.display());
         let t = soi_util::Timer::start();
-        let out = BufWriter::new(File::create(&path).expect("create output file"));
-        runner(&args, out).expect("experiment failed");
+        let mut out = BufWriter::new(File::create(&path).expect("create output file"));
+        runner(&args, &mut out).expect("experiment failed");
         eprintln!(
-            "=== {} done in {} ===",
-            file,
+            "=== {name}.tsv done in {} ===",
             soi_util::timer::format_duration(t.elapsed())
         );
     }

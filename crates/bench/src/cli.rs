@@ -1,7 +1,28 @@
-//! Minimal flag parsing shared by every experiment binary.
+//! Flag and experiment-name parsing for `run_all`, and its name table.
 //!
 //! No external CLI dependency: the flags are few and uniform
 //! (`--scale`, `--samples`, `--seed`, `--k`, `--out`, `--dataset`).
+
+use crate::{experiments as ex, extensions as ext};
+use std::io::Write;
+
+/// An experiment: writes its TSV rows to the sink.
+pub type Runner = fn(&Args, &mut dyn Write) -> std::io::Result<()>;
+
+/// Every experiment by name; `run_all` with no name runs the first eight (§6).
+pub const EXPERIMENTS: [(&str, Runner); 11] = [
+    ("table1", |a, w| ex::table1(a, w)),
+    ("figure3", |a, w| ex::figure3(a, w)),
+    ("table2", |a, w| ex::table2(a, w)),
+    ("figure4", |a, w| ex::figure4(a, w)),
+    ("figure5", |a, w| ex::figure5(a, w)),
+    ("figure6", |a, w| ex::figure6(a, w)),
+    ("figure7", |a, w| ex::figure7(a, w)),
+    ("figure8", |a, w| ex::figure8(a, w)),
+    ("ext_learners", |a, w| ext::table_learners(a, w)),
+    ("ext_lt", |a, w| ext::figure_lt(a, w)),
+    ("ext_baselines", |a, w| ext::figure_baselines(a, w)),
+];
 
 /// Parsed common flags.
 #[derive(Clone, Debug)]
@@ -19,6 +40,8 @@ pub struct Args {
     pub dataset: Option<String>,
     /// Output directory for `run_all` (default `target/experiments`).
     pub out: String,
+    /// What `run_all` runs: the rows named positionally, else the first eight.
+    pub experiments: Vec<(&'static str, Runner)>,
 }
 
 impl Default for Args {
@@ -30,6 +53,7 @@ impl Default for Args {
             k: 200,
             dataset: None,
             out: "target/experiments".to_string(),
+            experiments: Vec::new(),
         }
     }
 }
@@ -42,7 +66,7 @@ impl Args {
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!(
-                    "usage: <bin> [--scale F] [--samples N] [--seed N] [--k N] \
+                    "usage: run_all [NAME...] [--scale F] [--samples N] [--seed N] [--k N] \
                      [--dataset SUBSTR] [--out DIR]"
                 );
                 std::process::exit(2);
@@ -86,8 +110,18 @@ impl Args {
                 }
                 "--dataset" => out.dataset = Some(value("--dataset")?),
                 "--out" => out.out = value("--out")?,
+                name if !name.starts_with("--") => {
+                    let row = EXPERIMENTS.iter().find(|e| e.0 == name).ok_or_else(|| {
+                        let valid = EXPERIMENTS.map(|e| e.0).join(" ");
+                        format!("unknown experiment {name:?}; valid: {valid}")
+                    })?;
+                    out.experiments.push(*row);
+                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
+        }
+        if out.experiments.is_empty() {
+            out.experiments = EXPERIMENTS[..8].to_vec();
         }
         Ok(out)
     }
@@ -127,6 +161,18 @@ mod tests {
         assert!(a.selects("digg-syn-S"));
         assert!(!a.selects("twitter-syn-S"));
         assert_eq!(a.out, "/tmp/x");
+    }
+
+    #[test]
+    fn names_select_experiments() {
+        let names = EXPERIMENTS.map(|e| e.0);
+        assert!((0..11).all(|i| !names[..i].contains(&names[i])), "once");
+        let run = |s| parse(s).unwrap().experiments.into_iter().map(|e| e.0);
+        assert!(run("--k 5").eq(names[..8].iter().copied()), "the §6 suite");
+        assert!(run("table2 --k 5 ext_lt").eq(["table2", "ext_lt"]));
+        let err = parse("table2 figure9").unwrap_err();
+        assert!(err.contains("figure9"), "{err}");
+        assert!(names.iter().all(|n| err.contains(n)), "{err}");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! # soi-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's §6,
-//! plus dependency-free micro-benchmarks (see [`microbench`]).
+//! The experiment harness: one binary, `run_all`, that runs the paper's
+//! §6 tables and figures by name, plus dependency-free micro-benchmarks
+//! (see [`microbench`]).
 //!
-//! Binaries (`cargo run --release -p soi-bench --bin <name>`):
+//! `cargo run --release -p soi-bench --bin run_all -- [NAME...]` writes
+//! `<--out>/NAME.tsv` per experiment; no name runs the eight of §6.
 //!
-//! | binary | reproduces | output |
+//! | name | reproduces | output |
 //! |---|---|---|
-//! | `table1`  | Table 1 — dataset characteristics | TSV to stdout |
+//! | `table1`  | Table 1 — dataset characteristics | TSV |
 //! | `figure3` | Figure 3 — CDFs of edge probabilities | TSV |
 //! | `table2`  | Table 2 — typical-cascade size stats | TSV |
 //! | `figure4` | Figure 4 — per-node computation-time distributions | TSV |
@@ -15,14 +17,13 @@
 //! | `figure6` | Figure 6 — spread: InfMax_std vs InfMax_TC, k = 1..200 | TSV |
 //! | `figure7` | Figure 7 — marginal-gain-ratio saturation | TSV |
 //! | `figure8` | Figure 8 — seed-set stability | TSV |
-//! | `run_all` | everything above | TSVs under `target/experiments/` |
+//! | `ext_learners`, `ext_lt`, `ext_baselines` | beyond the paper ([`extensions`]) | TSV |
 //!
-//! Every binary accepts `--scale <f>` (dataset size multiplier, default
+//! Flags: `--scale <f>` (dataset size multiplier, default
 //! 1.0), `--samples <n>` (worlds/cascades, default 256; the paper uses
 //! 1000), `--seed <n>`, and `--k <n>` where applicable. Determinism: same
 //! flags, same output.
 
-pub mod attribution;
 pub mod cli;
 pub mod experiments;
 pub mod extensions;
@@ -30,13 +31,3 @@ pub mod microbench;
 pub mod overhead;
 
 pub use cli::Args;
-
-/// Serializes tests that touch the process-global `soi_obs` state (the
-/// per-thread plane and its enabled flag): [`attribution`] resets it,
-/// [`overhead`] toggles it, and the two must not interleave.
-#[cfg(test)]
-pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -39,11 +39,24 @@ pub struct BenchRecord {
     pub min_ns: u128,
     /// Number of timed iterations.
     pub iters: usize,
-    /// Additional named numeric series attached after the timed run —
-    /// e.g. the per-thread attribution terms the scaling benches record
-    /// (`wall_busy_ns`, `wall_idle_ns`, `busy_ppm`, …). Serialized as
-    /// extra JSON fields on the record's summary line.
-    pub extra: Vec<(String, u128)>,
+    /// Extra JSON fields of the summary line, each value a token as
+    /// written: the producing host, then anything [`attach_extra`] added.
+    pub extra: Vec<(String, String)>,
+}
+
+/// The host a row came from (`rustc` / `commit` as `benchmark/run.sh`
+/// exports them), stamped per row because the file is merged across runs.
+fn host_extras() -> Vec<(String, String)> {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let env = |key: &str| {
+        let v = std::env::var(key).unwrap_or_else(|_| "unknown".into());
+        format!("\"{}\"", v.replace(['"', ',', ':', '\\'], " "))
+    };
+    vec![
+        ("nproc".into(), nproc.to_string()),
+        ("rustc".into(), env("SOI_BENCH_RUSTC")),
+        ("commit".into(), env("SOI_BENCH_COMMIT")),
+    ]
 }
 
 /// Results accumulated by every [`Bencher`] in this process.
@@ -111,15 +124,14 @@ impl Bencher {
             mean_ns: mean,
             min_ns: min,
             iters: self.sample_size,
-            extra: Vec::new(),
+            extra: host_extras(),
         });
     }
 }
 
 /// Attaches named numeric series to an already-recorded case (matched
-/// by `group/id` name); a repeated key replaces the earlier value. The
-/// scaling benches use this to land per-thread attribution next to the
-/// timing they explain. Unknown names are ignored.
+/// by `group/id` name); a repeated key replaces the earlier value.
+/// Unknown names are ignored.
 pub fn attach_extra(name: &str, entries: impl IntoIterator<Item = (String, u128)>) {
     let mut results = RESULTS
         .lock()
@@ -128,6 +140,7 @@ pub fn attach_extra(name: &str, entries: impl IntoIterator<Item = (String, u128)
         return;
     };
     for (key, value) in entries {
+        let value = value.to_string();
         match r.extra.iter_mut().find(|(k, _)| k == &key) {
             Some(slot) => slot.1 = value,
             None => r.extra.push((key, value)),
@@ -142,8 +155,7 @@ fn percentile(sorted_ns: &[u128], pct: usize) -> u128 {
 }
 
 /// Serializes one record as a single JSON object line. The fixed timing
-/// fields come first; any attached extras follow as additional numeric
-/// fields.
+/// fields come first; the extras follow as additional fields.
 fn render_record(r: &BenchRecord) -> String {
     let mut line = format!(
         "{{\"name\":\"{}\",\"median_ns\":{},\"p90_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"iters\":{}",
@@ -159,7 +171,7 @@ fn render_record(r: &BenchRecord) -> String {
 /// Parses a line previously emitted by [`render_record`]. Bench names
 /// and extra keys never contain quotes, escapes, commas, or colons, so
 /// plain field splitting suffices; fields beyond the fixed timing set
-/// land in `extra` (preserving order).
+/// land in `extra` (preserving order) as written.
 fn parse_record(line: &str) -> Option<BenchRecord> {
     let body = line
         .trim()
@@ -167,19 +179,19 @@ fn parse_record(line: &str) -> Option<BenchRecord> {
         .strip_prefix('{')?
         .strip_suffix('}')?;
     let mut name = None;
-    let mut fields: Vec<(String, u128)> = Vec::new();
+    let mut fields: Vec<(String, String)> = Vec::new();
     for part in body.split(',') {
         let (key, value) = part.split_once(':')?;
         let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
         if key == "name" {
             name = Some(value.strip_prefix('"')?.strip_suffix('"')?.to_string());
         } else {
-            fields.push((key.to_string(), value.parse().ok()?));
+            fields.push((key.to_string(), value.to_string()));
         }
     }
     let mut take = |key: &str| -> Option<u128> {
         let at = fields.iter().position(|(k, _)| k == key)?;
-        Some(fields.remove(at).1)
+        fields.remove(at).1.parse().ok()
     };
     Some(BenchRecord {
         name: name?,
@@ -193,7 +205,8 @@ fn parse_record(line: &str) -> Option<BenchRecord> {
 }
 
 /// Merges this process's results into the JSON summary at `path`:
-/// existing entries with the same name are replaced, everything else is
+/// existing entries of a `group/` emitted here are dropped (a group is
+/// what its bench target last produced), everything else is
 /// kept, and the output is sorted by name.
 pub fn write_summary_to(path: &std::path::Path) -> std::io::Result<()> {
     let fresh = RESULTS
@@ -203,7 +216,8 @@ pub fn write_summary_to(path: &std::path::Path) -> std::io::Result<()> {
     let mut merged: Vec<BenchRecord> = std::fs::read_to_string(path)
         .map(|text| text.lines().filter_map(parse_record).collect())
         .unwrap_or_default();
-    merged.retain(|old| !fresh.iter().any(|r| r.name == old.name));
+    let groups: Vec<_> = fresh.iter().map(|r| r.name.split('/').next()).collect();
+    merged.retain(|old| !groups.contains(&old.name.split('/').next()));
     merged.extend(fresh);
     merged.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -279,16 +293,16 @@ mod tests {
     #[test]
     fn extras_render_parse_and_attach_by_name() {
         let r = BenchRecord {
-            name: "scaling_x/t4".into(),
+            name: "extras_x/case".into(),
             median_ns: 9,
             p90_ns: 9,
             mean_ns: 9,
             min_ns: 9,
             iters: 5,
-            extra: vec![("wall_busy_ns".into(), 400), ("busy_ppm".into(), 250_000)],
+            extra: vec![("rustc".into(), "\"r 1\"".into())],
         };
         let line = render_record(&r);
-        assert!(line.contains("\"wall_busy_ns\":400"), "{line}");
+        assert!(line.contains("\"iters\":5,\"rustc\":\"r 1\"}"), "{line}");
         assert_eq!(parse_record(&line), Some(r));
 
         // Trailing comma (every line but the file's last) still parses.
@@ -308,7 +322,9 @@ mod tests {
             .iter()
             .find(|r| r.name == "attach_test/case")
             .expect("recorded");
-        assert_eq!(rec.extra, vec![("threads".to_string(), 8u128)]);
+        let keys: Vec<&str> = rec.extra.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["nproc", "rustc", "commit", "threads"], "host first");
+        assert_eq!(rec.extra[3].1, "8");
     }
 
     #[test]
@@ -320,7 +336,8 @@ mod tests {
             &path,
             "{\n\"benches\": [\n\
              {\"name\":\"kept/1\",\"median_ns\":9,\"p90_ns\":9,\"mean_ns\":9,\"min_ns\":9,\"iters\":5},\n\
-             {\"name\":\"merge_test/overwritten\",\"median_ns\":1,\"p90_ns\":1,\"mean_ns\":1,\"min_ns\":1,\"iters\":1}\n\
+             {\"name\":\"merge_test/overwritten\",\"median_ns\":1,\"p90_ns\":1,\"mean_ns\":1,\"min_ns\":1,\"iters\":1},\n\
+             {\"name\":\"merge_test/retired\",\"median_ns\":1,\"p90_ns\":1,\"mean_ns\":1,\"min_ns\":1,\"iters\":1}\n\
              ]\n}\n",
         )
         .unwrap();
@@ -343,6 +360,8 @@ mod tests {
             .find(|r| r.name == "merge_test/overwritten")
             .unwrap();
         assert_eq!((over.median_ns, over.iters), (42, 7), "same-name replaced");
+        let retired = records.iter().any(|r| r.name == "merge_test/retired");
+        assert!(!retired, "a sibling its group stopped emitting is pruned");
         let mut names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
         let sorted = {
             let mut s = names.clone();

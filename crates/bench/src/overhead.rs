@@ -121,7 +121,6 @@ mod tests {
     /// noisy first measurement on loaded CI machines.
     #[test]
     fn instrumentation_overhead_stays_under_five_percent() {
-        let _g = crate::obs_test_lock();
         let mut measured = measure(5);
         if measured.fraction() >= MAX_OVERHEAD_FRACTION {
             measured = measure(15);

@@ -19,15 +19,11 @@
 //! [`all_typical_cascades`] is Algorithm 2: one shared index, a median per
 //! node, optionally fanned out over threads.
 
-pub mod catalog;
 pub mod engine;
 pub mod stability;
 
-pub use catalog::SphereCatalog;
 pub use engine::{
     all_typical_cascades, all_typical_cascades_resumable, typical_cascade, typical_cascade_of_set,
     NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
 };
-pub use stability::{
-    expected_cost, expected_cost_of_seed_set, expected_cost_with_ci, CostEstimate,
-};
+pub use stability::{expected_cost, expected_cost_of_seed_set};

@@ -49,57 +49,6 @@ pub fn expected_cost_of_seed_set(
     total / samples as f64
 }
 
-/// An expected-cost estimate with a normal-approximation confidence
-/// interval.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostEstimate {
-    /// The point estimate `ρ̂`.
-    pub mean: f64,
-    /// Half-width of the confidence interval at the requested level.
-    pub half_width: f64,
-    /// Number of samples used.
-    pub samples: usize,
-}
-
-impl CostEstimate {
-    /// Lower confidence bound, clamped into `[0, 1]`.
-    pub fn lo(&self) -> f64 {
-        (self.mean - self.half_width).max(0.0)
-    }
-
-    /// Upper confidence bound, clamped into `[0, 1]`.
-    pub fn hi(&self) -> f64 {
-        (self.mean + self.half_width).min(1.0)
-    }
-}
-
-/// Like [`expected_cost_of_seed_set`], but also reports a
-/// normal-approximation confidence interval at `z` standard errors
-/// (`z = 1.96` for 95%). Jaccard distances live in `[0, 1]`, so the
-/// normal approximation is solid for the sample counts used here.
-pub fn expected_cost_with_ci(
-    pg: &ProbGraph,
-    seeds: &[NodeId],
-    candidate: &[NodeId],
-    samples: usize,
-    seed: u64,
-    z: f64,
-) -> CostEstimate {
-    assert!(samples > 1, "need at least two samples for a CI");
-    assert!(z > 0.0, "z must be positive");
-    let mut stats = soi_util::RunningStats::new();
-    let unlimited = Deadline::unlimited();
-    CascadeSampler::for_each_cascade(pg, seeds, samples, seed, &unlimited, |cascade| {
-        cascade.sort_unstable();
-        stats.push(jaccard_distance(candidate, cascade));
-    });
-    CostEstimate {
-        mean: stats.mean(),
-        half_width: z * stats.sample_sd() / (samples as f64).sqrt(),
-        samples,
-    }
-}
-
 /// Exact `ρ_{G,s}(C)` by exhaustive enumeration of all `2^E` worlds.
 /// Only for ≤ 20 edges; anchors the estimator tests and reproduces the
 /// closed-form quantities of Example 1.
@@ -200,38 +149,6 @@ mod tests {
         let pg = b.build_prob().unwrap();
         let c = expected_cost_of_seed_set(&pg, &[0, 2], &[0, 1, 2, 3], 50, 3);
         assert_eq!(c, 0.0);
-    }
-
-    #[test]
-    fn ci_covers_the_truth_and_shrinks() {
-        let mut b = GraphBuilder::new(3);
-        b.add_weighted_edge(0, 1, 0.5);
-        b.add_weighted_edge(1, 2, 0.5);
-        let pg = b.build_prob().unwrap();
-        let truth = exact_expected_cost_bruteforce(&pg, 0, &[0, 1]);
-        let small = expected_cost_with_ci(&pg, &[0], &[0, 1], 200, 5, 1.96);
-        let large = expected_cost_with_ci(&pg, &[0], &[0, 1], 20_000, 5, 1.96);
-        assert!(
-            truth >= large.lo() && truth <= large.hi(),
-            "truth {truth} outside [{}, {}]",
-            large.lo(),
-            large.hi()
-        );
-        assert!(
-            large.half_width < small.half_width,
-            "CI shrinks with samples"
-        );
-        assert!((large.mean - truth).abs() < 0.01);
-    }
-
-    #[test]
-    fn ci_degenerate_distribution_has_zero_width() {
-        let pg = ProbGraph::fixed(gen::path(3), 1.0).unwrap();
-        let est = expected_cost_with_ci(&pg, &[0], &[0, 1, 2], 100, 1, 1.96);
-        assert_eq!(est.mean, 0.0);
-        assert_eq!(est.half_width, 0.0);
-        assert_eq!(est.lo(), 0.0);
-        assert_eq!(est.hi(), 0.0);
     }
 
     #[test]

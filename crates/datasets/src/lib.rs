@@ -261,18 +261,6 @@ pub fn all_configs() -> Vec<(Network, ProbSource)> {
         .collect()
 }
 
-/// The paper's twelve configurations plus the trivalency extension on the
-/// three assigned-probability networks (15 total).
-pub fn extended_configs() -> Vec<(Network, ProbSource)> {
-    let mut configs = all_configs();
-    for n in Network::all() {
-        if !n.has_activity_log() {
-            configs.push((n, ProbSource::Trivalency));
-        }
-    }
-    configs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,14 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn trivalency_extension_configs() {
-        let configs = extended_configs();
-        assert_eq!(configs.len(), 15);
-        let t_count = configs
-            .iter()
-            .filter(|&&(_, s)| s == ProbSource::Trivalency)
-            .count();
-        assert_eq!(t_count, 3);
+    fn trivalency_source_builds() {
         let d = build(Network::SlashdotSyn, ProbSource::Trivalency, 0.05, 7);
         assert_eq!(d.name(), "slashdot-syn-T");
         assert!(d

@@ -66,11 +66,6 @@ impl GraphBuilder {
         self.edges.push((v, u, p));
     }
 
-    /// Number of arcs accumulated so far (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Deduplicated, sorted arc list; for duplicate arcs the *maximum*
     /// weight is kept (two influence channels: keep the stronger estimate).
     fn canonical_edges(&self) -> Result<Vec<(NodeId, NodeId, f64)>, GraphError> {

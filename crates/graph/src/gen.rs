@@ -27,27 +27,6 @@ fn from_generated_edges(n: usize, edges: &[(NodeId, NodeId)]) -> DiGraph {
     DiGraph::from_edges(n, edges).expect("generated ids in range")
 }
 
-/// Erdős–Rényi `G(n, p)`: every ordered pair `(u, v)`, `u != v`, becomes an
-/// arc independently with probability `p`. For `undirected`, pairs are
-/// sampled once and added symmetrically.
-pub fn gnp<R: Rng>(n: usize, p: f64, undirected: bool, rng: &mut R) -> DiGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as NodeId {
-        let lo = if undirected { u + 1 } else { 0 };
-        for v in lo..n as NodeId {
-            if v != u && rng.random_bool(p) {
-                if undirected {
-                    b.add_undirected_edge(u, v, 1.0);
-                } else {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-    }
-    build_generated(b)
-}
-
 /// Erdős–Rényi `G(n, m)`: exactly `m` distinct arcs chosen uniformly
 /// (directed; rejection-sampled, so keep `m` well below `n(n-1)`).
 pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> DiGraph {
@@ -245,33 +224,6 @@ pub fn complete(n: usize) -> DiGraph {
 mod tests {
     use super::*;
     use soi_util::rng::Xoshiro256pp;
-
-    #[test]
-    fn gnp_extremes() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let g0 = gnp(10, 0.0, false, &mut rng);
-        assert_eq!(g0.num_edges(), 0);
-        let g1 = gnp(10, 1.0, false, &mut rng);
-        assert_eq!(g1.num_edges(), 90);
-        let u1 = gnp(10, 1.0, true, &mut rng);
-        assert_eq!(u1.num_edges(), 90, "undirected complete = symmetric pairs");
-        // Symmetry check.
-        for (a, b) in u1.edges() {
-            assert!(u1.has_edge(b, a));
-        }
-    }
-
-    #[test]
-    fn gnp_density_is_plausible() {
-        let mut rng = Xoshiro256pp::seed_from_u64(42);
-        let g = gnp(100, 0.05, false, &mut rng);
-        let expect = 100.0 * 99.0 * 0.05;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expect).abs() < expect * 0.3,
-            "got {got}, expected ~{expect}"
-        );
-    }
 
     #[test]
     fn gnm_exact_count_no_dups() {

@@ -159,6 +159,12 @@ mod tests {
     use super::*;
     use crate::gen;
 
+    /// Parses under the failpoint guard: `graph.io.read` is armed process-wide below.
+    fn read_graph(input: &[u8]) -> Result<ParsedGraph, GraphError> {
+        let _g = soi_util::failpoint::test_guard();
+        super::read_graph(input)
+    }
+
     #[test]
     fn roundtrip_plain() {
         let g = gen::path(5);
@@ -293,10 +299,10 @@ mod tests {
     fn injected_read_fault_surfaces_as_io_error() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::install("graph.io.read=error").unwrap();
-        let err = read_graph(b"0\t1\n" as &[u8]).unwrap_err();
+        let err = super::read_graph(b"0\t1\n" as &[u8]).unwrap_err();
         assert!(err.to_string().contains("graph.io.read"), "{err}");
         soi_util::failpoint::clear();
-        assert!(read_graph(b"0\t1\n" as &[u8]).is_ok());
+        assert!(super::read_graph(b"0\t1\n" as &[u8]).is_ok());
     }
 
     #[test]
@@ -308,7 +314,7 @@ mod tests {
     }
 
     mod roundtrip_properties {
-        use super::super::*;
+        use super::{super::*, read_graph};
         use soi_util::rng::{Rng, Xoshiro256pp};
 
         /// Any valid probabilistic graph survives a text roundtrip

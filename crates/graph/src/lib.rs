@@ -21,7 +21,6 @@ pub mod builder;
 pub mod csr;
 pub mod gen;
 pub mod io;
-pub mod kcore;
 pub mod pagerank;
 pub mod prob;
 pub mod reach;

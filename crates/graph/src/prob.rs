@@ -162,22 +162,6 @@ impl ProbGraph {
         }
         h.finish()
     }
-
-    /// Probability (Eq. 1) of one fully-specified possible world, given the
-    /// set of surviving CSR edge positions. Exponentially small for big
-    /// graphs — used by exact tests on tiny instances and by the Example 1
-    /// reproduction.
-    pub fn world_probability(&self, surviving_edges: &[usize]) -> f64 {
-        let mut keep = vec![false; self.num_edges()];
-        for &e in surviving_edges {
-            keep[e] = true;
-        }
-        self.probs
-            .iter()
-            .enumerate()
-            .map(|(e, &p)| if keep[e] { p } else { 1.0 - p })
-            .product()
-    }
 }
 
 #[cfg(test)]
@@ -248,24 +232,5 @@ mod tests {
         let pg = ProbGraph::from_fn(diamond(), |_, v| (v as f64 + 1.0) / 10.0).unwrap();
         let arcs: Vec<_> = pg.out_arcs(0).collect();
         assert_eq!(arcs, vec![(1, 0.2), (2, 0.3)]);
-    }
-
-    #[test]
-    fn world_probability_example1() {
-        // Figure 1 of the paper: v5 -> v1 (0.7), v5 -> v2 (0.4),
-        // v5 -> v4 (0.3), v1 -> v2 (0.1), v2 -> v1 (0.1)... we reproduce the
-        // first calculation of Example 1: cascade {v1} from v5 requires
-        // (v5,v1) to exist and (v5,v2), (v5,v4), (v1,v2) to fail:
-        // 0.7 * 0.6 * 0.7 * 0.9 = 0.2646.
-        // Node ids: v1=0, v2=1, v4=2, v5=3.
-        let mut b = crate::GraphBuilder::new(4);
-        b.add_weighted_edge(3, 0, 0.7); // v5->v1
-        b.add_weighted_edge(3, 1, 0.4); // v5->v2
-        b.add_weighted_edge(3, 2, 0.3); // v5->v4
-        b.add_weighted_edge(0, 1, 0.1); // v1->v2
-        let pg = b.build_prob().unwrap();
-        // CSR order: (0,1)=0.1 at e0; (3,0)=0.7 e1; (3,1)=0.4 e2; (3,2)=0.3 e3.
-        let p = pg.world_probability(&[1]);
-        assert!((p - 0.2646).abs() < 1e-12, "got {p}");
     }
 }

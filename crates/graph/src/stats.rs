@@ -94,25 +94,6 @@ pub fn largest_wcc_size(g: &DiGraph) -> usize {
     sizes.into_iter().max().unwrap_or(0)
 }
 
-/// BFS distances (in hops) from `source`; `usize::MAX` marks unreachable
-/// nodes.
-pub fn bfs_distances(g: &DiGraph, source: NodeId) -> Vec<usize> {
-    let n = g.num_nodes();
-    let mut dist = vec![usize::MAX; n];
-    dist[source as usize] = 0;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &w in g.out_neighbors(v) {
-            if dist[w as usize] == usize::MAX {
-                dist[w as usize] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,19 +142,5 @@ mod tests {
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[3], comp[0]);
         assert_eq!(largest_wcc_size(&g), 3);
-    }
-
-    #[test]
-    fn bfs_distances_on_path_and_unreachable() {
-        let g = gen::path(5);
-        let d = bfs_distances(&g, 1);
-        assert_eq!(d, vec![usize::MAX, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_takes_shortest_route() {
-        // 0->1->2->3 plus shortcut 0->3.
-        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
-        assert_eq!(bfs_distances(&g, 0)[3], 1);
     }
 }

@@ -58,23 +58,6 @@ pub fn degree_discount_seeds(g: &DiGraph, k: usize, p: f64) -> Vec<NodeId> {
 }
 
 /// `k` distinct uniform random nodes.
-/// The `k` nodes of deepest k-core (ties by out-degree, then id). Core
-/// depth is a classic influence proxy — "influential spreaders are
-/// located in the core" — and pairs naturally with the uncertain-graph
-/// core decomposition of the paper's reference [6] (`soi_graph::kcore`).
-pub fn core_seeds(g: &DiGraph, k: usize) -> Vec<NodeId> {
-    let core = soi_graph::kcore::core_numbers(g);
-    let mut nodes: Vec<NodeId> = g.nodes().collect();
-    nodes.sort_by(|&a, &b| {
-        core[b as usize]
-            .cmp(&core[a as usize])
-            .then(g.out_degree(b).cmp(&g.out_degree(a)))
-            .then(a.cmp(&b))
-    });
-    nodes.truncate(k);
-    nodes
-}
-
 pub fn random_seeds<R: Rng>(g: &DiGraph, k: usize, rng: &mut R) -> Vec<NodeId> {
     let n = g.num_nodes();
     let k = k.min(n);
@@ -125,27 +108,6 @@ mod tests {
         assert_eq!(a, random_seeds(&g, 8, &mut rng));
         // k > n clamps.
         assert_eq!(random_seeds(&g, 100, &mut rng).len(), 20);
-    }
-
-    #[test]
-    fn core_seeds_prefer_dense_clusters() {
-        // A 4-clique (nodes 0..4) plus a star from 5: clique nodes are
-        // 3-core, star members 1-core.
-        let mut edges = Vec::new();
-        for a in 0..4u32 {
-            for b in 0..4u32 {
-                if a != b {
-                    edges.push((a, b));
-                }
-            }
-        }
-        for leaf in 6..12u32 {
-            edges.push((5, leaf));
-            edges.push((leaf, 5));
-        }
-        let g = DiGraph::from_edges(12, &edges).unwrap();
-        let seeds = core_seeds(&g, 4);
-        assert_eq!(seeds, vec![0, 1, 2, 3], "clique fills the deep core");
     }
 
     #[test]

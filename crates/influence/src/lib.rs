@@ -28,9 +28,7 @@ pub mod spread;
 pub mod tc_cover;
 
 pub use backend::{BackendKind, SpreadBackend};
-pub use baselines::{
-    core_seeds, degree_discount_seeds, high_degree_seeds, pagerank_seeds, random_seeds,
-};
+pub use baselines::{degree_discount_seeds, high_degree_seeds, pagerank_seeds, random_seeds};
 pub use greedy::{
     infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyMode, GreedyResult, McGreedyConfig,
 };

@@ -41,13 +41,7 @@ fn transpose(pg: &ProbGraph) -> ProbGraph {
     b.build_prob().expect("transpose preserves validity")
 }
 
-/// Samples `num_rr` reverse-reachable sets. Exposed for tests and for the
-/// benchmark harness's cost accounting.
-pub fn sample_rr_sets(pg: &ProbGraph, num_rr: usize, seed: u64) -> Vec<Vec<NodeId>> {
-    sample_rr_sets_budgeted(pg, num_rr, seed, &Deadline::unlimited()).value()
-}
-
-/// Budgeted [`sample_rr_sets`]: one tick per RR set. On expiry returns
+/// Samples `num_rr` reverse-reachable sets, one tick per RR set. On expiry returns
 /// the sets sampled so far — set `i` depends only on `(seed, i)`, so a
 /// partial result is exactly the prefix an uninterrupted run produces.
 pub fn sample_rr_sets_budgeted(
@@ -168,7 +162,7 @@ mod tests {
     fn rr_sets_contain_their_target_and_only_reachers() {
         // Path 0 -> 1 -> 2 deterministic: RR(2) = {0,1,2}, RR(0) = {0}.
         let pg = ProbGraph::fixed(gen::path(3), 1.0).unwrap();
-        let sets = sample_rr_sets(&pg, 50, 1);
+        let sets = sample_rr_sets_budgeted(&pg, 50, 1, &Deadline::unlimited()).value();
         for s in &sets {
             assert!(!s.is_empty());
             // Every RR set of a path is a suffix-prefix 0..=t.

@@ -32,16 +32,6 @@ pub fn ratio_series(rankings: &[Vec<f64>], rank: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The first iteration (0-based) whose ratio reaches `threshold`, if any —
-/// a scalar "saturation point" summary.
-pub fn saturation_point(rankings: &[Vec<f64>], rank: usize, threshold: f64) -> Option<usize> {
-    rankings
-        .iter()
-        .enumerate()
-        .find(|(_, r)| gain_ratio(r, rank).is_some_and(|x| x >= threshold))
-        .map(|(j, _)| j)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,18 +49,6 @@ mod tests {
     fn series_skips_degenerate_iterations() {
         let rankings = vec![vec![10.0, 5.0], vec![0.0, 0.0], vec![4.0, 4.0]];
         assert_eq!(ratio_series(&rankings, 2), vec![0.5, 1.0]);
-    }
-
-    #[test]
-    fn saturation_point_detection() {
-        let rankings = vec![
-            vec![10.0, 2.0],
-            vec![10.0, 6.0],
-            vec![10.0, 9.5],
-            vec![10.0, 9.9],
-        ];
-        assert_eq!(saturation_point(&rankings, 2, 0.9), Some(2));
-        assert_eq!(saturation_point(&rankings, 2, 0.999), None);
     }
 
     #[test]

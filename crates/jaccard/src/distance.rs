@@ -39,18 +39,6 @@ pub fn jaccard_distance(a: &[u32], b: &[u32]) -> f64 {
     1.0 - inter as f64 / union as f64
 }
 
-/// Jaccard *similarity* (`1 - distance`); `1.0` for two empty sets.
-pub fn jaccard_similarity(a: &[u32], b: &[u32]) -> f64 {
-    1.0 - jaccard_distance(a, b)
-}
-
-/// Sorts and deduplicates a node list into the canonical set form.
-pub fn canonicalize(mut v: Vec<u32>) -> Vec<u32> {
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,12 +58,6 @@ mod tests {
         assert_eq!(union_size(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 7);
         assert_eq!(intersection_size(&[], &[1, 2]), 0);
         assert_eq!(union_size(&[], &[]), 0);
-    }
-
-    #[test]
-    fn canonicalize_sorts_and_dedups() {
-        assert_eq!(canonicalize(vec![5, 1, 5, 3, 1]), vec![1, 3, 5]);
-        assert_eq!(canonicalize(vec![]), Vec::<u32>::new());
     }
 
     /// Random canonical set over a 50-element universe, from a derived

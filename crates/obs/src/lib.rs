@@ -3,7 +3,7 @@
 //! Dependency-free observability for the spheres-of-influence pipeline:
 //! hierarchical wall-clock **spans**, a registry of named **metrics**
 //! (counters, gauges, fixed-bucket histograms), a level-filtered
-//! **event log**, and **run-report** emitters (JSONL/TSV) that keep
+//! **event log**, and **run-report** emitters (JSONL) that keep
 //! deterministic counts separate from wall-clock timings.
 //!
 //! Everything lives in one process-global registry so instrumentation
@@ -17,9 +17,8 @@
 //!   byte-identical reports once wall-clock fields are masked with
 //!   [`report::mask_wall_clock`].
 //! - **Timings are quarantined.** Every nanosecond value in a report
-//!   lives in a field whose name starts with `wall_` (JSONL) or whose
-//!   TSV field column starts with `wall_`, so golden tests and diff
-//!   tooling can ignore them mechanically.
+//!   lives in a field whose name starts with `wall_`, so golden tests
+//!   and diff tooling can ignore them mechanically.
 //! - **Hot loops stay hot.** [`counter_add!`] caches its registry
 //!   handle in a per-call-site `static`, so the steady-state cost is a
 //!   single relaxed atomic add. Disabled events cost one relaxed

@@ -21,11 +21,6 @@ impl Counter {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         // ordering: self-contained stats cell; readers tolerate a stale
@@ -398,7 +393,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 });
             }

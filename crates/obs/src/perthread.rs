@@ -1,7 +1,7 @@
 //! Per-thread sharded timing accumulators for parallel-overhead
-//! attribution.
+//! accounting.
 //!
-//! The scaling benches show threads *hurting* (see ROADMAP); this module
+//! A parallel region can lose to a serial one (see ROADMAP); this module
 //! answers "where do the cycles go" without perturbing the answer. Each
 //! worker thread registers itself into one of [`MAX_SLOTS`] fixed
 //! accumulator slots and then records busy / idle / merge / lock-wait
@@ -23,7 +23,7 @@
 //! category (e.g. per-worker init) and `imbalance` is capacity outside
 //! any worker's lifetime (spawn latency, join skew — the classic
 //! straggler cost). The identity holds by construction, which is what
-//! lets BENCH_summary.json account for the full t1→tN wall-clock gap.
+//! lets the run report account for a pool's whole wall-clock capacity.
 //!
 //! Determinism contract: every nanosecond read from a snapshot is
 //! wall-clock and must be emitted in `wall_`-prefixed fields (the run
@@ -37,13 +37,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of distinct worker accumulator slots. Workers beyond this
-/// share the last slot (attribution degrades gracefully; counts stay
+/// share the last slot (accounting degrades gracefully; counts stay
 /// exact). 64 covers every realistic pool width in this workspace.
 pub const MAX_SLOTS: usize = 64;
 
 /// Slot index used by threads that never registered (the coordinator /
 /// main thread). Kept separate so dispatcher-side time never pollutes
-/// worker attribution.
+/// worker accounting.
 const COORDINATOR: usize = MAX_SLOTS;
 
 /// One worker's accumulators. All fields are monotone sums owned by one
@@ -209,7 +209,7 @@ pub struct ThreadSnap {
     pub items: u64,
 }
 
-/// Pool-level dispatch aggregates plus the derived attribution terms.
+/// Pool-level dispatch aggregates plus the derived capacity terms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolSnap {
     /// Completed parallel regions (deterministic).

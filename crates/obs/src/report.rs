@@ -1,4 +1,4 @@
-//! Run-report emitters: serialize the registry to JSONL/TSV and a
+//! Run-report emitters: serialize the registry to JSONL and a
 //! human-readable summary table.
 //!
 //! Reports are deterministic by construction — config pairs keep their
@@ -168,60 +168,6 @@ impl RunReport {
         // Writing to a Vec cannot fail.
         let _ = self.write_jsonl(&mut buf);
         String::from_utf8_lossy(&buf).into_owned()
-    }
-
-    /// Writes the report as TSV rows: `kind<TAB>name<TAB>field<TAB>value`.
-    /// Wall-clock values appear only in fields starting with `wall_`.
-    pub fn write_tsv<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for (k, v) in &self.config {
-            writeln!(w, "config\t{k}\tvalue\t{v}")?;
-        }
-        for (name, value) in &self.counters {
-            writeln!(w, "counter\t{name}\tvalue\t{value}")?;
-        }
-        for (name, value) in &self.gauges {
-            writeln!(w, "gauge\t{name}\tvalue\t{}", json_num(*value))?;
-        }
-        for (name, (bounds, counts)) in &self.histograms {
-            let bounds: Vec<String> = bounds.iter().map(|b| json_num(*b)).collect();
-            let counts: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-            writeln!(w, "histogram\t{name}\tbounds\t{}", bounds.join(","))?;
-            writeln!(w, "histogram\t{name}\tcounts\t{}", counts.join(","))?;
-        }
-        for (path, s) in &self.spans {
-            writeln!(w, "span\t{path}\tcount\t{}", s.count)?;
-            writeln!(w, "span\t{path}\twall_ns_total\t{}", s.total_ns)?;
-            writeln!(w, "span\t{path}\twall_ns_min\t{}", s.min_ns)?;
-            writeln!(w, "span\t{path}\twall_ns_max\t{}", s.max_ns)?;
-        }
-        for (name, s) in &self.wall_hists {
-            writeln!(w, "wall_hist\t{name}\tcount\t{}", s.count)?;
-            writeln!(w, "wall_hist\t{name}\twall_p50_ns\t{}", s.p50_ns)?;
-            writeln!(w, "wall_hist\t{name}\twall_p90_ns\t{}", s.p90_ns)?;
-            writeln!(w, "wall_hist\t{name}\twall_max_ns\t{}", s.max_ns)?;
-        }
-        for t in &self.threads {
-            let name = Self::thread_name(t.slot);
-            writeln!(w, "thread\t{name}\twall_busy_ns\t{}", t.busy_ns)?;
-            writeln!(w, "thread\t{name}\twall_idle_ns\t{}", t.idle_ns)?;
-            writeln!(w, "thread\t{name}\twall_merge_ns\t{}", t.merge_ns)?;
-            writeln!(w, "thread\t{name}\twall_lock_wait_ns\t{}", t.lock_wait_ns)?;
-            writeln!(w, "thread\t{name}\twall_lifetime_ns\t{}", t.lifetime_ns)?;
-            writeln!(w, "thread\t{name}\twall_items\t{}", t.items)?;
-        }
-        if self.pool.dispatches > 0 {
-            writeln!(w, "pool\tpool\tdispatches\t{}", self.pool.dispatches)?;
-            writeln!(w, "pool\tpool\titems\t{}", self.pool.items)?;
-            writeln!(w, "pool\tpool\tworkers_max\t{}", self.pool.workers_max)?;
-            writeln!(w, "pool\tpool\twall_capacity_ns\t{}", self.pool.capacity_ns)?;
-            writeln!(w, "pool\tpool\twall_lifetime_ns\t{}", self.pool.lifetime_ns)?;
-            writeln!(
-                w,
-                "pool\tpool\twall_imbalance_ns\t{}",
-                self.pool.imbalance_ns
-            )?;
-        }
-        Ok(())
     }
 
     /// Writes the human-readable per-phase summary the CLI prints on
@@ -408,30 +354,6 @@ mod tests {
             masked,
             "{\"type\":\"span\",\"path\":\"x\",\"count\":3,\"wall_ns_total\":0,\"wall_ns_min\":0,\"wall_ns_max\":0}\n"
         );
-    }
-
-    #[test]
-    fn tsv_isolates_wall_fields_by_name() {
-        let _g = lock();
-        let report = seeded_work(false);
-        let mut buf = Vec::new();
-        report.write_tsv(&mut buf).expect("write to Vec");
-        let text = String::from_utf8_lossy(&buf);
-        for line in text.lines() {
-            let fields: Vec<&str> = line.split('\t').collect();
-            assert_eq!(fields.len(), 4, "bad row: {line}");
-            if (fields[0] == "span" || fields[0] == "wall_hist") && fields[2] != "count" {
-                assert!(fields[2].starts_with("wall_"), "unmarked timing: {line}");
-            }
-            if fields[0] == "thread" {
-                assert!(fields[2].starts_with("wall_"), "unmarked timing: {line}");
-            }
-            if fields[0] == "pool" && !matches!(fields[2], "dispatches" | "items" | "workers_max") {
-                assert!(fields[2].starts_with("wall_"), "unmarked timing: {line}");
-            }
-        }
-        assert!(text.contains("thread\tthread.0\twall_busy_ns\t"));
-        assert!(text.contains("pool\tpool\tdispatches\t1"));
     }
 
     #[test]

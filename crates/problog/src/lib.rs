@@ -27,15 +27,11 @@ pub mod generate;
 pub mod goyal;
 pub mod log;
 pub mod saito;
-pub mod sparsify;
-pub mod streaming;
 
 pub use generate::generate_log;
 pub use goyal::{learn_goyal, learn_goyal_jaccard};
 pub use log::{Action, ActionLog};
 pub use saito::{learn_saito, SaitoConfig};
-pub use sparsify::{sparsify_by_log, sparsify_by_probability};
-pub use streaming::{learn_streaming, StreamConfig, StreamingLearner};
 
 use soi_graph::{DiGraph, GraphBuilder, GraphError, ProbGraph};
 

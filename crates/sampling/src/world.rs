@@ -50,23 +50,6 @@ impl WorldSampler {
             std::mem::take(&mut self.targets),
         )
     }
-
-    /// Draws `count` worlds with sub-seeds derived from `seed`, calling
-    /// `f(i, world)` for each. World `i` depends only on `(seed, i)`, so
-    /// callers can re-derive any single world independently.
-    pub fn sample_each(
-        pg: &ProbGraph,
-        count: usize,
-        seed: u64,
-        mut f: impl FnMut(usize, &DiGraph),
-    ) {
-        let mut sampler = WorldSampler::new();
-        for i in 0..count {
-            let mut rng = world_rng(seed, i);
-            let w = sampler.sample(pg, &mut rng);
-            f(i, &w);
-        }
-    }
 }
 
 /// The RNG that generates world `i` of a run seeded with `seed`.
@@ -132,8 +115,10 @@ mod tests {
     #[test]
     fn per_world_determinism() {
         let pg = ProbGraph::fixed(gen::complete(10), 0.5).unwrap();
-        let mut worlds_a = Vec::new();
-        WorldSampler::sample_each(&pg, 5, 99, |_, w| worlds_a.push(w.clone()));
+        let mut shared = WorldSampler::new();
+        let worlds_a: Vec<DiGraph> = (0..5)
+            .map(|i| shared.sample(&pg, &mut world_rng(99, i)))
+            .collect();
         // Re-derive world 3 in isolation.
         let mut s = WorldSampler::new();
         let w3 = s.sample(&pg, &mut world_rng(99, 3));

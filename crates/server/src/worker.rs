@@ -199,7 +199,7 @@ fn worker_loop(shared: Arc<Shared>, generation: u64) {
         match outcome {
             Ok(line) => {
                 // Handing the result back to the connection thread is
-                // merge time in the attribution identity.
+                // merge time in the capacity identity.
                 perthread::timed_region(perthread::record_merge, || {
                     let _ = job.reply.send(line);
                 });

@@ -92,39 +92,6 @@ impl BitSet {
         }
     }
 
-    /// `self ∩= other`. Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
-    /// `|self ∩ other|` without materializing the intersection.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `|self ∪ other|` without materializing the union.
-    pub fn union_len(&self, other: &BitSet) -> usize {
-        let common = self.blocks.len().min(other.blocks.len());
-        let mut n = 0usize;
-        for i in 0..common {
-            n += (self.blocks[i] | other.blocks[i]).count_ones() as usize;
-        }
-        for b in &self.blocks[common..] {
-            n += b.count_ones() as usize;
-        }
-        for b in &other.blocks[common..] {
-            n += b.count_ones() as usize;
-        }
-        n
-    }
-
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Ones<'_> {
         Ones {
@@ -233,25 +200,10 @@ mod tests {
     fn set_algebra() {
         let a: BitSet = [1usize, 2, 3, 64].into_iter().collect();
         let b: BitSet = [2usize, 3, 4, 64].into_iter().collect();
-        assert_eq!(a.intersection_len(&b), 3);
-        assert_eq!(a.union_len(&b), 5);
-
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.len(), 5);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.len(), 3);
-        assert!(i.contains(2) && i.contains(3) && i.contains(64));
-    }
-
-    #[test]
-    fn union_len_handles_unequal_capacities() {
-        let a: BitSet = [1usize, 200].into_iter().collect();
-        let b: BitSet = [1usize, 2].into_iter().collect();
-        assert_eq!(a.union_len(&b), 3);
-        assert_eq!(b.union_len(&a), 3);
-        assert_eq!(a.intersection_len(&b), 1);
+        assert!(u.contains(1) && u.contains(4) && u.contains(64));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streaming 64-bit hashing built on the workspace mixer.
 //!
 //! [`Mix64Hasher`] chains [`crate::rng::mix64`] (the SplitMix64 finalizer
-//! that already backs seed derivation and the count-min sketch) over
+//! that already backs seed derivation) over
 //! 8-byte little-endian chunks. It is **not** cryptographic; it exists to
 //! fingerprint inputs (graphs, configs) and to detect corruption in
 //! checkpoint files, where an adversary is not part of the threat model

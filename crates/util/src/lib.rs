@@ -28,7 +28,6 @@
 pub mod backoff;
 pub mod bitset;
 pub mod ckpt;
-pub mod cms;
 pub mod error;
 pub mod failpoint;
 pub mod hash;

@@ -407,7 +407,7 @@ mod tests {
         assert_eq!(
             pool.imbalance_ns,
             pool.capacity_ns - pool.lifetime_ns,
-            "attribution identity"
+            "capacity identity"
         );
         soi_obs::reset();
     }

@@ -235,17 +235,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// `(bucket_midpoint, count)` pairs for plotting.
-    pub fn midpoints(&self) -> Vec<(f64, u64)> {
-        let nb = self.counts.len() as f64;
-        let w = (self.hi - self.lo) / nb;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * (i as f64 + 0.5), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -349,8 +338,5 @@ mod tests {
             &[3, 1, 1, 2],
             "out-of-range clamps to edge bins"
         );
-        let mids = h.midpoints();
-        assert!((mids[0].0 - 0.125).abs() < 1e-12);
-        assert!((mids[3].0 - 0.875).abs() < 1e-12);
     }
 }

@@ -26,13 +26,6 @@ impl Timer {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Restarts the stopwatch and returns the previous elapsed duration.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 impl Default for Timer {
@@ -92,15 +85,6 @@ mod tests {
         let (v, d) = timed(|| (0..1000).sum::<u64>());
         assert_eq!(v, 499_500);
         assert!(d.as_nanos() > 0);
-    }
-
-    #[test]
-    fn lap_resets() {
-        let mut t = Timer::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = t.lap();
-        assert!(first >= Duration::from_millis(2));
-        assert!(t.elapsed() < first, "lap restarted the clock");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example linear_threshold`
 
-use spheres_of_influence::core::SphereCatalog;
 use spheres_of_influence::index::{CascadeIndex, IndexConfig};
 use spheres_of_influence::jaccard::jaccard_median;
 use spheres_of_influence::prelude::*;
@@ -52,7 +51,7 @@ fn main() {
         index.memory_bytes() as f64 / 1024.0
     );
 
-    // 3. Typical cascade per node (Algorithm 2), into a catalog.
+    // 3. Typical cascade per node (Algorithm 2).
     let spheres: Vec<_> = (0..lt.num_nodes() as NodeId)
         .map(|v| {
             let fit = jaccard_median(&index.cascades_of(v));
@@ -63,10 +62,11 @@ fn main() {
             }
         })
         .collect();
-    let catalog = SphereCatalog::new(spheres);
-    let top = catalog.top_by_reach(3);
+    // Largest spheres first; ties toward the smaller id.
+    let mut top: Vec<_> = spheres.iter().collect();
+    top.sort_by_key(|s| (std::cmp::Reverse(s.median.len()), s.node));
     println!("\ntop LT influencers by sphere size:");
-    for s in &top {
+    for s in &top[..3] {
         println!(
             "  node {:>3}: sphere {:>3} nodes (cost {:.3})",
             s.node,
@@ -77,7 +77,8 @@ fn main() {
 
     // 4. Max-cover seeding over LT spheres (Algorithm 3).
     let k = 10;
-    let campaign = infmax_tc(&catalog.cascade_sets(), k, 0);
+    let sets: Vec<Vec<NodeId>> = spheres.iter().map(|s| s.median.clone()).collect();
+    let campaign = infmax_tc(&sets, k, 0);
     println!(
         "\ncampaign: {} seeds covering {:.0} nodes' typical spheres",
         campaign.seeds.len(),
