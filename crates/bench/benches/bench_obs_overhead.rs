@@ -4,7 +4,7 @@
 //! Two arms time the identical dispatch-heavy workload
 //! (`soi_bench::overhead::workload`) with the per-thread timing plane
 //! disabled and enabled; the interleaved A/B measurement's relative
-//! cost is attached to the enabled arm as `overhead_ppm`. The hard
+//! cost (per-arm minima) is attached to the enabled arm as `overhead_ppm`. The hard
 //! `< 5%` assertion lives in `soi_bench::overhead::tests`, so CI fails
 //! on regressions even when this bench target is not run.
 
@@ -18,7 +18,7 @@ fn main() {
     soi_obs::perthread::set_enabled(true);
     b.bench("enabled", overhead::workload);
 
-    let measured = overhead::measure(9);
+    let measured = overhead::measure(overhead::MIN_ROUNDS);
     let ppm = (measured.fraction() * 1_000_000.0) as u128;
     attach_extra("obs_overhead/enabled", [("overhead_ppm".to_string(), ppm)]);
     println!(

@@ -4,7 +4,12 @@
 //! "where do the cycles go" *without perturbing the answer*. This module
 //! makes that promise checkable: [`measure`] times the same parallel
 //! workload with the plane off and on, interleaved A/B so drift in
-//! machine load hits both arms equally, and reports the relative cost.
+//! machine load hits both arms equally, and reports the relative cost of
+//! each arm's fastest run. Host noise only ever adds time (a 4-way
+//! fan-out on a 2-vCPU guest waits on whatever else the host runs), so
+//! the minimum is the estimate a noisy neighbour cannot inflate — the
+//! same argument that makes the repo benchmark's `time_to_seeds_s` its
+//! fastest run.
 //! The `bench_obs_overhead` target publishes the two arms as
 //! `obs_overhead/*` entries in `BENCH_summary.json`; the unit test below
 //! holds the measured overhead under [`MAX_OVERHEAD_FRACTION`].
@@ -19,12 +24,16 @@ use std::time::Instant;
 /// uninstrumented runtime on the dispatch-heavy workload.
 pub const MAX_OVERHEAD_FRACTION: f64 = 0.05;
 
+/// Fewest interleaved pairs [`measure`] runs: enough that each arm's
+/// minimum is a run the host left alone.
+pub const MIN_ROUNDS: usize = 15;
+
 /// One A/B comparison of the workload with the plane off and on.
 #[derive(Clone, Copy, Debug)]
 pub struct Overhead {
-    /// Median workload time with the plane disabled, nanoseconds.
+    /// Fastest workload time with the plane disabled, nanoseconds.
     pub disabled_ns: u128,
-    /// Median workload time with the plane enabled, nanoseconds.
+    /// Fastest workload time with the plane enabled, nanoseconds.
     pub enabled_ns: u128,
 }
 
@@ -66,9 +75,9 @@ fn timed_run() -> u128 {
 }
 
 /// Runs `rounds` interleaved disabled/enabled pairs (after one warmup
-/// pair) and compares the per-arm medians. The plane is left enabled.
+/// pair) and compares the per-arm minima. The plane is left enabled.
 pub fn measure(rounds: usize) -> Overhead {
-    let rounds = rounds.max(3);
+    let rounds = rounds.max(MIN_ROUNDS);
     soi_obs::reset();
     // Warmup both arms once so allocator and cache state are settled.
     soi_obs::perthread::set_enabled(false);
@@ -76,21 +85,17 @@ pub fn measure(rounds: usize) -> Overhead {
     soi_obs::perthread::set_enabled(true);
     workload();
 
-    let mut disabled = Vec::with_capacity(rounds);
-    let mut enabled = Vec::with_capacity(rounds);
+    let mut fastest = Overhead {
+        disabled_ns: u128::MAX,
+        enabled_ns: u128::MAX,
+    };
     for _ in 0..rounds {
         soi_obs::perthread::set_enabled(false);
-        disabled.push(timed_run());
+        fastest.disabled_ns = fastest.disabled_ns.min(timed_run());
         soi_obs::perthread::set_enabled(true);
-        enabled.push(timed_run());
+        fastest.enabled_ns = fastest.enabled_ns.min(timed_run());
     }
-    soi_obs::perthread::set_enabled(true);
-    disabled.sort_unstable();
-    enabled.sort_unstable();
-    Overhead {
-        disabled_ns: disabled[disabled.len() / 2],
-        enabled_ns: enabled[enabled.len() / 2],
-    }
+    fastest
 }
 
 #[cfg(test)]
@@ -117,14 +122,12 @@ mod tests {
     }
 
     /// The acceptance guard: the timing plane costs < 5% on the
-    /// dispatch-heavy workload. One retry with more rounds absorbs a
-    /// noisy first measurement on loaded CI machines.
+    /// dispatch-heavy workload, judged on per-arm minima over
+    /// [`MIN_ROUNDS`] interleaved pairs (no retry: a median of five pairs
+    /// with one retry failed 1 in 2 workspace runs on a 2-vCPU host).
     #[test]
     fn instrumentation_overhead_stays_under_five_percent() {
-        let mut measured = measure(5);
-        if measured.fraction() >= MAX_OVERHEAD_FRACTION {
-            measured = measure(15);
-        }
+        let measured = measure(MIN_ROUNDS);
         assert!(
             measured.fraction() < MAX_OVERHEAD_FRACTION,
             "timing plane costs {:.1}% (disabled {} ns, enabled {} ns)",

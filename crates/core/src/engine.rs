@@ -2,7 +2,8 @@
 
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery};
-use soi_jaccard::median::{jaccard_median_with, MedianConfig};
+use soi_jaccard::cost::IncrementalCost;
+use soi_jaccard::median::{jaccard_median_in, jaccard_median_with, MedianConfig};
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
 use soi_util::rng::derive_seed;
@@ -361,7 +362,7 @@ fn solve_blocks<E>(
     let threads = soi_util::pool::effective_threads(threads, n);
     results.reserve(n.saturating_sub(results.len()));
 
-    let solve = |query: &mut IndexQuery, v: NodeId| {
+    let solve = |(query, inc): &mut (IndexQuery, IncrementalCost), v: NodeId| {
         // Per-node phase breakdown — the Figure 4 quantity: index lookup
         // vs median fit, aggregated in the span table.
         soi_obs::counter_add!("engine.nodes_solved", 1);
@@ -371,7 +372,7 @@ fn solve_blocks<E>(
         };
         let fit = {
             let _s = soi_obs::span("engine.median_fit");
-            jaccard_median_with(samples, median)
+            jaccard_median_in(samples, median, &Deadline::unlimited(), inc).value()
         };
         soi_obs::hist_observe!("engine.sphere_size", SPHERE_SIZE_BUCKETS, fit.median.len());
         NodeTypicalCascade {
@@ -384,10 +385,10 @@ fn solve_blocks<E>(
     let done = run.blocks(n, results.len(), run.every, |lo, hi| {
         before_block()?;
         let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
-        // One extraction scratch per worker, kept across its chunks.
-        let scratch = || index.query();
-        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |query, j, slot| {
-            *slot = Some(solve(query, (lo + j) as NodeId));
+        // One extraction and median scratch per worker, kept across chunks.
+        let scratch = || (index.query(), IncrementalCost::default());
+        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
+            *slot = Some(solve(s, (lo + j) as NodeId));
         });
         // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
         results.extend(block.into_iter().map(|r| r.expect("filled")));
@@ -646,6 +647,33 @@ mod tests {
             "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every node's median and training-cost bits, for one supercritical
+    /// and one weighted-cascade fixture, are pinned to hashes recorded at
+    /// commit a89153b (HashMap evaluator, merge-scored input-set
+    /// candidates): a faster evaluator must reproduce them bit for bit.
+    #[test]
+    fn spheres_are_pinned() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(23);
+        let supercritical = ProbGraph::fixed(gen::gnm(300, 1500, &mut rng), 0.3).unwrap();
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(400, 4, true, &mut rng));
+        let got = [&supercritical, &wc].map(|pg| {
+            let config = IndexConfig {
+                num_worlds: 48,
+                seed: 5,
+                threads: 2,
+                ..IndexConfig::default()
+            };
+            let index = CascadeIndex::build(pg, config);
+            let results = all_typical_cascades(&index, &MedianConfig::default(), 2);
+            soi_util::hash::hash_bytes(&encode_tc_payload(&results))
+        });
+        assert_eq!(
+            got,
+            [0xc145_1534_958f_3ced, 0x2528_de72_7461_bb1e],
+            "got {got:#x?}"
+        );
     }
 
     #[test]

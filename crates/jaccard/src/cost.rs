@@ -5,11 +5,12 @@
 //! `C` to ℓ sampled cascades. The [`IncrementalCost`] evaluator supports
 //! the median sweep: it maintains `|C ∩ S_i|` per sample under single-
 //! element insertions/removals of `C`, so evaluating a whole family of
-//! nested candidates costs `O(Σ|S_i| + n·ℓ)` instead of
-//! `O(n · Σ|S_i|)`.
+//! nested candidates costs `O(Σ|S_i| + n·ℓ)` instead of `O(n · Σ|S_i|)`.
+//! It runs on local ids `0..U` (the sorted distinct sample elements) with
+//! CSR postings, so scoring a whole candidate set `s` from its elements'
+//! postings costs `Σ_{e∈s} freq(e) + ℓ` instead of ℓ sorted merges.
 
 use crate::distance::jaccard_distance;
-use std::collections::HashMap;
 
 /// Mean Jaccard distance from `candidate` to every set in `samples`
 /// (the unbiased estimator `ρ̂` of the paper). Returns 0 for no samples.
@@ -21,46 +22,112 @@ pub fn empirical_cost(candidate: &[u32], samples: &[Vec<u32>]) -> f64 {
     total / samples.len() as f64
 }
 
+/// `1 − inter/union` (0 for an empty union), the one expression all costs use.
+fn distance(inter: f64, union: f64) -> f64 {
+    if union == 0.0 {
+        return 0.0;
+    }
+    1.0 - inter / union
+}
+
 /// Incremental cost evaluator over a fixed collection of sample sets.
 ///
 /// Maintains the candidate `C` implicitly through per-sample intersection
-/// counters; `insert`/`remove` cost `O(#samples containing the element)`
-/// (via an inverted index) and [`IncrementalCost::cost`] is `O(ℓ)`.
+/// counters; `insert`/`remove` cost `O(log U + #samples containing the
+/// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Reusable: a fit
+/// (`median::jaccard_median_in`) reloads it in place, so a worker fitting
+/// median after median allocates nothing proportional to the largest
+/// element id per fit.
+#[derive(Default)]
 pub struct IncrementalCost {
-    /// For each element, the indices of samples containing it.
-    inverted: HashMap<u32, Vec<u32>>,
-    /// `|S_i|` for each sample.
+    /// The sorted distinct sample elements: `elems[u]` has local id `u`.
+    elems: Vec<u32>,
+    /// CSR postings: the samples holding `elems[u]`, ascending, are
+    /// `postings[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    postings: Vec<u32>,
+    /// `|S_i|` and `|C ∩ S_i|` for each sample, and `|C|`.
     sizes: Vec<u32>,
-    /// `|C ∩ S_i|` for each sample.
     inter: Vec<u32>,
-    /// `|C|`.
     candidate_len: usize,
-    /// Membership of the current candidate.
-    in_candidate: std::collections::HashSet<u32>,
+    /// Candidate membership by local id, and the sorted candidate members
+    /// outside the sample universe.
+    member: Vec<bool>,
+    outside: Vec<u32>,
+    /// Element → local id + 1 inside `reset` (all zero between calls), and
+    /// `cost_of_set`'s per-sample intersection counts.
+    ids: Vec<u32>,
+    scratch: Vec<u32>,
+    /// Each sample's distance to `C` for `toggle_delta`; emptied on change.
+    before: Vec<f64>,
 }
 
 impl IncrementalCost {
     /// Builds the evaluator with `C = ∅`.
     pub fn new(samples: &[Vec<u32>]) -> Self {
-        let mut inverted: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (i, s) in samples.iter().enumerate() {
-            debug_assert!(s.windows(2).all(|w| w[0] < w[1]), "sample not canonical");
-            for &e in s {
-                inverted.entry(e).or_default().push(i as u32);
-            }
-        }
-        IncrementalCost {
-            inverted,
-            sizes: samples.iter().map(|s| s.len() as u32).collect(),
-            inter: vec![0; samples.len()],
-            candidate_len: 0,
-            in_candidate: std::collections::HashSet::new(),
-        }
+        let mut inc = IncrementalCost::default();
+        inc.reset(samples);
+        inc
     }
 
-    /// Number of samples.
-    pub fn num_samples(&self) -> usize {
-        self.sizes.len()
+    /// Reloads the evaluator with `samples` and `C = ∅` in
+    /// `O(Σ|S_i| + U log U)`: the element → local id map keeps its size
+    /// across calls, and only the entries this collection touches are set
+    /// and cleared again.
+    pub(crate) fn reset(&mut self, samples: &[Vec<u32>]) {
+        debug_assert!(samples.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
+        let max = samples.iter().filter_map(|s| s.last()).max();
+        let len = max.map_or(0, |&m| m as usize + 1);
+        self.ids.resize(self.ids.len().max(len), 0);
+        self.elems.clear();
+        for &e in samples.iter().flatten() {
+            if std::mem::replace(&mut self.ids[e as usize], 1) == 0 {
+                self.elems.push(e);
+            }
+        }
+        self.elems.sort_unstable();
+        for (u, &e) in self.elems.iter().enumerate() {
+            self.ids[e as usize] = u as u32 + 1;
+        }
+        // Counting sort into CSR: element u is counted at offsets[u + 2],
+        // so prefix sums leave its start at offsets[u + 1], which the fill
+        // advances to its end — u + 1's start. The spare last slot goes.
+        let u_len = self.elems.len();
+        self.offsets.clear();
+        self.offsets.resize(u_len + 2, 0);
+        for &e in samples.iter().flatten() {
+            self.offsets[self.ids[e as usize] as usize + 1] += 1;
+        }
+        for u in 1..u_len + 2 {
+            self.offsets[u] += self.offsets[u - 1];
+        }
+        self.postings.clear();
+        self.postings.resize(self.offsets[u_len + 1], 0);
+        for (i, s) in samples.iter().enumerate() {
+            for &e in s {
+                let at = &mut self.offsets[self.ids[e as usize] as usize];
+                self.postings[*at] = i as u32;
+                *at += 1;
+            }
+        }
+        self.offsets.pop();
+        for &e in &self.elems {
+            self.ids[e as usize] = 0;
+        }
+        self.sizes.clear();
+        self.sizes.extend(samples.iter().map(|s| s.len() as u32));
+        self.inter.clear();
+        self.inter.resize(samples.len(), 0);
+        self.member.clear();
+        self.member.resize(u_len, false);
+        self.outside.clear();
+        self.before.clear();
+        self.candidate_len = 0;
+    }
+
+    /// Where the postings of local id `u` sit in `postings`.
+    fn span(&self, u: usize) -> std::ops::Range<usize> {
+        self.offsets[u]..self.offsets[u + 1]
     }
 
     /// Current candidate size.
@@ -70,112 +137,122 @@ impl IncrementalCost {
 
     /// How many samples contain `element`.
     pub fn frequency(&self, element: u32) -> usize {
-        self.inverted.get(&element).map_or(0, |v| v.len())
+        let found = self.elems.binary_search(&element);
+        found.map_or(0, |u| self.span(u).len())
     }
 
-    /// All distinct elements appearing in any sample.
+    /// All distinct elements appearing in any sample, ascending.
     pub fn universe(&self) -> impl Iterator<Item = u32> + '_ {
-        self.inverted.keys().copied()
+        self.elems.iter().copied()
+    }
+
+    /// Whether `element` is in the current candidate, in `O(log U)`.
+    pub fn contains(&self, element: u32) -> bool {
+        match self.elems.binary_search(&element) {
+            Ok(u) => self.member[u],
+            Err(_) => self.outside.binary_search(&element).is_ok(),
+        }
     }
 
     /// Adds `element` to the candidate. No-op if already present.
     pub fn insert(&mut self, element: u32) {
-        if !self.in_candidate.insert(element) {
-            return;
-        }
-        self.candidate_len += 1;
-        if let Some(ids) = self.inverted.get(&element) {
-            for &i in ids {
-                self.inter[i as usize] += 1;
-            }
-        }
+        self.set(element, true)
     }
 
     /// Removes `element` from the candidate. No-op if absent.
     pub fn remove(&mut self, element: u32) {
-        if !self.in_candidate.remove(&element) {
-            return;
-        }
-        self.candidate_len -= 1;
-        if let Some(ids) = self.inverted.get(&element) {
-            for &i in ids {
-                self.inter[i as usize] -= 1;
-            }
-        }
+        self.set(element, false)
     }
 
-    /// The empirical cost `ρ̂(C)` of the current candidate.
-    pub fn cost(&self) -> f64 {
-        if self.sizes.is_empty() {
-            return 0.0;
+    fn set(&mut self, element: u32, on: bool) {
+        let step = if on { 1 } else { -1 };
+        match self.elems.binary_search(&element) {
+            Ok(u) if self.member[u] != on => {
+                self.member[u] = on;
+                for &i in &self.postings[self.span(u)] {
+                    self.inter[i as usize] = self.inter[i as usize].wrapping_add_signed(step);
+                }
+            }
+            Err(_) => match (self.outside.binary_search(&element), on) {
+                (Err(at), true) => self.outside.insert(at, element),
+                (Ok(at), false) => drop(self.outside.remove(at)),
+                _ => return,
+            },
+            Ok(_) => return,
         }
+        self.candidate_len = self.candidate_len.wrapping_add_signed(step as isize);
+        self.before.clear();
+    }
+
+    /// The empirical cost `ρ̂(C)` of the current candidate (0 for no
+    /// samples, as in every cost below).
+    pub fn cost(&self) -> f64 {
         let k = self.candidate_len as f64;
         let mut total = 0.0;
-        for (i, &sz) in self.sizes.iter().enumerate() {
-            let inter = self.inter[i] as f64;
-            let union = k + sz as f64 - inter;
-            total += if union == 0.0 {
-                0.0
-            } else {
-                1.0 - inter / union
-            };
+        for (&sz, &inter) in self.sizes.iter().zip(&self.inter) {
+            total += distance(inter as f64, k + sz as f64 - inter as f64);
         }
-        total / self.sizes.len() as f64
+        total / self.sizes.len().max(1) as f64
     }
 
     /// Cost change if `element` were toggled (inserted when absent,
     /// removed when present), without mutating the candidate: returns
-    /// `cost_after - cost_before`.
-    pub fn toggle_delta(&self, element: u32) -> f64 {
-        let ell = self.sizes.len() as f64;
-        if ell == 0.0 {
-            return 0.0;
-        }
-        let present = self.in_candidate.contains(&element);
+    /// `cost_after - cost_before`. Takes `&mut` only to cache each sample's
+    /// current distance for every toggle scored against the same candidate.
+    pub fn toggle_delta(&mut self, element: u32) -> f64 {
+        let step = if self.contains(element) { -1.0 } else { 1.0 };
         let k = self.candidate_len as f64;
-        let k_after = if present { k - 1.0 } else { k + 1.0 };
-        // Samples containing the element get their intersection changed;
-        // *all* samples see the union change through |C|.
-        let empty: Vec<u32> = Vec::new();
-        let containing = self.inverted.get(&element).unwrap_or(&empty);
-        let mut is_member = vec![false; 0];
-        // Mark containment lazily only when needed for the loop below.
-        is_member.resize(self.sizes.len(), false);
-        for &i in containing {
-            is_member[i as usize] = true;
+        if self.before.len() != self.sizes.len() {
+            let pairs = self.sizes.iter().zip(&self.inter);
+            let d = pairs.map(|(&sz, &i)| distance(i as f64, k + sz as f64 - i as f64));
+            self.before.extend(d);
         }
+        // Samples containing the element (its ascending postings, walked
+        // alongside) change intersection; *all* see |C| change the union.
+        let containing = match self.elems.binary_search(&element) {
+            Ok(u) => &self.postings[self.span(u)],
+            Err(_) => &[],
+        };
+        let mut next = 0;
         let mut delta = 0.0;
         for (i, &sz) in self.sizes.iter().enumerate() {
             let inter = self.inter[i] as f64;
-            let union = k + sz as f64 - inter;
-            let before = if union == 0.0 {
-                0.0
-            } else {
-                1.0 - inter / union
-            };
-            let inter_after = if is_member[i] {
-                if present {
-                    inter - 1.0
-                } else {
-                    inter + 1.0
-                }
-            } else {
-                inter
-            };
-            let union_after = k_after + sz as f64 - inter_after;
-            let after = if union_after == 0.0 {
-                0.0
-            } else {
-                1.0 - inter_after / union_after
-            };
-            delta += after - before;
+            let hit = containing.get(next) == Some(&(i as u32));
+            next += hit as usize;
+            let inter_after = if hit { inter + step } else { inter };
+            let after = distance(inter_after, k + step + sz as f64 - inter_after);
+            delta += after - self.before[i];
         }
-        delta / ell
+        delta / self.sizes.len().max(1) as f64
+    }
+
+    /// `ρ̂(s)` of any canonical set `s`, bit-identical to
+    /// [`empirical_cost`]`(s, samples)` (same integer union, same
+    /// expression, same summation order), from the postings of `s`'s
+    /// elements. The current candidate is untouched.
+    pub fn cost_of_set(&mut self, s: &[u32]) -> f64 {
+        self.scratch.clear();
+        self.scratch.resize(self.sizes.len(), 0);
+        for &e in s {
+            if let Ok(u) = self.elems.binary_search(&e) {
+                for &i in &self.postings[self.span(u)] {
+                    self.scratch[i as usize] += 1;
+                }
+            }
+        }
+        let mut total = 0.0;
+        for (&sz, &inter) in self.sizes.iter().zip(&self.scratch) {
+            let union = s.len() + sz as usize - inter as usize;
+            total += distance(inter as f64, union as f64);
+        }
+        total / self.sizes.len().max(1) as f64
     }
 
     /// The current candidate as a canonical sorted vector.
     pub fn candidate(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.in_candidate.iter().copied().collect();
+        let (elems, member) = (&self.elems, &self.member);
+        let mut v = self.outside.clone();
+        v.extend(elems.iter().zip(member).filter(|p| *p.1).map(|p| *p.0));
         v.sort_unstable();
         v
     }

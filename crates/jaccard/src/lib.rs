@@ -27,3 +27,6 @@ pub mod theory;
 pub use cost::empirical_cost;
 pub use distance::jaccard_distance;
 pub use median::{jaccard_median, jaccard_median_budgeted, MedianConfig, MedianResult};
+
+#[cfg(test)]
+mod oracle;

@@ -83,6 +83,17 @@ pub fn jaccard_median_budgeted(
     config: &MedianConfig,
     deadline: &Deadline,
 ) -> Outcome<MedianResult> {
+    jaccard_median_in(samples, config, deadline, &mut IncrementalCost::default())
+}
+
+/// [`jaccard_median_budgeted`] on a caller-owned evaluator, reloaded with `samples`:
+/// a worker fitting median after median keeps one and stops allocating.
+pub fn jaccard_median_in(
+    samples: &[Vec<u32>],
+    config: &MedianConfig,
+    deadline: &Deadline,
+    inc: &mut IncrementalCost,
+) -> Outcome<MedianResult> {
     if samples.is_empty() {
         return Outcome::Completed(MedianResult {
             median: Vec::new(),
@@ -96,8 +107,8 @@ pub fn jaccard_median_budgeted(
         samples.len()
     );
     let mut done = 0u64;
-    let sweep = frequency_sweep_budgeted(samples, config, deadline, &mut done);
-    let (mut inc, mut best) = (sweep.inc, sweep.best);
+    let sweep = frequency_sweep_budgeted(samples, config, deadline, &mut done, inc);
+    let mut best = sweep.best;
     let stride = samples.len().div_ceil(24).max(1);
     let input_evals = samples.len().div_ceil(stride) as u64;
     // Planned candidate evaluations; local search may converge early, so
@@ -114,7 +125,7 @@ pub fn jaccard_median_budgeted(
         }
         done += 1;
         soi_obs::counter_add!("median.input_set_evals", 1);
-        let cost = empirical_cost(s, samples);
+        let cost = inc.cost_of_set(s);
         if cost < best.cost - 1e-15 {
             best = MedianResult {
                 median: s.clone(),
@@ -124,23 +135,16 @@ pub fn jaccard_median_budgeted(
     }
 
     if config.local_search_rounds > 0 {
-        // Load the evaluator with the winning candidate before polishing.
-        let current = inc.candidate();
-        for &e in &current {
-            if !best.median.contains(&e) {
+        // An input set won: load it into the evaluator before polishing.
+        if inc.candidate() != best.median {
+            for e in inc.candidate() {
                 inc.remove(e);
             }
+            for &e in &best.median {
+                inc.insert(e);
+            }
         }
-        for &e in &best.median {
-            inc.insert(e);
-        }
-        best = local_search_inner(
-            &mut inc,
-            best,
-            config.local_search_rounds,
-            deadline,
-            &mut done,
-        );
+        best = local_search_inner(inc, best, config.local_search_rounds, deadline, &mut done);
     }
     deadline.outcome(best, done, total)
 }
@@ -151,12 +155,8 @@ pub fn jaccard_median_budgeted(
 pub fn majority_median(samples: &[Vec<u32>]) -> Vec<u32> {
     let inc = IncrementalCost::new(samples);
     let threshold = samples.len().div_ceil(2);
-    let mut out: Vec<u32> = inc
-        .universe()
-        .filter(|&e| inc.frequency(e) >= threshold)
-        .collect();
-    out.sort_unstable();
-    out
+    let majority = inc.universe().filter(|&e| inc.frequency(e) >= threshold);
+    majority.collect()
 }
 
 /// The frequency-prefix sweep alone (no local search), returning the best
@@ -174,15 +174,15 @@ pub fn frequency_sweep(samples: &[Vec<u32>]) -> MedianResult {
         &MedianConfig::default(),
         &Deadline::unlimited(),
         &mut done,
+        &mut IncrementalCost::default(),
     )
     .best
 }
 
-/// Sweep state handed back to the full pipeline: the loaded evaluator,
-/// the best prefix, and the unit counts the budgeted caller folds into
-/// its progress accounting.
+/// Sweep result handed back to the full pipeline (which keeps the
+/// evaluator, loaded with the best prefix): the best prefix and the unit
+/// counts the budgeted caller folds into its progress accounting.
 struct SweepState {
-    inc: IncrementalCost,
     best: MedianResult,
     order_len: usize,
     universe_size: usize,
@@ -193,8 +193,9 @@ fn frequency_sweep_budgeted(
     config: &MedianConfig,
     deadline: &Deadline,
     done: &mut u64,
+    inc: &mut IncrementalCost,
 ) -> SweepState {
-    let mut inc = IncrementalCost::new(samples);
+    inc.reset(samples);
     // Elements ordered by descending frequency; ties by ascending id for
     // determinism.
     let min_count = ((config.min_frequency * samples.len() as f64).ceil() as usize).max(1);
@@ -232,7 +233,6 @@ fn frequency_sweep_budgeted(
     let median = inc.candidate();
     debug_assert!((empirical_cost(&median, samples) - best_cost).abs() < 1e-9);
     SweepState {
-        inc,
         best: MedianResult {
             median,
             cost: best_cost,
@@ -285,7 +285,7 @@ fn local_search_inner(
                 // Apply the improving toggle immediately (first-improvement
                 // strategy — cheaper than best-improvement and converges to
                 // the same local optima class).
-                if inc.candidate().contains(&e) {
+                if inc.contains(e) {
                     inc.remove(e);
                 } else {
                     inc.insert(e);

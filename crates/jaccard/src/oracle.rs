@@ -1,0 +1,533 @@
+//! The differential oracle for the median evaluator: the evaluator and
+//! pipeline of commit a89153b, renamed and stripped of comments, debug
+//! asserts and log events, otherwise verbatim — a `HashMap`
+//! inverted index, an ℓ-vector allocated per `toggle_delta`, and every
+//! input-set candidate scored by ℓ sorted merges (`empirical_cost`). The
+//! local-id [`IncrementalCost`], [`IncrementalCost::cost_of_set`] and the
+//! median pipeline built on them must reproduce it bit for bit: medians,
+//! cost bits, `Outcome` progress and `median.*` counters.
+
+use crate::cost::{empirical_cost, IncrementalCost};
+use crate::median::{
+    frequency_sweep, jaccard_median_budgeted, jaccard_median_in, local_search, MedianConfig,
+    MedianResult,
+};
+use soi_util::rng::{Rng, Xoshiro256pp};
+use soi_util::runtime::{Deadline, Outcome};
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+struct HashCost {
+    inverted: HashMap<u32, Vec<u32>>,
+    sizes: Vec<u32>,
+    inter: Vec<u32>,
+    candidate_len: usize,
+    in_candidate: HashSet<u32>,
+}
+
+impl HashCost {
+    fn new(samples: &[Vec<u32>]) -> Self {
+        let mut inverted: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (i, s) in samples.iter().enumerate() {
+            for &e in s {
+                inverted.entry(e).or_default().push(i as u32);
+            }
+        }
+        HashCost {
+            inverted,
+            sizes: samples.iter().map(|s| s.len() as u32).collect(),
+            inter: vec![0; samples.len()],
+            candidate_len: 0,
+            in_candidate: HashSet::new(),
+        }
+    }
+
+    fn frequency(&self, element: u32) -> usize {
+        self.inverted.get(&element).map_or(0, |v| v.len())
+    }
+
+    fn universe(&self) -> impl Iterator<Item = u32> + '_ {
+        self.inverted.keys().copied()
+    }
+
+    fn insert(&mut self, element: u32) {
+        if !self.in_candidate.insert(element) {
+            return;
+        }
+        self.candidate_len += 1;
+        if let Some(ids) = self.inverted.get(&element) {
+            for &i in ids {
+                self.inter[i as usize] += 1;
+            }
+        }
+    }
+
+    fn remove(&mut self, element: u32) {
+        if !self.in_candidate.remove(&element) {
+            return;
+        }
+        self.candidate_len -= 1;
+        if let Some(ids) = self.inverted.get(&element) {
+            for &i in ids {
+                self.inter[i as usize] -= 1;
+            }
+        }
+    }
+
+    fn cost(&self) -> f64 {
+        if self.sizes.is_empty() {
+            return 0.0;
+        }
+        let k = self.candidate_len as f64;
+        let mut total = 0.0;
+        for (i, &sz) in self.sizes.iter().enumerate() {
+            let inter = self.inter[i] as f64;
+            let union = k + sz as f64 - inter;
+            total += if union == 0.0 {
+                0.0
+            } else {
+                1.0 - inter / union
+            };
+        }
+        total / self.sizes.len() as f64
+    }
+
+    fn toggle_delta(&self, element: u32) -> f64 {
+        let ell = self.sizes.len() as f64;
+        if ell == 0.0 {
+            return 0.0;
+        }
+        let present = self.in_candidate.contains(&element);
+        let k = self.candidate_len as f64;
+        let k_after = if present { k - 1.0 } else { k + 1.0 };
+        let empty: Vec<u32> = Vec::new();
+        let containing = self.inverted.get(&element).unwrap_or(&empty);
+        let mut is_member = vec![false; self.sizes.len()];
+        for &i in containing {
+            is_member[i as usize] = true;
+        }
+        let mut delta = 0.0;
+        for (i, &sz) in self.sizes.iter().enumerate() {
+            let inter = self.inter[i] as f64;
+            let union = k + sz as f64 - inter;
+            let before = if union == 0.0 {
+                0.0
+            } else {
+                1.0 - inter / union
+            };
+            let inter_after = if is_member[i] {
+                if present {
+                    inter - 1.0
+                } else {
+                    inter + 1.0
+                }
+            } else {
+                inter
+            };
+            let union_after = k_after + sz as f64 - inter_after;
+            let after = if union_after == 0.0 {
+                0.0
+            } else {
+                1.0 - inter_after / union_after
+            };
+            delta += after - before;
+        }
+        delta / ell
+    }
+
+    fn candidate(&self) -> Vec<u32> {
+        let mut v: Vec<u32> = self.in_candidate.iter().copied().collect();
+        v.sort_unstable();
+        v
+    }
+}
+
+fn median_budgeted(
+    samples: &[Vec<u32>],
+    config: &MedianConfig,
+    deadline: &Deadline,
+) -> Outcome<MedianResult> {
+    if samples.is_empty() {
+        return Outcome::Completed(MedianResult {
+            median: Vec::new(),
+            cost: 0.0,
+        });
+    }
+    soi_obs::counter_add!("median.calls", 1);
+    let mut done = 0u64;
+    let (mut inc, mut best, order_len, universe_size) =
+        sweep_budgeted(samples, config, deadline, &mut done);
+    let stride = samples.len().div_ceil(24).max(1);
+    let input_evals = samples.len().div_ceil(stride) as u64;
+    let total =
+        order_len as u64 + input_evals + config.local_search_rounds as u64 * universe_size as u64;
+    for s in samples.iter().step_by(stride) {
+        if !deadline.tick(1) {
+            return deadline.outcome(best, done, total);
+        }
+        done += 1;
+        soi_obs::counter_add!("median.input_set_evals", 1);
+        let cost = empirical_cost(s, samples);
+        if cost < best.cost - 1e-15 {
+            best = MedianResult {
+                median: s.clone(),
+                cost,
+            };
+        }
+    }
+    if config.local_search_rounds > 0 {
+        let current = inc.candidate();
+        for &e in &current {
+            if !best.median.contains(&e) {
+                inc.remove(e);
+            }
+        }
+        for &e in &best.median {
+            inc.insert(e);
+        }
+        best = local_search_inner(
+            &mut inc,
+            best,
+            config.local_search_rounds,
+            deadline,
+            &mut done,
+        );
+    }
+    deadline.outcome(best, done, total)
+}
+
+fn sweep_budgeted(
+    samples: &[Vec<u32>],
+    config: &MedianConfig,
+    deadline: &Deadline,
+    done: &mut u64,
+) -> (HashCost, MedianResult, usize, usize) {
+    let mut inc = HashCost::new(samples);
+    let min_count = ((config.min_frequency * samples.len() as f64).ceil() as usize).max(1);
+    let universe_size = inc.universe().count();
+    let mut order: Vec<(u32, u32)> = inc
+        .universe()
+        .map(|e| (e, inc.frequency(e) as u32))
+        .filter(|&(_, f)| f as usize >= min_count)
+        .collect();
+    order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    soi_obs::counter_add!("median.prefix_evals", order.len());
+    soi_obs::counter_add!("median.pruned_elements", universe_size - order.len());
+    let mut best_cost = inc.cost();
+    let mut best_len = 0usize;
+    let mut inserted = 0usize;
+    for &(e, _) in order.iter() {
+        if !deadline.tick(1) {
+            break;
+        }
+        inc.insert(e);
+        inserted += 1;
+        *done += 1;
+        let c = inc.cost();
+        if c < best_cost - 1e-15 {
+            best_cost = c;
+            best_len = inserted;
+        }
+    }
+    for &(e, _) in order[best_len..inserted].iter().rev() {
+        inc.remove(e);
+    }
+    let median = inc.candidate();
+    let best = MedianResult {
+        median,
+        cost: best_cost,
+    };
+    (inc, best, order.len(), universe_size)
+}
+
+fn oracle_local_search(initial: &[u32], samples: &[Vec<u32>], rounds: usize) -> MedianResult {
+    let mut inc = HashCost::new(samples);
+    for &e in initial {
+        inc.insert(e);
+    }
+    let start = MedianResult {
+        median: inc.candidate(),
+        cost: inc.cost(),
+    };
+    let mut done = 0u64;
+    local_search_inner(&mut inc, start, rounds, &Deadline::unlimited(), &mut done)
+}
+
+fn local_search_inner(
+    inc: &mut HashCost,
+    mut best: MedianResult,
+    rounds: usize,
+    deadline: &Deadline,
+    done: &mut u64,
+) -> MedianResult {
+    let mut pool: Vec<u32> = inc.universe().chain(best.median.iter().copied()).collect();
+    pool.sort_unstable();
+    pool.dedup();
+    'rounds: for _ in 0..rounds {
+        soi_obs::counter_add!("median.local_search_rounds", 1);
+        let mut improved = false;
+        for &e in &pool {
+            if !deadline.tick(1) {
+                break 'rounds;
+            }
+            *done += 1;
+            if inc.toggle_delta(e) < -1e-12 {
+                soi_obs::counter_add!("median.local_search_toggles", 1);
+                if inc.candidate().contains(&e) {
+                    inc.remove(e);
+                } else {
+                    inc.insert(e);
+                }
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    let cost = inc.cost();
+    if cost < best.cost - 1e-15 {
+        best = MedianResult {
+            median: inc.candidate(),
+            cost,
+        };
+    }
+    best
+}
+
+/// Seeded collection `case` of the differential gate. Every shape the
+/// evaluator special-cases appears across the cases: ℓ = 1, empty
+/// samples, duplicate samples, clustered collections (where an input set
+/// beats every frequency prefix), and element ids spread up to ~4000 so a
+/// reused evaluator's id map grows and is cleared between collections.
+fn collection(case: u64) -> Vec<Vec<u32>> {
+    let mut rng = Xoshiro256pp::from_stream(0x0AC1E, case);
+    let ell = if case.is_multiple_of(10) {
+        1
+    } else {
+        rng.random_range(2usize..40)
+    };
+    let base = rng.random_range(0u32..4000);
+    let width = rng.random_range(4u32..60);
+    let random_set = |rng: &mut Xoshiro256pp| -> Vec<u32> {
+        let len = rng.random_range(0usize..(width as usize).min(24));
+        let set: BTreeSet<u32> = (0..len)
+            .map(|_| base + rng.random_range(0..width))
+            .collect();
+        set.into_iter().collect()
+    };
+    let centres = [random_set(&mut rng), random_set(&mut rng)];
+    let mut samples: Vec<Vec<u32>> = Vec::with_capacity(ell);
+    for _ in 0..ell {
+        let s = match rng.random_range(0u32..10) {
+            0 => Vec::new(),
+            1 | 2 if !samples.is_empty() => {
+                let j = rng.random_range(0..samples.len());
+                samples[j].clone()
+            }
+            3..=5 => {
+                // Near a cluster centre: drop a few, add a few.
+                let mut set: BTreeSet<u32> = centres[rng.random_range(0usize..2)]
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.random_range(0u32..10) != 0)
+                    .collect();
+                set.insert(base + rng.random_range(0..width));
+                set.into_iter().collect()
+            }
+            _ => random_set(&mut rng),
+        };
+        samples.push(s);
+    }
+    samples
+}
+
+const CONFIGS: [MedianConfig; 4] = [
+    MedianConfig {
+        local_search_rounds: 2,
+        min_frequency: 0.0,
+    },
+    MedianConfig {
+        local_search_rounds: 0,
+        min_frequency: 0.0,
+    },
+    MedianConfig {
+        local_search_rounds: 2,
+        min_frequency: 0.4,
+    },
+    MedianConfig {
+        local_search_rounds: 5,
+        min_frequency: 0.9,
+    },
+];
+
+type Bits = Outcome<(Vec<u32>, u64)>;
+
+fn bits(outcome: Outcome<MedianResult>) -> Bits {
+    outcome.map(|r| (r.median, r.cost.to_bits()))
+}
+
+#[test]
+fn cost_of_set_is_bit_identical_to_empirical_cost() {
+    let mut inc = IncrementalCost::default();
+    for case in 0..240u64 {
+        let samples = collection(case);
+        inc.reset(&samples);
+        let mut rng = Xoshiro256pp::from_stream(0xC0575E7, case);
+        let mut union: Vec<u32> = samples.iter().flatten().copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        // Elements outside the universe count towards |s| only.
+        let stray: BTreeSet<u32> = (0..rng.random_range(0usize..12))
+            .map(|_| rng.random_range(0u32..4100))
+            .collect();
+        let stray: Vec<u32> = stray.into_iter().collect();
+        let empty = Vec::new();
+        let candidates = samples.iter().chain([&union, &stray, &empty]);
+        for s in candidates {
+            assert_eq!(
+                inc.cost_of_set(s).to_bits(),
+                empirical_cost(s, &samples).to_bits(),
+                "case {case}, set {s:?}"
+            );
+        }
+        // Scoring a set leaves the loaded candidate alone.
+        assert_eq!(inc.candidate_len(), 0, "case {case}");
+        assert_eq!(
+            inc.cost().to_bits(),
+            HashCost::new(&samples).cost().to_bits()
+        );
+    }
+}
+
+#[test]
+fn evaluator_walks_match_the_hashmap_evaluator() {
+    let mut inc = IncrementalCost::default();
+    for case in 0..240u64 {
+        let samples = collection(case);
+        let mut oracle = HashCost::new(&samples);
+        inc.reset(&samples);
+        let mut rng = Xoshiro256pp::from_stream(0x3A1C, case);
+        let lo = samples.iter().flatten().min().copied().unwrap_or(0);
+        for _ in 0..rng.random_range(0usize..60) {
+            // Mostly universe elements, sometimes ones no sample holds.
+            let e = lo.saturating_sub(3) + rng.random_range(0u32..70);
+            assert_eq!(inc.frequency(e), oracle.frequency(e), "case {case}");
+            assert_eq!(
+                inc.toggle_delta(e).to_bits(),
+                oracle.toggle_delta(e).to_bits(),
+                "case {case}, element {e}"
+            );
+            if rng.random_range(0u32..2) == 0 {
+                inc.insert(e);
+                oracle.insert(e);
+            } else {
+                inc.remove(e);
+                oracle.remove(e);
+            }
+            assert_eq!(inc.contains(e), oracle.in_candidate.contains(&e));
+            assert_eq!(inc.candidate(), oracle.candidate(), "case {case}");
+            assert_eq!(inc.candidate_len(), oracle.candidate_len);
+            assert_eq!(inc.cost().to_bits(), oracle.cost().to_bits(), "case {case}");
+        }
+        let mut universe: Vec<u32> = oracle.universe().collect();
+        universe.sort_unstable();
+        assert_eq!(inc.universe().collect::<Vec<_>>(), universe, "case {case}");
+    }
+}
+
+/// Medians, cost bits and `Outcome` progress equal the oracle's at every
+/// tick budget, for the one-shot entry point and for one evaluator reused
+/// across all collections (the `solve_blocks` shape).
+#[test]
+fn median_pipeline_is_bit_identical_to_the_oracle() {
+    let mut reused = IncrementalCost::default();
+    let mut input_set_wins = 0;
+    for case in 0..240u64 {
+        let samples = collection(case);
+        for config in &CONFIGS {
+            for budget in [Some(0), Some(1), Some(7), Some(50), None] {
+                let deadline = || budget.map_or_else(Deadline::unlimited, Deadline::ticks);
+                let want = bits(median_budgeted(&samples, config, &deadline()));
+                let one_shot = bits(jaccard_median_budgeted(&samples, config, &deadline()));
+                assert_eq!(one_shot, want, "case {case}, {config:?}, budget {budget:?}");
+                let in_place = bits(jaccard_median_in(
+                    &samples,
+                    config,
+                    &deadline(),
+                    &mut reused,
+                ));
+                assert_eq!(in_place, want, "case {case}, {config:?}, budget {budget:?}");
+            }
+        }
+        let sweep = frequency_sweep(&samples);
+        let stride = samples.len().div_ceil(24).max(1);
+        let inputs = samples.iter().step_by(stride);
+        if inputs
+            .map(|s| empirical_cost(s, &samples))
+            .any(|c| c < sweep.cost - 1e-15)
+        {
+            input_set_wins += 1;
+        }
+    }
+    assert!(
+        input_set_wins >= 10,
+        "only {input_set_wins} collections where an input set wins"
+    );
+}
+
+#[test]
+fn local_search_from_outside_the_universe_matches_the_oracle() {
+    for case in 0..240u64 {
+        let samples = collection(case);
+        let mut rng = Xoshiro256pp::from_stream(0x0575, case);
+        let start: BTreeSet<u32> = (0..rng.random_range(0usize..10))
+            .map(|_| rng.random_range(0u32..4100))
+            .chain(samples.iter().flatten().copied().take(3))
+            .collect();
+        let start: Vec<u32> = start.into_iter().collect();
+        for rounds in [0, 1, 3] {
+            let ours = local_search(&start, &samples, rounds);
+            let want = oracle_local_search(&start, &samples, rounds);
+            assert_eq!(ours.median, want.median, "case {case}");
+            assert_eq!(ours.cost.to_bits(), want.cost.to_bits(), "case {case}");
+        }
+    }
+}
+
+/// One fit moves the `median.*` counters exactly as the oracle's fit does.
+/// Counters are process-wide and other tests fit medians concurrently, so
+/// a pair whose deltas disagree is re-measured; a real divergence would
+/// disagree on every attempt.
+#[test]
+fn median_counter_deltas_match_the_oracle() {
+    let samples = collection(7);
+    let config = MedianConfig::default();
+    let snapshot = || -> Vec<(String, u64)> {
+        let all = soi_obs::metrics::registry().counter_values();
+        all.into_iter()
+            .filter(|(k, _)| k.starts_with("median."))
+            .collect()
+    };
+    let delta = |before: &[(String, u64)], after: &[(String, u64)]| -> Vec<(String, u64)> {
+        let old = |k: &str| before.iter().find(|(n, _)| n == k).map_or(0, |(_, v)| *v);
+        after
+            .iter()
+            .map(|(k, v)| (k.clone(), v - old(k)))
+            .filter(|(_, d)| *d > 0)
+            .collect()
+    };
+    let matched = (0..50).any(|_| {
+        let s0 = snapshot();
+        jaccard_median_budgeted(&samples, &config, &Deadline::unlimited());
+        let s1 = snapshot();
+        median_budgeted(&samples, &config, &Deadline::unlimited());
+        let s2 = snapshot();
+        let (ours, want) = (delta(&s0, &s1), delta(&s1, &s2));
+        assert!(want.iter().any(|(k, _)| k == "median.local_search_rounds"));
+        ours == want
+    });
+    assert!(
+        matched,
+        "median.* counter deltas never matched the oracle's"
+    );
+}
