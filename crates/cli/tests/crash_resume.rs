@@ -16,6 +16,7 @@ use common::{fresh_dir, generate, soi};
 use std::path::Path;
 use std::process::{Command, Output};
 
+#[cfg(debug_assertions)]
 const CRASH: i32 = 41;
 
 fn run(mut cmd: Command) -> Output {
@@ -39,6 +40,7 @@ fn make_graph(dir: &Path) -> String {
     generate(dir, "g.tsv", &ba.split(' ').collect::<Vec<_>>())
 }
 
+#[cfg(debug_assertions)]
 fn spheres_args(graph: &str, out_path: &str, ckpt_dir: &str) -> Vec<String> {
     [
         "spheres",
@@ -59,6 +61,7 @@ fn spheres_args(graph: &str, out_path: &str, ckpt_dir: &str) -> Vec<String> {
     .collect()
 }
 
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
 #[test]
 fn every_registered_site_crashes_then_resumes_byte_identical() {
     let dir = fresh_dir("matrix");
@@ -323,6 +326,7 @@ fn every_registered_site_crashes_then_resumes_byte_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
 #[test]
 fn error_action_fails_with_runtime_exit_code() {
     let dir = fresh_dir("error-action");

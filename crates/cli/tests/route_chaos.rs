@@ -40,6 +40,7 @@ use common::{
 };
 use std::path::Path;
 
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
 #[test]
 fn replica_crash_mid_batch_fails_over_and_converges() {
     let dir = fresh_dir("failover");
@@ -153,6 +154,7 @@ fn dark_shard_answers_typed_shard_unavailable_and_exits_3() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
 #[test]
 fn shard_worker_panic_relays_typed_and_converges() {
     let dir = fresh_dir("worker-panic");

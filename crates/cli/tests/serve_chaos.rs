@@ -28,6 +28,10 @@
 //!
 //! Masked transcripts and the metrics report land in
 //! `target/chaos-artifacts/` for CI upload.
+//!
+//! Every test arms a failpoint, and the sites compile out of release
+//! builds, so the whole matrix runs in the debug profile only.
+#![cfg(debug_assertions)]
 
 mod common;
 

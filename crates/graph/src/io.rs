@@ -295,6 +295,7 @@ mod tests {
         }
     }
 
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn injected_read_fault_surfaces_as_io_error() {
         let _g = soi_util::failpoint::test_guard();

@@ -597,6 +597,7 @@ mod tests {
         );
     }
 
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn interrupted_run_resumes_to_identical_output() {
         let _g = soi_util::failpoint::test_guard();

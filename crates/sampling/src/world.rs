@@ -4,13 +4,31 @@
 //! independently with its probability (Eq. 1 of the paper). The sampler
 //! emits the surviving subgraph directly in CSR order — per-node target
 //! slices of the input are already sorted, and filtering preserves order —
-//! so no re-sort is needed.
+//! so no re-sort is needed. [`LiveArcs`] stores the same world as one bit
+//! per arc of the input graph instead.
 
 use soi_graph::{DiGraph, NodeId, ProbGraph};
 use soi_util::rng::Rng;
+use std::ops::Range;
 
-/// Samples possible worlds from a [`ProbGraph`], reusing internal buffers
-/// across calls.
+/// The one coin loop behind every world: one `rng.random::<f64>() <
+/// probs[e]` draw per arc of `arcs`, in order, calling `live(e)` for each
+/// arc that survives. Drawing `0..m` at once or node range by node range
+/// consumes the same stream, so a mask and a CSR world from equal RNGs
+/// are the same world.
+#[inline]
+fn flip_coins<R: Rng>(probs: &[f64], arcs: Range<usize>, rng: &mut R, mut live: impl FnMut(usize)) {
+    for e in arcs {
+        if rng.random::<f64>() < probs[e] {
+            live(e);
+        }
+    }
+}
+
+/// Samples possible worlds from a [`ProbGraph`] as CSR graphs. Nothing
+/// is reused across calls: each [`sample`](Self::sample) hands its
+/// offsets and targets to the [`DiGraph`] it returns, and the next world
+/// starts from empty buffers.
 #[derive(Clone, Debug, Default)]
 pub struct WorldSampler {
     offsets: Vec<usize>,
@@ -18,7 +36,7 @@ pub struct WorldSampler {
 }
 
 impl WorldSampler {
-    /// Creates a sampler (buffers grow on first use).
+    /// Creates a sampler.
     pub fn new() -> Self {
         WorldSampler::default()
     }
@@ -35,20 +53,43 @@ impl WorldSampler {
         self.offsets.reserve(n + 1);
         self.targets.clear();
         self.offsets.push(0);
-        let probs = pg.probs();
         for v in 0..n as NodeId {
-            let range = g.edge_range(v);
-            for e in range {
-                if rng.random::<f64>() < probs[e] {
-                    self.targets.push(g.edge_target(e));
-                }
-            }
+            flip_coins(pg.probs(), g.edge_range(v), rng, |e| {
+                self.targets.push(g.edge_target(e))
+            });
             self.offsets.push(self.targets.len());
         }
         DiGraph::from_csr_parts(
             std::mem::take(&mut self.offsets),
             std::mem::take(&mut self.targets),
         )
+    }
+}
+
+/// One possible world as a bit per CSR arc of `pg.graph()`: `⌈m/64⌉`
+/// words, `m/8` bytes. Drawn by the coin loop of [`WorldSampler::sample`]
+/// in the same arc order, so the mask from an RNG keeps exactly the arcs
+/// the CSR world from an equal RNG keeps, and leaves the RNG in the same
+/// state.
+#[derive(Clone, Debug)]
+pub struct LiveArcs {
+    words: Vec<u64>,
+}
+
+impl LiveArcs {
+    /// Draws one possible world of `pg` as a live-arc mask.
+    pub fn sample<R: Rng>(pg: &ProbGraph, rng: &mut R) -> Self {
+        soi_obs::counter_add!("sampling.worlds_sampled", 1);
+        let m = pg.num_edges();
+        let mut words = vec![0u64; m.div_ceil(64)];
+        flip_coins(pg.probs(), 0..m, rng, |e| words[e / 64] |= 1 << (e % 64));
+        LiveArcs { words }
+    }
+
+    /// Whether CSR arc `e` survived in this world.
+    #[inline]
+    pub fn is_live(&self, e: usize) -> bool {
+        self.words[e / 64] >> (e % 64) & 1 == 1
     }
 }
 
@@ -125,6 +166,26 @@ mod tests {
         assert_eq!(w3, worlds_a[3]);
         // Different worlds differ (w.h.p. for 45 coin flips).
         assert_ne!(worlds_a[0], worlds_a[1]);
+    }
+
+    #[test]
+    fn a_mask_is_the_csr_world_of_the_same_stream() {
+        // Arc counts straddle the 64-bit word boundaries, and include 0.
+        for (seed, &arcs) in (0..48u64).zip([0, 1, 63, 64, 65, 127, 128, 300].iter().cycle()) {
+            let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
+            let g = gen::gnm(30, arcs, &mut rng);
+            let probs = (0..arcs).map(|_| rng.random::<f64>()).collect();
+            let pg = ProbGraph::new(g, probs).unwrap();
+            let (mut a, mut b) = (world_rng(seed, 3), world_rng(seed, 3));
+            let world = WorldSampler::new().sample(&pg, &mut a);
+            let mask = LiveArcs::sample(&pg, &mut b);
+            let live: Vec<(NodeId, NodeId)> = (pg.graph().edges().enumerate())
+                .filter(|&(e, _)| mask.is_live(e))
+                .map(|(_, arc)| arc)
+                .collect();
+            assert_eq!(live, world.edges().collect::<Vec<_>>(), "seed {seed}");
+            assert_eq!(a.random::<u64>(), b.random::<u64>(), "seed {seed}");
+        }
     }
 
     #[test]

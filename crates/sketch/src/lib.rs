@@ -34,6 +34,8 @@
 //! sketch is canonically sorted — byte-stable across runs, thread counts,
 //! and replicas.
 
+#[cfg(test)]
+mod oracle;
 pub mod select;
 
 use soi_graph::{DiGraph, NodeId, ProbGraph};
@@ -972,6 +974,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn build_failpoint_surfaces_as_typed_fault() {
         let _g = soi_util::failpoint::test_guard();

@@ -11,19 +11,20 @@
 //!   safely re-scored lazily (pop, re-estimate, re-push) exactly like the
 //!   RIS max-cover loop;
 //! * when a seed is **selected**, its true marginal coverage is computed
-//!   exactly: the ℓ worlds are re-derived on demand from
-//!   `world_rng(seed, i)` (no world storage — the memory contract stays
-//!   `O(k · n)`) and a forward BFS marks newly covered nodes per world,
-//!   the SKIM discipline that keeps estimation error from compounding
-//!   across rounds.
+//!   exactly: a forward BFS per world marks newly covered nodes, the SKIM
+//!   discipline that keeps estimation error from compounding across
+//!   rounds. Each world is drawn once, before the first round, from
+//!   `world_rng(seed, i)` as a [`LiveArcs`] mask over `pg`'s arcs — the
+//!   world the build sampled, bit for bit — and every round's BFS walks
+//!   `pg.graph()` filtered by it. The memory contract is `O(k · n)` for
+//!   the heap and covered sets plus `ℓ · m` bits for the masks.
 //!
 //! One deadline tick per selection round; on expiry the partial result is
 //! the seed prefix an uninterrupted run would have selected.
 
 use crate::{rank_unit, ReachSketches};
 use soi_graph::{NodeId, ProbGraph};
-use soi_sampling::world::world_rng;
-use soi_sampling::WorldSampler;
+use soi_sampling::world::{world_rng, LiveArcs};
 use soi_util::runtime::{Deadline, Outcome};
 use soi_util::{BitSet, LazyGreedy};
 
@@ -38,7 +39,7 @@ pub struct SelectResult {
 }
 
 /// Estimated marginal spread of `u` given the per-world covered sets.
-fn residual_gain(sk: &ReachSketches, u: NodeId, covered: &[BitSet]) -> f64 {
+pub(crate) fn residual_gain(sk: &ReachSketches, u: NodeId, covered: &[BitSet]) -> f64 {
     let s = sk.sketch_of(u);
     let ell = sk.num_worlds() as f64;
     let uncovered = |entries: &[crate::Entry]| {
@@ -88,7 +89,10 @@ pub fn select_seeds(
         lazy.push(v, residual_gain(sk, v, &covered));
     }
 
-    let mut sampler = WorldSampler::new();
+    let g = pg.graph();
+    let worlds: Vec<LiveArcs> = (0..ell)
+        .map(|i| LiveArcs::sample(pg, &mut world_rng(sk.config().seed, i)))
+        .collect();
     let mut queue: Vec<NodeId> = Vec::new();
     let mut seeds = Vec::with_capacity(k_seeds);
     let mut coverage = Vec::with_capacity(k_seeds);
@@ -100,10 +104,9 @@ pub fn select_seeds(
         let Some((node, _)) = lazy.pop_best(|v| Some(residual_gain(sk, v, &covered))) else {
             break;
         };
-        // Exact marginal coverage: forward BFS per re-derived world over
-        // still-uncovered nodes.
-        for (i, cov) in covered.iter_mut().enumerate() {
-            let world = sampler.sample(pg, &mut world_rng(sk.config().seed, i));
+        // Exact marginal coverage: forward BFS per world over its live
+        // arcs and still-uncovered nodes.
+        for (world, cov) in worlds.iter().zip(&mut covered) {
             if cov.contains(node as usize) {
                 continue;
             }
@@ -112,8 +115,9 @@ pub fn select_seeds(
             queue.clear();
             queue.push(node);
             while let Some(u) = queue.pop() {
-                for &w in world.out_neighbors(u) {
-                    if cov.insert(w as usize) {
+                for e in g.edge_range(u) {
+                    let w = g.edge_target(e);
+                    if world.is_live(e) && cov.insert(w as usize) {
                         covered_pairs += 1;
                         queue.push(w);
                     }

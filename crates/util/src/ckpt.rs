@@ -400,6 +400,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn write_is_atomic_under_injected_faults() {
         use crate::failpoint;

@@ -512,6 +512,7 @@ impl RequestGen {
 mod tests {
     use super::*;
 
+    #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn replay_read_failpoint_is_a_typed_error() {
         let _guard = soi_util::failpoint::test_guard();
