@@ -6,7 +6,8 @@
 //!
 //! Entries land in `BENCH_summary.json` as `sketch_*` rows:
 //!
-//! * `sketch_build_1e5/t1` — `ReachSketches::build` on one thread;
+//! * `sketch_build_1e5/t1`, `/t2` — `ReachSketches::build` on one and two
+//!   threads (the benchmark's `batch-sketch` builds on two);
 //! * `sketch_estimate_1e5/*` — one `set_spread` lookup vs the
 //!   Monte-Carlo estimator answering the same question;
 //! * `sketch_vs_baselines_1e5_k10/*` — seed selection through the
@@ -45,6 +46,7 @@ fn config(threads: usize) -> SketchConfig {
 fn bench_build(pg: &ProbGraph) {
     let b = Bencher::group("sketch_build_1e5").sample_size(3);
     b.bench("t1", || ReachSketches::build(black_box(pg), config(1)));
+    b.bench("t2", || ReachSketches::build(black_box(pg), config(2)));
 }
 
 fn bench_estimate(pg: &ProbGraph, sk: &ReachSketches) {

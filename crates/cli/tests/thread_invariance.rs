@@ -4,7 +4,9 @@
 //! varies from run to run while the output may not. Each heavy command's
 //! stdout (and the `spheres --out` file) must be byte-identical at
 //! `--threads 1`, `2` and `8` — under one worker, two, and more workers
-//! than this graph has chunks per worker.
+//! than this graph has chunks per worker. The sketch build is run twice:
+//! on the small graph, which is one node partition, and on a graph of
+//! four partitions, so that the partitions fold in parallel.
 
 mod common;
 
@@ -36,19 +38,45 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
             "--model", "ba", "--nodes", "333", "--m", "4", "--prob", "wc", "--seed", "42",
         ],
     );
+    // 4000 nodes at k = 64: four partitions of 1024 nodes, the last short.
+    let wide = generate(
+        &dir,
+        "wide.tsv",
+        &[
+            "--model", "ba", "--nodes", "4000", "--m", "3", "--prob", "wc", "--seed", "5",
+        ],
+    );
     let spheres_out = dir.join("spheres.tsv").to_string_lossy().into_owned();
     let commands = [
-        ("infmax --k 5 --method tc --samples 48 --seed 9", None),
         (
+            &graph,
+            "infmax --k 5 --method tc --samples 48 --seed 9",
+            None,
+        ),
+        (
+            &graph,
             "infmax --k 5 --backend sketch --sketch-k 16 --samples 48 --seed 9",
             None,
         ),
-        ("spheres --samples 48 --seed 7", Some(spheres_out.as_str())),
-        ("infmax --k 3 --method greedy --samples 24 --seed 9", None),
+        (
+            &wide,
+            "infmax --k 5 --backend sketch --sketch-k 64 --samples 24 --seed 9",
+            None,
+        ),
+        (
+            &graph,
+            "spheres --samples 48 --seed 7",
+            Some(spheres_out.as_str()),
+        ),
+        (
+            &graph,
+            "infmax --k 3 --method greedy --samples 24 --seed 9",
+            None,
+        ),
     ];
-    for (line, out_file) in commands {
+    for (graph, line, out_file) in commands {
         let mut args: Vec<&str> = line.split(' ').collect();
-        args.insert(1, &graph);
+        args.insert(1, graph);
         let args = &args[..];
         let serial = output_at(args, out_file, "1");
         assert!(!serial.is_empty(), "{args:?} printed nothing");

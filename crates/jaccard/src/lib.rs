@@ -30,3 +30,17 @@ pub use median::{jaccard_median, jaccard_median_budgeted, MedianConfig, MedianRe
 
 #[cfg(test)]
 mod oracle;
+
+/// The `median.*` counters are process-wide, so the one test that reads
+/// their deltas holds this lock exclusively, and every test that fits a
+/// median holds it shared ([`fits_medians`]).
+#[cfg(test)]
+static MEDIAN_COUNTERS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// A shared hold on [`MEDIAN_COUNTERS`], for a test that fits medians.
+#[cfg(test)]
+fn fits_medians() -> std::sync::RwLockReadGuard<'static, ()> {
+    MEDIAN_COUNTERS
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -342,6 +342,7 @@ mod tests {
 
     #[test]
     fn identical_samples_yield_that_set() {
+        let _fits = crate::fits_medians();
         let samples = vec![vec![1, 2, 3]; 5];
         let r = jaccard_median(&samples);
         assert_eq!(r.median, vec![1, 2, 3]);
@@ -350,6 +351,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
+        let _fits = crate::fits_medians();
         let r = jaccard_median(&[]);
         assert!(r.median.is_empty());
         assert_eq!(r.cost, 0.0);
@@ -371,6 +373,7 @@ mod tests {
 
     #[test]
     fn sweep_beats_or_matches_majority() {
+        let _fits = crate::fits_medians();
         let samples = vec![
             vec![1, 2, 3, 4],
             vec![1, 2, 3],
@@ -385,6 +388,7 @@ mod tests {
 
     #[test]
     fn known_small_instance() {
+        let _fits = crate::fits_medians();
         // Samples {1,2},{2,3},{2}: the singleton {2} is optimal:
         // costs 0.5, 0.5, 0 → mean 1/3.
         let samples = vec![vec![1, 2], vec![2, 3], vec![2]];
@@ -397,6 +401,7 @@ mod tests {
 
     #[test]
     fn local_search_only_improves() {
+        let _fits = crate::fits_medians();
         let samples = vec![vec![1, 2, 3], vec![2, 3, 4], vec![3, 4, 5]];
         let bad_start = vec![9, 10, 11];
         let polished = local_search(&bad_start, &samples, 5);
@@ -409,6 +414,7 @@ mod tests {
 
     #[test]
     fn min_frequency_pruning() {
+        let _fits = crate::fits_medians();
         let samples = vec![vec![1, 2], vec![1, 3], vec![1, 4], vec![1, 5]];
         let config = MedianConfig {
             local_search_rounds: 0,
@@ -421,6 +427,7 @@ mod tests {
 
     #[test]
     fn deterministic_output() {
+        let _fits = crate::fits_medians();
         let samples = vec![vec![5, 6], vec![6, 7], vec![5, 7], vec![5, 6, 7]];
         let a = jaccard_median(&samples);
         let b = jaccard_median(&samples);
@@ -447,6 +454,7 @@ mod tests {
     /// random cases.
     #[test]
     fn near_optimality_on_small_instances() {
+        let _fits = crate::fits_medians();
         for case in 0..64u64 {
             let samples = sample_collection(case);
             let exact = exact_median_bruteforce(&samples);
@@ -471,6 +479,7 @@ mod tests {
 
     #[test]
     fn budgeted_with_unlimited_deadline_matches_plain() {
+        let _fits = crate::fits_medians();
         for case in 0..16u64 {
             let samples = sample_collection(case);
             let plain = jaccard_median(&samples);
@@ -483,6 +492,7 @@ mod tests {
 
     #[test]
     fn budgeted_partial_result_is_still_valid() {
+        let _fits = crate::fits_medians();
         let samples = vec![vec![1, 2, 3], vec![2, 3, 4], vec![2, 3], vec![3, 4, 5]];
         // One tick: only the first prefix evaluation happens.
         let d = Deadline::ticks(1);
@@ -502,6 +512,7 @@ mod tests {
     /// Reported cost always matches a direct recomputation.
     #[test]
     fn reported_cost_is_verifiable() {
+        let _fits = crate::fits_medians();
         for case in 64..128u64 {
             let samples = sample_collection(case);
             let r = jaccard_median(&samples);

@@ -29,10 +29,11 @@
 //! estimates lives in [`select`].
 //!
 //! Everything is deterministic in the build seed: ranks and worlds are pure
-//! functions of `(seed, world, node)`, the parallel build partitions worlds
-//! into contiguous chunks whose merge is order-independent, and the stored
-//! sketch is canonically sorted — byte-stable across runs, thread counts,
-//! and replicas.
+//! functions of `(seed, world, node)`; the parallel build runs one world
+//! per worker, each bucketing its reached pairs by node partition, then
+//! folds every partition's buckets in world order into its own slice of
+//! the sketches; and the stored sketch is canonically sorted —
+//! byte-stable across runs, thread counts, and replicas.
 
 #[cfg(test)]
 mod oracle;
@@ -60,6 +61,15 @@ pub const BUILD_BLOCK: usize = 16;
 /// stream: both derive from the same master seed, but must never reuse a
 /// sub-seed.
 const RANK_SALT: u64 = 0xB077_0ACE_5EED_C0DE;
+
+/// log₂ of the nodes per build partition at sketch size `k`: the largest
+/// power of two (at least one) whose k-blocks fit in 1 MB, so the fold
+/// into a partition stays cache-resident — 1024 nodes at k = 64.
+fn partition_shift(k: usize) -> u32 {
+    ((1 << 20) / (k * std::mem::size_of::<Entry>()))
+        .max(1)
+        .ilog2()
+}
 
 /// Build-time options for [`ReachSketches`].
 #[derive(Clone, Copy, Debug)]
@@ -95,7 +105,7 @@ impl Default for SketchConfig {
 /// Derived lexicographic order `(rank, world, node)` is the canonical
 /// entry order everywhere — rank collisions (astronomically unlikely) tie
 /// deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Entry {
     /// Uniform 64-bit rank of the pair, a pure function of
     /// `(seed, world, node)`.
@@ -208,6 +218,11 @@ impl ReachSketches {
     /// worlds `start.0..ℓ` are folded into `start.1`, [`BUILD_BLOCK`] at
     /// a time under [`Run::blocks`]. `after_block(done, builder)` runs
     /// after every block and is the only way it can fail.
+    ///
+    /// A block runs in batches of one world per worker. Each world's BFS
+    /// buckets its reached pairs, at most k per node, by node partition;
+    /// then each partition offers the batch's buckets, in world order,
+    /// into its own slice of `combined`.
     fn build_blocks<E>(
         pg: &ProbGraph,
         config: SketchConfig,
@@ -221,41 +236,46 @@ impl ReachSketches {
         let n = pg.num_nodes();
         let ell = config.num_worlds;
         let k = config.k;
+        let shift = partition_shift(k);
         let threads = soi_util::pool::effective_threads(config.threads, BUILD_BLOCK);
 
-        // Worker-local builders are reused across blocks (reset is a size
-        // fill, not a reallocation).
-        let mut locals: Vec<Builder> = (0..threads).map(|_| Builder::new(n, k)).collect();
+        // Per worker, its BFS scratch and one bucket per partition, kept
+        // across batches: live buckets stay within workers · n · k pairs.
+        let partitions = n.div_ceil(1 << shift);
+        let mut slots: Vec<_> = (0..threads)
+            .map(|_| (WorldScratch::new(n), vec![Vec::new(); partitions]))
+            .collect();
         let done = run.blocks(ell, start, BUILD_BLOCK, |lo, hi| {
-            let per_worker = (hi - lo).div_ceil(threads);
-            soi_util::pool::for_each_indexed_with(
-                &mut locals,
-                threads,
-                || WorldScratch::new(n),
-                |scratch, t, local| {
-                    local.reset();
-                    for i in (lo + t * per_worker).min(hi)..(lo + (t + 1) * per_worker).min(hi) {
-                        accumulate_world(pg, &config, i, scratch, local);
+            for first in (lo..hi).step_by(threads) {
+                let batch = &mut slots[..threads.min(hi - first)];
+                soi_util::pool::for_each_indexed(batch, threads, |j, (scratch, buckets)| {
+                    bucket_world(pg, &config, first + j, shift, scratch, buckets);
+                });
+                let mut slices = combined.partitions(shift);
+                soi_util::pool::for_each_indexed(&mut slices, threads, |p, (heap, sizes)| {
+                    for (world, (_, buckets)) in (first as u32..).zip(batch.iter()) {
+                        for o in &buckets[p] {
+                            let u = o.target as usize;
+                            let e = Entry {
+                                rank: o.rank,
+                                world,
+                                node: o.node,
+                            };
+                            offer(&mut heap[u * k..(u + 1) * k], &mut sizes[u], e);
+                        }
                     }
-                },
-            );
-            // Bottom-k merge is commutative and associative, so folding the
-            // worker-local sketches in slot order is chunking-independent.
-            for local in &locals {
-                combined.merge_from(local);
+                });
             }
             after_block(hi, &combined)
         })?;
 
-        let sketches = combined.finish(ReachMeta {
-            graph_fingerprint: pg.fingerprint(),
-            config: SketchConfig {
-                // Record the ℓ actually built so a partial sketch's own
-                // config matches its true contents.
-                num_worlds: done,
-                ..config
-            },
-        });
+        // Record the ℓ actually built so a partial sketch's own config
+        // matches its true contents.
+        let config = SketchConfig {
+            num_worlds: done,
+            ..config
+        };
+        let sketches = combined.finish(pg.fingerprint(), config);
         sketches.record_build_metrics();
         Ok(run.deadline.outcome(sketches, done as u64, ell as u64))
     }
@@ -421,15 +441,13 @@ impl ReachSketches {
             .map_err(|_| SoiError::Invalid("sketch k exceeds address space".into()))?;
         let seed = r.u64("seed")?;
         let builder = Builder::decode(&ck.payload, n, k)?;
-        Ok(builder.finish(ReachMeta {
-            graph_fingerprint: ck.graph_fingerprint,
-            config: SketchConfig {
-                num_worlds: ck.done_units as usize,
-                k,
-                seed,
-                threads: 0,
-            },
-        }))
+        let config = SketchConfig {
+            num_worlds: ck.done_units as usize,
+            k,
+            seed,
+            threads: 0,
+        };
+        Ok(builder.finish(ck.graph_fingerprint, config))
     }
 
     fn record_build_metrics(&self) {
@@ -448,17 +466,12 @@ impl ReachSketches {
     }
 }
 
-/// Metadata carried into [`Builder::finish`].
-struct ReachMeta {
-    graph_fingerprint: u64,
-    config: SketchConfig,
-}
-
-/// Mutable bottom-k accumulator: node-major k-blocks maintained as
+/// The build's one bottom-k accumulator: node-major k-blocks maintained as
 /// max-heaps so the current worst entry of a full block is O(1) to find
-/// and replace.
+/// and replace. The build folds worlds into it one node partition at a
+/// time ([`partitions`](Self::partitions)); checkpoints are its
+/// [`encode`](Self::encode)d state.
 struct Builder {
-    num_nodes: usize,
     k: usize,
     sizes: Vec<u32>,
     heap: Vec<Entry>,
@@ -467,85 +480,18 @@ struct Builder {
 impl Builder {
     fn new(num_nodes: usize, k: usize) -> Self {
         Builder {
-            num_nodes,
             k,
             sizes: vec![0; num_nodes],
-            heap: vec![
-                Entry {
-                    rank: 0,
-                    world: 0,
-                    node: 0,
-                };
-                num_nodes * k
-            ],
+            heap: vec![Entry::default(); num_nodes * k],
         }
     }
 
-    /// Empties every block without releasing storage (worker reuse across
-    /// blocks).
-    fn reset(&mut self) {
-        self.sizes.fill(0);
-    }
-
-    /// Offers `e` to node `u`'s bottom-k block.
-    #[inline]
-    fn offer(&mut self, u: usize, e: Entry) {
-        let base = u * self.k;
-        let size = self.sizes[u] as usize;
-        if size < self.k {
-            self.heap[base + size] = e;
-            self.sizes[u] = size as u32 + 1;
-            // Sift up.
-            let mut i = size;
-            while i > 0 {
-                let p = (i - 1) / 2;
-                if self.heap[base + p] < self.heap[base + i] {
-                    self.heap.swap(base + p, base + i);
-                    i = p;
-                } else {
-                    break;
-                }
-            }
-        } else if e < self.heap[base] {
-            self.heap[base] = e;
-            self.sift_down(base);
-        }
-    }
-
-    /// Restores the max-heap property of a full block after replacing its
-    /// root.
-    #[inline]
-    fn sift_down(&mut self, base: usize) {
-        let mut i = 0usize;
-        loop {
-            let l = 2 * i + 1;
-            if l >= self.k {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < self.k && self.heap[base + r] > self.heap[base + l] {
-                r
-            } else {
-                l
-            };
-            if self.heap[base + c] > self.heap[base + i] {
-                self.heap.swap(base + i, base + c);
-                i = c;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Folds another builder's blocks into this one. The result is the
-    /// bottom-k of the union, independent of fold order.
-    fn merge_from(&mut self, other: &Builder) {
-        for u in 0..self.num_nodes {
-            let base = u * self.k;
-            for j in 0..other.sizes[u] as usize {
-                self.offer(u, other.heap[base + j]);
-            }
-        }
+    /// The blocks of consecutive node partitions of `1 << shift` nodes
+    /// (the last may be shorter), as disjoint `(heap, sizes)` slices.
+    fn partitions(&mut self, shift: u32) -> Vec<(&mut [Entry], &mut [u32])> {
+        let nodes = 1 << shift;
+        let heaps = self.heap.chunks_mut(nodes * self.k);
+        heaps.zip(self.sizes.chunks_mut(nodes)).collect()
     }
 
     /// Canonical serialized state: `n`, `k`, `seed`, then per-node sorted
@@ -553,13 +499,12 @@ impl Builder {
     /// *sets*, so checkpoints agree across thread counts.
     fn encode(&self, seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.heap.len() * 16);
-        out.extend_from_slice(&(self.num_nodes as u64).to_le_bytes());
+        out.extend_from_slice(&(self.sizes.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.k as u64).to_le_bytes());
         out.extend_from_slice(&seed.to_le_bytes());
         let mut block: Vec<Entry> = Vec::with_capacity(self.k);
-        for u in 0..self.num_nodes {
-            let base = u * self.k;
-            let size = self.sizes[u] as usize;
+        for (u, &size) in self.sizes.iter().enumerate() {
+            let (base, size) = (u * self.k, size as usize);
             block.clear();
             block.extend_from_slice(&self.heap[base..base + size]);
             block.sort_unstable();
@@ -575,10 +520,11 @@ impl Builder {
 
     /// Encodes with a real seed slot (used by [`ReachSketches::save`]).
     fn from_sketches(sk: &ReachSketches) -> Builder {
-        let mut b = Builder::new(sk.num_nodes, sk.config.k);
+        let k = sk.config.k;
+        let mut b = Builder::new(sk.num_nodes, k);
         for v in 0..sk.num_nodes {
             for &e in sk.sketch_of(v as NodeId) {
-                b.offer(v, e);
+                offer(&mut b.heap[v * k..(v + 1) * k], &mut b.sizes[v], e);
             }
         }
         b
@@ -619,28 +565,82 @@ impl Builder {
         Ok(b)
     }
 
-    /// Sorts every block ascending and freezes into [`ReachSketches`].
-    fn finish(mut self, meta: ReachMeta) -> ReachSketches {
-        for u in 0..self.num_nodes {
-            let base = u * self.k;
-            let size = self.sizes[u] as usize;
-            self.heap[base..base + size].sort_unstable();
-        }
+    /// Sorts every block ascending, partitions on `config.threads`
+    /// workers, and freezes into [`ReachSketches`].
+    fn finish(mut self, graph_fingerprint: u64, config: SketchConfig) -> ReachSketches {
+        let k = self.k;
+        let partitions = &mut self.partitions(partition_shift(k));
+        soi_util::pool::for_each_indexed(partitions, config.threads, |_, (heap, sizes)| {
+            for (block, &size) in heap.chunks_mut(k).zip(sizes.iter()) {
+                block[..size as usize].sort_unstable();
+            }
+        });
         ReachSketches {
-            num_nodes: self.num_nodes,
-            graph_fingerprint: meta.graph_fingerprint,
-            config: meta.config,
+            num_nodes: self.sizes.len(),
+            graph_fingerprint,
+            config,
             entries: self.heap,
             sizes: self.sizes,
         }
     }
 }
 
+/// Offers `e` to one node's bottom-k `block`: a max-heap over its first
+/// `*size` slots.
+#[inline]
+fn offer(block: &mut [Entry], size: &mut u32, e: Entry) {
+    let k = block.len();
+    let filled = *size as usize;
+    if filled < k {
+        block[filled] = e;
+        *size += 1;
+        // Sift up.
+        let mut i = filled;
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if block[p] < block[i] {
+                block.swap(p, i);
+                i = p;
+            } else {
+                break;
+            }
+        }
+    } else if e < block[0] {
+        block[0] = e;
+        // Sift down.
+        let mut i = 0usize;
+        loop {
+            let l = 2 * i + 1;
+            if l >= k {
+                break;
+            }
+            let r = l + 1;
+            let c = if r < k && block[r] > block[l] { r } else { l };
+            if block[c] > block[i] {
+                block.swap(i, c);
+                i = c;
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+/// One reached pair of a world, waiting in its node partition's bucket:
+/// pair `(node, world)`, ranked `rank`, enters the sketch of the
+/// partition's `target`-th node.
+#[derive(Clone, Copy)]
+struct Offer {
+    rank: u64,
+    node: NodeId,
+    target: u32,
+}
+
 /// Reusable per-worker scratch for the per-world pruned reverse BFS.
 struct WorldScratch {
     sampler: WorldSampler,
-    ranks: Vec<u64>,
-    order: Vec<NodeId>,
+    /// Every node's `(rank, node)`, sorted into rank order.
+    order: Vec<(u64, NodeId)>,
     /// Per-world entry count of each node; a node with `k` entries is
     /// complete for the world and prunes the search.
     counts: Vec<u32>,
@@ -654,8 +654,7 @@ impl WorldScratch {
     fn new(n: usize) -> Self {
         WorldScratch {
             sampler: WorldSampler::new(),
-            ranks: vec![0; n],
-            order: (0..n as NodeId).collect(),
+            order: vec![(0, 0); n],
             counts: vec![0; n],
             visited: vec![0; n],
             generation: 0,
@@ -664,40 +663,39 @@ impl WorldScratch {
     }
 }
 
-/// Folds world `i`'s exact per-world bottom-k contributions into `local`.
+/// Buckets world `i`'s exact per-world bottom-k contributions by node
+/// partition: `buckets[p]` receives, in BFS order, the offers to the
+/// nodes of partition `p` (`1 << shift` nodes each).
 ///
 /// Nodes are processed in increasing rank order with a reverse BFS pruned
 /// at nodes that already hold k entries *for this world* — the classic
 /// bottom-k construction, exact because any pruned path certifies k
 /// smaller ranks already reached (or will reach, by induction over rank
 /// order) everything upstream.
-fn accumulate_world(
+fn bucket_world(
     pg: &ProbGraph,
     config: &SketchConfig,
     i: usize,
+    shift: u32,
     scratch: &mut WorldScratch,
-    local: &mut Builder,
+    buckets: &mut [Vec<Offer>],
 ) {
-    let n = pg.num_nodes();
     let k = config.k as u32;
     let mut rng = world_rng(config.seed, i);
     let world: DiGraph = scratch.sampler.sample(pg, &mut rng);
     let rev = world.reverse();
 
-    for v in 0..n {
-        scratch.ranks[v] = pair_rank(config.seed, i, v as NodeId);
+    buckets.iter_mut().for_each(Vec::clear);
+    for (v, slot) in scratch.order.iter_mut().enumerate() {
+        *slot = (pair_rank(config.seed, i, v as NodeId), v as NodeId);
     }
-    scratch
-        .order
-        .sort_unstable_by_key(|&v| (scratch.ranks[v as usize], v));
+    scratch.order.sort_unstable();
     scratch.counts.fill(0);
 
-    for idx in 0..n {
-        let v = scratch.order[idx];
+    for &(rank, v) in &scratch.order {
         if scratch.counts[v as usize] >= k {
             continue;
         }
-        let rank = scratch.ranks[v as usize];
         if scratch.generation == u32::MAX {
             scratch.visited.fill(0);
             scratch.generation = 0;
@@ -709,14 +707,11 @@ fn accumulate_world(
         scratch.visited[v as usize] = generation;
         while let Some(u) = scratch.queue.pop() {
             scratch.counts[u as usize] += 1;
-            local.offer(
-                u as usize,
-                Entry {
-                    rank,
-                    world: i as u32,
-                    node: v,
-                },
-            );
+            buckets[(u >> shift) as usize].push(Offer {
+                rank,
+                node: v,
+                target: u & ((1 << shift) - 1),
+            });
             for &w in rev.out_neighbors(u) {
                 if scratch.visited[w as usize] != generation && scratch.counts[w as usize] < k {
                     scratch.visited[w as usize] = generation;
