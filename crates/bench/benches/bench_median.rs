@@ -3,17 +3,23 @@
 //! distribution; these benches isolate it).
 
 use soi_bench::microbench::Bencher;
+use soi_core::{index_median, NodeScratch};
 use soi_graph::{gen, ProbGraph};
+use soi_index::{CascadeIndex, IndexConfig};
 use soi_jaccard::median::{jaccard_median_with, MedianConfig};
 use soi_sampling::CascadeSampler;
 use soi_util::rng::Xoshiro256pp;
+use soi_util::runtime::Deadline;
 use std::hint::black_box;
+
+fn graph(p: f64, seed: u64) -> ProbGraph {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    ProbGraph::fixed(gen::gnm(2_000, 10_000, &mut rng), p).unwrap()
+}
 
 /// Realistic inputs: actual sampled cascades, not synthetic sets.
 fn cascade_collection(ell: usize, p: f64, seed: u64) -> Vec<Vec<u32>> {
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let pg = ProbGraph::fixed(gen::gnm(2_000, 10_000, &mut rng), p).unwrap();
-    CascadeSampler::sample_many(&pg, 0, ell, seed)
+    CascadeSampler::sample_many(&graph(p, seed), 0, ell, seed)
 }
 
 fn bench_median_by_samples() {
@@ -36,6 +42,26 @@ fn bench_median_by_regime() {
     }
 }
 
+/// Algorithm 2's per-node step as the batch pipeline runs it: load one
+/// node's 256 indexed cascades into the evaluator straight from the
+/// index, then fit — on the same graph as `large_cascades`.
+fn bench_median_from_index() {
+    let index = CascadeIndex::build(
+        &graph(0.3, 2),
+        IndexConfig {
+            num_worlds: 256,
+            seed: 2,
+            ..IndexConfig::default()
+        },
+    );
+    let (config, unlimited) = (MedianConfig::default(), Deadline::unlimited());
+    let mut scratch = NodeScratch::new(&index);
+    let b = Bencher::group("median_from_index");
+    b.bench("large_cascades", || {
+        index_median(&index, black_box(0), &config, &unlimited, &mut scratch)
+    });
+}
+
 fn bench_sweep_vs_polish() {
     let samples = cascade_collection(256, 0.15, 3);
     let b = Bencher::group("median_ablation");
@@ -54,6 +80,7 @@ fn bench_sweep_vs_polish() {
 fn main() {
     bench_median_by_samples();
     bench_median_by_regime();
+    bench_median_from_index();
     bench_sweep_vs_polish();
     soi_bench::microbench::write_summary();
 }

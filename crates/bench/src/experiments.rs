@@ -3,12 +3,15 @@
 //! binaries and `run_all` are thin wrappers over these.
 
 use crate::Args;
-use soi_core::{all_typical_cascades, typical_cascade_of_set, TypicalCascadeConfig};
+use soi_core::{
+    all_typical_cascades, index_median, typical_cascade_of_set, NodeScratch, TypicalCascadeConfig,
+};
 use soi_datasets::{all_configs, build, Dataset};
 use soi_graph::NodeId;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{infmax_std, infmax_tc, saturation, GreedyMode, SpreadOracle};
 use soi_jaccard::median::MedianConfig;
+use soi_util::runtime::Deadline;
 use soi_util::stats::{percentile_sorted, RunningStats};
 use soi_util::timer::Timer;
 use soi_util::tsv::{fmt_f64, TsvWriter};
@@ -171,10 +174,11 @@ pub fn figure4<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
         let mut cost_times = Vec::new();
         let mut costs = RunningStats::new();
         let cost_samples = args.samples;
+        let (median, unlimited) = (MedianConfig::default(), Deadline::unlimited());
+        let mut scratch = NodeScratch::new(&index);
         for v in (0..n).step_by(stride) {
             let t = Timer::start();
-            let samples = index.cascades_of(v as NodeId);
-            let fit = soi_jaccard::median::jaccard_median_with(&samples, &MedianConfig::default());
+            let fit = index_median(&index, v as NodeId, &median, &unlimited, &mut scratch).value();
             median_times.push(t.elapsed_ms());
 
             let t = Timer::start();

@@ -3,7 +3,7 @@
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery};
 use soi_jaccard::cost::IncrementalCost;
-use soi_jaccard::median::{jaccard_median_in, jaccard_median_with, MedianConfig};
+use soi_jaccard::median::{jaccard_median_loaded, jaccard_median_with, MedianConfig, MedianResult};
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
 use soi_util::rng::derive_seed;
@@ -163,6 +163,55 @@ pub(crate) fn sample_set_cascades(
         sets.push(cascade.to_vec());
     });
     sets
+}
+
+/// Per-worker scratch for [`index_median`]: a worker that solves node
+/// after node keeps one and allocates nothing per node.
+pub struct NodeScratch {
+    query: IndexQuery,
+    inc: IncrementalCost,
+}
+
+impl NodeScratch {
+    /// Scratch sized for `index`.
+    pub fn new(index: &CascadeIndex) -> Self {
+        NodeScratch {
+            query: index.query(),
+            inc: IncrementalCost::default(),
+        }
+    }
+}
+
+/// Algorithm 2's per-node step: the Jaccard median of `v`'s ℓ indexed
+/// cascades, bit-identical to
+/// `jaccard_median_budgeted(&index.cascades_of(v), median, deadline)`
+/// without materialising those cascades. The evaluator loads its postings
+/// straight from the components `v` reaches in each world (span
+/// `engine.index_lookup`); only the input-set candidates the fit asks for
+/// are assembled (span `engine.median_fit`, which spends the deadline's
+/// ticks).
+pub fn index_median(
+    index: &CascadeIndex,
+    v: NodeId,
+    median: &MedianConfig,
+    deadline: &Deadline,
+    scratch: &mut NodeScratch,
+) -> Outcome<MedianResult> {
+    let NodeScratch { query, inc } = scratch;
+    let pairs = {
+        let _s = soi_obs::span("engine.index_lookup");
+        let pairs = index.reached_comps(v, query);
+        let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).members_of(c));
+        inc.load(index.num_worlds(), pairs.iter().map(members));
+        pairs
+    };
+    let _s = soi_obs::span("engine.median_fit");
+    jaccard_median_loaded(inc, median, deadline, |i, out| {
+        let from = pairs.partition_point(|p| (p.0 as usize) < i);
+        for &(w, c) in pairs[from..].iter().take_while(|p| p.0 as usize == i) {
+            out.extend_from_slice(index.world(w as usize).members_of(c));
+        }
+    })
 }
 
 /// The typical cascade of one node as produced by the batch pipeline.
@@ -362,18 +411,9 @@ fn solve_blocks<E>(
     let threads = soi_util::pool::effective_threads(threads, n);
     results.reserve(n.saturating_sub(results.len()));
 
-    let solve = |(query, inc): &mut (IndexQuery, IncrementalCost), v: NodeId| {
-        // Per-node phase breakdown — the Figure 4 quantity: index lookup
-        // vs median fit, aggregated in the span table.
+    let solve = |scratch: &mut NodeScratch, v: NodeId| {
         soi_obs::counter_add!("engine.nodes_solved", 1);
-        let samples = {
-            let _s = soi_obs::span("engine.index_lookup");
-            index.cascades_with(v, query)
-        };
-        let fit = {
-            let _s = soi_obs::span("engine.median_fit");
-            jaccard_median_in(samples, median, &Deadline::unlimited(), inc).value()
-        };
+        let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
         soi_obs::hist_observe!("engine.sphere_size", SPHERE_SIZE_BUCKETS, fit.median.len());
         NodeTypicalCascade {
             node: v,
@@ -385,8 +425,8 @@ fn solve_blocks<E>(
     let done = run.blocks(n, results.len(), run.every, |lo, hi| {
         before_block()?;
         let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
-        // One extraction and median scratch per worker, kept across chunks.
-        let scratch = || (index.query(), IncrementalCost::default());
+        // One scratch per worker, kept across chunks.
+        let scratch = || NodeScratch::new(index);
         soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
             *slot = Some(solve(s, (lo + j) as NodeId));
         });
@@ -406,6 +446,7 @@ mod tests {
     use super::*;
     use soi_graph::{gen, GraphBuilder};
     use soi_index::IndexConfig;
+    use soi_jaccard::median::jaccard_median_budgeted;
 
     fn small_config() -> TypicalCascadeConfig {
         TypicalCascadeConfig {
@@ -501,10 +542,21 @@ mod tests {
             assert_eq!(a.median, b.median);
             assert_eq!(a.training_cost, b.training_cost);
         }
-        // Each node's batch median equals a direct median of its indexed
-        // cascades.
-        for v in [0u32, 17, 42] {
-            let direct = jaccard_median_with(&index.cascades_of(v), &MedianConfig::default());
+        // Each node's median fitted from the index's components equals a
+        // direct median of its materialised cascades — medians, cost bits
+        // and progress at every tick budget.
+        let mut scratch = NodeScratch::new(&index);
+        let config = MedianConfig::default();
+        for v in 0..50 {
+            let samples = index.cascades_of(v);
+            for budget in [Some(0), Some(1), Some(7), Some(50), None] {
+                let deadline = || budget.map_or_else(Deadline::unlimited, Deadline::ticks);
+                let bits = |o: Outcome<MedianResult>| o.map(|r| (r.median, r.cost.to_bits()));
+                let direct = jaccard_median_budgeted(&samples, &config, &deadline());
+                let loaded = index_median(&index, v, &config, &deadline(), &mut scratch);
+                assert_eq!(bits(loaded), bits(direct), "node {v}, budget {budget:?}");
+            }
+            let direct = jaccard_median_with(&samples, &config);
             assert_eq!(serial[v as usize].median, direct.median);
         }
     }

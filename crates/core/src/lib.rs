@@ -23,7 +23,7 @@ pub mod engine;
 pub mod stability;
 
 pub use engine::{
-    all_typical_cascades, all_typical_cascades_resumable, typical_cascade, typical_cascade_of_set,
-    NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
+    all_typical_cascades, all_typical_cascades_resumable, index_median, typical_cascade,
+    typical_cascade_of_set, NodeScratch, NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
 };
 pub use stability::{expected_cost, expected_cost_of_seed_set};

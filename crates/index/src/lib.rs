@@ -346,7 +346,7 @@ impl CascadeIndex {
             reach: Reachability::new(self.max_comps),
             comps: Vec::new(),
             seed_comps: Vec::new(),
-            sets: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -386,25 +386,31 @@ impl CascadeIndex {
 
     /// All ℓ cascades of `v` as canonical sorted sets — the input shape
     /// the Jaccard-median machinery expects (Algorithm 2's inner loop).
-    /// One-shot form of [`cascades_with`](Self::cascades_with).
     pub fn cascades_of(&self, v: NodeId) -> Vec<Vec<NodeId>> {
         let mut q = self.query();
-        self.cascades_with(v, &mut q);
-        q.sets
-    }
-
-    /// [`cascades_of`](Self::cascades_of) into `q`'s own ℓ buffers, valid
-    /// until `q` is used again: a worker that solves node after node
-    /// allocates and zeroes nothing per node.
-    pub fn cascades_with<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [Vec<NodeId>] {
-        let mut sets = std::mem::take(&mut q.sets);
-        sets.resize_with(self.num_worlds(), Vec::new);
-        for (i, set) in sets.iter_mut().enumerate() {
-            self.cascade(v, i, q, set);
+        let mut sets = vec![Vec::new(); self.num_worlds()];
+        for &(i, c) in self.reached_comps(v, &mut q) {
+            sets[i as usize].extend_from_slice(self.worlds[i as usize].members_of(c));
+        }
+        for set in &mut sets {
             set.sort_unstable();
         }
-        q.sets = sets;
-        &q.sets
+        sets
+    }
+
+    /// The components `v` reaches in every world, as `(world, component)`
+    /// pairs in ascending world order, valid until `q` is used again. The
+    /// cascade of `v` in world `i` is the disjoint union of the member
+    /// lists ([`WorldIndex::members_of`]) of world `i`'s pairs, so a
+    /// consumer can read all ℓ cascades without materialising them.
+    pub fn reached_comps<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
+        q.pairs.clear();
+        for (i, w) in self.worlds.iter().enumerate() {
+            q.reach
+                .multi_source(&w.dag, &[self.comp_of(v, i)], &mut q.comps);
+            q.pairs.extend(q.comps.iter().map(|&c| (i as u32, c)));
+        }
+        &q.pairs
     }
 
     /// Approximate heap footprint in bytes (matrix + world structures):
@@ -449,8 +455,8 @@ pub struct IndexQuery {
     comps: Vec<u32>,
     /// The seeds' components in the world being queried.
     seed_comps: Vec<u32>,
-    /// The ℓ cascades of the last [`CascadeIndex::cascades_with`] node.
-    sets: Vec<Vec<NodeId>>,
+    /// The last [`CascadeIndex::reached_comps`] answer.
+    pairs: Vec<(u32, u32)>,
 }
 
 /// Worlds per deadline check in [`CascadeIndex::build_budgeted`]. A fixed

@@ -8,7 +8,11 @@
 //! nested candidates costs `O(Σ|S_i| + n·ℓ)` instead of `O(n · Σ|S_i|)`.
 //! It runs on local ids `0..U` (the sorted distinct sample elements) with
 //! CSR postings, so scoring a whole candidate set `s` from its elements'
-//! postings costs `Σ_{e∈s} freq(e) + ℓ` instead of ℓ sorted merges.
+//! postings costs `Σ_{e∈s} freq(e) + ℓ` instead of ℓ sorted merges. A
+//! local-search toggle costs `O(ℓ)` additions and no division: every
+//! sample's cost change under a toggle depends only on the direction and
+//! on whether the sample holds the element, so those per-sample terms are
+//! cached once per candidate.
 
 use crate::distance::jaccard_distance;
 
@@ -34,10 +38,10 @@ fn distance(inter: f64, union: f64) -> f64 {
 ///
 /// Maintains the candidate `C` implicitly through per-sample intersection
 /// counters; `insert`/`remove` cost `O(log U + #samples containing the
-/// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Reusable: a fit
-/// (`median::jaccard_median_in`) reloads it in place, so a worker fitting
-/// median after median allocates nothing proportional to the largest
-/// element id per fit.
+/// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Reusable: a worker
+/// fitting median after median reloads one evaluator in place
+/// ([`IncrementalCost::load`]) and allocates nothing proportional to the
+/// largest element id per fit.
 #[derive(Default)]
 pub struct IncrementalCost {
     /// The sorted distinct sample elements: `elems[u]` has local id `u`.
@@ -54,12 +58,25 @@ pub struct IncrementalCost {
     /// outside the sample universe.
     member: Vec<bool>,
     outside: Vec<u32>,
-    /// Element → local id + 1 inside `reset` (all zero between calls), and
-    /// `cost_of_set`'s per-sample intersection counts.
+    /// Element → count, then local id, inside `load` (all zero between
+    /// calls), and `cost_of_set`'s per-sample intersection counts.
     ids: Vec<u32>,
     scratch: Vec<u32>,
-    /// Each sample's distance to `C` for `toggle_delta`; emptied on change.
-    before: Vec<f64>,
+    /// `toggle_delta`'s per-sample cost changes against the current
+    /// candidate, for an insertion (`[0]`) and a removal (`[1]`); a row
+    /// pair is filled on the first toggle in its direction and emptied
+    /// whenever the candidate changes.
+    toggles: [ToggleTerms; 2],
+    /// The toggle being scored: its `miss` row with its postings overwritten.
+    terms: Vec<f64>,
+}
+
+/// One direction's terms: each sample's distance after the toggle minus
+/// before it, for a toggled element the sample misses and one it holds.
+#[derive(Default)]
+struct ToggleTerms {
+    miss: Vec<f64>,
+    hold: Vec<f64>,
 }
 
 impl IncrementalCost {
@@ -70,59 +87,94 @@ impl IncrementalCost {
         inc
     }
 
-    /// Reloads the evaluator with `samples` and `C = ∅` in
-    /// `O(Σ|S_i| + U log U)`: the element → local id map keeps its size
-    /// across calls, and only the entries this collection touches are set
-    /// and cleared again.
+    /// Reloads the evaluator with the canonical sets `samples` and `C = ∅`:
+    /// [`load`](Self::load) with each sample as one chunk.
     pub(crate) fn reset(&mut self, samples: &[Vec<u32>]) {
         debug_assert!(samples.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
-        let max = samples.iter().filter_map(|s| s.last()).max();
-        let len = max.map_or(0, |&m| m as usize + 1);
-        self.ids.resize(self.ids.len().max(len), 0);
+        let chunks = samples.iter().enumerate();
+        self.load(samples.len(), chunks.map(|(i, s)| (i as u32, s.as_slice())));
+    }
+
+    /// Reloads the evaluator with `num_samples` samples and `C = ∅`, in
+    /// `O(Σ|S_i| + U log U)`. Sample `i` is the union of the members of
+    /// its chunks `(i, members)`. Chunks come in ascending sample order,
+    /// and the chunks of one sample hold distinct elements between them; a
+    /// sample with no chunk is empty. Only the U distinct elements are
+    /// sorted, and each element's postings come out ascending without a
+    /// sort. The element map keeps its size across calls, and only the
+    /// entries this collection touches are set and cleared again.
+    pub fn load<'a, I>(&mut self, num_samples: usize, chunks: I)
+    where
+        I: IntoIterator<Item = (u32, &'a [u32])> + Clone,
+    {
+        // Count pass: each element's frequency, and the distinct elements.
         self.elems.clear();
-        for &e in samples.iter().flatten() {
-            if std::mem::replace(&mut self.ids[e as usize], 1) == 0 {
-                self.elems.push(e);
+        for (_, members) in chunks.clone() {
+            for &e in members {
+                let e = e as usize;
+                if e >= self.ids.len() {
+                    self.ids.resize(e + 1, 0);
+                }
+                if self.ids[e] == 0 {
+                    self.elems.push(e as u32);
+                }
+                self.ids[e] += 1;
             }
         }
         self.elems.sort_unstable();
-        for (u, &e) in self.elems.iter().enumerate() {
-            self.ids[e as usize] = u as u32 + 1;
-        }
-        // Counting sort into CSR: element u is counted at offsets[u + 2],
-        // so prefix sums leave its start at offsets[u + 1], which the fill
-        // advances to its end — u + 1's start. The spare last slot goes.
-        let u_len = self.elems.len();
+        // Element u's postings start at offsets[u + 1], which the fill
+        // advances to their end — u + 1's start.
         self.offsets.clear();
-        self.offsets.resize(u_len + 2, 0);
-        for &e in samples.iter().flatten() {
-            self.offsets[self.ids[e as usize] as usize + 1] += 1;
-        }
-        for u in 1..u_len + 2 {
-            self.offsets[u] += self.offsets[u - 1];
+        self.offsets.push(0);
+        let mut start = 0;
+        for (u, &e) in self.elems.iter().enumerate() {
+            self.offsets.push(start);
+            start += std::mem::replace(&mut self.ids[e as usize], u as u32) as usize;
         }
         self.postings.clear();
-        self.postings.resize(self.offsets[u_len + 1], 0);
-        for (i, s) in samples.iter().enumerate() {
-            for &e in s {
-                let at = &mut self.offsets[self.ids[e as usize] as usize];
-                self.postings[*at] = i as u32;
+        self.postings.resize(start, 0);
+        self.sizes.clear();
+        self.sizes.resize(num_samples, 0);
+        let mut last = 0;
+        for (i, members) in chunks {
+            debug_assert!(i >= last, "chunks out of sample order");
+            last = i;
+            self.sizes[i as usize] += members.len() as u32;
+            for &e in members {
+                let at = &mut self.offsets[self.ids[e as usize] as usize + 1];
+                self.postings[*at] = i;
                 *at += 1;
             }
         }
-        self.offsets.pop();
         for &e in &self.elems {
             self.ids[e as usize] = 0;
         }
-        self.sizes.clear();
-        self.sizes.extend(samples.iter().map(|s| s.len() as u32));
         self.inter.clear();
-        self.inter.resize(samples.len(), 0);
+        self.inter.resize(num_samples, 0);
         self.member.clear();
-        self.member.resize(u_len, false);
+        self.member.resize(self.elems.len(), false);
         self.outside.clear();
-        self.before.clear();
         self.candidate_len = 0;
+        self.forget_toggles();
+    }
+
+    /// Empties the toggle-term cache: the candidate changed.
+    fn forget_toggles(&mut self) {
+        for rows in &mut self.toggles {
+            rows.miss.clear();
+        }
+    }
+
+    /// The number of samples ℓ.
+    pub fn num_samples(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The loaded collection: distinct elements, CSR offsets and
+    /// postings, and sample sizes.
+    #[cfg(test)]
+    pub(crate) fn loaded(&self) -> (&[u32], &[usize], &[u32], &[u32]) {
+        (&self.elems, &self.offsets, &self.postings, &self.sizes)
     }
 
     /// Where the postings of local id `u` sit in `postings`.
@@ -181,7 +233,7 @@ impl IncrementalCost {
             Ok(_) => return,
         }
         self.candidate_len = self.candidate_len.wrapping_add_signed(step as isize);
-        self.before.clear();
+        self.forget_toggles();
     }
 
     /// The empirical cost `ρ̂(C)` of the current candidate (0 for no
@@ -197,39 +249,50 @@ impl IncrementalCost {
 
     /// Cost change if `element` were toggled (inserted when absent,
     /// removed when present), without mutating the candidate: returns
-    /// `cost_after - cost_before`. Takes `&mut` only to cache each sample's
-    /// current distance for every toggle scored against the same candidate.
+    /// `cost_after - cost_before`, in `O(ℓ)` additions with no division.
+    /// A toggle moves `|C|` for every sample but `|C ∩ S_i|` only for the
+    /// samples holding the element, so each sample's term depends only on
+    /// the direction and on whether it holds the element. The first toggle
+    /// in a direction against a candidate caches both terms of every
+    /// sample (hence `&mut`); each toggle then takes the `miss` terms, the
+    /// `hold` terms at the element's postings, and sums them in sample
+    /// order — the expressions and order of a direct evaluation.
     pub fn toggle_delta(&mut self, element: u32) -> f64 {
-        let step = if self.contains(element) { -1.0 } else { 1.0 };
-        let k = self.candidate_len as f64;
-        if self.before.len() != self.sizes.len() {
-            let pairs = self.sizes.iter().zip(&self.inter);
-            let d = pairs.map(|(&sz, &i)| distance(i as f64, k + sz as f64 - i as f64));
-            self.before.extend(d);
-        }
-        // Samples containing the element (its ascending postings, walked
-        // alongside) change intersection; *all* see |C| change the union.
-        let containing = match self.elems.binary_search(&element) {
-            Ok(u) => &self.postings[self.span(u)],
-            Err(_) => &[],
+        let (local, present) = match self.elems.binary_search(&element) {
+            Ok(u) => (Some(u), self.member[u]),
+            Err(_) => (None, self.outside.binary_search(&element).is_ok()),
         };
-        let mut next = 0;
-        let mut delta = 0.0;
-        for (i, &sz) in self.sizes.iter().enumerate() {
-            let inter = self.inter[i] as f64;
-            let hit = containing.get(next) == Some(&(i as u32));
-            next += hit as usize;
-            let inter_after = if hit { inter + step } else { inter };
-            let after = distance(inter_after, k + step + sz as f64 - inter_after);
-            delta += after - self.before[i];
+        let rows = &mut self.toggles[present as usize];
+        if rows.miss.len() != self.sizes.len() {
+            let step = if present { -1.0 } else { 1.0 };
+            let k = self.candidate_len as f64;
+            rows.hold.clear();
+            for (&sz, &i) in self.sizes.iter().zip(&self.inter) {
+                let (sz, inter) = (sz as f64, i as f64);
+                let before = distance(inter, k + sz - inter);
+                rows.miss
+                    .push(distance(inter, k + step + sz - inter) - before);
+                let held = inter + step;
+                rows.hold
+                    .push(distance(held, k + step + sz - held) - before);
+            }
         }
+        let rows = &self.toggles[present as usize];
+        self.terms.clear();
+        self.terms.extend_from_slice(&rows.miss);
+        if let Some(u) = local {
+            for &i in &self.postings[self.span(u)] {
+                self.terms[i as usize] = rows.hold[i as usize];
+            }
+        }
+        let delta = self.terms.iter().fold(0.0, |sum, &t| sum + t);
         delta / self.sizes.len().max(1) as f64
     }
 
-    /// `ρ̂(s)` of any canonical set `s`, bit-identical to
-    /// [`empirical_cost`]`(s, samples)` (same integer union, same
-    /// expression, same summation order), from the postings of `s`'s
-    /// elements. The current candidate is untouched.
+    /// `ρ̂(s)` of any set `s` without duplicates, in any order,
+    /// bit-identical to [`empirical_cost`]`(s, samples)` (same integer
+    /// union, same expression, same summation order), from the postings of
+    /// `s`'s elements. The current candidate is untouched.
     pub fn cost_of_set(&mut self, s: &[u32]) -> f64 {
         self.scratch.clear();
         self.scratch.resize(self.sizes.len(), 0);

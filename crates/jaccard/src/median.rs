@@ -83,34 +83,37 @@ pub fn jaccard_median_budgeted(
     config: &MedianConfig,
     deadline: &Deadline,
 ) -> Outcome<MedianResult> {
-    jaccard_median_in(samples, config, deadline, &mut IncrementalCost::default())
+    let mut inc = IncrementalCost::new(samples);
+    jaccard_median_loaded(&mut inc, config, deadline, |i, out| {
+        out.extend_from_slice(&samples[i])
+    })
 }
 
-/// [`jaccard_median_budgeted`] on a caller-owned evaluator, reloaded with `samples`:
-/// a worker fitting median after median keeps one and stops allocating.
-pub fn jaccard_median_in(
-    samples: &[Vec<u32>],
+/// [`jaccard_median_budgeted`] on an evaluator already loaded with the ℓ
+/// samples (with `C = ∅`), so a caller can load it from wherever its
+/// samples live. `input_set(i, out)` appends the elements of sample `i`
+/// to the empty `out`, in any order; the fit asks only for the
+/// ⌈ℓ/stride⌉ input-set candidates.
+pub fn jaccard_median_loaded(
+    inc: &mut IncrementalCost,
     config: &MedianConfig,
     deadline: &Deadline,
-    inc: &mut IncrementalCost,
+    mut input_set: impl FnMut(usize, &mut Vec<u32>),
 ) -> Outcome<MedianResult> {
-    if samples.is_empty() {
+    let ell = inc.num_samples();
+    if ell == 0 {
         return Outcome::Completed(MedianResult {
             median: Vec::new(),
             cost: 0.0,
         });
     }
     soi_obs::counter_add!("median.calls", 1);
-    soi_obs::event!(
-        soi_obs::Level::Debug,
-        "median fit over {} sample sets",
-        samples.len()
-    );
+    soi_obs::event!(soi_obs::Level::Debug, "median fit over {ell} sample sets");
     let mut done = 0u64;
-    let sweep = frequency_sweep_budgeted(samples, config, deadline, &mut done, inc);
+    let sweep = frequency_sweep_budgeted(inc, config, deadline, &mut done);
     let mut best = sweep.best;
-    let stride = samples.len().div_ceil(24).max(1);
-    let input_evals = samples.len().div_ceil(stride) as u64;
+    let stride = ell.div_ceil(24).max(1);
+    let input_evals = ell.div_ceil(stride) as u64;
     // Planned candidate evaluations; local search may converge early, so
     // its contribution is an upper bound (the toggle pool is a subset of
     // the sample universe).
@@ -118,19 +121,22 @@ pub fn jaccard_median_in(
         + input_evals
         + config.local_search_rounds as u64 * sweep.universe_size as u64;
 
-    // Evaluate up to 24 evenly-spaced input sets as candidates.
-    for s in samples.iter().step_by(stride) {
+    // Evaluate up to 24 evenly-spaced input sets as candidates; only a
+    // winner is sorted into a canonical median.
+    let mut s = Vec::new();
+    for i in (0..ell).step_by(stride) {
         if !deadline.tick(1) {
             return deadline.outcome(best, done, total);
         }
         done += 1;
         soi_obs::counter_add!("median.input_set_evals", 1);
-        let cost = inc.cost_of_set(s);
+        s.clear();
+        input_set(i, &mut s);
+        let cost = inc.cost_of_set(&s);
         if cost < best.cost - 1e-15 {
-            best = MedianResult {
-                median: s.clone(),
-                cost,
-            };
+            let mut median = s.clone();
+            median.sort_unstable();
+            best = MedianResult { median, cost };
         }
     }
 
@@ -170,11 +176,10 @@ pub fn frequency_sweep(samples: &[Vec<u32>]) -> MedianResult {
     }
     let mut done = 0u64;
     frequency_sweep_budgeted(
-        samples,
+        &mut IncrementalCost::new(samples),
         &MedianConfig::default(),
         &Deadline::unlimited(),
         &mut done,
-        &mut IncrementalCost::default(),
     )
     .best
 }
@@ -188,17 +193,16 @@ struct SweepState {
     universe_size: usize,
 }
 
+/// The sweep on a freshly loaded evaluator (`C = ∅`).
 fn frequency_sweep_budgeted(
-    samples: &[Vec<u32>],
+    inc: &mut IncrementalCost,
     config: &MedianConfig,
     deadline: &Deadline,
     done: &mut u64,
-    inc: &mut IncrementalCost,
 ) -> SweepState {
-    inc.reset(samples);
     // Elements ordered by descending frequency; ties by ascending id for
     // determinism.
-    let min_count = ((config.min_frequency * samples.len() as f64).ceil() as usize).max(1);
+    let min_count = ((config.min_frequency * inc.num_samples() as f64).ceil() as usize).max(1);
     let universe_size = inc.universe().count();
     let mut order: Vec<(u32, u32)> = inc
         .universe()
@@ -231,7 +235,7 @@ fn frequency_sweep_budgeted(
         inc.remove(e);
     }
     let median = inc.candidate();
-    debug_assert!((empirical_cost(&median, samples) - best_cost).abs() < 1e-9);
+    debug_assert_eq!(inc.cost_of_set(&median).to_bits(), best_cost.to_bits());
     SweepState {
         best: MedianResult {
             median,

@@ -5,11 +5,13 @@
 //! input-set candidate scored by ℓ sorted merges (`empirical_cost`). The
 //! local-id [`IncrementalCost`], [`IncrementalCost::cost_of_set`] and the
 //! median pipeline built on them must reproduce it bit for bit: medians,
-//! cost bits, `Outcome` progress and `median.*` counters.
+//! cost bits, `Outcome` progress and `median.*` counters — whether the
+//! evaluator is loaded from whole sets or from the chunks the cascade
+//! index hands over ([`IncrementalCost::load`]).
 
 use crate::cost::{empirical_cost, IncrementalCost};
 use crate::median::{
-    frequency_sweep, jaccard_median_budgeted, jaccard_median_in, local_search, MedianConfig,
+    frequency_sweep, jaccard_median_budgeted, jaccard_median_loaded, local_search, MedianConfig,
     MedianResult,
 };
 use soi_util::rng::{Rng, Xoshiro256pp};
@@ -378,7 +380,7 @@ fn cost_of_set_is_bit_identical_to_empirical_cost() {
         union.dedup();
         // Elements outside the universe count towards |s| only.
         let stray: BTreeSet<u32> = (0..rng.random_range(0usize..12))
-            .map(|_| rng.random_range(0u32..4100))
+            .map(|_| rng.random_range(0..UNIVERSE))
             .collect();
         let stray: Vec<u32> = stray.into_iter().collect();
         let empty = Vec::new();
@@ -399,6 +401,10 @@ fn cost_of_set_is_bit_identical_to_empirical_cost() {
     }
 }
 
+/// Walks alternate inserts and removes, and between two changes score
+/// several toggles in both directions: the first toggle per direction
+/// fills that direction's cached terms, the rest read them, and the next
+/// change must invalidate them.
 #[test]
 fn evaluator_walks_match_the_hashmap_evaluator() {
     let mut inc = IncrementalCost::default();
@@ -408,16 +414,27 @@ fn evaluator_walks_match_the_hashmap_evaluator() {
         inc.reset(&samples);
         let mut rng = Xoshiro256pp::from_stream(0x3A1C, case);
         let lo = samples.iter().flatten().min().copied().unwrap_or(0);
-        for _ in 0..rng.random_range(0usize..60) {
-            // Mostly universe elements, sometimes ones no sample holds.
-            let e = lo.saturating_sub(3) + rng.random_range(0u32..70);
-            assert_eq!(inc.frequency(e), oracle.frequency(e), "case {case}");
-            assert_eq!(
-                inc.toggle_delta(e).to_bits(),
-                oracle.toggle_delta(e).to_bits(),
-                "case {case}, element {e}"
-            );
-            if rng.random_range(0u32..2) == 0 {
+        // Half the time a candidate member, else mostly universe
+        // elements, sometimes ones no sample holds.
+        let pick = |rng: &mut Xoshiro256pp, candidate: &[u32]| {
+            if !candidate.is_empty() && rng.random_range(0u32..2) == 0 {
+                candidate[rng.random_range(0..candidate.len())]
+            } else {
+                lo.saturating_sub(3) + rng.random_range(0u32..70)
+            }
+        };
+        for step in 0..rng.random_range(0usize..60) {
+            for _ in 0..3 {
+                let e = pick(&mut rng, &oracle.candidate());
+                assert_eq!(inc.frequency(e), oracle.frequency(e), "case {case}");
+                assert_eq!(
+                    inc.toggle_delta(e).to_bits(),
+                    oracle.toggle_delta(e).to_bits(),
+                    "case {case}, element {e}"
+                );
+            }
+            let e = pick(&mut rng, &oracle.candidate());
+            if step % 2 == 0 {
                 inc.insert(e);
                 oracle.insert(e);
             } else {
@@ -451,11 +468,12 @@ fn median_pipeline_is_bit_identical_to_the_oracle() {
                 let want = bits(median_budgeted(&samples, config, &deadline()));
                 let one_shot = bits(jaccard_median_budgeted(&samples, config, &deadline()));
                 assert_eq!(one_shot, want, "case {case}, {config:?}, budget {budget:?}");
-                let in_place = bits(jaccard_median_in(
-                    &samples,
+                reused.reset(&samples);
+                let in_place = bits(jaccard_median_loaded(
+                    &mut reused,
                     config,
                     &deadline(),
-                    &mut reused,
+                    |i, out| out.extend_from_slice(&samples[i]),
                 ));
                 assert_eq!(in_place, want, "case {case}, {config:?}, budget {budget:?}");
             }
@@ -476,6 +494,103 @@ fn median_pipeline_is_bit_identical_to_the_oracle() {
     );
 }
 
+/// [`collection`] elements and the stray elements drawn beside them lie
+/// below this bound; the chunk gate also loads an element at the bound
+/// minus one.
+const UNIVERSE: u32 = 4100;
+
+/// `samples` handed over the way the index hands over a node's
+/// cascades: each sample's elements shuffled and cut into random
+/// disjoint chunks, in sample order. Some chunks are empty, and an empty
+/// sample may have no chunk at all.
+fn chunked(samples: &[Vec<u32>], rng: &mut Xoshiro256pp) -> Vec<(u32, Vec<u32>)> {
+    let mut chunks = Vec::new();
+    for (i, s) in samples.iter().enumerate() {
+        let mut s = s.clone();
+        for j in (1..s.len()).rev() {
+            s.swap(j, rng.random_range(0..j + 1));
+        }
+        let mut rest = s.as_slice();
+        while !rest.is_empty() || rng.random_range(0u32..4) == 0 {
+            let take = rng.random_range(0..rest.len() + 1);
+            chunks.push((i as u32, rest[..take].to_vec()));
+            rest = &rest[take..];
+        }
+    }
+    chunks
+}
+
+/// The chunk loader builds what `reset` builds from whole sets — the
+/// elements, CSR offsets, postings and sizes, which also match the
+/// oracle's inverted index — and a fit on it, whose input-set candidates
+/// arrive unsorted, equals the oracle's at every tick budget.
+#[test]
+fn chunk_loads_match_reset_and_the_oracle() {
+    let _fits = crate::fits_medians();
+    let (mut from_chunks, mut from_sets) = (IncrementalCost::default(), IncrementalCost::default());
+    let (mut multi_chunk, mut singletons) = (0, 0);
+    for case in 0..240u64 {
+        let mut samples = collection(case);
+        if case.is_multiple_of(5) {
+            samples.last_mut().unwrap().push(UNIVERSE - 1);
+        }
+        let mut rng = Xoshiro256pp::from_stream(0xC4A2C, case);
+        let chunks = chunked(&samples, &mut rng);
+        let load = |inc: &mut IncrementalCost| {
+            inc.load(
+                samples.len(),
+                chunks.iter().map(|(i, c)| (*i, c.as_slice())),
+            );
+        };
+        let nonempty = |i| {
+            chunks
+                .iter()
+                .filter(|c| c.0 == i && !c.1.is_empty())
+                .count()
+        };
+        multi_chunk += (0..samples.len() as u32)
+            .filter(|&i| nonempty(i) > 1)
+            .count();
+        singletons += samples.iter().filter(|s| s.len() == 1).count();
+
+        load(&mut from_chunks);
+        from_sets.reset(&samples);
+        assert_eq!(from_chunks.loaded(), from_sets.loaded(), "case {case}");
+        let oracle = HashCost::new(&samples);
+        let (elems, offsets, postings, sizes) = from_sets.loaded();
+        assert_eq!(sizes, oracle.sizes, "case {case}");
+        assert_eq!(elems.len(), oracle.inverted.len(), "case {case}");
+        assert_eq!(offsets.len(), elems.len() + 1, "case {case}");
+        for (u, e) in elems.iter().enumerate() {
+            let want = &oracle.inverted[e];
+            assert_eq!(&postings[offsets[u]..offsets[u + 1]], want, "case {case}");
+        }
+
+        for config in &CONFIGS {
+            for budget in [Some(0), Some(1), Some(7), Some(50), None] {
+                let deadline = || budget.map_or_else(Deadline::unlimited, Deadline::ticks);
+                let want = bits(median_budgeted(&samples, config, &deadline()));
+                load(&mut from_chunks);
+                let got = bits(jaccard_median_loaded(
+                    &mut from_chunks,
+                    config,
+                    &deadline(),
+                    |i, out| {
+                        for (_, c) in chunks.iter().filter(|c| c.0 as usize == i) {
+                            out.extend_from_slice(c);
+                        }
+                    },
+                ));
+                assert_eq!(got, want, "case {case}, {config:?}, budget {budget:?}");
+            }
+        }
+    }
+    assert!(
+        multi_chunk >= 1000 && singletons >= 100,
+        "{multi_chunk} multi-chunk and {singletons} singleton samples"
+    );
+}
+
 #[test]
 fn local_search_from_outside_the_universe_matches_the_oracle() {
     let _fits = crate::fits_medians();
@@ -483,7 +598,7 @@ fn local_search_from_outside_the_universe_matches_the_oracle() {
         let samples = collection(case);
         let mut rng = Xoshiro256pp::from_stream(0x0575, case);
         let start: BTreeSet<u32> = (0..rng.random_range(0usize..10))
-            .map(|_| rng.random_range(0u32..4100))
+            .map(|_| rng.random_range(0..UNIVERSE))
             .chain(samples.iter().flatten().copied().take(3))
             .collect();
         let start: Vec<u32> = start.into_iter().collect();

@@ -368,11 +368,12 @@ impl ServerEngine {
                 }
                 let deadline = self.deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
-                let samples = index.cascades_of(*source);
-                let outcome = soi_jaccard::median::jaccard_median_budgeted(
-                    &samples,
+                let outcome = soi_core::index_median(
+                    index,
+                    *source,
                     &self.config.median,
                     &deadline,
+                    &mut soi_core::NodeScratch::new(index),
                 );
                 let fit = outcome.value_ref();
                 let payload = format!(
