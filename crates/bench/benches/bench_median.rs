@@ -44,22 +44,29 @@ fn bench_median_by_regime() {
 
 /// Algorithm 2's per-node step as the batch pipeline runs it: load one
 /// node's 256 indexed cascades into the evaluator straight from the
-/// index, then fit — on the same graph as `large_cascades`.
+/// index, then fit — on the same graph as `large_cascades`, and on a
+/// weighted-cascade BA graph (the `batch-wc` shape: small cascades) at a
+/// node whose time is that graph's mean per node.
 fn bench_median_from_index() {
-    let index = CascadeIndex::build(
-        &graph(0.3, 2),
-        IndexConfig {
+    let mut rng = Xoshiro256pp::seed_from_u64(4);
+    let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(2_000, 5, true, &mut rng));
+    let b = Bencher::group("median_from_index");
+    for (label, pg, v) in [
+        ("large_cascades", graph(0.3, 2), 0),
+        ("small_cascades", wc, 1_254),
+    ] {
+        let config = IndexConfig {
             num_worlds: 256,
             seed: 2,
             ..IndexConfig::default()
-        },
-    );
-    let (config, unlimited) = (MedianConfig::default(), Deadline::unlimited());
-    let mut scratch = NodeScratch::new(&index);
-    let b = Bencher::group("median_from_index");
-    b.bench("large_cascades", || {
-        index_median(&index, black_box(0), &config, &unlimited, &mut scratch)
-    });
+        };
+        let index = CascadeIndex::build(&pg, config);
+        let (config, unlimited) = (MedianConfig::default(), Deadline::unlimited());
+        let mut scratch = NodeScratch::new(&index);
+        b.bench(label, || {
+            index_median(&index, black_box(v), &config, &unlimited, &mut scratch)
+        });
+    }
 }
 
 fn bench_sweep_vs_polish() {

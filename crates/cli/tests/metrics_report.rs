@@ -128,6 +128,13 @@ fn trace_info_prints_summary_table_on_stderr() {
         stderr.contains("engine.median_fit"),
         "summary missing: {stderr}"
     );
+    // The lookup splits into its reachability walk and the evaluator load.
+    for child in ["engine.reach", "engine.load"] {
+        assert!(
+            stderr.contains(&format!("engine.index_lookup/{child}")),
+            "{child} not nested under engine.index_lookup: {stderr}"
+        );
+    }
     // stdout stays reserved for command output.
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("seeds\t"), "stdout polluted: {stdout}");

@@ -187,8 +187,9 @@ impl NodeScratch {
 /// `jaccard_median_budgeted(&index.cascades_of(v), median, deadline)`
 /// without materialising those cascades. The evaluator loads its postings
 /// straight from the components `v` reaches in each world (span
-/// `engine.index_lookup`); only the input-set candidates the fit asks for
-/// are assembled (span `engine.median_fit`, which spends the deadline's
+/// `engine.index_lookup`: the reachability walk `engine.reach`, then
+/// `engine.load`); only the input-set candidates the fit asks for are
+/// assembled (span `engine.median_fit`, which spends the deadline's
 /// ticks).
 pub fn index_median(
     index: &CascadeIndex,
@@ -200,7 +201,11 @@ pub fn index_median(
     let NodeScratch { query, inc } = scratch;
     let pairs = {
         let _s = soi_obs::span("engine.index_lookup");
-        let pairs = index.reached_comps(v, query);
+        let pairs = {
+            let _s = soi_obs::span("engine.reach");
+            index.reached_comps(v, query)
+        };
+        let _load = soi_obs::span("engine.load");
         let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).members_of(c));
         inc.load(index.num_worlds(), pairs.iter().map(members));
         pairs
@@ -725,6 +730,32 @@ mod tests {
         assert_eq!(
             got,
             [0xc145_1534_958f_3ced, 0x2528_de72_7461_bb1e],
+            "got {got:#x?}"
+        );
+    }
+
+    /// [`spheres_are_pinned`] at the pipeline's ℓ = 256, where a fit sums
+    /// 256 terms per cost and near-ties sit closest to the median's
+    /// comparison bounds; hashes recorded at commit 7a9a48d.
+    #[test]
+    fn spheres_are_pinned_at_256_worlds() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(29);
+        let supercritical = ProbGraph::fixed(gen::gnm(200, 1000, &mut rng), 0.3).unwrap();
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 4, true, &mut rng));
+        let got = [&supercritical, &wc].map(|pg| {
+            let config = IndexConfig {
+                num_worlds: 256,
+                seed: 31,
+                threads: 2,
+                ..IndexConfig::default()
+            };
+            let index = CascadeIndex::build(pg, config);
+            let results = all_typical_cascades(&index, &MedianConfig::default(), 2);
+            soi_util::hash::hash_bytes(&encode_tc_payload(&results))
+        });
+        assert_eq!(
+            got,
+            [0x5d70_489b_c815_4df9, 0xb270_3772_62c4_ae8b],
             "got {got:#x?}"
         );
     }

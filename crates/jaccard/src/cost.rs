@@ -7,13 +7,14 @@
 //! element insertions/removals of `C`, so evaluating a whole family of
 //! nested candidates costs `O(Σ|S_i| + n·ℓ)` instead of `O(n · Σ|S_i|)`.
 //! It runs on local ids `0..U` (the sorted distinct sample elements) with
-//! CSR postings, so scoring a whole candidate set `s` from its elements'
-//! postings costs `Σ_{e∈s} freq(e) + ℓ` instead of ℓ sorted merges. A
-//! local-search toggle costs `O(ℓ)` additions and no division: every
-//! sample's cost change under a toggle depends only on the direction and
-//! on whether the sample holds the element, so those per-sample terms are
-//! cached once per candidate.
+//! CSR postings and an `O(1)` element → local id map. A whole candidate
+//! set `s` is scored from its elements' postings (`Σ_{e∈s} freq(e)`) or
+//! from per-sample bitset rows (`ℓ·⌈U/64⌉` words), whichever is less.
+//! Every cost also comes as an estimate with a margin ([`crate::bound`]);
+//! a local-search toggle's estimate costs `O(freq(e))` from per-sample
+//! terms cached once per candidate.
 
+use crate::bound::{decide, gamma, Bounded, Site, U};
 use crate::distance::jaccard_distance;
 
 /// Mean Jaccard distance from `candidate` to every set in `samples`
@@ -34,10 +35,41 @@ fn distance(inter: f64, union: f64) -> f64 {
     1.0 - inter / union
 }
 
+/// `ρ̂` of a candidate of size `k` from each sample's size and
+/// intersection with it: the terms summed in sample order.
+fn mean_distance(k: usize, sizes: &[f64], inter: &[f64]) -> f64 {
+    let k = k as f64;
+    let mut total = 0.0;
+    for (&sz, &i) in sizes.iter().zip(inter) {
+        total += distance(i, k + sz - i);
+    }
+    total / sizes.len().max(1) as f64
+}
+
+/// [`mean_distance`]'s terms summed in eight independent lanes, a loop
+/// LLVM vectorises. The terms lie in `[0, 1]`, so the two sums differ by
+/// at most `2γ_ℓ·ℓ`.
+fn mean_distance_bounded(k: usize, sizes: &[f64], inter: &[f64]) -> Bounded {
+    let (sizes8, sizes_rest) = sizes.as_chunks::<8>();
+    let (inter8, inter_rest) = inter[..sizes.len()].as_chunks::<8>();
+    let k = k as f64;
+    let mut lanes = [0.0; 8];
+    for (sz, i) in sizes8.iter().zip(inter8) {
+        for j in 0..8 {
+            lanes[j] += distance(i[j], k + sz[j] - i[j]);
+        }
+    }
+    for (lane, (&sz, &i)) in lanes.iter_mut().zip(sizes_rest.iter().zip(inter_rest)) {
+        *lane += distance(i, k + sz - i);
+    }
+    let ell = sizes.len();
+    Bounded::mean(lanes.iter().sum(), ell, 2.0 * gamma(ell))
+}
+
 /// Incremental cost evaluator over a fixed collection of sample sets.
 ///
 /// Maintains the candidate `C` implicitly through per-sample intersection
-/// counters; `insert`/`remove` cost `O(log U + #samples containing the
+/// counters; `insert`/`remove` cost `O(1 + #samples containing the
 /// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Reusable: a worker
 /// fitting median after median reloads one evaluator in place
 /// ([`IncrementalCost::load`]) and allocates nothing proportional to the
@@ -50,33 +82,38 @@ pub struct IncrementalCost {
     /// `postings[offsets[u]..offsets[u + 1]]`.
     offsets: Vec<usize>,
     postings: Vec<u32>,
-    /// `|S_i|` and `|C ∩ S_i|` for each sample, and `|C|`.
-    sizes: Vec<u32>,
-    inter: Vec<u32>,
+    /// `|S_i|` and `|C ∩ S_i|` for each sample (integers held as `f64`,
+    /// the type every cost computes in), and `|C|`.
+    sizes: Vec<f64>,
+    inter: Vec<f64>,
     candidate_len: usize,
     /// Candidate membership by local id, and the sorted candidate members
     /// outside the sample universe.
     member: Vec<bool>,
     outside: Vec<u32>,
-    /// Element → count, then local id, inside `load` (all zero between
-    /// calls), and `cost_of_set`'s per-sample intersection counts.
+    /// Element → local id + 1 of the loaded elements, 0 for others
+    /// (element → count inside `load`, which clears the previous entries).
     ids: Vec<u32>,
-    scratch: Vec<u32>,
-    /// `toggle_delta`'s per-sample cost changes against the current
-    /// candidate, for an insertion (`[0]`) and a removal (`[1]`); a row
-    /// pair is filled on the first toggle in its direction and emptied
-    /// whenever the candidate changes.
+    /// A scored set's per-sample intersection counts, and its local ids
+    /// as a bitset.
+    scratch: Vec<f64>,
+    mask: Vec<u64>,
+    /// Each sample's elements as a bitset over local ids, `⌈U/64⌉` words
+    /// per sample, built by the first set scored from them.
+    rows: Vec<u64>,
+    /// Toggle terms against the current candidate, for an insertion
+    /// (`[0]`) and a removal (`[1]`): filled on a direction's first
+    /// toggle, emptied whenever the candidate changes.
     toggles: [ToggleTerms; 2],
-    /// The toggle being scored: its `miss` row with its postings overwritten.
-    terms: Vec<f64>,
 }
 
-/// One direction's terms: each sample's distance after the toggle minus
-/// before it, for a toggled element the sample misses and one it holds.
+/// Each sample's [`IncrementalCost::toggle_term`] for an element it
+/// misses, `hold − miss` for one it holds, and `Σ miss`.
 #[derive(Default)]
 struct ToggleTerms {
     miss: Vec<f64>,
-    hold: Vec<f64>,
+    diff: Vec<f64>,
+    miss_sum: f64,
 }
 
 impl IncrementalCost {
@@ -102,11 +139,14 @@ impl IncrementalCost {
     /// sample with no chunk is empty. Only the U distinct elements are
     /// sorted, and each element's postings come out ascending without a
     /// sort. The element map keeps its size across calls, and only the
-    /// entries this collection touches are set and cleared again.
+    /// entries this and the previous collection use are set or cleared.
     pub fn load<'a, I>(&mut self, num_samples: usize, chunks: I)
     where
         I: IntoIterator<Item = (u32, &'a [u32])> + Clone,
     {
+        for &e in &self.elems {
+            self.ids[e as usize] = 0;
+        }
         // Count pass: each element's frequency, and the distinct elements.
         self.elems.clear();
         for (_, members) in chunks.clone() {
@@ -129,31 +169,29 @@ impl IncrementalCost {
         let mut start = 0;
         for (u, &e) in self.elems.iter().enumerate() {
             self.offsets.push(start);
-            start += std::mem::replace(&mut self.ids[e as usize], u as u32) as usize;
+            start += std::mem::replace(&mut self.ids[e as usize], u as u32 + 1) as usize;
         }
         self.postings.clear();
         self.postings.resize(start, 0);
         self.sizes.clear();
-        self.sizes.resize(num_samples, 0);
+        self.sizes.resize(num_samples, 0.0);
         let mut last = 0;
         for (i, members) in chunks {
             debug_assert!(i >= last, "chunks out of sample order");
             last = i;
-            self.sizes[i as usize] += members.len() as u32;
+            self.sizes[i as usize] += members.len() as f64;
             for &e in members {
-                let at = &mut self.offsets[self.ids[e as usize] as usize + 1];
+                let at = &mut self.offsets[self.ids[e as usize] as usize];
                 self.postings[*at] = i;
                 *at += 1;
             }
         }
-        for &e in &self.elems {
-            self.ids[e as usize] = 0;
-        }
         self.inter.clear();
-        self.inter.resize(num_samples, 0);
+        self.inter.resize(num_samples, 0.0);
         self.member.clear();
         self.member.resize(self.elems.len(), false);
         self.outside.clear();
+        self.rows.clear();
         self.candidate_len = 0;
         self.forget_toggles();
     }
@@ -173,8 +211,15 @@ impl IncrementalCost {
     /// The loaded collection: distinct elements, CSR offsets and
     /// postings, and sample sizes.
     #[cfg(test)]
-    pub(crate) fn loaded(&self) -> (&[u32], &[usize], &[u32], &[u32]) {
-        (&self.elems, &self.offsets, &self.postings, &self.sizes)
+    pub(crate) fn loaded(&self) -> (&[u32], &[usize], &[u32], Vec<u32>) {
+        let sizes = self.sizes.iter().map(|&sz| sz as u32).collect();
+        (&self.elems, &self.offsets, &self.postings, sizes)
+    }
+
+    /// `element`'s local id, if some sample holds it.
+    fn local(&self, element: u32) -> Option<usize> {
+        let id = *self.ids.get(element as usize)?;
+        (id as usize).checked_sub(1)
     }
 
     /// Where the postings of local id `u` sit in `postings`.
@@ -189,8 +234,7 @@ impl IncrementalCost {
 
     /// How many samples contain `element`.
     pub fn frequency(&self, element: u32) -> usize {
-        let found = self.elems.binary_search(&element);
-        found.map_or(0, |u| self.span(u).len())
+        self.local(element).map_or(0, |u| self.span(u).len())
     }
 
     /// All distinct elements appearing in any sample, ascending.
@@ -198,11 +242,17 @@ impl IncrementalCost {
         self.elems.iter().copied()
     }
 
-    /// Whether `element` is in the current candidate, in `O(log U)`.
+    /// Whether `element` is in the current candidate: `O(1)` inside the
+    /// sample universe, `O(log |C|)` outside it.
     pub fn contains(&self, element: u32) -> bool {
-        match self.elems.binary_search(&element) {
-            Ok(u) => self.member[u],
-            Err(_) => self.outside.binary_search(&element).is_ok(),
+        self.locate(element).1
+    }
+
+    /// `element`'s local id, and whether it is in the candidate.
+    fn locate(&self, element: u32) -> (Option<usize>, bool) {
+        match self.local(element) {
+            Some(u) => (Some(u), self.member[u]),
+            None => (None, self.outside.binary_search(&element).is_ok()),
         }
     }
 
@@ -218,19 +268,19 @@ impl IncrementalCost {
 
     fn set(&mut self, element: u32, on: bool) {
         let step = if on { 1 } else { -1 };
-        match self.elems.binary_search(&element) {
-            Ok(u) if self.member[u] != on => {
+        match self.local(element) {
+            Some(u) if self.member[u] != on => {
                 self.member[u] = on;
                 for &i in &self.postings[self.span(u)] {
-                    self.inter[i as usize] = self.inter[i as usize].wrapping_add_signed(step);
+                    self.inter[i as usize] += step as f64;
                 }
             }
-            Err(_) => match (self.outside.binary_search(&element), on) {
+            None => match (self.outside.binary_search(&element), on) {
                 (Err(at), true) => self.outside.insert(at, element),
                 (Ok(at), false) => drop(self.outside.remove(at)),
                 _ => return,
             },
-            Ok(_) => return,
+            Some(_) => return,
         }
         self.candidate_len = self.candidate_len.wrapping_add_signed(step as isize);
         self.forget_toggles();
@@ -239,76 +289,147 @@ impl IncrementalCost {
     /// The empirical cost `ρ̂(C)` of the current candidate (0 for no
     /// samples, as in every cost below).
     pub fn cost(&self) -> f64 {
-        let k = self.candidate_len as f64;
-        let mut total = 0.0;
-        for (&sz, &inter) in self.sizes.iter().zip(&self.inter) {
-            total += distance(inter as f64, k + sz as f64 - inter as f64);
+        mean_distance(self.candidate_len, &self.sizes, &self.inter)
+    }
+
+    /// [`cost`](Self::cost) as a vectorised estimate with its margin.
+    pub(crate) fn cost_bounded(&self) -> Bounded {
+        mean_distance_bounded(self.candidate_len, &self.sizes, &self.inter)
+    }
+
+    /// Sample `i`'s distance after toggling an element it holds or misses
+    /// (`step` is the change in `|C|`) minus its distance before.
+    fn toggle_term(&self, i: usize, step: f64, holds: bool) -> f64 {
+        let (k, sz, inter) = (self.candidate_len as f64, self.sizes[i], self.inter[i]);
+        let before = distance(inter, k + sz - inter);
+        let after = if holds { inter + step } else { inter };
+        distance(after, k + step + sz - after) - before
+    }
+
+    /// Fills `toggles[present]` against the current candidate, unless a
+    /// toggle in that direction already did.
+    fn fill_toggles(&mut self, present: bool) {
+        let mut rows = std::mem::take(&mut self.toggles[present as usize]);
+        if rows.miss.len() != self.sizes.len() {
+            let step = if present { -1.0 } else { 1.0 };
+            rows.diff.clear();
+            for i in 0..self.sizes.len() {
+                let miss = self.toggle_term(i, step, false);
+                rows.miss.push(miss);
+                rows.diff.push(self.toggle_term(i, step, true) - miss);
+            }
+            rows.miss_sum = rows.miss.iter().sum();
         }
-        total / self.sizes.len().max(1) as f64
+        self.toggles[present as usize] = rows;
     }
 
     /// Cost change if `element` were toggled (inserted when absent,
     /// removed when present), without mutating the candidate: returns
-    /// `cost_after - cost_before`, in `O(ℓ)` additions with no division.
-    /// A toggle moves `|C|` for every sample but `|C ∩ S_i|` only for the
-    /// samples holding the element, so each sample's term depends only on
-    /// the direction and on whether it holds the element. The first toggle
-    /// in a direction against a candidate caches both terms of every
-    /// sample (hence `&mut`); each toggle then takes the `miss` terms, the
-    /// `hold` terms at the element's postings, and sums them in sample
-    /// order — the expressions and order of a direct evaluation.
+    /// `cost_after - cost_before`, every sample's
+    /// [`toggle_term`](Self::toggle_term) summed in sample order. A toggle
+    /// moves `|C ∩ S_i|` only for the samples holding the element, so the
+    /// others' terms are cached per direction (hence `&mut`).
     pub fn toggle_delta(&mut self, element: u32) -> f64 {
-        let (local, present) = match self.elems.binary_search(&element) {
-            Ok(u) => (Some(u), self.member[u]),
-            Err(_) => (None, self.outside.binary_search(&element).is_ok()),
-        };
-        let rows = &mut self.toggles[present as usize];
-        if rows.miss.len() != self.sizes.len() {
-            let step = if present { -1.0 } else { 1.0 };
-            let k = self.candidate_len as f64;
-            rows.hold.clear();
-            for (&sz, &i) in self.sizes.iter().zip(&self.inter) {
-                let (sz, inter) = (sz as f64, i as f64);
-                let before = distance(inter, k + sz - inter);
-                rows.miss
-                    .push(distance(inter, k + step + sz - inter) - before);
-                let held = inter + step;
-                rows.hold
-                    .push(distance(held, k + step + sz - held) - before);
-            }
+        let (local, present) = self.locate(element);
+        self.fill_toggles(present);
+        let step = if present { -1.0 } else { 1.0 };
+        let mut held = local.map_or(&[][..], |u| &self.postings[self.span(u)]);
+        let mut delta = 0.0;
+        for (i, &miss) in self.toggles[present as usize].miss.iter().enumerate() {
+            delta += match held.split_first() {
+                Some((&h, rest)) if h as usize == i => {
+                    held = rest;
+                    self.toggle_term(i, step, true)
+                }
+                _ => miss,
+            };
         }
-        let rows = &self.toggles[present as usize];
-        self.terms.clear();
-        self.terms.extend_from_slice(&rows.miss);
-        if let Some(u) = local {
-            for &i in &self.postings[self.span(u)] {
-                self.terms[i as usize] = rows.hold[i as usize];
-            }
-        }
-        let delta = self.terms.iter().fold(0.0, |sum, &t| sum + t);
         delta / self.sizes.len().max(1) as f64
+    }
+
+    /// [`toggle_delta`](Self::toggle_delta) in `O(freq(element))`: `Σ miss`
+    /// plus `hold − miss` at the element's postings, in four lanes. That
+    /// sums at most 2ℓ terms of magnitude sum at most 3ℓ, each difference
+    /// rounds by at most `2u`, and the in-order sum of ℓ terms in `[−1, 1]`
+    /// is within `γ_ℓ·ℓ`: the sums differ by at most `(4γ_{2ℓ} + 2u)·ℓ`.
+    pub(crate) fn toggle_delta_bounded(&mut self, element: u32) -> Bounded {
+        let (local, present) = self.locate(element);
+        self.fill_toggles(present);
+        let rows = &self.toggles[present as usize];
+        let mut lanes = [rows.miss_sum, 0.0, 0.0, 0.0];
+        if let Some(u) = local {
+            let (held4, held_rest) = self.postings[self.span(u)].as_chunks::<4>();
+            for held in held4.iter().map(|h| &h[..]).chain([held_rest]) {
+                for (lane, &i) in lanes.iter_mut().zip(held) {
+                    *lane += rows.diff[i as usize];
+                }
+            }
+        }
+        let ell = self.sizes.len();
+        Bounded::mean(lanes.iter().sum(), ell, 4.0 * gamma(2 * ell) + 2.0 * U)
+    }
+
+    /// Fills `scratch` with every `|s ∩ S_i|`, from the postings of `s`'s
+    /// elements or from the bitset rows, whichever costs fewer operations.
+    /// Rows are built only once they win, so they take less than twice the
+    /// postings' bytes.
+    fn intersect(&mut self, s: &[u32]) {
+        let words = self.elems.len().div_ceil(64);
+        self.mask.clear();
+        self.mask.resize(words, 0);
+        let mut increments = 0;
+        for &e in s {
+            if let Some(u) = self.local(e) {
+                self.mask[u / 64] |= 1 << (u % 64);
+                increments += self.span(u).len();
+            }
+        }
+        self.scratch.clear();
+        if increments <= self.sizes.len() * words {
+            self.scratch.resize(self.sizes.len(), 0.0);
+            for &e in s {
+                if let Some(u) = self.local(e) {
+                    for &i in &self.postings[self.span(u)] {
+                        self.scratch[i as usize] += 1.0;
+                    }
+                }
+            }
+            return;
+        }
+        if self.rows.is_empty() {
+            self.rows.resize(self.sizes.len() * words, 0);
+            for u in 0..self.elems.len() {
+                for &i in &self.postings[self.span(u)] {
+                    self.rows[i as usize * words + u / 64] |= 1 << (u % 64);
+                }
+            }
+        }
+        let mask = &self.mask;
+        let inter = self.rows.chunks_exact(words).map(|row| {
+            let words = row.iter().zip(mask);
+            words.map(|(r, m)| (r & m).count_ones()).sum::<u32>() as f64
+        });
+        self.scratch.extend(inter);
     }
 
     /// `ρ̂(s)` of any set `s` without duplicates, in any order,
     /// bit-identical to [`empirical_cost`]`(s, samples)` (same integer
-    /// union, same expression, same summation order), from the postings of
-    /// `s`'s elements. The current candidate is untouched.
+    /// union, same expression, same summation order), from the postings or
+    /// bitset rows of `s`'s elements. The current candidate is untouched.
     pub fn cost_of_set(&mut self, s: &[u32]) -> f64 {
-        self.scratch.clear();
-        self.scratch.resize(self.sizes.len(), 0);
-        for &e in s {
-            if let Ok(u) = self.elems.binary_search(&e) {
-                for &i in &self.postings[self.span(u)] {
-                    self.scratch[i as usize] += 1;
-                }
-            }
-        }
-        let mut total = 0.0;
-        for (&sz, &inter) in self.sizes.iter().zip(&self.scratch) {
-            let union = s.len() + sz as usize - inter as usize;
-            total += distance(inter as f64, union as f64);
-        }
-        total / self.sizes.len().max(1) as f64
+        self.intersect(s);
+        mean_distance(s.len(), &self.sizes, &self.scratch)
+    }
+
+    /// [`cost_of_set`](Self::cost_of_set)`(s)` when it is below `t`: the
+    /// comparison is decided from the set's estimate ([`crate::bound`]),
+    /// and the cost is summed in order only to settle a straddle or to
+    /// report a winner.
+    pub(crate) fn cost_of_set_below(&mut self, s: &[u32], t: f64) -> Option<f64> {
+        self.intersect(s);
+        let estimate = mean_distance_bounded(s.len(), &self.sizes, &self.scratch);
+        let exact = || mean_distance(s.len(), &self.sizes, &self.scratch);
+        decide(Site::InputSet, estimate, Bounded::exact(t), || exact() < t).then(exact)
     }
 
     /// The current candidate as a canonical sorted vector.

@@ -19,6 +19,7 @@
 //! Sets are `Vec<u32>`/`&[u32]`, sorted ascending with no duplicates — the
 //! representation cascades arrive in from `soi-sampling`.
 
+mod bound;
 pub mod cost;
 pub mod distance;
 pub mod median;

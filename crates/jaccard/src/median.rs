@@ -13,8 +13,17 @@
 //! 2. **Local search** — bounded single-element toggles, accepting strict
 //!    improvements, to polish the sweep result.
 //!
+//! Each comparison — a prefix against the best so far, an input set
+//! against the sweep's winner, a toggle's cost change against its
+//! tolerance — is decided from an estimate with a proven margin (the same
+//! terms summed in vectorisable lanes: `2γ_ℓ + 3u` for a cost,
+//! `4γ_{2ℓ} + 5u` for a toggle, [`crate::bound`]), and from the in-order
+//! values only when the margin straddles the threshold. So every median,
+//! cost bit and tick equals an in-order evaluation's.
+//!
 //! An exact exponential solver over tiny universes anchors the tests.
 
+use crate::bound::{decide, Bounded, Site};
 use crate::cost::{empirical_cost, IncrementalCost};
 use soi_util::runtime::{Deadline, Outcome};
 
@@ -132,8 +141,7 @@ pub fn jaccard_median_loaded(
         soi_obs::counter_add!("median.input_set_evals", 1);
         s.clear();
         input_set(i, &mut s);
-        let cost = inc.cost_of_set(&s);
-        if cost < best.cost - 1e-15 {
+        if let Some(cost) = inc.cost_of_set_below(&s, best.cost - 1e-15) {
             let mut median = s.clone();
             median.sort_unstable();
             best = MedianResult { median, cost };
@@ -213,8 +221,10 @@ fn frequency_sweep_budgeted(
     soi_obs::counter_add!("median.prefix_evals", order.len());
     soi_obs::counter_add!("median.pruned_elements", universe_size - order.len());
 
-    // Evaluate every prefix, starting with the empty set.
-    let mut best_cost = inc.cost();
+    // Evaluate every prefix, starting with the empty set. The best cost is
+    // carried as a bound; a straddled comparison takes both sides exactly,
+    // the best's from its prefix as a set.
+    let mut best = Bounded::exact(inc.cost());
     let mut best_len = 0usize;
     let mut inserted = 0usize;
     for &(e, _) in order.iter() {
@@ -224,23 +234,28 @@ fn frequency_sweep_budgeted(
         inc.insert(e);
         inserted += 1;
         *done += 1;
-        let c = inc.cost();
-        if c < best_cost - 1e-15 {
-            best_cost = c;
+        let mut c = inc.cost_bounded();
+        if decide(Site::Sweep, c, best.minus(1e-15), || {
+            if best.margin > 0.0 {
+                let prefix: Vec<u32> = order[..best_len].iter().map(|p| p.0).collect();
+                best = Bounded::exact(inc.cost_of_set(&prefix));
+            }
+            c = Bounded::exact(inc.cost());
+            c.value < best.value - 1e-15
+        }) {
+            best = c;
             best_len = inserted;
         }
     }
-    // Rewind to the best prefix.
+    // Rewind to the best prefix, and take its cost in order.
     for &(e, _) in order[best_len..inserted].iter().rev() {
         inc.remove(e);
     }
     let median = inc.candidate();
-    debug_assert_eq!(inc.cost_of_set(&median).to_bits(), best_cost.to_bits());
+    let cost = inc.cost();
+    debug_assert_eq!(inc.cost_of_set(&median).to_bits(), cost.to_bits());
     SweepState {
-        best: MedianResult {
-            median,
-            cost: best_cost,
-        },
+        best: MedianResult { median, cost },
         order_len: order.len(),
         universe_size,
     }
@@ -284,7 +299,10 @@ fn local_search_inner(
                 break 'rounds;
             }
             *done += 1;
-            if inc.toggle_delta(e) < -1e-12 {
+            let estimate = inc.toggle_delta_bounded(e);
+            if decide(Site::Toggle, estimate, Bounded::exact(-1e-12), || {
+                inc.toggle_delta(e) < -1e-12
+            }) {
                 soi_obs::counter_add!("median.local_search_toggles", 1);
                 // Apply the improving toggle immediately (first-improvement
                 // strategy — cheaper than best-improvement and converges to

@@ -7,13 +7,18 @@
 //! median pipeline built on them must reproduce it bit for bit: medians,
 //! cost bits, `Outcome` progress and `median.*` counters — whether the
 //! evaluator is loaded from whole sets or from the chunks the cascade
-//! index hands over ([`IncrementalCost::load`]).
+//! index hands over ([`IncrementalCost::load`]). At the pipeline's ℓ,
+//! on cascades with built exact ties, the same holds on both branches of
+//! every bound-decided comparison ([`crate::bound`]).
 
+use crate::bound::{DECISIONS, WIDEN};
 use crate::cost::{empirical_cost, IncrementalCost};
 use crate::median::{
     frequency_sweep, jaccard_median_budgeted, jaccard_median_loaded, local_search, MedianConfig,
     MedianResult,
 };
+use soi_graph::{gen, GraphError, ProbGraph};
+use soi_sampling::CascadeSampler;
 use soi_util::rng::{Rng, Xoshiro256pp};
 use soi_util::runtime::{Deadline, Outcome};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -362,6 +367,9 @@ const CONFIGS: [MedianConfig; 4] = [
     },
 ];
 
+/// Tick budgets every fit is checked at; `None` is unlimited.
+const BUDGETS: [Option<u64>; 5] = [Some(0), Some(1), Some(7), Some(50), None];
+
 type Bits = Outcome<(Vec<u32>, u64)>;
 
 fn bits(outcome: Outcome<MedianResult>) -> Bits {
@@ -643,4 +651,135 @@ fn median_counter_deltas_match_the_oracle() {
     let (ours, want) = (delta(&s0, &s1), delta(&s1, &s2));
     assert!(want.iter().any(|(k, _)| k == "median.local_search_rounds"));
     assert_eq!(ours, want);
+}
+
+/// The element [`scale_collection`] adds as a twin: above every node id of
+/// its graph.
+const TWIN: u32 = 300;
+
+/// ℓ cascades of node 0 on a supercritical G(300, 1500) at p = 0.3, drawn
+/// as `bench_median` draws them.
+fn cascades(ell: usize) -> Result<Vec<Vec<u32>>, GraphError> {
+    let mut rng = Xoshiro256pp::seed_from_u64(ell as u64);
+    let pg = ProbGraph::fixed(gen::gnm(TWIN as usize, 5 * TWIN as usize, &mut rng), 0.3)?;
+    Ok(CascadeSampler::sample_many(&pg, 0, ell, ell as u64))
+}
+
+/// [`cascades`] with exact ties built in: every seventh sample repeats an
+/// earlier one, [`TWIN`] joins exactly the samples holding the last element
+/// of the sweep's winner (two elements with identical postings), and
+/// sample 0 — an input-set candidate in every fit — is the sweep's winner.
+fn scale_collection(ell: usize) -> Result<Vec<Vec<u32>>, GraphError> {
+    let mut samples = cascades(ell)?;
+    for i in (7..ell).step_by(7) {
+        samples[i] = samples[i / 2].clone();
+    }
+    let inc = IncrementalCost::new(&samples);
+    let mut order: Vec<u32> = inc.universe().collect();
+    order.sort_by_key(|&e| std::cmp::Reverse(inc.frequency(e)));
+    let twin_of = order[frequency_sweep(&samples).median.len().max(1) - 1];
+    for s in &mut samples {
+        if s.binary_search(&twin_of).is_ok() {
+            s.push(TWIN);
+        }
+    }
+    for _ in 0..4 {
+        samples[0] = frequency_sweep(&samples).median;
+    }
+    assert_eq!(samples[0], frequency_sweep(&samples).median, "ℓ = {ell}");
+    Ok(samples)
+}
+
+/// ℓ copies of the largest of [`cascades`]`(ℓ)`, `T`, half of them (drawn
+/// at random) with [`TWIN`] added: the sweep's prefixes `T` and
+/// `T + TWIN` cost exactly the same, as do both input sets.
+fn tied_collection(ell: usize) -> Result<Vec<Vec<u32>>, GraphError> {
+    let core = cascades(ell)?.into_iter().max_by_key(Vec::len);
+    let core = core.unwrap_or_default();
+    let mut holds: Vec<bool> = (0..ell).map(|i| i < ell / 2).collect();
+    let mut rng = Xoshiro256pp::seed_from_u64(0x71ED);
+    for j in (1..ell).rev() {
+        holds.swap(j, rng.random_range(0..j + 1));
+    }
+    let with_twin = |&held: &bool| {
+        let mut s = core.clone();
+        s.extend(held.then_some(TWIN));
+        s
+    };
+    Ok(holds.iter().map(with_twin).collect())
+}
+
+/// At the pipeline's ℓ, with built exact ties, medians, cost bits and
+/// `Outcome` progress equal the oracle's at every tick budget, and every
+/// site of the decision rule both settles comparisons from its bounds and
+/// falls back to the in-order values. The local-search fallback shows only
+/// with widened margins: no toggle's cost change lands within its margin
+/// (under 10⁻¹² at ℓ ≤ 1000) of the −10⁻¹² tolerance.
+#[test]
+fn scale_collections_match_the_oracle_on_both_branches() {
+    let _fits = crate::fits_medians();
+    let mut collections = Vec::new();
+    for ell in [64, 256, 1000] {
+        collections.push(scale_collection(ell).unwrap());
+        collections.push(tied_collection(ell).unwrap());
+    }
+    for (widen, budgets) in [(1.0, &BUDGETS[..]), (1e9, &[None][..])] {
+        WIDEN.set(widen);
+        DECISIONS.set([[0; 2]; 3]);
+        for samples in &collections {
+            for config in &CONFIGS[..2] {
+                for &budget in budgets {
+                    let deadline = || budget.map_or_else(Deadline::unlimited, Deadline::ticks);
+                    let want = bits(median_budgeted(samples, config, &deadline()));
+                    let got = bits(jaccard_median_budgeted(samples, config, &deadline()));
+                    let ell = samples.len();
+                    assert_eq!(got, want, "ℓ = {ell}, {config:?}, budget {budget:?}");
+                }
+            }
+        }
+        // Per site, [settled, fell back]: sweep, input set, toggle.
+        let [sweep, input_set, toggle] = DECISIONS.get();
+        let ran = |[settled, fell_back]: [u64; 2]| settled > 0 && fell_back > 0;
+        assert!(
+            ran(sweep) && ran(input_set),
+            "widen {widen}: {sweep:?} {input_set:?}"
+        );
+        assert!(toggle[0] > 0, "widen {widen}: {toggle:?}");
+        assert!(toggle[1] > 0 || widen == 1.0, "widen {widen}: {toggle:?}");
+    }
+    WIDEN.set(1.0);
+}
+
+/// Every estimate the fit decides from lies within its margin of the
+/// in-order value — a cost (a set's cost sums the same way) and a toggle's
+/// cost change, along random walks over [`scale_collection`]s — and some
+/// differ from it, so the margins are load-bearing.
+#[test]
+fn estimates_stay_within_their_margins() {
+    let mut inc = IncrementalCost::default();
+    let mut differ = 0;
+    for ell in [64, 256, 1000] {
+        let samples = scale_collection(ell).unwrap();
+        inc.reset(&samples);
+        let universe: Vec<u32> = inc.universe().collect();
+        let mut rng = Xoshiro256pp::from_stream(0xE57, ell as u64);
+        for _ in 0..200 {
+            let mut pick = || universe[rng.random_range(0..universe.len())];
+            let (e, toggled) = (pick(), pick());
+            if inc.contains(e) {
+                inc.remove(e);
+            } else {
+                inc.insert(e);
+            }
+            let pairs = [
+                (inc.cost(), inc.cost_bounded()),
+                (inc.toggle_delta(toggled), inc.toggle_delta_bounded(toggled)),
+            ];
+            for (x, estimate) in pairs {
+                assert!((x - estimate.value).abs() <= estimate.margin, "ℓ = {ell}");
+                differ += usize::from(x != estimate.value);
+            }
+        }
+    }
+    assert!(differ > 0);
 }
