@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the cascade index (Algorithm 1): construction
 //! (with and without transitive reduction — the §4 design choice), and
-//! cascade-extraction queries.
+//! cascade-extraction queries on G(3000, 15000) below (p = 0.15) and
+//! above (p = 0.30) the giant-SCC threshold, where most walks end in the
+//! largest SCC's precomputed closure.
 
 use soi_bench::microbench::Bencher;
 use soi_graph::{gen, ProbGraph};
@@ -8,13 +10,13 @@ use soi_index::{CascadeIndex, IndexConfig};
 use soi_util::rng::Xoshiro256pp;
 use std::hint::black_box;
 
-fn pg(seed: u64) -> ProbGraph {
+fn pg(seed: u64, p: f64) -> ProbGraph {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    ProbGraph::fixed(gen::gnm(3_000, 15_000, &mut rng), 0.15).unwrap()
+    ProbGraph::fixed(gen::gnm(3_000, 15_000, &mut rng), p).unwrap()
 }
 
 fn bench_build() {
-    let pg = pg(1);
+    let pg = pg(1, 0.15);
     let b = Bencher::group("index_build_64_worlds").sample_size(10);
     for (label, reduce) in [("with_reduction", true), ("without_reduction", false)] {
         b.bench(label, || {
@@ -32,21 +34,25 @@ fn bench_build() {
 }
 
 fn bench_query() {
-    let pg = pg(5);
-    let index = CascadeIndex::build(
-        &pg,
-        IndexConfig {
-            num_worlds: 256,
-            seed: 6,
-            ..IndexConfig::default()
-        },
-    );
     let b = Bencher::group("index_query").sample_size(10);
-    let mut v = 0u32;
-    b.bench("cascades_of_one_node", || {
-        v = (v + 1) % 3_000;
-        index.cascades_of(black_box(v))
-    });
+    for (label, p) in [
+        ("cascades_of_one_node", 0.15),
+        ("cascades_of_one_node_p030", 0.3),
+    ] {
+        let index = CascadeIndex::build(
+            &pg(5, p),
+            IndexConfig {
+                num_worlds: 256,
+                seed: 6,
+                ..IndexConfig::default()
+            },
+        );
+        let mut v = 0u32;
+        b.bench(label, || {
+            v = (v + 1) % 3_000;
+            index.cascades_of(black_box(v))
+        });
+    }
 }
 
 fn main() {

@@ -4,9 +4,9 @@
 //! Two arms time the identical dispatch-heavy workload
 //! (`soi_bench::overhead::workload`) with the per-thread timing plane
 //! disabled and enabled; the interleaved A/B measurement's relative
-//! cost (per-arm minima) is attached to the enabled arm as `overhead_ppm`. The hard
-//! `< 5%` assertion lives in `soi_bench::overhead::tests`, so CI fails
-//! on regressions even when this bench target is not run.
+//! cost (per-arm minima) is attached to the enabled arm as `overhead_ppm`.
+//! CI's `kernel-rows` step runs this target and fails when the enabled
+//! arm's `min_ns` is 5% or more above the disabled arm's.
 
 use soi_bench::microbench::{attach_extra, Bencher};
 use soi_bench::overhead;

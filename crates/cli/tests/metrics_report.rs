@@ -140,6 +140,42 @@ fn trace_info_prints_summary_table_on_stderr() {
     assert!(stdout.starts_with("seeds\t"), "stdout polluted: {stdout}");
 }
 
+/// `engine.hub_hits` as a share of the run's (node, world) walks: the
+/// worlds whose walk reached the largest SCC and took its whole closure as
+/// one precomputed chunk.
+fn hub_hit_share(model: &str, prob: &str) -> f64 {
+    let name = format!("hub_{model}.tsv");
+    let args = format!("--model {model} --nodes 200 --m 3 --edges 1000 --prob {prob} --seed 3");
+    let graph = tmp(&name);
+    common::generate(
+        graph.parent().unwrap(),
+        &name,
+        &args.split(' ').collect::<Vec<_>>(),
+    );
+    let report = tmp(&format!("hub_{model}.jsonl"));
+    run_infmax_tc(&graph, &report);
+    let report = std::fs::read_to_string(&report).unwrap();
+    let hits = report
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("{\"type\":\"counter\",\"name\":\"engine.hub_hits\",\"value\":")
+        })
+        .and_then(|rest| rest.trim_end_matches('}').parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("no engine.hub_hits counter:\n{report}"));
+    hits / (200.0 * 32.0)
+}
+
+#[test]
+fn hub_hits_explain_the_lookup() {
+    // Supercritical G(n, 5n) at p = 0.3: most walks reach the largest SCC.
+    let dense = hub_hit_share("gnm", "fixed:0.3");
+    assert!(dense > 0.25, "supercritical hub-hit share {dense}");
+    // Directed BA worlds are acyclic: the largest SCC is one node that
+    // reaches nothing else, so there is no closure to share.
+    let wc = hub_hit_share("ba", "wc");
+    assert_eq!(wc, 0.0, "weighted-cascade hub-hit share");
+}
+
 #[test]
 fn bad_trace_level_is_rejected() {
     let out = soi(&["stats", "/nonexistent", "--trace", "loud"]);

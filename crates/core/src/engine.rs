@@ -1,7 +1,7 @@
 //! The typical-cascade solver (§3–§4, Algorithm 2).
 
 use soi_graph::{NodeId, ProbGraph};
-use soi_index::{CascadeIndex, IndexQuery};
+use soi_index::{CascadeIndex, IndexQuery, HUB_CLOSURE};
 use soi_jaccard::cost::IncrementalCost;
 use soi_jaccard::median::{jaccard_median_loaded, jaccard_median_with, MedianConfig, MedianResult};
 use soi_sampling::CascadeSampler;
@@ -186,9 +186,11 @@ impl NodeScratch {
 /// cascades, bit-identical to
 /// `jaccard_median_budgeted(&index.cascades_of(v), median, deadline)`
 /// without materialising those cascades. The evaluator loads its postings
-/// straight from the components `v` reaches in each world (span
-/// `engine.index_lookup`: the reachability walk `engine.reach`, then
-/// `engine.load`); only the input-set candidates the fit asks for are
+/// straight from the chunks `v` reaches in each world (span
+/// `engine.index_lookup`: the hub walk `engine.reach`, then
+/// `engine.load`). A world whose walk reached its largest SCC contributes
+/// that SCC's whole closure as one precomputed chunk (counted in
+/// `engine.hub_hits`). Only the input-set candidates the fit asks for are
 /// assembled (span `engine.median_fit`, which spends the deadline's
 /// ticks).
 pub fn index_median(
@@ -206,15 +208,17 @@ pub fn index_median(
             index.reached_comps(v, query)
         };
         let _load = soi_obs::span("engine.load");
-        let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).members_of(c));
+        let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).chunk(c));
         inc.load(index.num_worlds(), pairs.iter().map(members));
         pairs
     };
+    let hub_hits = pairs.iter().filter(|p| p.1 == HUB_CLOSURE).count();
+    soi_obs::counter_add!("engine.hub_hits", hub_hits);
     let _s = soi_obs::span("engine.median_fit");
     jaccard_median_loaded(inc, median, deadline, |i, out| {
         let from = pairs.partition_point(|p| (p.0 as usize) < i);
         for &(w, c) in pairs[from..].iter().take_while(|p| p.0 as usize == i) {
-            out.extend_from_slice(index.world(w as usize).members_of(c));
+            out.extend_from_slice(index.world(w as usize).chunk(c));
         }
     })
 }

@@ -60,20 +60,68 @@ impl Reachability {
     /// to `out` in visit order. `out` is cleared first. Duplicate sources
     /// are fine.
     pub fn multi_source(&mut self, g: &DiGraph, sources: &[NodeId], out: &mut Vec<NodeId>) {
+        self.multi_source_deferring(g, sources, |_| false, out, &mut Vec::new());
+    }
+
+    /// [`multi_source`](Self::multi_source) that visits but does not
+    /// expand the nodes `defer` holds for: they go to `deferred` (cleared
+    /// first) instead of `out`, and [`resume`](Self::resume) can expand
+    /// them later.
+    pub fn multi_source_deferring(
+        &mut self,
+        g: &DiGraph,
+        sources: &[NodeId],
+        defer: impl Fn(NodeId) -> bool,
+        out: &mut Vec<NodeId>,
+        deferred: &mut Vec<NodeId>,
+    ) {
         self.begin();
         out.clear();
+        deferred.clear();
         for &s in sources {
-            if self.visit(s) {
-                out.push(s);
-                self.stack.push(s);
+            self.enter(s, &defer, out, deferred);
+        }
+        self.drain(g, &defer, out, deferred);
+    }
+
+    /// Continues the last walk from `from`, nodes it visited but did not
+    /// expand: appends them, and every node they reach that the walk has
+    /// not visited, to `out`.
+    pub fn resume(&mut self, g: &DiGraph, from: &[NodeId], out: &mut Vec<NodeId>) {
+        out.extend_from_slice(from);
+        self.stack.extend_from_slice(from);
+        self.drain(g, &|_| false, out, &mut Vec::new());
+    }
+
+    #[inline]
+    fn enter(
+        &mut self,
+        v: NodeId,
+        defer: &impl Fn(NodeId) -> bool,
+        out: &mut Vec<NodeId>,
+        deferred: &mut Vec<NodeId>,
+    ) {
+        if self.visit(v) {
+            if defer(v) {
+                deferred.push(v);
+            } else {
+                out.push(v);
+                self.stack.push(v);
             }
         }
+    }
+
+    /// Expands the stacked nodes until the stack is empty.
+    fn drain(
+        &mut self,
+        g: &DiGraph,
+        defer: &impl Fn(NodeId) -> bool,
+        out: &mut Vec<NodeId>,
+        deferred: &mut Vec<NodeId>,
+    ) {
         while let Some(v) = self.stack.pop() {
             for &w in g.out_neighbors(v) {
-                if self.visit(w) {
-                    out.push(w);
-                    self.stack.push(w);
-                }
+                self.enter(w, defer, out, deferred);
             }
         }
     }
@@ -134,6 +182,19 @@ mod tests {
         // Empty source list -> empty cascade.
         r.multi_source(&g, &[], &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn deferred_nodes_wait_for_resume() {
+        // 0 → 1 → 2 → 3 and 0 → 4; node 1 is deferred.
+        let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]).unwrap();
+        let mut r = Reachability::new(5);
+        let (mut out, mut deferred) = (Vec::new(), Vec::new());
+        r.multi_source_deferring(&g, &[0], |v| v == 1, &mut out, &mut deferred);
+        assert_eq!(sorted(out.clone()), vec![0, 4]);
+        assert_eq!(deferred, vec![1]);
+        r.resume(&g, &deferred, &mut out);
+        assert_eq!(sorted(out), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -287,6 +287,15 @@ mod tests {
         for v in 0..index.num_nodes() as u32 {
             assert_eq!(loaded.cascades_of(v), index.cascades_of(v), "node {v}");
         }
+        // The hub closure is not stored: the load derives it again, and
+        // saving the loaded index writes the same bytes.
+        for i in 0..index.num_worlds() {
+            let hub = |x: &CascadeIndex| x.world(i).chunk(crate::HUB_CLOSURE).to_vec();
+            assert_eq!(hub(&loaded), hub(&index), "world {i}");
+        }
+        let mut again = Vec::new();
+        save_index(&loaded, &mut again).unwrap();
+        assert!(again == buf, "save(load(bytes)) != bytes");
     }
 
     #[test]

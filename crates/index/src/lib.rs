@@ -16,6 +16,21 @@
 //! reduced condensation, union of the member lists of reached components —
 //! time linear in the output plus the condensation arcs traversed.
 //!
+//! Most of that output is shared. In a supercritical world most nodes
+//! reach the largest SCC, and all of them then reach the same set of
+//! components: the **hub closure**, everything the largest SCC (ties: the
+//! lowest component id) reaches. Each world stores it once, as a
+//! component bitmask plus one contiguous member slice, derived when the
+//! world is built or loaded (the file format does not hold it). Every
+//! walk defers the closure components it meets instead of expanding them.
+//! If it reached the largest SCC itself, the whole closure is one chunk
+//! ([`HUB_CLOSURE`]); otherwise it resumes from the deferred components.
+//! The answer is unchanged: a path from outside the closure into it stays
+//! inside it, so every component outside the closure is reached by a
+//! path that never touches the closure. A closure of the hub alone (in any
+//! world of an acyclic graph, such as a directed Barabási–Albert one)
+//! shares nothing, and such a world is walked plainly.
+//!
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
 //! build is reproducible bit-for-bit regardless of thread count.
 
@@ -62,19 +77,102 @@ pub struct WorldIndex {
     pub dag: DiGraph,
     member_offsets: Vec<usize>,
     members: Vec<NodeId>,
+    /// The largest SCC (ties: the lowest id), and the components it
+    /// reaches: as a bitmask over component ids up to the largest it
+    /// reaches, and as one member slice; both empty when it reaches only
+    /// itself.
+    hub: u32,
+    hub_mask: Vec<u64>,
+    hub_members: Vec<NodeId>,
 }
 
+/// The chunk id of a world's whole hub closure in
+/// [`CascadeIndex::reached_comps`]; [`WorldIndex::chunk`] reads it.
+pub const HUB_CLOSURE: u32 = u32::MAX;
+
 impl WorldIndex {
-    /// Reassembles a world from its stored parts (used by [`io`]).
+    /// Assembles a world from its condensation parts (also used by
+    /// [`io`]) and derives its hub closure.
     pub(crate) fn from_parts(
         dag: DiGraph,
         member_offsets: Vec<usize>,
         members: Vec<NodeId>,
     ) -> Self {
+        let members_of = |c: usize| &members[member_offsets[c]..member_offsets[c + 1]];
+        let hub = (0..dag.num_nodes())
+            .rev()
+            .max_by_key(|&c| members_of(c).len());
+        // The mask ends at the closure's largest id (component ids are
+        // reverse-topological, so the hub's), and a walk rejects a larger
+        // id without a read.
+        let mut hub_mask: Vec<u64> = Vec::new();
+        let mut hub_members = Vec::new();
+        let mut stack: Vec<u32> = hub.iter().map(|&c| c as u32).collect();
+        while let Some(c) = stack.pop() {
+            let (word, bit) = (c as usize / 64, 1 << (c % 64));
+            if word >= hub_mask.len() {
+                hub_mask.resize(word + 1, 0);
+            }
+            if hub_mask[word] & bit == 0 {
+                hub_mask[word] |= bit;
+                hub_members.extend_from_slice(members_of(c as usize));
+                stack.extend_from_slice(dag.out_neighbors(c));
+            }
+        }
+        // A closure of the hub alone shares nothing: an empty mask, and
+        // walks treat the hub as any other component.
+        if hub.is_some_and(|c| hub_members.len() == members_of(c).len()) {
+            (hub_mask, hub_members) = (Vec::new(), Vec::new());
+        }
         WorldIndex {
             dag,
             member_offsets,
             members,
+            hub: hub.unwrap_or(0) as u32,
+            hub_mask,
+            hub_members,
+        }
+    }
+
+    /// The hub walk from `sources`: fills `walk.chunks` with the chunks
+    /// they reach, [`HUB_CLOSURE`] standing for the whole closure when the
+    /// walk reached the hub.
+    fn walk(&self, sources: &[u32], walk: &mut Walk) {
+        let Walk {
+            reach,
+            chunks,
+            deferred,
+            ..
+        } = walk;
+        if self.hub_mask.is_empty() {
+            reach.multi_source(&self.dag, sources, chunks);
+            return;
+        }
+        // The mask's address and length ride in the closure, not behind
+        // `self`: one load fewer per visited component.
+        let mask = self.hub_mask.as_slice();
+        let defer = move |c| in_closure(mask, c);
+        reach.multi_source_deferring(&self.dag, sources, defer, chunks, deferred);
+        let hit = deferred.contains(&self.hub);
+        if hit {
+            chunks.push(HUB_CLOSURE);
+        } else if !deferred.is_empty() {
+            reach.resume(&self.dag, deferred, chunks);
+        }
+        #[cfg(test)]
+        if hit || !deferred.is_empty() {
+            walk.branches[hit as usize] += 1;
+        }
+    }
+
+    /// The members of chunk `c` of a [`CascadeIndex::reached_comps`]
+    /// answer: component `c`, or the whole hub closure for
+    /// [`HUB_CLOSURE`].
+    pub fn chunk(&self, c: u32) -> &[NodeId] {
+        if c == HUB_CLOSURE {
+            &self.hub_members
+        } else {
+            self.members_of(c)
         }
     }
 
@@ -93,11 +191,6 @@ impl WorldIndex {
     /// The original nodes in component `c`.
     pub fn members_of(&self, c: u32) -> &[NodeId] {
         &self.members[self.member_offsets[c as usize]..self.member_offsets[c as usize + 1]]
-    }
-
-    /// Size of component `c`.
-    pub fn comp_size(&self, c: u32) -> usize {
-        self.member_offsets[c as usize + 1] - self.member_offsets[c as usize]
     }
 }
 
@@ -343,8 +436,13 @@ impl CascadeIndex {
     /// Creates reusable query scratch sized for this index.
     pub fn query(&self) -> IndexQuery {
         IndexQuery {
-            reach: Reachability::new(self.max_comps),
-            comps: Vec::new(),
+            walk: Walk {
+                reach: Reachability::new(self.max_comps),
+                chunks: Vec::new(),
+                deferred: Vec::new(),
+                #[cfg(test)]
+                branches: [0; 2],
+            },
             seed_comps: Vec::new(),
             pairs: Vec::new(),
         }
@@ -369,19 +467,18 @@ impl CascadeIndex {
         q.seed_comps.clear();
         q.seed_comps
             .extend(seeds.iter().map(|&s| self.comp_of(s, i)));
-        q.reach.multi_source(&w.dag, &q.seed_comps, &mut q.comps);
+        w.walk(&q.seed_comps, &mut q.walk);
         out.clear();
-        for &c in &q.comps {
-            out.extend_from_slice(w.members_of(c));
+        for &c in &q.walk.chunks {
+            out.extend_from_slice(w.chunk(c));
         }
     }
 
     /// Cascade size of `v` in world `i` without materializing node ids.
     pub fn cascade_size(&self, v: NodeId, i: usize, q: &mut IndexQuery) -> usize {
         let w = &self.worlds[i];
-        q.reach
-            .multi_source(&w.dag, &[self.comp_of(v, i)], &mut q.comps);
-        q.comps.iter().map(|&c| w.comp_size(c)).sum()
+        w.walk(&[self.comp_of(v, i)], &mut q.walk);
+        q.walk.chunks.iter().map(|&c| w.chunk(c).len()).sum()
     }
 
     /// All ℓ cascades of `v` as canonical sorted sets — the input shape
@@ -390,7 +487,7 @@ impl CascadeIndex {
         let mut q = self.query();
         let mut sets = vec![Vec::new(); self.num_worlds()];
         for &(i, c) in self.reached_comps(v, &mut q) {
-            sets[i as usize].extend_from_slice(self.worlds[i as usize].members_of(c));
+            sets[i as usize].extend_from_slice(self.worlds[i as usize].chunk(c));
         }
         for set in &mut sets {
             set.sort_unstable();
@@ -398,17 +495,17 @@ impl CascadeIndex {
         sets
     }
 
-    /// The components `v` reaches in every world, as `(world, component)`
-    /// pairs in ascending world order, valid until `q` is used again. The
-    /// cascade of `v` in world `i` is the disjoint union of the member
-    /// lists ([`WorldIndex::members_of`]) of world `i`'s pairs, so a
+    /// What `v` reaches in every world, as `(world, chunk)` pairs in
+    /// ascending world order, valid until `q` is used again. A chunk is a
+    /// component, or [`HUB_CLOSURE`] when `v` reaches the world's largest
+    /// SCC. The cascade of `v` in world `i` is the disjoint union of the
+    /// member lists ([`WorldIndex::chunk`]) of world `i`'s pairs, so a
     /// consumer can read all ℓ cascades without materialising them.
     pub fn reached_comps<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
         q.pairs.clear();
         for (i, w) in self.worlds.iter().enumerate() {
-            q.reach
-                .multi_source(&w.dag, &[self.comp_of(v, i)], &mut q.comps);
-            q.pairs.extend(q.comps.iter().map(|&c| (i as u32, c)));
+            w.walk(&[self.comp_of(v, i)], &mut q.walk);
+            q.pairs.extend(q.walk.chunks.iter().map(|&c| (i as u32, c)));
         }
         &q.pairs
     }
@@ -425,6 +522,8 @@ impl CascadeIndex {
                     + (w.dag.num_nodes() + 1) * std::mem::size_of::<usize>()
                     + w.members.len() * std::mem::size_of::<NodeId>()
                     + w.member_offsets.len() * std::mem::size_of::<usize>()
+                    + w.hub_mask.len() * std::mem::size_of::<u64>()
+                    + w.hub_members.len() * std::mem::size_of::<NodeId>()
             })
             .sum();
         matrix + worlds
@@ -449,14 +548,32 @@ impl CascadeIndex {
     }
 }
 
+/// Whether component `c` is in the hub closure `mask`.
+#[inline]
+fn in_closure(mask: &[u64], c: u32) -> bool {
+    let word = mask.get(c as usize / 64);
+    word.is_some_and(|w| w >> (c % 64) & 1 == 1)
+}
+
 /// Reusable per-thread query scratch for [`CascadeIndex`].
 pub struct IndexQuery {
-    reach: Reachability,
-    comps: Vec<u32>,
+    walk: Walk,
     /// The seeds' components in the world being queried.
     seed_comps: Vec<u32>,
     /// The last [`CascadeIndex::reached_comps`] answer.
     pairs: Vec<(u32, u32)>,
+}
+
+/// Scratch of [`WorldIndex::walk`].
+struct Walk {
+    reach: Reachability,
+    /// The last walk's chunks.
+    chunks: Vec<u32>,
+    /// The hub-closure components the walk set aside.
+    deferred: Vec<u32>,
+    /// Walks that resumed from deferred components, and walks that hit.
+    #[cfg(test)]
+    branches: [usize; 2],
 }
 
 /// Worlds per deadline check in [`CascadeIndex::build_budgeted`]. A fixed
@@ -491,11 +608,7 @@ fn condense_world(world: &DiGraph, reduce: bool) -> (WorldIndex, Vec<u32>) {
         cond.dag
     };
     (
-        WorldIndex {
-            dag,
-            member_offsets: cond.member_offsets,
-            members: cond.members,
-        },
+        WorldIndex::from_parts(dag, cond.member_offsets, cond.members),
         cond.comp_of,
     )
 }
@@ -504,38 +617,103 @@ fn condense_world(world: &DiGraph, reduce: bool) -> (WorldIndex, Vec<u32>) {
 mod tests {
     use super::*;
     use soi_graph::gen;
+    use soi_graph::DiGraph;
 
     fn test_graph(seed: u64) -> ProbGraph {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
         ProbGraph::fixed(gen::gnm(60, 300, &mut rng), 0.3).unwrap()
     }
 
-    #[test]
-    fn index_cascades_match_direct_reachability() {
-        let pg = test_graph(1);
+    /// The differential oracle of the hub walk: for every node and world,
+    /// `cascade`, `cascade_size` and `reached_comps` answer what a plain
+    /// BFS over the re-sampled world answers, and so does `multi_cascade`
+    /// from seeds in the hub closure but outside the hub (plus node 0),
+    /// which forces the resume branch. Returns the walk branch counts
+    /// `[resumed from deferred components, hit]`.
+    fn assert_hub_walk_matches_bfs(pg: &ProbGraph, num_worlds: usize) -> [usize; 2] {
         let config = IndexConfig {
-            num_worlds: 12,
+            num_worlds,
             seed: 77,
             transitive_reduction: true,
             threads: 1,
         };
-        let index = CascadeIndex::build(&pg, config);
-        let mut q = index.query();
-        let mut out = Vec::new();
+        let index = CascadeIndex::build(pg, config);
+        let n = pg.num_nodes() as NodeId;
         let mut sampler = WorldSampler::new();
-        let mut reach = Reachability::new(pg.num_nodes());
-        let mut direct = Vec::new();
-        for i in 0..12 {
-            // Re-derive the exact world the index sampled.
-            let world = sampler.sample(&pg, &mut world_rng(77, i));
-            for v in 0..pg.num_nodes() as NodeId {
-                index.cascade(v, i, &mut q, &mut out);
-                out.sort_unstable();
-                reach.reachable_from(&world, v, &mut direct);
-                direct.sort_unstable();
-                assert_eq!(out, direct, "world {i}, node {v}");
+        let worlds: Vec<DiGraph> = (0..num_worlds)
+            .map(|i| sampler.sample(pg, &mut world_rng(77, i)))
+            .collect();
+        let mut q = index.query();
+        let mut reach = Reachability::new(n as usize);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let sorted = |set: &mut Vec<NodeId>| {
+            set.sort_unstable();
+            std::mem::take(set)
+        };
+        for v in 0..n {
+            let mut chunks = vec![Vec::new(); num_worlds];
+            for &(i, c) in index.reached_comps(v, &mut q) {
+                chunks[i as usize].extend_from_slice(index.world(i as usize).chunk(c));
+            }
+            for (i, world) in worlds.iter().enumerate() {
+                reach.reachable_from(world, v, &mut want);
+                let want = sorted(&mut want);
+                index.cascade(v, i, &mut q, &mut got);
+                assert_eq!(sorted(&mut got), want, "cascade: world {i}, node {v}");
+                assert_eq!(sorted(&mut chunks[i]), want, "chunks: world {i}, node {v}");
+                assert_eq!(index.cascade_size(v, i, &mut q), want.len());
             }
         }
+        for (i, world) in worlds.iter().enumerate() {
+            let w = index.world(i);
+            let inside = |v: &NodeId| {
+                let c = index.comp_of(*v, i);
+                in_closure(&w.hub_mask, c) && c != w.hub
+            };
+            let mut seeds: Vec<NodeId> = (0..n).filter(inside).take(3).collect();
+            for _ in 0..2 {
+                index.multi_cascade(&seeds, i, &mut q, &mut got);
+                reach.multi_source(world, &seeds, &mut want);
+                assert_eq!(
+                    sorted(&mut got),
+                    sorted(&mut want),
+                    "world {i}, seeds {seeds:?}"
+                );
+                seeds.push(0);
+            }
+        }
+        q.walk.branches
+    }
+
+    #[test]
+    fn hub_walk_matches_bfs_on_a_supercritical_graph() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(1);
+        let pg = ProbGraph::fixed(gen::gnm(120, 600, &mut rng), 0.3).unwrap();
+        let [resumed, hits] = assert_hub_walk_matches_bfs(&pg, 12);
+        assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
+    }
+
+    #[test]
+    fn hub_walk_matches_bfs_on_a_weighted_cascade_graph() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(2);
+        let pg = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 3, true, &mut rng));
+        assert_hub_walk_matches_bfs(&pg, 8);
+    }
+
+    #[test]
+    fn hub_walk_matches_bfs_when_the_hub_reaches_the_whole_world() {
+        // A p = 1 cycle is one SCC: a closure of the hub alone, walked
+        // plainly.
+        let pg = ProbGraph::fixed(gen::cycle(30), 1.0).unwrap();
+        assert_eq!(assert_hub_walk_matches_bfs(&pg, 4), [0, 0]);
+        // The cycle 0..30 with the path 29 → 30 → … → 39 hanging off it:
+        // per world, each node walks three times (cascade, size, chunks),
+        // so the 30 cycle nodes hit 90 times and the 10 path nodes resume
+        // 30 times; then seeds {30, 31, 32} resume and {30, 31, 32, 0} hit.
+        let mut edges: Vec<(NodeId, NodeId)> = (0..30).map(|v| (v, (v + 1) % 30)).collect();
+        edges.extend((29..39).map(|v| (v, v + 1)));
+        let pg = ProbGraph::fixed(DiGraph::from_edges(40, &edges).unwrap(), 1.0).unwrap();
+        assert_eq!(assert_hub_walk_matches_bfs(&pg, 4), [4 * 31, 4 * 91]);
     }
 
     #[test]
