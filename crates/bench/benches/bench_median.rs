@@ -19,7 +19,7 @@ fn graph(p: f64, seed: u64) -> ProbGraph {
 
 /// Realistic inputs: actual sampled cascades, not synthetic sets.
 fn cascade_collection(ell: usize, p: f64, seed: u64) -> Vec<Vec<u32>> {
-    CascadeSampler::sample_many(&graph(p, seed), 0, ell, seed)
+    CascadeSampler::sample_many(&graph(p, seed), &[0], ell, seed)
 }
 
 fn bench_median_by_samples() {

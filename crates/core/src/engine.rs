@@ -62,19 +62,6 @@ impl TypicalCascadeConfig {
             seed,
         }
     }
-
-    /// Like [`TypicalCascadeConfig::for_accuracy`], but with the union
-    /// bound over all `n` vertices (§4), for batch pipelines that need
-    /// the guarantee to hold simultaneously for every node.
-    pub fn for_accuracy_all_nodes(alpha: f64, num_nodes: usize, seed: u64) -> Self {
-        let samples = soi_jaccard::theory::samples_for_all_nodes(num_nodes, alpha);
-        TypicalCascadeConfig {
-            median_samples: samples,
-            cost_samples: samples,
-            median: MedianConfig::default(),
-            seed,
-        }
-    }
 }
 
 /// A typical cascade (sphere of influence) with its quality measures.
@@ -124,7 +111,7 @@ pub fn typical_cascade_of_set(
     let train_seed = derive_seed(config.seed, 0x7261696e); // "rain"
     let samples = {
         let _s = soi_obs::span("engine.sample");
-        sample_set_cascades(pg, seeds, config.median_samples, train_seed)
+        CascadeSampler::sample_many(pg, seeds, config.median_samples, train_seed)
     };
     let fit = {
         let _s = soi_obs::span("engine.median_fit");
@@ -148,21 +135,6 @@ pub fn typical_cascade_of_set(
         training_cost: fit.cost,
         expected_cost,
     }
-}
-
-pub(crate) fn sample_set_cascades(
-    pg: &ProbGraph,
-    seeds: &[NodeId],
-    count: usize,
-    seed: u64,
-) -> Vec<Vec<NodeId>> {
-    let mut sets = Vec::with_capacity(count);
-    let unlimited = Deadline::unlimited();
-    CascadeSampler::for_each_cascade(pg, seeds, count, seed, &unlimited, |cascade| {
-        cascade.sort_unstable();
-        sets.push(cascade.to_vec());
-    });
-    sets
 }
 
 /// Per-worker scratch for [`index_median`]: a worker that solves node
@@ -760,6 +732,41 @@ mod tests {
         assert_eq!(
             got,
             [0x5d70_489b_c815_4df9, 0xb270_3772_62c4_ae8b],
+            "got {got:#x?}"
+        );
+    }
+
+    /// The direct-sampling path: median, training-cost and expected-cost
+    /// bits of 20 single sources and 3 seed sets, on one supercritical and
+    /// one weighted-cascade fixture, pinned to hashes recorded at commit
+    /// 4ad167f.
+    #[test]
+    fn direct_spheres_are_pinned() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(37);
+        let supercritical = ProbGraph::fixed(gen::gnm(200, 1000, &mut rng), 0.3).unwrap();
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 4, true, &mut rng));
+        let config = TypicalCascadeConfig {
+            median_samples: 64,
+            cost_samples: 32,
+            seed: 41,
+            ..TypicalCascadeConfig::default()
+        };
+        let sets: [&[NodeId]; 3] = [&[0, 1], &[5, 50, 150], &[7, 7, 199]];
+        let got = [&supercritical, &wc].map(|pg| {
+            let mut h = soi_util::hash::Mix64Hasher::new();
+            let singles = (0..200).step_by(10).map(|v| vec![v]);
+            for seeds in singles.chain(sets.map(<[NodeId]>::to_vec)) {
+                let tc = typical_cascade_of_set(pg, &seeds, &config);
+                h.update_u64(tc.median.len() as u64);
+                tc.median.iter().for_each(|&m| h.update_u64(m.into()));
+                h.update_u64(tc.training_cost.to_bits());
+                h.update_u64(tc.expected_cost.to_bits());
+            }
+            h.finish()
+        });
+        assert_eq!(
+            got,
+            [0x9f4f_3420_328d_0bf6, 0xa359_87bd_b624_5a1a],
             "got {got:#x?}"
         );
     }

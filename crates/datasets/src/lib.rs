@@ -29,10 +29,6 @@ pub enum ProbSource {
     WeightedCascade,
     /// Assigned: fixed `p = 0.1` (`-F`).
     Fixed,
-    /// Assigned: trivalency, uniform from `{0.1, 0.01, 0.001}` (`-T`) —
-    /// an extension beyond the paper's four sources; a standard benchmark
-    /// assignment elsewhere in the influence-maximization literature.
-    Trivalency,
 }
 
 impl ProbSource {
@@ -43,7 +39,6 @@ impl ProbSource {
             ProbSource::Goyal => "G",
             ProbSource::WeightedCascade => "W",
             ProbSource::Fixed => "F",
-            ProbSource::Trivalency => "T",
         }
     }
 
@@ -199,15 +194,6 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
             graph: assign::fixed(topology, 0.1).expect("0.1 is valid"),
             ground_truth: None,
         },
-        ProbSource::Trivalency => {
-            let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, 0x747269));
-            Dataset {
-                network,
-                source,
-                graph: assign::trivalency(topology, &mut rng),
-                ground_truth: None,
-            }
-        }
         ProbSource::Saito | ProbSource::Goyal => {
             let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(seed, 0x6c6f67));
             // Ground truth: weighted-cascade-proportional with a random
@@ -358,18 +344,6 @@ mod tests {
             mean(&g.graph),
             mean(&s.graph)
         );
-    }
-
-    #[test]
-    fn trivalency_source_builds() {
-        let d = build(Network::SlashdotSyn, ProbSource::Trivalency, 0.05, 7);
-        assert_eq!(d.name(), "slashdot-syn-T");
-        assert!(d
-            .graph
-            .probs()
-            .iter()
-            .all(|&p| [0.1, 0.01, 0.001].contains(&p)));
-        assert!(!d.source.is_learnt());
     }
 
     #[test]

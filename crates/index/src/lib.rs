@@ -21,10 +21,10 @@
 //! components: the **hub closure**, everything the largest SCC (ties: the
 //! lowest component id) reaches. Each world stores it once, as a
 //! component bitmask plus one contiguous member slice, derived when the
-//! world is built or loaded (the file format does not hold it). Every
-//! walk defers the closure components it meets instead of expanding them.
-//! If it reached the largest SCC itself, the whole closure is one chunk
-//! ([`HUB_CLOSURE`]); otherwise it resumes from the deferred components.
+//! world is built. Every walk defers the closure components it meets
+//! instead of expanding them. If it reached the largest SCC itself, the
+//! whole closure is one chunk ([`HUB_CLOSURE`]); otherwise it resumes
+//! from the deferred components.
 //! The answer is unchanged: a path from outside the closure into it stays
 //! inside it, so every component outside the closure is reached by a
 //! path that never touches the closure. A closure of the hub alone (in any
@@ -34,13 +34,9 @@
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
 //! build is reproducible bit-for-bit regardless of thread count.
 
-pub mod io;
-
 use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
 use soi_sampling::world::world_rng;
 use soi_sampling::WorldSampler;
-use soi_util::runtime::{Deadline, Outcome, Run};
-use std::convert::Infallible;
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -91,13 +87,9 @@ pub struct WorldIndex {
 pub const HUB_CLOSURE: u32 = u32::MAX;
 
 impl WorldIndex {
-    /// Assembles a world from its condensation parts (also used by
-    /// [`io`]) and derives its hub closure.
-    pub(crate) fn from_parts(
-        dag: DiGraph,
-        member_offsets: Vec<usize>,
-        members: Vec<NodeId>,
-    ) -> Self {
+    /// Assembles a world from its condensation parts and derives its hub
+    /// closure.
+    fn from_parts(dag: DiGraph, member_offsets: Vec<usize>, members: Vec<NodeId>) -> Self {
         let members_of = |c: usize| &members[member_offsets[c]..member_offsets[c + 1]];
         let hub = (0..dag.num_nodes())
             .rev()
@@ -176,13 +168,6 @@ impl WorldIndex {
         }
     }
 
-    /// Raw member-offset accessor (used by [`io`]): the CSR offset of
-    /// component `c`'s member slice; `c` may equal `num_comps` (the end
-    /// sentinel).
-    pub fn member_offset(&self, c: usize) -> usize {
-        self.member_offsets[c]
-    }
-
     /// Number of SCCs in this world.
     pub fn num_comps(&self) -> usize {
         self.dag.num_nodes()
@@ -221,65 +206,23 @@ impl CascadeIndex {
     /// assert!(index.cascades_of(1).iter().all(|c| c == &vec![1, 2, 3]));
     /// ```
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
-        // Nothing can stop it: one block of all ℓ worlds, a single pool
-        // fan-out.
-        Self::build_blocks(pg, config, &Run::unlimited()).value()
-    }
-
-    /// Budgeted [`build`](CascadeIndex::build): one tick per sampled
-    /// world, checked at block boundaries (blocks of [`BUILD_BLOCK`]
-    /// worlds, parallel within a block). On expiry the partial index
-    /// covers a *prefix* of the world ids — world `i` depends only on
-    /// `(seed, i)`, so the prefix is identical to the first worlds of an
-    /// uninterrupted build regardless of thread count. At least one block
-    /// is always built, so even an expired deadline yields a usable
-    /// (small-ℓ) index.
-    pub fn build_budgeted(
-        pg: &ProbGraph,
-        config: IndexConfig,
-        deadline: &Deadline,
-    ) -> Outcome<Self> {
-        let run = Run::new(deadline.clone(), None, BUILD_BLOCK, false);
-        Self::build_blocks(pg, config, &run)
-    }
-
-    /// The block-synchronous build: worlds are sampled and condensed
-    /// `run.every` at a time, one pool fan-out per block, under
-    /// [`Run::blocks`].
-    fn build_blocks(pg: &ProbGraph, config: IndexConfig, run: &Run) -> Outcome<Self> {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
-        let ell = config.num_worlds;
-
-        // World `i` depends only on `(seed, i)`, so neither the block size
-        // nor the worker partition affects the result.
-        let mut built: Vec<(WorldIndex, Vec<u32>)> = Vec::with_capacity(ell);
-        let Ok(done) = run.blocks(ell, 0, run.every, |lo, hi| {
-            let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = (lo..hi).map(|_| None).collect();
-            // Workers claim chunks of world ids (`soi_util::pool`); each
-            // keeps one sampler allocation for all the chunks it claims.
-            soi_util::pool::for_each_indexed_with(
-                &mut slots,
-                config.threads,
-                WorldSampler::new,
-                |sampler, j, slot| {
-                    *slot = Some(build_world(pg, &config, lo + j, sampler));
-                },
-            );
-            // The pool fills every slot before its scope joins.
-            // xtask-allow: panic_policy
-            built.extend(slots.into_iter().map(|slot| slot.expect("world built")));
-            Ok::<(), Infallible>(())
-        });
-
-        // Record the ℓ actually built so the stored config matches a
-        // partial index's true dimensions.
-        let config = IndexConfig {
-            num_worlds: done,
-            ..config
-        };
-        let index = Self::assemble(pg.num_nodes(), built, config);
-        run.deadline.outcome(index, done as u64, ell as u64)
+        // World `i` depends only on `(seed, i)`, so the worker partition
+        // does not affect the result. Workers claim chunks of world ids
+        // (`soi_util::pool`); each keeps one sampler allocation for all
+        // the chunks it claims.
+        let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = vec![None; config.num_worlds];
+        soi_util::pool::for_each_indexed_with(
+            &mut slots,
+            config.threads,
+            WorldSampler::new,
+            |sampler, i, slot| *slot = Some(build_world(pg, &config, i, sampler)),
+        );
+        // The pool fills every slot before its scope joins.
+        // xtask-allow: panic_policy
+        let built = slots.into_iter().map(|slot| slot.expect("world built"));
+        Self::assemble(pg.num_nodes(), built.collect(), config)
     }
 
     /// Transposes the per-world component assignments into the node-major
@@ -324,17 +267,11 @@ impl CascadeIndex {
     }
 
     /// A 64-bit cache key identifying the index that [`build`](Self::build)
-    /// would produce for `(pg, config)`, computable **without** building
+    /// would produce for a graph with [`ProbGraph::fingerprint`]
+    /// `graph_fingerprint` and `config`, computable **without** building
     /// it. Combines the graph fingerprint with every config field that
     /// changes index contents (`threads` is excluded: builds are
     /// thread-count invariant). `soi serve` keys its index cache on this.
-    pub fn cache_key(pg: &ProbGraph, config: &IndexConfig) -> u64 {
-        Self::cache_key_for(pg.fingerprint(), config)
-    }
-
-    /// [`cache_key`](Self::cache_key) from an already computed
-    /// [`ProbGraph::fingerprint`], for callers that look the same graph
-    /// up repeatedly: the fingerprint is O(n + m), the rest O(1).
     pub fn cache_key_for(graph_fingerprint: u64, config: &IndexConfig) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
         h.update_u64(graph_fingerprint);
@@ -342,24 +279,6 @@ impl CascadeIndex {
         h.update_u64(config.seed);
         h.update_u64(config.transitive_reduction as u64);
         h.finish()
-    }
-
-    /// Reassembles an index from stored parts (used by [`io`]); inputs
-    /// are assumed already validated.
-    pub(crate) fn from_parts(
-        num_nodes: usize,
-        worlds: Vec<WorldIndex>,
-        comp_matrix: Vec<u32>,
-        max_comps: usize,
-        config: IndexConfig,
-    ) -> Self {
-        CascadeIndex {
-            num_nodes,
-            worlds,
-            comp_matrix,
-            max_comps,
-            config,
-        }
     }
 
     /// Builds an index from externally supplied live-edge worlds — any
@@ -576,11 +495,6 @@ struct Walk {
     branches: [usize; 2],
 }
 
-/// Worlds per deadline check in [`CascadeIndex::build_budgeted`]. A fixed
-/// block size (independent of thread count) keeps the partial prefix
-/// deterministic across machines.
-pub const BUILD_BLOCK: usize = 16;
-
 fn build_world(
     pg: &ProbGraph,
     config: &IndexConfig,
@@ -725,14 +639,15 @@ mod tests {
             transitive_reduction: true,
             threads: 1,
         };
-        let base = CascadeIndex::cache_key(&pg, &config);
+        let key = |pg: &ProbGraph, config| CascadeIndex::cache_key_for(pg.fingerprint(), &config);
+        let base = key(&pg, config);
         // Thread count never changes index contents, so it never changes
         // the key; every content-bearing input does.
         assert_eq!(
             base,
-            CascadeIndex::cache_key(
+            key(
                 &pg,
-                &IndexConfig {
+                IndexConfig {
                     threads: 4,
                     ..config
                 }
@@ -740,29 +655,26 @@ mod tests {
         );
         assert_ne!(
             base,
-            CascadeIndex::cache_key(
+            key(
                 &pg,
-                &IndexConfig {
+                IndexConfig {
                     num_worlds: 9,
                     ..config
                 }
             )
         );
+        assert_ne!(base, key(&pg, IndexConfig { seed: 6, ..config }));
         assert_ne!(
             base,
-            CascadeIndex::cache_key(&pg, &IndexConfig { seed: 6, ..config })
-        );
-        assert_ne!(
-            base,
-            CascadeIndex::cache_key(
+            key(
                 &pg,
-                &IndexConfig {
+                IndexConfig {
                     transitive_reduction: false,
                     ..config
                 }
             )
         );
-        assert_ne!(base, CascadeIndex::cache_key(&test_graph(2), &config));
+        assert_ne!(base, key(&test_graph(2), config));
     }
 
     #[test]
@@ -879,42 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_build_yields_a_world_prefix() {
-        use soi_util::runtime::Deadline;
-        let pg = test_graph(8);
-        let config = IndexConfig {
-            num_worlds: 40,
-            seed: 13,
-            transitive_reduction: true,
-            threads: 2,
-        };
-        let full = CascadeIndex::build(&pg, config);
-
-        let complete = CascadeIndex::build_budgeted(&pg, config, &Deadline::unlimited());
-        assert!(complete.is_complete());
-        let complete = complete.value();
-        assert_eq!(complete.num_worlds(), 40);
-        assert_eq!(complete.cascades_of(3), full.cascades_of(3));
-        assert_eq!(complete.fingerprint(), full.fingerprint());
-
-        // Budget for one block: the partial index is worlds 0..BUILD_BLOCK.
-        let partial = CascadeIndex::build_budgeted(&pg, config, &Deadline::ticks(1));
-        assert!(!partial.is_complete());
-        let progress = partial.progress().unwrap();
-        assert_eq!(progress.done, crate::BUILD_BLOCK as u64);
-        assert_eq!(progress.total, 40);
-        let partial = partial.value();
-        assert_eq!(partial.num_worlds(), crate::BUILD_BLOCK);
-        for v in (0..60).step_by(9) {
-            assert_eq!(
-                partial.cascades_of(v),
-                full.cascades_of(v)[..crate::BUILD_BLOCK].to_vec(),
-                "node {v}"
-            );
-        }
-    }
-
-    #[test]
     fn fingerprint_distinguishes_builds() {
         let pg = test_graph(9);
         let mk = |seed| {
@@ -929,6 +805,50 @@ mod tests {
         };
         assert_eq!(mk(1).fingerprint(), mk(1).fingerprint());
         assert_ne!(mk(1).fingerprint(), mk(2).fingerprint());
+    }
+
+    /// The built index's structure, read through public accessors only:
+    /// every world's reduced DAG and member lists, then the component
+    /// matrix. The transitive reduction of a DAG is unique, so however
+    /// the kernels find it the contents stay the same; the hashes and
+    /// [`CascadeIndex::fingerprint`]s below were recorded at commit
+    /// 4ad167f — checkpoints and caches keyed on them stay valid.
+    #[test]
+    fn index_contents_and_fingerprint_are_pinned() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(600, 5, true, &mut rng));
+        let supercritical = ProbGraph::fixed(gen::gnm(600, 3000, &mut rng), 0.3).unwrap();
+        let got = [&wc, &supercritical].map(|pg| {
+            let config = IndexConfig {
+                num_worlds: 16,
+                seed: 29,
+                threads: 2,
+                ..IndexConfig::default()
+            };
+            let index = CascadeIndex::build(pg, config);
+            let mut h = soi_util::hash::Mix64Hasher::new();
+            for i in 0..index.num_worlds() {
+                let w = index.world(i);
+                h.update_u64(w.num_comps() as u64);
+                for c in 0..w.num_comps() as u32 {
+                    for list in [w.dag.out_neighbors(c), w.members_of(c)] {
+                        h.update_u64(list.len() as u64);
+                        list.iter().for_each(|&x| h.update_u64(x.into()));
+                    }
+                }
+            }
+            for v in 0..index.num_nodes() as NodeId {
+                for i in 0..index.num_worlds() {
+                    h.update_u64(index.comp_of(v, i).into());
+                }
+            }
+            (h.finish(), index.fingerprint())
+        });
+        let pinned = [
+            (0xb22c_85d4_7c6c_fc2d, 0xa731_8c4c_7e3d_6853),
+            (0xe840_0ede_920f_dbba, 0x4745_6411_1710_acbb),
+        ];
+        assert_eq!(got, pinned, "got {got:#x?}");
     }
 
     #[test]

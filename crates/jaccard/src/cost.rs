@@ -10,7 +10,7 @@
 //! CSR postings and an `O(1)` element → local id map. A whole candidate
 //! set `s` is scored from its elements' postings (`Σ_{e∈s} freq(e)`) or
 //! from per-sample bitset rows (`ℓ·⌈U/64⌉` words), whichever is less.
-//! Every cost also comes as an estimate with a margin ([`crate::bound`]);
+//! Every cost also comes as an estimate with a margin (`crate::bound`);
 //! a local-search toggle's estimate costs `O(freq(e))` from per-sample
 //! terms cached once per candidate.
 
@@ -326,7 +326,7 @@ impl IncrementalCost {
     /// Cost change if `element` were toggled (inserted when absent,
     /// removed when present), without mutating the candidate: returns
     /// `cost_after - cost_before`, every sample's
-    /// [`toggle_term`](Self::toggle_term) summed in sample order. A toggle
+    /// `toggle_term` summed in sample order. A toggle
     /// moves `|C ∩ S_i|` only for the samples holding the element, so the
     /// others' terms are cached per direction (hence `&mut`).
     pub fn toggle_delta(&mut self, element: u32) -> f64 {

@@ -17,7 +17,7 @@
 //! against the sweep's winner, a toggle's cost change against its
 //! tolerance — is decided from an estimate with a proven margin (the same
 //! terms summed in vectorisable lanes: `2γ_ℓ + 3u` for a cost,
-//! `4γ_{2ℓ} + 5u` for a toggle, [`crate::bound`]), and from the in-order
+//! `4γ_{2ℓ} + 5u` for a toggle, `crate::bound`), and from the in-order
 //! values only when the margin straddles the threshold. So every median,
 //! cost bit and tick equals an in-order evaluation's.
 //!

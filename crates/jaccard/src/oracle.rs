@@ -662,7 +662,7 @@ const TWIN: u32 = 300;
 fn cascades(ell: usize) -> Result<Vec<Vec<u32>>, GraphError> {
     let mut rng = Xoshiro256pp::seed_from_u64(ell as u64);
     let pg = ProbGraph::fixed(gen::gnm(TWIN as usize, 5 * TWIN as usize, &mut rng), 0.3)?;
-    Ok(CascadeSampler::sample_many(&pg, 0, ell, ell as u64))
+    Ok(CascadeSampler::sample_many(&pg, &[0], ell, ell as u64))
 }
 
 /// [`cascades`] with exact ties built in: every seventh sample repeats an

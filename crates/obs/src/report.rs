@@ -268,7 +268,7 @@ fn json_num(v: f64) -> String {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

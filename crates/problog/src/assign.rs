@@ -18,11 +18,6 @@ pub fn fixed(graph: DiGraph, p: f64) -> Result<ProbGraph, GraphError> {
     ProbGraph::fixed(graph, p)
 }
 
-/// Trivalency: each arc uniformly from `{0.1, 0.01, 0.001}`.
-pub fn trivalency<R: Rng>(graph: DiGraph, rng: &mut R) -> ProbGraph {
-    ProbGraph::trivalency(graph, rng)
-}
-
 /// Independent uniform probabilities in `[lo, hi]` — the ground-truth
 /// model the dataset registry plants before generating logs, so learners
 /// face heterogeneous arc strengths.
@@ -68,8 +63,5 @@ mod tests {
         assert_eq!(pg.edge_prob_between(0, 1), Some(1.0));
         let pg = fixed(gen::star(4), 0.1).unwrap();
         assert!(pg.probs().iter().all(|&p| p == 0.1));
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let pg = trivalency(gen::star(4), &mut rng);
-        assert!(pg.probs().iter().all(|&p| [0.1, 0.01, 0.001].contains(&p)));
     }
 }

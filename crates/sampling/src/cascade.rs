@@ -10,7 +10,7 @@
 
 use soi_graph::{NodeId, ProbGraph};
 use soi_util::rng::Rng;
-use soi_util::runtime::{Deadline, Outcome};
+use soi_util::runtime::Deadline;
 
 /// Power-of-two buckets for the `sampling.cascade_size` histogram
 /// (cascade sizes are counts, so bucket totals stay deterministic).
@@ -138,35 +138,22 @@ impl CascadeSampler {
         count
     }
 
-    /// Samples `count` independent cascades from `source`, returning them
+    /// Samples `count` independent cascades from `seeds`, returning them
     /// as sorted node-id vectors (the canonical set representation used by
     /// the Jaccard machinery). Cascade `i` depends only on `(seed, i)`.
     pub fn sample_many(
         pg: &ProbGraph,
-        source: NodeId,
+        seeds: &[NodeId],
         count: usize,
         seed: u64,
     ) -> Vec<Vec<NodeId>> {
-        Self::sample_many_budgeted(pg, source, count, seed, &Deadline::unlimited()).value()
-    }
-
-    /// Budgeted [`sample_many`](CascadeSampler::sample_many): one tick per
-    /// cascade. On expiry returns the cascades sampled so far — cascade
-    /// `i` depends only on `(seed, i)`, so a partial result is exactly the
-    /// prefix an uninterrupted run would have produced.
-    pub fn sample_many_budgeted(
-        pg: &ProbGraph,
-        source: NodeId,
-        count: usize,
-        seed: u64,
-        deadline: &Deadline,
-    ) -> Outcome<Vec<Vec<NodeId>>> {
         let mut sets = Vec::with_capacity(count);
-        let done = Self::for_each_cascade(pg, &[source], count, seed, deadline, |cascade| {
+        let unlimited = Deadline::unlimited();
+        Self::for_each_cascade(pg, seeds, count, seed, &unlimited, |cascade| {
             cascade.sort_unstable();
             sets.push(cascade.to_vec());
         });
-        deadline.outcome(sets, done as u64, count as u64)
+        sets
     }
 }
 
@@ -310,32 +297,14 @@ mod tests {
     #[test]
     fn sample_many_returns_sorted_canonical_sets() {
         let pg = ProbGraph::fixed(gen::complete(8), 0.4).unwrap();
-        let sets = CascadeSampler::sample_many(&pg, 0, 20, 11);
+        let sets = CascadeSampler::sample_many(&pg, &[0], 20, 11);
         assert_eq!(sets.len(), 20);
         for s in &sets {
             assert!(s.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
             assert!(s.contains(&0));
         }
         // Determinism.
-        let again = CascadeSampler::sample_many(&pg, 0, 20, 11);
+        let again = CascadeSampler::sample_many(&pg, &[0], 20, 11);
         assert_eq!(sets, again);
-    }
-
-    #[test]
-    fn budgeted_sample_many_is_a_prefix_of_the_full_run() {
-        use soi_util::runtime::Deadline;
-        let pg = ProbGraph::fixed(gen::complete(8), 0.4).unwrap();
-        let full = CascadeSampler::sample_many(&pg, 0, 20, 11);
-
-        let complete = CascadeSampler::sample_many_budgeted(&pg, 0, 20, 11, &Deadline::unlimited());
-        assert!(complete.is_complete());
-        assert_eq!(complete.value(), full);
-
-        let d = Deadline::ticks(7);
-        let partial = CascadeSampler::sample_many_budgeted(&pg, 0, 20, 11, &d);
-        assert!(!partial.is_complete());
-        let progress = partial.progress().unwrap();
-        assert_eq!(progress, soi_util::runtime::Progress { done: 7, total: 20 });
-        assert_eq!(partial.value(), full[..7].to_vec());
     }
 }

@@ -134,7 +134,7 @@ mod tests {
         // same cascade sample (both = "in at least half the cascades").
         let pg = ProbGraph::fixed(gen::star(8), 0.7).unwrap();
         let samples = 10_001; // odd, avoids boundary ties
-        let sets = crate::CascadeSampler::sample_many(&pg, 0, samples, 5);
+        let sets = crate::CascadeSampler::sample_many(&pg, &[0], samples, 5);
         let maj = soi_jaccard_majority(&sets);
         let search = reliability_search(&pg, &[0], 0.5, samples, 5);
         assert_eq!(maj, search);

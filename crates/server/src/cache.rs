@@ -1,6 +1,6 @@
 //! A small LRU cache for warm cascade indexes.
 //!
-//! The daemon keys entries on [`soi_index::CascadeIndex::cache_key`]
+//! The daemon keys entries on [`soi_index::CascadeIndex::cache_key_for`]
 //! (graph fingerprint × index config), so two graphs that happen to
 //! share a name across reloads can never alias each other's indexes.
 //! Entries are `Arc`-shared: eviction never invalidates an index a

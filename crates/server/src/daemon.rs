@@ -1,6 +1,6 @@
 //! The long-lived daemon: what a request line means at `soi serve`, over
 //! TCP and over the stdio lane for hermetic tests. Framing, the accept
-//! loop and the drain live in [`crate::wire`]; this module supplies the
+//! loop and the drain live in `crate::wire`; this module supplies the
 //! closures from line to answer.
 //!
 //! One thread per connection reads newline-delimited requests. Control

@@ -4,7 +4,7 @@
 //! Graphs are loaded once at startup and shared immutably. Cascade
 //! indexes are built on first use (or eagerly via
 //! [`ServerEngine::warm`]) and kept in an LRU cache keyed by
-//! [`CascadeIndex::cache_key`], so repeated queries against the same
+//! [`CascadeIndex::cache_key_for`], so repeated queries against the same
 //! graph reuse the ℓ sampled worlds instead of resampling — the whole
 //! point of a long-lived daemon over one-shot CLI runs.
 //!
@@ -1057,11 +1057,11 @@ mod tests {
         for key in [
             mixed_key(
                 BackendKind::Cascade,
-                CascadeIndex::cache_key(pg, &engine.index_config()),
+                CascadeIndex::cache_key_for(pg.fingerprint(), &engine.index_config()),
             ),
             mixed_key(
                 BackendKind::Sketch,
-                ReachSketches::cache_key(pg, &sketch_config),
+                ReachSketches::cache_key_for(pg.fingerprint(), &sketch_config),
             ),
         ] {
             let mut cache = engine.cache.lock().expect("cache");

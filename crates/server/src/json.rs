@@ -271,21 +271,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Strin
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use soi_obs::report::json_escape as escape;
 
 /// Formats a finite `f64` as a JSON number, integers without a decimal
 /// point (`null` for non-finite input).

@@ -2,7 +2,7 @@
 //! and renders the snapshot as JSON or Prometheus-style text.
 //!
 //! Each poll is one `stats` control line
-//! ([`crate::protocol::control_line`]) over a fresh connection
+//! (`crate::protocol::control_line`) over a fresh connection
 //! ([`crate::client::send_one`]). In JSON mode the raw
 //! response line is printed per poll (optionally wall-masked), followed
 //! — from the second poll on — by a `{"stats_delta":{...}}` line showing

@@ -48,13 +48,12 @@ use soi_util::rng::derive_seed;
 use soi_util::runtime::{Outcome, Run};
 use soi_util::SoiError;
 use std::convert::Infallible;
-use std::path::Path;
 
 pub use select::{select_seeds, SelectResult};
 
 /// Worlds per deadline check (and per checkpointable unit) in the budgeted
 /// build. Fixed independent of thread count so a partial prefix is
-/// deterministic across machines, mirroring `soi_index::BUILD_BLOCK`.
+/// deterministic across machines.
 pub const BUILD_BLOCK: usize = 16;
 
 /// Salt decoupling the per-pair rank stream from the world-sampling
@@ -292,15 +291,9 @@ impl ReachSketches {
     }
 
     /// A 64-bit cache key identifying the sketches [`build`](Self::build)
-    /// would produce for `(pg, config)`, computable without building.
+    /// would produce for a graph with [`ProbGraph::fingerprint`]
+    /// `graph_fingerprint` and `config`, computable without building.
     /// `soi serve` keys its backend cache on this plus a backend tag.
-    pub fn cache_key(pg: &ProbGraph, config: &SketchConfig) -> u64 {
-        Self::cache_key_for(pg.fingerprint(), config)
-    }
-
-    /// [`cache_key`](Self::cache_key) from an already computed
-    /// [`ProbGraph::fingerprint`], for callers that look the same graph
-    /// up repeatedly: the fingerprint is O(n + m), the rest O(1).
     pub fn cache_key_for(graph_fingerprint: u64, config: &SketchConfig) -> u64 {
         let mut h = Mix64Hasher::new();
         h.update_u64(graph_fingerprint);
@@ -413,43 +406,6 @@ impl ReachSketches {
         self.sizes.iter().map(|&s| s as usize).sum()
     }
 
-    /// Saves the sketches to `path` in the workspace checkpoint container
-    /// (atomic, checksummed, fingerprint-pinned).
-    pub fn save(&self, path: &Path) -> Result<(), SoiError> {
-        let builder = Builder::from_sketches(self);
-        ckpt::write_checkpoint(
-            path,
-            &ckpt::Checkpoint {
-                kind: ckpt::KIND_SKETCH_BUILD,
-                graph_fingerprint: self.graph_fingerprint,
-                config_fingerprint: Self::config_fingerprint(&self.config),
-                total_units: self.config.num_worlds as u64,
-                done_units: self.config.num_worlds as u64,
-                payload: builder.encode(self.config.seed),
-            },
-        )
-    }
-
-    /// Loads sketches saved by [`save`](Self::save). The caller validates
-    /// graph identity via [`graph_fingerprint`](Self::graph_fingerprint).
-    pub fn load(path: &Path) -> Result<ReachSketches, SoiError> {
-        let ck = ckpt::read_checkpoint(path, ckpt::KIND_SKETCH_BUILD)?;
-        let mut r = ckpt::ByteReader::new(&ck.payload);
-        let n = usize::try_from(r.u64("num nodes")?)
-            .map_err(|_| SoiError::Invalid("sketch node count exceeds address space".into()))?;
-        let k = usize::try_from(r.u64("sketch k")?)
-            .map_err(|_| SoiError::Invalid("sketch k exceeds address space".into()))?;
-        let seed = r.u64("seed")?;
-        let builder = Builder::decode(&ck.payload, n, k)?;
-        let config = SketchConfig {
-            num_worlds: ck.done_units as usize,
-            k,
-            seed,
-            threads: 0,
-        };
-        Ok(builder.finish(ck.graph_fingerprint, config))
-    }
-
     fn record_build_metrics(&self) {
         soi_obs::counter_add!("sketch.builds", 1);
         soi_obs::counter_add!("sketch.worlds_built", self.config.num_worlds);
@@ -516,18 +472,6 @@ impl Builder {
             }
         }
         out
-    }
-
-    /// Encodes with a real seed slot (used by [`ReachSketches::save`]).
-    fn from_sketches(sk: &ReachSketches) -> Builder {
-        let k = sk.config.k;
-        let mut b = Builder::new(sk.num_nodes, k);
-        for v in 0..sk.num_nodes {
-            for &e in sk.sketch_of(v as NodeId) {
-                offer(&mut b.heap[v * k..(v + 1) * k], &mut b.sizes[v], e);
-            }
-        }
-        b
     }
 
     /// Inverse of [`encode`](Self::encode); `n`/`k` must match the
@@ -728,6 +672,7 @@ mod tests {
     use soi_graph::{gen, Reachability};
     use soi_util::rng::Xoshiro256pp;
     use soi_util::runtime::Deadline;
+    use std::path::Path;
 
     fn test_graph(seed: u64) -> ProbGraph {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -955,20 +900,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn save_load_round_trips() {
-        let dir = std::env::temp_dir().join(format!("soi-sketch-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sketch.soisk");
-        let pg = test_graph(12);
-        let sk = ReachSketches::build(&pg, config(16, 8, 4, 1));
-        sk.save(&path).unwrap();
-        let loaded = ReachSketches::load(&path).unwrap();
-        assert_eq!(loaded.graph_fingerprint(), pg.fingerprint());
-        assert_eq!(loaded.fingerprint(), sk.fingerprint());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     #[test]
     fn build_failpoint_surfaces_as_typed_fault() {
@@ -985,30 +916,22 @@ mod tests {
     fn cache_key_tracks_content_inputs_only() {
         let pg = test_graph(1);
         let cfg = config(8, 16, 5, 1);
-        let base = ReachSketches::cache_key(&pg, &cfg);
-        assert_eq!(
-            base,
-            ReachSketches::cache_key(&pg, &SketchConfig { threads: 4, ..cfg })
-        );
+        let key = |pg: &ProbGraph, cfg| ReachSketches::cache_key_for(pg.fingerprint(), &cfg);
+        let base = key(&pg, cfg);
+        assert_eq!(base, key(&pg, SketchConfig { threads: 4, ..cfg }));
+        assert_ne!(base, key(&pg, SketchConfig { k: 17, ..cfg }));
         assert_ne!(
             base,
-            ReachSketches::cache_key(&pg, &SketchConfig { k: 17, ..cfg })
-        );
-        assert_ne!(
-            base,
-            ReachSketches::cache_key(
+            key(
                 &pg,
-                &SketchConfig {
+                SketchConfig {
                     num_worlds: 9,
                     ..cfg
                 }
             )
         );
-        assert_ne!(
-            base,
-            ReachSketches::cache_key(&pg, &SketchConfig { seed: 6, ..cfg })
-        );
-        assert_ne!(base, ReachSketches::cache_key(&test_graph(2), &cfg));
+        assert_ne!(base, key(&pg, SketchConfig { seed: 6, ..cfg }));
+        assert_ne!(base, key(&test_graph(2), cfg));
     }
 
     #[test]

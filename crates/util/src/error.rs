@@ -6,9 +6,9 @@
 //! variant so tests (and operators) can tell a truncated file from a
 //! bit flip from a checkpoint taken on a different graph.
 //!
-//! Library crates that own a richer domain error (`soi_graph::GraphError`,
-//! `soi_index::io::LoadError`) keep it and provide `From` conversions
-//! into `SoiError` at their boundary.
+//! Library crates that own a richer domain error (`soi_graph::GraphError`)
+//! keep it and provide `From` conversions into `SoiError` at their
+//! boundary.
 
 use crate::failpoint::Fault;
 

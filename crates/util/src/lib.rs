@@ -14,7 +14,7 @@
 //! pipeline ([`runtime`]),
 //! versioned checksummed checkpoint files ([`ckpt`]), streaming Mix64
 //! hashing for fingerprints and corruption detection ([`hash`]),
-//! deterministic fault injection ([`failpoint`]), seeded schedule
+//! deterministic fault injection ([`failpoint`](mod@failpoint)), seeded schedule
 //! perturbation at the same sites ([`schedule`]), and the workspace-wide
 //! error type ([`error`]), plus worker-count resolution and chunked
 //! scoped fan-out shared by every parallel pipeline ([`pool`]) and

@@ -1,6 +1,6 @@
 //! Cooperative deadlines, and the one run policy built on them.
 //!
-//! Long-running pipelines (index builds, batch typical cascades, greedy
+//! Long-running pipelines (sketch builds, batch typical cascades, greedy
 //! seed selection, Monte-Carlo estimation) accept a [`Deadline`] and call
 //! [`Deadline::tick`] once per *unit of work* (one sampled world, one
 //! node solved, one oracle evaluation, …). When the budget is exhausted
@@ -224,9 +224,9 @@ pub struct Run {
     pub deadline: Deadline,
     /// Checkpoint file; `None` persists nothing.
     pub checkpoint: Option<PathBuf>,
-    /// Units of work between checkpoint writes; pipelines whose block is
-    /// their cadence (typical cascades, index build) also work this many
-    /// units per block. Read as at least 1.
+    /// Units of work between checkpoint writes; a pipeline whose block is
+    /// its cadence (typical cascades) also works this many units per
+    /// block. Read as at least 1.
     pub every: usize,
     /// Resume from `checkpoint` when it exists (a fresh start otherwise).
     pub resume: bool,

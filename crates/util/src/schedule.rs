@@ -3,7 +3,7 @@
 //! Thread interleavings are the one input a deterministic test suite
 //! cannot pin down: a scheduler decides them. This module makes that
 //! input *exercisable* — when armed, every failpoint site hit (see
-//! [`crate::failpoint`]) draws a decision from a seeded hash of
+//! [`crate::failpoint`](mod@crate::failpoint)) draws a decision from a seeded hash of
 //! `(seed, site, hit-counter)` and either proceeds, yields the
 //! timeslice, or sleeps for a few dozen microseconds. Different seeds
 //! push the scheduler into different interleavings; a correct

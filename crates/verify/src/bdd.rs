@@ -6,7 +6,7 @@
 //! `e` is independently live with probability `p_e`. For each target
 //! node `t` this module builds a reduced, ordered decision diagram over
 //! the edge variables (in the graph's CSR edge order — the same
-//! enumeration [`soi_sampling::exact_spread_bruteforce`] walks) whose
+//! enumeration [`soi_sampling::spread::exact_spread_bruteforce`] walks) whose
 //! paths to the `1` terminal are exactly the edge subsets in which `t`
 //! is reachable from `S`. `Pr[t reachable]` then falls out of one
 //! weighted bottom-up traversal, and node merging keeps the diagram

@@ -8,7 +8,7 @@
 //!   up to [`bdd::MAX_EDGES`] edges, validated bit-for-bit against
 //!   `exact_spread_bruteforce` and used to pin the typical-cascade,
 //!   RIS, and sketch estimators within declared tolerances.
-//! * [`reference`] — a deliberately naive engine answering the full v2
+//! * [`reference`](mod@reference) — a deliberately naive engine answering the full v2
 //!   server protocol by direct recomputation: no cache, no worker
 //!   pool, no persisted index. Slow and obviously correct, it is the
 //!   spec the real `ServerEngine` is diffed against.

@@ -23,7 +23,7 @@
 //!    line(s) immediately above, like `xtask-allow`. Findings name the
 //!    atomic's declaration when it is visible in the same file.
 //! 4. **Scoped-spawn discipline**: raw `thread::spawn` (and
-//!    `thread::Builder`) is confined to the files in [`SPAWN_ALLOWED`] —
+//!    `thread::Builder`) is confined to the files in `SPAWN_ALLOWED` —
 //!    `crates/util/src/pool.rs` and the serving crate's three spawn
 //!    sites (the one accept/drain loop, the supervised worker pool, the
 //!    router's probe thread) plus its integration tests. Everywhere

@@ -16,7 +16,7 @@
 //!
 //! `catch_unwind` is the inverse hazard: instead of aborting, it lets a
 //! bug masquerade as a handled condition. It is permitted only in the
-//! supervised-worker loops ([`CATCH_UNWIND_ALLOWED`]) whose entire job
+//! supervised-worker loops (`CATCH_UNWIND_ALLOWED`) whose entire job
 //! is converting a panic into a typed `internal-error` response and
 //! respawning; anywhere else it must be flagged.
 
