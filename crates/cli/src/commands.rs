@@ -170,6 +170,26 @@ impl Opts {
             .ok_or_else(|| SoiError::usage(format!("--{name} is required")))
     }
 
+    /// `--name` as a count of at least one, `default` when absent.
+    fn count(&self, name: &str, default: usize) -> Result<usize, SoiError> {
+        match self.get(name)?.unwrap_or(default) {
+            0 => Err(SoiError::usage(format!("--{name} must be >= 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// `--sketch-k`: the bottom-k sketch size, 1 to [`soi_sketch::MAX_K`].
+    fn sketch_k(&self) -> Result<usize, SoiError> {
+        let k = self.count("sketch-k", 64)?;
+        if k > soi_sketch::MAX_K {
+            return Err(SoiError::usage(format!(
+                "--sketch-k must be <= {}",
+                soi_sketch::MAX_K
+            )));
+        }
+        Ok(k)
+    }
+
     fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
     }
@@ -373,6 +393,15 @@ fn load_prob_graph(path: &str) -> Result<ProbGraph, SoiError> {
     }
 }
 
+/// Refuses a node id the loaded graph does not have: a data error
+/// (exit 1), not a malformed flag.
+fn check_node(pg: &ProbGraph, flag: &str, v: NodeId) -> Result<(), SoiError> {
+    if v as usize >= pg.num_nodes() {
+        return Err(SoiError::invalid(format!("--{flag} {v} out of range")));
+    }
+    Ok(())
+}
+
 fn load_any_graph(path: &str) -> Result<DiGraph, SoiError> {
     let file = std::fs::File::open(path).map_err(|e| SoiError::io(path, e))?;
     match gio::read_graph(std::io::BufReader::new(file))
@@ -490,13 +519,11 @@ fn cmd_stats_live<W: Write>(opts: &Opts, out: &mut W) -> Result<RunStatus, SoiEr
 
 fn cmd_sphere<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
     let opts = Opts::parse(args, &[])?;
-    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     let source: NodeId = opts.require("source")?;
-    if source as usize >= pg.num_nodes() {
-        return Err(SoiError::invalid(format!("--source {source} out of range")));
-    }
-    let samples: usize = opts.get("samples")?.unwrap_or(256);
+    let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
+    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
+    check_node(&pg, "source", source)?;
     let tc = typical_cascade(
         &pg,
         source,
@@ -528,9 +555,9 @@ fn cmd_spheres<W: Write>(
     out: &mut W,
 ) -> Result<RunStatus, SoiError> {
     let opts = Opts::parse(args, &[])?;
-    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
-    let samples: usize = opts.get("samples")?.unwrap_or(256);
+    let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
+    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     let index = CascadeIndex::build(
         &pg,
         IndexConfig {
@@ -592,8 +619,7 @@ fn cmd_infmax<W: Write>(
 ) -> Result<RunStatus, SoiError> {
     let opts = Opts::parse(args, &[])?;
     let k: usize = opts.require("k")?;
-    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
-    let samples: usize = opts.get("samples")?.unwrap_or(256);
+    let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let method: String = opts.get("method")?.unwrap_or_else(|| "tc".to_string());
     let backend_name: String = opts
@@ -601,8 +627,10 @@ fn cmd_infmax<W: Write>(
         .unwrap_or_else(|| "cascade".to_string());
     let backend = BackendKind::parse(&backend_name)
         .ok_or_else(|| SoiError::usage(format!("unknown backend {backend_name:?}")))?;
+    let sketch_k = opts.sketch_k()?;
+    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     if backend == BackendKind::Sketch {
-        return infmax_sketch(&opts, rt, &pg, k, samples, seed, out);
+        return infmax_sketch(rt, &pg, k, sketch_k, samples, seed, out);
     }
 
     let build_index = || {
@@ -710,18 +738,14 @@ fn write_infmax_report<W: Write>(
 /// resumable like the greedy pipeline) followed by SKIM-style greedy
 /// selection, sharing one deadline across both phases.
 fn infmax_sketch<W: Write>(
-    opts: &Opts,
     rt: &RuntimeOpts,
     pg: &ProbGraph,
     k: usize,
+    sketch_k: usize,
     samples: usize,
     seed: u64,
     out: &mut W,
 ) -> Result<RunStatus, SoiError> {
-    let sketch_k: usize = opts.get("sketch-k")?.unwrap_or(64);
-    if sketch_k == 0 {
-        return Err(SoiError::usage("--sketch-k must be >= 1"));
-    }
     let config = SketchConfig {
         num_worlds: samples,
         k: sketch_k,
@@ -748,15 +772,21 @@ fn infmax_sketch<W: Write>(
 
 fn cmd_reliability<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
     let opts = Opts::parse(args, &[])?;
-    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     let source: NodeId = opts.require("source")?;
-    let samples: usize = opts.get("samples")?.unwrap_or(10_000);
+    let samples = opts.count("samples", 10_000)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
-    if let Some(target) = opts.get::<NodeId>("target")? {
+    let target: Option<NodeId> = opts.get("target")?;
+    let eta: f64 = opts.get("eta")?.unwrap_or(0.5);
+    if !(0.0..=1.0).contains(&eta) {
+        return Err(SoiError::usage(format!("--eta {eta} is not a probability")));
+    }
+    let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
+    check_node(&pg, "source", source)?;
+    if let Some(target) = target {
+        check_node(&pg, "target", target)?;
         let rel = soi_sampling::reliability::two_terminal(&pg, source, target, samples, seed);
         writeln!(out, "rel({source}, {target})\t{rel:.4}").ok();
     } else {
-        let eta: f64 = opts.get("eta")?.unwrap_or(0.5);
         let set = soi_sampling::reliability::reliability_search(&pg, &[source], eta, samples, seed);
         writeln!(out, "eta\t{eta}").ok();
         writeln!(
@@ -863,13 +893,12 @@ fn cmd_serve<W: Write>(
     // Parse every flag before touching the filesystem so bad numbers
     // stay usage errors (exit 2) even when a graph path is also wrong.
     let engine_config = soi_server::EngineConfig {
-        num_worlds: opts.get("worlds")?.unwrap_or(256),
+        num_worlds: opts.count("worlds", 256)?,
         seed: opts.get("seed")?.unwrap_or(42),
         threads: rt.threads,
         cache_cap: opts.get("cache-cap")?.unwrap_or(4),
         default_deadline_ticks: opts.get("default-deadline-ticks")?.unwrap_or(0),
-        sketch_k: opts.get("sketch-k")?.unwrap_or(64),
-        ..soi_server::EngineConfig::default()
+        sketch_k: opts.sketch_k()?,
     };
     let max_line: usize = opts
         .get("max-line")?
@@ -1345,6 +1374,14 @@ mod tests {
         ])
         .unwrap();
         assert!(run(&["sphere", &gpath, "--source", "99"]).is_err());
+        // Node ids the graph lacks are data errors (exit 1), never panics.
+        for args in [
+            &["reliability", &gpath, "--source", "99"] as &[&str],
+            &["reliability", &gpath, "--source", "0", "--target", "99"],
+        ] {
+            let err = run(args).unwrap_err();
+            assert!(!err.is_usage(), "{args:?} -> {err}");
+        }
     }
 
     #[test]
@@ -1358,6 +1395,22 @@ mod tests {
         ] {
             let err = run(args).unwrap_err();
             assert!(err.is_usage(), "{args:?} -> {err}");
+        }
+        // Out-of-domain flag values are refused before the graph is read.
+        for line in [
+            "sphere net.tsv --source 0 --samples 0",
+            "spheres net.tsv --samples 0 --out x",
+            "infmax net.tsv --k 2 --samples 0",
+            "infmax net.tsv --k 2 --backend sketch --samples 0",
+            "infmax net.tsv --k 2 --backend sketch --sketch-k 1000000000000",
+            "reliability net.tsv --source 0 --samples 0",
+            "reliability net.tsv --source 0 --eta 1.5",
+            "serve g=net.tsv --worlds 0",
+            "serve g=net.tsv --sketch-k 1000000000000",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = run(&args).unwrap_err();
+            assert!(err.is_usage(), "{line} -> {err}");
         }
         // Runtime failures are NOT usage errors.
         let err = run(&["sphere", "/nonexistent/file", "--source", "0"]).unwrap_err();

@@ -1,25 +1,19 @@
-//! Selectable spread-oracle backend: cascade index vs bottom-k sketches.
+//! The spread-oracle backend a request or CLI run selects: cascade index
+//! vs bottom-k sketches.
 //!
 //! The repo grew two precomputed structures that can answer spread
 //! queries over the same ℓ sampled worlds:
 //!
-//! * the **cascade** index ([`soi_index::CascadeIndex`]) — exact
+//! * the **cascade** index (`soi_index::CascadeIndex`) — exact
 //!   per-world reachability via condensations, the paper's structure and
 //!   the default;
-//! * the **sketch** backend ([`soi_sketch::ReachSketches`]) — bottom-k
+//! * the **sketch** backend (`soi_sketch::ReachSketches`) — bottom-k
 //!   combined reachability sketches (Cohen et al.), `O(k·n)` memory with
 //!   estimator guarantees instead of exactness.
 //!
-//! [`SpreadBackend`] is the enum dispatch the serving and CLI layers
-//! select between; [`BackendKind`] is the wire/flag name. Both backends
-//! are deterministic in their build seed, so either answer is byte-stable
-//! across runs, replicas, and thread counts.
-
-use soi_graph::{NodeId, ProbGraph};
-use soi_index::CascadeIndex;
-use soi_sketch::ReachSketches;
-use soi_util::runtime::{Deadline, Outcome};
-use std::sync::Arc;
+//! [`BackendKind`] is the wire/flag name both the serving and CLI layers
+//! parse. Both backends are deterministic in their build seed, so either
+//! answer is byte-stable across runs, replicas, and thread counts.
 
 /// Which spread-oracle backend a request or CLI run selects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -59,83 +53,9 @@ impl BackendKind {
     }
 }
 
-/// A built spread oracle: one of the two backends, `Arc`-shared so cache
-/// eviction never invalidates an oracle a worker is still querying.
-#[derive(Clone)]
-pub enum SpreadBackend {
-    /// A warm cascade index.
-    Cascade(Arc<CascadeIndex>),
-    /// Warm bottom-k reachability sketches.
-    Sketch(Arc<ReachSketches>),
-}
-
-impl SpreadBackend {
-    /// Which backend this oracle is.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            SpreadBackend::Cascade(_) => BackendKind::Cascade,
-            SpreadBackend::Sketch(_) => BackendKind::Sketch,
-        }
-    }
-
-    /// Nodes in the graph the oracle was built over.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            SpreadBackend::Cascade(index) => index.num_nodes(),
-            SpreadBackend::Sketch(sk) => sk.num_nodes(),
-        }
-    }
-
-    /// The cascade index, when that is the selected backend.
-    pub fn as_cascade(&self) -> Option<&Arc<CascadeIndex>> {
-        match self {
-            SpreadBackend::Cascade(index) => Some(index),
-            SpreadBackend::Sketch(_) => None,
-        }
-    }
-
-    /// The sketches, when that is the selected backend.
-    pub fn as_sketch(&self) -> Option<&Arc<ReachSketches>> {
-        match self {
-            SpreadBackend::Cascade(_) => None,
-            SpreadBackend::Sketch(sk) => Some(sk),
-        }
-    }
-
-    /// Estimates the expected spread of `seeds`. The cascade arm runs the
-    /// Monte-Carlo estimator (`samples` fresh worlds from `seed`, one
-    /// deadline tick each); the sketch arm answers from the precomputed
-    /// sketches (no sampling — `samples`/`seed` are ignored and the
-    /// answer is always [`Outcome::Completed`]).
-    pub fn estimate_spread(
-        &self,
-        pg: &ProbGraph,
-        seeds: &[NodeId],
-        samples: usize,
-        seed: u64,
-        deadline: &Deadline,
-    ) -> Outcome<f64> {
-        match self {
-            SpreadBackend::Cascade(_) => {
-                soi_sampling::estimate_spread_budgeted(pg, seeds, samples, seed, deadline)
-            }
-            SpreadBackend::Sketch(sk) => Outcome::Completed(sk.set_spread(seeds)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_graph::gen;
-    use soi_index::IndexConfig;
-    use soi_sketch::SketchConfig;
-    use soi_util::rng::Xoshiro256pp;
-
-    fn graph() -> ProbGraph {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        ProbGraph::fixed(gen::gnm(50, 200, &mut rng), 0.3).expect("graph")
-    }
 
     #[test]
     fn kind_round_trips_names_and_tags_differ() {
@@ -145,41 +65,5 @@ mod tests {
         assert_eq!(BackendKind::parse("bogus"), None);
         assert_eq!(BackendKind::default(), BackendKind::Cascade);
         assert_ne!(BackendKind::Cascade.tag(), BackendKind::Sketch.tag());
-    }
-
-    #[test]
-    fn both_backends_answer_spread_in_the_same_ballpark() {
-        let pg = graph();
-        let cascade = SpreadBackend::Cascade(Arc::new(CascadeIndex::build(
-            &pg,
-            IndexConfig {
-                num_worlds: 32,
-                seed: 1,
-                ..IndexConfig::default()
-            },
-        )));
-        let sketch = SpreadBackend::Sketch(Arc::new(ReachSketches::build(
-            &pg,
-            SketchConfig {
-                num_worlds: 256,
-                k: 64,
-                seed: 1,
-                threads: 1,
-            },
-        )));
-        assert_eq!(cascade.kind(), BackendKind::Cascade);
-        assert_eq!(sketch.kind(), BackendKind::Sketch);
-        assert!(cascade.as_cascade().is_some() && cascade.as_sketch().is_none());
-        assert!(sketch.as_sketch().is_some() && sketch.as_cascade().is_none());
-        assert_eq!(cascade.num_nodes(), sketch.num_nodes());
-        let seeds = [0, 7];
-        let mc = cascade
-            .estimate_spread(&pg, &seeds, 2000, 9, &Deadline::unlimited())
-            .value();
-        let sk = sketch
-            .estimate_spread(&pg, &seeds, 0, 0, &Deadline::unlimited())
-            .value();
-        let rel = (sk - mc).abs() / mc.max(1.0);
-        assert!(rel < 0.5, "sketch {sk} vs mc {mc} (rel {rel})");
     }
 }

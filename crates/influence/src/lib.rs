@@ -16,8 +16,8 @@
 //!   TIM-flavoured), the modern baseline referenced in §7;
 //! * [`saturation`] — the marginal-gain-ratio analysis (`MG₁₀/MG₁`) behind
 //!   Figure 7;
-//! * [`backend`] — the selectable spread-oracle dispatch (cascade index
-//!   vs bottom-k sketches) shared by the CLI and serving layers.
+//! * [`backend`] — the name of the selectable spread oracle (cascade
+//!   index vs bottom-k sketches) shared by the CLI and serving layers.
 
 pub mod backend;
 pub mod baselines;
@@ -27,7 +27,7 @@ pub mod saturation;
 pub mod spread;
 pub mod tc_cover;
 
-pub use backend::{BackendKind, SpreadBackend};
+pub use backend::BackendKind;
 pub use baselines::{degree_discount_seeds, high_degree_seeds, pagerank_seeds, random_seeds};
 pub use greedy::{
     infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyMode, GreedyResult, McGreedyConfig,

@@ -14,14 +14,6 @@ pub fn samples_for_alpha(alpha: f64) -> usize {
     ((1.0 / alpha).ln() / (alpha * alpha)).ceil().max(1.0) as usize
 }
 
-/// Samples sufficient for the guarantee to hold simultaneously for all `n`
-/// vertices (union bound over sources, §4).
-pub fn samples_for_all_nodes(n: usize, alpha: f64) -> usize {
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    assert!(n >= 1);
-    ((n as f64 / alpha).ln() / (alpha * alpha)).ceil().max(1.0) as usize
-}
-
 /// The approximation slack `O(sqrt(log(ℓ/δ)/ℓ))` appearing in Theorem 2,
 /// up to its constant: useful for reporting expected accuracy of a run.
 pub fn sampling_slack(num_samples: usize, delta: f64) -> f64 {
@@ -42,15 +34,6 @@ mod tests {
         // Coarser α needs fewer samples.
         assert!(samples_for_alpha(0.3) < samples_for_alpha(0.1));
         assert!(samples_for_alpha(0.01) > samples_for_alpha(0.1));
-    }
-
-    #[test]
-    fn all_nodes_bound_grows_logarithmically() {
-        let a = samples_for_all_nodes(1_000, 0.2);
-        let b = samples_for_all_nodes(1_000_000, 0.2);
-        assert!(b > a);
-        // log-scaling: a 1000× larger graph costs < 2× the samples here.
-        assert!((b as f64) < 2.0 * a as f64, "{a} -> {b}");
     }
 
     #[test]

@@ -207,10 +207,16 @@ fn clamp_ns(ns: u128) -> u64 {
     u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
-/// Compact duration formatting for the summary table. Mirrors
-/// `soi_util::timer::format_duration`; duplicated privately because
-/// `soi-util` depends on this crate, so importing it here would cycle.
-fn format_duration(d: Duration) -> String {
+/// Formats a duration compactly for the summary table and human-readable
+/// experiment logs (`"412ns"`, `"3.2µs"`, `"15.0ms"`, `"2.34s"`,
+/// `"2m30s"`). Re-exported as `soi_util::timer::format_duration`.
+///
+/// Unit boundaries are exact (`1_000ns` is `"1.0µs"`, not `"1000ns"`),
+/// and a value whose rounded mantissa would read `1000.0` is promoted to
+/// the next unit (`999_950ns` is `"1.0ms"`, never `"1000.0µs"`). Runs of
+/// 100 seconds or more switch to a minutes-and-seconds form, where
+/// sub-second precision is noise.
+pub fn format_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         return format!("{ns}ns");

@@ -1,22 +1,22 @@
-//! A small LRU cache for warm cascade indexes.
+//! A small LRU cache for warm spread oracles.
 //!
-//! The daemon keys entries on [`soi_index::CascadeIndex::cache_key_for`]
-//! (graph fingerprint × index config), so two graphs that happen to
-//! share a name across reloads can never alias each other's indexes.
-//! Entries are `Arc`-shared: eviction never invalidates an index a
-//! worker is still querying.
+//! The daemon keys entries on the oracle's cache key (graph fingerprint
+//! × backend × build config, e.g.
+//! [`soi_index::CascadeIndex::cache_key_for`]), so two graphs that
+//! happen to share a name across reloads can never alias each other's
+//! oracles. Values are cheap shared handles (the engine stores
+//! `Arc`-backed oracles): eviction never invalidates an oracle a worker
+//! is still querying, and the last handle dropped frees it.
 
-use std::sync::Arc;
-
-/// An LRU cache from 64-bit keys to shared values. Not thread-safe on
-/// its own — the engine wraps it in a mutex.
+/// An LRU cache from 64-bit keys to cloneable handles. Not thread-safe
+/// on its own — the engine wraps it in a mutex.
 pub struct LruCache<V> {
     cap: usize,
     /// Recency order: least-recently-used first, most-recent last.
-    entries: Vec<(u64, Arc<V>)>,
+    entries: Vec<(u64, V)>,
 }
 
-impl<V> LruCache<V> {
+impl<V: Clone> LruCache<V> {
     /// An empty cache holding at most `cap` entries (min 1).
     pub fn new(cap: usize) -> Self {
         LruCache {
@@ -26,17 +26,17 @@ impl<V> LruCache<V> {
     }
 
     /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: u64) -> Option<Arc<V>> {
+    pub fn get(&mut self, key: u64) -> Option<V> {
         let pos = self.entries.iter().position(|(k, _)| *k == key)?;
         let entry = self.entries.remove(pos);
-        let value = Arc::clone(&entry.1);
+        let value = entry.1.clone();
         self.entries.push(entry);
         Some(value)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry when full.
     /// Re-inserting an existing key replaces its value and refreshes it.
-    pub fn insert(&mut self, key: u64, value: Arc<V>) {
+    pub fn insert(&mut self, key: u64, value: V) {
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries.remove(pos);
         } else if self.entries.len() >= self.cap {
@@ -59,34 +59,35 @@ impl<V> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn evicts_least_recently_used() {
         let mut cache: LruCache<u32> = LruCache::new(2);
-        cache.insert(1, Arc::new(10));
-        cache.insert(2, Arc::new(20));
-        assert_eq!(cache.get(1).map(|v| *v), Some(10)); // 1 now most recent
-        cache.insert(3, Arc::new(30)); // evicts 2
+        cache.insert(1, 10);
+        cache.insert(2, 20);
+        assert_eq!(cache.get(1), Some(10)); // 1 now most recent
+        cache.insert(3, 30); // evicts 2
         assert_eq!(cache.get(2), None);
-        assert_eq!(cache.get(1).map(|v| *v), Some(10));
-        assert_eq!(cache.get(3).map(|v| *v), Some(30));
+        assert_eq!(cache.get(1), Some(10));
+        assert_eq!(cache.get(3), Some(30));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn reinsert_replaces_without_eviction() {
         let mut cache: LruCache<u32> = LruCache::new(2);
-        cache.insert(1, Arc::new(10));
-        cache.insert(2, Arc::new(20));
-        cache.insert(1, Arc::new(11));
+        cache.insert(1, 10);
+        cache.insert(2, 20);
+        cache.insert(1, 11);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1).map(|v| *v), Some(11));
-        assert_eq!(cache.get(2).map(|v| *v), Some(20));
+        assert_eq!(cache.get(1), Some(11));
+        assert_eq!(cache.get(2), Some(20));
     }
 
     #[test]
     fn shared_values_survive_eviction() {
-        let mut cache: LruCache<u32> = LruCache::new(1);
+        let mut cache: LruCache<Arc<u32>> = LruCache::new(1);
         cache.insert(1, Arc::new(10));
         let held = cache.get(1).expect("hit");
         cache.insert(2, Arc::new(20));

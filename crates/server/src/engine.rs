@@ -17,7 +17,7 @@ use crate::protocol::Request;
 use crate::trace::PhaseTrace;
 use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
-use soi_influence::{BackendKind, SpreadBackend};
+use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::hash::Mix64Hasher;
@@ -33,13 +33,9 @@ pub struct EngineConfig {
     pub num_worlds: usize,
     /// Master sampling seed for index builds.
     pub seed: u64,
-    /// Apply transitive reduction to indexed worlds.
-    pub transitive_reduction: bool,
     /// Threads per index build / batch solve (0 = pool default).
     pub threads: usize,
-    /// Jaccard-median tuning shared by all queries.
-    pub median: MedianConfig,
-    /// LRU capacity of the index cache.
+    /// LRU capacity of the oracle cache.
     pub cache_cap: usize,
     /// Default per-request tick budget (0 = unlimited) applied when a
     /// request carries no `deadline_ticks`.
@@ -54,9 +50,7 @@ impl Default for EngineConfig {
         EngineConfig {
             num_worlds: 256,
             seed: 42,
-            transitive_reduction: true,
             threads: 0,
-            median: MedianConfig::default(),
             cache_cap: 4,
             default_deadline_ticks: 0,
             sketch_k: 64,
@@ -96,21 +90,46 @@ impl ExecOutput {
     }
 }
 
+/// A built spread oracle: one of the two backends, `Arc`-shared so cache
+/// eviction never invalidates an oracle a worker is still querying, and
+/// frees it once the last such worker lets go.
+#[derive(Clone)]
+enum SpreadBackend {
+    /// A warm cascade index.
+    Cascade(Arc<CascadeIndex>),
+    /// Warm bottom-k reachability sketches.
+    Sketch(Arc<ReachSketches>),
+}
+
+impl SpreadBackend {
+    /// The cascade index, when that is the selected backend.
+    fn as_cascade(&self) -> Option<&Arc<CascadeIndex>> {
+        match self {
+            SpreadBackend::Cascade(index) => Some(index),
+            SpreadBackend::Sketch(_) => None,
+        }
+    }
+
+    /// The sketches, when that is the selected backend.
+    fn as_sketch(&self) -> Option<&Arc<ReachSketches>> {
+        match self {
+            SpreadBackend::Cascade(_) => None,
+            SpreadBackend::Sketch(sk) => Some(sk),
+        }
+    }
+}
+
 /// Loaded graphs plus the warm spread-oracle cache.
 pub struct ServerEngine {
     /// Each graph beside its [`ProbGraph::fingerprint`], hashed once at
     /// load: a cache lookup forms its key from the stored value.
     graphs: BTreeMap<String, (Arc<ProbGraph>, u64)>,
-    /// One LRU for both backends. Keys mix the backend tag into the
-    /// backend-specific cache key ([`mixed_key`]), so the key is
-    /// (graph fingerprint, backend, build params) and a sketch entry can
-    /// never serve a cascade request or vice versa.
+    /// One LRU for both backends, and the only place a built oracle
+    /// lives. Keys mix the backend tag into the backend-specific cache
+    /// key ([`mixed_key`]), so the key is (graph fingerprint, backend,
+    /// build params) and a sketch entry can never serve a cascade
+    /// request or vice versa.
     cache: Mutex<crate::cache::LruCache<SpreadBackend>>,
-    /// Last successfully built oracle per (graph *name*, backend tag,
-    /// sketch k — 0 for cascade), regardless of fingerprint: the stale
-    /// fallback served (explicitly flagged) when a fresh build fails and
-    /// the request opted into degradation.
-    last_good: Mutex<BTreeMap<(String, u8, u64), SpreadBackend>>,
     config: EngineConfig,
 }
 
@@ -122,16 +141,6 @@ fn mixed_key(kind: BackendKind, inner: u64) -> u64 {
     h.update_u64(u64::from(kind.tag()));
     h.update_u64(inner);
     h.finish()
-}
-
-/// The `k` component of a last-good key: sketch entries are keyed by
-/// their sketch size (a different `k` is a different oracle), cascade
-/// entries have no such parameter and use 0.
-fn last_good_k(kind: BackendKind, k: usize) -> u64 {
-    match kind {
-        BackendKind::Cascade => 0,
-        BackendKind::Sketch => k as u64,
-    }
 }
 
 /// The cache key folds in the backend tag, so a lookup can only ever
@@ -147,7 +156,6 @@ impl ServerEngine {
         ServerEngine {
             graphs: BTreeMap::new(),
             cache: Mutex::new(crate::cache::LruCache::new(config.cache_cap)),
-            last_good: Mutex::new(BTreeMap::new()),
             config,
         }
     }
@@ -187,8 +195,8 @@ impl ServerEngine {
         IndexConfig {
             num_worlds: self.config.num_worlds,
             seed: self.config.seed,
-            transitive_reduction: self.config.transitive_reduction,
             threads: self.config.threads,
+            ..IndexConfig::default()
         }
     }
 
@@ -216,26 +224,21 @@ impl ServerEngine {
     /// The warm index for `name`, building (and caching) it on a miss.
     pub fn index_for(&self, name: &str) -> Result<Arc<CascadeIndex>, SoiError> {
         let mut trace = PhaseTrace::new();
-        let (oracle, _) = self.oracle(name, BackendKind::Cascade, None, false, &mut trace)?;
+        let oracle = self.oracle(name, BackendKind::Cascade, None, &mut trace)?;
         oracle.as_cascade().cloned().ok_or_else(wrong_backend)
     }
 
     /// The one oracle lookup: the warm spread oracle for (`name`,
-    /// `kind`, `sketch_k`), built and cached on a miss, and whether it is
-    /// degraded — when a fresh build fails and `degrade` is set, the last
-    /// successfully built same-backend oracle for this graph name is
-    /// served instead, flagged; stale results are never silently
-    /// substituted. A successful lookup records the request's `cache`
-    /// phase: a build costs `num_worlds` deterministic ticks, a hit (or
-    /// a stale fallback) costs zero.
+    /// `kind`, `sketch_k`), built and cached on a miss. A successful
+    /// lookup records the request's `cache` phase: a build costs
+    /// `num_worlds` deterministic ticks, a hit costs zero.
     fn oracle(
         &self,
         name: &str,
         kind: BackendKind,
         sketch_k: Option<usize>,
-        degrade: bool,
         trace: &mut PhaseTrace,
-    ) -> Result<(SpreadBackend, bool), SoiError> {
+    ) -> Result<SpreadBackend, SoiError> {
         let started = std::time::Instant::now();
         let (pg, fingerprint) = self.graph(name)?;
         let k = sketch_k.unwrap_or(self.config.sketch_k);
@@ -253,49 +256,33 @@ impl ServerEngine {
                 soi_obs::perthread::timed_region(soi_obs::perthread::record_lock_wait, || {
                     self.cache.lock().unwrap_or_else(PoisonError::into_inner)
                 });
-            cache.get(key).map(|entry| (*entry).clone())
+            cache.get(key)
         };
-        let (backend, degraded, ticks) = if let Some(backend) = hit {
+        let (backend, ticks) = if let Some(backend) = hit {
             soi_obs::counter_add!("server.cache_hits", 1);
-            (backend, false, 0)
+            (backend, 0)
         } else {
             soi_obs::counter_add!("server.cache_misses", 1);
-            let last_key = (name.to_string(), kind.tag(), last_good_k(kind, k));
-            match self.build_backend(pg, kind, k, key, &last_key) {
-                Ok(backend) => (backend, false, self.config.num_worlds as u64),
-                Err(err) => {
-                    let stale = if degrade {
-                        let last = self
-                            .last_good
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        last.get(&last_key).cloned()
-                    } else {
-                        None
-                    };
-                    let Some(backend) = stale else {
-                        return Err(err);
-                    };
-                    soi_obs::counter_add!("server.requests_degraded", 1);
-                    (backend, true, 0)
-                }
-            }
+            let backend = self.build_backend(pg, kind, k)?;
+            soi_util::failpoint_crash!("server.cache.insert");
+            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            cache.insert(key, backend.clone());
+            (backend, self.config.num_worlds as u64)
         };
         trace.record("cache", ticks, crate::trace::elapsed_ns(started));
-        Ok((backend, degraded))
+        Ok(backend)
     }
 
+    /// Builds one oracle, outside the cache lock: a slow build must not
+    /// stall queries against already-cached graphs. The failpoints are
+    /// the only way it can fail.
     fn build_backend(
         &self,
         pg: &Arc<ProbGraph>,
         kind: BackendKind,
         k: usize,
-        key: u64,
-        last_key: &(String, u8, u64),
     ) -> Result<SpreadBackend, SoiError> {
-        // Built outside the cache lock: a slow build must not stall
-        // queries against already-cached graphs.
-        let backend = match kind {
+        Ok(match kind {
             BackendKind::Cascade => {
                 soi_util::failpoint!("server.index.build");
                 let _span = soi_obs::span("server.index_build");
@@ -306,18 +293,7 @@ impl ServerEngine {
                 let _span = soi_obs::span("server.sketch_build");
                 SpreadBackend::Sketch(Arc::new(ReachSketches::build(pg, self.sketch_config(k))))
             }
-        };
-        soi_util::failpoint_crash!("server.cache.insert");
-        {
-            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            cache.insert(key, Arc::new(backend.clone()));
-        }
-        let mut last = self
-            .last_good
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        last.insert(last_key.clone(), backend.clone());
-        Ok(backend)
+        })
     }
 
     fn deadline(&self, requested: Option<u64>) -> Deadline {
@@ -352,10 +328,9 @@ impl ServerEngine {
                 graph,
                 source,
                 deadline_ticks,
-                degrade,
+                ..
             } => {
-                let (oracle, degraded) =
-                    self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
+                let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
                 if (*source as usize) >= index.num_nodes() {
                     return Err(SoiError::protocol(
@@ -371,16 +346,15 @@ impl ServerEngine {
                 let outcome = soi_core::index_median(
                     index,
                     *source,
-                    &self.config.median,
+                    &MedianConfig::default(),
                     &deadline,
                     &mut soi_core::NodeScratch::new(index),
                 );
                 let fit = outcome.value_ref();
                 let payload = format!(
-                    "\"sphere\":{},\"cost\":{}{}",
+                    "\"sphere\":{},\"cost\":{}",
                     encode_nodes(&fit.median),
-                    fmt_num(fit.cost),
-                    degraded_suffix(degraded, "stale-index")
+                    fmt_num(fit.cost)
                 );
                 trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
                 Ok(ExecOutput::from_outcome(&outcome, payload))
@@ -409,16 +383,11 @@ impl ServerEngine {
                     // The sketch backend answers from the warm sketches:
                     // the cache phase carries the (possible) build, the
                     // estimator itself is one O(seeds · k) evaluation.
-                    let (oracle, degraded) =
-                        self.oracle(graph, BackendKind::Sketch, *sketch_k, *degrade, trace)?;
+                    let oracle = self.oracle(graph, BackendKind::Sketch, *sketch_k, trace)?;
                     let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
                     let compute_start = std::time::Instant::now();
                     let spread = sk.set_spread(seeds);
-                    let payload = format!(
-                        "\"spread\":{},\"backend\":\"sketch\"{}",
-                        fmt_num(spread),
-                        degraded_suffix(degraded, "stale-sketch")
-                    );
+                    let payload = format!("\"spread\":{},\"backend\":\"sketch\"", fmt_num(spread));
                     trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
                     return Ok(ExecOutput::complete(payload));
                 }
@@ -443,9 +412,8 @@ impl ServerEngine {
                     );
                     soi_obs::counter_add!("server.requests_degraded", 1);
                     let payload = format!(
-                        "\"spread\":{},\"samples_used\":{reduced}{}",
-                        fmt_num(*outcome.value_ref()),
-                        degraded_suffix(true, "reduced-samples")
+                        "\"spread\":{},\"samples_used\":{reduced},\"degraded\":true,\"degraded_mode\":\"reduced-samples\"",
+                        fmt_num(*outcome.value_ref())
                     );
                     trace.record(
                         "compute",
@@ -470,28 +438,26 @@ impl ServerEngine {
                 graph,
                 k,
                 deadline_ticks,
-                degrade,
                 backend,
                 sketch_k,
+                ..
             } => {
                 if *backend == BackendKind::Sketch {
                     return self.execute_infmax_sketch(
                         graph,
                         *k,
                         *deadline_ticks,
-                        *degrade,
                         *sketch_k,
                         trace,
                     );
                 }
-                let (oracle, degraded) =
-                    self.oracle(graph, BackendKind::Cascade, None, *degrade, trace)?;
+                let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
                 let run = Run::new(self.deadline(*deadline_ticks), None, 64, false);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::all_typical_cascades_resumable(
                     index,
-                    &self.config.median,
+                    &MedianConfig::default(),
                     self.config.threads,
                     &run,
                 )?;
@@ -504,10 +470,9 @@ impl ServerEngine {
                 let coverage: Vec<String> =
                     run.coverage_curve.iter().map(|&c| fmt_num(c)).collect();
                 let payload = format!(
-                    "\"seeds\":{},\"coverage\":[{}]{}",
+                    "\"seeds\":{},\"coverage\":[{}]",
                     encode_nodes(&run.seeds),
-                    coverage.join(","),
-                    degraded_suffix(degraded, "stale-index")
+                    coverage.join(",")
                 );
                 trace.record(
                     "compute",
@@ -530,34 +495,21 @@ impl ServerEngine {
         graph: &str,
         k: usize,
         deadline_ticks: Option<u64>,
-        degrade: bool,
         sketch_k: Option<usize>,
         trace: &mut PhaseTrace,
     ) -> Result<ExecOutput, SoiError> {
-        let (oracle, degraded) =
-            self.oracle(graph, BackendKind::Sketch, sketch_k, degrade, trace)?;
+        let oracle = self.oracle(graph, BackendKind::Sketch, sketch_k, trace)?;
         let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
-        let (pg, fingerprint) = self.graph(graph)?;
-        if sk.graph_fingerprint() != *fingerprint {
-            // A stale sketch from a different graph revision cannot
-            // drive selection: the coverage BFS re-derives the worlds
-            // the sketches were built over, which belong to the old
-            // graph. Fail typed instead of answering wrong.
-            return Err(SoiError::protocol(
-                ProtoErrorKind::Internal,
-                "stale sketch does not match the loaded graph; seed selection cannot degrade",
-            ));
-        }
+        let (pg, _) = self.graph(graph)?;
         let deadline = self.deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
         let outcome = soi_sketch::select_seeds(pg, sk, k, &deadline);
         let run = outcome.value_ref();
         let coverage: Vec<String> = run.coverage.iter().map(|&c| fmt_num(c)).collect();
         let payload = format!(
-            "\"seeds\":{},\"coverage\":[{}],\"backend\":\"sketch\"{}",
+            "\"seeds\":{},\"coverage\":[{}],\"backend\":\"sketch\"",
             encode_nodes(&run.seeds),
-            coverage.join(","),
-            degraded_suffix(degraded, "stale-sketch")
+            coverage.join(",")
         );
         trace.record("compute", k as u64, crate::trace::elapsed_ns(compute_start));
         Ok(ExecOutput::from_outcome(&outcome, payload))
@@ -567,16 +519,6 @@ impl ServerEngine {
 fn encode_nodes(nodes: &[u32]) -> String {
     let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
     format!("[{}]", items.join(","))
-}
-
-/// The payload suffix flagging a degraded answer (empty when the answer
-/// is fresh): degradation is always explicit on the wire.
-fn degraded_suffix(degraded: bool, mode: &str) -> String {
-    if degraded {
-        format!(",\"degraded\":true,\"degraded_mode\":\"{mode}\"")
-    } else {
-        String::new()
-    }
 }
 
 #[cfg(test)]
@@ -846,56 +788,43 @@ mod tests {
         assert!(!roomy.payload.contains("degraded"), "{}", roomy.payload);
     }
 
+    /// A failed build answers a typed fault whether or not the request
+    /// asked to degrade, even when an evicted build of the same oracle
+    /// once existed: nothing evicted is ever served.
     #[test]
     #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
-    fn stale_index_serves_flagged_when_build_fails() {
+    fn index_build_failure_answers_a_typed_fault() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::clear();
         let engine = engine();
-        // Warm the last-known-good slot, then evict the cached entry by
-        // swapping the graph (new fingerprint → cold cache key).
-        let _ = engine.index_for("g").expect("first build");
-        let mut engine = engine;
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
-        let pg2 = ProbGraph::fixed(gen::gnm(40, 120, &mut rng), 0.3).expect("graph2");
-        engine.add_graph("g", pg2);
-        // Fresh builds now fail; without degrade the error is typed…
+        let tc = |degrade| Request::TypicalCascade {
+            graph: "g".into(),
+            source: 1,
+            deadline_ticks: None,
+            degrade,
+        };
+        let cold = engine.execute(&tc(false)).expect("first build");
+        // Two sketch oracles fill the cap of 2 and evict the index.
+        let _ = engine.execute(&sketch_spread_req(None)).expect("sketch");
+        let _ = engine.execute(&sketch_spread_req(Some(32))).expect("k=32");
         soi_util::failpoint::install("server.index.build=error").expect("arm");
-        let err = engine
-            .execute(&Request::TypicalCascade {
+        for degrade in [false, true] {
+            let infmax = Request::InfmaxTc {
                 graph: "g".into(),
-                source: 1,
+                k: 2,
                 deadline_ticks: None,
-                degrade: false,
-            })
-            .expect_err("build fails");
-        assert!(matches!(err, SoiError::Fault { .. }), "{err}");
-        // …with degrade the stale index answers, explicitly flagged.
-        let out = engine
-            .execute(&Request::TypicalCascade {
-                graph: "g".into(),
-                source: 1,
-                deadline_ticks: None,
-                degrade: true,
-            })
-            .expect("stale serve");
-        assert!(
-            out.payload
-                .contains("\"degraded\":true,\"degraded_mode\":\"stale-index\""),
-            "{}",
-            out.payload
-        );
+                degrade,
+                backend: BackendKind::Cascade,
+                sketch_k: None,
+            };
+            for req in [tc(degrade), infmax] {
+                let err = engine.execute(&req).expect_err("build fails");
+                assert!(matches!(err, SoiError::Fault { .. }), "{err}");
+            }
+        }
         soi_util::failpoint::clear();
-        // With the fault gone a fresh build wins again, unflagged.
-        let fresh = engine
-            .execute(&Request::TypicalCascade {
-                graph: "g".into(),
-                source: 1,
-                deadline_ticks: None,
-                degrade: true,
-            })
-            .expect("fresh");
-        assert!(!fresh.payload.contains("degraded"), "{}", fresh.payload);
+        // With the fault gone a fresh build answers as the first did.
+        assert_eq!(engine.execute(&tc(true)).expect("fresh"), cold);
     }
 
     fn sketch_spread_req(sketch_k: Option<usize>) -> Request {
@@ -1109,7 +1038,7 @@ mod tests {
             };
             let outcome = soi_core::all_typical_cascades_resumable(
                 &index,
-                &engine.config.median,
+                &MedianConfig::default(),
                 engine.config.threads,
                 &run,
             )
@@ -1131,63 +1060,68 @@ mod tests {
         }
     }
 
+    /// The sketch twin of [`index_build_failure_answers_a_typed_fault`],
+    /// for both requests the sketch backend answers.
     #[test]
     #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
-    fn sketch_build_failure_degrades_to_stale_sketch_or_fails_typed() {
+    fn sketch_build_failure_answers_a_typed_fault() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::clear();
         let engine = engine();
-        // Warm the sketch last-good slot, then arm the build failpoint.
-        let _ = engine.execute(&sketch_spread_req(None)).expect("warm");
-        let mut engine = engine;
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(13);
-        let pg2 = ProbGraph::fixed(gen::gnm(40, 120, &mut rng), 0.3).expect("graph2");
-        engine.add_graph("g", pg2);
+        let spread = |degrade| Request::SpreadEstimate {
+            graph: "g".into(),
+            seeds: vec![0, 1],
+            samples: 64,
+            seed: 9,
+            deadline_ticks: None,
+            degrade,
+            backend: BackendKind::Sketch,
+            sketch_k: None,
+        };
+        let cold = engine.execute(&spread(false)).expect("first build");
+        // The index and a second sketch size evict the first sketches.
+        let _ = engine.index_for("g").expect("index");
+        let _ = engine.execute(&sketch_spread_req(Some(32))).expect("k=32");
         soi_util::failpoint::install("server.sketch.build=error").expect("arm");
-        // Without degrade: typed fault.
-        let err = engine.execute(&sketch_spread_req(None)).expect_err("fault");
-        assert!(matches!(err, SoiError::Fault { .. }), "{err}");
-        // With degrade: the stale sketch answers spread, flagged.
-        let out = engine
-            .execute(&Request::SpreadEstimate {
-                graph: "g".into(),
-                seeds: vec![0, 1],
-                samples: 64,
-                seed: 9,
-                deadline_ticks: None,
-                degrade: true,
-                backend: BackendKind::Sketch,
-                sketch_k: None,
-            })
-            .expect("stale");
-        assert!(
-            out.payload
-                .contains("\"degraded\":true,\"degraded_mode\":\"stale-sketch\""),
-            "{}",
-            out.payload
-        );
-        // Seed selection cannot run on a mismatched stale sketch: typed
-        // internal error, never a wrong answer or a panic.
-        let err = engine
-            .execute(&Request::InfmaxTc {
+        for degrade in [false, true] {
+            let infmax = Request::InfmaxTc {
                 graph: "g".into(),
                 k: 2,
                 deadline_ticks: None,
-                degrade: true,
+                degrade,
                 backend: BackendKind::Sketch,
                 sketch_k: None,
-            })
-            .expect_err("cannot degrade selection");
-        assert!(
-            matches!(
-                err,
-                SoiError::Protocol {
-                    kind: ProtoErrorKind::Internal,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+            };
+            for req in [spread(degrade), infmax] {
+                let err = engine.execute(&req).expect_err("build fails");
+                assert!(matches!(err, SoiError::Fault { .. }), "{err}");
+            }
+        }
         soi_util::failpoint::clear();
+        assert_eq!(engine.execute(&spread(true)).expect("fresh"), cold);
+    }
+
+    /// The cache is the only owner of a built oracle: once evicted and
+    /// released by every request, it is freed.
+    #[test]
+    fn evicted_oracles_are_freed_once_no_request_holds_them() {
+        let _g = soi_util::failpoint::test_guard();
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(7);
+        let mut engine = ServerEngine::new(EngineConfig {
+            num_worlds: 8,
+            seed: 3,
+            cache_cap: 1,
+            ..EngineConfig::default()
+        });
+        for name in ["a", "b"] {
+            let pg = ProbGraph::fixed(gen::gnm(40, 160, &mut rng), 0.4).expect("graph");
+            engine.add_graph(name, pg);
+        }
+        let index = engine.index_for("a").expect("a");
+        let weak = Arc::downgrade(&index);
+        drop(index);
+        assert!(weak.upgrade().is_some(), "the cache still holds a");
+        let _ = engine.index_for("b").expect("b");
+        assert!(weak.upgrade().is_none(), "evicting a freed it");
     }
 }

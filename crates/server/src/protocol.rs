@@ -63,8 +63,7 @@ pub enum Request {
         source: NodeId,
         /// Optional tick budget for the median fit.
         deadline_ticks: Option<u64>,
-        /// Opt-in graceful degradation (serve a stale index rather than
-        /// fail when a fresh build is impossible).
+        /// Accepted for symmetry with `spread-estimate`; has no effect.
         degrade: bool,
     },
     /// Monte-Carlo spread estimate of a seed set.
@@ -80,7 +79,8 @@ pub enum Request {
         /// Optional tick budget (one tick per sample).
         deadline_ticks: Option<u64>,
         /// Opt-in graceful degradation (answer with a reduced sample
-        /// count under deadline pressure rather than go partial).
+        /// count under deadline pressure rather than go partial). Only
+        /// the cascade backend degrades; the sketch backend ignores it.
         degrade: bool,
         /// Spread-oracle backend (`"backend"` field; default cascade —
         /// Monte-Carlo sampling; `"sketch"` answers from warm bottom-k
@@ -98,8 +98,7 @@ pub enum Request {
         k: usize,
         /// Optional tick budget (one tick per node solved).
         deadline_ticks: Option<u64>,
-        /// Opt-in graceful degradation (serve a stale index rather than
-        /// fail when a fresh build is impossible).
+        /// Accepted for symmetry with `spread-estimate`; has no effect.
         degrade: bool,
         /// Spread-oracle backend (default cascade — `InfMax_TC` max
         /// cover; `"sketch"` runs SKIM-style greedy over the sketches).
@@ -221,6 +220,12 @@ fn opt_backend(obj: &Value) -> Result<(BackendKind, Option<usize>), SoiError> {
     let sketch_k = match opt_u64(obj, "sketch_k")? {
         None => None,
         Some(0) => return Err(proto(ProtoErrorKind::BadField, "sketch_k must be >= 1")),
+        Some(k) if k > soi_sketch::MAX_K as u64 => {
+            return Err(proto(
+                ProtoErrorKind::BadField,
+                format!("sketch_k must be <= {}", soi_sketch::MAX_K),
+            ))
+        }
         Some(k) => Some(k as usize),
     };
     Ok((backend, sketch_k))
@@ -636,6 +641,18 @@ mod tests {
             )
             .expect_err("zero sketch_k"),
         );
+        assert_eq!(k, ProtoErrorKind::BadField);
+        // The cap is accepted, one past it is refused before any build.
+        let at_cap = format!(
+            r#"{{"v":1,"id":25,"type":"infmax-tc","graph":"g","k":2,"backend":"sketch","sketch_k":{}}}"#,
+            soi_sketch::MAX_K
+        );
+        assert!(parse_request(&at_cap).is_ok());
+        let past_cap = at_cap.replace(
+            &soi_sketch::MAX_K.to_string(),
+            &(soi_sketch::MAX_K + 1).to_string(),
+        );
+        let k = kind_of(parse_request(&past_cap).expect_err("oversize sketch_k"));
         assert_eq!(k, ProtoErrorKind::BadField);
         let k = kind_of(
             parse_request(r#"{"v":1,"id":24,"type":"infmax-tc","graph":"g","k":2,"backend":7}"#)

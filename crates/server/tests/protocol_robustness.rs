@@ -77,6 +77,21 @@ fn malformed_inputs_get_distinct_kinds_and_never_kill_the_server() {
 }
 
 #[test]
+fn oversize_sketch_k_is_refused_before_any_build() {
+    // A failed allocation of 10^12 entries per node aborts the process
+    // instead of unwinding, so the cap must refuse it before any build.
+    let daemon = FrontEnd::daemon(ServeConfig::default());
+    let mut conn = Conn::open(daemon.port);
+    let resp = conn.round_trip(
+        r#"{"v":1,"id":1,"type":"spread-estimate","graph":"g","seeds":[0],"samples":1,"backend":"sketch","sketch_k":1000000000000}"#,
+    );
+    assert!(resp.contains("\"kind\":\"bad-field\""), "{resp}");
+    let resp = conn.round_trip(r#"{"v":1,"id":2,"type":"health"}"#);
+    assert!(resp.contains("\"status\":\"ok\""), "{resp}");
+    daemon.stop();
+}
+
+#[test]
 fn oversized_line_is_rejected_without_dropping_the_connection() {
     let daemon = FrontEnd::daemon(ServeConfig {
         max_line: 256,

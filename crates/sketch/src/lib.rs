@@ -56,6 +56,13 @@ pub use select::{select_seeds, SelectResult};
 /// deterministic across machines.
 pub const BUILD_BLOCK: usize = 16;
 
+/// The largest sketch size `k` the CLI and the wire protocol accept. The
+/// build allocates `num_nodes × k` 16-byte entries before it samples a
+/// world, so an unchecked `k` is an unchecked allocation; at the cap a
+/// node's block is 64 KiB and the estimator's relative error
+/// (~`1/√(k−2)`) is about 1.6 %.
+pub const MAX_K: usize = 4096;
+
 /// Salt decoupling the per-pair rank stream from the world-sampling
 /// stream: both derive from the same master seed, but must never reuse a
 /// sub-seed.

@@ -41,40 +41,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t.elapsed())
 }
 
-/// Formats a duration compactly for human-readable experiment logs
-/// (`"412ns"`, `"3.2µs"`, `"15.0ms"`, `"2.34s"`, `"2m30s"`).
-///
-/// Unit boundaries are exact (`1_000ns` is `"1.0µs"`, not `"1000ns"`),
-/// and a value whose rounded mantissa would read `1000.0` is promoted to
-/// the next unit (`999_950ns` is `"1.0ms"`, never `"1000.0µs"`). Runs of
-/// 100 seconds or more switch to a minutes-and-seconds form, where
-/// sub-second precision is noise.
-pub fn format_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        return format!("{ns}ns");
-    }
-    if ns < 1_000_000 {
-        let us = ns as f64 / 1e3;
-        if us < 999.95 {
-            return format!("{us:.1}µs");
-        }
-        return "1.0ms".to_string();
-    }
-    if ns < 1_000_000_000 {
-        let ms = ns as f64 / 1e6;
-        if ms < 999.95 {
-            return format!("{ms:.1}ms");
-        }
-        return "1.00s".to_string();
-    }
-    let secs = ns as f64 / 1e9;
-    if secs < 99.995 {
-        return format!("{secs:.2}s");
-    }
-    let total = secs.round() as u128;
-    format!("{}m{:02}s", total / 60, total % 60)
-}
+pub use soi_obs::report::format_duration;
 
 #[cfg(test)]
 mod tests {

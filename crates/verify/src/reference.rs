@@ -3,9 +3,9 @@
 //!
 //! [`ReferenceEngine`] answers every request the real daemon answers —
 //! `typical-cascade`, `spread-estimate` and `infmax-tc` on both
-//! backends, degraded modes, deadlines, and the control verbs — but
-//! with none of the serving machinery: no LRU cache, no last-good
-//! fallback, no worker pool, no persisted state. Every compute request
+//! backends, the degraded mode, deadlines, and the control verbs — but
+//! with none of the serving machinery: no LRU cache, no worker pool, no
+//! persisted state. Every compute request
 //! rebuilds its cascade index or sketch set from scratch and runs the
 //! estimator serially. Slow and obviously correct, it is the executable
 //! spec the differential fuzzer diffs the real [`soi_server`] stack
@@ -21,6 +21,7 @@
 use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::BackendKind;
+use soi_jaccard::median::MedianConfig;
 use soi_server::json::fmt_num;
 use soi_server::protocol::{self, Request};
 use soi_server::EngineConfig;
@@ -196,8 +197,8 @@ impl ReferenceEngine {
             IndexConfig {
                 num_worlds: self.config.num_worlds,
                 seed: self.config.seed,
-                transitive_reduction: self.config.transitive_reduction,
                 threads: 1,
+                ..IndexConfig::default()
             },
         )
     }
@@ -245,7 +246,7 @@ impl ReferenceEngine {
                 let samples = index.cascades_of(*source);
                 let outcome = soi_jaccard::median::jaccard_median_budgeted(
                     &samples,
-                    &self.config.median,
+                    &MedianConfig::default(),
                     &deadline,
                 );
                 let fit = outcome.value_ref();
@@ -336,8 +337,12 @@ impl ReferenceEngine {
                     every: 64,
                     resume: false,
                 };
-                let outcome =
-                    soi_core::all_typical_cascades_resumable(&index, &self.config.median, 1, &run)?;
+                let outcome = soi_core::all_typical_cascades_resumable(
+                    &index,
+                    &MedianConfig::default(),
+                    1,
+                    &run,
+                )?;
                 let spheres: Vec<Vec<u32>> = outcome
                     .value_ref()
                     .iter()

@@ -10,7 +10,7 @@
 //! reachability set). Every test is deterministic in its pinned seeds.
 
 use soi_graph::{gen, NodeId, ProbGraph};
-use soi_influence::{infmax_ris, BackendKind, SpreadBackend};
+use soi_influence::{infmax_ris, BackendKind};
 use soi_sampling::estimate_spread;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::rng::Xoshiro256pp;
@@ -74,21 +74,14 @@ fn sketch_set_spread_is_within_declared_epsilon_of_bdd() {
 
 #[test]
 fn both_spread_backends_answer_within_declared_epsilon_of_bdd() {
-    // The serving layer's backend dispatch, held to the same budgets as
-    // the estimators it wraps: MC noise for the cascade arm, world
-    // sampling for the (exhaustive-k) sketch arm.
+    // The two estimators the serving layer answers `spread-estimate`
+    // with, held to the same budgets as above: MC noise for the cascade
+    // backend's budgeted sampler, world sampling for the (exhaustive-k)
+    // sketch backend.
     let pg = graph(0.5);
     let n = pg.num_nodes() as f64;
     let samples = 20_000usize;
     let worlds = 1024usize;
-    let index = soi_index::CascadeIndex::build(
-        &pg,
-        soi_index::IndexConfig {
-            num_worlds: worlds,
-            seed: 7,
-            ..soi_index::IndexConfig::default()
-        },
-    );
     let sketches = ReachSketches::build(
         &pg,
         SketchConfig {
@@ -98,26 +91,22 @@ fn both_spread_backends_answer_within_declared_epsilon_of_bdd() {
             ..SketchConfig::default()
         },
     );
-    let backends = [
-        (
-            SpreadBackend::Cascade(std::sync::Arc::new(index)),
-            5.0 * n / (2.0 * (samples as f64).sqrt()),
-        ),
-        (
-            SpreadBackend::Sketch(std::sync::Arc::new(sketches)),
-            5.0 * n / (2.0 * (worlds as f64).sqrt()),
-        ),
-    ];
-    for (backend, eps) in &backends {
-        for seeds in [vec![0], vec![1, 6]] {
-            let exact = exact_spread_bdd(&pg, &seeds).expect("oracle");
-            let est = backend
-                .estimate_spread(&pg, &seeds, samples, 9, &Deadline::unlimited())
+    for seeds in [vec![0], vec![1, 6]] {
+        let exact = exact_spread_bdd(&pg, &seeds).expect("oracle");
+        let mc =
+            soi_sampling::estimate_spread_budgeted(&pg, &seeds, samples, 9, &Deadline::unlimited())
                 .value();
+        for (backend, est, eps) in [
+            ("cascade", mc, 5.0 * n / (2.0 * (samples as f64).sqrt())),
+            (
+                "sketch",
+                sketches.set_spread(&seeds),
+                5.0 * n / (2.0 * (worlds as f64).sqrt()),
+            ),
+        ] {
             assert!(
-                (est - exact).abs() <= *eps,
-                "{} seeds {seeds:?}: {est} vs bdd {exact} (ε {eps})",
-                backend.kind().name()
+                (est - exact).abs() <= eps,
+                "{backend} seeds {seeds:?}: {est} vs bdd {exact} (ε {eps})"
             );
         }
     }
