@@ -1,12 +1,12 @@
-//! Micro-benchmarks for the influence-maximization algorithms: CELF vs
-//! plain greedy (`InfMax_std`), `InfMax_TC` max-cover, and the RIS
-//! comparator — the per-method costs behind Figure 6.
+//! Micro-benchmarks for the influence-maximization algorithms: CELF
+//! (`InfMax_std`), `InfMax_TC` max-cover, and the RIS comparator — the
+//! per-method costs behind Figure 6.
 
 use soi_bench::microbench::Bencher;
 use soi_core::all_typical_cascades;
 use soi_graph::{gen, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
-use soi_influence::{infmax_ris, infmax_std, infmax_tc, GreedyMode};
+use soi_influence::{infmax_ris, infmax_std, infmax_tc};
 use soi_jaccard::median::MedianConfig;
 use soi_util::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -32,12 +32,7 @@ fn setup() -> (ProbGraph, CascadeIndex, Vec<Vec<NodeId>>) {
 fn bench_infmax() {
     let (pg, index, cascades) = setup();
     let b = Bencher::group("infmax_k10").sample_size(10);
-    b.bench("std_celf", || {
-        infmax_std(black_box(&index), 10, GreedyMode::Celf)
-    });
-    b.bench("std_plain", || {
-        infmax_std(black_box(&index), 10, GreedyMode::Plain { capture_top: 0 })
-    });
+    b.bench("std_celf", || infmax_std(black_box(&index), 10, 0));
     b.bench("tc_cover", || infmax_tc(black_box(&cascades), 10, 0));
     b.bench("ris_5000_rr", || infmax_ris(black_box(&pg), 10, 5_000, 3));
 }

@@ -16,7 +16,7 @@ use soi_graph::NodeId;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{
     degree_discount_seeds, high_degree_seeds, infmax_ris, infmax_std, infmax_tc, pagerank_seeds,
-    random_seeds, GreedyMode,
+    random_seeds,
 };
 use soi_jaccard::median::MedianConfig;
 use soi_problog::generate::LogGenConfig;
@@ -184,7 +184,7 @@ pub fn figure_baselines<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
         let cascades: Vec<Vec<NodeId>> = spheres.into_iter().map(|s| s.median).collect();
         let mut rng = { soi_util::rng::Xoshiro256pp::seed_from_u64(args.seed ^ 0x2d) };
         let methods: Vec<(&str, Vec<NodeId>)> = vec![
-            ("greedy_pool", infmax_std(&index, k, GreedyMode::Celf).seeds),
+            ("greedy_pool", infmax_std(&index, k, 0).seeds),
             ("infmax_tc", infmax_tc(&cascades, k, 0).seeds),
             (
                 "ris",

@@ -61,7 +61,7 @@ commands:
 
 global options (valid on every command):
   --threads N          worker threads for every parallel phase (default:
-             SOI_THREADS env var, then all available cores)
+             all available cores)
   --trace off|error|warn|info|debug|trace   event-log verbosity (default off);
              info and up also prints a per-phase timing summary on exit
   --metrics-out FILE   write a JSONL run report (counters, histograms,
@@ -353,8 +353,8 @@ pub fn dispatch<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
     soi_obs::reset();
     soi_obs::event::set_max_level(obs.trace);
     // One flag governs every parallel phase: pipelines called with
-    // `threads == 0` resolve through this override (then SOI_THREADS,
-    // then the hardware count). See `soi_util::pool`.
+    // `threads == 0` resolve through this override (then the hardware
+    // count). See `soi_util::pool`.
     soi_util::pool::set_default_threads(rt.threads);
     let Some(cmd) = args.first() else {
         return Err(SoiError::usage("no command given"));
@@ -419,20 +419,33 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let undirected = opts.has("undirected");
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    // The generators assert their preconditions; refuse bad flags first.
+    let check = |ok: bool, rule: &str| {
+        ok.then_some(())
+            .ok_or_else(|| SoiError::usage(format!("--model {model} needs {rule}")))
+    };
     let topo = match model.as_str() {
         "ba" => {
             let m: usize = opts.get("m")?.unwrap_or(3);
+            check(m >= 1 && nodes > m, "1 <= --m < --nodes")?;
             gen::barabasi_albert(nodes, m, !undirected, &mut rng)
         }
         "gnm" => {
             let edges: usize = opts.get("edges")?.unwrap_or(nodes * 4);
+            let max_arcs = nodes.saturating_mul(nodes.saturating_sub(1));
+            check(edges <= max_arcs, "--edges <= nodes * (nodes - 1)")?;
             gen::gnm(nodes, edges, &mut rng)
         }
         "ws" => {
             let k: usize = opts.get("m")?.unwrap_or(4);
+            check(
+                k >= 2 && k.is_multiple_of(2) && nodes > k,
+                "an even --m >= 2 below --nodes",
+            )?;
             gen::watts_strogatz(nodes, k, 0.1, &mut rng)
         }
         "powerlaw" => {
+            check(nodes >= 2, "--nodes >= 2")?;
             let maxd: usize = opts.get("m")?.unwrap_or(nodes / 10);
             gen::powerlaw_configuration(nodes, 2.0, maxd.max(2), &mut rng)
         }
@@ -619,6 +632,9 @@ fn cmd_infmax<W: Write>(
 ) -> Result<RunStatus, SoiError> {
     let opts = Opts::parse(args, &[])?;
     let k: usize = opts.require("k")?;
+    if k == 0 {
+        return Err(SoiError::usage("--k must be >= 1"));
+    }
     let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let method: String = opts.get("method")?.unwrap_or_else(|| "tc".to_string());
@@ -1401,12 +1417,18 @@ mod tests {
             "sphere net.tsv --source 0 --samples 0",
             "spheres net.tsv --samples 0 --out x",
             "infmax net.tsv --k 2 --samples 0",
+            "infmax net.tsv --k 0",
             "infmax net.tsv --k 2 --backend sketch --samples 0",
             "infmax net.tsv --k 2 --backend sketch --sketch-k 1000000000000",
             "reliability net.tsv --source 0 --samples 0",
             "reliability net.tsv --source 0 --eta 1.5",
             "serve g=net.tsv --worlds 0",
             "serve g=net.tsv --sketch-k 1000000000000",
+            "generate --model ba --nodes 3 --m 5 --out x.tsv",
+            "generate --model ba --nodes 3 --m 0 --out x.tsv",
+            "generate --model ws --nodes 10 --m 3 --out x.tsv",
+            "generate --model gnm --nodes 3 --edges 100 --out x.tsv",
+            "generate --model powerlaw --nodes 1 --out x.tsv",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let err = run(&args).unwrap_err();

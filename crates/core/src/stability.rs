@@ -49,38 +49,19 @@ pub fn expected_cost_of_seed_set(
     total / samples as f64
 }
 
-/// Exact `ρ_{G,s}(C)` by exhaustive enumeration of all `2^E` worlds.
-/// Only for ≤ 20 edges; anchors the estimator tests and reproduces the
-/// closed-form quantities of Example 1.
+/// Exact `ρ_{G,s}(C)` by exhaustive enumeration of all `2^E` worlds
+/// ([`soi_sampling::world::enumerate_worlds`]). Only for ≤ 20 edges;
+/// anchors the estimator tests and reproduces the closed-form quantities
+/// of Example 1.
 pub fn exact_expected_cost_bruteforce(pg: &ProbGraph, source: NodeId, candidate: &[NodeId]) -> f64 {
-    let m = pg.num_edges();
-    assert!(m <= 20, "brute force limited to 20 edges");
-    let g = pg.graph();
     let mut reach = soi_graph::Reachability::new(pg.num_nodes());
     let mut cascade = Vec::new();
     let mut total = 0.0;
-    for mask in 0u32..(1 << m) {
-        let mut edges = Vec::new();
-        let mut prob = 1.0;
-        let mut e = 0usize;
-        for u in g.nodes() {
-            for &v in g.out_neighbors(u) {
-                if mask & (1 << e) != 0 {
-                    edges.push((u, v));
-                    prob *= pg.edge_prob(e);
-                } else {
-                    prob *= 1.0 - pg.edge_prob(e);
-                }
-                e += 1;
-            }
-        }
-        // World edges are a subset of pg's arcs, so ids are in range.
-        // xtask-allow: panic_policy
-        let world = soi_graph::DiGraph::from_edges(pg.num_nodes(), &edges).expect("subset of pg");
-        reach.reachable_from(&world, source, &mut cascade);
+    soi_sampling::world::enumerate_worlds(pg, |world, prob| {
+        reach.reachable_from(world, source, &mut cascade);
         cascade.sort_unstable();
         total += prob * jaccard_distance(candidate, &cascade);
-    }
+    });
     total
 }
 

@@ -13,7 +13,7 @@
 
 use soi_graph::{gen, DiGraph, ProbGraph};
 use soi_problog::generate::LogGenConfig;
-use soi_problog::{assign, generate_log, learn_goyal, learn_saito, to_prob_graph, SaitoConfig};
+use soi_problog::{generate_log, learn_goyal, learn_saito, to_prob_graph, SaitoConfig};
 use soi_util::rng::derive_seed;
 use soi_util::rng::Xoshiro256pp;
 
@@ -184,14 +184,14 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
         ProbSource::WeightedCascade => Dataset {
             network,
             source,
-            graph: assign::weighted_cascade(topology),
+            graph: ProbGraph::weighted_cascade(topology),
             ground_truth: None,
         },
         ProbSource::Fixed => Dataset {
             network,
             source,
             // xtask-allow: panic_policy — 0.1 is a valid probability.
-            graph: assign::fixed(topology, 0.1).expect("0.1 is valid"),
+            graph: ProbGraph::fixed(topology, 0.1).expect("0.1 is valid"),
             ground_truth: None,
         },
         ProbSource::Saito | ProbSource::Goyal => {

@@ -156,7 +156,7 @@ mod tests {
                 ..IndexConfig::default()
             },
         );
-        let greedy = crate::infmax_std(&index, 8, crate::GreedyMode::Celf);
+        let greedy = crate::infmax_std(&index, 8, 0);
         let dd = degree_discount_seeds(pg.graph(), 8, 0.1);
         let sigma = |s: &[NodeId]| soi_sampling::estimate_spread(&pg, s, 4000, 7);
         let g_spread = sigma(&greedy.seeds);
@@ -187,7 +187,7 @@ mod tests {
                 ..IndexConfig::default()
             },
         );
-        let greedy = crate::infmax_std(&index, 10, crate::GreedyMode::Celf);
+        let greedy = crate::infmax_std(&index, 10, 0);
         let sigma = |seeds: &[NodeId]| soi_sampling::estimate_spread(&pg, seeds, 3000, 4);
         let g_spread = sigma(&greedy.seeds);
         let deg = sigma(&high_degree_seeds(pg.graph(), 10));

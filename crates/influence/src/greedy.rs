@@ -1,21 +1,17 @@
 //! `InfMax_std`: greedy influence maximization (Kempe et al.).
 //!
 //! The objective `σ(S)` is monotone and submodular, so greedy selection of
-//! the largest marginal gain achieves `(1 − 1/e)` of the optimum. Two
-//! variants:
+//! the largest marginal gain achieves `(1 − 1/e)` of the optimum. Selection
+//! is lazy (CELF: Leskovec et al.; Goyal et al.'s implementation of it is
+//! what the paper runs): stale gains are upper bounds by submodularity, so
+//! most re-evaluations are skipped. Ties break toward the smaller node id.
 //!
-//! * [`GreedyMode::Plain`] evaluates every candidate each iteration and
-//!   can record the full sorted gain ranking — exactly what the paper's
-//!   Figure 7 saturation study needs ("we need to run the standard greedy
-//!   algorithm with no optimization at all");
-//! * [`GreedyMode::Celf`] is the lazy-evaluation optimization (Leskovec
-//!   et al.; Goyal et al.'s implementation of it is what the paper runs):
-//!   stale gains are upper bounds by submodularity, so most
-//!   re-evaluations are skipped. It is [`infmax_celf_resumable`] under a
-//!   deadline that never expires and with no checkpoint file.
-//!
-//! Ties break toward the smaller node id in both variants, keeping them
-//! seed-for-seed identical.
+//! The pool oracle's gains are integer counts over one constant divisor,
+//! so a stale gain bounds the fresh one bit for bit and
+//! [`LazyGreedy::pop_ranked`] yields each round's exact top gains — what
+//! the Figure 7 saturation study needs, without the exhaustive greedy the
+//! paper runs for it ("the standard greedy algorithm with no optimization
+//! at all").
 
 use crate::spread::SpreadOracle;
 use soi_graph::NodeId;
@@ -25,21 +21,6 @@ use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::{LazyGreedy, SoiError};
 use std::convert::Infallible;
 
-/// Which greedy implementation to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GreedyMode {
-    /// Exhaustive re-evaluation each iteration; optionally records gain
-    /// rankings. `O(k · n)` oracle calls.
-    Plain {
-        /// Record the top-`capture_top` marginal gains (sorted descending)
-        /// at every iteration; 0 disables recording.
-        capture_top: usize,
-    },
-    /// CELF lazy evaluation. Seed-identical to `Plain` (modulo identical
-    /// tie-breaking), far fewer oracle calls.
-    Celf,
-}
-
 /// Output of a greedy run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GreedyResult {
@@ -48,63 +29,25 @@ pub struct GreedyResult {
     /// Estimated `σ(S_j)` after each of the `j = 1..=k` selections
     /// (on the oracle's world pool).
     pub spread_curve: Vec<f64>,
-    /// For `Plain { capture_top > 0 }`: per iteration, the top marginal
-    /// gains sorted descending (length ≤ `capture_top`). Empty otherwise.
+    /// For `capture_top > 0`: per iteration, the top marginal gains over
+    /// the remaining candidates, sorted descending (length ≤
+    /// `capture_top`). Empty otherwise.
     pub gain_rankings: Vec<Vec<f64>>,
 }
 
-/// Runs `InfMax_std` for `k` seeds over the index's sampled worlds.
-pub fn infmax_std(index: &CascadeIndex, k: usize, mode: GreedyMode) -> GreedyResult {
-    match mode {
-        GreedyMode::Plain { capture_top } => {
-            let _span = soi_obs::span("influence.greedy");
-            plain(&mut SpreadOracle::new(index), k, capture_top)
-        }
-        GreedyMode::Celf => {
-            // No deadline, no file: no hook that could fail.
-            let nothing = || Ok::<(), Infallible>(());
-            let start = (Vec::new(), Vec::new());
-            let Ok(outcome) = celf(index, k, &Deadline::unlimited(), start, nothing, |_, _| {
-                Ok(())
-            });
-            outcome.value()
-        }
-    }
-}
-
-fn plain(oracle: &mut SpreadOracle<'_>, k: usize, capture_top: usize) -> GreedyResult {
-    let n = oracle.index().num_nodes();
-    let k = k.min(n);
-    let mut seeds = Vec::with_capacity(k);
-    let mut curve = Vec::with_capacity(k);
-    let mut rankings = Vec::new();
-    let mut in_solution = vec![false; n];
-
-    for _ in 0..k {
-        let mut gains: Vec<(f64, NodeId)> = Vec::with_capacity(n);
-        for v in 0..n as NodeId {
-            if !in_solution[v as usize] {
-                gains.push((oracle.marginal_gain(v), v));
-            }
-        }
-        // Descending by gain, ascending by id.
-        gains.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        if capture_top > 0 {
-            rankings.push(gains.iter().take(capture_top).map(|&(g, _)| g).collect());
-        }
-        let Some(&(_, best)) = gains.first() else {
-            break;
-        };
-        in_solution[best as usize] = true;
-        oracle.commit(best);
-        seeds.push(best);
-        curve.push(oracle.current_spread());
-    }
-    GreedyResult {
-        seeds,
-        spread_curve: curve,
-        gain_rankings: rankings,
-    }
+/// Runs `InfMax_std` for `k` seeds over the index's sampled worlds,
+/// recording each round's top-`capture_top` marginal gains (0 records
+/// nothing). It is [`infmax_celf_resumable`] under a deadline that never
+/// expires and with no checkpoint file.
+pub fn infmax_std(index: &CascadeIndex, k: usize, capture_top: usize) -> GreedyResult {
+    // No deadline, no file: no hook that could fail.
+    let nothing = || Ok::<(), Infallible>(());
+    let start = (Vec::new(), Vec::new());
+    let unlimited = &Deadline::unlimited();
+    let Ok(outcome) = celf(index, k, capture_top, unlimited, start, nothing, |_, _| {
+        Ok(())
+    });
+    outcome.value()
 }
 
 /// Fingerprint pinning a greedy checkpoint to its run configuration.
@@ -154,7 +97,7 @@ fn decode_greedy_payload(
 }
 
 /// CELF with deadlines and checkpoint/resume — the fault-tolerant form of
-/// [`infmax_std`] with [`GreedyMode::Celf`].
+/// [`infmax_std`] (without ranking capture).
 ///
 /// Seed selection is checkpointed after every `run.every` commits and
 /// after the last (kind-2 checkpoint files pinned to the index
@@ -200,6 +143,7 @@ pub fn infmax_celf_resumable(
     celf(
         index,
         k,
+        0,
         &run.deadline,
         start,
         || {
@@ -220,11 +164,13 @@ pub fn infmax_celf_resumable(
 
 /// The one CELF body behind both entry points: continues from the
 /// committed `(seeds, spread curve)` prefix, calling `before_round` at the
-/// top of each round and `committed` after each commit. It can fail only
-/// through those hooks.
+/// top of each round and `committed` after each commit, and recording each
+/// committed round's top-`capture_top` gains. It can fail only through
+/// those hooks.
 fn celf<E>(
     index: &CascadeIndex,
     k: usize,
+    capture_top: usize,
     deadline: &Deadline,
     (mut seeds, mut curve): (Vec<NodeId>, Vec<f64>),
     mut before_round: impl FnMut() -> Result<(), E>,
@@ -241,10 +187,11 @@ fn celf<E>(
         in_solution[s as usize] = true;
     }
 
-    let result = |seeds: Vec<NodeId>, curve: Vec<f64>| GreedyResult {
+    let mut rankings = Vec::new();
+    let result = |seeds, spread_curve, gain_rankings| GreedyResult {
         seeds,
-        spread_curve: curve,
-        gain_rankings: Vec::new(),
+        spread_curve,
+        gain_rankings,
     };
 
     // Initial heap: gains w.r.t. the committed prefix, stale from the
@@ -257,30 +204,35 @@ fn celf<E>(
             continue;
         }
         if !deadline.tick(1) {
-            return Ok(deadline.outcome(result(seeds, curve), base as u64, k as u64));
+            return Ok(deadline.outcome(result(seeds, curve, rankings), base as u64, k as u64));
         }
         lazy.push(v, oracle.marginal_gain(v));
     }
 
     for _ in base..k {
         before_round()?;
-        let best = lazy.pop_best(|v| {
+        let mut ranking = Vec::with_capacity(capture_top);
+        let rescore = |v| {
             if !deadline.tick(1) {
                 return None;
             }
             soi_obs::counter_add!("influence.celf_reevals", 1);
             Some(oracle.marginal_gain(v))
-        });
+        };
+        let best = lazy.pop_ranked(capture_top, rescore, |g| ranking.push(g));
         let Some((node, _)) = best else {
             break;
         };
+        if capture_top > 0 {
+            rankings.push(ranking);
+        }
         oracle.commit(node);
         seeds.push(node);
         curve.push(oracle.current_spread());
         committed(&seeds, &curve)?;
     }
     let done = seeds.len() as u64;
-    Ok(deadline.outcome(result(seeds, curve), done, k as u64))
+    Ok(deadline.outcome(result(seeds, curve, rankings), done, k as u64))
 }
 
 /// Configuration for the paper-faithful Monte-Carlo greedy
@@ -411,22 +363,9 @@ mod tests {
         }
         let pg = b.build_prob().unwrap();
         let index = index_for(&pg, 64, 1);
-        let r = infmax_std(&index, 3, GreedyMode::Celf);
+        let r = infmax_std(&index, 3, 0);
         assert_eq!(r.seeds[0], 0);
         assert_eq!(r.seeds.len(), 3);
-    }
-
-    #[test]
-    fn plain_and_celf_agree() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(7);
-        let pg = ProbGraph::fixed(gen::gnm(40, 200, &mut rng), 0.2).unwrap();
-        let index = index_for(&pg, 100, 2);
-        let plain = infmax_std(&index, 8, GreedyMode::Plain { capture_top: 0 });
-        let celf = infmax_std(&index, 8, GreedyMode::Celf);
-        assert_eq!(plain.seeds, celf.seeds);
-        for (a, b) in plain.spread_curve.iter().zip(&celf.spread_curve) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -434,7 +373,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(8);
         let pg = ProbGraph::fixed(gen::gnm(50, 300, &mut rng), 0.15).unwrap();
         let index = index_for(&pg, 64, 3);
-        let r = infmax_std(&index, 10, GreedyMode::Celf);
+        let r = infmax_std(&index, 10, 0);
         assert!(r.spread_curve.windows(2).all(|w| w[1] >= w[0] - 1e-12));
         assert!(r.spread_curve[0] >= 1.0, "a seed spreads at least itself");
     }
@@ -444,7 +383,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(9);
         let pg = ProbGraph::fixed(gen::gnm(30, 120, &mut rng), 0.2).unwrap();
         let index = index_for(&pg, 32, 4);
-        let r = infmax_std(&index, 5, GreedyMode::Plain { capture_top: 10 });
+        let r = infmax_std(&index, 5, 10);
         assert_eq!(r.gain_rankings.len(), 5);
         for ranking in &r.gain_rankings {
             assert_eq!(ranking.len(), 10);
@@ -458,7 +397,7 @@ mod tests {
     fn k_larger_than_n_is_clamped() {
         let pg = ProbGraph::fixed(gen::path(4), 0.5).unwrap();
         let index = index_for(&pg, 16, 5);
-        let r = infmax_std(&index, 100, GreedyMode::Celf);
+        let r = infmax_std(&index, 100, 0);
         assert_eq!(r.seeds.len(), 4);
         let mut s = r.seeds.clone();
         s.sort_unstable();
@@ -515,7 +454,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
         let pg = ProbGraph::fixed(gen::barabasi_albert(100, 2, true, &mut rng), 0.3).unwrap();
         let index = index_for(&pg, 256, 12);
-        let pool = infmax_std(&index, 5, GreedyMode::Celf);
+        let pool = infmax_std(&index, 5, 0);
         let mc = infmax_std_mc(
             &pg,
             5,
@@ -563,16 +502,16 @@ mod tests {
     }
 
     #[test]
-    fn resumable_matches_plain_celf_without_interruption() {
+    fn resumable_matches_infmax_std_without_interruption() {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(21);
         let pg = ProbGraph::fixed(gen::gnm(40, 200, &mut rng), 0.2).unwrap();
         let index = index_for(&pg, 64, 21);
-        let plain = infmax_std(&index, 6, GreedyMode::Celf);
+        let std = infmax_std(&index, 6, 0);
         let out = infmax_celf_resumable(&index, 6, &Run::unlimited()).unwrap();
         assert!(out.is_complete());
         let r = out.value();
-        assert_eq!(r.seeds, plain.seeds);
-        assert_eq!(r.spread_curve, plain.spread_curve);
+        assert_eq!(r.seeds, std.seeds);
+        assert_eq!(r.spread_curve, std.spread_curve);
     }
 
     #[test]
@@ -580,7 +519,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(22);
         let pg = ProbGraph::fixed(gen::gnm(40, 200, &mut rng), 0.2).unwrap();
         let index = index_for(&pg, 64, 22);
-        let full = infmax_std(&index, 6, GreedyMode::Celf);
+        let full = infmax_std(&index, 6, 0);
         // Enough budget for the initial pass plus a couple of rounds.
         let d = Deadline::ticks(index.num_nodes() as u64 + 4);
         let out = infmax_celf_resumable(&index, 6, &Run::new(d, None, 1, false)).unwrap();
@@ -604,7 +543,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(23);
         let pg = ProbGraph::fixed(gen::gnm(40, 200, &mut rng), 0.2).unwrap();
         let index = index_for(&pg, 64, 23);
-        let full = infmax_std(&index, 6, GreedyMode::Celf);
+        let full = infmax_std(&index, 6, 0);
         let dir = tmp_dir("resume");
         let ckpt_path = dir.join("greedy.ckpt");
 
@@ -661,7 +600,7 @@ mod tests {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(10);
         let pg = ProbGraph::fixed(gen::barabasi_albert(120, 2, true, &mut rng), 0.3).unwrap();
         let index = index_for(&pg, 64, 6);
-        let r = infmax_std(&index, 5, GreedyMode::Celf);
+        let r = infmax_std(&index, 5, 0);
         let mut oracle = SpreadOracle::new(&index);
         let greedy_spread = *r.spread_curve.last().unwrap();
         let random_spread = oracle.spread_of(&[111, 112, 113, 114, 115]);

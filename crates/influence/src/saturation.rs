@@ -6,9 +6,10 @@
 //! winner is clearly better; near 1 the algorithm is effectively picking
 //! at random among equivalent candidates ("the point of saturation").
 //!
-//! Both greedy variants (`InfMax_std` plain mode and `InfMax_TC` with
-//! `capture_top`) record per-iteration gain rankings; this module turns
-//! them into ratio series.
+//! Both greedies (`InfMax_std` and `InfMax_TC`, each with `capture_top`)
+//! record every round's exact top gains through the lazy heap
+//! ([`soi_util::LazyGreedy::pop_ranked`]); this module turns one ranking
+//! into a ratio.
 
 /// The `MG_rank / MG_1` ratio for one iteration's descending gain ranking.
 /// Returns `None` when the ranking is too short or the top gain is 0.
@@ -22,16 +23,6 @@ pub fn gain_ratio(ranking: &[f64], rank: usize) -> Option<f64> {
     Some((other / top).clamp(0.0, 1.0))
 }
 
-/// Ratio series over a run's recorded rankings: one
-/// `MG_rank^j / MG_1^j` per iteration `j` (skipping degenerate
-/// iterations). The Figure 7 series is `ratio_series(rankings, 10)`.
-pub fn ratio_series(rankings: &[Vec<f64>], rank: usize) -> Vec<f64> {
-    rankings
-        .iter()
-        .filter_map(|r| gain_ratio(r, rank))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,12 +34,6 @@ mod tests {
         assert_eq!(gain_ratio(&[10.0], 2), None, "ranking too short");
         assert_eq!(gain_ratio(&[0.0, 0.0], 2), None, "zero top gain");
         assert_eq!(gain_ratio(&[], 1), None);
-    }
-
-    #[test]
-    fn series_skips_degenerate_iterations() {
-        let rankings = vec![vec![10.0, 5.0], vec![0.0, 0.0], vec![4.0, 4.0]];
-        assert_eq!(ratio_series(&rankings, 2), vec![0.5, 1.0]);
     }
 
     #[test]
@@ -66,8 +51,12 @@ mod tests {
                 ..IndexConfig::default()
             },
         );
-        let run = crate::infmax_std(&index, 8, crate::GreedyMode::Plain { capture_top: 10 });
-        let ratios = ratio_series(&run.gain_rankings, 10);
+        let run = crate::infmax_std(&index, 8, 10);
+        let ratios: Vec<f64> = run
+            .gain_rankings
+            .iter()
+            .filter_map(|r| gain_ratio(r, 10))
+            .collect();
         assert_eq!(ratios.len(), 8);
         // A symmetric cycle has indistinguishable candidates: ratios ≈ 1.
         assert!(ratios.iter().all(|&r| r > 0.5), "{ratios:?}");

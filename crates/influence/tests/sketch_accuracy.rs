@@ -18,7 +18,7 @@
 
 use soi_graph::{gen, GraphBuilder, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
-use soi_influence::{infmax_std, GreedyMode};
+use soi_influence::infmax_std;
 use soi_sampling::spread::exact_spread_bruteforce;
 use soi_sketch::{select_seeds, ReachSketches, SketchConfig};
 use soi_util::rng::Xoshiro256pp;
@@ -125,7 +125,7 @@ fn sketch_selection_agrees_with_celf_on_a_100_node_fixture() {
             threads: 1,
         },
     );
-    let celf = infmax_std(&index, K_SEEDS, GreedyMode::Celf);
+    let celf = infmax_std(&index, K_SEEDS, 0);
 
     let sk = build(&pg, WORLDS, 64, 5);
     let picked = select_seeds(&pg, &sk, K_SEEDS, &Deadline::unlimited()).value();

@@ -1,22 +1,11 @@
-//! Artificial probability-assignment models (§6.2).
+//! Artificial probability assignment beyond the paper's two models.
 //!
-//! Thin, discoverable wrappers over the constructors in
-//! [`soi_graph::ProbGraph`], so callers working with the learning pipeline
-//! find both paths (learnt / assigned) in one crate, plus a uniform-random
-//! assignment used as ground truth by the dataset registry.
+//! Weighted cascade and fixed probabilities (§6.2) are the
+//! [`soi_graph::ProbGraph`] constructors themselves; this module adds the
+//! uniform-random assignment used as ground truth in the examples.
 
 use soi_graph::{DiGraph, GraphError, ProbGraph};
 use soi_util::rng::Rng;
-
-/// Weighted cascade: `p(u, v) = 1 / inDeg(v)` (suffix `-W` in the paper).
-pub fn weighted_cascade(graph: DiGraph) -> ProbGraph {
-    ProbGraph::weighted_cascade(graph)
-}
-
-/// Fixed probability `p` on every arc (suffix `-F`; the paper uses 0.1).
-pub fn fixed(graph: DiGraph, p: f64) -> Result<ProbGraph, GraphError> {
-    ProbGraph::fixed(graph, p)
-}
 
 /// Independent uniform probabilities in `[lo, hi]` — the ground-truth
 /// model the dataset registry plants before generating logs, so learners
@@ -55,13 +44,5 @@ mod tests {
     fn uniform_random_validates_bounds() {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         let _ = uniform_random(gen::path(3), 0.5, 0.2, &mut rng);
-    }
-
-    #[test]
-    fn wrappers_delegate() {
-        let pg = weighted_cascade(gen::star(4));
-        assert_eq!(pg.edge_prob_between(0, 1), Some(1.0));
-        let pg = fixed(gen::star(4), 0.1).unwrap();
-        assert!(pg.probs().iter().all(|&p| p == 0.1));
     }
 }

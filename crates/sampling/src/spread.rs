@@ -50,37 +50,17 @@ pub fn estimate_spread_budgeted(
     deadline.outcome(mean, done as u64, samples as u64)
 }
 
-/// Exact expected spread by exhaustive world enumeration — `O(2^E)`, only
-/// for graphs with very few edges; anchors the estimator tests.
+/// Exact expected spread by exhaustive world enumeration
+/// ([`crate::world::enumerate_worlds`]) — `O(2^E)`, only for graphs with
+/// very few edges; anchors the estimator tests.
 pub fn exact_spread_bruteforce(pg: &ProbGraph, seeds: &[NodeId]) -> f64 {
-    let m = pg.num_edges();
-    assert!(m <= 20, "brute force limited to 20 edges");
-    let g = pg.graph();
     let mut total = 0.0;
     let mut reach = soi_graph::Reachability::new(pg.num_nodes());
     let mut out = Vec::new();
-    for mask in 0u32..(1 << m) {
-        // Build the world for this mask.
-        let mut edges = Vec::new();
-        let mut prob = 1.0;
-        let mut e = 0usize;
-        for u in g.nodes() {
-            for &v in g.out_neighbors(u) {
-                if mask & (1 << e) != 0 {
-                    edges.push((u, v));
-                    prob *= pg.edge_prob(e);
-                } else {
-                    prob *= 1.0 - pg.edge_prob(e);
-                }
-                e += 1;
-            }
-        }
-        // World edges are a subset of pg's arcs, so ids are in range.
-        // xtask-allow: panic_policy
-        let world = soi_graph::DiGraph::from_edges(pg.num_nodes(), &edges).expect("subset of pg");
-        reach.multi_source(&world, seeds, &mut out);
+    crate::world::enumerate_worlds(pg, |world, prob| {
+        reach.multi_source(world, seeds, &mut out);
         total += prob * out.len() as f64;
-    }
+    });
     total
 }
 

@@ -101,6 +101,37 @@ pub fn world_rng(seed: u64, world: usize) -> soi_util::rng::Xoshiro256pp {
     soi_util::rng::Xoshiro256pp::seed_from_u64(soi_util::rng::derive_seed(seed, world as u64))
 }
 
+/// Every possible world of `pg` with its probability, in mask order.
+/// World `mask` keeps arc `e` (CSR order) iff bit `e` of `mask` is set;
+/// its probability is the product, in arc order, of `p_e` for a kept arc
+/// and `1 − p_e` for a dropped one. `O(2^E)`, so at most 20 arcs: the
+/// exact references that anchor the estimator tests are folds over it.
+pub fn enumerate_worlds(pg: &ProbGraph, mut visit: impl FnMut(&DiGraph, f64)) {
+    let m = pg.num_edges();
+    assert!(m <= 20, "brute force limited to 20 edges");
+    let g = pg.graph();
+    for mask in 0u32..(1 << m) {
+        let mut edges = Vec::new();
+        let mut prob = 1.0;
+        let mut e = 0usize;
+        for u in g.nodes() {
+            for &v in g.out_neighbors(u) {
+                if mask & (1 << e) != 0 {
+                    edges.push((u, v));
+                    prob *= pg.edge_prob(e);
+                } else {
+                    prob *= 1.0 - pg.edge_prob(e);
+                }
+                e += 1;
+            }
+        }
+        // World edges are a subset of pg's arcs, so ids are in range.
+        // xtask-allow: panic_policy
+        let world = DiGraph::from_edges(pg.num_nodes(), &edges).expect("subset of pg");
+        visit(&world, prob);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,15 +123,9 @@ pub fn send_stream(host: &str, port: u16, payload: &[u8]) -> Result<Vec<String>,
         .map_err(|e| SoiError::io(format!("stream to {host}:{port}"), e))
 }
 
-/// The client-chosen `id` of a request line, when it parses far enough
-/// to carry one (synthesized error lines echo it back).
-fn request_id(line: &str) -> Option<u64> {
-    json::parse(line).ok()?.get("id")?.as_u64()
-}
-
 /// A synthesized error line for a request the server never answered.
 fn synth_error(request_line: &str, kind: ProtoErrorKind, message: &str) -> String {
-    protocol::encode_error(request_id(request_line), &SoiError::protocol(kind, message))
+    protocol::encode_rejection(request_line, &SoiError::protocol(kind, message))
 }
 
 /// When `line` is a retryable error response (`queue-full`,
@@ -435,7 +429,7 @@ mod tests {
             let mut reader = BufReader::new(stream);
             let mut line = String::new();
             reader.read_line(&mut line).expect("read");
-            let id = request_id(&line).expect("id");
+            let id = protocol::request_id(&line).expect("id");
             writeln!(writer, "{}", protocol::encode_ok(id, "", 7)).expect("write");
             writer.flush().expect("flush");
             // Connection and listener drop here: requests 1 and 2 are

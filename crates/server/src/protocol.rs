@@ -400,12 +400,28 @@ pub fn parse_request(line: &str) -> Result<Envelope, SoiError> {
     Ok(Envelope { id, req, trace })
 }
 
+/// The client-chosen `id` of a request line: `Some` when the line is a
+/// JSON object with a non-negative integer `id`, whatever else is wrong
+/// with it.
+pub(crate) fn request_id(line: &str) -> Option<u64> {
+    json::parse(line).ok()?.get("id")?.as_u64()
+}
+
+/// The error answer to a line [`parse_request`] rejected. It echoes the
+/// line's `id` when the line is a JSON object with a non-negative integer
+/// `id` and is `"id":null` otherwise. The line is parsed again only here,
+/// on the error path.
+pub fn encode_rejection(line: &str, error: &SoiError) -> String {
+    encode_error(request_id(line), error)
+}
+
 /// Answers one framed request line, the way every front-end does. A
-/// line that does not parse is a typed error with a null id. A control
-/// request is answered by `control` — the payload fragment, or a typed
-/// error — and encoded here with the wall time measured here. Anything
-/// else goes to `compute` with the instant the line was taken up. The
-/// flag reports a `shutdown`; what that means is the front-end's call.
+/// line that does not parse is a typed error ([`encode_rejection`]). A
+/// control request is answered by `control` — the payload fragment, or a
+/// typed error — and encoded here with the wall time measured here.
+/// Anything else goes to `compute` with the instant the line was taken
+/// up. The flag reports a `shutdown`; what that means is the front-end's
+/// call.
 pub(crate) fn dispatch(
     line: &str,
     control: impl FnOnce(&Request) -> Result<String, SoiError>,
@@ -413,7 +429,7 @@ pub(crate) fn dispatch(
 ) -> (String, bool) {
     let started = Instant::now();
     match parse_request(line) {
-        Err(err) => (encode_error(None, &err), false),
+        Err(err) => (encode_rejection(line, &err), false),
         Ok(envelope) if envelope.req.is_control() => {
             let response = match control(&envelope.req) {
                 Ok(payload) => encode_ok(envelope.id, &payload, crate::trace::elapsed_ns(started)),

@@ -56,8 +56,21 @@ fn malformed_inputs_get_distinct_kinds_and_never_kill_the_server() {
     assert!(resp.contains("\"kind\":\"malformed-json\""), "{resp}");
     assert!(resp.contains("\"id\":null"), "{resp}");
 
+    // A line that parses as an object answers with its own id, whatever
+    // field is wrong.
     let resp = conn.round_trip(r#"{"v":1,"id":2,"type":"launch-missiles"}"#);
     assert!(resp.contains("\"kind\":\"unknown-type\""), "{resp}");
+    assert_eq!(field_u64(&resp, "id"), Some(2), "{resp}");
+
+    let resp = conn.round_trip(r#"{"v":1,"id":21,"type":"infmax-tc","graph":"g","k":0}"#);
+    assert!(resp.contains("\"kind\":\"bad-field\""), "{resp}");
+    assert_eq!(field_u64(&resp, "id"), Some(21), "{resp}");
+
+    let resp = conn.round_trip(
+        r#"{"v":1,"id":22,"type":"typical-cascade","graph":"g","source":0,"dedline_ticks":5}"#,
+    );
+    assert!(resp.contains("\"kind\":\"bad-field\""), "{resp}");
+    assert_eq!(field_u64(&resp, "id"), Some(22), "{resp}");
 
     let resp = conn.round_trip(r#"{"v":3,"id":3,"type":"health"}"#);
     assert!(resp.contains("\"kind\":\"version-mismatch\""), "{resp}");
@@ -70,7 +83,7 @@ fn malformed_inputs_get_distinct_kinds_and_never_kill_the_server() {
         conn.round_trip(r#"{"v":1,"id":5,"type":"typical-cascade","graph":"g","source":1000}"#);
     assert!(resp.contains("\"kind\":\"bad-field\""), "{resp}");
 
-    // The same connection still computes after five straight errors.
+    // The same connection still computes after seven straight errors.
     let resp = conn.round_trip(r#"{"v":1,"id":6,"type":"typical-cascade","graph":"g","source":0}"#);
     assert!(resp.contains("\"status\":\"ok\""), "{resp}");
     daemon.stop();

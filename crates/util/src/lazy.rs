@@ -42,9 +42,9 @@ impl Ord for Entry {
 }
 
 /// A pull-style lazy-greedy heap over candidate nodes. Every
-/// [`pop_best`](Self::pop_best) call is one selection round; gains pushed
-/// or re-scored in earlier rounds are stale and are re-scored before they
-/// can win.
+/// [`pop_best`](Self::pop_best) or [`pop_ranked`](Self::pop_ranked) call
+/// is one selection round; gains pushed or re-scored in earlier rounds are
+/// stale and are re-scored before they can win.
 #[derive(Debug)]
 pub struct LazyGreedy {
     heap: BinaryHeap<Entry>,
@@ -72,21 +72,59 @@ impl LazyGreedy {
     /// with its gain. `None` once the heap is drained, or as soon as
     /// `rescore` returns `None` (the caller's budget ran out) — the
     /// candidate it declined to score stays in the heap.
-    pub fn pop_best(&mut self, mut rescore: impl FnMut(u32) -> Option<f64>) -> Option<(u32, f64)> {
+    pub fn pop_best(&mut self, rescore: impl FnMut(u32) -> Option<f64>) -> Option<(u32, f64)> {
+        self.pop_ranked(0, rescore, |_| {})
+    }
+
+    /// [`pop_best`](Self::pop_best) that also ranks the round: it goes on
+    /// re-scoring stale tops until `m` candidates scored this round have
+    /// surfaced (or the heap is drained), hands their gains to `rank` best
+    /// first, removes the winner and keeps the `m − 1` runners-up. `m = 0`
+    /// ranks nothing and is `pop_best`.
+    ///
+    /// The ranking is the exact top `m` of the round, ties in ascending
+    /// node order, when every stale gain is bit-for-bit at least its fresh
+    /// value — an integer count over one constant divisor is. If `rescore`
+    /// declines, every candidate popped this round goes back into the heap
+    /// and `rank` is not called.
+    pub fn pop_ranked(
+        &mut self,
+        m: usize,
+        mut rescore: impl FnMut(u32) -> Option<f64>,
+        mut rank: impl FnMut(f64),
+    ) -> Option<(u32, f64)> {
         self.round += 1;
         let round = self.round;
-        loop {
-            let top = self.heap.pop()?;
+        let mut best: Option<Entry> = None;
+        let mut runners_up = Vec::new();
+        while best.is_none() || runners_up.len() + 1 < m {
+            let Some(top) = self.heap.pop() else { break };
             if top.round == round {
-                return Some((top.node, top.gain));
+                if best.is_none() {
+                    best = Some(top);
+                } else {
+                    runners_up.push(top);
+                }
+                continue;
             }
             let node = top.node;
             let Some(gain) = rescore(node) else {
                 self.heap.push(top);
+                self.heap.extend(best);
+                self.heap.extend(runners_up);
                 return None;
             };
             self.heap.push(Entry { gain, node, round });
         }
+        let best = best?;
+        if m > 0 {
+            rank(best.gain);
+        }
+        for e in runners_up {
+            rank(e.gain);
+            self.heap.push(e);
+        }
+        Some((best.node, best.gain))
     }
 
     /// Removes and returns the best candidate already re-scored in the
@@ -208,5 +246,61 @@ mod tests {
         assert_eq!(lazy.pop_fresh(), Some((1, 2.0)));
         // Nothing was lost: the three survivors still come out in order.
         assert_eq!(drain(&mut lazy, f64::from), vec![3, 2, 0]);
+    }
+
+    #[test]
+    fn ranked_rounds_return_the_exhaustive_top_m_on_random_coverage() {
+        for seed in 0..20 {
+            let mut rng = Xoshiro256pp::seed_from_u64(100 + seed);
+            let (n, m) = (30usize, 1 + seed as usize % 7);
+            let sets: Vec<u64> = (0..n).map(|_| rng.next_u64() & rng.next_u64()).collect();
+            let gain = |v: usize, covered: u64| f64::from((sets[v] & !covered).count_ones());
+
+            let mut lazy = heap_of(&(0..n).map(|v| gain(v, 0)).collect::<Vec<_>>());
+            let (mut covered, mut taken) = (0u64, vec![false; n]);
+            for round in 0..n + 2 {
+                let mut exhaustive: Vec<(f64, usize)> = (0..n)
+                    .filter(|&v| !taken[v])
+                    .map(|v| (gain(v, covered), v))
+                    .collect();
+                exhaustive.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let mut ranking = Vec::new();
+                let pick =
+                    lazy.pop_ranked(m, |v| Some(gain(v as usize, covered)), |g| ranking.push(g));
+                let want: Vec<f64> = exhaustive.iter().take(m).map(|e| e.0).collect();
+                assert_eq!(ranking, want, "instance {seed}, round {round}");
+                let Some((v, g)) = pick else {
+                    assert!(exhaustive.is_empty());
+                    continue;
+                };
+                assert_eq!((v as usize, g), (exhaustive[0].1, exhaustive[0].0));
+                taken[v as usize] = true;
+                covered |= sets[v as usize];
+            }
+        }
+    }
+
+    #[test]
+    fn declined_rescore_mid_ranking_keeps_every_popped_candidate() {
+        let mut lazy = heap_of(&[9.0, 8.0, 7.0, 6.0, 5.0]);
+        // The budget covers three re-scores: 0, 1 and 2 surface fresh, and
+        // the round is declined while the fourth is still wanted.
+        let mut evals = 0;
+        let mut ranking = Vec::new();
+        let declined = lazy.pop_ranked(
+            4,
+            |v| {
+                evals += 1;
+                (evals <= 3).then(|| 10.0 - f64::from(v))
+            },
+            |g| ranking.push(g),
+        );
+        assert_eq!(declined, None);
+        assert!(ranking.is_empty());
+        // All five are still there and come out in order.
+        assert_eq!(
+            drain(&mut lazy, |v| 10.0 - f64::from(v)),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 }

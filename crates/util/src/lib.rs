@@ -45,5 +45,5 @@ pub use bitset::BitSet;
 pub use error::{ProtoErrorKind, SoiError};
 pub use lazy::LazyGreedy;
 pub use runtime::{Deadline, Outcome, Progress, Run, StopReason};
-pub use stats::{RunningStats, Summary};
+pub use stats::RunningStats;
 pub use timer::Timer;

@@ -6,9 +6,9 @@
 //!
 //! * [`effective_threads`] resolves a worker count from (in priority
 //!   order) the caller's explicit request, the process-global override
-//!   set by the CLI's `--threads` flag ([`set_default_threads`]), the
-//!   `SOI_THREADS` environment variable, and finally the hardware
-//!   parallelism — always clamped to `[1, work_items]`.
+//!   set by the CLI's `--threads` flag ([`set_default_threads`]), and
+//!   finally the hardware parallelism — always clamped to
+//!   `[1, work_items]`.
 //! * [`for_each_indexed`] / [`for_each_indexed_with`] fill a slice of
 //!   slots in parallel. The slice is cut into [`CHUNKS_PER_WORKER`]
 //!   contiguous chunks per worker; worker `t` starts on chunk `t` and then
@@ -50,8 +50,7 @@ pub fn default_threads() -> usize {
 /// Resolves the worker count for `work_items` independent units.
 ///
 /// Priority: `requested` when non-zero, then [`set_default_threads`],
-/// then the `SOI_THREADS` environment variable, then
-/// `std::thread::available_parallelism`. The result is clamped to
+/// then `std::thread::available_parallelism`. The result is clamped to
 /// `[1, max(work_items, 1)]` so callers can spawn exactly this many
 /// workers without empty chunks.
 pub fn effective_threads(requested: usize, work_items: usize) -> usize {
@@ -61,29 +60,11 @@ pub fn effective_threads(requested: usize, work_items: usize) -> usize {
         let global = default_threads();
         if global != 0 {
             global
-        } else if let Some(env) = env_threads() {
-            env
         } else {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         }
     };
     resolved.clamp(1, work_items.max(1))
-}
-
-/// `SOI_THREADS` as a positive worker count, when set and parseable.
-fn env_threads() -> Option<usize> {
-    parse_threads(&std::env::var("SOI_THREADS").ok()?)
-}
-
-/// Parses a `SOI_THREADS`-style value: a positive integer, surrounding
-/// whitespace tolerated. Zero, negatives, and garbage are rejected
-/// (`None`), falling back to the next resolution tier rather than
-/// crashing a pipeline over a typo'd environment.
-fn parse_threads(raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
 }
 
 /// Chunks per worker: the last one claimed is ~3 % of a worker's share,
@@ -207,27 +188,6 @@ mod tests {
         assert_eq!(effective_threads(7, 100), 7);
         set_default_threads(0);
         assert!(effective_threads(0, 100) >= 1);
-    }
-
-    #[test]
-    fn env_var_parsing_is_defensive() {
-        let _g = lock();
-        set_default_threads(0);
-        assert!(env_threads().is_none() || env_threads().unwrap() > 0);
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_with_whitespace() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 16\n"), Some(16));
-        assert_eq!(parse_threads("1"), Some(1));
-    }
-
-    #[test]
-    fn parse_threads_rejects_zero_negatives_and_garbage() {
-        for bad in ["0", "-2", "four", "", "  ", "3.5", "8x", "+-1"] {
-            assert_eq!(parse_threads(bad), None, "accepted {bad:?}");
-        }
     }
 
     #[test]

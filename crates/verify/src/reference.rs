@@ -127,7 +127,7 @@ impl ReferenceEngine {
         let envelope = match protocol::parse_request(line) {
             Err(err) => {
                 return LineAnswer {
-                    response: Some(protocol::encode_error(None, &err)),
+                    response: Some(protocol::encode_rejection(line, &err)),
                     stop: false,
                 }
             }

@@ -58,7 +58,7 @@ fn main() {
 
     // --- 4. Influence maximization, both ways --------------------------
     let k = 20;
-    let std_run = infmax_std(&index, k, GreedyMode::Celf);
+    let std_run = infmax_std(&index, k, 0);
     let cascades: Vec<Vec<NodeId>> = spheres.into_iter().map(|s| s.median).collect();
     let tc_run = infmax_tc(&cascades, k, 0);
 

@@ -119,7 +119,7 @@ fn full_pipeline_on_a_benchmark_dataset() {
     }
 
     let k = 25;
-    let std_run = infmax_std(&index, k, GreedyMode::Celf);
+    let std_run = infmax_std(&index, k, 0);
     let cascades: Vec<Vec<NodeId>> = spheres.into_iter().map(|s| s.median).collect();
     let tc_run = infmax_tc(&cascades, k, 0);
     assert_eq!(std_run.seeds.len(), k);
@@ -159,7 +159,7 @@ fn ris_and_greedy_agree_on_good_seeds() {
             ..IndexConfig::default()
         },
     );
-    let greedy = infmax_std(&index, 5, GreedyMode::Celf);
+    let greedy = infmax_std(&index, 5, 0);
     let ris = infmax_ris(&pg, 5, 8000, 8);
     let sigma_greedy = estimate_spread(&pg, &greedy.seeds, 5000, 9);
     let sigma_ris = estimate_spread(&pg, &ris.seeds, 5000, 9);
