@@ -44,9 +44,9 @@ commands:
              [--min-prob P] --out FILE
   serve      NAME=GRAPH [NAME=GRAPH ...] [--port P] [--stdio] [--workers N]
              [--queue-cap N] [--cache-cap N] [--worlds L] [--seed S]
-             [--max-line BYTES] [--default-deadline-ticks N]
+             [--max-line BYTES] [--sketch-k K]
              [--slow-query-ticks N --slow-query-log FILE]
-             [--slow-query-log-max-bytes B] [--sketch-k K]
+             [--slow-query-log-max-bytes B]
   route      REPLICAS [REPLICAS ...] [--port P] [--replica-retries N]
              [--backoff-ticks T] [--max-line BYTES] [--overrides-file FILE]
              [--probe-interval-ms MS]
@@ -115,7 +115,10 @@ impl RunStatus {
     }
 }
 
-/// A minimal `--flag value` option bag with positional arguments.
+/// A minimal `--flag value` option bag with positional arguments. A
+/// command declares the flags and switches it reads (space-separated
+/// names); any other `--name` is a usage error, so a misspelled flag
+/// never silently falls back to its default.
 struct Opts {
     positional: Vec<String>,
     flags: HashMap<String, String>,
@@ -123,20 +126,23 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String], switch_names: &[&str]) -> Result<Opts, SoiError> {
+    fn parse(args: &[String], flag_names: &str, switch_names: &str) -> Result<Opts, SoiError> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut switches = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if switch_names.contains(&name) {
+                let declared = |names: &str| names.split_whitespace().any(|n| n == name);
+                if declared(switch_names) {
                     switches.push(name.to_string());
-                } else {
+                } else if declared(flag_names) {
                     let v = it
                         .next()
                         .ok_or_else(|| SoiError::usage(format!("--{name} needs a value")))?;
                     flags.insert(name.to_string(), v.clone());
+                } else {
+                    return Err(SoiError::usage(format!("unknown flag --{name}")));
                 }
             } else {
                 positional.push(a.clone());
@@ -413,11 +419,32 @@ fn load_any_graph(path: &str) -> Result<DiGraph, SoiError> {
 }
 
 fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &["undirected"])?;
+    let opts = Opts::parse(args, "model nodes m edges prob seed out", "undirected")?;
     let model: String = opts.require("model")?;
     let nodes: usize = opts.require("nodes")?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let undirected = opts.has("undirected");
+    let prob: String = opts.get("prob")?.unwrap_or_else(|| "wc".to_string());
+    let fixed = match prob.strip_prefix("fixed:") {
+        Some(p) => {
+            let p: f64 = p
+                .parse()
+                .map_err(|e| SoiError::usage(format!("--prob fixed:P: {e}")))?;
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(SoiError::usage(format!(
+                    "--prob fixed:P: {p} is not in (0, 1]"
+                )));
+            }
+            Some(p)
+        }
+        None if prob == "wc" || prob == "tri" => None,
+        None => {
+            return Err(SoiError::usage(format!(
+                "unknown --prob {prob:?} (wc|fixed:P|tri)"
+            )))
+        }
+    };
+    let path: String = opts.require("out")?;
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     // The generators assert their preconditions; refuse bad flags first.
     let check = |ok: bool, rule: &str| {
@@ -455,22 +482,11 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
             )))
         }
     };
-    let prob: String = opts.get("prob")?.unwrap_or_else(|| "wc".to_string());
-    let pg = if prob == "wc" {
-        ProbGraph::weighted_cascade(topo)
-    } else if prob == "tri" {
-        ProbGraph::trivalency(topo, &mut rng)
-    } else if let Some(p) = prob.strip_prefix("fixed:") {
-        let p: f64 = p
-            .parse()
-            .map_err(|e| SoiError::usage(format!("--prob fixed:P: {e}")))?;
-        ProbGraph::fixed(topo, p)?
-    } else {
-        return Err(SoiError::usage(format!(
-            "unknown --prob {prob:?} (wc|fixed:P|tri)"
-        )));
+    let pg = match fixed {
+        Some(p) => ProbGraph::fixed(topo, p)?,
+        None if prob == "wc" => ProbGraph::weighted_cascade(topo),
+        None => ProbGraph::trivalency(topo, &mut rng),
     };
-    let path: String = opts.require("out")?;
     let file = std::fs::File::create(&path).map_err(|e| SoiError::io(path.as_str(), e))?;
     gio::write_prob_graph(&pg, std::io::BufWriter::new(file))
         .map_err(|e| SoiError::io(path.as_str(), e))?;
@@ -485,7 +501,7 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
 }
 
 fn cmd_stats<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &["mask-wall"])?;
+    let opts = Opts::parse(args, "port host watch interval-ms format", "mask-wall")?;
     // With --port, `stats` is the live introspection client against a
     // running daemon (docs/OBSERVABILITY.md); without it, the original
     // graph-file summary.
@@ -531,7 +547,7 @@ fn cmd_stats_live<W: Write>(opts: &Opts, out: &mut W) -> Result<RunStatus, SoiEr
 }
 
 fn cmd_sphere<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, "source samples seed", "")?;
     let source: NodeId = opts.require("source")?;
     let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
@@ -567,9 +583,10 @@ fn cmd_spheres<W: Write>(
     rt: &RuntimeOpts,
     out: &mut W,
 ) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, "samples seed out", "")?;
     let samples = opts.count("samples", 256)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
+    let path: String = opts.require("out")?;
     let pg = load_prob_graph(opts.positional(0, "graph file")?)?;
     let index = CascadeIndex::build(
         &pg,
@@ -586,7 +603,6 @@ fn cmd_spheres<W: Write>(
     let spheres = outcome.value_ref();
 
     soi_util::failpoint!("cli.spheres.write");
-    let path: String = opts.require("out")?;
     let file = std::fs::File::create(&path).map_err(|e| SoiError::io(path.as_str(), e))?;
     let mut w = std::io::BufWriter::new(file);
     let write_err = |e| SoiError::io(path.as_str(), e);
@@ -630,7 +646,7 @@ fn cmd_infmax<W: Write>(
     rt: &RuntimeOpts,
     out: &mut W,
 ) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, "k samples seed method backend sketch-k", "")?;
     let k: usize = opts.require("k")?;
     if k == 0 {
         return Err(SoiError::usage("--k must be >= 1"));
@@ -787,7 +803,7 @@ fn infmax_sketch<W: Write>(
 }
 
 fn cmd_reliability<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, "source target eta samples seed", "")?;
     let source: NodeId = opts.require("source")?;
     let samples = opts.count("samples", 10_000)?;
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
@@ -851,20 +867,22 @@ fn parse_log(path: &str, num_users: usize) -> Result<ActionLog, SoiError> {
 }
 
 fn cmd_learn<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
-    let graph = load_any_graph(opts.positional(0, "graph file")?)?;
-    let log = parse_log(opts.positional(1, "log file")?, graph.num_nodes())?;
+    let opts = Opts::parse(args, "method lag min-prob out", "")?;
     let method: String = opts.get("method")?.unwrap_or_else(|| "saito".to_string());
-    let lag: Option<u32> = opts.get("lag")?;
-    let min_prob: f64 = opts.get("min-prob")?.unwrap_or(1e-4);
-    let probs = match method.as_str() {
-        "saito" => learn_saito(&graph, &log, &SaitoConfig::default()),
-        "goyal" => learn_goyal(&graph, &log, lag),
-        "goyal-jaccard" => learn_goyal_jaccard(&graph, &log, lag),
+    let learn: fn(&DiGraph, &ActionLog, Option<u32>) -> Vec<f64> = match method.as_str() {
+        "saito" => |graph, log, _| learn_saito(graph, log, &SaitoConfig::default()),
+        "goyal" => learn_goyal,
+        "goyal-jaccard" => learn_goyal_jaccard,
         other => return Err(SoiError::usage(format!("unknown method {other:?}"))),
     };
-    let pg = to_prob_graph(&graph, &probs, min_prob)?;
+    let lag: Option<u32> = opts.get("lag")?;
+    let min_prob: f64 = opts.get("min-prob")?.unwrap_or(1e-4);
     let path: String = opts.require("out")?;
+    let graph_path = opts.positional(0, "graph file")?;
+    let log_path = opts.positional(1, "log file")?;
+    let graph = load_any_graph(graph_path)?;
+    let log = parse_log(log_path, graph.num_nodes())?;
+    let pg = to_prob_graph(&graph, &learn(&graph, &log, lag), min_prob)?;
     let file = std::fs::File::create(&path).map_err(|e| SoiError::io(path.as_str(), e))?;
     gio::write_prob_graph(&pg, std::io::BufWriter::new(file))
         .map_err(|e| SoiError::io(path.as_str(), e))?;
@@ -902,7 +920,9 @@ fn cmd_serve<W: Write>(
     rt: &RuntimeOpts,
     out: &mut W,
 ) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &["stdio"])?;
+    let flags = "port workers queue-cap cache-cap worlds seed max-line sketch-k \
+                 slow-query-ticks slow-query-log slow-query-log-max-bytes";
+    let opts = Opts::parse(args, flags, "stdio")?;
     if opts.positional.is_empty() {
         return Err(SoiError::usage("serve needs at least one NAME=GRAPH spec"));
     }
@@ -913,7 +933,6 @@ fn cmd_serve<W: Write>(
         seed: opts.get("seed")?.unwrap_or(42),
         threads: rt.threads,
         cache_cap: opts.get("cache-cap")?.unwrap_or(4),
-        default_deadline_ticks: opts.get("default-deadline-ticks")?.unwrap_or(0),
         sketch_k: opts.sketch_k()?,
     };
     let max_line: usize = opts
@@ -949,7 +968,11 @@ fn cmd_serve<W: Write>(
 }
 
 fn cmd_route<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(
+        args,
+        "port replica-retries backoff-ticks max-line overrides-file probe-interval-ms",
+        "",
+    )?;
     if opts.positional.is_empty() {
         return Err(SoiError::usage(
             "route needs at least one shard replica set (host:port[,host:port ...])",
@@ -989,7 +1012,11 @@ fn cmd_route<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiErr
 }
 
 fn cmd_query<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &["mask-wall"])?;
+    let opts = Opts::parse(
+        args,
+        "file host port concurrency retries backoff-ticks timeout-ms",
+        "mask-wall",
+    )?;
     let mut requests: Vec<String> = opts.positional.clone();
     if let Some(path) = opts.get::<String>("file")? {
         let text = std::fs::read_to_string(&path).map_err(|e| SoiError::io(path.as_str(), e))?;
@@ -1029,7 +1056,11 @@ fn cmd_query<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiErr
 }
 
 fn cmd_fuzz<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiError> {
-    let opts = Opts::parse(args, &["tcp"])?;
+    let opts = Opts::parse(
+        args,
+        "seed streams artifacts failpoints soi-bin replay",
+        "tcp",
+    )?;
     let mut config = soi_verify::FuzzConfig {
         seed: opts.get("seed")?.unwrap_or(1),
         streams: opts.get("streams")?.unwrap_or(8),
@@ -1429,14 +1460,48 @@ mod tests {
             "generate --model ws --nodes 10 --m 3 --out x.tsv",
             "generate --model gnm --nodes 3 --edges 100 --out x.tsv",
             "generate --model powerlaw --nodes 1 --out x.tsv",
+            "generate --model ba --nodes 10 --prob fixed:1.5 --out x.tsv",
+            "generate --model ba --nodes 10 --prob fixed:nan --out x.tsv",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let err = run(&args).unwrap_err();
             assert!(err.is_usage(), "{line} -> {err}");
         }
+        // A flag the command does not read is refused by name, never
+        // dropped in favour of the default it was meant to override.
+        for (line, flag) in [
+            ("infmax g --k 1 --sampels 8", "--sampels"),
+            (
+                "serve g=g --stdio --default-deadline-ticks 5",
+                "--default-deadline-ticks",
+            ),
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = run(&args).unwrap_err();
+            assert!(err.is_usage(), "{line} -> {err}");
+            assert!(err.to_string().contains(flag), "{line} -> {err}");
+        }
         // Runtime failures are NOT usage errors.
         let err = run(&["sphere", "/nonexistent/file", "--source", "0"]).unwrap_err();
         assert!(!err.is_usage(), "{err}");
+    }
+
+    #[test]
+    fn spheres_without_out_is_refused_before_any_work() {
+        let gpath = tmp("g12.tsv");
+        run(&[
+            "generate", "--model", "ba", "--nodes", "30", "--prob", "wc", "--out", &gpath,
+        ])
+        .unwrap();
+        let ckdir = tmp("ck12");
+        let _ = std::fs::remove_dir_all(&ckdir);
+        std::fs::create_dir_all(&ckdir).unwrap();
+        let err = run(&["spheres", &gpath, "--checkpoint-dir", &ckdir]).unwrap_err();
+        assert!(err.is_usage(), "{err}");
+        assert!(err.to_string().contains("--out"), "{err}");
+        let left = std::fs::read_dir(&ckdir).unwrap().count();
+        assert_eq!(left, 0, "a refused run wrote into the checkpoint dir");
+        std::fs::remove_dir_all(&ckdir).unwrap();
     }
 
     #[test]

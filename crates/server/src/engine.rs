@@ -21,7 +21,7 @@ use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::hash::Mix64Hasher;
-use soi_util::runtime::{Deadline, Outcome, Run, StopReason};
+use soi_util::runtime::{Deadline, Progress, Run};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -37,9 +37,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// LRU capacity of the oracle cache.
     pub cache_cap: usize,
-    /// Default per-request tick budget (0 = unlimited) applied when a
-    /// request carries no `deadline_ticks`.
-    pub default_deadline_ticks: u64,
     /// Default sketch size `k` for `"backend":"sketch"` requests that
     /// carry no `sketch_k` override.
     pub sketch_k: usize,
@@ -52,7 +49,6 @@ impl Default for EngineConfig {
             seed: 42,
             threads: 0,
             cache_cap: 4,
-            default_deadline_ticks: 0,
             sketch_k: 64,
         }
     }
@@ -65,28 +61,15 @@ impl Default for EngineConfig {
 pub struct ExecOutput {
     /// JSON fragment (`"key":value,...`) for the response body.
     pub payload: String,
-    /// `Some((done, total, reason))` when the result covers a prefix.
-    pub partial: Option<(u64, u64, StopReason)>,
+    /// How much of the work the payload covers, when a deadline cut it
+    /// short.
+    pub partial: Option<Progress>,
 }
 
 impl ExecOutput {
-    fn complete(payload: String) -> Self {
-        ExecOutput {
-            payload,
-            partial: None,
-        }
-    }
-
-    fn from_outcome<T>(outcome: &Outcome<T>, payload: String) -> Self {
-        match outcome {
-            Outcome::Completed(_) => ExecOutput::complete(payload),
-            Outcome::Partial {
-                progress, reason, ..
-            } => ExecOutput {
-                payload,
-                partial: Some((progress.done, progress.total, *reason)),
-            },
-        }
+    /// A payload and how much of the work it covers (`None`: all).
+    pub fn new(payload: String, partial: Option<Progress>) -> Self {
+        ExecOutput { payload, partial }
     }
 }
 
@@ -296,10 +279,10 @@ impl ServerEngine {
         })
     }
 
-    fn deadline(&self, requested: Option<u64>) -> Deadline {
-        match requested.unwrap_or(self.config.default_deadline_ticks) {
-            0 => Deadline::unlimited(),
-            ticks => Deadline::ticks(ticks),
+    fn deadline(requested: Option<u64>) -> Deadline {
+        match requested {
+            None | Some(0) => Deadline::unlimited(),
+            Some(ticks) => Deadline::ticks(ticks),
         }
     }
 
@@ -341,7 +324,7 @@ impl ServerEngine {
                         ),
                     ));
                 }
-                let deadline = self.deadline(*deadline_ticks);
+                let deadline = Self::deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::index_median(
                     index,
@@ -357,7 +340,7 @@ impl ServerEngine {
                     fmt_num(fit.cost)
                 );
                 trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
-                Ok(ExecOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             Request::SpreadEstimate {
                 graph,
@@ -389,13 +372,13 @@ impl ServerEngine {
                     let spread = sk.set_spread(seeds);
                     let payload = format!("\"spread\":{},\"backend\":\"sketch\"", fmt_num(spread));
                     trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
-                    return Ok(ExecOutput::complete(payload));
+                    return Ok(ExecOutput::new(payload, None));
                 }
                 // Cascade spread estimates never touch the oracle cache;
                 // the phase is recorded at zero cost so every compute
                 // request shares one timeline schema.
                 trace.record("cache", 0, 0);
-                let budget = deadline_ticks.unwrap_or(self.config.default_deadline_ticks);
+                let budget = deadline_ticks.unwrap_or(0);
                 if *degrade && budget > 0 && (budget as usize) < *samples {
                     // Degrade instead of going partial: answer with the
                     // sample count the budget affords, run to completion.
@@ -420,9 +403,9 @@ impl ServerEngine {
                         reduced as u64,
                         crate::trace::elapsed_ns(compute_start),
                     );
-                    return Ok(ExecOutput::complete(payload));
+                    return Ok(ExecOutput::new(payload, None));
                 }
-                let deadline = self.deadline(*deadline_ticks);
+                let deadline = Self::deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
                 let outcome =
                     soi_sampling::estimate_spread_budgeted(pg, seeds, *samples, *seed, &deadline);
@@ -432,7 +415,7 @@ impl ServerEngine {
                     *samples as u64,
                     crate::trace::elapsed_ns(compute_start),
                 );
-                Ok(ExecOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             Request::InfmaxTc {
                 graph,
@@ -453,7 +436,7 @@ impl ServerEngine {
                 }
                 let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
-                let run = Run::new(self.deadline(*deadline_ticks), None, 64, false);
+                let run = Run::new(Self::deadline(*deadline_ticks), None, 64, false);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::all_typical_cascades_resumable(
                     index,
@@ -479,7 +462,7 @@ impl ServerEngine {
                     *k as u64,
                     crate::trace::elapsed_ns(compute_start),
                 );
-                Ok(ExecOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             control => Err(SoiError::invalid(format!(
                 "control request {:?} routed to the compute engine",
@@ -501,7 +484,7 @@ impl ServerEngine {
         let oracle = self.oracle(graph, BackendKind::Sketch, sketch_k, trace)?;
         let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
         let (pg, _) = self.graph(graph)?;
-        let deadline = self.deadline(deadline_ticks);
+        let deadline = Self::deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
         let outcome = soi_sketch::select_seeds(pg, sk, k, &deadline);
         let run = outcome.value_ref();
@@ -512,7 +495,7 @@ impl ServerEngine {
             coverage.join(",")
         );
         trace.record("compute", k as u64, crate::trace::elapsed_ns(compute_start));
-        Ok(ExecOutput::from_outcome(&outcome, payload))
+        Ok(ExecOutput::new(payload, outcome.progress()))
     }
 }
 
@@ -547,7 +530,6 @@ mod tests {
             graph: "g".into(),
             source: 5,
             deadline_ticks: None,
-            degrade: false,
         };
         let a = engine.execute(&req).expect("exec");
         let b = engine.execute(&req).expect("exec");
@@ -582,10 +564,9 @@ mod tests {
         let full = engine.execute(&full).expect("full");
         assert!(full.partial.is_none());
         let capped = engine.execute(&capped).expect("capped");
-        let (done, total, reason) = capped.partial.expect("partial");
-        assert_eq!(total, 64);
-        assert!(done < total);
-        assert_eq!(reason, StopReason::DeadlineExpired);
+        let progress = capped.partial.expect("partial");
+        assert_eq!(progress.total, 64);
+        assert!(progress.done < progress.total);
         // Partial value is the mean over the deterministic prefix.
         let again = engine.execute(&Request::SpreadEstimate {
             graph: "g".into(),
@@ -609,7 +590,6 @@ mod tests {
                 graph: "g".into(),
                 k: 3,
                 deadline_ticks: None,
-                degrade: false,
                 backend: BackendKind::Cascade,
                 sketch_k: None,
             })
@@ -628,7 +608,6 @@ mod tests {
                 graph: "missing".into(),
                 source: 0,
                 deadline_ticks: None,
-                degrade: false,
             })
             .expect_err("unknown graph");
         assert!(matches!(
@@ -643,7 +622,6 @@ mod tests {
                 graph: "g".into(),
                 source: 40,
                 deadline_ticks: None,
-                degrade: false,
             })
             .expect_err("out of range");
         assert!(matches!(
@@ -663,7 +641,6 @@ mod tests {
             graph: "g".into(),
             source: 5,
             deadline_ticks: None,
-            degrade: false,
         };
         let mut cold = PhaseTrace::new();
         engine.execute_traced(&req, &mut cold).expect("cold");
@@ -709,7 +686,6 @@ mod tests {
                     graph: "g".into(),
                     k: 3,
                     deadline_ticks: None,
-                    degrade: false,
                     backend: BackendKind::Cascade,
                     sketch_k: None,
                 },
@@ -788,43 +764,38 @@ mod tests {
         assert!(!roomy.payload.contains("degraded"), "{}", roomy.payload);
     }
 
-    /// A failed build answers a typed fault whether or not the request
-    /// asked to degrade, even when an evicted build of the same oracle
-    /// once existed: nothing evicted is ever served.
+    /// A failed build answers a typed fault, even when an evicted build
+    /// of the same oracle once existed: nothing evicted is ever served.
     #[test]
     #[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
     fn index_build_failure_answers_a_typed_fault() {
         let _g = soi_util::failpoint::test_guard();
         soi_util::failpoint::clear();
         let engine = engine();
-        let tc = |degrade| Request::TypicalCascade {
+        let tc = Request::TypicalCascade {
             graph: "g".into(),
             source: 1,
             deadline_ticks: None,
-            degrade,
         };
-        let cold = engine.execute(&tc(false)).expect("first build");
+        let cold = engine.execute(&tc).expect("first build");
         // Two sketch oracles fill the cap of 2 and evict the index.
         let _ = engine.execute(&sketch_spread_req(None)).expect("sketch");
         let _ = engine.execute(&sketch_spread_req(Some(32))).expect("k=32");
         soi_util::failpoint::install("server.index.build=error").expect("arm");
-        for degrade in [false, true] {
-            let infmax = Request::InfmaxTc {
-                graph: "g".into(),
-                k: 2,
-                deadline_ticks: None,
-                degrade,
-                backend: BackendKind::Cascade,
-                sketch_k: None,
-            };
-            for req in [tc(degrade), infmax] {
-                let err = engine.execute(&req).expect_err("build fails");
-                assert!(matches!(err, SoiError::Fault { .. }), "{err}");
-            }
+        let infmax = Request::InfmaxTc {
+            graph: "g".into(),
+            k: 2,
+            deadline_ticks: None,
+            backend: BackendKind::Cascade,
+            sketch_k: None,
+        };
+        for req in [&tc, &infmax] {
+            let err = engine.execute(req).expect_err("build fails");
+            assert!(matches!(err, SoiError::Fault { .. }), "{err}");
         }
         soi_util::failpoint::clear();
         // With the fault gone a fresh build answers as the first did.
-        assert_eq!(engine.execute(&tc(true)).expect("fresh"), cold);
+        assert_eq!(engine.execute(&tc).expect("fresh"), cold);
     }
 
     fn sketch_spread_req(sketch_k: Option<usize>) -> Request {
@@ -887,7 +858,6 @@ mod tests {
             graph: "g".into(),
             k: 3,
             deadline_ticks: None,
-            degrade: false,
             backend: BackendKind::Sketch,
             sketch_k: Some(32),
         };
@@ -909,13 +879,12 @@ mod tests {
                 graph: "g".into(),
                 k: 3,
                 deadline_ticks: Some(2),
-                degrade: false,
                 backend: BackendKind::Sketch,
                 sketch_k: Some(32),
             })
             .expect("capped");
-        let (done, total, _) = capped.partial.expect("partial");
-        assert_eq!((done, total), (2, 3));
+        let progress = capped.partial.expect("partial");
+        assert_eq!((progress.done, progress.total), (2, 3));
     }
 
     #[test]
@@ -947,7 +916,6 @@ mod tests {
                 graph: "g".into(),
                 source: 0,
                 deadline_ticks: None,
-                degrade: false,
             })
             .expect("cascade");
         let _ = engine.execute(&sketch_spread_req(Some(32))).expect("k=32");
@@ -969,7 +937,6 @@ mod tests {
             graph: "g".into(),
             source: 5,
             deadline_ticks: None,
-            degrade: false,
         };
         let cold = engine.execute(&tc).expect("tc");
         let _ = engine.execute(&sketch_spread_req(None)).expect("sketch");
@@ -1025,13 +992,12 @@ mod tests {
                     graph: "g".into(),
                     k: 4,
                     deadline_ticks,
-                    degrade: false,
                     backend: BackendKind::Cascade,
                     sketch_k: None,
                 })
                 .expect("exec");
             let run = Run {
-                deadline: engine.deadline(deadline_ticks),
+                deadline: ServerEngine::deadline(deadline_ticks),
                 checkpoint: None,
                 every: 64,
                 resume: false,
@@ -1055,7 +1021,7 @@ mod tests {
                 encode_nodes(&cover.seeds),
                 coverage.join(",")
             );
-            assert_eq!(got, ExecOutput::from_outcome(&outcome, payload));
+            assert_eq!(got, ExecOutput::new(payload, outcome.progress()));
             assert_eq!(got.partial.is_some(), deadline_ticks.is_some());
         }
     }
@@ -1083,19 +1049,16 @@ mod tests {
         let _ = engine.index_for("g").expect("index");
         let _ = engine.execute(&sketch_spread_req(Some(32))).expect("k=32");
         soi_util::failpoint::install("server.sketch.build=error").expect("arm");
-        for degrade in [false, true] {
-            let infmax = Request::InfmaxTc {
-                graph: "g".into(),
-                k: 2,
-                deadline_ticks: None,
-                degrade,
-                backend: BackendKind::Sketch,
-                sketch_k: None,
-            };
-            for req in [spread(degrade), infmax] {
-                let err = engine.execute(&req).expect_err("build fails");
-                assert!(matches!(err, SoiError::Fault { .. }), "{err}");
-            }
+        let infmax = Request::InfmaxTc {
+            graph: "g".into(),
+            k: 2,
+            deadline_ticks: None,
+            backend: BackendKind::Sketch,
+            sketch_k: None,
+        };
+        for req in [spread(false), spread(true), infmax] {
+            let err = engine.execute(&req).expect_err("build fails");
+            assert!(matches!(err, SoiError::Fault { .. }), "{err}");
         }
         soi_util::failpoint::clear();
         assert_eq!(engine.execute(&spread(true)).expect("fresh"), cold);

@@ -56,7 +56,7 @@ pub mod worker;
 
 pub use client::{run_queries, send_one, send_stream, BatchReport, QueryConfig};
 pub use daemon::{run_stdio, run_tcp, ServeConfig, STATS_VERSION};
-pub use engine::{EngineConfig, ServerEngine};
+pub use engine::{EngineConfig, ExecOutput, ServerEngine};
 pub use protocol::{Envelope, Request, DEFAULT_MAX_LINE, PROTOCOL_VERSION};
 pub use router::{run_router, RouterConfig};
 pub use stats::{run_stats, StatsConfig, StatsFormat};

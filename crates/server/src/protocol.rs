@@ -14,7 +14,7 @@
 use crate::json::{self, Value};
 use soi_graph::NodeId;
 use soi_influence::BackendKind;
-use soi_util::runtime::StopReason;
+use soi_util::runtime::Progress;
 use soi_util::{ProtoErrorKind, SoiError};
 use std::time::Instant;
 
@@ -63,8 +63,6 @@ pub enum Request {
         source: NodeId,
         /// Optional tick budget for the median fit.
         deadline_ticks: Option<u64>,
-        /// Accepted for symmetry with `spread-estimate`; has no effect.
-        degrade: bool,
     },
     /// Monte-Carlo spread estimate of a seed set.
     SpreadEstimate {
@@ -98,8 +96,6 @@ pub enum Request {
         k: usize,
         /// Optional tick budget (one tick per node solved).
         deadline_ticks: Option<u64>,
-        /// Accepted for symmetry with `spread-estimate`; has no effect.
-        degrade: bool,
         /// Spread-oracle backend (default cascade — `InfMax_TC` max
         /// cover; `"sketch"` runs SKIM-style greedy over the sketches).
         backend: BackendKind,
@@ -349,14 +345,19 @@ pub fn parse_request(line: &str) -> Result<Envelope, SoiError> {
             graph: req_str(&doc, "graph")?,
             shard: req_u64(&doc, "shard")? as usize,
         },
-        "typical-cascade" => Request::TypicalCascade {
-            graph: req_str(&doc, "graph")?,
-            source: req_u64(&doc, "source")?
-                .try_into()
-                .map_err(|_| proto(ProtoErrorKind::BadField, "source exceeds u32"))?,
-            deadline_ticks: opt_u64(&doc, "deadline_ticks")?,
-            degrade: opt_bool(&doc, "degrade")?,
-        },
+        "typical-cascade" => {
+            let req = Request::TypicalCascade {
+                graph: req_str(&doc, "graph")?,
+                source: req_u64(&doc, "source")?
+                    .try_into()
+                    .map_err(|_| proto(ProtoErrorKind::BadField, "source exceeds u32"))?,
+                deadline_ticks: opt_u64(&doc, "deadline_ticks")?,
+            };
+            // `degrade` means something only to `spread-estimate`; the
+            // other compute types accept it, type-checked, and drop it.
+            opt_bool(&doc, "degrade")?;
+            req
+        }
         "spread-estimate" => {
             let samples = req_u64(&doc, "samples")? as usize;
             if samples == 0 {
@@ -380,14 +381,15 @@ pub fn parse_request(line: &str) -> Result<Envelope, SoiError> {
                 return Err(proto(ProtoErrorKind::BadField, "k must be >= 1"));
             }
             let (backend, sketch_k) = opt_backend(&doc)?;
-            Request::InfmaxTc {
+            let req = Request::InfmaxTc {
                 graph: req_str(&doc, "graph")?,
                 k,
                 deadline_ticks: opt_u64(&doc, "deadline_ticks")?,
-                degrade: opt_bool(&doc, "degrade")?,
                 backend,
                 sketch_k,
-            }
+            };
+            opt_bool(&doc, "degrade")?;
+            req
         }
         other => {
             return Err(proto(
@@ -460,21 +462,20 @@ pub fn encode_ok(id: u64, payload: &str, wall_ns: u64) -> String {
 
 /// Encodes a partial (deadline-limited) response: the payload covers the
 /// completed prefix of work, `done`/`total` say how much that was.
-pub fn encode_partial(
-    id: u64,
-    payload: &str,
-    done: u64,
-    total: u64,
-    reason: StopReason,
-    wall_ns: u64,
-) -> String {
-    let reason = match reason {
-        StopReason::DeadlineExpired => "deadline-expired",
-    };
+pub fn encode_partial(id: u64, payload: &str, done: u64, total: u64, wall_ns: u64) -> String {
     format!(
-        "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"status\":\"partial\",\"reason\":\"{reason}\",\
+        "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"status\":\"partial\",\"reason\":\"deadline-expired\",\
          \"done\":{done},\"total\":{total},{payload},\"wall_ns\":{wall_ns}}}"
     )
+}
+
+/// Encodes a compute answer: [`encode_ok`] when the payload covers all
+/// of the work, [`encode_partial`] when a deadline cut it to `partial`.
+pub fn encode_answer(id: u64, payload: &str, partial: Option<Progress>, wall_ns: u64) -> String {
+    match partial {
+        None => encode_ok(id, payload, wall_ns),
+        Some(p) => encode_partial(id, payload, p.done, p.total, wall_ns),
+    }
 }
 
 /// Encodes an error response. `id` is `None` when the request never
@@ -604,10 +605,7 @@ mod tests {
             r#"{"v":1,"id":6,"type":"typical-cascade","graph":"g","source":0,"degrade":false}"#,
         )
         .expect("explicit false");
-        assert!(matches!(
-            e.req,
-            Request::TypicalCascade { degrade: false, .. }
-        ));
+        assert!(matches!(e.req, Request::TypicalCascade { .. }));
         let k = kind_of(
             parse_request(r#"{"v":1,"id":7,"type":"infmax-tc","graph":"g","k":1,"degrade":1}"#)
                 .expect_err("non-boolean degrade"),
@@ -788,7 +786,7 @@ mod tests {
             "{\"v\":1,\"id\":7,\"status\":\"ok\",\"spread\":2.5,\"wall_ns\":981}"
         );
         assert_eq!(
-            encode_partial(7, "\"spread\":1.5", 3, 8, StopReason::DeadlineExpired, 44),
+            encode_partial(7, "\"spread\":1.5", 3, 8, 44),
             "{\"v\":1,\"id\":7,\"status\":\"partial\",\"reason\":\"deadline-expired\",\"done\":3,\"total\":8,\"spread\":1.5,\"wall_ns\":44}"
         );
         let err = SoiError::protocol(ProtoErrorKind::QueueFull, "cap 2 reached");

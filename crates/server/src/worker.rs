@@ -21,7 +21,7 @@
 //! respawned generations): the graceful-drain half of the daemon's
 //! shutdown sequence.
 
-use crate::engine::{ExecOutput, ServerEngine};
+use crate::engine::ServerEngine;
 use crate::protocol::{self, Envelope};
 use crate::queue::{Bounded, PushError};
 use crate::trace::{PhaseTrace, SlowLog};
@@ -101,15 +101,6 @@ pub fn execute_job(engine: &ServerEngine, envelope: &Envelope) -> String {
     execute_job_traced(engine, envelope, &mut trace, None)
 }
 
-fn encode_line(id: u64, out: &ExecOutput, payload: &str, wall_ns: u64) -> String {
-    match out.partial {
-        None => protocol::encode_ok(id, payload, wall_ns),
-        Some((done, total, reason)) => {
-            protocol::encode_partial(id, payload, done, total, reason, wall_ns)
-        }
-    }
-}
-
 /// [`execute_job`] with phase accounting: appends the engine's
 /// `cache`/`compute` phases and a `serialize` phase (ticks = payload
 /// bytes — deterministic, unlike the full line whose embedded `wall_ns`
@@ -132,7 +123,7 @@ pub fn execute_job_traced(
                 soi_obs::counter_add!("server.partial_responses", 1);
             }
             let serialize_start = Instant::now();
-            let line = encode_line(envelope.id, &out, &out.payload, wall_ns);
+            let line = protocol::encode_answer(envelope.id, &out.payload, out.partial, wall_ns);
             trace.record(
                 "serialize",
                 out.payload.len() as u64,
@@ -142,7 +133,7 @@ pub fn execute_job_traced(
                 // Opt-in only: re-encode with the timeline attached, so
                 // the untraced path never pays for the fragment.
                 let payload = format!("{},{}", out.payload, trace.json_fragment());
-                encode_line(envelope.id, &out, &payload, wall_ns)
+                protocol::encode_answer(envelope.id, &payload, out.partial, wall_ns)
             } else {
                 line
             }
@@ -515,7 +506,6 @@ mod tests {
                     graph: "missing".into(),
                     source: 0,
                     deadline_ticks: None,
-                    degrade: false,
                 },
                 trace: false,
             },

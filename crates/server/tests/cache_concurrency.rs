@@ -43,7 +43,6 @@ fn request(i: u64) -> Envelope {
             graph,
             source: (i % 24) as u32,
             deadline_ticks: None,
-            degrade: false,
         },
         _ => Request::SpreadEstimate {
             graph,

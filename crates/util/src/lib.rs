@@ -44,6 +44,6 @@ pub mod tsv;
 pub use bitset::BitSet;
 pub use error::{ProtoErrorKind, SoiError};
 pub use lazy::LazyGreedy;
-pub use runtime::{Deadline, Outcome, Progress, Run, StopReason};
+pub use runtime::{Deadline, Outcome, Progress, Run};
 pub use stats::RunningStats;
 pub use timer::Timer;

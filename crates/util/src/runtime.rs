@@ -20,27 +20,11 @@
 //! file (load-and-validate before, save every N units and after the last
 //! one). A pipeline is a body closure and a payload codec.
 
+use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::ckpt::{self, Checkpoint};
 use crate::error::SoiError;
-
-/// Why a computation stopped before completing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopReason {
-    /// The tick budget ran out.
-    DeadlineExpired,
-}
-
-impl std::fmt::Display for StopReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StopReason::DeadlineExpired => write!(f, "deadline expired"),
-        }
-    }
-}
 
 /// Completed-work accounting attached to a partial result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,14 +52,12 @@ impl Progress {
 pub enum Outcome<T> {
     /// The computation ran to completion.
     Completed(T),
-    /// The computation stopped early; `value` covers the completed units.
+    /// The tick budget ran out; `value` covers the completed units.
     Partial {
         /// The (valid, usable) result of the completed prefix of work.
         value: T,
         /// How much of the computation finished.
         progress: Progress,
-        /// Why it stopped.
-        reason: StopReason,
     },
 }
 
@@ -111,34 +93,17 @@ impl<T> Outcome<T> {
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Outcome<U> {
         match self {
             Outcome::Completed(v) => Outcome::Completed(f(v)),
-            Outcome::Partial {
-                value,
-                progress,
-                reason,
-            } => Outcome::Partial {
+            Outcome::Partial { value, progress } => Outcome::Partial {
                 value: f(value),
                 progress,
-                reason,
             },
         }
     }
 }
 
-/// Shared state behind cloned deadline handles.
-#[derive(Debug)]
-struct DeadlineInner {
-    /// Tick budget; `u64::MAX` means unlimited.
-    limit: u64,
-    /// Ticks recorded so far (across all clones and threads).
-    spent: AtomicU64,
-}
-
-/// A cooperative deadline token.
-///
-/// Cloning is cheap and shares the budget: ticks recorded through any
-/// clone count against the same limit. Hot loops should call
-/// [`tick`](Deadline::tick) once per unit of work and stop when it
-/// returns `false`.
+/// A cooperative deadline: a tick budget owned by the pipeline that
+/// spends it. Hot loops call [`tick`](Deadline::tick) once per unit of
+/// work and stop when it returns `false`.
 ///
 /// ```
 /// use soi_util::runtime::Deadline;
@@ -148,9 +113,12 @@ struct DeadlineInner {
 /// assert!(!d.tick(1));  // over budget
 /// assert!(d.expired());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Deadline {
-    inner: Arc<DeadlineInner>,
+    /// Tick budget; `u64::MAX` means unlimited.
+    limit: u64,
+    /// Ticks recorded so far, refused ones included.
+    spent: Cell<u64>,
 }
 
 impl Deadline {
@@ -161,57 +129,48 @@ impl Deadline {
 
     /// A deadline allowing `limit` ticks of work.
     pub fn ticks(limit: u64) -> Self {
-        let spent = AtomicU64::new(0);
         Deadline {
-            inner: Arc::new(DeadlineInner { limit, spent }),
+            limit,
+            spent: Cell::new(0),
         }
     }
 
-    /// Records `n` ticks of completed work. Returns `true` while the
-    /// computation may continue (budget not exhausted).
+    /// Records `n` ticks of work. Returns `true` while the computation
+    /// may continue (budget not exhausted); a refused tick still counts.
     #[inline]
     pub fn tick(&self, n: u64) -> bool {
-        // ordering: the budget only needs an exact count (RMW atomicity);
-        // no other data is published through it.
-        let before = self.inner.spent.fetch_add(n, Ordering::Relaxed);
-        before.saturating_add(n) <= self.inner.limit
+        let spent = self.spent.get().saturating_add(n);
+        self.spent.set(spent);
+        spent <= self.limit
     }
 
     /// `true` once the budget is exhausted.
     #[inline]
     pub fn expired(&self) -> bool {
-        // ordering: advisory budget check; see `tick`.
-        self.inner.spent.load(Ordering::Relaxed) > self.inner.limit
+        self.spent.get() > self.limit
     }
 
     /// Ticks recorded so far.
     pub fn spent(&self) -> u64 {
-        // ordering: monotonic-counter snapshot for progress reporting.
-        self.inner.spent.load(Ordering::Relaxed)
+        self.spent.get()
     }
 
-    /// `true` for a token that can never expire.
+    /// `true` for a deadline that can never expire.
     pub fn is_unlimited(&self) -> bool {
-        self.inner.limit == u64::MAX
+        self.limit == u64::MAX
     }
 
-    /// The stop reason an expired token implies (`None` while still
-    /// running).
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.expired().then_some(StopReason::DeadlineExpired)
-    }
-
-    /// Packages `value` as [`Outcome::Partial`] when this token has
-    /// expired, [`Outcome::Completed`] otherwise. `done`/`total` are the
-    /// caller's unit accounting.
+    /// Packages `value` as [`Outcome::Partial`] when this deadline has
+    /// expired before all units were done, [`Outcome::Completed`]
+    /// otherwise. `done`/`total` are the caller's unit accounting.
     pub fn outcome<T>(&self, value: T, done: u64, total: u64) -> Outcome<T> {
-        match self.stop_reason() {
-            Some(reason) if done < total => Outcome::Partial {
+        if self.expired() && done < total {
+            Outcome::Partial {
                 value,
                 progress: Progress { done, total },
-                reason,
-            },
-            _ => Outcome::Completed(value),
+            }
+        } else {
+            Outcome::Completed(value)
         }
     }
 }
@@ -379,7 +338,6 @@ mod tests {
             assert!(d.tick(u32::MAX as u64));
         }
         assert!(!d.expired());
-        assert_eq!(d.stop_reason(), None);
     }
 
     #[test]
@@ -389,35 +347,7 @@ mod tests {
         assert!(!d.expired(), "spent == limit is not yet expired");
         assert!(!d.tick(1));
         assert!(d.expired());
-        assert_eq!(d.stop_reason(), Some(StopReason::DeadlineExpired));
         assert_eq!(d.spent(), 6);
-    }
-
-    #[test]
-    fn clones_share_the_budget() {
-        let d = Deadline::ticks(10);
-        let d2 = d.clone();
-        assert!(d.tick(6));
-        assert!(d2.tick(4));
-        assert!(!d2.tick(1));
-        assert_eq!(d.spent(), 11);
-    }
-
-    #[test]
-    fn ticks_are_shared_across_threads() {
-        let d = Deadline::ticks(1000);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let d = d.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        d.tick(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(d.spent(), 400);
-        assert!(!d.expired());
     }
 
     #[test]

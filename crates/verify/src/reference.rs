@@ -24,9 +24,9 @@ use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
 use soi_server::json::fmt_num;
 use soi_server::protocol::{self, Request};
-use soi_server::EngineConfig;
+use soi_server::{EngineConfig, ExecOutput};
 use soi_sketch::{ReachSketches, SketchConfig};
-use soi_util::runtime::{Deadline, Outcome, Run, StopReason};
+use soi_util::runtime::{Deadline, Run};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 
@@ -48,37 +48,9 @@ pub struct ReferenceEngine {
     max_line: usize,
 }
 
-/// A computed payload fragment plus partial-progress accounting,
-/// mirroring the real engine's `ExecOutput`.
-struct RefOutput {
-    payload: String,
-    partial: Option<(u64, u64, StopReason)>,
-}
-
-impl RefOutput {
-    fn complete(payload: String) -> Self {
-        RefOutput {
-            payload,
-            partial: None,
-        }
-    }
-
-    fn from_outcome<T>(outcome: &Outcome<T>, payload: String) -> Self {
-        match outcome {
-            Outcome::Completed(_) => RefOutput::complete(payload),
-            Outcome::Partial {
-                progress, reason, ..
-            } => RefOutput {
-                payload,
-                partial: Some((progress.done, progress.total, *reason)),
-            },
-        }
-    }
-}
-
 impl ReferenceEngine {
     /// A reference engine sharing the real engine's tuning (worlds,
-    /// seed, default deadline, default sketch k) and line cap — these
+    /// seed, default sketch k) and line cap — these
     /// define the *answers*, so both sides must agree on them. The
     /// config's cache and thread knobs are ignored: the reference always
     /// recomputes, serially.
@@ -141,12 +113,7 @@ impl ReferenceEngine {
             };
         }
         let response = match self.execute(&envelope.req) {
-            Ok(out) => match out.partial {
-                None => protocol::encode_ok(envelope.id, &out.payload, 0),
-                Some((done, total, reason)) => {
-                    protocol::encode_partial(envelope.id, &out.payload, done, total, reason, 0)
-                }
-            },
+            Ok(out) => protocol::encode_answer(envelope.id, &out.payload, out.partial, 0),
             Err(err) => protocol::encode_error(Some(envelope.id), &err),
         };
         LineAnswer {
@@ -216,14 +183,14 @@ impl ReferenceEngine {
         )
     }
 
-    fn deadline(&self, requested: Option<u64>) -> Deadline {
-        match requested.unwrap_or(self.config.default_deadline_ticks) {
-            0 => Deadline::unlimited(),
-            ticks => Deadline::ticks(ticks),
+    fn deadline(requested: Option<u64>) -> Deadline {
+        match requested {
+            None | Some(0) => Deadline::unlimited(),
+            Some(ticks) => Deadline::ticks(ticks),
         }
     }
 
-    fn execute(&self, req: &Request) -> Result<RefOutput, SoiError> {
+    fn execute(&self, req: &Request) -> Result<ExecOutput, SoiError> {
         match req {
             Request::TypicalCascade {
                 graph,
@@ -242,7 +209,7 @@ impl ReferenceEngine {
                         ),
                     ));
                 }
-                let deadline = self.deadline(*deadline_ticks);
+                let deadline = Self::deadline(*deadline_ticks);
                 let samples = index.cascades_of(*source);
                 let outcome = soi_jaccard::median::jaccard_median_budgeted(
                     &samples,
@@ -255,7 +222,7 @@ impl ReferenceEngine {
                     encode_nodes(&fit.median),
                     fmt_num(fit.cost),
                 );
-                Ok(RefOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             Request::SpreadEstimate {
                 graph,
@@ -282,9 +249,9 @@ impl ReferenceEngine {
                     let sk = self.fresh_sketches(pg, k);
                     let spread = sk.set_spread(seeds);
                     let payload = format!("\"spread\":{},\"backend\":\"sketch\"", fmt_num(spread));
-                    return Ok(RefOutput::complete(payload));
+                    return Ok(ExecOutput::new(payload, None));
                 }
-                let budget = deadline_ticks.unwrap_or(self.config.default_deadline_ticks);
+                let budget = deadline_ticks.unwrap_or(0);
                 if *degrade && budget > 0 && (budget as usize) < *samples {
                     let reduced = budget as usize;
                     let outcome = soi_sampling::estimate_spread_budgeted(
@@ -298,13 +265,13 @@ impl ReferenceEngine {
                         "\"spread\":{},\"samples_used\":{reduced},\"degraded\":true,\"degraded_mode\":\"reduced-samples\"",
                         fmt_num(*outcome.value_ref()),
                     );
-                    return Ok(RefOutput::complete(payload));
+                    return Ok(ExecOutput::new(payload, None));
                 }
-                let deadline = self.deadline(*deadline_ticks);
+                let deadline = Self::deadline(*deadline_ticks);
                 let outcome =
                     soi_sampling::estimate_spread_budgeted(pg, seeds, *samples, *seed, &deadline);
                 let payload = format!("\"spread\":{}", fmt_num(*outcome.value_ref()));
-                Ok(RefOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             Request::InfmaxTc {
                 graph,
@@ -315,7 +282,7 @@ impl ReferenceEngine {
                 ..
             } => {
                 let pg = self.graph(graph)?;
-                let deadline = self.deadline(*deadline_ticks);
+                let deadline = Self::deadline(*deadline_ticks);
                 if *backend == BackendKind::Sketch {
                     let sketch_k = sketch_k.unwrap_or(self.config.sketch_k);
                     let sk = self.fresh_sketches(pg, sketch_k);
@@ -327,7 +294,7 @@ impl ReferenceEngine {
                         encode_nodes(&run.seeds),
                         coverage.join(","),
                     );
-                    return Ok(RefOutput::from_outcome(&outcome, payload));
+                    return Ok(ExecOutput::new(payload, outcome.progress()));
                 }
                 let index = self.fresh_index(pg);
                 // The engine's blocks of 64, so partial prefixes agree.
@@ -356,7 +323,7 @@ impl ReferenceEngine {
                     encode_nodes(&run.seeds),
                     coverage.join(","),
                 );
-                Ok(RefOutput::from_outcome(&outcome, payload))
+                Ok(ExecOutput::new(payload, outcome.progress()))
             }
             control => Err(SoiError::invalid(format!(
                 "control request {:?} routed to the reference compute path",

@@ -15,7 +15,7 @@
 //! `// xtask-allow: observability`.
 
 use crate::report::{Finding, Pass};
-use crate::source::SourceFile;
+use crate::source::{find_ident, SourceFile};
 use crate::walk::is_library_source;
 use std::path::Path;
 
@@ -54,7 +54,9 @@ pub fn check(path: &Path, file: &SourceFile) -> Vec<Finding> {
             continue;
         }
         for &(needle, msg) in MACROS {
-            if has_macro_call(&line.code, needle) {
+            // At an ident boundary, so `println!` does not match inside
+            // `eprintln!` and `print!` does not match inside `println!`.
+            if find_ident(&line.code, needle, |rest| rest.starts_with('!')).is_some() {
                 findings.push(Finding {
                     pass: Pass::Observability,
                     path: path.to_path_buf(),
@@ -70,26 +72,6 @@ pub fn check(path: &Path, file: &SourceFile) -> Vec<Finding> {
 fn in_exempt_crate(rel: &Path) -> bool {
     rel.components()
         .any(|c| EXEMPT_CRATES.contains(&c.as_os_str().to_string_lossy().as_ref()))
-}
-
-/// Finds `needle!` at an ident boundary, so `println!` does not match
-/// inside `eprintln!` and `print!` does not match inside `println!`.
-fn has_macro_call(code: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(needle) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let end = at + needle.len();
-        if before_ok && code[end..].starts_with('!') {
-            return true;
-        }
-        from = at + 1;
-    }
-    false
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! respawning; anywhere else it must be flagged.
 
 use crate::report::{Finding, Pass};
-use crate::source::SourceFile;
+use crate::source::{find_ident, SourceFile};
 use crate::walk::is_library_source;
 use std::path::Path;
 
@@ -74,7 +74,7 @@ pub fn check(path: &Path, file: &SourceFile) -> Vec<Finding> {
         if line.in_test || line.allows(Pass::PanicPolicy.name()) {
             continue;
         }
-        if find_call(&line.code, "catch_unwind", "(").is_some()
+        if find_ident(&line.code, "catch_unwind", |rest| rest.starts_with('(')).is_some()
             && !CATCH_UNWIND_ALLOWED.iter().any(|p| path == Path::new(p))
         {
             findings.push(Finding {
@@ -87,7 +87,7 @@ pub fn check(path: &Path, file: &SourceFile) -> Vec<Finding> {
             });
         }
         for &(needle, follow, msg) in PATTERNS {
-            if let Some(at) = find_call(&line.code, needle, follow) {
+            if let Some(at) = find_ident(&line.code, needle, |rest| rest.starts_with(follow)) {
                 // `.unwrap()`/`.expect(` must be method calls; the macro
                 // patterns must not be part of a longer path like
                 // `core::panic::Location`.
@@ -105,25 +105,6 @@ pub fn check(path: &Path, file: &SourceFile) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// Finds `needle` at an ident boundary, immediately followed by `follow`.
-fn find_call(code: &str, needle: &str, follow: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(needle) {
-        let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let end = at + needle.len();
-        if before_ok && code[end..].starts_with(follow) {
-            return Some(at);
-        }
-        from = at + 1;
-    }
-    None
 }
 
 fn preceded_by_dot(code: &str, at: usize) -> bool {

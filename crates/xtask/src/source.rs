@@ -247,7 +247,7 @@ pub fn scan(text: &str) -> SourceFile {
 }
 
 fn prev_is_ident(bytes: &[char], i: usize) -> bool {
-    i > 0 && (bytes[i - 1].is_alphanumeric() || bytes[i - 1] == '_')
+    i > 0 && is_ident_char(bytes[i - 1])
 }
 
 /// If `bytes[start..]` is `#*"` (a raw-string opener after `r`), returns
@@ -286,29 +286,31 @@ fn parse_allows(raw: &str) -> Vec<String> {
     allows
 }
 
-/// True when `code[at..]` starts with `needle` at an identifier boundary
-/// on both sides.
-pub fn ident_match(code: &str, needle: &str) -> Option<usize> {
+/// The first `at` where `needle` starts at an identifier boundary and
+/// the text after it, `code[at + needle.len()..]`, passes `after`.
+pub fn find_ident(code: &str, needle: &str, after: impl Fn(&str) -> bool) -> Option<usize> {
     let mut from = 0;
     while let Some(rel) = code[from..].find(needle) {
         let at = from + rel;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let end = at + needle.len();
-        let after_ok = end >= code.len()
-            || !code[end..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
+        let before_ok = !code[..at].chars().next_back().is_some_and(is_ident_char);
+        if before_ok && after(&code[at + needle.len()..]) {
             return Some(at);
         }
         from = at + 1;
     }
     None
+}
+
+/// The first `at` where `needle` stands at an identifier boundary on
+/// both sides.
+pub fn ident_match(code: &str, needle: &str) -> Option<usize> {
+    find_ident(code, needle, |rest| {
+        !rest.chars().next().is_some_and(is_ident_char)
+    })
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
 }
 
 #[cfg(test)]
