@@ -21,13 +21,20 @@
 mod commands;
 
 use commands::RunStatus;
+use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match commands::dispatch(&args, &mut std::io::stdout().lock()) {
+    let result = commands::dispatch(&args, &mut std::io::stdout().lock());
+    // Diagnostics go through `writeln!` with the error dropped, never
+    // `eprintln!`: a closed stderr must not turn the exit code into a
+    // panic's 101.
+    let mut stderr = std::io::stderr().lock();
+    let code = match result {
         Ok(RunStatus::Complete) => 0,
         Ok(RunStatus::Partial { fraction }) => {
-            eprintln!(
+            let _ = writeln!(
+                stderr,
                 "partial: {:.1}% complete (deadline expired or responses lost; \
                  interrupted pipelines re-run with --resume)",
                 fraction * 100.0
@@ -35,12 +42,11 @@ fn main() {
             3
         }
         Err(e) if e.is_usage() => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
+            let _ = writeln!(stderr, "error: {e}\n{}", commands::USAGE);
             2
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(stderr, "error: {e}");
             1
         }
     };

@@ -14,7 +14,6 @@ use soi_graph::{GraphBuilder, NodeId, ProbGraph};
 use soi_util::rng::derive_seed;
 use soi_util::rng::Rng;
 use soi_util::runtime::{Deadline, Outcome};
-use soi_util::LazyGreedy;
 
 /// Result of an RIS run.
 #[derive(Clone, Debug)]
@@ -74,8 +73,8 @@ pub fn sample_rr_sets_budgeted(
     deadline.outcome(sets, done, num_rr as u64)
 }
 
-/// RIS influence maximization: `num_rr` RR sets, then lazy greedy
-/// max-cover. Deterministic in `seed`.
+/// RIS influence maximization: `num_rr` RR sets, then greedy max-cover.
+/// Deterministic in `seed`.
 pub fn infmax_ris(pg: &ProbGraph, k: usize, num_rr: usize, seed: u64) -> RisResult {
     infmax_ris_budgeted(pg, k, num_rr, seed, &Deadline::unlimited()).value()
 }
@@ -106,50 +105,22 @@ pub fn infmax_ris_budgeted(
     })
 }
 
-/// Lazy greedy max-cover over sampled RR sets (the selection phase shared
-/// by the full and budgeted entry points).
+/// Greedy max-cover over sampled RR sets: `InfMax_TC`'s cover
+/// ([`crate::infmax_tc`]) over the inverted index node → ids of the RR
+/// sets containing it. A node's coverage counts the RR sets it hits, so
+/// the spread estimate is that count scaled by `n / |RR sets|`.
 fn greedy_max_cover(n: usize, k: usize, rr: &[Vec<NodeId>]) -> RisResult {
-    let k = k.min(n);
-
-    // Inverted index: node -> RR set ids containing it.
-    let mut containing: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut containing: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     for (i, set) in rr.iter().enumerate() {
         for &v in set {
-            containing[v as usize].push(i as u32);
+            containing[v as usize].push(i as NodeId);
         }
     }
-    let mut covered = vec![false; rr.len()];
-    let mut covered_count = 0usize;
+    let cover = crate::infmax_tc(&containing, k, 0);
     let scale = n as f64 / rr.len() as f64;
-
-    let uncovered = |v: NodeId, covered: &[bool]| {
-        containing[v as usize]
-            .iter()
-            .filter(|&&i| !covered[i as usize])
-            .count() as f64
-    };
-    let mut lazy = LazyGreedy::with_capacity(n);
-    for v in 0..n as NodeId {
-        lazy.push(v, uncovered(v, &covered));
-    }
-    let mut seeds = Vec::with_capacity(k);
-    let mut curve = Vec::with_capacity(k);
-    for _ in 0..k {
-        let Some((node, _)) = lazy.pop_best(|v| Some(uncovered(v, &covered))) else {
-            break;
-        };
-        for &i in &containing[node as usize] {
-            if !covered[i as usize] {
-                covered[i as usize] = true;
-                covered_count += 1;
-            }
-        }
-        seeds.push(node);
-        curve.push(covered_count as f64 * scale);
-    }
     RisResult {
-        seeds,
-        spread_curve: curve,
+        seeds: cover.seeds,
+        spread_curve: cover.coverage_curve.iter().map(|&c| c * scale).collect(),
     }
 }
 
@@ -249,5 +220,37 @@ mod tests {
         s.sort_unstable();
         s.dedup();
         assert_eq!(s.len(), r.seeds.len());
+    }
+
+    /// Seeds and spread-curve bits on one weighted-cascade and two
+    /// uniform fixtures (one with `k` past `n`), pinned to hashes recorded
+    /// at commit d03aa32, when RIS ran its own lazy cover loop.
+    #[test]
+    fn ris_selection_is_pinned() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(43);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 3, true, &mut rng));
+        let dense = ProbGraph::fixed(gen::gnm(200, 800, &mut rng), 0.2).unwrap();
+        let sparse = ProbGraph::fixed(gen::gnm(120, 240, &mut rng), 0.05).unwrap();
+        let runs = [(&wc, 10, 2000), (&dense, 1, 1500), (&sparse, 125, 800)];
+        let got = runs.map(|(pg, k, num_rr)| {
+            let r = infmax_ris(pg, k, num_rr, 47);
+            let mut bytes = Vec::new();
+            for &s in &r.seeds {
+                bytes.extend_from_slice(&s.to_le_bytes());
+            }
+            for &x in &r.spread_curve {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            soi_util::hash::hash_bytes(&bytes)
+        });
+        assert_eq!(
+            got,
+            [
+                0xf9fc_e3e1_0033_c192,
+                0x2843_4a27_5462_4fd9,
+                0x6182_5319_4e08_4931
+            ],
+            "got {got:#x?}"
+        );
     }
 }

@@ -7,6 +7,8 @@
 //! is monotone submodular, so lazy (CELF-style) evaluation is exact and
 //! the greedy is a `(1 − 1/e)` approximation *to the coverage objective*
 //! (the influence-maximization quality claim is empirical, §6.4).
+//! RIS seed selection ([`crate::ris`]) runs this same cover over its
+//! node → RR-set index.
 //!
 //! Also here: the §8 future-work extensions — market segments with
 //! different *values* (weighted max-cover) and nodes with different

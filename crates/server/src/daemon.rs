@@ -18,7 +18,7 @@
 //! then flushes the final metrics report.
 
 use crate::engine::ServerEngine;
-use crate::protocol::{self, Envelope, Request, DEFAULT_MAX_LINE};
+use crate::protocol::{self, Envelope, DEFAULT_MAX_LINE};
 use crate::trace::{PhaseTrace, SlowLog};
 use crate::wire::{self, ConnEnd, Listener, Step, Stop};
 use crate::worker::{self, Job, PoolHandle, WorkerPool};
@@ -67,30 +67,6 @@ impl Default for ServeConfig {
             slow_query_log: None,
             slow_query_log_max_bytes: 0,
         }
-    }
-}
-
-/// Answers a control request: the payload fragment, or a typed error.
-fn control_payload(
-    engine: &ServerEngine,
-    req: &Request,
-    pool: Option<&PoolHandle>,
-) -> Result<String, SoiError> {
-    match req {
-        Request::Health => Ok(format!(
-            "\"ok\":true,\"graphs\":{}",
-            engine.graph_names().len()
-        )),
-        Request::Stats => Ok(stats_payload(engine, pool)),
-        Request::Shutdown => Ok("\"draining\":true".to_string()),
-        Request::Rebalance { .. } => Err(SoiError::protocol(
-            ProtoErrorKind::BadField,
-            "rebalance is a router control; this daemon holds no shard map",
-        )),
-        _ => Err(SoiError::protocol(
-            ProtoErrorKind::BadField,
-            "not a control request",
-        )),
     }
 }
 
@@ -223,7 +199,11 @@ fn answer(
     soi_obs::counter_add!("server.requests_total", 1);
     let result = protocol::dispatch(
         line,
-        |req| control_payload(engine, req, pool),
+        |req| {
+            protocol::daemon_control(req, engine.graph_names().len(), || {
+                stats_payload(engine, pool)
+            })
+        },
         |envelope, started| {
             let mut trace = PhaseTrace::new();
             trace.record(

@@ -8,12 +8,13 @@
 //! graph reuse the ℓ sampled worlds instead of resampling — the whole
 //! point of a long-lived daemon over one-shot CLI runs.
 //!
-//! Deadlines are deterministic tick budgets ([`Deadline`]): a query that
-//! runs out of budget returns a well-formed `partial` response covering
-//! the exact prefix of work completed, never a stalled worker.
+//! Deadlines are deterministic tick budgets
+//! ([`soi_util::runtime::Deadline`], read by [`protocol::deadline`]): a
+//! query that runs out of budget returns a well-formed `partial`
+//! response covering the exact prefix of work completed, never a
+//! stalled worker.
 
-use crate::json::fmt_num;
-use crate::protocol::Request;
+use crate::protocol::{self, Request};
 use crate::trace::PhaseTrace;
 use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
@@ -21,8 +22,8 @@ use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::hash::Mix64Hasher;
-use soi_util::runtime::{Deadline, Progress, Run};
-use soi_util::{ProtoErrorKind, SoiError};
+use soi_util::runtime::{Outcome, Progress, Run};
+use soi_util::SoiError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -71,7 +72,29 @@ impl ExecOutput {
     pub fn new(payload: String, partial: Option<Progress>) -> Self {
         ExecOutput { payload, partial }
     }
+
+    /// A cascade `spread-estimate` answered from its one budgeted
+    /// estimate: partial when a deadline cut it short, unless the request
+    /// set `degrade` — then the same mean over the `done` samples drawn is
+    /// a complete, reduced-sample answer.
+    pub fn spread(outcome: Outcome<f64>, degrade: bool) -> Self {
+        let spread = *outcome.value_ref();
+        match outcome.progress() {
+            Some(p) if degrade => {
+                ExecOutput::new(protocol::degraded_spread_payload(spread, p.done), None)
+            }
+            partial => ExecOutput::new(
+                protocol::spread_payload(spread, BackendKind::Cascade),
+                partial,
+            ),
+        }
+    }
 }
+
+/// Nodes per block of an `infmax-tc` sphere computation: a deadline
+/// stops at a block boundary, so every engine answering the request
+/// must cut the same prefix.
+pub const TC_BLOCK: usize = 64;
 
 /// A built spread oracle: one of the two backends, `Arc`-shared so cache
 /// eviction never invalidates an oracle a worker is still querying, and
@@ -196,12 +219,9 @@ impl ServerEngine {
 
     /// The graph bound to `name` and its load-time fingerprint.
     fn graph(&self, name: &str) -> Result<&(Arc<ProbGraph>, u64), SoiError> {
-        self.graphs.get(name).ok_or_else(|| {
-            SoiError::protocol(
-                ProtoErrorKind::UnknownGraph,
-                format!("graph {name:?} is not loaded"),
-            )
-        })
+        self.graphs
+            .get(name)
+            .ok_or_else(|| protocol::unknown_graph(name))
     }
 
     /// The warm index for `name`, building (and caching) it on a miss.
@@ -279,13 +299,6 @@ impl ServerEngine {
         })
     }
 
-    fn deadline(requested: Option<u64>) -> Deadline {
-        match requested {
-            None | Some(0) => Deadline::unlimited(),
-            Some(ticks) => Deadline::ticks(ticks),
-        }
-    }
-
     /// Executes one compute request, producing the response payload.
     /// Control requests ([`Request::is_control`]) are not handled here.
     pub fn execute(&self, req: &Request) -> Result<ExecOutput, SoiError> {
@@ -315,16 +328,8 @@ impl ServerEngine {
             } => {
                 let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
-                if (*source as usize) >= index.num_nodes() {
-                    return Err(SoiError::protocol(
-                        ProtoErrorKind::BadField,
-                        format!(
-                            "source {source} out of range (graph has {} nodes)",
-                            index.num_nodes()
-                        ),
-                    ));
-                }
-                let deadline = Self::deadline(*deadline_ticks);
+                protocol::check_nodes("source", &[*source], index.num_nodes())?;
+                let deadline = protocol::deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::index_median(
                     index,
@@ -334,11 +339,7 @@ impl ServerEngine {
                     &mut soi_core::NodeScratch::new(index),
                 );
                 let fit = outcome.value_ref();
-                let payload = format!(
-                    "\"sphere\":{},\"cost\":{}",
-                    encode_nodes(&fit.median),
-                    fmt_num(fit.cost)
-                );
+                let payload = protocol::sphere_payload(&fit.median, fit.cost);
                 trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
                 Ok(ExecOutput::new(payload, outcome.progress()))
             }
@@ -353,15 +354,7 @@ impl ServerEngine {
                 sketch_k,
             } => {
                 let (pg, _) = self.graph(graph)?;
-                if let Some(&bad) = seeds.iter().find(|&&s| (s as usize) >= pg.num_nodes()) {
-                    return Err(SoiError::protocol(
-                        ProtoErrorKind::BadField,
-                        format!(
-                            "seed {bad} out of range (graph has {} nodes)",
-                            pg.num_nodes()
-                        ),
-                    ));
-                }
+                protocol::check_nodes("seed", seeds, pg.num_nodes())?;
                 if *backend == BackendKind::Sketch {
                     // The sketch backend answers from the warm sketches:
                     // the cache phase carries the (possible) build, the
@@ -370,7 +363,7 @@ impl ServerEngine {
                     let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
                     let compute_start = std::time::Instant::now();
                     let spread = sk.set_spread(seeds);
-                    let payload = format!("\"spread\":{},\"backend\":\"sketch\"", fmt_num(spread));
+                    let payload = protocol::spread_payload(spread, BackendKind::Sketch);
                     trace.record("compute", 1, crate::trace::elapsed_ns(compute_start));
                     return Ok(ExecOutput::new(payload, None));
                 }
@@ -378,44 +371,23 @@ impl ServerEngine {
                 // the phase is recorded at zero cost so every compute
                 // request shares one timeline schema.
                 trace.record("cache", 0, 0);
-                let budget = deadline_ticks.unwrap_or(0);
-                if *degrade && budget > 0 && (budget as usize) < *samples {
-                    // Degrade instead of going partial: answer with the
-                    // sample count the budget affords, run to completion.
-                    // Same seed + a prefix-sized count keeps the reduced
-                    // answer deterministic.
-                    let reduced = budget as usize;
-                    let compute_start = std::time::Instant::now();
-                    let outcome = soi_sampling::estimate_spread_budgeted(
-                        pg,
-                        seeds,
-                        reduced,
-                        *seed,
-                        &Deadline::unlimited(),
-                    );
-                    soi_obs::counter_add!("server.requests_degraded", 1);
-                    let payload = format!(
-                        "\"spread\":{},\"samples_used\":{reduced},\"degraded\":true,\"degraded_mode\":\"reduced-samples\"",
-                        fmt_num(*outcome.value_ref())
-                    );
-                    trace.record(
-                        "compute",
-                        reduced as u64,
-                        crate::trace::elapsed_ns(compute_start),
-                    );
-                    return Ok(ExecOutput::new(payload, None));
-                }
-                let deadline = Self::deadline(*deadline_ticks);
+                let deadline = protocol::deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
                 let outcome =
                     soi_sampling::estimate_spread_budgeted(pg, seeds, *samples, *seed, &deadline);
-                let payload = format!("\"spread\":{}", fmt_num(*outcome.value_ref()));
-                trace.record(
-                    "compute",
-                    *samples as u64,
-                    crate::trace::elapsed_ns(compute_start),
-                );
-                Ok(ExecOutput::new(payload, outcome.progress()))
+                let progress = outcome.progress();
+                let out = ExecOutput::spread(outcome, *degrade);
+                // A degraded answer is complete but covers only the
+                // samples the budget afforded.
+                let ticks = match progress {
+                    Some(p) if out.partial.is_none() => {
+                        soi_obs::counter_add!("server.requests_degraded", 1);
+                        p.done
+                    }
+                    _ => *samples as u64,
+                };
+                trace.record("compute", ticks, crate::trace::elapsed_ns(compute_start));
+                Ok(out)
             }
             Request::InfmaxTc {
                 graph,
@@ -436,7 +408,7 @@ impl ServerEngine {
                 }
                 let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
                 let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
-                let run = Run::new(Self::deadline(*deadline_ticks), None, 64, false);
+                let run = Run::new(protocol::deadline(*deadline_ticks), None, TC_BLOCK, false);
                 let compute_start = std::time::Instant::now();
                 let outcome = soi_core::all_typical_cascades_resumable(
                     index,
@@ -450,13 +422,8 @@ impl ServerEngine {
                     .map(|tc| tc.median.clone())
                     .collect();
                 let run = soi_influence::infmax_tc(&spheres, *k, 0);
-                let coverage: Vec<String> =
-                    run.coverage_curve.iter().map(|&c| fmt_num(c)).collect();
-                let payload = format!(
-                    "\"seeds\":{},\"coverage\":[{}]",
-                    encode_nodes(&run.seeds),
-                    coverage.join(",")
-                );
+                let payload =
+                    protocol::seeds_payload(&run.seeds, &run.coverage_curve, BackendKind::Cascade);
                 trace.record(
                     "compute",
                     *k as u64,
@@ -484,30 +451,21 @@ impl ServerEngine {
         let oracle = self.oracle(graph, BackendKind::Sketch, sketch_k, trace)?;
         let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
         let (pg, _) = self.graph(graph)?;
-        let deadline = Self::deadline(deadline_ticks);
+        let deadline = protocol::deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
         let outcome = soi_sketch::select_seeds(pg, sk, k, &deadline);
         let run = outcome.value_ref();
-        let coverage: Vec<String> = run.coverage.iter().map(|&c| fmt_num(c)).collect();
-        let payload = format!(
-            "\"seeds\":{},\"coverage\":[{}],\"backend\":\"sketch\"",
-            encode_nodes(&run.seeds),
-            coverage.join(",")
-        );
+        let payload = protocol::seeds_payload(&run.seeds, &run.coverage, BackendKind::Sketch);
         trace.record("compute", k as u64, crate::trace::elapsed_ns(compute_start));
         Ok(ExecOutput::new(payload, outcome.progress()))
     }
-}
-
-fn encode_nodes(nodes: &[u32]) -> String {
-    let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", items.join(","))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use soi_graph::gen;
+    use soi_util::ProtoErrorKind;
 
     fn engine() -> ServerEngine {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(7);
@@ -748,6 +706,21 @@ mod tests {
             .expect("honest");
         let spread_of = |p: &str| p.split(',').next().map(str::to_string);
         assert_eq!(spread_of(&out.payload), spread_of(&honest.payload));
+        // ...and the partial answer at the same budget, relabelled.
+        let partial = engine
+            .execute(&Request::SpreadEstimate {
+                graph: "g".into(),
+                seeds: vec![0, 1],
+                samples: 64,
+                seed: 9,
+                deadline_ticks: Some(8),
+                degrade: false,
+                backend: BackendKind::Cascade,
+                sketch_k: None,
+            })
+            .expect("partial");
+        assert_eq!(partial.partial.map(|p| p.done), Some(8));
+        assert_eq!(spread_of(&out.payload), spread_of(&partial.payload));
         // An affordable budget does not degrade.
         let roomy = engine
             .execute(&Request::SpreadEstimate {
@@ -997,7 +970,7 @@ mod tests {
                 })
                 .expect("exec");
             let run = Run {
-                deadline: ServerEngine::deadline(deadline_ticks),
+                deadline: protocol::deadline(deadline_ticks),
                 checkpoint: None,
                 every: 64,
                 resume: false,
@@ -1015,12 +988,8 @@ mod tests {
                 .map(|tc| tc.median.clone())
                 .collect();
             let cover = soi_influence::infmax_tc(&spheres, 4, 0);
-            let coverage: Vec<String> = cover.coverage_curve.iter().map(|&c| fmt_num(c)).collect();
-            let payload = format!(
-                "\"seeds\":{},\"coverage\":[{}]",
-                encode_nodes(&cover.seeds),
-                coverage.join(",")
-            );
+            let payload =
+                protocol::seeds_payload(&cover.seeds, &cover.coverage_curve, BackendKind::Cascade);
             assert_eq!(got, ExecOutput::new(payload, outcome.progress()));
             assert_eq!(got.partial.is_some(), deadline_ticks.is_some());
         }

@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value. Numbers are stored as `f64` — protocol fields
-/// are ids, node ids, and counts, all exactly representable.
+/// are ids, node ids, and counts, read back only below 2^53
+/// ([`Value::as_u64`]), where every integer is exactly representable.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`
@@ -36,12 +37,13 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value as a non-negative integer, if it is one exactly.
+    /// The value as a non-negative integer below 2^53, if it is one
+    /// exactly. Integers below 2^53 parse to exactly themselves; 2^53 is
+    /// also what 2^53 + 1 rounds to, so it is refused with everything
+    /// above it rather than answered as a different number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -347,6 +349,11 @@ mod tests {
         assert_eq!(parse("-1.5").expect("float"), Value::Num(-1.5));
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::Num(1.5).as_u64(), None);
+        assert_eq!(
+            Value::Num(2f64.powi(53) - 1.0).as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(Value::Num(2f64.powi(53)).as_u64(), None);
         assert_eq!(fmt_num(3.0), "3");
         assert_eq!(fmt_num(0.25), "0.25");
         assert_eq!(fmt_num(f64::NAN), "null");

@@ -14,7 +14,7 @@
 use crate::json::{self, Value};
 use soi_graph::NodeId;
 use soi_influence::BackendKind;
-use soi_util::runtime::Progress;
+use soi_util::runtime::{Deadline, Progress};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::time::Instant;
 
@@ -476,6 +476,108 @@ pub fn encode_answer(id: u64, payload: &str, partial: Option<Progress>, wall_ns:
         None => encode_ok(id, payload, wall_ns),
         Some(p) => encode_partial(id, payload, p.done, p.total, wall_ns),
     }
+}
+
+/// The tick budget a request's `deadline_ticks` asks for: absent or 0
+/// is unlimited.
+pub fn deadline(requested: Option<u64>) -> Deadline {
+    match requested {
+        None | Some(0) => Deadline::unlimited(),
+        Some(ticks) => Deadline::ticks(ticks),
+    }
+}
+
+/// The typed error for a request naming a graph that is not loaded.
+pub fn unknown_graph(name: &str) -> SoiError {
+    proto(
+        ProtoErrorKind::UnknownGraph,
+        format!("graph {name:?} is not loaded"),
+    )
+}
+
+/// Checks the nodes a request names in `field` (`source`, `seed`)
+/// against a graph of `num_nodes` nodes: the first one out of range is a
+/// typed `bad-field`.
+pub fn check_nodes(field: &str, nodes: &[NodeId], num_nodes: usize) -> Result<(), SoiError> {
+    match nodes.iter().find(|&&v| v as usize >= num_nodes) {
+        None => Ok(()),
+        Some(bad) => Err(proto(
+            ProtoErrorKind::BadField,
+            format!("{field} {bad} out of range (graph has {num_nodes} nodes)"),
+        )),
+    }
+}
+
+/// A daemon's answer to a control request: `health` counts the `graphs`
+/// loaded, `stats` is `stats()`, `shutdown` acknowledges the drain, and
+/// `rebalance` is refused — only the router holds a shard map.
+pub fn daemon_control(
+    req: &Request,
+    graphs: usize,
+    stats: impl FnOnce() -> String,
+) -> Result<String, SoiError> {
+    match req {
+        Request::Health => Ok(format!("\"ok\":true,\"graphs\":{graphs}")),
+        Request::Stats => Ok(stats()),
+        Request::Shutdown => Ok("\"draining\":true".to_string()),
+        Request::Rebalance { .. } => Err(proto(
+            ProtoErrorKind::BadField,
+            "rebalance is a router control; this daemon holds no shard map",
+        )),
+        _ => Err(proto(ProtoErrorKind::BadField, "not a control request")),
+    }
+}
+
+/// `typical-cascade`'s payload: the sphere and its Jaccard cost.
+pub fn sphere_payload(sphere: &[NodeId], cost: f64) -> String {
+    format!(
+        "\"sphere\":{},\"cost\":{}",
+        encode_nodes(sphere),
+        json::fmt_num(cost)
+    )
+}
+
+/// `spread-estimate`'s payload; a sketch answer names its backend.
+pub fn spread_payload(spread: f64, backend: BackendKind) -> String {
+    format!(
+        "\"spread\":{}{}",
+        json::fmt_num(spread),
+        backend_suffix(backend)
+    )
+}
+
+/// A degraded cascade `spread-estimate`'s payload: the mean over the
+/// `samples_used` samples the deadline afforded, labelled as reduced.
+pub fn degraded_spread_payload(spread: f64, samples_used: u64) -> String {
+    format!(
+        "\"spread\":{},\"samples_used\":{samples_used},\"degraded\":true,\"degraded_mode\":\"reduced-samples\"",
+        json::fmt_num(spread)
+    )
+}
+
+/// `infmax-tc`'s payload: the seeds in selection order and the coverage
+/// after each; a sketch answer names its backend.
+pub fn seeds_payload(seeds: &[NodeId], coverage: &[f64], backend: BackendKind) -> String {
+    let coverage: Vec<String> = coverage.iter().map(|&c| json::fmt_num(c)).collect();
+    format!(
+        "\"seeds\":{},\"coverage\":[{}]{}",
+        encode_nodes(seeds),
+        coverage.join(","),
+        backend_suffix(backend)
+    )
+}
+
+/// The payload field naming a non-default backend.
+fn backend_suffix(backend: BackendKind) -> &'static str {
+    match backend {
+        BackendKind::Cascade => "",
+        BackendKind::Sketch => ",\"backend\":\"sketch\"",
+    }
+}
+
+fn encode_nodes(nodes: &[NodeId]) -> String {
+    let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Encodes an error response. `id` is `None` when the request never

@@ -70,6 +70,19 @@ fn hostile_lines_get_typed_errors_and_the_loop_survives() {
             "bad-field",
             "dedline_ticks",
         ),
+        // 2^53 + 1 parses to the f64 2^53: refused, never rounded. A bad
+        // id answers with a null one rather than someone else's.
+        (
+            b"{\"v\":1,\"id\":9007199254740993,\"type\":\"health\"}\n".to_vec(),
+            "bad-field",
+            "\"id\":null",
+        ),
+        (
+            b"{\"v\":1,\"id\":8,\"type\":\"spread-estimate\",\"graph\":\"g\",\"seeds\":[0],\"samples\":1,\"seed\":9007199254740993}\n"
+                .to_vec(),
+            "bad-field",
+            "\"seed\\\" must be a non-negative integer",
+        ),
     ];
     for (bytes, kind, fragment) in cases {
         let mut input = bytes.clone();

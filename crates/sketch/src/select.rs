@@ -1,7 +1,7 @@
 //! SKIM-style greedy seed selection over combined reachability sketches.
 //!
-//! The lazy-greedy loop of `soi-influence` (CELF / RIS max-cover) applied
-//! to sketch-estimated **residual** spreads:
+//! The lazy-greedy loop of `soi-influence` (CELF / `InfMax_TC`
+//! max-cover) applied to sketch-estimated **residual** spreads:
 //!
 //! * a candidate's priority is its estimated marginal spread given the
 //!   pairs already covered — for a saturated sketch the conditional

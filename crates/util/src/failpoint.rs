@@ -29,6 +29,7 @@
 //! [`install`]/[`clear`]; subprocess tests set the environment variable.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Mutex;
 
 /// Environment variable holding the failpoint spec.
@@ -36,8 +37,9 @@ pub const ENV_VAR: &str = "SOI_FAILPOINTS";
 
 /// The canonical list of failpoint sites planted in the workspace, for
 /// the fault-injection test matrix (each site is fired once by CI).
-/// Keep in sync with the `failpoint!` call sites; the crash-resume
-/// integration tests iterate this list.
+/// A unit test holds it to docs/ROBUSTNESS.md's catalog, which the xtask
+/// `failpoint_catalog` pass holds to the `failpoint!` call sites; the
+/// crash-resume integration tests iterate this list.
 pub const SITES: &[&str] = &[
     "graph.io.read",
     "ckpt.write.tmp",
@@ -204,8 +206,9 @@ pub fn trigger(site: &str) -> Option<Fault> {
                     // Arming mistakes must be loud: a silently ignored
                     // spec would "pass" every fault-injection test.
                     // soi-util sits below soi-obs, so stderr is the only
-                    // channel available here. xtask-allow: observability
-                    eprintln!("warning: ignoring {ENV_VAR}: {e}");
+                    // channel available here; an unwritable one must not
+                    // break the run.
+                    let _ = writeln!(std::io::stderr().lock(), "warning: ignoring {ENV_VAR}: {e}");
                     None
                 }
             })
@@ -278,6 +281,22 @@ mod tests {
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         test_guard()
+    }
+
+    /// [`SITES`] is the catalog in docs/ROBUSTNESS.md, in its order: the
+    /// xtask `failpoint_catalog` pass holds that table to the planted
+    /// call sites, so a site planted later cannot drop out of the
+    /// crash matrix that iterates this list.
+    #[test]
+    fn sites_are_the_documented_catalog() {
+        let doc = include_str!("../../../docs/ROBUSTNESS.md");
+        let catalog: Vec<&str> = doc
+            .lines()
+            .skip_while(|l| !l.contains("failpoint-catalog:begin"))
+            .take_while(|l| !l.contains("failpoint-catalog:end"))
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        assert_eq!(catalog, SITES);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! *output* does not depend on any of that.
 
 use crate::rng::mix64;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -131,8 +132,12 @@ fn init_from_env() {
             // Arming mistakes must be loud: a silently ignored seed
             // would "pass" every schedule-stress run unperturbed.
             // soi-util sits below soi-obs, so stderr is the only
-            // channel available here. xtask-allow: observability
-            eprintln!("warning: ignoring {ENV_VAR}={raw:?}: {e}");
+            // channel available here; an unwritable one must not
+            // break the run.
+            let _ = writeln!(
+                std::io::stderr().lock(),
+                "warning: ignoring {ENV_VAR}={raw:?}: {e}"
+            );
         }
     }
 }

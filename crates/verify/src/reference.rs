@@ -12,6 +12,14 @@
 //! against: after masking ([`crate::fuzz`]) the two must agree byte for
 //! byte.
 //!
+//! What it recomputes is what makes it an oracle: a fresh, serial index
+//! or sketch set per request, and its own `cascades_of` +
+//! `jaccard_median_budgeted` path for a typical cascade. How an answer is
+//! stated it takes from the daemon's [`soi_server::protocol`]: payload
+//! shapes, node range checks, the deadline rule, control answers and the
+//! answer envelope — plus the engine's `infmax-tc` block size, so both
+//! cut a budgeted run at the same prefix.
+//!
 //! Line handling mirrors the daemon exactly: an over-long line answers
 //! a typed `oversized-line` error, bytes that are not UTF-8 answer a
 //! typed `malformed-json` error, blank lines are skipped, and a parsed
@@ -22,11 +30,11 @@ use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
-use soi_server::json::fmt_num;
+use soi_server::engine::TC_BLOCK;
 use soi_server::protocol::{self, Request};
 use soi_server::{EngineConfig, ExecOutput};
 use soi_sketch::{ReachSketches, SketchConfig};
-use soi_util::runtime::{Deadline, Run};
+use soi_util::runtime::Run;
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 
@@ -122,36 +130,22 @@ impl ReferenceEngine {
         }
     }
 
-    /// Control verbs, mirroring the daemon's `control_response`. The
-    /// `stats` payload is a placeholder — live counters are inherently
+    /// Control verbs, answered as a daemon answers them. The `stats`
+    /// payload is a placeholder — live counters are inherently
     /// process-local, so the differential driver compares stats
     /// responses on their envelope only.
     fn control_response(&self, id: u64, req: &Request) -> String {
-        match req {
-            Request::Health => protocol::encode_ok(
-                id,
-                &format!("\"ok\":true,\"graphs\":{}", self.graphs.len()),
-                0,
-            ),
-            Request::Stats => protocol::encode_ok(id, "\"stats\":\"reference\"", 0),
-            Request::Shutdown => protocol::encode_ok(id, "\"draining\":true", 0),
-            _ => protocol::encode_error(
-                Some(id),
-                &SoiError::protocol(
-                    ProtoErrorKind::BadField,
-                    "rebalance is a router control; this daemon holds no shard map",
-                ),
-            ),
+        let stats = || "\"stats\":\"reference\"".to_string();
+        match protocol::daemon_control(req, self.graphs.len(), stats) {
+            Ok(payload) => protocol::encode_ok(id, &payload, 0),
+            Err(err) => protocol::encode_error(Some(id), &err),
         }
     }
 
     fn graph(&self, name: &str) -> Result<&ProbGraph, SoiError> {
-        self.graphs.get(name).ok_or_else(|| {
-            SoiError::protocol(
-                ProtoErrorKind::UnknownGraph,
-                format!("graph {name:?} is not loaded"),
-            )
-        })
+        self.graphs
+            .get(name)
+            .ok_or_else(|| protocol::unknown_graph(name))
     }
 
     /// A fresh cascade index — built serially on every call, never
@@ -183,13 +177,6 @@ impl ReferenceEngine {
         )
     }
 
-    fn deadline(requested: Option<u64>) -> Deadline {
-        match requested {
-            None | Some(0) => Deadline::unlimited(),
-            Some(ticks) => Deadline::ticks(ticks),
-        }
-    }
-
     fn execute(&self, req: &Request) -> Result<ExecOutput, SoiError> {
         match req {
             Request::TypicalCascade {
@@ -200,16 +187,8 @@ impl ReferenceEngine {
             } => {
                 let pg = self.graph(graph)?;
                 let index = self.fresh_index(pg);
-                if (*source as usize) >= index.num_nodes() {
-                    return Err(SoiError::protocol(
-                        ProtoErrorKind::BadField,
-                        format!(
-                            "source {source} out of range (graph has {} nodes)",
-                            index.num_nodes()
-                        ),
-                    ));
-                }
-                let deadline = Self::deadline(*deadline_ticks);
+                protocol::check_nodes("source", &[*source], index.num_nodes())?;
+                let deadline = protocol::deadline(*deadline_ticks);
                 let samples = index.cascades_of(*source);
                 let outcome = soi_jaccard::median::jaccard_median_budgeted(
                     &samples,
@@ -217,11 +196,7 @@ impl ReferenceEngine {
                     &deadline,
                 );
                 let fit = outcome.value_ref();
-                let payload = format!(
-                    "\"sphere\":{},\"cost\":{}",
-                    encode_nodes(&fit.median),
-                    fmt_num(fit.cost),
-                );
+                let payload = protocol::sphere_payload(&fit.median, fit.cost);
                 Ok(ExecOutput::new(payload, outcome.progress()))
             }
             Request::SpreadEstimate {
@@ -235,43 +210,18 @@ impl ReferenceEngine {
                 sketch_k,
             } => {
                 let pg = self.graph(graph)?;
-                if let Some(&bad) = seeds.iter().find(|&&s| (s as usize) >= pg.num_nodes()) {
-                    return Err(SoiError::protocol(
-                        ProtoErrorKind::BadField,
-                        format!(
-                            "seed {bad} out of range (graph has {} nodes)",
-                            pg.num_nodes()
-                        ),
-                    ));
-                }
+                protocol::check_nodes("seed", seeds, pg.num_nodes())?;
                 if *backend == BackendKind::Sketch {
                     let k = sketch_k.unwrap_or(self.config.sketch_k);
                     let sk = self.fresh_sketches(pg, k);
                     let spread = sk.set_spread(seeds);
-                    let payload = format!("\"spread\":{},\"backend\":\"sketch\"", fmt_num(spread));
+                    let payload = protocol::spread_payload(spread, BackendKind::Sketch);
                     return Ok(ExecOutput::new(payload, None));
                 }
-                let budget = deadline_ticks.unwrap_or(0);
-                if *degrade && budget > 0 && (budget as usize) < *samples {
-                    let reduced = budget as usize;
-                    let outcome = soi_sampling::estimate_spread_budgeted(
-                        pg,
-                        seeds,
-                        reduced,
-                        *seed,
-                        &Deadline::unlimited(),
-                    );
-                    let payload = format!(
-                        "\"spread\":{},\"samples_used\":{reduced},\"degraded\":true,\"degraded_mode\":\"reduced-samples\"",
-                        fmt_num(*outcome.value_ref()),
-                    );
-                    return Ok(ExecOutput::new(payload, None));
-                }
-                let deadline = Self::deadline(*deadline_ticks);
+                let deadline = protocol::deadline(*deadline_ticks);
                 let outcome =
                     soi_sampling::estimate_spread_budgeted(pg, seeds, *samples, *seed, &deadline);
-                let payload = format!("\"spread\":{}", fmt_num(*outcome.value_ref()));
-                Ok(ExecOutput::new(payload, outcome.progress()))
+                Ok(ExecOutput::spread(outcome, *degrade))
             }
             Request::InfmaxTc {
                 graph,
@@ -282,28 +232,18 @@ impl ReferenceEngine {
                 ..
             } => {
                 let pg = self.graph(graph)?;
-                let deadline = Self::deadline(*deadline_ticks);
+                let deadline = protocol::deadline(*deadline_ticks);
                 if *backend == BackendKind::Sketch {
                     let sketch_k = sketch_k.unwrap_or(self.config.sketch_k);
                     let sk = self.fresh_sketches(pg, sketch_k);
                     let outcome = soi_sketch::select_seeds(pg, &sk, *k, &deadline);
                     let run = outcome.value_ref();
-                    let coverage: Vec<String> = run.coverage.iter().map(|&c| fmt_num(c)).collect();
-                    let payload = format!(
-                        "\"seeds\":{},\"coverage\":[{}],\"backend\":\"sketch\"",
-                        encode_nodes(&run.seeds),
-                        coverage.join(","),
-                    );
+                    let payload =
+                        protocol::seeds_payload(&run.seeds, &run.coverage, BackendKind::Sketch);
                     return Ok(ExecOutput::new(payload, outcome.progress()));
                 }
                 let index = self.fresh_index(pg);
-                // The engine's blocks of 64, so partial prefixes agree.
-                let run = Run {
-                    deadline,
-                    checkpoint: None,
-                    every: 64,
-                    resume: false,
-                };
+                let run = Run::new(deadline, None, TC_BLOCK, false);
                 let outcome = soi_core::all_typical_cascades_resumable(
                     &index,
                     &MedianConfig::default(),
@@ -316,13 +256,8 @@ impl ReferenceEngine {
                     .map(|tc| tc.median.clone())
                     .collect();
                 let run = soi_influence::infmax_tc(&spheres, *k, 0);
-                let coverage: Vec<String> =
-                    run.coverage_curve.iter().map(|&c| fmt_num(c)).collect();
-                let payload = format!(
-                    "\"seeds\":{},\"coverage\":[{}]",
-                    encode_nodes(&run.seeds),
-                    coverage.join(","),
-                );
+                let payload =
+                    protocol::seeds_payload(&run.seeds, &run.coverage_curve, BackendKind::Cascade);
                 Ok(ExecOutput::new(payload, outcome.progress()))
             }
             control => Err(SoiError::invalid(format!(
@@ -331,11 +266,6 @@ impl ReferenceEngine {
             ))),
         }
     }
-}
-
-fn encode_nodes(nodes: &[u32]) -> String {
-    let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", items.join(","))
 }
 
 #[cfg(test)]
