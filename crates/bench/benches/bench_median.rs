@@ -74,7 +74,6 @@ fn bench_sweep_vs_polish() {
     let b = Bencher::group("median_ablation");
     let sweep_only = MedianConfig {
         local_search_rounds: 0,
-        ..MedianConfig::default()
     };
     b.bench("sweep_only", || {
         jaccard_median_with(black_box(&samples), &sweep_only)

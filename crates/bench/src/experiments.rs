@@ -307,12 +307,8 @@ pub fn spread_curves(s: &SphereStats, k: usize) -> SpreadCurves {
     let mc_run = soi_influence::infmax_std_mc(
         &s.dataset.graph,
         k,
-        &soi_influence::McGreedyConfig {
-            samples: s.index.num_worlds(),
-            seed: s.index.config().seed ^ 0x3c3c,
-            threads: 0,
-            max_reevals_per_round: 30,
-        },
+        s.index.num_worlds(),
+        s.index.config().seed ^ 0x3c3c,
     );
     let cascades: Vec<Vec<NodeId>> = s.spheres.iter().map(|x| x.median.clone()).collect();
     let tc_run = infmax_tc(&cascades, k, 0);
@@ -439,7 +435,6 @@ pub fn figure8<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
             median_samples: args.samples,
             cost_samples: args.samples.max(1000), // the paper uses 1000
             seed: args.seed ^ 0x8f8,
-            ..TypicalCascadeConfig::default()
         };
         let checkpoints: Vec<usize> = [1, 2, 5, 10, 20, 50, 100, 150, 200]
             .into_iter()

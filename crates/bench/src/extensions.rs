@@ -20,7 +20,7 @@ use soi_influence::{
 };
 use soi_jaccard::median::MedianConfig;
 use soi_problog::generate::LogGenConfig;
-use soi_problog::{eval, generate_log, learn_goyal, learn_goyal_jaccard, learn_saito, SaitoConfig};
+use soi_problog::{eval, generate_log, learn_goyal, learn_goyal_jaccard, learn_saito};
 use soi_util::tsv::TsvWriter;
 use std::io::Write;
 
@@ -66,10 +66,7 @@ pub fn table_learners<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
             },
         );
         let learners: [(&str, Vec<f64>); 3] = [
-            (
-                "saito-em",
-                learn_saito(truth_pg.graph(), &log, &SaitoConfig::default()),
-            ),
+            ("saito-em", learn_saito(truth_pg.graph(), &log)),
             (
                 "goyal-bernoulli",
                 learn_goyal(truth_pg.graph(), &log, Some(1)),
@@ -191,7 +188,7 @@ pub fn figure_baselines<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
                 infmax_ris(pg, k, 20 * pg.num_nodes(), args.seed ^ 0x3f).seeds,
             ),
             ("degree", high_degree_seeds(pg.graph(), k)),
-            ("degree_discount", degree_discount_seeds(pg.graph(), k, 0.1)),
+            ("degree_discount", degree_discount_seeds(pg.graph(), k)),
             ("pagerank", pagerank_seeds(pg.graph(), k)),
             ("random", random_seeds(pg.graph(), k, &mut rng)),
         ];

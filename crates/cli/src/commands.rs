@@ -11,11 +11,11 @@ use soi_graph::{gen, io as gio, stats, DiGraph, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{
     degree_discount_seeds, high_degree_seeds, infmax_celf_resumable, infmax_ris_budgeted,
-    infmax_std_mc, infmax_tc, pagerank_seeds, random_seeds, BackendKind, McGreedyConfig,
+    infmax_std_mc, infmax_tc, pagerank_seeds, random_seeds, BackendKind,
 };
 use soi_jaccard::median::MedianConfig;
 use soi_problog::{
-    learn_goyal, learn_goyal_jaccard, learn_saito, to_prob_graph, Action, ActionLog, SaitoConfig,
+    learn_goyal, learn_goyal_jaccard, learn_saito, to_prob_graph, Action, ActionLog,
 };
 use soi_sketch::{select_seeds, ReachSketches, SketchConfig};
 use soi_util::rng::Xoshiro256pp;
@@ -393,6 +393,12 @@ fn load_prob_graph(path: &str) -> Result<ProbGraph, SoiError> {
         .map_err(|e| SoiError::from(e).with_context(path))?
     {
         gio::ParsedGraph::Probabilistic(pg) => Ok(pg),
+        // The text format cannot tell a graph with no arcs from a plain
+        // one (`soi generate --edges 0` writes only the header): with no
+        // arc to need a probability, it is the probabilistic graph.
+        gio::ParsedGraph::Plain(g) if g.num_edges() == 0 => {
+            ProbGraph::new(g, Vec::new()).map_err(SoiError::from)
+        }
         gio::ParsedGraph::Plain(_) => Err(SoiError::invalid(format!(
             "{path}: plain edge list — probabilities required (use a 3-column file)"
         ))),
@@ -560,7 +566,6 @@ fn cmd_sphere<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiEr
             median_samples: samples,
             cost_samples: samples,
             seed,
-            ..TypicalCascadeConfig::default()
         },
     );
     writeln!(out, "sphere_size\t{}", tc.size()).ok();
@@ -700,18 +705,7 @@ fn cmd_infmax<W: Write>(
             status = finish_run(&run, &outcome);
             outcome.value().seeds
         }
-        "mc" => {
-            infmax_std_mc(
-                &pg,
-                k,
-                &McGreedyConfig {
-                    samples,
-                    seed,
-                    ..McGreedyConfig::default()
-                },
-            )
-            .seeds
-        }
+        "mc" => infmax_std_mc(&pg, k, samples, seed).seeds,
         "ris" => {
             let budget = rt.deadline();
             let outcome =
@@ -720,7 +714,7 @@ fn cmd_infmax<W: Write>(
             outcome.value().seeds
         }
         "degree" => high_degree_seeds(pg.graph(), k),
-        "degree-discount" => degree_discount_seeds(pg.graph(), k, 0.1),
+        "degree-discount" => degree_discount_seeds(pg.graph(), k),
         "pagerank" => pagerank_seeds(pg.graph(), k),
         "random" => {
             let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -870,7 +864,7 @@ fn cmd_learn<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, SoiErr
     let opts = Opts::parse(args, "method lag min-prob out", "")?;
     let method: String = opts.get("method")?.unwrap_or_else(|| "saito".to_string());
     let learn: fn(&DiGraph, &ActionLog, Option<u32>) -> Vec<f64> = match method.as_str() {
-        "saito" => |graph, log, _| learn_saito(graph, log, &SaitoConfig::default()),
+        "saito" => |graph, log, _| learn_saito(graph, log),
         "goyal" => learn_goyal,
         "goyal-jaccard" => learn_goyal_jaccard,
         other => return Err(SoiError::usage(format!("unknown method {other:?}"))),
@@ -954,6 +948,12 @@ fn cmd_serve<W: Write>(
         .iter()
         .map(|s| parse_graph_spec(s))
         .collect::<Result<_, _>>()?;
+    // A repeated NAME would silently replace the first graph.
+    for (i, (name, _)) in specs.iter().enumerate() {
+        if specs[..i].iter().any(|(seen, _)| seen == name) {
+            return Err(SoiError::usage(format!("graph name {name:?} given twice")));
+        }
+    }
     let mut engine = soi_server::ServerEngine::new(engine_config);
     for (name, path) in &specs {
         engine.add_graph(name, load_prob_graph(path)?);
@@ -1176,6 +1176,25 @@ mod tests {
             let seeds_line = out.lines().next().unwrap();
             assert_eq!(seeds_line.split('\t').nth(1).unwrap().split(',').count(), 3);
         }
+    }
+
+    /// `generate --edges 0` writes only the `# nodes:` header, which reads
+    /// back as a plain graph; with no arcs it is the probabilistic graph
+    /// every probabilistic command takes.
+    #[test]
+    fn arcless_generated_graph_is_accepted() {
+        let path = tmp("g_arcless.tsv");
+        let spheres = tmp("g_arcless_spheres.tsv");
+        run(&[
+            "generate", "--model", "gnm", "--nodes", "10", "--edges", "0", "--out", &path,
+        ])
+        .unwrap();
+        let out = run(&["infmax", &path, "--k", "2"]).unwrap();
+        assert!(out.contains("expected_spread"), "{out}");
+        run(&["spheres", &path, "--samples", "8", "--out", &spheres]).unwrap();
+        // A header, then each node its own sphere.
+        let rows = std::fs::read_to_string(&spheres).unwrap().lines().count();
+        assert_eq!(rows, 11);
     }
 
     #[test]
@@ -1421,6 +1440,11 @@ mod tests {
         ])
         .unwrap();
         assert!(run(&["sphere", &gpath, "--source", "99"]).is_err());
+        // A node count past the u32 id space is a data error, not an abort.
+        let huge = tmp("g_huge.tsv");
+        std::fs::write(&huge, "# nodes: 4294967296\n").unwrap();
+        let err = run(&["stats", &huge]).unwrap_err();
+        assert!(!err.is_usage(), "{err}");
         // Node ids the graph lacks are data errors (exit 1), never panics.
         for args in [
             &["reliability", &gpath, "--source", "99"] as &[&str],
@@ -1467,6 +1491,11 @@ mod tests {
             let err = run(&args).unwrap_err();
             assert!(err.is_usage(), "{line} -> {err}");
         }
+        // A graph name given twice is refused by name, before either file
+        // is read.
+        let twice = "serve g=/nonexistent/a.tsv g=/nonexistent/b.tsv --stdio";
+        let err = run(&twice.split(' ').collect::<Vec<_>>()).unwrap_err();
+        assert!(err.is_usage() && err.to_string().contains("\"g\""), "{err}");
         // A flag the command does not read is refused by name, never
         // dropped in favour of the default it was meant to override.
         for (line, flag) in [

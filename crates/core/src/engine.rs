@@ -26,8 +26,6 @@ pub struct TypicalCascadeConfig {
     /// cost (stability). 0 skips the estimate (cost is reported from the
     /// training pool instead).
     pub cost_samples: usize,
-    /// Jaccard-median tuning.
-    pub median: MedianConfig,
     /// Master seed.
     pub seed: u64,
 }
@@ -37,7 +35,6 @@ impl Default for TypicalCascadeConfig {
         TypicalCascadeConfig {
             median_samples: 256,
             cost_samples: 256,
-            median: MedianConfig::default(),
             seed: 0,
         }
     }
@@ -58,7 +55,6 @@ impl TypicalCascadeConfig {
         TypicalCascadeConfig {
             median_samples: samples,
             cost_samples: samples,
-            median: MedianConfig::default(),
             seed,
         }
     }
@@ -115,7 +111,7 @@ pub fn typical_cascade_of_set(
     };
     let fit = {
         let _s = soi_obs::span("engine.median_fit");
-        jaccard_median_with(&samples, &config.median)
+        jaccard_median_with(&samples, &MedianConfig::default())
     };
     let expected_cost = if config.cost_samples == 0 {
         fit.cost
@@ -243,7 +239,9 @@ fn engine_config_fingerprint(median: &MedianConfig) -> u64 {
     let mut h = soi_util::hash::Mix64Hasher::new();
     h.update_u64(KIND_TYPICAL_CASCADES as u64);
     h.update_u64(median.local_search_rounds as u64);
-    h.update_u64(median.min_frequency.to_bits());
+    // The word that once held the median fit's frequency cutoff, which was
+    // always 0.0: hashing it keeps older checkpoints valid.
+    h.update_u64(0f64.to_bits());
     h.finish()
 }
 
@@ -651,7 +649,6 @@ mod tests {
         // Different median config: config fingerprint differs.
         let other = MedianConfig {
             local_search_rounds: 5,
-            ..MedianConfig::default()
         };
         let err = all_typical_cascades_resumable(&index, &other, 1, &opts(true)).unwrap_err();
         assert!(
@@ -749,7 +746,6 @@ mod tests {
             median_samples: 64,
             cost_samples: 32,
             seed: 41,
-            ..TypicalCascadeConfig::default()
         };
         let sets: [&[NodeId]; 3] = [&[0, 1], &[5, 50, 150], &[7, 7, 199]];
         let got = [&supercritical, &wc].map(|pg| {
@@ -769,6 +765,15 @@ mod tests {
             [0x9f4f_3420_328d_0bf6, 0xa359_87bd_b624_5a1a],
             "got {got:#x?}"
         );
+    }
+
+    /// The checkpoint config fingerprint of the default median fit, pinned
+    /// to the value recorded at commit c611df0: a checkpoint written before
+    /// the median fit's settings became constants must still resume.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let fp = engine_config_fingerprint(&MedianConfig::default());
+        assert_eq!(fp, 0x1aad_ca0b_ab6c_7a7a, "got {fp:#x}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use soi_graph::{gen, DiGraph, ProbGraph};
 use soi_problog::generate::LogGenConfig;
-use soi_problog::{generate_log, learn_goyal, learn_saito, to_prob_graph, SaitoConfig};
+use soi_problog::{generate_log, learn_goyal, learn_saito, to_prob_graph};
 use soi_util::rng::derive_seed;
 use soi_util::rng::Xoshiro256pp;
 
@@ -220,7 +220,7 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
                 },
             );
             let learned = if matches!(source, ProbSource::Saito) {
-                learn_saito(truth.graph(), &log, &SaitoConfig::default())
+                learn_saito(truth.graph(), &log)
             } else {
                 learn_goyal(truth.graph(), &log, Some(1))
             };

@@ -44,9 +44,9 @@ pub enum ParsedGraph {
 /// Reads an edge list produced by [`write_graph`] / [`write_prob_graph`]
 /// (or hand-written in the same format). Malformed input — truncated
 /// lines, duplicate `# nodes:` headers, non-finite or out-of-range
-/// probabilities, node ids beyond a declared count — yields a
-/// line-numbered [`GraphError::Parse`]; this function never panics on
-/// untrusted input.
+/// probabilities, node ids beyond a declared count, a node count or id
+/// outside the `u32` id space — yields a line-numbered
+/// [`GraphError::Parse`]; this function never panics on untrusted input.
 pub fn read_graph<R: BufRead>(input: R) -> Result<ParsedGraph, GraphError> {
     soi_util::failpoint!("graph.io.read");
     let mut declared_nodes: Option<usize> = None;
@@ -73,6 +73,13 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<ParsedGraph, GraphError> {
                     line: lineno,
                     message: format!("bad node count: {e}"),
                 })?;
+                // Ids are u32, so at most 2^32 - 1 nodes have one.
+                if n > u32::MAX as usize {
+                    return Err(GraphError::Parse {
+                        line: lineno,
+                        message: format!("node count {n} exceeds {}", u32::MAX),
+                    });
+                }
                 if any && max_node as usize >= n {
                     return Err(GraphError::Parse {
                         line: lineno,
@@ -97,6 +104,13 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<ParsedGraph, GraphError> {
                 line: lineno,
                 message: format!("bad node id {s:?}: {e}"),
             })?;
+            // Id u32::MAX would need 2^32 nodes, one past the id space.
+            if id == u32::MAX {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    message: format!("node id {id} exceeds {}", u32::MAX - 1),
+                });
+            }
             if let Some(n) = declared_nodes {
                 if id as usize >= n {
                     return Err(GraphError::Parse {
@@ -279,6 +293,25 @@ mod tests {
                 assert!(message.contains("contradicts"), "{message}")
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Ids are u32: a node count or id that leaves that space is refused
+    /// before anything is allocated for it.
+    #[test]
+    fn counts_and_ids_outside_the_u32_space_are_rejected() {
+        for (bad, line) in [
+            ("# nodes: 4294967296\n", 1),
+            ("# nodes: 99999999999999\n", 1),
+            ("0\t1\t0.5\n4294967295\t0\t0.5\n", 2),
+        ] {
+            match read_graph(bad.as_bytes()) {
+                Err(GraphError::Parse { line: l, message }) => {
+                    assert_eq!(l, line, "{bad:?}");
+                    assert!(message.contains("exceeds"), "{bad:?}: {message}");
+                }
+                other => panic!("{bad:?} -> {other:?}"),
+            }
         }
     }
 

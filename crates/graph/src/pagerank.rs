@@ -6,31 +6,16 @@
 
 use crate::DiGraph;
 
-/// Options for [`pagerank`].
-#[derive(Clone, Copy, Debug)]
-pub struct PageRankConfig {
-    /// Damping factor (probability of following a link).
-    pub damping: f64,
-    /// Maximum power iterations.
-    pub max_iters: usize,
-    /// L1 convergence tolerance.
-    pub tolerance: f64,
-}
-
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        PageRankConfig {
-            damping: 0.85,
-            max_iters: 100,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Damping factor (probability of following a link).
+const DAMPING: f64 = 0.85;
+/// Maximum power iterations.
+const MAX_ITERS: usize = 100;
+/// L1 convergence tolerance.
+const TOLERANCE: f64 = 1e-9;
 
 /// PageRank scores, summing to 1. Dangling nodes (out-degree 0)
 /// redistribute uniformly. Empty graphs return an empty vector.
-pub fn pagerank(g: &DiGraph, config: &PageRankConfig) -> Vec<f64> {
-    assert!((0.0..1.0).contains(&config.damping), "damping in [0, 1)");
+pub fn pagerank(g: &DiGraph) -> Vec<f64> {
     let n = g.num_nodes();
     if n == 0 {
         return Vec::new();
@@ -38,7 +23,7 @@ pub fn pagerank(g: &DiGraph, config: &PageRankConfig) -> Vec<f64> {
     let uniform = 1.0 / n as f64;
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0f64; n];
-    for _ in 0..config.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut dangling_mass = 0.0;
         next.fill(0.0);
         for (u, &r) in rank.iter().enumerate() {
@@ -52,15 +37,15 @@ pub fn pagerank(g: &DiGraph, config: &PageRankConfig) -> Vec<f64> {
                 }
             }
         }
-        let teleport = (1.0 - config.damping) * uniform;
-        let dangling_share = config.damping * dangling_mass * uniform;
+        let teleport = (1.0 - DAMPING) * uniform;
+        let dangling_share = DAMPING * dangling_mass * uniform;
         let mut delta = 0.0;
         for v in 0..n {
-            let new = teleport + dangling_share + config.damping * next[v];
+            let new = teleport + dangling_share + DAMPING * next[v];
             delta += (new - rank[v]).abs();
             rank[v] = new;
         }
-        if delta < config.tolerance {
+        if delta < TOLERANCE {
             break;
         }
     }
@@ -76,7 +61,7 @@ mod tests {
     fn ranks_sum_to_one_and_are_positive() {
         let mut rng = { soi_util::rng::Xoshiro256pp::seed_from_u64(1) };
         let g = gen::gnm(50, 200, &mut rng);
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank(&g);
         let sum: f64 = pr.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
         assert!(pr.iter().all(|&x| x > 0.0));
@@ -84,7 +69,7 @@ mod tests {
 
     #[test]
     fn symmetric_cycle_is_uniform() {
-        let pr = pagerank(&gen::cycle(10), &PageRankConfig::default());
+        let pr = pagerank(&gen::cycle(10));
         for &x in &pr {
             assert!((x - 0.1).abs() < 1e-9, "{x}");
         }
@@ -95,7 +80,7 @@ mod tests {
         // Reverse star: all leaves point to node 0.
         let edges: Vec<(u32, u32)> = (1..10).map(|i| (i, 0)).collect();
         let g = DiGraph::from_edges(10, &edges).unwrap();
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank(&g);
         assert!(pr[0] > 5.0 * pr[1], "hub {} vs leaf {}", pr[0], pr[1]);
         let sum: f64 = pr.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "dangling hub handled: {sum}");
@@ -103,8 +88,8 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert!(pagerank(&DiGraph::empty(0), &PageRankConfig::default()).is_empty());
-        let pr = pagerank(&DiGraph::empty(1), &PageRankConfig::default());
+        assert!(pagerank(&DiGraph::empty(0)).is_empty());
+        let pr = pagerank(&DiGraph::empty(1));
         assert!((pr[0] - 1.0).abs() < 1e-9);
     }
 }

@@ -2,7 +2,7 @@
 //! influence-maximization literature (Kempe et al. compare greedy against
 //! exactly these: highest degree, "central" nodes, random).
 
-use soi_graph::{pagerank::PageRankConfig, DiGraph, NodeId};
+use soi_graph::{DiGraph, NodeId};
 use soi_util::rng::Rng;
 
 /// The `k` nodes of largest out-degree (ties toward smaller id).
@@ -15,21 +15,25 @@ pub fn high_degree_seeds(g: &DiGraph, k: usize) -> Vec<NodeId> {
 
 /// The `k` nodes of largest PageRank (ties toward smaller id).
 pub fn pagerank_seeds(g: &DiGraph, k: usize) -> Vec<NodeId> {
-    let pr = soi_graph::pagerank::pagerank(g, &PageRankConfig::default());
+    let pr = soi_graph::pagerank::pagerank(g);
     let mut nodes: Vec<NodeId> = g.nodes().collect();
     nodes.sort_by(|&a, &b| pr[b as usize].total_cmp(&pr[a as usize]).then(a.cmp(&b)));
     nodes.truncate(k);
     nodes
 }
 
+/// The uniform arc probability [`degree_discount_seeds`] discounts for.
+const DEGREE_DISCOUNT_P: f64 = 0.1;
+
 /// DegreeDiscount (Chen, Wang & Yang, KDD 2009): degree-based seeding
 /// that discounts a node's degree for neighbors already selected —
-/// designed for the uniform-probability IC model with probability `p`.
+/// designed for the uniform-probability IC model with probability `p`
+/// (here 0.1).
 ///
 /// `dd(v) = d(v) − 2·t(v) − (d(v) − t(v))·t(v)·p` where `t(v)` counts
 /// already-selected in-neighbors of `v`. Near-greedy quality at a tiny
 /// fraction of the cost on uniform-IC benchmarks.
-pub fn degree_discount_seeds(g: &DiGraph, k: usize, p: f64) -> Vec<NodeId> {
+pub fn degree_discount_seeds(g: &DiGraph, k: usize) -> Vec<NodeId> {
     let n = g.num_nodes();
     let k = k.min(n);
     let mut selected = vec![false; n];
@@ -51,7 +55,7 @@ pub fn degree_discount_seeds(g: &DiGraph, k: usize, p: f64) -> Vec<NodeId> {
             t[v as usize] += 1;
             let d = g.out_degree(v) as f64;
             let tv = t[v as usize] as f64;
-            dd[v as usize] = d - 2.0 * tv - (d - tv) * tv * p;
+            dd[v as usize] = d - 2.0 * tv - (d - tv) * tv * DEGREE_DISCOUNT_P;
         }
     }
     seeds
@@ -126,11 +130,11 @@ mod tests {
         // Tie-break: make cluster 0 slightly denser.
         edges.push((0, 5));
         let g = DiGraph::from_edges(10, &edges).unwrap();
-        let seeds = degree_discount_seeds(&g, 2, 0.1);
+        let seeds = degree_discount_seeds(&g, 2);
         assert_eq!(seeds[0], 0);
         assert_eq!(seeds[1], 5, "discount sends the second pick across");
         // k > n clamps, no duplicates.
-        let all = degree_discount_seeds(&g, 50, 0.1);
+        let all = degree_discount_seeds(&g, 50);
         assert_eq!(all.len(), 10);
         let mut sorted = all.clone();
         sorted.sort_unstable();
@@ -157,7 +161,7 @@ mod tests {
             },
         );
         let greedy = crate::infmax_std(&index, 8, 0);
-        let dd = degree_discount_seeds(pg.graph(), 8, 0.1);
+        let dd = degree_discount_seeds(pg.graph(), 8);
         let sigma = |s: &[NodeId]| soi_sampling::estimate_spread(&pg, s, 4000, 7);
         let g_spread = sigma(&greedy.seeds);
         let d_spread = sigma(&dd);

@@ -235,35 +235,13 @@ fn celf<E>(
     Ok(deadline.outcome(result(seeds, curve, rankings), done, k as u64))
 }
 
-/// Configuration for the paper-faithful Monte-Carlo greedy
-/// ([`infmax_std_mc`]).
-#[derive(Clone, Copy, Debug)]
-pub struct McGreedyConfig {
-    /// MC simulations per spread evaluation (the paper uses 1000).
-    pub samples: usize,
-    /// Master seed; every evaluation draws a fresh sub-seeded sample.
-    pub seed: u64,
-    /// Threads for the initial singleton-spread pass (0 = all cores).
-    pub threads: usize,
-    /// CELF re-evaluation budget per round. In the saturation regime the
-    /// noisy heap churns; after this many fresh evaluations the best
-    /// fresh-evaluated candidate is committed (the standard practical
-    /// cap — selection among statistically indistinguishable candidates
-    /// is effectively arbitrary either way, which is exactly the
-    /// phenomenon §6.4 studies).
-    pub max_reevals_per_round: usize,
-}
-
-impl Default for McGreedyConfig {
-    fn default() -> Self {
-        McGreedyConfig {
-            samples: 1000,
-            seed: 0,
-            threads: 0,
-            max_reevals_per_round: 30,
-        }
-    }
-}
+/// CELF re-evaluation budget per round of [`infmax_std_mc`]. In the
+/// saturation regime the noisy heap churns; after this many fresh
+/// evaluations the best fresh-evaluated candidate is committed (the
+/// standard practical cap — selection among statistically
+/// indistinguishable candidates is effectively arbitrary either way,
+/// which is exactly the phenomenon §6.4 studies).
+const MC_REEVALS_PER_ROUND: usize = 30;
 
 /// `InfMax_std` exactly as the paper runs it: CELF over *fresh
 /// Monte-Carlo estimates* of the expected spread (Kempe et al.'s
@@ -276,7 +254,15 @@ impl Default for McGreedyConfig {
 /// saturate at large `k` (§6.4 / Figure 7): once true marginal-gain
 /// differences fall below the noise floor, its selections are effectively
 /// random among the top candidates.
-pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfig) -> GreedyResult {
+///
+/// Every spread evaluation draws `samples` simulations (the paper uses
+/// 1000) from a fresh sub-seed of `seed`.
+pub fn infmax_std_mc(
+    pg: &soi_graph::ProbGraph,
+    k: usize,
+    samples: usize,
+    seed: u64,
+) -> GreedyResult {
     use soi_sampling::estimate_spread;
     use soi_util::rng::derive_seed;
     let _span = soi_obs::span("influence.mc_greedy");
@@ -289,10 +275,9 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
 
     // Initial pass: sigma({v}) for every node, parallel.
     let mut initial: Vec<f64> = vec![0.0; n];
-    soi_util::pool::for_each_indexed(&mut initial, config.threads, |v, slot| {
+    soi_util::pool::for_each_indexed(&mut initial, 0, |v, slot| {
         soi_obs::counter_add!("influence.mc_spread_evals", 1);
-        let seed = derive_seed(config.seed, v as u64);
-        *slot = estimate_spread(pg, &[v as NodeId], config.samples, seed);
+        *slot = estimate_spread(pg, &[v as NodeId], samples, derive_seed(seed, v as u64));
     });
 
     let mut lazy = LazyGreedy::with_capacity(n);
@@ -300,14 +285,13 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
         lazy.push(v as NodeId, gain);
     }
 
-    let cap = config.max_reevals_per_round.max(1);
     let mut seeds: Vec<NodeId> = Vec::with_capacity(k);
     let mut curve = Vec::with_capacity(k);
     let mut sigma_s = 0.0f64;
     for _ in 0..k {
         let mut reevals = 0usize;
         let best = lazy.pop_best(|v| {
-            if reevals >= cap {
+            if reevals >= MC_REEVALS_PER_ROUND {
                 return None;
             }
             // Fresh evaluation of the marginal gain.
@@ -316,13 +300,13 @@ pub fn infmax_std_mc(pg: &soi_graph::ProbGraph, k: usize, config: &McGreedyConfi
             let mut with_v: Vec<NodeId> = seeds.clone();
             with_v.push(v);
             reevals += 1;
-            let seed = derive_seed(config.seed, next_eval);
+            let eval_seed = derive_seed(seed, next_eval);
             next_eval += 1;
-            Some((estimate_spread(pg, &with_v, config.samples, seed) - sigma_s).max(0.0))
+            Some((estimate_spread(pg, &with_v, samples, eval_seed) - sigma_s).max(0.0))
         });
         // Budget exhausted: commit the best candidate evaluated this
-        // round (at least one exists since cap >= 1). O(n) scan +
-        // rebuild, once per capped round.
+        // round (at least one exists since the cap is positive). O(n) scan
+        // + rebuild, once per capped round.
         let Some((node, gain)) = best.or_else(|| lazy.pop_fresh()) else {
             break;
         };
@@ -412,41 +396,13 @@ mod tests {
             b.add_weighted_edge(0, leaf, 0.9);
         }
         let pg = b.build_prob().unwrap();
-        let cfg = McGreedyConfig {
-            samples: 300,
-            seed: 5,
-            threads: 1,
-            max_reevals_per_round: 10,
-        };
-        let a = infmax_std_mc(&pg, 3, &cfg);
+        let a = infmax_std_mc(&pg, 3, 300, 5);
         assert_eq!(a.seeds[0], 0, "hub first");
         assert_eq!(a.seeds.len(), 3);
         assert!(a.spread_curve.windows(2).all(|w| w[1] >= w[0] - 1e-12));
-        let b2 = infmax_std_mc(&pg, 3, &cfg);
+        let b2 = infmax_std_mc(&pg, 3, 300, 5);
         assert_eq!(a.seeds, b2.seeds);
         assert_eq!(a.spread_curve, b2.spread_curve);
-    }
-
-    /// Few samples on a graph with no clear winner: the selection follows
-    /// the noise, so any schedule-dependent draw would show.
-    #[test]
-    fn mc_greedy_is_thread_count_invariant() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(21);
-        let pg = ProbGraph::fixed(gen::gnm(120, 480, &mut rng), 0.2).unwrap();
-        let run = |threads| {
-            let cfg = McGreedyConfig {
-                samples: 20,
-                seed: 9,
-                threads,
-                max_reevals_per_round: 5,
-            };
-            infmax_std_mc(&pg, 6, &cfg)
-        };
-        let serial = run(1);
-        assert_eq!(serial.seeds.len(), 6);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -455,16 +411,7 @@ mod tests {
         let pg = ProbGraph::fixed(gen::barabasi_albert(100, 2, true, &mut rng), 0.3).unwrap();
         let index = index_for(&pg, 256, 12);
         let pool = infmax_std(&index, 5, 0);
-        let mc = infmax_std_mc(
-            &pg,
-            5,
-            &McGreedyConfig {
-                samples: 2000,
-                seed: 13,
-                threads: 0,
-                max_reevals_per_round: 100,
-            },
-        );
+        let mc = infmax_std_mc(&pg, 5, 2000, 13);
         // With low noise both variants find seed sets of equivalent
         // quality (not necessarily identical nodes).
         let sigma_pool = soi_sampling::estimate_spread(&pg, &pool.seeds, 5000, 14);
@@ -476,23 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn mc_greedy_clamps_k_and_handles_tiny_budget() {
+    fn mc_greedy_clamps_k_without_duplicates() {
         let pg = ProbGraph::fixed(gen::path(4), 0.5).unwrap();
-        let r = infmax_std_mc(
-            &pg,
-            10,
-            &McGreedyConfig {
-                samples: 50,
-                seed: 1,
-                threads: 1,
-                max_reevals_per_round: 0, // coerced to >= 1
-            },
-        );
+        let r = infmax_std_mc(&pg, 10, 50, 1);
         assert_eq!(r.seeds.len(), 4);
         let mut s = r.seeds.clone();
         s.sort_unstable();
         s.dedup();
-        assert_eq!(s.len(), 4, "no duplicates even under the eval cap");
+        assert_eq!(s.len(), 4, "no duplicate seeds");
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

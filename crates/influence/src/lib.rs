@@ -31,7 +31,7 @@ pub mod tc_cover;
 
 pub use backend::BackendKind;
 pub use baselines::{degree_discount_seeds, high_degree_seeds, pagerank_seeds, random_seeds};
-pub use greedy::{infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyResult, McGreedyConfig};
+pub use greedy::{infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyResult};
 pub use ris::{infmax_ris, infmax_ris_budgeted};
 pub use spread::SpreadOracle;
 pub use tc_cover::{infmax_tc, infmax_tc_budgeted, infmax_tc_weighted, TcResult};

@@ -33,18 +33,12 @@ pub struct MedianConfig {
     /// Maximum local-search passes over the candidate pool (0 disables
     /// polishing; the sweep result is returned as-is).
     pub local_search_rounds: usize,
-    /// Elements with sample frequency strictly below this are never
-    /// considered (they can still only help when ε is large; pruning them
-    /// bounds the sweep on heavy-tailed cascade collections). Expressed as
-    /// a fraction of ℓ in `[0, 1)`.
-    pub min_frequency: f64,
 }
 
 impl Default for MedianConfig {
     fn default() -> Self {
         MedianConfig {
             local_search_rounds: 2,
-            min_frequency: 0.0,
         }
     }
 }
@@ -119,16 +113,14 @@ pub fn jaccard_median_loaded(
     soi_obs::counter_add!("median.calls", 1);
     soi_obs::event!(soi_obs::Level::Debug, "median fit over {ell} sample sets");
     let mut done = 0u64;
-    let sweep = frequency_sweep_budgeted(inc, config, deadline, &mut done);
-    let mut best = sweep.best;
+    let universe_size = inc.universe().count() as u64;
+    let mut best = frequency_sweep_budgeted(inc, deadline, &mut done);
     let stride = ell.div_ceil(24).max(1);
     let input_evals = ell.div_ceil(stride) as u64;
-    // Planned candidate evaluations; local search may converge early, so
-    // its contribution is an upper bound (the toggle pool is a subset of
-    // the sample universe).
-    let total = sweep.order_len as u64
-        + input_evals
-        + config.local_search_rounds as u64 * sweep.universe_size as u64;
+    // Planned candidate evaluations: one per prefix, one per input set,
+    // and per local-search round at most one per element (it may converge
+    // early, and the toggle pool is a subset of the sample universe).
+    let total = universe_size + input_evals + config.local_search_rounds as u64 * universe_size;
 
     // Evaluate up to 24 evenly-spaced input sets as candidates; only a
     // winner is sorted into a canonical median.
@@ -185,41 +177,27 @@ pub fn frequency_sweep(samples: &[Vec<u32>]) -> MedianResult {
     let mut done = 0u64;
     frequency_sweep_budgeted(
         &mut IncrementalCost::new(samples),
-        &MedianConfig::default(),
         &Deadline::unlimited(),
         &mut done,
     )
-    .best
 }
 
-/// Sweep result handed back to the full pipeline (which keeps the
-/// evaluator, loaded with the best prefix): the best prefix and the unit
-/// counts the budgeted caller folds into its progress accounting.
-struct SweepState {
-    best: MedianResult,
-    order_len: usize,
-    universe_size: usize,
-}
-
-/// The sweep on a freshly loaded evaluator (`C = ∅`).
+/// The sweep on a freshly loaded evaluator (`C = ∅`). Returns the best
+/// prefix and leaves the evaluator loaded with it, for the full pipeline
+/// to keep polishing.
 fn frequency_sweep_budgeted(
     inc: &mut IncrementalCost,
-    config: &MedianConfig,
     deadline: &Deadline,
     done: &mut u64,
-) -> SweepState {
+) -> MedianResult {
     // Elements ordered by descending frequency; ties by ascending id for
     // determinism.
-    let min_count = ((config.min_frequency * inc.num_samples() as f64).ceil() as usize).max(1);
-    let universe_size = inc.universe().count();
     let mut order: Vec<(u32, u32)> = inc
         .universe()
         .map(|e| (e, inc.frequency(e) as u32))
-        .filter(|&(_, f)| f as usize >= min_count)
         .collect();
     order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     soi_obs::counter_add!("median.prefix_evals", order.len());
-    soi_obs::counter_add!("median.pruned_elements", universe_size - order.len());
 
     // Evaluate every prefix, starting with the empty set. The best cost is
     // carried as a bound; a straddled comparison takes both sides exactly,
@@ -254,11 +232,7 @@ fn frequency_sweep_budgeted(
     let median = inc.candidate();
     let cost = inc.cost();
     debug_assert_eq!(inc.cost_of_set(&median).to_bits(), cost.to_bits());
-    SweepState {
-        best: MedianResult { median, cost },
-        order_len: order.len(),
-        universe_size,
-    }
+    MedianResult { median, cost }
 }
 
 /// Local search from an explicit starting candidate: repeatedly applies
@@ -432,19 +406,6 @@ mod tests {
             polished.cost <= 0.5,
             "should find something near {{3}}/{{2,3,4}}"
         );
-    }
-
-    #[test]
-    fn min_frequency_pruning() {
-        let _fits = crate::fits_medians();
-        let samples = vec![vec![1, 2], vec![1, 3], vec![1, 4], vec![1, 5]];
-        let config = MedianConfig {
-            local_search_rounds: 0,
-            min_frequency: 0.9,
-        };
-        let r = jaccard_median_with(&samples, &config);
-        // Only element 1 survives the pruning.
-        assert_eq!(r.median, vec![1]);
     }
 
     #[test]

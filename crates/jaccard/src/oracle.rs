@@ -161,12 +161,12 @@ fn median_budgeted(
     }
     soi_obs::counter_add!("median.calls", 1);
     let mut done = 0u64;
-    let (mut inc, mut best, order_len, universe_size) =
-        sweep_budgeted(samples, config, deadline, &mut done);
+    let (mut inc, mut best, universe_size) = sweep_budgeted(samples, deadline, &mut done);
     let stride = samples.len().div_ceil(24).max(1);
     let input_evals = samples.len().div_ceil(stride) as u64;
-    let total =
-        order_len as u64 + input_evals + config.local_search_rounds as u64 * universe_size as u64;
+    let total = universe_size as u64
+        + input_evals
+        + config.local_search_rounds as u64 * universe_size as u64;
     for s in samples.iter().step_by(stride) {
         if !deadline.tick(1) {
             return deadline.outcome(best, done, total);
@@ -204,21 +204,16 @@ fn median_budgeted(
 
 fn sweep_budgeted(
     samples: &[Vec<u32>],
-    config: &MedianConfig,
     deadline: &Deadline,
     done: &mut u64,
-) -> (HashCost, MedianResult, usize, usize) {
+) -> (HashCost, MedianResult, usize) {
     let mut inc = HashCost::new(samples);
-    let min_count = ((config.min_frequency * samples.len() as f64).ceil() as usize).max(1);
-    let universe_size = inc.universe().count();
     let mut order: Vec<(u32, u32)> = inc
         .universe()
         .map(|e| (e, inc.frequency(e) as u32))
-        .filter(|&(_, f)| f as usize >= min_count)
         .collect();
     order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     soi_obs::counter_add!("median.prefix_evals", order.len());
-    soi_obs::counter_add!("median.pruned_elements", universe_size - order.len());
     let mut best_cost = inc.cost();
     let mut best_len = 0usize;
     let mut inserted = 0usize;
@@ -243,7 +238,7 @@ fn sweep_budgeted(
         median,
         cost: best_cost,
     };
-    (inc, best, order.len(), universe_size)
+    (inc, best, order.len())
 }
 
 fn oracle_local_search(initial: &[u32], samples: &[Vec<u32>], rounds: usize) -> MedianResult {
@@ -348,22 +343,15 @@ fn collection(case: u64) -> Vec<Vec<u32>> {
     samples
 }
 
-const CONFIGS: [MedianConfig; 4] = [
+const CONFIGS: [MedianConfig; 3] = [
     MedianConfig {
         local_search_rounds: 2,
-        min_frequency: 0.0,
     },
     MedianConfig {
         local_search_rounds: 0,
-        min_frequency: 0.0,
-    },
-    MedianConfig {
-        local_search_rounds: 2,
-        min_frequency: 0.4,
     },
     MedianConfig {
         local_search_rounds: 5,
-        min_frequency: 0.9,
     },
 ];
 

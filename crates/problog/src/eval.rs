@@ -99,7 +99,7 @@ mod tests {
         // Plant heterogeneous truth, generate a log, learn with both
         // methods, and check the learned values correlate with truth.
         use crate::generate::{generate_log, LogGenConfig};
-        use crate::{learn_goyal, learn_saito, SaitoConfig};
+        use crate::{learn_goyal, learn_saito};
         use soi_graph::gen;
         use soi_util::rng::Xoshiro256pp;
 
@@ -114,7 +114,7 @@ mod tests {
                 seed: 22,
             },
         );
-        let saito = learn_saito(truth.graph(), &log, &SaitoConfig::default());
+        let saito = learn_saito(truth.graph(), &log);
         let goyal = learn_goyal(truth.graph(), &log, Some(1));
         let r_saito = pearson(&saito, truth.probs());
         let r_goyal = pearson(&goyal, truth.probs());

@@ -31,7 +31,7 @@ pub mod saito;
 pub use generate::generate_log;
 pub use goyal::{learn_goyal, learn_goyal_jaccard};
 pub use log::{Action, ActionLog};
-pub use saito::{learn_saito, SaitoConfig};
+pub use saito::learn_saito;
 
 use soi_graph::{DiGraph, GraphBuilder, GraphError, ProbGraph};
 

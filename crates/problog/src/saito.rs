@@ -20,26 +20,12 @@ use crate::log::ActionLog;
 use soi_graph::{DiGraph, NodeId};
 use std::collections::HashMap;
 
-/// EM hyper-parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SaitoConfig {
-    /// Maximum EM iterations.
-    pub max_iters: usize,
-    /// Stop when the largest per-edge update falls below this.
-    pub tolerance: f64,
-    /// Initial probability for every arc.
-    pub init_p: f64,
-}
-
-impl Default for SaitoConfig {
-    fn default() -> Self {
-        SaitoConfig {
-            max_iters: 100,
-            tolerance: 1e-6,
-            init_p: 0.3,
-        }
-    }
-}
+/// Maximum EM iterations.
+const MAX_ITERS: usize = 100;
+/// Stop when the largest per-edge update falls below this.
+const TOLERANCE: f64 = 1e-6;
+/// Initial probability for every arc.
+const INIT_P: f64 = 0.3;
 
 /// Precomputed sufficient statistics of a (graph, log) pair.
 struct Contexts {
@@ -124,11 +110,16 @@ fn build_contexts(graph: &DiGraph, log: &ActionLog) -> Contexts {
 /// Learns per-edge probabilities by EM. Returns a vector aligned with
 /// `graph`'s CSR edge order (zeros for arcs with no positive evidence).
 /// Feed the result to [`crate::to_prob_graph`].
-pub fn learn_saito(graph: &DiGraph, log: &ActionLog, config: &SaitoConfig) -> Vec<f64> {
-    assert!(config.init_p > 0.0 && config.init_p <= 1.0);
+pub fn learn_saito(graph: &DiGraph, log: &ActionLog) -> Vec<f64> {
+    em(graph, log, MAX_ITERS, TOLERANCE)
+}
+
+/// EM from `p = INIT_P` for at most `max_iters` iterations, stopping
+/// early once the largest per-edge update falls below `tolerance`.
+fn em(graph: &DiGraph, log: &ActionLog, max_iters: usize, tolerance: f64) -> Vec<f64> {
     let ctx = build_contexts(graph, log);
     let m = graph.num_edges();
-    let mut p = vec![config.init_p; m];
+    let mut p = vec![INIT_P; m];
     // Arcs never observed in a success context converge to 0 in one step;
     // set them now so the loop only touches informative arcs.
     for (slot, &plus) in p.iter_mut().zip(&ctx.plus) {
@@ -137,7 +128,7 @@ pub fn learn_saito(graph: &DiGraph, log: &ActionLog, config: &SaitoConfig) -> Ve
         }
     }
     let mut acc = vec![0.0f64; m];
-    for _ in 0..config.max_iters {
+    for _ in 0..max_iters {
         acc.fill(0.0);
         for record in &ctx.success_records {
             let mut q = 1.0;
@@ -159,7 +150,7 @@ pub fn learn_saito(graph: &DiGraph, log: &ActionLog, config: &SaitoConfig) -> Ve
             max_delta = max_delta.max((new_p - p[e]).abs());
             p[e] = new_p;
         }
-        if max_delta < config.tolerance {
+        if max_delta < tolerance {
             break;
         }
     }
@@ -212,7 +203,7 @@ mod tests {
             }
         }
         let log = ActionLog::new(2, actions).unwrap();
-        let p = learn_saito(&g, &log, &SaitoConfig::default());
+        let p = learn_saito(&g, &log);
         assert!((p[0] - 0.3).abs() < 1e-6, "p = {}", p[0]);
     }
 
@@ -220,7 +211,7 @@ mod tests {
     fn no_positive_evidence_gives_zero() {
         let g = gen::path(2);
         let log = ActionLog::new(2, vec![act(0, 0, 0), act(0, 1, 0)]).unwrap();
-        let p = learn_saito(&g, &log, &SaitoConfig::default());
+        let p = learn_saito(&g, &log);
         assert_eq!(p, vec![0.0]);
     }
 
@@ -230,7 +221,7 @@ mod tests {
         // activation is unexplained (no parent at t=4) and skipped.
         let g = gen::path(2);
         let log = ActionLog::new(2, vec![act(0, 0, 0), act(1, 0, 5)]).unwrap();
-        let p = learn_saito(&g, &log, &SaitoConfig::default());
+        let p = learn_saito(&g, &log);
         assert_eq!(p, vec![0.0]);
     }
 
@@ -252,7 +243,7 @@ mod tests {
             actions.push(act(2, item, 1));
         }
         let log = ActionLog::new(3, actions).unwrap();
-        let p = learn_saito(&g, &log, &SaitoConfig::default());
+        let p = learn_saito(&g, &log);
         assert!((p[0] - p[1]).abs() < 1e-9, "symmetric arcs stay equal");
         assert!(p[0] > 0.9, "all-success evidence drives p up: {}", p[0]);
     }
@@ -271,15 +262,7 @@ mod tests {
         let g = truth.graph();
         let mut prev = f64::NEG_INFINITY;
         for iters in [1usize, 2, 4, 8, 16, 32] {
-            let p = learn_saito(
-                g,
-                &log,
-                &SaitoConfig {
-                    max_iters: iters,
-                    tolerance: 0.0,
-                    init_p: 0.3,
-                },
-            );
+            let p = em(g, &log, iters, 0.0);
             let ll = log_likelihood(g, &log, &p);
             assert!(
                 ll >= prev - 1e-6,
@@ -300,7 +283,7 @@ mod tests {
                 seed: 13,
             },
         );
-        let learned = learn_saito(truth.graph(), &log, &SaitoConfig::default());
+        let learned = learn_saito(truth.graph(), &log);
         for (e, &p) in learned.iter().enumerate() {
             assert!((p - 0.7).abs() < 0.06, "edge {e}: learned {p}, truth 0.7");
         }

@@ -12,7 +12,6 @@
 use spheres_of_influence::prelude::*;
 use spheres_of_influence::problog::{
     assign, eval, generate::LogGenConfig, generate_log, learn_goyal, learn_saito, to_prob_graph,
-    SaitoConfig,
 };
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
     );
 
     // Learn with both methods (they see only the topology and the log).
-    let saito = learn_saito(truth.graph(), &log, &SaitoConfig::default());
+    let saito = learn_saito(truth.graph(), &log);
     let goyal = learn_goyal(truth.graph(), &log, Some(1));
 
     println!("\nrecovery quality (vs planted truth):");

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use soi_index::{CascadeIndex, IndexConfig};
     pub use soi_influence::{
         infmax_ris, infmax_std, infmax_std_mc, infmax_tc, infmax_tc_budgeted, infmax_tc_weighted,
-        McGreedyConfig, SpreadOracle,
+        SpreadOracle,
     };
     pub use soi_jaccard::{empirical_cost, jaccard_distance, jaccard_median};
     pub use soi_sampling::{estimate_spread, CascadeSampler, WorldSampler};

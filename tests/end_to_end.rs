@@ -70,7 +70,6 @@ fn theorem2_more_samples_do_not_degrade_the_median() {
             median_samples: 64,
             cost_samples: 0,
             seed: 10,
-            ..TypicalCascadeConfig::default()
         },
     );
     let large = typical_cascade(
@@ -80,7 +79,6 @@ fn theorem2_more_samples_do_not_degrade_the_median() {
             median_samples: 2048,
             cost_samples: 0,
             seed: 11,
-            ..TypicalCascadeConfig::default()
         },
     );
     let (c_small, c_large) = (eval(&small.median), eval(&large.median));
