@@ -7,7 +7,7 @@
 //! 3 deadline expired with partial output.
 
 use soi_core::{typical_cascade, TypicalCascadeConfig};
-use soi_graph::{gen, io as gio, stats, DiGraph, NodeId, ProbGraph};
+use soi_graph::{csr, gen, io as gio, stats, DiGraph, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{
     degree_discount_seeds, high_degree_seeds, infmax_celf_resumable, infmax_ris_budgeted,
@@ -428,6 +428,12 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
     let opts = Opts::parse(args, "model nodes m edges prob seed out", "undirected")?;
     let model: String = opts.require("model")?;
     let nodes: usize = opts.require("nodes")?;
+    if nodes > u32::MAX as usize {
+        return Err(SoiError::usage(format!(
+            "--nodes {nodes} exceeds {}",
+            u32::MAX
+        )));
+    }
     let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let undirected = opts.has("undirected");
     let prob: String = opts.get("prob")?.unwrap_or_else(|| "wc".to_string());
@@ -452,21 +458,32 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
     };
     let path: String = opts.require("out")?;
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    // The generators assert their preconditions; refuse bad flags first.
+    // The generators assert their preconditions; refuse bad flags first,
+    // and an arc count past the graph's `u32` offsets (the bound each
+    // generator reserves) before anything is allocated.
     let check = |ok: bool, rule: &str| {
         ok.then_some(())
             .ok_or_else(|| SoiError::usage(format!("--model {model} needs {rule}")))
+    };
+    let arcs_fit = |bound: usize, flags: &str| {
+        csr::check_arc_count(bound)
+            .map_err(|e| SoiError::usage(format!("--model {model} with {flags}: {e}")))
     };
     let topo = match model.as_str() {
         "ba" => {
             let m: usize = opts.get("m")?.unwrap_or(3);
             check(m >= 1 && nodes > m, "1 <= --m < --nodes")?;
+            arcs_fit(
+                nodes.saturating_mul(m).saturating_mul(2),
+                "2 * --nodes * --m",
+            )?;
             gen::barabasi_albert(nodes, m, !undirected, &mut rng)
         }
         "gnm" => {
             let edges: usize = opts.get("edges")?.unwrap_or(nodes * 4);
             let max_arcs = nodes.saturating_mul(nodes.saturating_sub(1));
             check(edges <= max_arcs, "--edges <= nodes * (nodes - 1)")?;
+            arcs_fit(edges, "--edges")?;
             gen::gnm(nodes, edges, &mut rng)
         }
         "ws" => {
@@ -475,12 +492,14 @@ fn cmd_generate<W: Write>(args: &[String], out: &mut W) -> Result<RunStatus, Soi
                 k >= 2 && k.is_multiple_of(2) && nodes > k,
                 "an even --m >= 2 below --nodes",
             )?;
+            arcs_fit(nodes.saturating_mul(k), "--nodes * --m")?;
             gen::watts_strogatz(nodes, k, 0.1, &mut rng)
         }
         "powerlaw" => {
             check(nodes >= 2, "--nodes >= 2")?;
-            let maxd: usize = opts.get("m")?.unwrap_or(nodes / 10);
-            gen::powerlaw_configuration(nodes, 2.0, maxd.max(2), &mut rng)
+            let maxd: usize = opts.get("m")?.unwrap_or(nodes / 10).max(2);
+            arcs_fit(nodes.saturating_mul(maxd.min(nodes - 1)), "--nodes * --m")?;
+            gen::powerlaw_configuration(nodes, 2.0, maxd, &mut rng)
         }
         other => {
             return Err(SoiError::usage(format!(
@@ -1486,6 +1505,10 @@ mod tests {
             "generate --model powerlaw --nodes 1 --out x.tsv",
             "generate --model ba --nodes 10 --prob fixed:1.5 --out x.tsv",
             "generate --model ba --nodes 10 --prob fixed:nan --out x.tsv",
+            // Past the u32 id space, and past the u32 arc limit: refused
+            // before the generator allocates.
+            "generate --model gnm --nodes 5000000000 --edges 1 --out x.tsv",
+            "generate --model gnm --nodes 100000 --edges 9999900000 --out x.tsv",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let err = run(&args).unwrap_err();

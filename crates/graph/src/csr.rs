@@ -9,13 +9,27 @@
 
 use crate::{GraphError, NodeId};
 
+/// The most arcs a [`DiGraph`] holds: its CSR offsets are `u32`, which
+/// halves their footprint in every sampled world the cascade index keeps.
+pub const MAX_ARCS: usize = u32::MAX as usize;
+
+/// [`GraphError::TooManyArcs`] when `arcs` exceeds [`MAX_ARCS`]. Every
+/// graph's arcs pass this check (in [`DiGraph::from_edges`]), so an
+/// offset never wraps.
+pub fn check_arc_count(arcs: usize) -> Result<(), GraphError> {
+    if arcs > MAX_ARCS {
+        return Err(GraphError::TooManyArcs { arcs });
+    }
+    Ok(())
+}
+
 /// An immutable directed graph in CSR form.
 ///
 /// Construct via [`crate::GraphBuilder`] or [`DiGraph::from_edges`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiGraph {
     /// `offsets[v]..offsets[v+1]` indexes `targets` for node `v`'s out-arcs.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Concatenated out-neighbor lists, sorted within each node.
     targets: Vec<NodeId>,
 }
@@ -25,9 +39,11 @@ impl DiGraph {
     ///
     /// Arcs may appear in any order; within each node the stored neighbor
     /// list is sorted. Parallel arcs and self-loops are kept verbatim (use
-    /// [`crate::GraphBuilder`] for deduplication).
+    /// [`crate::GraphBuilder`] for deduplication). More than
+    /// [`MAX_ARCS`] arcs is [`GraphError::TooManyArcs`].
     pub fn from_edges(num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let mut counts = vec![0usize; num_nodes + 1];
+        check_arc_count(edges.len())?;
+        let mut counts = vec![0u32; num_nodes + 1];
         for &(u, v) in edges {
             for w in [u, v] {
                 if w as usize >= num_nodes {
@@ -43,13 +59,12 @@ impl DiGraph {
         let mut cursor = offsets.clone();
         let mut targets = vec![0 as NodeId; edges.len()];
         for &(u, v) in edges {
-            targets[cursor[u as usize]] = v;
+            targets[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
         }
-        for v in 0..num_nodes {
-            targets[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        Ok(DiGraph { offsets, targets })
+        let mut g = DiGraph { offsets, targets };
+        g.sort_neighbors();
+        Ok(g)
     }
 
     /// Builds a graph directly from CSR arrays.
@@ -59,7 +74,7 @@ impl DiGraph {
     /// [`soi_util::invariant::check_csr`]: `offsets` is monotonically
     /// non-decreasing, starts at 0, ends at `targets.len()`, and every
     /// per-node target slice is sorted with ids `< offsets.len()-1`.
-    pub fn from_csr_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
+    pub fn from_csr_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         soi_util::invariant::debug_check_csr(&offsets, &targets);
         DiGraph { offsets, targets }
     }
@@ -70,7 +85,7 @@ impl DiGraph {
     /// so invariant checkers and serializers can walk the layout without
     /// per-node accessor calls.
     #[inline]
-    pub fn csr_parts(&self) -> (&[usize], &[NodeId]) {
+    pub fn csr_parts(&self) -> (&[u32], &[NodeId]) {
         (&self.offsets, &self.targets)
     }
 
@@ -97,20 +112,20 @@ impl DiGraph {
     /// Out-neighbors of `v` as a sorted slice.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        &self.targets[self.edge_range(v)]
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
     /// The CSR edge-array range of `v`'s out-arcs; parallel arrays (edge
     /// probabilities in [`crate::ProbGraph`]) are indexed by this range.
     #[inline]
     pub fn edge_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        self.offsets[v as usize]..self.offsets[v as usize + 1]
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 
     /// The target of the CSR edge at position `e`.
@@ -139,7 +154,7 @@ impl DiGraph {
     /// `reverse.out_degree(v)`; the weighted-cascade model needs this.
     pub fn reverse(&self) -> DiGraph {
         let n = self.num_nodes();
-        let mut counts = vec![0usize; n + 1];
+        let mut counts = vec![0u32; n + 1];
         for &t in &self.targets {
             counts[t as usize + 1] += 1;
         }
@@ -151,16 +166,21 @@ impl DiGraph {
         let mut targets = vec![0 as NodeId; self.targets.len()];
         for u in 0..n {
             for &v in self.out_neighbors(u as NodeId) {
-                targets[cursor[v as usize]] = u as NodeId;
+                targets[cursor[v as usize] as usize] = u as NodeId;
                 cursor[v as usize] += 1;
             }
         }
         let mut g = DiGraph { offsets, targets };
-        for v in 0..n {
-            let r = g.edge_range(v as NodeId);
-            g.targets[r].sort_unstable();
-        }
+        g.sort_neighbors();
         g
+    }
+
+    /// Sorts every node's out-neighbor slice in place.
+    fn sort_neighbors(&mut self) {
+        for v in self.nodes() {
+            let r = self.edge_range(v);
+            self.targets[r].sort_unstable();
+        }
     }
 
     /// In-degrees of every node (one pass, no reverse materialization).
@@ -259,6 +279,16 @@ mod tests {
         let g = diamond();
         let rebuilt = DiGraph::from_csr_parts(vec![0, 2, 3, 4, 4], vec![1, 2, 3, 3]);
         assert_eq!(rebuilt, g);
+    }
+
+    #[test]
+    fn arc_limit_is_u32_max() {
+        // Tested on the count alone: no 2^32-arc graph is allocated.
+        assert_eq!(check_arc_count(MAX_ARCS), Ok(()));
+        assert_eq!(
+            check_arc_count(MAX_ARCS + 1),
+            Err(GraphError::TooManyArcs { arcs: MAX_ARCS + 1 })
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@ use soi_util::rng::Rng;
 /// Finalizes a builder whose arcs were generated with ids `< n`.
 fn build_generated(b: GraphBuilder) -> DiGraph {
     // xtask-allow: panic_policy — every generator draws ids below its own
-    // node count, so the only builder error (id out of range) cannot occur.
+    // node count, so id out of range cannot occur; too many arcs needs a
+    // size `soi generate` refuses before it calls a generator.
     b.build().expect("generated ids in range")
 }
 

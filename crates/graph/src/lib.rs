@@ -48,6 +48,12 @@ pub enum GraphError {
         /// The graph's node count.
         num_nodes: usize,
     },
+    /// More arcs than a graph's `u32` CSR offsets can index
+    /// ([`csr::MAX_ARCS`]).
+    TooManyArcs {
+        /// The arc count asked for.
+        arcs: usize,
+    },
     /// An edge probability is outside `(0, 1]` or not finite.
     InvalidProbability {
         /// Edge position in input order.
@@ -82,6 +88,9 @@ impl std::fmt::Display for GraphError {
                     f,
                     "node {node} out of range for graph with {num_nodes} nodes"
                 )
+            }
+            GraphError::TooManyArcs { arcs } => {
+                write!(f, "{arcs} arcs exceed the limit of {}", csr::MAX_ARCS)
             }
             GraphError::InvalidProbability { edge_index, value } => {
                 write!(f, "edge #{edge_index}: probability {value} not in (0, 1]")

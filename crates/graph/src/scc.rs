@@ -109,7 +109,7 @@ pub struct Condensation {
     pub comp_of: Vec<u32>,
     /// CSR offsets into `members`: component `c`'s nodes are
     /// `members[member_offsets[c]..member_offsets[c + 1]]`.
-    pub member_offsets: Vec<usize>,
+    pub member_offsets: Vec<u32>,
     /// Original node ids grouped by component.
     pub members: Vec<NodeId>,
 }
@@ -125,7 +125,7 @@ impl Condensation {
     pub fn from_scc(g: &DiGraph, scc: &SccResult) -> Self {
         let nc = scc.num_comps;
         // Member lists via counting sort on component id.
-        let mut member_offsets = vec![0usize; nc + 1];
+        let mut member_offsets = vec![0u32; nc + 1];
         for &c in &scc.comp_of {
             member_offsets[c as usize + 1] += 1;
         }
@@ -136,7 +136,7 @@ impl Condensation {
         let mut members = vec![0 as NodeId; g.num_nodes()];
         for v in 0..g.num_nodes() {
             let c = scc.comp_of[v] as usize;
-            members[cursor[c]] = v as NodeId;
+            members[cursor[c] as usize] = v as NodeId;
             cursor[c] += 1;
         }
 
@@ -177,12 +177,13 @@ impl Condensation {
 
     /// The original nodes belonging to component `c`.
     pub fn members_of(&self, c: u32) -> &[NodeId] {
-        &self.members[self.member_offsets[c as usize]..self.member_offsets[c as usize + 1]]
+        let c = c as usize;
+        &self.members[self.member_offsets[c] as usize..self.member_offsets[c + 1] as usize]
     }
 
     /// Size of component `c`.
     pub fn comp_size(&self, c: u32) -> usize {
-        self.member_offsets[c as usize + 1] - self.member_offsets[c as usize]
+        self.members_of(c).len()
     }
 }
 

@@ -116,12 +116,13 @@ pub fn transitive_reduction(g: &DiGraph) -> Option<DiGraph> {
         }
     }
 
-    let mut kept_offsets = Vec::with_capacity(n + 1);
+    let mut kept_offsets: Vec<u32> = Vec::with_capacity(n + 1);
     let mut kept = Vec::with_capacity(targets.len());
     kept_offsets.push(0);
     for u in g.nodes() {
         kept.extend(g.edge_range(u).filter(|&e| !dead[e]).map(|e| targets[e]));
-        kept_offsets.push(kept.len());
+        // At most `g`'s arcs, whose count fits a `u32` offset.
+        kept_offsets.push(kept.len() as u32);
     }
     Some(DiGraph::from_csr_parts(kept_offsets, kept))
 }

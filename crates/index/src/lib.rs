@@ -31,8 +31,16 @@
 //! world of an acyclic graph, such as a directed Barabási–Albert one)
 //! shares nothing, and such a world is walked plainly.
 //!
+//! Storage is compact. Every CSR offset is a `u32`, and a world whose
+//! components are all singletons (again, any world of an acyclic graph)
+//! stores no member offsets at all: component `c` is `members[c]`. The
+//! build makes 32 worlds at a time and transposes their component
+//! columns into the node-major matrix before starting the next block, so
+//! its peak is the index plus one block of columns.
+//!
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
-//! build is reproducible bit-for-bit regardless of thread count.
+//! build is reproducible bit-for-bit regardless of thread count or
+//! blocking.
 
 use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
 use soi_sampling::world::world_rng;
@@ -71,7 +79,10 @@ pub struct WorldIndex {
     /// Condensation DAG over component ids (transitively reduced when the
     /// config asked for it).
     pub dag: DiGraph,
-    member_offsets: Vec<usize>,
+    /// CSR offsets into `members`, or empty when every component is a
+    /// singleton (any world of an acyclic graph): component `c` is then
+    /// `members[c]` alone, and the offsets would be the identity.
+    member_offsets: Vec<u32>,
     members: Vec<NodeId>,
     /// The largest SCC (ties: the lowest id), and the components it
     /// reaches: as a bitmask over component ids up to the largest it
@@ -82,15 +93,22 @@ pub struct WorldIndex {
     hub_members: Vec<NodeId>,
 }
 
+/// Worlds built at a time by [`CascadeIndex::build`]: the build holds at
+/// most this many component columns (`BLOCK · n` ids) beside the index.
+const BLOCK: usize = 32;
+
 /// The chunk id of a world's whole hub closure in
 /// [`CascadeIndex::reached_comps`]; [`WorldIndex::chunk`] reads it.
 pub const HUB_CLOSURE: u32 = u32::MAX;
 
 impl WorldIndex {
-    /// Assembles a world from its condensation parts and derives its hub
-    /// closure.
-    fn from_parts(dag: DiGraph, member_offsets: Vec<usize>, members: Vec<NodeId>) -> Self {
-        let members_of = |c: usize| &members[member_offsets[c]..member_offsets[c + 1]];
+    /// Assembles a world from its condensation parts, dropping the member
+    /// offsets of an all-singleton world, and derives its hub closure.
+    fn from_parts(dag: DiGraph, mut member_offsets: Vec<u32>, members: Vec<NodeId>) -> Self {
+        if members.len() == dag.num_nodes() {
+            member_offsets = Vec::new();
+        }
+        let members_of = |c: usize| component(&member_offsets, &members, c);
         let hub = (0..dag.num_nodes())
             .rev()
             .max_by_key(|&c| members_of(c).len());
@@ -175,8 +193,18 @@ impl WorldIndex {
 
     /// The original nodes in component `c`.
     pub fn members_of(&self, c: u32) -> &[NodeId] {
-        &self.members[self.member_offsets[c as usize]..self.member_offsets[c as usize + 1]]
+        component(&self.member_offsets, &self.members, c as usize)
     }
+}
+
+/// Component `c`'s slice of a world's `members`: `members[c]` alone when
+/// the world stores no offsets (all singletons).
+#[inline]
+fn component<'m>(offsets: &[u32], members: &'m [NodeId], c: usize) -> &'m [NodeId] {
+    if offsets.is_empty() {
+        return &members[c..=c];
+    }
+    &members[offsets[c] as usize..offsets[c + 1] as usize]
 }
 
 /// The cascade index: ℓ condensed worlds plus the `node × world`
@@ -208,37 +236,54 @@ impl CascadeIndex {
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
-        // World `i` depends only on `(seed, i)`, so the worker partition
-        // does not affect the result. Workers claim chunks of world ids
-        // (`soi_util::pool`); each keeps one sampler allocation for all
-        // the chunks it claims.
-        let mut slots: Vec<Option<(WorldIndex, Vec<u32>)>> = vec![None; config.num_worlds];
-        soi_util::pool::for_each_indexed_with(
-            &mut slots,
-            config.threads,
+        // World `i` depends only on `(seed, i)`; each worker keeps one
+        // sampler for the worlds it claims in a block.
+        Self::build_blocks(
+            pg.num_nodes(),
+            config.num_worlds,
+            config,
             WorldSampler::new,
-            |sampler, i, slot| *slot = Some(build_world(pg, &config, i, sampler)),
-        );
-        // The pool fills every slot before its scope joins.
-        // xtask-allow: panic_policy
-        let built = slots.into_iter().map(|slot| slot.expect("world built"));
-        Self::assemble(pg.num_nodes(), built.collect(), config)
+            |sampler, i| build_world(pg, &config, i, sampler),
+        )
     }
 
-    /// Transposes the per-world component assignments into the node-major
-    /// matrix and records the build metrics.
-    fn assemble(num_nodes: usize, built: Vec<(WorldIndex, Vec<u32>)>, config: IndexConfig) -> Self {
-        let ell = built.len();
-        let mut worlds = Vec::with_capacity(ell);
-        let mut comp_matrix = vec![0u32; num_nodes * ell];
-        let mut max_comps = 0usize;
-        for (i, (w, comp_of)) in built.into_iter().enumerate() {
-            max_comps = max_comps.max(w.num_comps());
-            for v in 0..num_nodes {
-                comp_matrix[v * ell + i] = comp_of[v];
+    /// Builds worlds `0..num_worlds` with `world`, [`BLOCK`] at a time.
+    /// Workers claim the block's world ids (`soi_util::pool`), each with
+    /// one `init` scratch; then the block's component columns are
+    /// transposed into the node-major matrix and dropped, so the build
+    /// holds one block of columns beside the index, never all ℓ. World
+    /// `i` depends only on `i`, so neither the worker partition nor the
+    /// blocking affects the result.
+    fn build_blocks<S>(
+        num_nodes: usize,
+        num_worlds: usize,
+        config: IndexConfig,
+        init: impl Fn() -> S + Sync,
+        world: impl Fn(&mut S, usize) -> (WorldIndex, Vec<u32>) + Sync,
+    ) -> Self {
+        let mut worlds = Vec::with_capacity(num_worlds);
+        let mut comp_matrix = vec![0u32; num_nodes * num_worlds];
+        let mut slots = Vec::with_capacity(BLOCK);
+        for start in (0..num_worlds).step_by(BLOCK) {
+            slots.resize_with(BLOCK.min(num_worlds - start), || None);
+            soi_util::pool::for_each_indexed_with(
+                &mut slots,
+                config.threads,
+                &init,
+                |s, j, slot| *slot = Some(world(s, start + j)),
+            );
+            // The pool fills every slot before its scope joins.
+            // xtask-allow: panic_policy
+            let built = slots.drain(..).map(|slot| slot.expect("world built"));
+            let (block, columns): (Vec<WorldIndex>, Vec<Vec<u32>>) = built.unzip();
+            for (v, row) in comp_matrix.chunks_exact_mut(num_worlds).enumerate() {
+                for (cell, column) in row[start..].iter_mut().zip(&columns) {
+                    *cell = column[v];
+                }
             }
-            worlds.push(w);
+            worlds.extend(block);
         }
+        let max_comps = worlds.iter().map(WorldIndex::num_comps).max().unwrap_or(0);
         let index = CascadeIndex {
             num_nodes,
             worlds,
@@ -286,20 +331,25 @@ impl CascadeIndex {
     /// Threshold sampler in `soi-sampling::lt`) plugs into the same
     /// typical-cascade pipeline this way. `config.num_worlds` and
     /// `config.seed` are recorded but ignored for sampling; worlds are
-    /// taken verbatim, in order.
+    /// taken verbatim, in order, and condensed by `config.threads`
+    /// workers.
     pub fn build_from_worlds<'w>(
         num_nodes: usize,
         worlds: impl Iterator<Item = &'w DiGraph>,
         config: IndexConfig,
     ) -> Self {
-        let built: Vec<(WorldIndex, Vec<u32>)> = worlds
-            .map(|world| {
-                assert_eq!(world.num_nodes(), num_nodes, "world node-count mismatch");
-                condense_world(world, config.transitive_reduction)
-            })
-            .collect();
-        assert!(!built.is_empty(), "need at least one world");
-        Self::assemble(num_nodes, built, config)
+        let worlds: Vec<&DiGraph> = worlds.collect();
+        assert!(!worlds.is_empty(), "need at least one world");
+        for world in &worlds {
+            assert_eq!(world.num_nodes(), num_nodes, "world node-count mismatch");
+        }
+        Self::build_blocks(
+            num_nodes,
+            worlds.len(),
+            config,
+            || (),
+            |(), i| condense_world(worlds[i], config.transitive_reduction),
+        )
     }
 
     /// Records closure/size counters and gauges for a finished build.
@@ -429,23 +479,24 @@ impl CascadeIndex {
         &q.pairs
     }
 
-    /// Approximate heap footprint in bytes (matrix + world structures):
-    /// the quantity §4 argues the condensation representation keeps small.
+    /// Heap footprint in bytes of the stored arrays: the component
+    /// matrix and, per world, the DAG's CSR offsets and arcs, the members
+    /// (and their offsets, unless all components are singletons), and the
+    /// hub closure's mask and members. The quantity §4 argues the
+    /// condensation representation keeps small.
     pub fn memory_bytes(&self) -> usize {
-        let matrix = self.comp_matrix.len() * std::mem::size_of::<u32>();
+        use std::mem::size_of;
         let worlds: usize = self
             .worlds
             .iter()
             .map(|w| {
-                w.dag.num_edges() * std::mem::size_of::<NodeId>()
-                    + (w.dag.num_nodes() + 1) * std::mem::size_of::<usize>()
-                    + w.members.len() * std::mem::size_of::<NodeId>()
-                    + w.member_offsets.len() * std::mem::size_of::<usize>()
-                    + w.hub_mask.len() * std::mem::size_of::<u64>()
-                    + w.hub_members.len() * std::mem::size_of::<NodeId>()
+                let (offsets, arcs) = w.dag.csr_parts();
+                let ids = [offsets, arcs, &w.member_offsets, &w.members, &w.hub_members];
+                ids.map(<[u32]>::len).iter().sum::<usize>() * size_of::<u32>()
+                    + w.hub_mask.len() * size_of::<u64>()
             })
             .sum();
-        matrix + worlds
+        self.comp_matrix.len() * size_of::<u32>() + worlds
     }
 
     /// Mean number of SCCs per world (diagnostics for EXPERIMENTS.md).
@@ -677,6 +728,25 @@ mod tests {
         assert_ne!(base, key(&test_graph(2), config));
     }
 
+    /// Every `comp_of(v, i)` and every world's DAG and member lists.
+    fn assert_same_index(a: &CascadeIndex, b: &CascadeIndex) {
+        assert_eq!(a.num_worlds(), b.num_worlds());
+        for i in 0..a.num_worlds() {
+            let (wa, wb) = (a.world(i), b.world(i));
+            assert_eq!(wa.dag, wb.dag, "world {i}");
+            for c in 0..wa.num_comps() as u32 {
+                assert_eq!(wa.members_of(c), wb.members_of(c), "world {i}, comp {c}");
+            }
+            for v in 0..a.num_nodes() as NodeId {
+                assert_eq!(a.comp_of(v, i), b.comp_of(v, i), "world {i}, node {v}");
+            }
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Two full blocks of worlds and a ragged third.
+    const BLOCKS_OF_WORLDS: usize = 2 * BLOCK + 3;
+
     #[test]
     fn parallel_build_matches_serial() {
         let pg = test_graph(2);
@@ -684,7 +754,7 @@ mod tests {
             CascadeIndex::build(
                 &pg,
                 IndexConfig {
-                    num_worlds: 8,
+                    num_worlds: BLOCKS_OF_WORLDS,
                     seed: 5,
                     transitive_reduction: true,
                     threads,
@@ -693,10 +763,27 @@ mod tests {
         };
         let serial = mk(1);
         let parallel = mk(4);
-        assert_eq!(serial.num_worlds(), parallel.num_worlds());
+        assert_same_index(&serial, &parallel);
         for v in 0..pg.num_nodes() as NodeId {
             assert_eq!(serial.cascades_of(v), parallel.cascades_of(v), "node {v}");
         }
+    }
+
+    #[test]
+    fn build_from_sampled_worlds_matches_build() {
+        let pg = test_graph(8);
+        let config = IndexConfig {
+            num_worlds: BLOCKS_OF_WORLDS,
+            seed: 13,
+            transitive_reduction: true,
+            threads: 2,
+        };
+        let mut sampler = WorldSampler::new();
+        let worlds: Vec<DiGraph> = (0..config.num_worlds)
+            .map(|i| sampler.sample(&pg, &mut world_rng(config.seed, i)))
+            .collect();
+        let from_worlds = CascadeIndex::build_from_worlds(pg.num_nodes(), worlds.iter(), config);
+        assert_same_index(&CascadeIndex::build(&pg, config), &from_worlds);
     }
 
     #[test]
@@ -812,7 +899,12 @@ mod tests {
     /// matrix. The transitive reduction of a DAG is unique, so however
     /// the kernels find it the contents stay the same; the hashes and
     /// [`CascadeIndex::fingerprint`]s below were recorded at commit
-    /// 4ad167f — checkpoints and caches keyed on them stay valid.
+    /// 4ad167f — checkpoints and caches keyed on them stay valid. Every
+    /// weighted-cascade world is all singletons and stores no member
+    /// offsets, and no supercritical world is, so the hashes cover both
+    /// layouts of `members_of`. [`CascadeIndex::memory_bytes`] is pinned
+    /// beside them, so storage that grows again (wider offsets, identity
+    /// member offsets) fails here.
     #[test]
     fn index_contents_and_fingerprint_are_pinned() {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
@@ -826,6 +918,9 @@ mod tests {
                 ..IndexConfig::default()
             };
             let index = CascadeIndex::build(pg, config);
+            let singletons = (0..index.num_worlds())
+                .filter(|&i| index.world(i).member_offsets.is_empty())
+                .count();
             let mut h = soi_util::hash::Mix64Hasher::new();
             for i in 0..index.num_worlds() {
                 let w = index.world(i);
@@ -842,11 +937,16 @@ mod tests {
                     h.update_u64(index.comp_of(v, i).into());
                 }
             }
-            (h.finish(), index.fingerprint())
+            (
+                h.finish(),
+                index.fingerprint(),
+                index.memory_bytes(),
+                singletons,
+            )
         });
         let pinned = [
-            (0xb22c_85d4_7c6c_fc2d, 0xa731_8c4c_7e3d_6853),
-            (0xe840_0ede_920f_dbba, 0x4745_6411_1710_acbb),
+            (0xb22c_85d4_7c6c_fc2d, 0xa731_8c4c_7e3d_6853, 142_936, 16),
+            (0xe840_0ede_920f_dbba, 0x4745_6411_1710_acbb, 177_220, 0),
         ];
         assert_eq!(got, pinned, "got {got:#x?}");
     }

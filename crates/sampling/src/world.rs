@@ -31,7 +31,7 @@ fn flip_coins<R: Rng>(probs: &[f64], arcs: Range<usize>, rng: &mut R, mut live: 
 /// starts from empty buffers.
 #[derive(Clone, Debug, Default)]
 pub struct WorldSampler {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     targets: Vec<NodeId>,
 }
 
@@ -57,7 +57,8 @@ impl WorldSampler {
             flip_coins(pg.probs(), g.edge_range(v), rng, |e| {
                 self.targets.push(g.edge_target(e))
             });
-            self.offsets.push(self.targets.len());
+            // At most `pg`'s arcs, whose count fits a `u32` offset.
+            self.offsets.push(self.targets.len() as u32);
         }
         DiGraph::from_csr_parts(
             std::mem::take(&mut self.offsets),

@@ -79,7 +79,7 @@ impl std::error::Error for InvariantViolation {}
 /// Checks CSR well-formedness: `offsets` non-empty, starting at 0,
 /// ending at `targets.len()`, monotone non-decreasing; every per-node
 /// target slice sorted ascending with ids `< offsets.len() - 1`.
-pub fn check_csr(offsets: &[usize], targets: &[u32]) -> Result<(), InvariantViolation> {
+pub fn check_csr(offsets: &[u32], targets: &[u32]) -> Result<(), InvariantViolation> {
     if offsets.is_empty() {
         return Err(InvariantViolation::BadOffsets {
             detail: "offsets array is empty".into(),
@@ -91,7 +91,7 @@ pub fn check_csr(offsets: &[usize], targets: &[u32]) -> Result<(), InvariantViol
         });
     }
     let last = offsets[offsets.len() - 1];
-    if last != targets.len() {
+    if last as usize != targets.len() {
         return Err(InvariantViolation::BadOffsets {
             detail: format!(
                 "offsets ends at {last}, expected targets.len() = {}",
@@ -110,7 +110,7 @@ pub fn check_csr(offsets: &[usize], targets: &[u32]) -> Result<(), InvariantViol
     }
     let n = offsets.len() - 1;
     for v in 0..n {
-        let slice = &targets[offsets[v]..offsets[v + 1]];
+        let slice = &targets[offsets[v] as usize..offsets[v + 1] as usize];
         if slice.windows(2).any(|w| w[0] > w[1]) {
             return Err(InvariantViolation::UnsortedAdjacency { node: v });
         }
@@ -137,7 +137,7 @@ pub fn check_probabilities(probs: &[f64]) -> Result<(), InvariantViolation> {
 
 /// Checks that a CSR graph is acyclic (Kahn's algorithm). Used on
 /// condensation DAGs, where a cycle means SCC contraction went wrong.
-pub fn check_acyclic(offsets: &[usize], targets: &[u32]) -> Result<(), InvariantViolation> {
+pub fn check_acyclic(offsets: &[u32], targets: &[u32]) -> Result<(), InvariantViolation> {
     check_csr(offsets, targets)?;
     let n = offsets.len() - 1;
     let mut in_deg = vec![0usize; n];
@@ -148,7 +148,7 @@ pub fn check_acyclic(offsets: &[usize], targets: &[u32]) -> Result<(), Invariant
     let mut seen = 0usize;
     while let Some(v) = queue.pop() {
         seen += 1;
-        for &t in &targets[offsets[v]..offsets[v + 1]] {
+        for &t in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
             in_deg[t as usize] -= 1;
             if in_deg[t as usize] == 0 {
                 queue.push(t as usize);
@@ -166,7 +166,7 @@ pub fn check_acyclic(offsets: &[usize], targets: &[u32]) -> Result<(), Invariant
 
 /// Debug-build CSR validation; compiles to nothing in release builds.
 #[inline]
-pub fn debug_check_csr(offsets: &[usize], targets: &[u32]) {
+pub fn debug_check_csr(offsets: &[u32], targets: &[u32]) {
     #[cfg(debug_assertions)]
     {
         if let Err(e) = check_csr(offsets, targets) {
@@ -196,7 +196,7 @@ pub fn debug_check_probabilities(probs: &[f64]) {
 
 /// Debug-build acyclicity validation; no-op in release builds.
 #[inline]
-pub fn debug_check_acyclic(offsets: &[usize], targets: &[u32]) {
+pub fn debug_check_acyclic(offsets: &[u32], targets: &[u32]) {
     #[cfg(debug_assertions)]
     {
         if let Err(e) = check_acyclic(offsets, targets) {
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn valid_csr_accepted() {
         // Diamond: 0 -> {1, 2}, 1 -> {3}, 2 -> {3}.
-        let offsets = [0usize, 2, 3, 4, 4];
+        let offsets = [0u32, 2, 3, 4, 4];
         let targets = [1u32, 2, 3, 3];
         assert_eq!(check_csr(&offsets, &targets), Ok(()));
         debug_check_csr(&offsets, &targets);
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn unsorted_adjacency_rejected() {
-        let offsets = [0usize, 2, 2];
+        let offsets = [0u32, 2, 2];
         let targets = [1u32, 0]; // node 0's list [1, 0] not sorted
         assert_eq!(
             check_csr(&offsets, &targets),
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_target_rejected() {
-        let offsets = [0usize, 1, 1];
+        let offsets = [0u32, 1, 1];
         let targets = [7u32];
         assert_eq!(
             check_csr(&offsets, &targets),
@@ -305,18 +305,18 @@ mod tests {
     #[test]
     fn dag_accepted_cycle_rejected() {
         // Chain 2 -> 1 -> 0 (a condensation in Tarjan id order).
-        let offsets = [0usize, 0, 1, 2];
+        let offsets = [0u32, 0, 1, 2];
         let targets = [0u32, 1];
         assert_eq!(check_acyclic(&offsets, &targets), Ok(()));
         // 2-cycle: 0 -> 1 -> 0.
-        let offsets = [0usize, 1, 2];
+        let offsets = [0u32, 1, 2];
         let targets = [1u32, 0];
         assert_eq!(
             check_acyclic(&offsets, &targets),
             Err(InvariantViolation::CycleDetected { node: 0 })
         );
         // Self-loop is a cycle.
-        let offsets = [0usize, 1];
+        let offsets = [0u32, 1];
         let targets = [0u32];
         assert!(matches!(
             check_acyclic(&offsets, &targets),
