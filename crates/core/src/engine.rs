@@ -2,7 +2,7 @@
 
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery, HUB_CLOSURE};
-use soi_jaccard::cost::IncrementalCost;
+use soi_jaccard::cost::{Closures, IncrementalCost};
 use soi_jaccard::median::{jaccard_median_loaded, jaccard_median_with, MedianConfig, MedianResult};
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
@@ -138,6 +138,8 @@ pub fn typical_cascade_of_set(
 pub struct NodeScratch {
     query: IndexQuery,
     inc: IncrementalCost,
+    /// The worlds whose hub closure the node reaches, as a bitset.
+    hits: Vec<u64>,
 }
 
 impl NodeScratch {
@@ -146,6 +148,7 @@ impl NodeScratch {
         NodeScratch {
             query: index.query(),
             inc: IncrementalCost::default(),
+            hits: Vec::new(),
         }
     }
 }
@@ -157,10 +160,14 @@ impl NodeScratch {
 /// straight from the chunks `v` reaches in each world (span
 /// `engine.index_lookup`: the hub walk `engine.reach`, then
 /// `engine.load`). A world whose walk reached its largest SCC contributes
-/// that SCC's whole closure as one precomputed chunk (counted in
-/// `engine.hub_hits`). Only the input-set candidates the fit asks for are
-/// assembled (span `engine.median_fit`, which spends the deadline's
-/// ticks).
+/// that SCC's whole closure (counted in `engine.hub_hits`). When the hit
+/// closures hold more entries than the index's per-node closure rows hold
+/// words ([`Closures::rows_pay`]), the evaluator reads the closures
+/// through those rows under the hit worlds' mask, once per closure node
+/// rather than once per world ([`IncrementalCost::load_closures`]);
+/// otherwise each closure is one more chunk. Only the input-set
+/// candidates the fit asks for are assembled (span `engine.median_fit`,
+/// which spends the deadline's ticks).
 pub fn index_median(
     index: &CascadeIndex,
     v: NodeId,
@@ -168,7 +175,8 @@ pub fn index_median(
     deadline: &Deadline,
     scratch: &mut NodeScratch,
 ) -> Outcome<MedianResult> {
-    let NodeScratch { query, inc } = scratch;
+    let NodeScratch { query, inc, hits } = scratch;
+    let ell = index.num_worlds();
     let pairs = {
         let _s = soi_obs::span("engine.index_lookup");
         let pairs = {
@@ -176,12 +184,29 @@ pub fn index_median(
             index.reached_comps(v, query)
         };
         let _load = soi_obs::span("engine.load");
+        hits.clear();
+        hits.resize(ell.div_ceil(64), 0);
+        for &(i, _) in pairs.iter().filter(|p| p.1 == HUB_CLOSURE) {
+            hits[i as usize / 64] |= 1 << (i % 64);
+        }
+        let (elems, rows) = index.closure_rows();
+        let closures = Closures {
+            hits,
+            elems,
+            rows,
+            members: |i| index.world(i).chunk(HUB_CLOSURE),
+        };
         let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).chunk(c));
-        inc.load(index.num_worlds(), pairs.iter().map(members));
+        if closures.rows_pay() {
+            let others = pairs.iter().filter(|p| p.1 != HUB_CLOSURE);
+            inc.load_closures(ell, others.map(members), &closures);
+        } else {
+            inc.load(ell, pairs.iter().map(members));
+        }
         pairs
     };
-    let hub_hits = pairs.iter().filter(|p| p.1 == HUB_CLOSURE).count();
-    soi_obs::counter_add!("engine.hub_hits", hub_hits);
+    let hub_hits: u32 = hits.iter().map(|h| h.count_ones()).sum();
+    soi_obs::counter_add!("engine.hub_hits", hub_hits as usize);
     let _s = soi_obs::span("engine.median_fit");
     jaccard_median_loaded(inc, median, deadline, |i, out| {
         let from = pairs.partition_point(|p| (p.0 as usize) < i);

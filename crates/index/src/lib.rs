@@ -30,6 +30,10 @@
 //! path that never touches the closure. A closure of the hub alone (in any
 //! world of an acyclic graph, such as a directed Barabási–Albert one)
 //! shares nothing, and such a world is walked plainly.
+//! Across worlds, the index also keeps one bit row per node that lies in
+//! some closure, over the worlds whose closure holds it
+//! ([`CascadeIndex::closure_rows`]): a consumer that meets many closures
+//! of one node reads each closure node once, not once per world.
 //!
 //! Storage is compact. Every CSR offset is a `u32`, and a world whose
 //! components are all singletons (again, any world of an acyclic graph)
@@ -215,6 +219,12 @@ pub struct CascadeIndex {
     /// Node-major layout: `comp_matrix[v * ℓ + i]` is `I[v, i]`. Node-major
     /// because queries iterate all worlds of one node.
     comp_matrix: Vec<u32>,
+    /// The nodes in some world's hub closure, ascending, and for each a
+    /// row of `⌈ℓ/64⌉` words: bit `i % 64` of word `i / 64` is set when
+    /// world `i`'s closure holds the node. Both empty when no world has a
+    /// closure.
+    closure_nodes: Vec<NodeId>,
+    closure_rows: Vec<u64>,
     max_comps: usize,
     config: IndexConfig,
 }
@@ -263,6 +273,8 @@ impl CascadeIndex {
     ) -> Self {
         let mut worlds = Vec::with_capacity(num_worlds);
         let mut comp_matrix = vec![0u32; num_nodes * num_worlds];
+        let words = num_worlds.div_ceil(64);
+        let mut closure_rows = Vec::new();
         let mut slots = Vec::with_capacity(BLOCK);
         for start in (0..num_worlds).step_by(BLOCK) {
             slots.resize_with(BLOCK.min(num_worlds - start), || None);
@@ -281,13 +293,24 @@ impl CascadeIndex {
                     *cell = column[v];
                 }
             }
+            for (i, w) in (start..).zip(&block) {
+                if !w.hub_members.is_empty() && closure_rows.is_empty() {
+                    closure_rows.resize(num_nodes * words, 0);
+                }
+                for &v in &w.hub_members {
+                    closure_rows[v as usize * words + i / 64] |= 1 << (i % 64);
+                }
+            }
             worlds.extend(block);
         }
+        let closure_nodes = keep_nonzero_rows(&mut closure_rows, words);
         let max_comps = worlds.iter().map(WorldIndex::num_comps).max().unwrap_or(0);
         let index = CascadeIndex {
             num_nodes,
             worlds,
             comp_matrix,
+            closure_nodes,
+            closure_rows,
             max_comps,
             config,
         };
@@ -396,6 +419,15 @@ impl CascadeIndex {
         &self.worlds[i]
     }
 
+    /// The nodes in some world's hub closure, ascending, and each one's
+    /// row of `⌈ℓ/64⌉` words over the worlds: bit `i % 64` of word `i / 64`
+    /// is set when world `i`'s closure ([`WorldIndex::chunk`] of
+    /// [`HUB_CLOSURE`]) holds the node. Both are empty when no world has a
+    /// closure.
+    pub fn closure_rows(&self) -> (&[NodeId], &[u64]) {
+        (&self.closure_nodes, &self.closure_rows)
+    }
+
     /// `I[v, i]`: the component of node `v` in world `i`.
     #[inline]
     pub fn comp_of(&self, v: NodeId, i: usize) -> u32 {
@@ -480,10 +512,10 @@ impl CascadeIndex {
     }
 
     /// Heap footprint in bytes of the stored arrays: the component
-    /// matrix and, per world, the DAG's CSR offsets and arcs, the members
-    /// (and their offsets, unless all components are singletons), and the
-    /// hub closure's mask and members. The quantity §4 argues the
-    /// condensation representation keeps small.
+    /// matrix, the closure rows and, per world, the DAG's CSR offsets and
+    /// arcs, the members (and their offsets, unless all components are
+    /// singletons), and the hub closure's mask and members. The quantity
+    /// §4 argues the condensation representation keeps small.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let worlds: usize = self
@@ -496,7 +528,9 @@ impl CascadeIndex {
                     + w.hub_mask.len() * size_of::<u64>()
             })
             .sum();
-        self.comp_matrix.len() * size_of::<u32>() + worlds
+        let closures = self.closure_nodes.len() * size_of::<NodeId>()
+            + self.closure_rows.len() * size_of::<u64>();
+        self.comp_matrix.len() * size_of::<u32>() + closures + worlds
     }
 
     /// Mean number of SCCs per world (diagnostics for EXPERIMENTS.md).
@@ -516,6 +550,22 @@ impl CascadeIndex {
             .sum::<f64>()
             / self.worlds.len() as f64
     }
+}
+
+/// Drops the all-zero rows of `words` words from the node-major `rows`,
+/// keeping the others in node order, and returns the nodes they belong to.
+fn keep_nonzero_rows(rows: &mut Vec<u64>, words: usize) -> Vec<NodeId> {
+    let mut nodes = Vec::new();
+    for v in 0..rows.len() / words.max(1) {
+        let row = v * words..(v + 1) * words;
+        if rows[row.clone()].iter().any(|&w| w != 0) {
+            rows.copy_within(row, nodes.len() * words);
+            nodes.push(v as NodeId);
+        }
+    }
+    rows.truncate(nodes.len() * words);
+    rows.shrink_to_fit();
+    nodes
 }
 
 /// Whether component `c` is in the hub closure `mask`.
@@ -907,17 +957,7 @@ mod tests {
     /// member offsets) fails here.
     #[test]
     fn index_contents_and_fingerprint_are_pinned() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
-        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(600, 5, true, &mut rng));
-        let supercritical = ProbGraph::fixed(gen::gnm(600, 3000, &mut rng), 0.3).unwrap();
-        let got = [&wc, &supercritical].map(|pg| {
-            let config = IndexConfig {
-                num_worlds: 16,
-                seed: 29,
-                threads: 2,
-                ..IndexConfig::default()
-            };
-            let index = CascadeIndex::build(pg, config);
+        let got = pinned_fixtures().map(|index| {
             let singletons = (0..index.num_worlds())
                 .filter(|&i| index.world(i).member_offsets.is_empty())
                 .count();
@@ -944,11 +984,79 @@ mod tests {
                 singletons,
             )
         });
+        // The supercritical fixture's 597 closure nodes add one 4-byte id
+        // and one 16-world row word each.
         let pinned = [
             (0xb22c_85d4_7c6c_fc2d, 0xa731_8c4c_7e3d_6853, 142_936, 16),
-            (0xe840_0ede_920f_dbba, 0x4745_6411_1710_acbb, 177_220, 0),
+            (
+                0xe840_0ede_920f_dbba,
+                0x4745_6411_1710_acbb,
+                177_220 + 597 * (4 + 8),
+                0,
+            ),
         ];
         assert_eq!(got, pinned, "got {got:#x?}");
+    }
+
+    /// The indexes [`index_contents_and_fingerprint_are_pinned`] pins: 16
+    /// worlds of a weighted-cascade BA graph, and of a supercritical one.
+    fn pinned_fixtures() -> [CascadeIndex; 2] {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(600, 5, true, &mut rng));
+        let supercritical = ProbGraph::fixed(gen::gnm(600, 3000, &mut rng), 0.3).unwrap();
+        [wc, supercritical].map(|pg| {
+            let config = IndexConfig {
+                num_worlds: 16,
+                seed: 29,
+                threads: 2,
+                ..IndexConfig::default()
+            };
+            CascadeIndex::build(&pg, config)
+        })
+    }
+
+    /// Bit `(v, i)` of the closure rows is set exactly when world `i`'s
+    /// hub closure holds `v`, and a node in no closure has no row. Returns
+    /// the number of rows.
+    fn assert_closure_rows(index: &CascadeIndex) -> usize {
+        let (nodes, rows) = index.closure_rows();
+        let words = index.num_worlds().div_ceil(64);
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(rows.len(), nodes.len() * words);
+        let zeros = vec![0; words];
+        for v in 0..index.num_nodes() as NodeId {
+            let row = match nodes.binary_search(&v) {
+                Ok(at) => &rows[at * words..(at + 1) * words],
+                Err(_) => &zeros[..],
+            };
+            for i in 0..index.num_worlds() {
+                let held = index.world(i).chunk(HUB_CLOSURE).contains(&v);
+                assert_eq!(
+                    row[i / 64] >> (i % 64) & 1 == 1,
+                    held,
+                    "node {v}, world {i}"
+                );
+            }
+        }
+        nodes.len()
+    }
+
+    #[test]
+    fn closure_rows_mark_each_worlds_hub_members() {
+        let [wc, supercritical] = pinned_fixtures();
+        assert_eq!(assert_closure_rows(&wc), 0);
+        assert_eq!(wc.closure_rows(), (&[][..], &[][..]));
+        assert_eq!(assert_closure_rows(&supercritical), 597);
+        // Two full blocks of worlds and a ragged third: two-word rows.
+        let index = CascadeIndex::build(
+            &test_graph(10),
+            IndexConfig {
+                num_worlds: BLOCKS_OF_WORLDS,
+                seed: 4,
+                ..IndexConfig::default()
+            },
+        );
+        assert!(assert_closure_rows(&index) > 0);
     }
 
     #[test]

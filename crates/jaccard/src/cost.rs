@@ -10,6 +10,9 @@
 //! CSR postings and an `O(1)` element → local id map. A whole candidate
 //! set `s` is scored from its elements' postings (`Σ_{e∈s} freq(e)`) or
 //! from per-sample bitset rows (`ℓ·⌈U/64⌉` words), whichever is less.
+//! A collection whose samples share precomputed closures (the cascade
+//! index's hub closures) loads from one bit row per closure element
+//! ([`IncrementalCost::load_closures`]), not one read per closure member.
 //! Every cost also comes as an estimate with a margin (`crate::bound`);
 //! a local-search toggle's estimate costs `O(freq(e))` from per-sample
 //! terms cached once per candidate.
@@ -101,6 +104,10 @@ pub struct IncrementalCost {
     /// Each sample's elements as a bitset over local ids, `⌈U/64⌉` words
     /// per sample, built by the first set scored from them.
     rows: Vec<u64>,
+    /// Each element's samples as a bitset, `⌈ℓ/64⌉` words per local id,
+    /// when [`load_closures`](Self::load_closures) read closure rows, else
+    /// empty: `rows` is then their transposition.
+    bits: Vec<u64>,
     /// Toggle terms against the current candidate, for an insertion
     /// (`[0]`) and a removal (`[1]`): filled on a direction's first
     /// toggle, emptied whenever the candidate changes.
@@ -144,35 +151,11 @@ impl IncrementalCost {
     where
         I: IntoIterator<Item = (u32, &'a [u32])> + Clone,
     {
-        for &e in &self.elems {
-            self.ids[e as usize] = 0;
-        }
-        // Count pass: each element's frequency, and the distinct elements.
-        self.elems.clear();
-        for (_, members) in chunks.clone() {
-            for &e in members {
-                let e = e as usize;
-                if e >= self.ids.len() {
-                    self.ids.resize(e + 1, 0);
-                }
-                if self.ids[e] == 0 {
-                    self.elems.push(e as u32);
-                }
-                self.ids[e] += 1;
-            }
-        }
-        self.elems.sort_unstable();
-        // Element u's postings start at offsets[u + 1], which the fill
-        // advances to their end — u + 1's start.
-        self.offsets.clear();
-        self.offsets.push(0);
-        let mut start = 0;
-        for (u, &e) in self.elems.iter().enumerate() {
-            self.offsets.push(start);
-            start += std::mem::replace(&mut self.ids[e as usize], u as u32 + 1) as usize;
-        }
+        self.clear_ids();
+        self.count(chunks.clone());
+        let total = self.number();
         self.postings.clear();
-        self.postings.resize(start, 0);
+        self.postings.resize(total, 0);
         self.sizes.clear();
         self.sizes.resize(num_samples, 0.0);
         let mut last = 0;
@@ -186,6 +169,139 @@ impl IncrementalCost {
                 *at += 1;
             }
         }
+        self.bits.clear();
+        self.empty_candidate(num_samples);
+    }
+
+    /// [`load`](Self::load) for samples that may also hold a shared
+    /// closure: sample `i` is the union of its `chunks` and, when bit `i`
+    /// of `closures.hits` is set, of `(closures.members)(i)`. A hit
+    /// sample's chunks hold no member of its closure. The state is exactly
+    /// `load`'s over those closures as chunks, but the closures are never
+    /// read element by element: a closure element's count is
+    /// `popcount(row & hits)`, each element gets a sample bitset (its row
+    /// masked by the hits, plus its chunks' bits), and its postings are
+    /// written from it in ascending order. That reads less than `load`
+    /// when [`Closures::rows_pay`]. Needs `num_samples ≥ 1`.
+    pub fn load_closures<'a, I, F>(&mut self, num_samples: usize, chunks: I, closures: &Closures<F>)
+    where
+        I: Iterator<Item = (u32, &'a [u32])> + Clone,
+        F: Fn(usize) -> &'a [u32],
+    {
+        let Closures {
+            hits,
+            elems,
+            rows,
+            members,
+        } = closures;
+        let words = num_samples.div_ceil(64);
+        debug_assert!(words > 0 && hits.len() == words && rows.len() == elems.len() * words);
+        // Count pass: a closure element's count is a masked popcount.
+        self.clear_ids();
+        if let Some(&last) = elems.last() {
+            if last as usize >= self.ids.len() {
+                self.ids.resize(last as usize + 1, 0);
+            }
+        }
+        for (&e, row) in elems.iter().zip(rows.chunks_exact(words)) {
+            let count: u32 = row
+                .iter()
+                .zip(*hits)
+                .map(|(r, h)| (r & h).count_ones())
+                .sum();
+            if count > 0 {
+                self.elems.push(e);
+                self.ids[e as usize] = count;
+            }
+        }
+        self.count(chunks.clone());
+        let total = self.number();
+        // Each element's sample bitset: its row masked by the hits, or-ed
+        // with the bits of its chunks.
+        self.bits.clear();
+        self.bits.resize(self.elems.len() * words, 0);
+        for (&e, row) in elems.iter().zip(rows.chunks_exact(words)) {
+            if let Some(u) = self.local(e) {
+                let bits = &mut self.bits[u * words..(u + 1) * words];
+                for (b, (r, h)) in bits.iter_mut().zip(row.iter().zip(*hits)) {
+                    *b = r & h;
+                }
+            }
+        }
+        self.sizes.clear();
+        self.sizes.resize(num_samples, 0.0);
+        for i in Ones::new(hits) {
+            self.sizes[i as usize] += members(i as usize).len() as f64;
+        }
+        for (i, chunk) in chunks {
+            self.sizes[i as usize] += chunk.len() as f64;
+            let (word, bit) = (i as usize / 64, 1 << (i % 64));
+            for &e in chunk {
+                self.bits[(self.ids[e as usize] as usize - 1) * words + word] |= bit;
+            }
+        }
+        // Element u's postings, ascending, end where u + 1's start.
+        self.postings.clear();
+        self.postings.resize(total, 0);
+        for (u, bits) in self.bits.chunks_exact(words).enumerate() {
+            let end = self.offsets.get(u + 2).copied().unwrap_or(total);
+            let postings = &mut self.postings[self.offsets[u + 1]..end];
+            debug_assert_eq!(
+                bits.iter().map(|b| b.count_ones() as usize).sum::<usize>(),
+                postings.len(),
+                "a hit sample's chunk holds a member of its closure"
+            );
+            for (slot, i) in postings.iter_mut().zip(Ones::new(bits)) {
+                *slot = i;
+            }
+            self.offsets[u + 1] = end;
+        }
+        self.empty_candidate(num_samples);
+    }
+
+    /// Zeroes the element map's entries of the loaded elements.
+    fn clear_ids(&mut self) {
+        for &e in &self.elems {
+            self.ids[e as usize] = 0;
+        }
+        self.elems.clear();
+    }
+
+    /// The count pass: adds each chunk element's frequency to its `ids`
+    /// entry, and pushes the elements not yet counted to `elems`.
+    fn count<'a>(&mut self, chunks: impl IntoIterator<Item = (u32, &'a [u32])>) {
+        for (_, members) in chunks {
+            for &e in members {
+                let e = e as usize;
+                if e >= self.ids.len() {
+                    self.ids.resize(e + 1, 0);
+                }
+                if self.ids[e] == 0 {
+                    self.elems.push(e as u32);
+                }
+                self.ids[e] += 1;
+            }
+        }
+    }
+
+    /// Sorts the counted elements, and replaces each one's count with its
+    /// local id + 1. Element u's postings start at `offsets[u + 1]`, which
+    /// a fill advances to their end — u + 1's start. Returns the number of
+    /// postings.
+    fn number(&mut self) -> usize {
+        self.elems.sort_unstable();
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut start = 0;
+        for (u, &e) in self.elems.iter().enumerate() {
+            self.offsets.push(start);
+            start += std::mem::replace(&mut self.ids[e as usize], u as u32 + 1) as usize;
+        }
+        start
+    }
+
+    /// Sets `C = ∅` over freshly loaded samples.
+    fn empty_candidate(&mut self, num_samples: usize) {
         self.inter.clear();
         self.inter.resize(num_samples, 0.0);
         self.member.clear();
@@ -397,12 +513,7 @@ impl IncrementalCost {
             return;
         }
         if self.rows.is_empty() {
-            self.rows.resize(self.sizes.len() * words, 0);
-            for u in 0..self.elems.len() {
-                for &i in &self.postings[self.span(u)] {
-                    self.rows[i as usize * words + u / 64] |= 1 << (u % 64);
-                }
-            }
+            self.build_rows();
         }
         let mask = &self.mask;
         let inter = self.rows.chunks_exact(words).map(|row| {
@@ -410,6 +521,49 @@ impl IncrementalCost {
             words.map(|(r, m)| (r & m).count_ones()).sum::<u32>() as f64
         });
         self.scratch.extend(inter);
+    }
+
+    /// Fills `rows`: by transposing the element bitsets in 64×64 blocks
+    /// when the loader kept them, else one bit per posting.
+    fn build_rows(&mut self) {
+        let (ell, num_elems) = (self.sizes.len(), self.elems.len());
+        let words = num_elems.div_ceil(64);
+        self.rows.resize(ell * words, 0);
+        if self.bits.is_empty() {
+            for u in 0..num_elems {
+                for &i in &self.postings[self.span(u)] {
+                    self.rows[i as usize * words + u / 64] |= 1 << (u % 64);
+                }
+            }
+            return;
+        }
+        let sample_words = ell.div_ceil(64);
+        let mut block = [0u64; 64];
+        for ub in 0..words {
+            for sb in 0..sample_words {
+                for (r, b) in block.iter_mut().enumerate() {
+                    let u = ub * 64 + r;
+                    *b = if u < num_elems {
+                        self.bits[u * sample_words + sb]
+                    } else {
+                        0
+                    };
+                }
+                transpose64(&mut block);
+                for (c, &b) in block.iter().enumerate().take(ell - sb * 64) {
+                    self.rows[(sb * 64 + c) * words + ub] = b;
+                }
+            }
+        }
+    }
+
+    /// The per-sample bitset rows, built first if no set has built them.
+    #[cfg(test)]
+    pub(crate) fn rows(&mut self) -> &[u64] {
+        if self.rows.is_empty() {
+            self.build_rows();
+        }
+        &self.rows
     }
 
     /// `ρ̂(s)` of any set `s` without duplicates, in any order,
@@ -442,9 +596,109 @@ impl IncrementalCost {
     }
 }
 
+/// The shared closures of [`IncrementalCost::load_closures`]'s samples,
+/// stored once for all samples.
+pub struct Closures<'c, F> {
+    /// The samples that hold their closure: bit `i % 64` of word `i / 64`,
+    /// `⌈ℓ/64⌉` words.
+    pub hits: &'c [u64],
+    /// The elements of any sample's closure, ascending.
+    pub elems: &'c [u32],
+    /// Per element, `⌈ℓ/64⌉` words: the samples whose closure holds it,
+    /// hit or not.
+    pub rows: &'c [u64],
+    /// Sample `i`'s closure, in any order.
+    pub members: F,
+}
+
+impl<'a, F: Fn(usize) -> &'a [u32]> Closures<'_, F> {
+    /// Whether [`IncrementalCost::load_closures`] reads less than
+    /// [`IncrementalCost::load`] with the hit closures as chunks: whether
+    /// the hit closures hold more entries than the rows hold words.
+    pub fn rows_pay(&self) -> bool {
+        let entries: usize = Ones::new(self.hits)
+            .map(|i| (self.members)(i as usize).len())
+            .sum();
+        entries > self.rows.len()
+    }
+}
+
+/// The set bits of a bitset, ascending.
+struct Ones<'b> {
+    word: u64,
+    base: u32,
+    rest: std::slice::Iter<'b, u64>,
+}
+
+impl<'b> Ones<'b> {
+    fn new(bits: &'b [u64]) -> Self {
+        let (&word, rest) = bits.split_first().unwrap_or((&0, &[]));
+        Ones {
+            word,
+            base: 0,
+            rest: rest.iter(),
+        }
+    }
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            self.word = *self.rest.next()?;
+            self.base += 64;
+        }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` moves to bit
+/// `r` of `a[c]`. Swaps the off-diagonal blocks of halves, then of
+/// quarters, down to single bits (Hacker's Delight, §7–3).
+fn transpose64(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut low: u64 = 0x0000_0000_ffff_ffff;
+    while width != 0 {
+        let mut r = 0;
+        while r < 64 {
+            let t = ((a[r] >> width) ^ a[r + width]) & low;
+            a[r] ^= t << width;
+            a[r + width] ^= t;
+            r = (r + width + 1) & !width;
+        }
+        width >>= 1;
+        low ^= low << width;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transpose64_moves_every_bit() {
+        use soi_util::rng::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::from_stream(0x7a05, 0);
+        for _ in 0..8 {
+            let a: [u64; 64] = std::array::from_fn(|_| rng.random());
+            let mut t = a;
+            transpose64(&mut t);
+            for (r, c) in (0..64).flat_map(|r| (0..64).map(move |c| (r, c))) {
+                assert_eq!(t[c] >> r & 1, a[r] >> c & 1, "bit ({r}, {c})");
+            }
+        }
+    }
+
+    #[test]
+    fn ones_lists_set_bits_ascending() {
+        let bits = [0b1001, 0, 1 << 63, 1];
+        assert_eq!(Ones::new(&bits).collect::<Vec<_>>(), [0, 3, 191, 192]);
+        assert_eq!(Ones::new(&[]).count(), 0);
+        assert_eq!(Ones::new(&[0, 0]).count(), 0);
+    }
 
     #[test]
     fn empirical_cost_basics() {

@@ -12,7 +12,7 @@
 //! every bound-decided comparison ([`crate::bound`]).
 
 use crate::bound::{DECISIONS, WIDEN};
-use crate::cost::{empirical_cost, IncrementalCost};
+use crate::cost::{empirical_cost, Closures, IncrementalCost};
 use crate::median::{
     frequency_sweep, jaccard_median_budgeted, jaccard_median_loaded, local_search, MedianConfig,
     MedianResult,
@@ -585,6 +585,141 @@ fn chunk_loads_match_reset_and_the_oracle() {
         multi_chunk >= 1000 && singletons >= 100,
         "{multi_chunk} multi-chunk and {singletons} singleton samples"
     );
+}
+
+/// A node's ℓ samples as the cascade index hands them over with its
+/// closure rows: seed `case`'s closure per world (some empty), drawn
+/// `dense`ly or sparsely from a shared core, each hit as `hit` says
+/// (`None`: none, `Some(1.0)`: every world with a closure), and per sample
+/// other chunks drawn from the core and beyond it, disjoint from the
+/// sample's closure when hit. One element, [`ONLY_UNHIT`], lies only in
+/// the closure of a world with no hit, whenever the hits leave one.
+struct ClosureCase {
+    closures: Vec<Vec<u32>>,
+    hits: Vec<u64>,
+    elems: Vec<u32>,
+    rows: Vec<u64>,
+    chunks: Vec<(u32, Vec<u32>)>,
+}
+
+/// The element [`ClosureCase`] puts only in an unhit world's closure:
+/// above its core, below its other elements.
+const ONLY_UNHIT: u32 = 3000;
+
+fn closure_case(ell: usize, case: u64, dense: bool, hit: Option<f64>) -> ClosureCase {
+    let mut rng = Xoshiro256pp::from_stream(0xC105E, case);
+    let core = rng.random_range(1u32..120);
+    let keep = if dense { 0.9 } else { 0.15 };
+    let mut closures: Vec<Vec<u32>> = (0..ell)
+        .map(|_| match rng.random_range(0u32..5) {
+            0 => Vec::new(),
+            _ => (0..core).filter(|_| rng.random::<f64>() < keep).collect(),
+        })
+        .collect();
+    let words = ell.div_ceil(64);
+    let mut hits = vec![0u64; words];
+    for (i, c) in closures.iter().enumerate() {
+        if !c.is_empty() && hit.is_some_and(|p| rng.random::<f64>() < p) {
+            hits[i / 64] |= 1 << (i % 64);
+        }
+    }
+    let is_hit = |i: usize| hits[i / 64] >> (i % 64) & 1 == 1;
+    if let Some(i) = (0..ell).find(|&i| !is_hit(i)) {
+        closures[i].push(ONLY_UNHIT);
+    }
+    let mut elems: Vec<u32> = closures.iter().flatten().copied().collect();
+    elems.sort_unstable();
+    elems.dedup();
+    let mut rows = vec![0u64; elems.len() * words];
+    for (at, e) in elems.iter().enumerate() {
+        for (i, c) in closures.iter().enumerate() {
+            if c.binary_search(e).is_ok() {
+                rows[at * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    let others: Vec<Vec<u32>> = (0..ell)
+        .map(|i| {
+            let len = rng.random_range(0usize..12);
+            let set: BTreeSet<u32> = (0..len)
+                .map(|_| rng.random_range(0..core + 40))
+                .map(|e| if e >= core { e + ONLY_UNHIT } else { e })
+                .filter(|e| !is_hit(i) || closures[i].binary_search(e).is_err())
+                .collect();
+            set.into_iter().collect()
+        })
+        .collect();
+    let chunks = chunked(&others, &mut rng);
+    ClosureCase {
+        closures,
+        hits,
+        elems,
+        rows,
+        chunks,
+    }
+}
+
+/// The closure loader builds what [`IncrementalCost::load`] builds over
+/// the materialised chunks — each hit world's closure one more chunk —
+/// whichever side of [`Closures::rows_pay`] the case falls on: the
+/// elements, CSR offsets, postings and sizes, and then the per-sample
+/// bitset rows, transposed from the element bitsets or scattered from the
+/// postings. A plain `load` after a closure load keeps none of its
+/// element bitsets.
+#[test]
+fn closure_loads_match_chunk_loads() {
+    let (mut from_rows, mut from_chunks) = (IncrementalCost::default(), IncrementalCost::default());
+    let mut rows_pay = [0; 2];
+    let (mut unhit_only, mut closure_and_chunk) = (0, 0);
+    let mut case = 0;
+    for ell in [1, 63, 64, 65, 256, 1000] {
+        for hit in [None, Some(1.0), Some(0.5), Some(0.05), Some(0.01)] {
+            for dense in [true, false, true, false] {
+                case += 1;
+                let c = closure_case(ell, case, dense, hit);
+                let is_hit = |i: usize| c.hits[i / 64] >> (i % 64) & 1 == 1;
+                let mut materialised: Vec<(u32, &[u32])> = Vec::new();
+                for i in 0..ell {
+                    if is_hit(i) {
+                        materialised.push((i as u32, &c.closures[i]));
+                    }
+                    let others = c.chunks.iter().filter(|ch| ch.0 as usize == i);
+                    materialised.extend(others.map(|(i, ch)| (*i, ch.as_slice())));
+                }
+                from_chunks.load(ell, materialised.iter().copied());
+                let rows = from_chunks.rows().to_vec();
+                let at = format!("ℓ = {ell}, case {case}");
+                // `from_rows` last read the closure rows of another case.
+                from_rows.load(ell, materialised.iter().copied());
+                assert_eq!(from_rows.rows(), rows, "{at}: a load kept stale bitsets");
+                let closures = Closures {
+                    hits: &c.hits,
+                    elems: &c.elems,
+                    rows: &c.rows,
+                    members: |i: usize| c.closures[i].as_slice(),
+                };
+                if c.hits.iter().any(|&h| h != 0) {
+                    rows_pay[closures.rows_pay() as usize] += 1;
+                }
+                let others = c.chunks.iter().map(|(i, ch)| (*i, ch.as_slice()));
+                from_rows.load_closures(ell, others, &closures);
+                assert_eq!(from_rows.loaded(), from_chunks.loaded(), "{at}");
+                let unhit = |i: usize| !is_hit(i) && c.closures[i].contains(&ONLY_UNHIT);
+                if hit.is_some() && (0..ell).any(unhit) {
+                    assert_eq!(from_rows.frequency(ONLY_UNHIT), 0, "{at}");
+                    unhit_only += 1;
+                }
+                assert_eq!(from_rows.rows(), rows, "{at}");
+
+                let in_chunk = |e: &u32| c.chunks.iter().any(|ch| ch.1.contains(e));
+                let hit_closure = (0..ell).filter(|&i| is_hit(i)).flat_map(|i| &c.closures[i]);
+                closure_and_chunk += hit_closure.filter(|e| in_chunk(e)).count();
+            }
+        }
+    }
+    // Of the cases with some hit: [loaded as chunks, read from rows].
+    assert!(rows_pay[0] >= 20 && rows_pay[1] >= 20, "{rows_pay:?}");
+    assert!(unhit_only >= 50 && closure_and_chunk >= 1000);
 }
 
 #[test]
