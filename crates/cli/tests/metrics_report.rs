@@ -5,6 +5,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -29,20 +30,15 @@ fn generate_graph(name: &str) -> PathBuf {
 }
 
 fn run_infmax_tc(graph: &Path, report: &Path) {
-    let out = soi(&[
-        "infmax",
-        graph.to_str().unwrap(),
-        "--k",
-        "3",
-        "--method",
-        "tc",
-        "--samples",
-        "32",
-        "--seed",
-        "5",
-        "--metrics-out",
-        report.to_str().unwrap(),
-    ]);
+    run_infmax(graph, report, &["--method", "tc", "--samples", "32"]);
+}
+
+fn run_infmax(graph: &Path, report: &Path, method: &[&str]) {
+    let (graph, report) = (graph.to_str().unwrap(), report.to_str().unwrap());
+    let mut args = vec!["infmax", graph, "--k", "3", "--seed", "5"];
+    args.extend_from_slice(method);
+    args.extend_from_slice(&["--metrics-out", report]);
+    let out = soi(&args);
     assert!(
         out.status.success(),
         "{}",
@@ -73,13 +69,30 @@ fn report_covers_all_phases_and_is_deterministic_masked() {
     // One infmax --method tc run exercises the whole pipeline: worlds are
     // sampled into the index, typical cascades fit medians per node, the
     // max-cover greedy selects seeds, and the final spread estimate runs
-    // direct cascades.
-    for phase in ["sampling.", "median.", "index.", "engine.", "influence."] {
-        assert!(
-            a.contains(&format!("{{\"type\":\"counter\",\"name\":\"{phase}")),
-            "no {phase} counters in report:\n{a}"
-        );
-    }
+    // direct cascades. Each phase keeps the counters something reads, and
+    // only those; the index draws each of its ℓ = 32 worlds once.
+    let counters = values(&a, "counter");
+    let names: Vec<&str> = counters.keys().map(String::as_str).collect();
+    assert_eq!(
+        names,
+        [
+            "engine.hub_hits",
+            "index.worlds_built",
+            "influence.tc_runs",
+            "median.calls",
+            "median.input_set_evals",
+            "median.local_search_rounds",
+            "median.local_search_toggles",
+            "median.prefix_evals",
+            "sampling.worlds_sampled",
+        ],
+        "{a}"
+    );
+    assert_eq!(counters["sampling.worlds_sampled"], 32.0);
+    assert_eq!(counters["index.worlds_built"], 32.0);
+    assert_eq!(counters["influence.tc_runs"], 1.0);
+    assert_eq!(counters["median.calls"], 40.0, "one fit per node");
+    assert!(values(&a, "gauge")["index.memory_bytes"] > 0.0, "{a}");
     assert!(a.contains("\"type\":\"span\""), "no spans in report");
     assert!(
         a.contains("\"wall_ns_total\":"),
@@ -101,6 +114,30 @@ fn report_covers_all_phases_and_is_deterministic_masked() {
         "masking left wall time intact"
     );
     assert_eq!(ma, mb, "masked reports differ between same-seed runs");
+}
+
+/// The `value` of every `kind` line of a report, by name.
+fn values(report: &str, kind: &str) -> BTreeMap<String, f64> {
+    let prefix = format!("{{\"type\":\"{kind}\",\"name\":\"");
+    report
+        .lines()
+        .filter_map(|l| l.strip_prefix(&prefix))
+        .map(|rest| {
+            let (name, value) = rest.split_once("\",\"value\":").expect(rest);
+            let value = value.trim_end_matches('}').parse().expect(rest);
+            (name.to_string(), value)
+        })
+        .collect()
+}
+
+#[test]
+fn the_sketch_backend_draws_every_world_twice() {
+    // The build and `select_seeds` each draw all ℓ = 24 worlds.
+    let graph = generate_graph("sketch.tsv");
+    let report = tmp("sketch.jsonl");
+    run_infmax(&graph, &report, &["--backend", "sketch", "--samples", "24"]);
+    let report = std::fs::read_to_string(&report).unwrap();
+    assert_eq!(values(&report, "counter")["sampling.worlds_sampled"], 48.0);
 }
 
 #[test]
@@ -155,14 +192,7 @@ fn hub_hit_share(model: &str, prob: &str) -> f64 {
     let report = tmp(&format!("hub_{model}.jsonl"));
     run_infmax_tc(&graph, &report);
     let report = std::fs::read_to_string(&report).unwrap();
-    let hits = report
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix("{\"type\":\"counter\",\"name\":\"engine.hub_hits\",\"value\":")
-        })
-        .and_then(|rest| rest.trim_end_matches('}').parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("no engine.hub_hits counter:\n{report}"));
-    hits / (200.0 * 32.0)
+    values(&report, "counter")["engine.hub_hits"] / (200.0 * 32.0)
 }
 
 #[test]

@@ -7,6 +7,13 @@
 //! than this graph has chunks per worker. The sketch build is run twice:
 //! on the small graph, which is one node partition, and on a graph of
 //! four partitions, so that the partitions fold in parallel.
+//!
+//! The weighted-cascade BA graphs have acyclic worlds, which keep no hub
+//! closure. Two G(300, 1500) graphs cover the closure paths of the index
+//! median: at p = 0.3 the worlds have giant closures and the nodes that
+//! hit them take the closure rows (`Closures::rows_pay`); at p = 0.15
+//! the closures are small and the nodes that hit them load each as one
+//! more chunk.
 
 mod common;
 
@@ -46,8 +53,18 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
             "--model", "ba", "--nodes", "4000", "--m", "3", "--prob", "wc", "--seed", "5",
         ],
     );
+    let gnm = |name, prob| {
+        let args = [
+            "--model", "gnm", "--nodes", "300", "--edges", "1500", "--prob", prob, "--seed", "11",
+        ];
+        generate(&dir, name, &args)
+    };
+    let (rows, chunks) = (
+        gnm("rows.tsv", "fixed:0.3"),
+        gnm("chunks.tsv", "fixed:0.15"),
+    );
     let spheres_out = dir.join("spheres.tsv").to_string_lossy().into_owned();
-    let commands = [
+    let mut commands = vec![
         (
             &graph,
             "infmax --k 5 --method tc --samples 48 --seed 9",
@@ -82,6 +99,20 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
             None,
         ),
     ];
+    for closures in [&rows, &chunks] {
+        commands.extend([
+            (
+                closures,
+                "infmax --k 5 --method tc --samples 48 --seed 9",
+                None,
+            ),
+            (
+                closures,
+                "spheres --samples 48 --seed 7",
+                Some(spheres_out.as_str()),
+            ),
+        ]);
+    }
     for (graph, line, out_file) in commands {
         let mut args: Vec<&str> = line.split(' ').collect();
         args.insert(1, graph);

@@ -11,12 +11,6 @@ use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::SoiError;
 use std::convert::Infallible;
 
-/// Power-of-two buckets for the `engine.sphere_size` histogram (sphere
-/// sizes are counts, so bucket totals stay deterministic).
-const SPHERE_SIZE_BUCKETS: &[f64] = &[
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0, 16384.0,
-];
-
 /// Configuration for typical-cascade computation.
 #[derive(Clone, Copy, Debug)]
 pub struct TypicalCascadeConfig {
@@ -102,7 +96,6 @@ pub fn typical_cascade_of_set(
     config: &TypicalCascadeConfig,
 ) -> TypicalCascade {
     assert!(config.median_samples > 0, "need at least one sample");
-    soi_obs::counter_add!("engine.tc_queries", 1);
     let _span = soi_obs::span("engine.typical_cascade");
     let train_seed = derive_seed(config.seed, 0x7261696e); // "rain"
     let samples = {
@@ -367,7 +360,6 @@ pub fn all_typical_cascades_resumable(
     let mut results = Vec::new();
     if let Some(c) = slot.load()? {
         results = decode_tc_payload(&c, n)?;
-        soi_obs::counter_add!("engine.tc_resumes", 1);
         soi_obs::event!(
             soi_obs::Level::Info,
             "resuming typical cascades from checkpoint: {} of {n} nodes done",
@@ -389,12 +381,7 @@ pub fn all_typical_cascades_resumable(
             }
             Ok(())
         },
-        |results| {
-            if slot.save(results.len(), || encode_tc_payload(results))? {
-                soi_obs::counter_add!("engine.tc_checkpoints", 1);
-            }
-            Ok(())
-        },
+        |results| slot.save(results.len(), || encode_tc_payload(results)),
     )
 }
 
@@ -416,9 +403,7 @@ fn solve_blocks<E>(
     results.reserve(n.saturating_sub(results.len()));
 
     let solve = |scratch: &mut NodeScratch, v: NodeId| {
-        soi_obs::counter_add!("engine.nodes_solved", 1);
         let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
-        soi_obs::hist_observe!("engine.sphere_size", SPHERE_SIZE_BUCKETS, fit.median.len());
         NodeTypicalCascade {
             node: v,
             median: fit.median,

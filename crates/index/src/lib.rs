@@ -375,26 +375,17 @@ impl CascadeIndex {
         )
     }
 
-    /// Records closure/size counters and gauges for a finished build.
-    /// Everything here is a function of the seeded inputs, so the values
-    /// are deterministic.
+    /// Records the build's world count and size, and logs them. Every
+    /// value is a function of the seeded inputs.
     fn record_build_metrics(&self) {
-        soi_obs::counter_add!("index.builds", 1);
         soi_obs::counter_add!("index.worlds_built", self.worlds.len());
-        let comps: usize = self.worlds.iter().map(WorldIndex::num_comps).sum();
-        let dag_edges: usize = self.worlds.iter().map(|w| w.dag.num_edges()).sum();
-        let members: usize = self.worlds.iter().map(|w| w.members.len()).sum();
-        soi_obs::counter_add!("index.total_comps", comps);
-        soi_obs::counter_add!("index.total_dag_edges", dag_edges);
-        soi_obs::counter_add!("index.total_member_entries", members);
         soi_obs::gauge("index.memory_bytes").set(self.memory_bytes() as f64);
-        soi_obs::gauge("index.max_comps").set(self.max_comps as f64);
         soi_obs::event!(
             soi_obs::Level::Info,
             "index built: {} worlds, {} comps, {} member entries, {} bytes",
             self.worlds.len(),
-            comps,
-            members,
+            self.worlds.iter().map(WorldIndex::num_comps).sum::<usize>(),
+            self.worlds.iter().map(|w| w.members.len()).sum::<usize>(),
             self.memory_bytes()
         );
     }

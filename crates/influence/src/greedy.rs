@@ -133,7 +133,6 @@ pub fn infmax_celf_resumable(
                 start.0.len()
             )));
         }
-        soi_obs::counter_add!("influence.greedy_resumes", 1);
         soi_obs::event!(
             soi_obs::Level::Info,
             "resumed greedy selection: {} of {k} seeds from checkpoint",
@@ -153,12 +152,7 @@ pub fn infmax_celf_resumable(
             }
             Ok(())
         },
-        |seeds, curve| {
-            if slot.save(seeds.len(), || encode_greedy_payload(seeds, curve))? {
-                soi_obs::counter_add!("influence.greedy_checkpoints", 1);
-            }
-            Ok(())
-        },
+        |seeds, curve| slot.save(seeds.len(), || encode_greedy_payload(seeds, curve)),
     )
 }
 
@@ -216,7 +210,6 @@ fn celf<E>(
             if !deadline.tick(1) {
                 return None;
             }
-            soi_obs::counter_add!("influence.celf_reevals", 1);
             Some(oracle.marginal_gain(v))
         };
         let best = lazy.pop_ranked(capture_top, rescore, |g| ranking.push(g));
@@ -276,7 +269,6 @@ pub fn infmax_std_mc(
     // Initial pass: sigma({v}) for every node, parallel.
     let mut initial: Vec<f64> = vec![0.0; n];
     soi_util::pool::for_each_indexed(&mut initial, 0, |v, slot| {
-        soi_obs::counter_add!("influence.mc_spread_evals", 1);
         *slot = estimate_spread(pg, &[v as NodeId], samples, derive_seed(seed, v as u64));
     });
 
@@ -295,8 +287,6 @@ pub fn infmax_std_mc(
                 return None;
             }
             // Fresh evaluation of the marginal gain.
-            soi_obs::counter_add!("influence.celf_reevals", 1);
-            soi_obs::counter_add!("influence.mc_spread_evals", 1);
             let mut with_v: Vec<NodeId> = seeds.clone();
             with_v.push(v);
             reevals += 1;

@@ -61,10 +61,6 @@ pub fn sample_rr_sets_budgeted(
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(derive_seed(seed, i as u64));
         let target = rng.random_range(0..n as NodeId);
         sampler.sample(&tp, target, &mut rng, &mut out);
-        // RR-set cost accounting: total width is the classic EPT-style
-        // cost measure of the Borgs et al. analysis.
-        soi_obs::counter_add!("influence.rr_sets_sampled", 1);
-        soi_obs::counter_add!("influence.rr_set_nodes", out.len());
         let mut set = out.clone();
         set.sort_unstable();
         sets.push(set);

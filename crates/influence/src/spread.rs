@@ -52,7 +52,6 @@ impl<'a> SpreadOracle<'a> {
 
     /// One-shot estimate of `σ(seeds)`, independent of the committed state.
     pub fn spread_of(&mut self, seeds: &[NodeId]) -> f64 {
-        soi_obs::counter_add!("influence.spread_evals", 1);
         let ell = self.index.num_worlds();
         let mut total = 0usize;
         for i in 0..ell {
@@ -73,7 +72,6 @@ impl<'a> SpreadOracle<'a> {
 
     /// Marginal gain `σ(S ∪ {v}) − σ(S)` against the committed state.
     pub fn marginal_gain(&mut self, v: NodeId) -> f64 {
-        soi_obs::counter_add!("influence.marginal_gain_calls", 1);
         let ell = self.index.num_worlds();
         let mut gain = 0usize;
         for i in 0..ell {
@@ -96,7 +94,6 @@ impl<'a> SpreadOracle<'a> {
     /// Commits `v` into the seed set, updating covered state. Returns the
     /// realized marginal gain.
     pub fn commit(&mut self, v: NodeId) -> f64 {
-        soi_obs::counter_add!("influence.commits", 1);
         let ell = self.index.num_worlds();
         let mut gain = 0usize;
         for i in 0..ell {

@@ -73,7 +73,6 @@ fn universe_size(cascades: &[Vec<NodeId>]) -> usize {
 }
 
 pub(crate) fn gain_of(cascade: &[NodeId], covered: &BitSet, values: &[f64]) -> f64 {
-    soi_obs::counter_add!("influence.tc_gain_evals", 1);
     cascade
         .iter()
         .filter(|&&w| !covered.contains(w as usize))
@@ -104,10 +103,7 @@ fn weighted_inner(
     }
     for _ in 0..k {
         let mut ranking = Vec::with_capacity(capture_top);
-        let rescore = |v: NodeId| {
-            soi_obs::counter_add!("influence.tc_reevals", 1);
-            Some(gain_of(&cascades[v as usize], &covered, values))
-        };
+        let rescore = |v: NodeId| Some(gain_of(&cascades[v as usize], &covered, values));
         let best = lazy.pop_ranked(capture_top, rescore, |g| ranking.push(g));
         let Some((node, gain)) = best else { break };
         if capture_top > 0 {

@@ -72,7 +72,7 @@ macro_rules! counter_add {
 /// the registry handle at the call site.
 ///
 /// ```
-/// soi_obs::hist_observe!("engine.sphere_size", &[1.0, 8.0, 64.0], 5.0);
+/// soi_obs::hist_observe!("sampling.cascade_size", &[1.0, 8.0, 64.0], 5.0);
 /// ```
 #[macro_export]
 macro_rules! hist_observe {

@@ -87,7 +87,6 @@ impl CascadeSampler {
         }
         let g = pg.graph();
         let probs = pg.probs();
-        soi_obs::counter_add!("sampling.cascades_sampled", 1);
         while let Some(v) = self.stack.pop() {
             for e in g.edge_range(v) {
                 let w = g.edge_target(e);
@@ -105,7 +104,6 @@ impl CascadeSampler {
                 }
             }
         }
-        soi_obs::counter_add!("sampling.cascade_nodes", out.len());
         soi_obs::hist_observe!("sampling.cascade_size", SIZE_BUCKETS, out.len());
     }
 

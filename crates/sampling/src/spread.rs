@@ -37,7 +37,6 @@ pub fn estimate_spread_budgeted(
     seed: u64,
     deadline: &Deadline,
 ) -> Outcome<f64> {
-    soi_obs::counter_add!("sampling.spread_estimates", 1);
     let mut total = 0usize;
     let done = CascadeSampler::for_each_cascade(pg, seeds, samples, seed, deadline, |cascade| {
         total += cascade.len();

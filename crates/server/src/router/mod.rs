@@ -325,7 +325,6 @@ fn forward(
 /// backoff schedule, and advances the attempt counter.
 fn retry(state: &RouterState, attempt: &mut u32, shard_idx: usize, replica_idx: usize) {
     state.map.mark(shard_idx, replica_idx, Exchange::Failed);
-    soi_obs::counter_add!("router.forward_retries", 1);
     crate::client::backoff_nap(state.backoff_ticks, *attempt, 0);
     *attempt += 1;
 }
@@ -491,7 +490,6 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
     // Touch every router counter so 0 is reported, not absent.
     soi_obs::counter_add!("router.requests_total", 0);
     soi_obs::counter_add!("router.forwarded", 0);
-    soi_obs::counter_add!("router.forward_retries", 0);
     soi_obs::counter_add!("router.failovers", 0);
     soi_obs::counter_add!("router.shard_unavailable", 0);
     soi_obs::counter_add!("router.requests_shed", 0);
@@ -500,7 +498,6 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
     soi_obs::counter_add!("router.override_persist_errors", 0);
     soi_obs::counter_add!("router.probe_attempts", 0);
     soi_obs::counter_add!("router.probe_recoveries", 0);
-    soi_obs::gauge("router.replicas_unhealthy").set(0.0);
     let layout_fp = layout_fingerprint(&config.shards);
     let map = ShardMap::new(config.shards.clone());
     if let Some(path) = &config.overrides_path {

@@ -17,7 +17,6 @@
 //! the fabric without an operator touching anything.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Virtual points each shard projects onto the hash ring. Enough that
@@ -74,10 +73,6 @@ pub struct ShardMap {
     /// Per-shard load-shedding state: `(remaining budget, queue_depth,
     /// retry_after_ticks)` from the last `queue-full` rejection seen.
     shed: Vec<Mutex<(u64, u64, u64)>>,
-    /// Replicas currently marked unhealthy, across all shards (the
-    /// authoritative value behind the `router.replicas_unhealthy`
-    /// gauge).
-    unhealthy_total: AtomicI64,
 }
 
 impl ShardMap {
@@ -113,7 +108,6 @@ impl ShardMap {
             shards,
             overrides: Mutex::new(BTreeMap::new()),
             shed,
-            unhealthy_total: AtomicI64::new(0),
         }
     }
 
@@ -209,35 +203,19 @@ impl ShardMap {
         order
     }
 
-    /// Records the outcome of one exchange with `shard`/`replica` and
-    /// keeps the `router.replicas_unhealthy` gauge in step.
+    /// Records the outcome of one exchange with `shard`/`replica`.
     pub fn mark(&self, shard: usize, replica: usize, outcome: Exchange) {
-        let ok = outcome != Exchange::Failed;
-        let delta: i64;
-        {
-            let mut replicas = self.shards[shard]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let Some(r) = replicas.get_mut(replica) else {
-                return;
-            };
-            delta = match (r.healthy, ok) {
-                (true, false) => 1,
-                (false, true) => -1,
-                _ => 0,
-            };
-            r.healthy = ok;
-            match outcome {
-                Exchange::Relayed => r.forwarded += 1,
-                Exchange::Alive => {}
-                Exchange::Failed => r.failures += 1,
-            }
-        }
-        if delta != 0 {
-            // ordering: monotonic transition counter; the gauge it feeds
-            // is read for reporting only, so a Relaxed RMW is exact.
-            let total = self.unhealthy_total.fetch_add(delta, Ordering::Relaxed) + delta;
-            soi_obs::gauge("router.replicas_unhealthy").set(total.max(0) as f64);
+        let mut replicas = self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some(r) = replicas.get_mut(replica) else {
+            return;
+        };
+        r.healthy = outcome != Exchange::Failed;
+        match outcome {
+            Exchange::Relayed => r.forwarded += 1,
+            Exchange::Alive => {}
+            Exchange::Failed => r.failures += 1,
         }
     }
 

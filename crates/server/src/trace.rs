@@ -337,6 +337,33 @@ mod tests {
         assert!(text.contains("\"trace\":[{\"phase\":\"parse\""), "{text}");
     }
 
+    /// A writer whose every write and flush fails.
+    struct BrokenPipe;
+
+    impl Write for BrokenPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "log gone"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "log gone"))
+        }
+    }
+
+    #[test]
+    fn failed_log_write_is_counted_not_raised() {
+        // The guard also keeps `soi_obs::reset` in other tests from
+        // zeroing the counter between the two reads.
+        let _g = soi_util::failpoint::test_guard();
+        soi_util::failpoint::clear();
+        let errors = soi_obs::metrics::counter("server.slow_query_log_errors");
+        let before = errors.get();
+        let log = SlowLog::new(200, Box::new(BrokenPipe));
+        let mut at_threshold = PhaseTrace::new();
+        at_threshold.record("compute", 200, 1);
+        log.maybe_log(1, "infmax-tc", &at_threshold);
+        assert_eq!(errors.get(), before + 1);
+    }
+
     #[test]
     fn rotation_keeps_one_old_generation_under_the_byte_cap() {
         let _g = soi_util::failpoint::test_guard();

@@ -200,7 +200,6 @@ impl ReachSketches {
         let start = match slot.load()? {
             Some(ck) => {
                 let builder = Builder::decode(&ck.payload, pg.num_nodes(), config.k)?;
-                soi_obs::counter_add!("sketch.build_resumes", 1);
                 soi_obs::event!(
                     soi_obs::Level::Info,
                     "sketch build resuming from world {}/{}",
@@ -213,10 +212,7 @@ impl ReachSketches {
         };
         Self::build_blocks(pg, config, run, start, |done, builder| {
             soi_util::failpoint!("sketch.build.block");
-            if slot.save(done, || builder.encode(config.seed))? {
-                soi_obs::counter_add!("sketch.checkpoints_written", 1);
-            }
-            Ok(())
+            slot.save(done, || builder.encode(config.seed))
         })
     }
 
@@ -282,7 +278,14 @@ impl ReachSketches {
             ..config
         };
         let sketches = combined.finish(pg.fingerprint(), config);
-        sketches.record_build_metrics();
+        soi_obs::event!(
+            soi_obs::Level::Info,
+            "sketches built: {} worlds, k={}, {} entries, {} bytes",
+            done,
+            config.k,
+            sketches.total_entries(),
+            sketches.memory_bytes()
+        );
         Ok(run.deadline.outcome(sketches, done as u64, ell as u64))
     }
 
@@ -374,7 +377,6 @@ impl ReachSketches {
 
     /// Estimated expected spread `σ({v}) = |X(v)| / ℓ`.
     pub fn node_spread(&self, v: NodeId) -> f64 {
-        soi_obs::counter_add!("sketch.estimates", 1);
         self.pair_cardinality(v) / self.config.num_worlds as f64
     }
 
@@ -382,7 +384,6 @@ impl ReachSketches {
     /// (bottom-k of the deduplicated union — valid because each member is
     /// a bottom-k or the full set) and the union cardinality estimated.
     pub fn set_spread(&self, seeds: &[NodeId]) -> f64 {
-        soi_obs::counter_add!("sketch.estimates", 1);
         let mut merged: Vec<Entry> = Vec::with_capacity(seeds.len() * self.config.k);
         for &s in seeds {
             merged.extend_from_slice(self.sketch_of(s));
@@ -411,21 +412,6 @@ impl ReachSketches {
     /// Total stored entries across all nodes.
     pub fn total_entries(&self) -> usize {
         self.sizes.iter().map(|&s| s as usize).sum()
-    }
-
-    fn record_build_metrics(&self) {
-        soi_obs::counter_add!("sketch.builds", 1);
-        soi_obs::counter_add!("sketch.worlds_built", self.config.num_worlds);
-        soi_obs::counter_add!("sketch.entries_stored", self.total_entries());
-        soi_obs::gauge("sketch.memory_bytes").set(self.memory_bytes() as f64);
-        soi_obs::event!(
-            soi_obs::Level::Info,
-            "sketches built: {} worlds, k={}, {} entries, {} bytes",
-            self.config.num_worlds,
-            self.config.k,
-            self.total_entries(),
-            self.memory_bytes()
-        );
     }
 }
 

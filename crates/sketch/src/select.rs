@@ -126,7 +126,6 @@ pub fn select_seeds(
         }
         seeds.push(node);
         coverage.push(covered_pairs as f64 / ell as f64);
-        soi_obs::counter_add!("sketch.select_rounds", 1);
     }
     let done = seeds.len() as u64;
     deadline.outcome(SelectResult { seeds, coverage }, done, k_seeds as u64)

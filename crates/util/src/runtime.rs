@@ -299,19 +299,14 @@ impl Slot<'_> {
     }
 
     /// Notes that `done` units are complete and writes the checkpoint
-    /// when one is due: after every `every` units and after the last one.
-    /// `payload` is encoded only for a write; returns whether one
-    /// happened (never, without a file).
-    pub fn save(
-        &mut self,
-        done: usize,
-        payload: impl FnOnce() -> Vec<u8>,
-    ) -> Result<bool, SoiError> {
+    /// when one is due: after every `every` units and after the last one
+    /// (never, without a file). `payload` is encoded only for a write.
+    pub fn save(&mut self, done: usize, payload: impl FnOnce() -> Vec<u8>) -> Result<(), SoiError> {
         let (done, last) = (done as u64, &mut self.last);
         let due =
             done - last.done_units >= self.run.every.max(1) as u64 || done == last.total_units;
         let Some(path) = self.run.checkpoint.as_deref().filter(|_| due) else {
-            return Ok(false);
+            return Ok(());
         };
         last.done_units = done;
         let payload = payload();
@@ -321,8 +316,7 @@ impl Slot<'_> {
                 payload,
                 ..last.clone()
             },
-        )?;
-        Ok(true)
+        )
     }
 }
 
@@ -479,7 +473,7 @@ mod tests {
         let mut value = slot.load()?.map_or_else(Vec::new, |c| c.payload);
         let done = run.blocks(total, value.len(), block, |lo, hi| {
             value.extend((lo..hi).map(|i| i as u8));
-            slot.save(hi, || value.clone()).map(|_| ())
+            slot.save(hi, || value.clone())
         })?;
         Ok(run.deadline.outcome(value, done as u64, total as u64))
     }
@@ -622,9 +616,7 @@ mod tests {
     fn without_a_file_nothing_is_ever_written() {
         let run = Run::new(Deadline::ticks(100), None, 1, true);
         let mut slot = run.slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL);
-        let wrote = slot
-            .save(TOTAL, || panic!("payload encoded without a file"))
+        slot.save(TOTAL, || panic!("payload encoded without a file"))
             .unwrap();
-        assert!(!wrote);
     }
 }

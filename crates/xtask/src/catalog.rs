@@ -19,6 +19,11 @@
 //! * a cataloged name found nowhere in source flags the catalog row (the
 //!   code rotted behind the doc).
 //!
+//! The metric catalog's last column lists, in backticks, the files that
+//! read each name: a row is flagged when a listed path does not exist or
+//! none of the listed files names the metric, as a whole word or in its
+//! `soi_…` Prometheus form (`docs/STATIC_ANALYSIS.md`).
+//!
 //! Names are matched in the **raw** line text because [`crate::source`]
 //! blanks string-literal contents in the lexed form; test lines are
 //! skipped, as are metric names starting `test.` (unit-test scratch is
@@ -54,6 +59,8 @@ pub struct Spec {
     pub calls: &'static [&'static str],
     /// Names with this prefix are scratch, never cataloged.
     pub scratch_prefix: Option<&'static str>,
+    /// Whether each row's last column lists the files that read it.
+    pub readers: bool,
 }
 
 /// Planted failpoints ↔ the `docs/ROBUSTNESS.md` catalog.
@@ -66,6 +73,7 @@ pub const FAILPOINTS: Spec = Spec {
     doc_path: "docs/ROBUSTNESS.md",
     calls: &["failpoint!(\"", "failpoint_crash!(\"", "trigger(\""],
     scratch_prefix: None,
+    readers: false,
 };
 
 /// Registered metrics ↔ the `docs/OBSERVABILITY.md` catalog.
@@ -85,6 +93,7 @@ pub const METRICS: Spec = Spec {
         "hist_observe!(\"",
     ],
     scratch_prefix: Some("test."),
+    readers: true,
 };
 
 impl Spec {
@@ -142,21 +151,65 @@ pub fn check(spec: &Spec, root: &Path, scanned: &BTreeMap<PathBuf, SourceFile>) 
             findings.push(finding(path.clone(), *line, message));
         }
     }
-    for (name, line) in &catalog {
-        if !in_source.contains_key(name) {
-            let message = format!(
+    for (name, (line, readers)) in &catalog {
+        let message = if !in_source.contains_key(name) {
+            Some(format!(
                 "cataloged {noun} `{name}` is not {verb} anywhere in the \
                  tree; delete the row or restore the {thing}"
-            );
-            findings.push(finding(PathBuf::from(doc_path), *line, message));
-        }
+            ))
+        } else if spec.readers {
+            unread(root, doc_path, name, readers)
+        } else {
+            None
+        };
+        findings.extend(message.map(|m| finding(PathBuf::from(doc_path), *line, m)));
     }
     findings
 }
 
-/// Extracts the catalog as `name -> 1-based doc line`. `None` when the
-/// marker pair is absent or inverted.
-fn parse_catalog(spec: &Spec, doc: &str) -> Option<BTreeMap<String, usize>> {
+/// Why the row of metric `name` shows no reader, if it does not: a listed
+/// path does not exist, or no listed file but the catalog's `doc_path`
+/// [`mentions`] it.
+fn unread(root: &Path, doc_path: &str, name: &str, readers: &[String]) -> Option<String> {
+    let mut read = false;
+    for path in readers {
+        let Ok(text) = std::fs::read_to_string(root.join(path)) else {
+            return Some(format!(
+                "metric `{name}` lists reader `{path}`, which does not exist"
+            ));
+        };
+        read |= path != doc_path && mentions(&text, name);
+    }
+    (!read).then(|| {
+        format!("no listed reader names metric `{name}`; list the file that reads it, or delete the metric")
+    })
+}
+
+/// Whether `text` names the metric `name` as a whole word (`a.b` is not
+/// named by `a.b_c`), or in the Prometheus form `soi stats --format prom`
+/// renders: `soi_` + the name with `.`/`-` as `_`, bare or with a
+/// `_bucket`, `_count` or `_ns` series suffix.
+fn mentions(text: &str, name: &str) -> bool {
+    let prom = format!("soi_{}", name.replace(['.', '-'], "_"));
+    word_in(text, name, &[""]) || word_in(text, &prom, &["", "_bucket", "_count", "_ns"])
+}
+
+/// Whether `word` occurs in `text` with no name character before it and,
+/// after one of `suffixes`, none after it.
+fn word_in(text: &str, word: &str, suffixes: &[&str]) -> bool {
+    let inner = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        let (before, rest) = (&text[..at], &text[at + word.len()..]);
+        !before.ends_with(|c| inner(c) || c == '.')
+            && suffixes
+                .iter()
+                .any(|s| rest.strip_prefix(s).is_some_and(|r| !r.starts_with(inner)))
+    })
+}
+
+/// Extracts the catalog as `name -> (1-based doc line, listed readers)`.
+/// `None` when the marker pair is absent or inverted.
+fn parse_catalog(spec: &Spec, doc: &str) -> Option<BTreeMap<String, (usize, Vec<String>)>> {
     let (begin, end) = (spec.begin_marker(), spec.end_marker());
     let mut catalog = BTreeMap::new();
     let mut inside = false;
@@ -178,7 +231,7 @@ fn parse_catalog(spec: &Spec, doc: &str) -> Option<BTreeMap<String, usize>> {
             continue;
         }
         if let Some(name) = table_row_name(line) {
-            catalog.entry(name).or_insert(idx + 1);
+            catalog.entry(name).or_insert((idx + 1, readers_of(line)));
         }
     }
     if !saw_region || inside {
@@ -207,6 +260,13 @@ fn table_row_name(line: &str) -> Option<String> {
     let close = rest.find('`')?;
     let name = &rest[..close];
     is_name(name).then(|| name.to_string())
+}
+
+/// The backtick spans of a table row's last cell.
+fn readers_of(line: &str) -> Vec<String> {
+    let cell = line.trim().trim_end_matches('|').rsplit('|').next();
+    let spans = cell.unwrap_or_default().split('`').skip(1).step_by(2);
+    spans.map(str::to_string).collect()
 }
 
 /// Every name in non-test code, with the lines where it appears (sorted
@@ -290,7 +350,9 @@ mod tests {
             .collect()
     }
 
-    fn check_with(spec: &Spec, doc_text: &str, src: &str) -> Vec<Finding> {
+    /// Runs the pass over a temporary tree holding `doc_text` as the
+    /// catalog and `files` as `(path, text)` beside it.
+    fn check_in(spec: &Spec, doc_text: &str, files: &[(&str, &str)], src: &str) -> Vec<Finding> {
         let root = std::env::temp_dir().join(format!(
             "xtask-{}-catalog-{}-{:p}",
             spec.noun,
@@ -299,9 +361,22 @@ mod tests {
         ));
         std::fs::create_dir_all(root.join("docs")).unwrap();
         std::fs::write(root.join(spec.doc_path), doc_text).unwrap();
+        for (path, text) in files {
+            std::fs::write(root.join(path), text).unwrap();
+        }
         let findings = check(spec, &root, &tree(src));
         std::fs::remove_dir_all(&root).unwrap();
         findings
+    }
+
+    /// [`check_in`] with one reader, `reads.md`, that names every row.
+    fn check_with(spec: &Spec, doc_text: &str, src: &str) -> Vec<Finding> {
+        check_in(spec, doc_text, &[("reads.md", doc_text)], src)
+    }
+
+    /// A catalog row for `name`, read by `reads.md`.
+    fn row(name: &str) -> String {
+        format!("| `{name}` | notes | `reads.md` |\n")
     }
 
     #[test]
@@ -309,7 +384,7 @@ mod tests {
         for spec in SPECS {
             let (mut rows, mut src) = (String::new(), String::new());
             for (i, call) in spec.calls.iter().enumerate() {
-                rows.push_str(&format!("| `app.name{i}` | notes |\n"));
+                rows.push_str(&row(&format!("app.name{i}")));
                 src.push_str(&stmt(call, &format!("app.name{i}")));
             }
             let findings = check_with(spec, &doc(spec, &rows), &src);
@@ -328,7 +403,7 @@ mod tests {
         for spec in SPECS {
             let findings = check_with(
                 spec,
-                &doc(spec, "| `app.gone` | removed code |\n"),
+                &doc(spec, &row("app.gone")),
                 &stmt(spec.calls[0], "app.fresh"),
             );
             assert_eq!(findings.len(), 2, "{findings:?}");
@@ -431,6 +506,66 @@ mod tests {
     }
 
     #[test]
+    fn a_metric_row_needs_an_existing_reader_that_names_it() {
+        let spec = &METRICS;
+        let src = stmt(spec.calls[0], "app.hits");
+        let flagged = |rows: &str, files: &[(&str, &str)]| {
+            let findings = check_in(spec, &doc(spec, rows), files, &src);
+            assert!(findings.len() <= 1, "{findings:?}");
+            findings.first().map(|f| {
+                assert_eq!((f.pass, f.line), (spec.pass, 6), "{f:?}");
+                f.message.clone()
+            })
+        };
+        let reads = [("reads.md", "assert app.hits > 0")];
+        assert_eq!(flagged("| `app.hits` | c | `reads.md` |\n", &reads), None);
+        // Listing the catalog itself, or a file naming only a longer
+        // metric, is no read.
+        let longer = [("reads.md", "app.hits_total and my.app.hits")];
+        for (rows, files) in [
+            ("| `app.hits` | c | `docs/OBSERVABILITY.md` |\n", &reads[..]),
+            ("| `app.hits` | c | `reads.md` |\n", &longer[..]),
+            ("| `app.hits` | c | no reader |\n", &reads[..]),
+        ] {
+            let message = flagged(rows, files).expect(rows);
+            assert!(
+                message.starts_with("no listed reader names metric `app.hits`"),
+                "{message}"
+            );
+        }
+        let message = flagged("| `app.hits` | c | `reads.md`, `gone.rs` |\n", &reads).unwrap();
+        assert_eq!(
+            message,
+            "metric `app.hits` lists reader `gone.rs`, which does not exist"
+        );
+        // The failpoint catalog has no reader column.
+        let fp = check_in(
+            &FAILPOINTS,
+            &doc(&FAILPOINTS, "| `app.site` | no reader |\n"),
+            &[],
+            &stmt(FAILPOINTS.calls[0], "app.site"),
+        );
+        assert!(fp.is_empty(), "{fp:?}");
+    }
+
+    #[test]
+    fn a_reader_may_name_the_prometheus_form() {
+        for (text, read) in [
+            ("soi_app_cascade_size_bucket{le=\"+Inf\"} 16", true),
+            ("soi_app_cascade_size_count 3", true),
+            ("# TYPE soi_app_cascade_size_ns summary", true),
+            ("soi_app_cascade_size 3", true),
+            ("soi_app_cascade_size_at_enqueue 3", false),
+            ("xsoi_app_cascade_size 3", false),
+            ("`app.cascade_size`.", true),
+            ("app.cascade_sizes", false),
+            ("my.app.cascade_size", false),
+        ] {
+            assert_eq!(mentions(text, "app.cascade_size"), read, "{text}");
+        }
+    }
+
+    #[test]
     fn catalog_rows_parse_names_from_backtick_spans() {
         assert_eq!(
             table_row_name("| `server.response.write` | before the response write |"),
@@ -440,5 +575,10 @@ mod tests {
         assert_eq!(table_row_name("| site | planted in |"), None);
         assert_eq!(table_row_name("plain prose `code`"), None);
         assert_eq!(table_row_name("| `Not A Site` |"), None);
+        assert_eq!(
+            readers_of("| `a.b` | counter | `x.rs`, `docs/Y.md` |"),
+            ["x.rs", "docs/Y.md"]
+        );
+        assert!(readers_of("| `a.b` | counter | none |").is_empty());
     }
 }

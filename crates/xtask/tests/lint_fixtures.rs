@@ -153,6 +153,14 @@ fn metric_catalog_flags_stale_doc_row() {
 }
 
 #[test]
+fn metric_catalog_flags_row_no_reader_names() {
+    assert_flags(
+        "metric_catalog_unread",
+        "docs/OBSERVABILITY.md:7: [metric_catalog]",
+    );
+}
+
+#[test]
 fn metric_catalog_clean_fixture_passes() {
     let out = run_lint(&fixtures_dir().join("metric_catalog_clean"));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -226,6 +234,7 @@ fn each_bad_fixture_reports_exactly_one_finding() {
         "concurrency_spawn",
         "metric_catalog_undocumented",
         "metric_catalog_stale",
+        "metric_catalog_unread",
         "failpoint_catalog_undocumented",
         "failpoint_catalog_stale",
     ] {
