@@ -2,10 +2,15 @@
 //! (with and without transitive reduction — the §4 design choice), and
 //! cascade-extraction queries on G(3000, 15000) below (p = 0.15) and
 //! above (p = 0.30) the giant-SCC threshold, where most walks end in the
-//! largest SCC's precomputed closure.
+//! largest SCC's precomputed closure. `index_query/all_nodes_wc_ba_20000`
+//! is the batch pipeline's lookup, walk only: every node of a
+//! weighted-cascade BA(20000, m = 5) index at `batch-wc`'s ℓ = 256, in
+//! the blocks of consecutive nodes `CascadeIndex::reach_block` sizes. At
+//! ℓ = 64 the whole index (~20 MB) sits in a large last-level cache, and
+//! the row reads the same for a node-by-node walk.
 
 use soi_bench::microbench::Bencher;
-use soi_graph::{gen, ProbGraph};
+use soi_graph::{gen, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_util::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -53,6 +58,24 @@ fn bench_query() {
             index.cascades_of(black_box(v))
         });
     }
+    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let ba = ProbGraph::weighted_cascade(gen::barabasi_albert(20_000, 5, true, &mut rng));
+    let index = CascadeIndex::build(
+        &ba,
+        IndexConfig {
+            num_worlds: 256,
+            seed: 7,
+            ..IndexConfig::default()
+        },
+    );
+    let n = index.num_nodes() as NodeId;
+    let mut q = index.query();
+    b.bench("all_nodes_wc_ba_20000", || {
+        let mut next = 0;
+        while next < n {
+            next = black_box(index.reach_block(next..n, &mut q)).end;
+        }
+    });
 }
 
 fn main() {

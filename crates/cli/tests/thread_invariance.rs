@@ -8,6 +8,12 @@
 //! on the small graph, which is one node partition, and on a graph of
 //! four partitions, so that the partitions fold in parallel.
 //!
+//! The typical-cascade pipeline walks each pool chunk in blocks of
+//! consecutive nodes sized by the index's memory, and the chunks change
+//! with the worker count. On the 333-node graph a block is a node or
+//! two; a BA(2000, m = 5) graph at 64 samples holds tens of nodes per
+//! block.
+//!
 //! The weighted-cascade BA graphs have acyclic worlds, which keep no hub
 //! closure. Two G(300, 1500) graphs cover the closure paths of the index
 //! median: at p = 0.3 the worlds have giant closures and the nodes that
@@ -51,6 +57,14 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
         "wide.tsv",
         &[
             "--model", "ba", "--nodes", "4000", "--m", "3", "--prob", "wc", "--seed", "5",
+        ],
+    );
+    // Lookup blocks of tens of nodes.
+    let blocks = generate(
+        &dir,
+        "blocks.tsv",
+        &[
+            "--model", "ba", "--nodes", "2000", "--m", "5", "--prob", "wc", "--seed", "3",
         ],
     );
     let gnm = |name, prob| {
@@ -99,6 +113,18 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
             None,
         ),
     ];
+    commands.extend([
+        (
+            &blocks,
+            "infmax --k 5 --method tc --samples 64 --seed 9",
+            None,
+        ),
+        (
+            &blocks,
+            "spheres --samples 64 --seed 7",
+            Some(spheres_out.as_str()),
+        ),
+    ]);
     for closures in [&rows, &chunks] {
         commands.extend([
             (

@@ -1,4 +1,10 @@
 //! The typical-cascade solver (§3–§4, Algorithm 2).
+//!
+//! The batch pipeline solves every node from the index. Nodes are
+//! independent, so the order of the (node, world) walks is free: each
+//! worker walks a pool chunk of consecutive nodes in lookup blocks, one
+//! world at a time ([`CascadeIndex::reach_block`]), then loads and fits
+//! each node of the block as [`index_median`] does for a single node.
 
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery, HUB_CLOSURE};
@@ -168,36 +174,74 @@ pub fn index_median(
     deadline: &Deadline,
     scratch: &mut NodeScratch,
 ) -> Outcome<MedianResult> {
+    {
+        let _s = soi_obs::span("engine.index_lookup");
+        let _s = soi_obs::span("engine.reach");
+        index.reach_block(v..v + 1, &mut scratch.query);
+    }
+    walked_median(index, v, median, deadline, scratch)
+}
+
+/// [`index_median`] of a node in the last block `scratch.query` walked
+/// ([`CascadeIndex::reach_block`]): its load (span
+/// `engine.index_lookup/engine.load`) and fit.
+fn walked_median(
+    index: &CascadeIndex,
+    v: NodeId,
+    median: &MedianConfig,
+    deadline: &Deadline,
+    scratch: &mut NodeScratch,
+) -> Outcome<MedianResult> {
     let NodeScratch { query, inc, hits } = scratch;
-    let ell = index.num_worlds();
     let pairs = {
         let _s = soi_obs::span("engine.index_lookup");
-        let pairs = {
-            let _s = soi_obs::span("engine.reach");
-            index.reached_comps(v, query)
-        };
         let _load = soi_obs::span("engine.load");
-        hits.clear();
-        hits.resize(ell.div_ceil(64), 0);
-        for &(i, _) in pairs.iter().filter(|p| p.1 == HUB_CLOSURE) {
-            hits[i as usize / 64] |= 1 << (i % 64);
-        }
-        let (elems, rows) = index.closure_rows();
-        let closures = Closures {
-            hits,
-            elems,
-            rows,
-            members: |i| index.world(i).chunk(HUB_CLOSURE),
-        };
-        let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).chunk(c));
-        if closures.rows_pay() {
-            let others = pairs.iter().filter(|p| p.1 != HUB_CLOSURE);
-            inc.load_closures(ell, others.map(members), &closures);
-        } else {
-            inc.load(ell, pairs.iter().map(members));
-        }
+        let pairs = index.block_pairs(v, query);
+        load(index, pairs, inc, hits);
         pairs
     };
+    fit(index, pairs, median, deadline, inc, hits)
+}
+
+/// Loads `inc` from a node's `(world, chunk)` pairs, marking in `hits` the
+/// worlds whose hub closure the node reaches.
+fn load(
+    index: &CascadeIndex,
+    pairs: &[(u32, u32)],
+    inc: &mut IncrementalCost,
+    hits: &mut Vec<u64>,
+) {
+    let ell = index.num_worlds();
+    hits.clear();
+    hits.resize(ell.div_ceil(64), 0);
+    for &(i, _) in pairs.iter().filter(|p| p.1 == HUB_CLOSURE) {
+        hits[i as usize / 64] |= 1 << (i % 64);
+    }
+    let (elems, rows) = index.closure_rows();
+    let closures = Closures {
+        hits,
+        elems,
+        rows,
+        members: |i| index.world(i).chunk(HUB_CLOSURE),
+    };
+    let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).chunk(c));
+    if closures.rows_pay() {
+        let others = pairs.iter().filter(|p| p.1 != HUB_CLOSURE);
+        inc.load_closures(ell, others.map(members), &closures);
+    } else {
+        inc.load(ell, pairs.iter().map(members));
+    }
+}
+
+/// The median fit of a node whose pairs [`load`] loaded into `inc`.
+fn fit(
+    index: &CascadeIndex,
+    pairs: &[(u32, u32)],
+    median: &MedianConfig,
+    deadline: &Deadline,
+    inc: &mut IncrementalCost,
+    hits: &[u64],
+) -> Outcome<MedianResult> {
     let hub_hits: u32 = hits.iter().map(|h| h.count_ones()).sum();
     soi_obs::counter_add!("engine.hub_hits", hub_hits as usize);
     let _s = soi_obs::span("engine.median_fit");
@@ -389,6 +433,13 @@ pub fn all_typical_cascades_resumable(
 /// in blocks of `run.every`, one pool fan-out per block, calling
 /// `before_block` / `after_block` around each. It can fail only through
 /// those hooks.
+///
+/// Each worker takes the pool's chunks of consecutive nodes whole and
+/// walks them in lookup blocks ([`CascadeIndex::reach_block`]): each
+/// world once per lookup block (span `engine.index_lookup/engine.reach`,
+/// timed per block), then each node's load and fit exactly as
+/// [`index_median`] does them. A node's pairs, and so its median, do not
+/// depend on the block it was walked in.
 fn solve_blocks<E>(
     index: &CascadeIndex,
     median: &MedianConfig,
@@ -402,12 +453,26 @@ fn solve_blocks<E>(
     let threads = soi_util::pool::effective_threads(threads, n);
     results.reserve(n.saturating_sub(results.len()));
 
-    let solve = |scratch: &mut NodeScratch, v: NodeId| {
-        let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
-        NodeTypicalCascade {
-            node: v,
-            median: fit.median,
-            training_cost: fit.cost,
+    // A worker's chunk of consecutive nodes, in lookup blocks.
+    let solve = |scratch: &mut NodeScratch, first: usize, slots: &mut [Option<_>]| {
+        let end = (first + slots.len()) as NodeId;
+        let mut next = first as NodeId;
+        while next < end {
+            let block = {
+                let _s = soi_obs::span("engine.index_lookup");
+                let _s = soi_obs::span("engine.reach");
+                index.reach_block(next..end, &mut scratch.query)
+            };
+            for v in block.clone() {
+                let unlimited = Deadline::unlimited();
+                let fit = walked_median(index, v, median, &unlimited, scratch).value();
+                slots[v as usize - first] = Some(NodeTypicalCascade {
+                    node: v,
+                    median: fit.median,
+                    training_cost: fit.cost,
+                });
+            }
+            next = block.end;
         }
     };
 
@@ -416,8 +481,8 @@ fn solve_blocks<E>(
         let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
         // One scratch per worker, kept across chunks.
         let scratch = || NodeScratch::new(index);
-        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
-            *slot = Some(solve(s, (lo + j) as NodeId));
+        soi_util::pool::for_each_chunk_with(&mut block, threads, scratch, |s, j, slots| {
+            solve(s, lo + j, slots)
         });
         // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
         results.extend(block.into_iter().map(|r| r.expect("filled")));

@@ -43,6 +43,34 @@ pub fn topological_order(g: &DiGraph) -> Option<Vec<NodeId>> {
     (order.len() == n).then_some(order)
 }
 
+/// Each node's position in a topological order of `g`, or `None` if `g`
+/// has a cycle. Every arc of a Tarjan condensation goes from a higher
+/// component id to a lower one, and when every arc of `g` descends so
+/// (one pass over the arcs, which also rules out cycles and self-loops)
+/// node `v`'s position is `n − 1 − v`. Otherwise Kahn's algorithm
+/// ([`topological_order`]) decides.
+fn topological_positions(g: &DiGraph) -> Option<Vec<u32>> {
+    let n = g.num_nodes();
+    let descends = g.nodes().all(|u| g.out_neighbors(u).iter().all(|&v| v < u));
+    #[cfg(test)]
+    BRANCHES.with(|b| b.set(b.get() | if descends { 1 } else { 2 }));
+    if descends {
+        return Some((0..n as u32).rev().collect());
+    }
+    let mut pos = vec![0u32; n];
+    for (i, v) in topological_order(g)?.into_iter().enumerate() {
+        pos[v as usize] = i as u32;
+    }
+    Some(pos)
+}
+
+// Which ways `topological_positions` has found an order on this thread:
+// bit 0 by descending ids, bit 1 by Kahn's algorithm.
+#[cfg(test)]
+thread_local! {
+    static BRANCHES: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-node scratch of [`transitive_reduction`]: the batch the entry was
 /// last reset in, the node's own bit when it is a target of that batch,
 /// and the batch targets it reaches by a path of length ≥ 1 and ≥ 2. Four
@@ -61,10 +89,7 @@ const FAR2: usize = 3;
 /// reachability. Returns `None` on cyclic input.
 pub fn transitive_reduction(g: &DiGraph) -> Option<DiGraph> {
     let n = g.num_nodes();
-    let mut pos = vec![0u32; n];
-    for (i, v) in topological_order(g)?.into_iter().enumerate() {
-        pos[v as usize] = i as u32;
-    }
+    let pos = topological_positions(g)?;
     let in_deg = g.in_degrees();
     let targets = g.csr_parts().1;
     // Candidate arcs as (target position, source, CSR slot), sorted so the
@@ -290,15 +315,29 @@ mod tests {
         }
     }
 
+    /// How [`seeded_dag`] names its nodes.
+    #[derive(Clone, Copy)]
+    enum Ids {
+        /// Every arc ascends: ids are a topological order.
+        Ascending,
+        /// Every arc descends, as in a Tarjan condensation.
+        Descending,
+        /// Ids are no topological order either way.
+        Shuffled,
+    }
+
     /// A seeded random DAG on `n` nodes with about `n · avg_deg` distinct
-    /// arcs; `shuffle` renames the nodes so ids are not a topological
-    /// order.
-    fn seeded_dag(case: u64, n: usize, avg_deg: usize, shuffle: bool) -> DiGraph {
+    /// arcs, its nodes named by `ids`.
+    fn seeded_dag(case: u64, n: usize, avg_deg: usize, ids: Ids) -> DiGraph {
         let mut rng = Xoshiro256pp::from_stream(0xDA6_5EED, case);
         let mut name: Vec<NodeId> = (0..n as NodeId).collect();
-        if shuffle {
-            for i in (1..n).rev() {
-                name.swap(i, rng.random_range(0usize..i + 1));
+        match ids {
+            Ids::Ascending => {}
+            Ids::Descending => name.reverse(),
+            Ids::Shuffled => {
+                for i in (1..n).rev() {
+                    name.swap(i, rng.random_range(0usize..i + 1));
+                }
             }
         }
         let mut arcs: Vec<(NodeId, NodeId)> = (0..n * avg_deg)
@@ -313,15 +352,17 @@ mod tests {
 
     /// The kernel equals the definition on 240 seeded DAGs: sparse to
     /// dense (average degree 20, where almost every arc is redundant and
-    /// one source's targets span several 64-bit batches), ids in and out
-    /// of topological order.
+    /// one source's targets span several 64-bit batches), ids ascending,
+    /// descending (the order found without Kahn's algorithm) and shuffled.
     #[test]
     fn kernel_matches_the_definition_on_random_dags() {
+        BRANCHES.with(|b| b.set(0));
         let mut case = 0;
         for n in [2usize, 17, 64, 65, 150, 300] {
             for avg_deg in [1usize, 2, 5, 20] {
                 for round in 0..10 {
-                    let g = seeded_dag(case, n, avg_deg, round % 2 == 1);
+                    let ids = [Ids::Ascending, Ids::Descending, Ids::Shuffled][round % 3];
+                    let g = seeded_dag(case, n, avg_deg, ids);
                     let want = reduction_by_definition(&g);
                     assert_eq!(
                         transitive_reduction(&g).unwrap(),
@@ -339,6 +380,7 @@ mod tests {
             }
         }
         assert!(case >= 200);
+        assert_eq!(BRANCHES.with(|b| b.get()), 3, "both ways to an order ran");
     }
 
     /// One live-edge world of `pg`, condensed: the input the index feeds
@@ -357,7 +399,9 @@ mod tests {
     /// Condensations of sampled worlds — weighted cascade on a BA graph
     /// (near-forests: few candidates, fewer redundant arcs) and a
     /// supercritical G(n, m) (one giant component with high in- and
-    /// out-degree in the middle of the order).
+    /// out-degree in the middle of the order) — as Tarjan numbers them
+    /// (every arc descends) and with their ids reversed (Kahn's
+    /// algorithm orders them).
     #[test]
     fn kernel_matches_the_definition_on_world_condensations() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x50_1DAC);
@@ -369,11 +413,24 @@ mod tests {
                 let dag = world_condensation(pg, &mut rng);
                 let want = reduction_by_definition(&dag);
                 removed += dag.num_edges() - want.num_edges();
-                assert_eq!(
-                    transitive_reduction(&dag).unwrap(),
-                    want,
-                    "{name} world {world}"
-                );
+                let reversed = |g: &DiGraph| {
+                    let last = g.num_nodes() as NodeId - 1;
+                    let arcs: Vec<_> = g.edges().map(|(u, v)| (last - u, last - v)).collect();
+                    DiGraph::from_edges(g.num_nodes(), &arcs).unwrap()
+                };
+                // Bit 0: the order by descending ids; bit 1: Kahn's.
+                for (g, want, branch) in [
+                    (dag.clone(), want.clone(), 1),
+                    (reversed(&dag), reversed(&want), 2),
+                ] {
+                    BRANCHES.with(|b| b.set(0));
+                    assert_eq!(
+                        transitive_reduction(&g).unwrap(),
+                        want,
+                        "{name} world {world}, branch {branch}"
+                    );
+                    assert_eq!(BRANCHES.with(|b| b.get()), branch, "{name} world {world}");
+                }
             }
             assert!(removed > 0, "{name}: no world had a redundant arc");
         }

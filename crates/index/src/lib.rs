@@ -45,10 +45,20 @@
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
 //! build is reproducible bit-for-bit regardless of thread count or
 //! blocking.
+//!
+//! Lookups for many nodes walk the index one world at a time
+//! ([`CascadeIndex::reach_block`]): a block of consecutive nodes walks
+//! world 0, then world 1, and so on, so each world's DAG is read once per
+//! block rather than once per node, and each node's chunks are recorded
+//! in ascending world order. A block's lists beside its last node stay
+//! within 1/64 of the index's [`memory_bytes`](CascadeIndex::memory_bytes).
+//! A single node's lookup ([`CascadeIndex::reached_comps`]) is a block of
+//! one node.
 
 use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
 use soi_sampling::world::world_rng;
 use soi_sampling::WorldSampler;
+use std::ops::Range;
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -100,6 +110,13 @@ pub struct WorldIndex {
 /// Worlds built at a time by [`CascadeIndex::build`]: the build holds at
 /// most this many component columns (`BLOCK · n` ids) beside the index.
 const BLOCK: usize = 32;
+
+/// A [`CascadeIndex::reach_block`] block holds at most this share of the
+/// index in walked lists (beside its last node): ~1.2 MB on a 76 MB
+/// index, ~75 KB on a 4.8 MB one, so a worker's block stays in cache
+/// beside the world it walks and the lookup's peak memory follows the
+/// index, not a node count.
+const BLOCK_SHARE: usize = 64;
 
 /// The chunk id of a world's whole hub closure in
 /// [`CascadeIndex::reached_comps`]; [`WorldIndex::chunk`] reads it.
@@ -226,6 +243,10 @@ pub struct CascadeIndex {
     closure_nodes: Vec<NodeId>,
     closure_rows: Vec<u64>,
     max_comps: usize,
+    /// The bytes of walked lists a [`CascadeIndex::reach_block`] block may
+    /// hold beside its last node: [`memory_bytes`](Self::memory_bytes) /
+    /// [`BLOCK_SHARE`].
+    block_budget: usize,
     config: IndexConfig,
 }
 
@@ -305,15 +326,17 @@ impl CascadeIndex {
         }
         let closure_nodes = keep_nonzero_rows(&mut closure_rows, words);
         let max_comps = worlds.iter().map(WorldIndex::num_comps).max().unwrap_or(0);
-        let index = CascadeIndex {
+        let mut index = CascadeIndex {
             num_nodes,
             worlds,
             comp_matrix,
             closure_nodes,
             closure_rows,
             max_comps,
+            block_budget: 0,
             config,
         };
+        index.block_budget = index.memory_bytes() / BLOCK_SHARE;
         index.record_build_metrics();
         index
     }
@@ -436,6 +459,7 @@ impl CascadeIndex {
                 branches: [0; 2],
             },
             seed_comps: Vec::new(),
+            block: Block::default(),
             pairs: Vec::new(),
         }
     }
@@ -492,14 +516,124 @@ impl CascadeIndex {
     /// component, or [`HUB_CLOSURE`] when `v` reaches the world's largest
     /// SCC. The cascade of `v` in world `i` is the disjoint union of the
     /// member lists ([`WorldIndex::chunk`]) of world `i`'s pairs, so a
-    /// consumer can read all ℓ cascades without materialising them.
+    /// consumer can read all ℓ cascades without materialising them. The
+    /// block walk of [`reach_block`](Self::reach_block) over `v` alone.
     pub fn reached_comps<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
-        q.pairs.clear();
-        for (i, w) in self.worlds.iter().enumerate() {
-            w.walk(&[self.comp_of(v, i)], &mut q.walk);
-            q.pairs.extend(q.walk.chunks.iter().map(|&c| (i as u32, c)));
+        self.walk_block(v, 1, None, q);
+        self.block_pairs(v, q)
+    }
+
+    /// Walks a block of consecutive nodes from `nodes.start` world by
+    /// world: world 0 for every node of the block, then world 1, and so
+    /// on, so each world's DAG is read once per block rather than once per
+    /// node. Returns the block, never empty when `nodes` is not; each of
+    /// its nodes' pairs are then [`block_pairs`](Self::block_pairs), the
+    /// same pairs in the same order as [`reached_comps`](Self::reached_comps).
+    ///
+    /// The block is as long as `nodes` and the index's block budget
+    /// allow: the walked lists of all its nodes but the last stay within
+    /// [`memory_bytes`](Self::memory_bytes) / 64. A node's lists are
+    /// unknown until it is walked, so the block is sized from the bytes
+    /// per node that `q`'s last block held (one node at first), and nodes
+    /// are dropped from its end, to be walked again in a later block, if
+    /// the walked lists outgrow the budget.
+    pub fn reach_block(&self, nodes: Range<NodeId>, q: &mut IndexQuery) -> Range<NodeId> {
+        self.reach_block_within(nodes, self.block_budget, q)
+    }
+
+    /// [`reach_block`](Self::reach_block) under a given `budget` in bytes.
+    fn reach_block_within(
+        &self,
+        nodes: Range<NodeId>,
+        budget: usize,
+        q: &mut IndexQuery,
+    ) -> Range<NodeId> {
+        let wanted = match q.block.node_bytes {
+            0 => 1,
+            per_node => budget / per_node + 1,
+        };
+        let len = wanted.min(nodes.len());
+        let len = self.walk_block(nodes.start, len, Some(budget), q);
+        nodes.start..nodes.start + len as NodeId
+    }
+
+    /// Walks nodes `first..first + len`, world-major, into `q.block`.
+    /// Under a `budget`, drops nodes from the block's end while the lists
+    /// of all but its last node hold more than `budget` bytes. Returns
+    /// the block's length.
+    fn walk_block(
+        &self,
+        first: NodeId,
+        len: usize,
+        budget: Option<usize>,
+        q: &mut IndexQuery,
+    ) -> usize {
+        let IndexQuery { walk, block, .. } = q;
+        let ell = self.worlds.len();
+        block.first = first;
+        block.len = len;
+        block.chunks.clear();
+        block.ends.clear();
+        block.counts.clear();
+        block.counts.resize(len, 0);
+        block.ends.reserve(len * ell);
+        if let Some(budget) = budget.filter(|_| len > 1) {
+            // Room for a budget of lists in one allocation, never copied;
+            // only the pages the lists fill become resident.
+            block.chunks.reserve(budget / std::mem::size_of::<u32>());
         }
-        &q.pairs
+        // Bytes a node holds: its chunks, and one end per world.
+        let bytes = |chunks: usize| (chunks + ell) * std::mem::size_of::<u32>();
+        for (i, w) in self.worlds.iter().enumerate() {
+            for (j, count) in block.counts.iter_mut().enumerate() {
+                w.walk(&[self.comp_of(first + j as NodeId, i)], walk);
+                block.chunks.extend_from_slice(&walk.chunks);
+                block.ends.push(block.chunks.len() as u32);
+                *count += walk.chunks.len() as u32;
+            }
+            // `ends` and `counts` are `u32`; a failed check stops the walk
+            // before a wrapped offset is read.
+            assert!(
+                block.chunks.len() <= u32::MAX as usize,
+                "block lists overflow u32"
+            );
+            let Some(budget) = budget.filter(|_| block.len > 1) else {
+                continue;
+            };
+            let mut keep = block.len;
+            let mut before_last = block.chunks.len() - block.counts[keep - 1] as usize;
+            while keep > 1 && bytes(before_last) + (keep - 2) * bytes(0) > budget {
+                keep -= 1;
+                before_last -= block.counts[keep - 1] as usize;
+            }
+            if keep < block.len {
+                block.truncate(keep);
+            }
+        }
+        let held = bytes(block.chunks.len()) + (block.len - 1) * bytes(0);
+        block.node_bytes = held.div_ceil(block.len);
+        block.len
+    }
+
+    /// `v`'s pairs from the last block walk of `q`, in ascending world
+    /// order, valid until `q` is used again. `v` must lie in that block.
+    pub fn block_pairs<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
+        let IndexQuery { block, pairs, .. } = q;
+        let j = (v - block.first) as usize;
+        assert!(j < block.len, "node {v} is not in the last block");
+        pairs.clear();
+        pairs.reserve(block.counts[j] as usize);
+        // Node `j`'s chunks in world `i` start where the entry before it
+        // ends: node `j - 1`'s in the same world, or the previous world's
+        // last node's.
+        let mut last = 0;
+        for (i, ends) in block.ends.chunks_exact(block.len).enumerate() {
+            let start = if j == 0 { last } else { ends[j - 1] as usize };
+            let chunks = &block.chunks[start..ends[j] as usize];
+            pairs.extend(chunks.iter().map(|&c| (i as u32, c)));
+            last = ends[block.len - 1] as usize;
+        }
+        pairs
     }
 
     /// Heap footprint in bytes of the stored arrays: the component
@@ -571,8 +705,54 @@ pub struct IndexQuery {
     walk: Walk,
     /// The seeds' components in the world being queried.
     seed_comps: Vec<u32>,
-    /// The last [`CascadeIndex::reached_comps`] answer.
+    /// The last block walk.
+    block: Block,
+    /// The last [`CascadeIndex::block_pairs`] answer.
     pairs: Vec<(u32, u32)>,
+}
+
+/// The lists of a block walk ([`CascadeIndex::reach_block`]): the chunks
+/// of every `(world, node)` walk, world-major.
+#[derive(Default)]
+struct Block {
+    first: NodeId,
+    len: usize,
+    chunks: Vec<u32>,
+    /// `ends[i * len + j]`: where node `first + j`'s chunks in world `i`
+    /// end in `chunks`; they start where the previous entry ends.
+    ends: Vec<u32>,
+    /// Chunks walked so far per node.
+    counts: Vec<u32>,
+    /// The bytes per node the last block held: the next block's size.
+    node_bytes: usize,
+    /// Nodes dropped from blocks' ends so far.
+    #[cfg(test)]
+    dropped: usize,
+}
+
+impl Block {
+    /// Drops the block's nodes from `keep` on, from every world walked.
+    fn truncate(&mut self, keep: usize) {
+        let (mut start, mut write, mut at) = (0, 0, 0);
+        for k in 0..self.ends.len() {
+            let end = self.ends[k] as usize;
+            if k % self.len < keep {
+                self.chunks.copy_within(start..end, write);
+                write += end - start;
+                self.ends[at] = write as u32;
+                at += 1;
+            }
+            start = end;
+        }
+        self.chunks.truncate(write);
+        self.ends.truncate(at);
+        self.counts.truncate(keep);
+        #[cfg(test)]
+        {
+            self.dropped += self.len - keep;
+        }
+        self.len = keep;
+    }
 }
 
 /// Scratch of [`WorldIndex::walk`].
@@ -1030,6 +1210,109 @@ mod tests {
             }
         }
         nodes.len()
+    }
+
+    /// The block walk of nodes `first..first + len` gives every node of
+    /// the block the pairs `reached_comps` gives it, in the same order.
+    fn assert_block_matches_single(
+        index: &CascadeIndex,
+        first: NodeId,
+        len: usize,
+        q: &mut IndexQuery,
+    ) {
+        let mut single = index.query();
+        assert_eq!(index.walk_block(first, len, None, q), len);
+        for v in first..first + len as NodeId {
+            let want = index.reached_comps(v, &mut single).to_vec();
+            assert_eq!(
+                index.block_pairs(v, q),
+                want,
+                "block {first}+{len}, node {v}"
+            );
+        }
+    }
+
+    /// Every block start and length on a 60-node supercritical graph,
+    /// where walks hit the hub closure and resume from it, and every
+    /// partition into equal blocks of the two pinned fixtures.
+    #[test]
+    fn block_walk_matches_reached_comps() {
+        let index = CascadeIndex::build(
+            &test_graph(12),
+            IndexConfig {
+                num_worlds: 8,
+                seed: 3,
+                ..IndexConfig::default()
+            },
+        );
+        let mut q = index.query();
+        for first in 0..60 {
+            for len in 1..=60 - first as usize {
+                assert_block_matches_single(&index, first, len, &mut q);
+            }
+        }
+        let [resumed, hits] = q.walk.branches;
+        assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
+        for index in pinned_fixtures() {
+            let (n, mut q) = (index.num_nodes(), index.query());
+            for len in [1, 7, 64, 250, n] {
+                for first in (0..n).step_by(len) {
+                    assert_block_matches_single(
+                        &index,
+                        first as NodeId,
+                        len.min(n - first),
+                        &mut q,
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a directed BA graph at p = 0.6 (acyclic, so no hub closure, and
+    /// node `v` reaches much of `0..v`: lists grow along the node range),
+    /// the blocks of `reach_block_within` tile the range, and the lists of
+    /// all but a block's last node never exceed the budget, while blocks
+    /// still hold many nodes and nodes are dropped from their ends.
+    #[test]
+    fn block_lists_stay_within_the_budget() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(13);
+        let pg = ProbGraph::fixed(gen::barabasi_albert(400, 3, true, &mut rng), 0.6).unwrap();
+        let index = CascadeIndex::build(
+            &pg,
+            IndexConfig {
+                num_worlds: 16,
+                seed: 5,
+                ..IndexConfig::default()
+            },
+        );
+        assert!(index.closure_rows().0.is_empty(), "no world has a closure");
+        let budget = 40_000;
+        let (mut q, mut single) = (index.query(), index.query());
+        let (mut next, mut longest) = (0, 0);
+        while next < 400 {
+            let block = index.reach_block_within(next..400, budget, &mut q);
+            assert_eq!(block.start, next);
+            assert!(!block.is_empty());
+            longest = longest.max(block.len());
+            let b = &q.block;
+            let last = b.counts[b.len - 1] as usize + index.num_worlds();
+            let held = b.chunks.len() + b.len * index.num_worlds();
+            assert!(
+                (held - last) * 4 <= budget,
+                "block {block:?} holds {} bytes beside its last node",
+                (held - last) * 4
+            );
+            for v in block.clone() {
+                let want = index.reached_comps(v, &mut single).to_vec();
+                assert_eq!(index.block_pairs(v, &mut q), want, "node {v}");
+            }
+            next = block.end;
+        }
+        let dropped = q.block.dropped;
+        assert!(
+            longest >= 10 && dropped > 0,
+            "longest {longest}, dropped {dropped}"
+        );
     }
 
     #[test]

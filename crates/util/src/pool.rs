@@ -9,15 +9,20 @@
 //!   set by the CLI's `--threads` flag ([`set_default_threads`]), and
 //!   finally the hardware parallelism — always clamped to
 //!   `[1, work_items]`.
-//! * [`for_each_indexed`] / [`for_each_indexed_with`] fill a slice of
-//!   slots in parallel. The slice is cut into [`CHUNKS_PER_WORKER`]
-//!   contiguous chunks per worker; worker `t` starts on chunk `t` and then
-//!   claims the next unclaimed one, so a worker whose slots were cheap
-//!   takes work over from one whose slots were dear (on a BA graph the low
-//!   node ids are the heavy ones). The claim order decides only *which*
-//!   worker fills a slot: slot `i` is computed by `f(i, &mut slots[i])`
-//!   exactly once and the scope joins before returning, so results are
-//!   position-deterministic regardless of worker count and schedule.
+//! * [`for_each_chunk_with`] fills a slice of slots in parallel, a
+//!   contiguous chunk at a time. The slice is cut into
+//!   [`CHUNKS_PER_WORKER`] chunks per worker; worker `t` starts on chunk
+//!   `t` and then claims the next unclaimed one, so a worker whose slots
+//!   were cheap takes work over from one whose slots were dear (on a BA
+//!   graph the low node ids are the heavy ones). A worker sees each chunk
+//!   whole, so it can order the work inside it as it likes (the batch
+//!   typical-cascade pipeline walks each world once per run of
+//!   consecutive nodes). The claim order decides only *which* worker
+//!   fills a slot: every slot is handed to `f` exactly once and the scope
+//!   joins before returning, so results are position-deterministic
+//!   regardless of worker count and schedule.
+//! * [`for_each_indexed`] / [`for_each_indexed_with`] are its per-slot
+//!   form: `f(i, &mut slots[i])` for every index.
 //!
 //! Thread-count resolution never affects *what* is computed — workspace
 //! pipelines derive per-unit seeds from `(seed, unit-id)` — only how the
@@ -92,6 +97,25 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut T) + Sync,
 {
+    for_each_chunk_with(slots, requested, init, |state, first, chunk| {
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            f(state, first + j, slot);
+        }
+    });
+}
+
+/// Fills `slots` a contiguous chunk at a time: `f(state, first, chunk)`
+/// receives `slots[first..first + chunk.len()]`, and the chunks cover the
+/// slice exactly once. Fanned out over
+/// [`effective_threads`]`(requested, slots.len())` scoped workers, each
+/// with one `init()` state threaded through every chunk it claims. Inline,
+/// as one chunk of the whole slice, when one worker suffices.
+pub fn for_each_chunk_with<T, S, I, F>(slots: &mut [T], requested: usize, init: I, f: F)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
     use soi_obs::perthread;
 
     let n = slots.len();
@@ -102,10 +126,7 @@ where
     if threads <= 1 || n <= 1 {
         let _reg = perthread::register(0);
         let start = timed.then(std::time::Instant::now);
-        let mut state = init();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            f(&mut state, i, slot);
-        }
+        f(&mut init(), 0, slots);
         if let Some(start) = start {
             let ns = perthread::clamp_ns(start.elapsed().as_nanos());
             perthread::record_busy(ns);
@@ -132,10 +153,8 @@ where
                 let mut state = init();
                 let mut claimed = Some(first);
                 while let Some((c, chunk_slots)) = claimed {
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        f(&mut state, c * chunk + j, slot);
-                    }
                     items += chunk_slots.len() as u64;
+                    f(&mut state, c * chunk, chunk_slots);
                     // The guard is a temporary: locked for one `next()`,
                     // never while `f` runs, so `f` cannot poison it.
                     claimed = unclaimed
@@ -241,6 +260,36 @@ mod tests {
                 let mut slots = vec![0usize; n];
                 for_each_indexed(&mut slots, threads, |i, slot| *slot += i * 2 + 1);
                 assert_eq!(slots, expect, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    /// The chunks handed to `f` are contiguous, start where their first
+    /// index says, and tile the slice; one worker gets the whole slice.
+    #[test]
+    fn for_each_chunk_with_tiles_the_slice() {
+        let _g = lock();
+        set_default_threads(0);
+        for n in [1usize, 2, 65, 1001] {
+            for threads in [1, 2, 3, 8] {
+                // (index, visits, length of the chunk it came in)
+                let mut slots = vec![(0usize, 0usize, 0usize); n];
+                for_each_chunk_with(
+                    &mut slots,
+                    threads,
+                    || (),
+                    |(), first, chunk| {
+                        let len = chunk.len();
+                        for (j, slot) in chunk.iter_mut().enumerate() {
+                            *slot = (first + j, slot.1 + 1, len);
+                        }
+                    },
+                );
+                let tiled = slots.iter().enumerate().all(|(i, s)| s.0 == i && s.1 == 1);
+                assert!(tiled, "n={n} threads={threads}");
+                if threads == 1 {
+                    assert!(slots.iter().all(|s| s.2 == n), "n={n}: one chunk");
+                }
             }
         }
     }
