@@ -1,13 +1,11 @@
 //! Micro-benchmarks for the cascade index (Algorithm 1): construction
-//! (with and without transitive reduction — the §4 design choice), and
-//! cascade-extraction queries on G(3000, 15000) below (p = 0.15) and
+//! (one live-arc mask per world, plus the hub sets of a cyclic graph),
+//! and cascade-extraction queries on G(3000, 15000) below (p = 0.15) and
 //! above (p = 0.30) the giant-SCC threshold, where most walks end in the
 //! largest SCC's precomputed closure. `index_query/all_nodes_wc_ba_20000`
-//! is the batch pipeline's lookup, walk only: every node of a
-//! weighted-cascade BA(20000, m = 5) index at `batch-wc`'s ℓ = 256, in
-//! the blocks of consecutive nodes `CascadeIndex::reach_block` sizes. At
-//! ℓ = 64 the whole index (~20 MB) sits in a large last-level cache, and
-//! the row reads the same for a node-by-node walk.
+//! is the batch pipeline's lookup, walk only: `reached_comps` of every
+//! node of a weighted-cascade BA(20000, m = 5) index at `batch-wc`'s
+//! ℓ = 256.
 
 use soi_bench::microbench::Bencher;
 use soi_graph::{gen, NodeId, ProbGraph};
@@ -23,19 +21,17 @@ fn pg(seed: u64, p: f64) -> ProbGraph {
 fn bench_build() {
     let pg = pg(1, 0.15);
     let b = Bencher::group("index_build_64_worlds").sample_size(10);
-    for (label, reduce) in [("with_reduction", true), ("without_reduction", false)] {
-        b.bench(label, || {
-            CascadeIndex::build(
-                black_box(&pg),
-                IndexConfig {
-                    num_worlds: 64,
-                    seed: 2,
-                    transitive_reduction: reduce,
-                    threads: 1,
-                },
-            )
-        });
-    }
+    b.bench("masks", || {
+        CascadeIndex::build(
+            black_box(&pg),
+            IndexConfig {
+                num_worlds: 64,
+                seed: 2,
+                threads: 1,
+                ..IndexConfig::default()
+            },
+        )
+    });
 }
 
 fn bench_query() {
@@ -71,9 +67,8 @@ fn bench_query() {
     let n = index.num_nodes() as NodeId;
     let mut q = index.query();
     b.bench("all_nodes_wc_ba_20000", || {
-        let mut next = 0;
-        while next < n {
-            next = black_box(index.reach_block(next..n, &mut q)).end;
+        for v in 0..n {
+            black_box(index.reached_comps(v, &mut q));
         }
     });
 }

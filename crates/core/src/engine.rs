@@ -1,10 +1,8 @@
 //! The typical-cascade solver (§3–§4, Algorithm 2).
 //!
-//! The batch pipeline solves every node from the index. Nodes are
-//! independent, so the order of the (node, world) walks is free: each
-//! worker walks a pool chunk of consecutive nodes in lookup blocks, one
-//! world at a time ([`CascadeIndex::reach_block`]), then loads and fits
-//! each node of the block as [`index_median`] does for a single node.
+//! The batch pipeline solves every node from the index, each one as
+//! [`index_median`] solves it: the node's walk of all ℓ worlds
+//! ([`CascadeIndex::reached_comps`]), then its load and median fit.
 
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery, HUB_CLOSURE};
@@ -157,7 +155,7 @@ impl NodeScratch {
 /// `jaccard_median_budgeted(&index.cascades_of(v), median, deadline)`
 /// without materialising those cascades. The evaluator loads its postings
 /// straight from the chunks `v` reaches in each world (span
-/// `engine.index_lookup`: the hub walk `engine.reach`, then
+/// `engine.index_lookup`: the walk of every world `engine.reach`, then
 /// `engine.load`). A world whose walk reached its largest SCC contributes
 /// that SCC's whole closure (counted in `engine.hub_hits`). When the hit
 /// closures hold more entries than the index's per-node closure rows hold
@@ -174,29 +172,14 @@ pub fn index_median(
     deadline: &Deadline,
     scratch: &mut NodeScratch,
 ) -> Outcome<MedianResult> {
-    {
-        let _s = soi_obs::span("engine.index_lookup");
-        let _s = soi_obs::span("engine.reach");
-        index.reach_block(v..v + 1, &mut scratch.query);
-    }
-    walked_median(index, v, median, deadline, scratch)
-}
-
-/// [`index_median`] of a node in the last block `scratch.query` walked
-/// ([`CascadeIndex::reach_block`]): its load (span
-/// `engine.index_lookup/engine.load`) and fit.
-fn walked_median(
-    index: &CascadeIndex,
-    v: NodeId,
-    median: &MedianConfig,
-    deadline: &Deadline,
-    scratch: &mut NodeScratch,
-) -> Outcome<MedianResult> {
     let NodeScratch { query, inc, hits } = scratch;
     let pairs = {
         let _s = soi_obs::span("engine.index_lookup");
+        let pairs = {
+            let _s = soi_obs::span("engine.reach");
+            index.reached_comps(v, query)
+        };
         let _load = soi_obs::span("engine.load");
-        let pairs = index.block_pairs(v, query);
         load(index, pairs, inc, hits);
         pairs
     };
@@ -205,9 +188,9 @@ fn walked_median(
 
 /// Loads `inc` from a node's `(world, chunk)` pairs, marking in `hits` the
 /// worlds whose hub closure the node reaches.
-fn load(
-    index: &CascadeIndex,
-    pairs: &[(u32, u32)],
+fn load<'a>(
+    index: &'a CascadeIndex,
+    pairs: &'a [(u32, u32)],
     inc: &mut IncrementalCost,
     hits: &mut Vec<u64>,
 ) {
@@ -222,9 +205,9 @@ fn load(
         hits,
         elems,
         rows,
-        members: |i| index.world(i).chunk(HUB_CLOSURE),
+        members: |i| index.closure(i),
     };
-    let members = |&(i, c): &(u32, u32)| (i, index.world(i as usize).chunk(c));
+    let members = |pair: &'a (u32, u32)| (pair.0, index.chunk(pair));
     if closures.rows_pay() {
         let others = pairs.iter().filter(|p| p.1 != HUB_CLOSURE);
         inc.load_closures(ell, others.map(members), &closures);
@@ -247,8 +230,8 @@ fn fit(
     let _s = soi_obs::span("engine.median_fit");
     jaccard_median_loaded(inc, median, deadline, |i, out| {
         let from = pairs.partition_point(|p| (p.0 as usize) < i);
-        for &(w, c) in pairs[from..].iter().take_while(|p| p.0 as usize == i) {
-            out.extend_from_slice(index.world(w as usize).chunk(c));
+        for pair in pairs[from..].iter().take_while(|p| p.0 as usize == i) {
+            out.extend_from_slice(index.chunk(pair));
         }
     })
 }
@@ -397,7 +380,7 @@ pub fn all_typical_cascades_resumable(
     let n = index.num_nodes();
     let mut slot = run.slot(
         KIND_TYPICAL_CASCADES,
-        index.fingerprint(),
+        || index.fingerprint(),
         engine_config_fingerprint(median),
         n,
     );
@@ -432,14 +415,8 @@ pub fn all_typical_cascades_resumable(
 /// The one body behind both entry points: solves nodes `results.len()..n`
 /// in blocks of `run.every`, one pool fan-out per block, calling
 /// `before_block` / `after_block` around each. It can fail only through
-/// those hooks.
-///
-/// Each worker takes the pool's chunks of consecutive nodes whole and
-/// walks them in lookup blocks ([`CascadeIndex::reach_block`]): each
-/// world once per lookup block (span `engine.index_lookup/engine.reach`,
-/// timed per block), then each node's load and fit exactly as
-/// [`index_median`] does them. A node's pairs, and so its median, do not
-/// depend on the block it was walked in.
+/// those hooks. Each node is one [`index_median`] call on its worker's
+/// scratch.
 fn solve_blocks<E>(
     index: &CascadeIndex,
     median: &MedianConfig,
@@ -453,26 +430,12 @@ fn solve_blocks<E>(
     let threads = soi_util::pool::effective_threads(threads, n);
     results.reserve(n.saturating_sub(results.len()));
 
-    // A worker's chunk of consecutive nodes, in lookup blocks.
-    let solve = |scratch: &mut NodeScratch, first: usize, slots: &mut [Option<_>]| {
-        let end = (first + slots.len()) as NodeId;
-        let mut next = first as NodeId;
-        while next < end {
-            let block = {
-                let _s = soi_obs::span("engine.index_lookup");
-                let _s = soi_obs::span("engine.reach");
-                index.reach_block(next..end, &mut scratch.query)
-            };
-            for v in block.clone() {
-                let unlimited = Deadline::unlimited();
-                let fit = walked_median(index, v, median, &unlimited, scratch).value();
-                slots[v as usize - first] = Some(NodeTypicalCascade {
-                    node: v,
-                    median: fit.median,
-                    training_cost: fit.cost,
-                });
-            }
-            next = block.end;
+    let solve = |scratch: &mut NodeScratch, v: NodeId| {
+        let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
+        NodeTypicalCascade {
+            node: v,
+            median: fit.median,
+            training_cost: fit.cost,
         }
     };
 
@@ -481,8 +444,8 @@ fn solve_blocks<E>(
         let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
         // One scratch per worker, kept across chunks.
         let scratch = || NodeScratch::new(index);
-        soi_util::pool::for_each_chunk_with(&mut block, threads, scratch, |s, j, slots| {
-            solve(s, lo + j, slots)
+        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
+            *slot = Some(solve(s, (lo + j) as NodeId))
         });
         // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
         results.extend(block.into_iter().map(|r| r.expect("filled")));

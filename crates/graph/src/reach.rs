@@ -60,17 +60,21 @@ impl Reachability {
     /// to `out` in visit order. `out` is cleared first. Duplicate sources
     /// are fine.
     pub fn multi_source(&mut self, g: &DiGraph, sources: &[NodeId], out: &mut Vec<NodeId>) {
-        self.multi_source_deferring(g, sources, |_| false, out, &mut Vec::new());
+        self.multi_source_deferring(g, sources, |_| true, |_| false, out, &mut Vec::new());
     }
 
-    /// [`multi_source`](Self::multi_source) that visits but does not
-    /// expand the nodes `defer` holds for: they go to `deferred` (cleared
-    /// first) instead of `out`, and [`resume`](Self::resume) can expand
-    /// them later.
+    /// [`multi_source`](Self::multi_source) over the arcs `live` holds for
+    /// (CSR arc ids, as [`DiGraph::edge_range`] numbers them), that visits
+    /// but does not expand the nodes `defer` holds for: they go to
+    /// `deferred` (cleared first) instead of `out`, and
+    /// [`resume`](Self::resume) can expand them later. A walk over a
+    /// materialised world passes `|_| true`; one over a possible world
+    /// kept as a live-arc mask of `g` passes the mask.
     pub fn multi_source_deferring(
         &mut self,
         g: &DiGraph,
         sources: &[NodeId],
+        live: impl Fn(usize) -> bool,
         defer: impl Fn(NodeId) -> bool,
         out: &mut Vec<NodeId>,
         deferred: &mut Vec<NodeId>,
@@ -81,16 +85,22 @@ impl Reachability {
         for &s in sources {
             self.enter(s, &defer, out, deferred);
         }
-        self.drain(g, &defer, out, deferred);
+        self.drain(g, &live, &defer, out, deferred);
     }
 
-    /// Continues the last walk from `from`, nodes it visited but did not
-    /// expand: appends them, and every node they reach that the walk has
-    /// not visited, to `out`.
-    pub fn resume(&mut self, g: &DiGraph, from: &[NodeId], out: &mut Vec<NodeId>) {
+    /// Continues the last walk over the arcs `live` holds for from `from`,
+    /// nodes it visited but did not expand: appends them, and every node
+    /// they reach that the walk has not visited, to `out`.
+    pub fn resume(
+        &mut self,
+        g: &DiGraph,
+        live: impl Fn(usize) -> bool,
+        from: &[NodeId],
+        out: &mut Vec<NodeId>,
+    ) {
         out.extend_from_slice(from);
         self.stack.extend_from_slice(from);
-        self.drain(g, &|_| false, out, &mut Vec::new());
+        self.drain(g, &live, &|_| false, out, &mut Vec::new());
     }
 
     #[inline]
@@ -111,17 +121,22 @@ impl Reachability {
         }
     }
 
-    /// Expands the stacked nodes until the stack is empty.
+    /// Expands the stacked nodes over their live arcs until the stack is
+    /// empty.
     fn drain(
         &mut self,
         g: &DiGraph,
+        live: &impl Fn(usize) -> bool,
         defer: &impl Fn(NodeId) -> bool,
         out: &mut Vec<NodeId>,
         deferred: &mut Vec<NodeId>,
     ) {
         while let Some(v) = self.stack.pop() {
-            for &w in g.out_neighbors(v) {
-                self.enter(w, defer, out, deferred);
+            let first = g.edge_range(v).start;
+            for (e, &w) in (first..).zip(g.out_neighbors(v)) {
+                if live(e) {
+                    self.enter(w, defer, out, deferred);
+                }
             }
         }
     }
@@ -190,11 +205,26 @@ mod tests {
         let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]).unwrap();
         let mut r = Reachability::new(5);
         let (mut out, mut deferred) = (Vec::new(), Vec::new());
-        r.multi_source_deferring(&g, &[0], |v| v == 1, &mut out, &mut deferred);
+        r.multi_source_deferring(&g, &[0], |_| true, |v| v == 1, &mut out, &mut deferred);
         assert_eq!(sorted(out.clone()), vec![0, 4]);
         assert_eq!(deferred, vec![1]);
-        r.resume(&g, &deferred, &mut out);
+        r.resume(&g, |_| true, &deferred, &mut out);
         assert_eq!(sorted(out), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn dead_arcs_are_not_walked() {
+        // CSR arcs 0 → 1, 0 → 4, 1 → 2, 2 → 3 are ids 0..4; arcs 1
+        // (0 → 4) and 3 (2 → 3) are dead, and node 2 is deferred.
+        let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]).unwrap();
+        let live = |e| e != 1 && e != 3;
+        let mut r = Reachability::new(5);
+        let (mut out, mut deferred) = (Vec::new(), Vec::new());
+        r.multi_source_deferring(&g, &[0], live, |v| v == 2, &mut out, &mut deferred);
+        assert_eq!(sorted(out.clone()), vec![0, 1]);
+        assert_eq!(deferred, vec![2]);
+        r.resume(&g, live, &deferred, &mut out);
+        assert_eq!(sorted(out), vec![0, 1, 2]);
     }
 
     #[test]

@@ -3,62 +3,49 @@
 //! The cascade index of §4 (Algorithm 1 of the paper).
 //!
 //! To compute typical cascades for *every* node, the paper samples ℓ
-//! possible worlds once and stores each world compactly:
+//! possible worlds once and keeps them for the whole run. This index keeps
+//! each world as its **live-arc mask** ([`LiveArcs`]): one bit per arc of
+//! the graph, drawn once by the coin loop every sampler shares. The
+//! cascade of `v` in world `i` is what a walk from `v` reaches over the
+//! graph's CSR, skipping the arcs dead in world `i`.
 //!
-//! 1. the **condensation** of the world's SCCs — all vertices of one SCC
-//!    share a reachability set, so cascades only need component-level DFS;
-//! 2. after a **transitive reduction** of the condensation — reachability
-//!    is preserved with the minimum number of DAG arcs;
-//! 3. a **node × world matrix** `I[v, i]` giving the component of `v` in
-//!    world `i`.
+//! The paper condenses each world's SCCs and transitively reduces the
+//! condensation, so that queries walk a smaller DAG. Every world of an
+//! acyclic graph (a directed Barabási–Albert one under weighted cascade,
+//! say) is all singletons, and its reduction keeps every arc: the
+//! condensation is the live world relabelled. So the index keeps SCC
+//! structure only where it shares work.
 //!
-//! The cascade of `v` in world `i` is then: DFS from `I[v, i]` over the
-//! reduced condensation, union of the member lists of reached components —
-//! time linear in the output plus the condensation arcs traversed.
-//!
-//! Most of that output is shared. In a supercritical world most nodes
-//! reach the largest SCC, and all of them then reach the same set of
-//! components: the **hub closure**, everything the largest SCC (ties: the
-//! lowest component id) reaches. Each world stores it once, as a
-//! component bitmask plus one contiguous member slice, derived when the
-//! world is built. Every walk defers the closure components it meets
-//! instead of expanding them. If it reached the largest SCC itself, the
-//! whole closure is one chunk ([`HUB_CLOSURE`]); otherwise it resumes
-//! from the deferred components.
-//! The answer is unchanged: a path from outside the closure into it stays
-//! inside it, so every component outside the closure is reached by a
-//! path that never touches the closure. A closure of the hub alone (in any
-//! world of an acyclic graph, such as a directed Barabási–Albert one)
-//! shares nothing, and such a world is walked plainly.
+//! In a supercritical world most nodes reach the largest SCC, and all of
+//! them then reach the same nodes: the **hub closure**, everything the
+//! largest SCC (ties: the lowest Tarjan component id) reaches. A world
+//! whose hub reaches more than itself keeps the hub SCC and its closure as
+//! n-bit sets, and the closure's members as one slice. A walk does not
+//! expand the closure nodes it meets but sets them aside. If one of them
+//! is a hub node, the whole closure is one chunk ([`HUB_CLOSURE`]);
+//! otherwise the walk resumes from them. The answer is unchanged: a path
+//! from outside the closure into it stays inside it, so every node
+//! outside the closure is reached by a path that never touches the
+//! closure, and a path into the hub enters the closure at a hub node. In
+//! an acyclic graph every SCC is one node, so the hub is Tarjan's first
+//! component, a sink that reaches only itself, and the build runs no
+//! Tarjan at all.
 //! Across worlds, the index also keeps one bit row per node that lies in
 //! some closure, over the worlds whose closure holds it
 //! ([`CascadeIndex::closure_rows`]): a consumer that meets many closures
 //! of one node reads each closure node once, not once per world.
 //!
-//! Storage is compact. Every CSR offset is a `u32`, and a world whose
-//! components are all singletons (again, any world of an acyclic graph)
-//! stores no member offsets at all: component `c` is `members[c]`. The
-//! build makes 32 worlds at a time and transposes their component
-//! columns into the node-major matrix before starting the next block, so
-//! its peak is the index plus one block of columns.
-//!
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
-//! build is reproducible bit-for-bit regardless of thread count or
-//! blocking.
-//!
-//! Lookups for many nodes walk the index one world at a time
-//! ([`CascadeIndex::reach_block`]): a block of consecutive nodes walks
-//! world 0, then world 1, and so on, so each world's DAG is read once per
-//! block rather than once per node, and each node's chunks are recorded
-//! in ascending world order. A block's lists beside its last node stay
-//! within 1/64 of the index's [`memory_bytes`](CascadeIndex::memory_bytes).
-//! A single node's lookup ([`CascadeIndex::reached_comps`]) is a block of
-//! one node.
+//! build is reproducible bit-for-bit regardless of thread count. The
+//! [`fingerprint`](CascadeIndex::fingerprint) still hashes each world's
+//! condensation, re-derived from its mask only when it is asked for, so
+//! checkpoints written by a condensing index still resume.
 
-use soi_graph::{scc::Condensation, transitive, DiGraph, NodeId, ProbGraph, Reachability};
-use soi_sampling::world::world_rng;
-use soi_sampling::WorldSampler;
-use std::ops::Range;
+use soi_graph::{
+    scc::tarjan_scc, transitive, Condensation, DiGraph, NodeId, ProbGraph, Reachability,
+};
+use soi_sampling::world::{world_rng, LiveArcs};
+use soi_util::BitSet;
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -67,8 +54,10 @@ pub struct IndexConfig {
     pub num_worlds: usize,
     /// Master seed; world `i` uses the sub-seed `derive_seed(seed, i)`.
     pub seed: u64,
-    /// Apply transitive reduction to each condensation (§4). Reduces arc
-    /// storage and query traversal cost at some build-time expense.
+    /// Whether [`CascadeIndex::fingerprint`] and
+    /// [`CascadeIndex::mean_dag_edges`] read each world's condensation
+    /// transitively reduced (§4). The index stores no condensation, so
+    /// this changes no cascade.
     pub transitive_reduction: bool,
     /// Worker threads for the build (0 = all available cores).
     pub threads: usize,
@@ -85,168 +74,124 @@ impl Default for IndexConfig {
     }
 }
 
-/// One sampled world, stored as its (reduced) condensation plus component
-/// member lists. The per-node component assignment lives in the index's
-/// shared matrix.
-#[derive(Clone, Debug)]
-pub struct WorldIndex {
-    /// Condensation DAG over component ids (transitively reduced when the
-    /// config asked for it).
-    pub dag: DiGraph,
-    /// CSR offsets into `members`, or empty when every component is a
-    /// singleton (any world of an acyclic graph): component `c` is then
-    /// `members[c]` alone, and the offsets would be the identity.
-    member_offsets: Vec<u32>,
-    members: Vec<NodeId>,
-    /// The largest SCC (ties: the lowest id), and the components it
-    /// reaches: as a bitmask over component ids up to the largest it
-    /// reaches, and as one member slice; both empty when it reaches only
-    /// itself.
-    hub: u32,
-    hub_mask: Vec<u64>,
-    hub_members: Vec<NodeId>,
-}
-
-/// Worlds built at a time by [`CascadeIndex::build`]: the build holds at
-/// most this many component columns (`BLOCK · n` ids) beside the index.
-const BLOCK: usize = 32;
-
-/// A [`CascadeIndex::reach_block`] block holds at most this share of the
-/// index in walked lists (beside its last node): ~1.2 MB on a 76 MB
-/// index, ~75 KB on a 4.8 MB one, so a worker's block stays in cache
-/// beside the world it walks and the lookup's peak memory follows the
-/// index, not a node count.
-const BLOCK_SHARE: usize = 64;
-
 /// The chunk id of a world's whole hub closure in
-/// [`CascadeIndex::reached_comps`]; [`WorldIndex::chunk`] reads it.
+/// [`CascadeIndex::reached_comps`]; [`CascadeIndex::chunk`] reads it.
 pub const HUB_CLOSURE: u32 = u32::MAX;
 
-impl WorldIndex {
-    /// Assembles a world from its condensation parts, dropping the member
-    /// offsets of an all-singleton world, and derives its hub closure.
-    fn from_parts(dag: DiGraph, mut member_offsets: Vec<u32>, members: Vec<NodeId>) -> Self {
-        if members.len() == dag.num_nodes() {
-            member_offsets = Vec::new();
-        }
-        let members_of = |c: usize| component(&member_offsets, &members, c);
-        let hub = (0..dag.num_nodes())
-            .rev()
-            .max_by_key(|&c| members_of(c).len());
-        // The mask ends at the closure's largest id (component ids are
-        // reverse-topological, so the hub's), and a walk rejects a larger
-        // id without a read.
-        let mut hub_mask: Vec<u64> = Vec::new();
-        let mut hub_members = Vec::new();
-        let mut stack: Vec<u32> = hub.iter().map(|&c| c as u32).collect();
-        while let Some(c) = stack.pop() {
-            let (word, bit) = (c as usize / 64, 1 << (c % 64));
-            if word >= hub_mask.len() {
-                hub_mask.resize(word + 1, 0);
-            }
-            if hub_mask[word] & bit == 0 {
-                hub_mask[word] |= bit;
-                hub_members.extend_from_slice(members_of(c as usize));
-                stack.extend_from_slice(dag.out_neighbors(c));
-            }
-        }
-        // A closure of the hub alone shares nothing: an empty mask, and
-        // walks treat the hub as any other component.
-        if hub.is_some_and(|c| hub_members.len() == members_of(c).len()) {
-            (hub_mask, hub_members) = (Vec::new(), Vec::new());
-        }
-        WorldIndex {
-            dag,
-            member_offsets,
-            members,
-            hub: hub.unwrap_or(0) as u32,
-            hub_mask,
-            hub_members,
-        }
-    }
+/// One sampled world: its live arcs, and its hub when the hub reaches
+/// more than itself.
+struct World {
+    live: LiveArcs,
+    hub: Option<Hub>,
+}
 
-    /// The hub walk from `sources`: fills `walk.chunks` with the chunks
-    /// they reach, [`HUB_CLOSURE`] standing for the whole closure when the
-    /// walk reached the hub.
-    fn walk(&self, sources: &[u32], walk: &mut Walk) {
+/// A world's largest SCC (ties: the lowest Tarjan component id) and the
+/// nodes it reaches, as n-bit sets, plus the closure's members.
+struct Hub {
+    scc: BitSet,
+    closure: BitSet,
+    members: Vec<NodeId>,
+}
+
+impl World {
+    /// The walk from `sources` over the world's live arcs: writes to `out`
+    /// the nodes it reaches, and returns whether it reached a hub node.
+    /// Then `out` holds no closure node, and the cascade is `out` plus the
+    /// whole closure.
+    fn walk(
+        &self,
+        g: &DiGraph,
+        sources: &[NodeId],
+        walk: &mut Walk,
+        out: &mut Vec<NodeId>,
+    ) -> bool {
+        let live = |e| self.live.is_live(e);
         let Walk {
-            reach,
-            chunks,
-            deferred,
-            ..
+            reach, deferred, ..
         } = walk;
-        if self.hub_mask.is_empty() {
-            reach.multi_source(&self.dag, sources, chunks);
-            return;
-        }
-        // The mask's address and length ride in the closure, not behind
-        // `self`: one load fewer per visited component.
-        let mask = self.hub_mask.as_slice();
-        let defer = move |c| in_closure(mask, c);
-        reach.multi_source_deferring(&self.dag, sources, defer, chunks, deferred);
-        let hit = deferred.contains(&self.hub);
-        if hit {
-            chunks.push(HUB_CLOSURE);
-        } else if !deferred.is_empty() {
-            reach.resume(&self.dag, deferred, chunks);
+        let Some(hub) = &self.hub else {
+            reach.multi_source_deferring(g, sources, live, |_| false, out, deferred);
+            return false;
+        };
+        let defer = |v: NodeId| hub.closure.contains(v as usize);
+        reach.multi_source_deferring(g, sources, live, defer, out, deferred);
+        let hit = deferred.iter().any(|&v| hub.scc.contains(v as usize));
+        if !hit && !deferred.is_empty() {
+            reach.resume(g, live, deferred, out);
         }
         #[cfg(test)]
         if hit || !deferred.is_empty() {
             walk.branches[hit as usize] += 1;
         }
+        hit
     }
+}
 
-    /// The members of chunk `c` of a [`CascadeIndex::reached_comps`]
-    /// answer: component `c`, or the whole hub closure for
-    /// [`HUB_CLOSURE`].
-    pub fn chunk(&self, c: u32) -> &[NodeId] {
-        if c == HUB_CLOSURE {
-            &self.hub_members
-        } else {
-            self.members_of(c)
+impl Hub {
+    /// The hub of `world`, or `None` when it reaches only itself.
+    fn find(world: &DiGraph) -> Option<Hub> {
+        let n = world.num_nodes();
+        let scc = tarjan_scc(world);
+        let mut sizes = vec![0u32; scc.num_comps];
+        for &c in &scc.comp_of {
+            sizes[c as usize] += 1;
         }
-    }
-
-    /// Number of SCCs in this world.
-    pub fn num_comps(&self) -> usize {
-        self.dag.num_nodes()
-    }
-
-    /// The original nodes in component `c`.
-    pub fn members_of(&self, c: u32) -> &[NodeId] {
-        component(&self.member_offsets, &self.members, c as usize)
+        let hub = (0..scc.num_comps).rev().max_by_key(|&c| sizes[c])?;
+        let nodes = (0..n as NodeId).filter(|&v| scc.comp_of[v as usize] as usize == hub);
+        let scc: Vec<NodeId> = nodes.collect();
+        let mut members = Vec::new();
+        Reachability::new(n).multi_source(world, &scc, &mut members);
+        let set = |nodes: &[NodeId]| {
+            let mut set = BitSet::new(n);
+            nodes.iter().for_each(|&v| _ = set.insert(v as usize));
+            set
+        };
+        (members.len() > scc.len()).then(|| Hub {
+            scc: set(&scc),
+            closure: set(&members),
+            members,
+        })
     }
 }
 
-/// Component `c`'s slice of a world's `members`: `members[c]` alone when
-/// the world stores no offsets (all singletons).
-#[inline]
-fn component<'m>(offsets: &[u32], members: &'m [NodeId], c: usize) -> &'m [NodeId] {
-    if offsets.is_empty() {
-        return &members[c..=c];
+/// World `live` of `g` as a graph of its own: `g`'s live arcs, in CSR
+/// order.
+fn live_world(g: &DiGraph, live: &LiveArcs) -> DiGraph {
+    let mut offsets = Vec::with_capacity(g.num_nodes() + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
+    for v in g.nodes() {
+        let arcs = g.edge_range(v).zip(g.out_neighbors(v));
+        targets.extend(arcs.filter(|&(e, _)| live.is_live(e)).map(|(_, &w)| w));
+        // At most `g`'s arcs, whose count fits a `u32` offset.
+        offsets.push(targets.len() as u32);
     }
-    &members[offsets[c] as usize..offsets[c + 1] as usize]
+    DiGraph::from_csr_parts(offsets, targets)
 }
 
-/// The cascade index: ℓ condensed worlds plus the `node × world`
-/// component matrix (Algorithm 1).
+/// `world`'s arcs as a mask over `union`, which holds every one of them.
+fn mask_of(union: &DiGraph, world: &DiGraph) -> LiveArcs {
+    let live = world.nodes().flat_map(|v| {
+        let (first, targets) = (union.edge_range(v).start, union.out_neighbors(v));
+        let arcs = world.out_neighbors(v).iter();
+        arcs.map(move |&w| first + targets.partition_point(|&t| t < w))
+    });
+    LiveArcs::from_live(union.num_edges(), live)
+}
+
+/// The cascade index: ℓ sampled worlds, each a live-arc mask over one
+/// graph (Algorithm 1).
 pub struct CascadeIndex {
-    num_nodes: usize,
-    worlds: Vec<WorldIndex>,
-    /// Node-major layout: `comp_matrix[v * ℓ + i]` is `I[v, i]`. Node-major
-    /// because queries iterate all worlds of one node.
-    comp_matrix: Vec<u32>,
+    /// The arcs every world masks: `pg.graph()`, or the union of the
+    /// supplied worlds' arcs.
+    graph: DiGraph,
+    worlds: Vec<World>,
     /// The nodes in some world's hub closure, ascending, and for each a
     /// row of `⌈ℓ/64⌉` words: bit `i % 64` of word `i / 64` is set when
     /// world `i`'s closure holds the node. Both empty when no world has a
     /// closure.
     closure_nodes: Vec<NodeId>,
     closure_rows: Vec<u64>,
-    max_comps: usize,
-    /// The bytes of walked lists a [`CascadeIndex::reach_block`] block may
-    /// hold beside its last node: [`memory_bytes`](Self::memory_bytes) /
-    /// [`BLOCK_SHARE`].
-    block_budget: usize,
     config: IndexConfig,
 }
 
@@ -267,92 +212,93 @@ impl CascadeIndex {
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
-        // World `i` depends only on `(seed, i)`; each worker keeps one
-        // sampler for the worlds it claims in a block.
-        Self::build_blocks(
-            pg.num_nodes(),
-            config.num_worlds,
-            config,
-            WorldSampler::new,
-            |sampler, i| build_world(pg, &config, i, sampler),
-        )
+        Self::from_masks(pg.graph().clone(), config.num_worlds, config, |_, i| {
+            let _span = soi_obs::span("index.sample_world");
+            LiveArcs::sample(pg, &mut world_rng(config.seed, i))
+        })
     }
 
-    /// Builds worlds `0..num_worlds` with `world`, [`BLOCK`] at a time.
-    /// Workers claim the block's world ids (`soi_util::pool`), each with
-    /// one `init` scratch; then the block's component columns are
-    /// transposed into the node-major matrix and dropped, so the build
-    /// holds one block of columns beside the index, never all ℓ. World
-    /// `i` depends only on `i`, so neither the worker partition nor the
-    /// blocking affects the result.
-    fn build_blocks<S>(
-        num_nodes: usize,
+    /// Builds worlds `0..num_worlds` over `graph`, world `i` masked by
+    /// `mask(&graph, i)`, on `config.threads` workers
+    /// (`soi_util::pool`). World `i` depends only on `i`, so the worker
+    /// partition does not affect the result.
+    fn from_masks(
+        graph: DiGraph,
         num_worlds: usize,
         config: IndexConfig,
-        init: impl Fn() -> S + Sync,
-        world: impl Fn(&mut S, usize) -> (WorldIndex, Vec<u32>) + Sync,
+        mask: impl Fn(&DiGraph, usize) -> LiveArcs + Sync,
     ) -> Self {
-        let mut worlds = Vec::with_capacity(num_worlds);
-        let mut comp_matrix = vec![0u32; num_nodes * num_worlds];
+        // Only a cycle of the graph lets a world's hub reach more than
+        // itself.
+        let cyclic = transitive::topological_order(&graph).is_none();
+        let mut worlds: Vec<Option<World>> = (0..num_worlds).map(|_| None).collect();
+        soi_util::pool::for_each_indexed(&mut worlds, config.threads, |i, slot| {
+            let live = mask(&graph, i);
+            let hub = cyclic
+                .then(|| Hub::find(&live_world(&graph, &live)))
+                .flatten();
+            *slot = Some(World { live, hub });
+        });
+        // The pool fills every slot before its scope joins.
+        // xtask-allow: panic_policy
+        let built = worlds.into_iter().map(|w| w.expect("world built"));
+        let worlds: Vec<World> = built.collect();
         let words = num_worlds.div_ceil(64);
         let mut closure_rows = Vec::new();
-        let mut slots = Vec::with_capacity(BLOCK);
-        for start in (0..num_worlds).step_by(BLOCK) {
-            slots.resize_with(BLOCK.min(num_worlds - start), || None);
-            soi_util::pool::for_each_indexed_with(
-                &mut slots,
-                config.threads,
-                &init,
-                |s, j, slot| *slot = Some(world(s, start + j)),
-            );
-            // The pool fills every slot before its scope joins.
-            // xtask-allow: panic_policy
-            let built = slots.drain(..).map(|slot| slot.expect("world built"));
-            let (block, columns): (Vec<WorldIndex>, Vec<Vec<u32>>) = built.unzip();
-            for (v, row) in comp_matrix.chunks_exact_mut(num_worlds).enumerate() {
-                for (cell, column) in row[start..].iter_mut().zip(&columns) {
-                    *cell = column[v];
-                }
+        for (i, w) in worlds.iter().enumerate() {
+            let Some(hub) = &w.hub else { continue };
+            closure_rows.resize(graph.num_nodes() * words, 0);
+            for &v in &hub.members {
+                closure_rows[v as usize * words + i / 64] |= 1 << (i % 64);
             }
-            for (i, w) in (start..).zip(&block) {
-                if !w.hub_members.is_empty() && closure_rows.is_empty() {
-                    closure_rows.resize(num_nodes * words, 0);
-                }
-                for &v in &w.hub_members {
-                    closure_rows[v as usize * words + i / 64] |= 1 << (i % 64);
-                }
-            }
-            worlds.extend(block);
         }
         let closure_nodes = keep_nonzero_rows(&mut closure_rows, words);
-        let max_comps = worlds.iter().map(WorldIndex::num_comps).max().unwrap_or(0);
-        let mut index = CascadeIndex {
-            num_nodes,
+        let index = CascadeIndex {
+            graph,
             worlds,
-            comp_matrix,
             closure_nodes,
             closure_rows,
-            max_comps,
-            block_budget: 0,
             config,
         };
-        index.block_budget = index.memory_bytes() / BLOCK_SHARE;
         index.record_build_metrics();
         index
     }
 
+    /// Each world's condensation, re-derived from its mask, as
+    /// `(components, DAG arcs)`; the DAG transitively reduced when
+    /// `config.transitive_reduction` is set. It costs what a condensing
+    /// build cost, so only the diagnostics below read it.
+    fn condensations(&self) -> Vec<(usize, usize)> {
+        let mut sizes = vec![(0, 0); self.worlds.len()];
+        soi_util::pool::for_each_indexed(&mut sizes, self.config.threads, |i, slot| {
+            let cond = Condensation::new(&live_world(&self.graph, &self.worlds[i].live));
+            let dag = if self.config.transitive_reduction {
+                // A condensation is acyclic by construction, and
+                // transitive_reduction only returns None on cyclic input.
+                // xtask-allow: panic_policy
+                transitive::transitive_reduction(&cond.dag).expect("condensation is a DAG")
+            } else {
+                cond.dag
+            };
+            *slot = (dag.num_nodes(), dag.num_edges());
+        });
+        sizes
+    }
+
     /// A 64-bit fingerprint of the index identity: dimensions, build
-    /// configuration, and per-world structural summary. Used to pin
-    /// checkpoints to the index a run was started with.
+    /// configuration, and each world's condensation size (components and
+    /// arcs). Used to pin checkpoints to the index a run was started
+    /// with; it condenses every world, so compute it only for a run that
+    /// has a checkpoint.
     pub fn fingerprint(&self) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
-        h.update_u64(self.num_nodes as u64);
+        h.update_u64(self.num_nodes() as u64);
         h.update_u64(self.worlds.len() as u64);
         h.update_u64(self.config.seed);
         h.update_u64(self.config.transitive_reduction as u64);
-        for w in &self.worlds {
-            h.update_u64(w.num_comps() as u64);
-            h.update_u64(w.dag.num_edges() as u64);
+        for (comps, arcs) in self.condensations() {
+            h.update_u64(comps as u64);
+            h.update_u64(arcs as u64);
         }
         h.finish()
     }
@@ -361,8 +307,9 @@ impl CascadeIndex {
     /// would produce for a graph with [`ProbGraph::fingerprint`]
     /// `graph_fingerprint` and `config`, computable **without** building
     /// it. Combines the graph fingerprint with every config field that
-    /// changes index contents (`threads` is excluded: builds are
-    /// thread-count invariant). `soi serve` keys its index cache on this.
+    /// changes the index or its fingerprint (`threads` is excluded: builds
+    /// are thread-count invariant). `soi serve` keys its index cache on
+    /// this.
     pub fn cache_key_for(graph_fingerprint: u64, config: &IndexConfig) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
         h.update_u64(graph_fingerprint);
@@ -377,8 +324,8 @@ impl CascadeIndex {
     /// Threshold sampler in `soi-sampling::lt`) plugs into the same
     /// typical-cascade pipeline this way. `config.num_worlds` and
     /// `config.seed` are recorded but ignored for sampling; worlds are
-    /// taken verbatim, in order, and condensed by `config.threads`
-    /// workers.
+    /// taken verbatim, in order, each as a mask over the union of their
+    /// arcs, by `config.threads` workers.
     pub fn build_from_worlds<'w>(
         num_nodes: usize,
         worlds: impl Iterator<Item = &'w DiGraph>,
@@ -389,13 +336,16 @@ impl CascadeIndex {
         for world in &worlds {
             assert_eq!(world.num_nodes(), num_nodes, "world node-count mismatch");
         }
-        Self::build_blocks(
-            num_nodes,
-            worlds.len(),
-            config,
-            || (),
-            |(), i| condense_world(worlds[i], config.transitive_reduction),
-        )
+        let mut arcs: Vec<(NodeId, NodeId)> = worlds.iter().flat_map(|w| w.edges()).collect();
+        arcs.sort_unstable();
+        arcs.dedup();
+        // Every arc is some world's, so its ends are below `num_nodes`,
+        // and there are no more of them than the worlds hold.
+        // xtask-allow: panic_policy
+        let union = DiGraph::from_edges(num_nodes, &arcs).expect("world arcs");
+        Self::from_masks(union, worlds.len(), config, |union, i| {
+            mask_of(union, worlds[i])
+        })
     }
 
     /// Records the build's world count and size, and logs them. Every
@@ -405,17 +355,19 @@ impl CascadeIndex {
         soi_obs::gauge("index.memory_bytes").set(self.memory_bytes() as f64);
         soi_obs::event!(
             soi_obs::Level::Info,
-            "index built: {} worlds, {} comps, {} member entries, {} bytes",
+            "index built: {} worlds, {} with a hub closure, {} closure entries, {} bytes",
             self.worlds.len(),
-            self.worlds.iter().map(WorldIndex::num_comps).sum::<usize>(),
-            self.worlds.iter().map(|w| w.members.len()).sum::<usize>(),
+            self.worlds.iter().filter(|w| w.hub.is_some()).count(),
+            (0..self.worlds.len())
+                .map(|i| self.closure(i).len())
+                .sum::<usize>(),
             self.memory_bytes()
         );
     }
 
     /// Number of nodes of the indexed graph.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.graph.num_nodes()
     }
 
     /// Number of indexed worlds ℓ.
@@ -428,38 +380,30 @@ impl CascadeIndex {
         &self.config
     }
 
-    /// The stored world structures.
-    pub fn world(&self, i: usize) -> &WorldIndex {
-        &self.worlds[i]
+    /// World `i`'s hub closure, in no particular order: empty when its
+    /// hub reaches only itself.
+    pub fn closure(&self, i: usize) -> &[NodeId] {
+        self.worlds[i].hub.as_ref().map_or(&[], |h| &h.members)
     }
 
     /// The nodes in some world's hub closure, ascending, and each one's
     /// row of `⌈ℓ/64⌉` words over the worlds: bit `i % 64` of word `i / 64`
-    /// is set when world `i`'s closure ([`WorldIndex::chunk`] of
-    /// [`HUB_CLOSURE`]) holds the node. Both are empty when no world has a
-    /// closure.
+    /// is set when world `i`'s [`closure`](Self::closure) holds the node.
+    /// Both are empty when no world has a closure.
     pub fn closure_rows(&self) -> (&[NodeId], &[u64]) {
         (&self.closure_nodes, &self.closure_rows)
-    }
-
-    /// `I[v, i]`: the component of node `v` in world `i`.
-    #[inline]
-    pub fn comp_of(&self, v: NodeId, i: usize) -> u32 {
-        self.comp_matrix[v as usize * self.worlds.len() + i]
     }
 
     /// Creates reusable query scratch sized for this index.
     pub fn query(&self) -> IndexQuery {
         IndexQuery {
             walk: Walk {
-                reach: Reachability::new(self.max_comps),
-                chunks: Vec::new(),
+                reach: Reachability::new(self.num_nodes()),
                 deferred: Vec::new(),
                 #[cfg(test)]
                 branches: [0; 2],
             },
-            seed_comps: Vec::new(),
-            block: Block::default(),
+            nodes: Vec::new(),
             pairs: Vec::new(),
         }
     }
@@ -479,22 +423,16 @@ impl CascadeIndex {
         q: &mut IndexQuery,
         out: &mut Vec<NodeId>,
     ) {
-        let w = &self.worlds[i];
-        q.seed_comps.clear();
-        q.seed_comps
-            .extend(seeds.iter().map(|&s| self.comp_of(s, i)));
-        w.walk(&q.seed_comps, &mut q.walk);
-        out.clear();
-        for &c in &q.walk.chunks {
-            out.extend_from_slice(w.chunk(c));
+        if self.worlds[i].walk(&self.graph, seeds, &mut q.walk, out) {
+            out.extend_from_slice(self.closure(i));
         }
     }
 
     /// Cascade size of `v` in world `i` without materializing node ids.
     pub fn cascade_size(&self, v: NodeId, i: usize, q: &mut IndexQuery) -> usize {
-        let w = &self.worlds[i];
-        w.walk(&[self.comp_of(v, i)], &mut q.walk);
-        q.walk.chunks.iter().map(|&c| w.chunk(c).len()).sum()
+        let IndexQuery { walk, nodes, .. } = q;
+        let hit = self.worlds[i].walk(&self.graph, &[v], walk, nodes);
+        nodes.len() + if hit { self.closure(i).len() } else { 0 }
     }
 
     /// All ℓ cascades of `v` as canonical sorted sets — the input shape
@@ -502,8 +440,8 @@ impl CascadeIndex {
     pub fn cascades_of(&self, v: NodeId) -> Vec<Vec<NodeId>> {
         let mut q = self.query();
         let mut sets = vec![Vec::new(); self.num_worlds()];
-        for &(i, c) in self.reached_comps(v, &mut q) {
-            sets[i as usize].extend_from_slice(self.worlds[i as usize].chunk(c));
+        for pair in self.reached_comps(v, &mut q) {
+            sets[pair.0 as usize].extend_from_slice(self.chunk(pair));
         }
         for set in &mut sets {
             set.sort_unstable();
@@ -513,167 +451,62 @@ impl CascadeIndex {
 
     /// What `v` reaches in every world, as `(world, chunk)` pairs in
     /// ascending world order, valid until `q` is used again. A chunk is a
-    /// component, or [`HUB_CLOSURE`] when `v` reaches the world's largest
-    /// SCC. The cascade of `v` in world `i` is the disjoint union of the
-    /// member lists ([`WorldIndex::chunk`]) of world `i`'s pairs, so a
-    /// consumer can read all ℓ cascades without materialising them. The
-    /// block walk of [`reach_block`](Self::reach_block) over `v` alone.
+    /// node, or [`HUB_CLOSURE`] when `v` reaches the world's largest SCC.
+    /// The cascade of `v` in world `i` is the disjoint union of the
+    /// members ([`chunk`](Self::chunk)) of world `i`'s pairs, so a
+    /// consumer can read all ℓ cascades without materialising them.
     pub fn reached_comps<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
-        self.walk_block(v, 1, None, q);
-        self.block_pairs(v, q)
-    }
-
-    /// Walks a block of consecutive nodes from `nodes.start` world by
-    /// world: world 0 for every node of the block, then world 1, and so
-    /// on, so each world's DAG is read once per block rather than once per
-    /// node. Returns the block, never empty when `nodes` is not; each of
-    /// its nodes' pairs are then [`block_pairs`](Self::block_pairs), the
-    /// same pairs in the same order as [`reached_comps`](Self::reached_comps).
-    ///
-    /// The block is as long as `nodes` and the index's block budget
-    /// allow: the walked lists of all its nodes but the last stay within
-    /// [`memory_bytes`](Self::memory_bytes) / 64. A node's lists are
-    /// unknown until it is walked, so the block is sized from the bytes
-    /// per node that `q`'s last block held (one node at first), and nodes
-    /// are dropped from its end, to be walked again in a later block, if
-    /// the walked lists outgrow the budget.
-    pub fn reach_block(&self, nodes: Range<NodeId>, q: &mut IndexQuery) -> Range<NodeId> {
-        self.reach_block_within(nodes, self.block_budget, q)
-    }
-
-    /// [`reach_block`](Self::reach_block) under a given `budget` in bytes.
-    fn reach_block_within(
-        &self,
-        nodes: Range<NodeId>,
-        budget: usize,
-        q: &mut IndexQuery,
-    ) -> Range<NodeId> {
-        let wanted = match q.block.node_bytes {
-            0 => 1,
-            per_node => budget / per_node + 1,
-        };
-        let len = wanted.min(nodes.len());
-        let len = self.walk_block(nodes.start, len, Some(budget), q);
-        nodes.start..nodes.start + len as NodeId
-    }
-
-    /// Walks nodes `first..first + len`, world-major, into `q.block`.
-    /// Under a `budget`, drops nodes from the block's end while the lists
-    /// of all but its last node hold more than `budget` bytes. Returns
-    /// the block's length.
-    fn walk_block(
-        &self,
-        first: NodeId,
-        len: usize,
-        budget: Option<usize>,
-        q: &mut IndexQuery,
-    ) -> usize {
-        let IndexQuery { walk, block, .. } = q;
-        let ell = self.worlds.len();
-        block.first = first;
-        block.len = len;
-        block.chunks.clear();
-        block.ends.clear();
-        block.counts.clear();
-        block.counts.resize(len, 0);
-        block.ends.reserve(len * ell);
-        if let Some(budget) = budget.filter(|_| len > 1) {
-            // Room for a budget of lists in one allocation, never copied;
-            // only the pages the lists fill become resident.
-            block.chunks.reserve(budget / std::mem::size_of::<u32>());
-        }
-        // Bytes a node holds: its chunks, and one end per world.
-        let bytes = |chunks: usize| (chunks + ell) * std::mem::size_of::<u32>();
-        for (i, w) in self.worlds.iter().enumerate() {
-            for (j, count) in block.counts.iter_mut().enumerate() {
-                w.walk(&[self.comp_of(first + j as NodeId, i)], walk);
-                block.chunks.extend_from_slice(&walk.chunks);
-                block.ends.push(block.chunks.len() as u32);
-                *count += walk.chunks.len() as u32;
-            }
-            // `ends` and `counts` are `u32`; a failed check stops the walk
-            // before a wrapped offset is read.
-            assert!(
-                block.chunks.len() <= u32::MAX as usize,
-                "block lists overflow u32"
-            );
-            let Some(budget) = budget.filter(|_| block.len > 1) else {
-                continue;
-            };
-            let mut keep = block.len;
-            let mut before_last = block.chunks.len() - block.counts[keep - 1] as usize;
-            while keep > 1 && bytes(before_last) + (keep - 2) * bytes(0) > budget {
-                keep -= 1;
-                before_last -= block.counts[keep - 1] as usize;
-            }
-            if keep < block.len {
-                block.truncate(keep);
-            }
-        }
-        let held = bytes(block.chunks.len()) + (block.len - 1) * bytes(0);
-        block.node_bytes = held.div_ceil(block.len);
-        block.len
-    }
-
-    /// `v`'s pairs from the last block walk of `q`, in ascending world
-    /// order, valid until `q` is used again. `v` must lie in that block.
-    pub fn block_pairs<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
-        let IndexQuery { block, pairs, .. } = q;
-        let j = (v - block.first) as usize;
-        assert!(j < block.len, "node {v} is not in the last block");
+        let IndexQuery { walk, nodes, pairs } = q;
         pairs.clear();
-        pairs.reserve(block.counts[j] as usize);
-        // Node `j`'s chunks in world `i` start where the entry before it
-        // ends: node `j - 1`'s in the same world, or the previous world's
-        // last node's.
-        let mut last = 0;
-        for (i, ends) in block.ends.chunks_exact(block.len).enumerate() {
-            let start = if j == 0 { last } else { ends[j - 1] as usize };
-            let chunks = &block.chunks[start..ends[j] as usize];
-            pairs.extend(chunks.iter().map(|&c| (i as u32, c)));
-            last = ends[block.len - 1] as usize;
+        for (i, w) in (0..).zip(&self.worlds) {
+            let hit = w.walk(&self.graph, &[v], walk, nodes);
+            pairs.extend(nodes.iter().map(|&u| (i, u)));
+            if hit {
+                pairs.push((i, HUB_CLOSURE));
+            }
         }
         pairs
     }
 
-    /// Heap footprint in bytes of the stored arrays: the component
-    /// matrix, the closure rows and, per world, the DAG's CSR offsets and
-    /// arcs, the members (and their offsets, unless all components are
-    /// singletons), and the hub closure's mask and members. The quantity
-    /// §4 argues the condensation representation keeps small.
+    /// The members of a [`reached_comps`](Self::reached_comps) pair's
+    /// chunk: its node, or the world's whole hub
+    /// [`closure`](Self::closure) for [`HUB_CLOSURE`].
+    pub fn chunk<'a>(&'a self, pair: &'a (u32, u32)) -> &'a [NodeId] {
+        match pair {
+            &(i, HUB_CLOSURE) => self.closure(i as usize),
+            (_, v) => std::slice::from_ref(v),
+        }
+    }
+
+    /// Heap footprint in bytes of the stored arrays: the graph's CSR,
+    /// every world's mask and hub (two n-bit sets and the closure's
+    /// members), and the closure rows.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let worlds: usize = self
-            .worlds
-            .iter()
-            .map(|w| {
-                let (offsets, arcs) = w.dag.csr_parts();
-                let ids = [offsets, arcs, &w.member_offsets, &w.members, &w.hub_members];
-                ids.map(<[u32]>::len).iter().sum::<usize>() * size_of::<u32>()
-                    + w.hub_mask.len() * size_of::<u64>()
-            })
+        let (offsets, targets) = self.graph.csr_parts();
+        let graph = (offsets.len() + targets.len()) * size_of::<u32>();
+        let sets = 2 * self.num_nodes().div_ceil(64) * size_of::<u64>();
+        let hubs = self.worlds.iter().filter_map(|w| w.hub.as_ref());
+        let hubs: usize = hubs
+            .map(|h| sets + h.members.len() * size_of::<NodeId>())
             .sum();
+        let masks: usize = self.worlds.iter().map(|w| w.live.memory_bytes()).sum();
         let closures = self.closure_nodes.len() * size_of::<NodeId>()
             + self.closure_rows.len() * size_of::<u64>();
-        self.comp_matrix.len() * size_of::<u32>() + closures + worlds
+        graph + masks + hubs + closures
     }
 
     /// Mean number of SCCs per world (diagnostics for EXPERIMENTS.md).
     pub fn mean_comps(&self) -> f64 {
-        self.worlds
-            .iter()
-            .map(|w| w.num_comps() as f64)
-            .sum::<f64>()
-            / self.worlds.len() as f64
+        let comps = self.condensations().iter().map(|c| c.0 as f64).sum::<f64>();
+        comps / self.worlds.len() as f64
     }
 
-    /// Mean number of condensation arcs per world.
+    /// Mean number of condensation arcs per world, after the transitive
+    /// reduction when the config asks for it.
     pub fn mean_dag_edges(&self) -> f64 {
-        self.worlds
-            .iter()
-            .map(|w| w.dag.num_edges() as f64)
-            .sum::<f64>()
-            / self.worlds.len() as f64
+        let arcs = self.condensations().iter().map(|c| c.1 as f64).sum::<f64>();
+        arcs / self.worlds.len() as f64
     }
 }
 
@@ -693,117 +526,30 @@ fn keep_nonzero_rows(rows: &mut Vec<u64>, words: usize) -> Vec<NodeId> {
     nodes
 }
 
-/// Whether component `c` is in the hub closure `mask`.
-#[inline]
-fn in_closure(mask: &[u64], c: u32) -> bool {
-    let word = mask.get(c as usize / 64);
-    word.is_some_and(|w| w >> (c % 64) & 1 == 1)
-}
-
 /// Reusable per-thread query scratch for [`CascadeIndex`].
 pub struct IndexQuery {
     walk: Walk,
-    /// The seeds' components in the world being queried.
-    seed_comps: Vec<u32>,
-    /// The last block walk.
-    block: Block,
-    /// The last [`CascadeIndex::block_pairs`] answer.
+    /// The nodes of the last walk.
+    nodes: Vec<NodeId>,
+    /// The last [`CascadeIndex::reached_comps`] answer.
     pairs: Vec<(u32, u32)>,
 }
 
-/// The lists of a block walk ([`CascadeIndex::reach_block`]): the chunks
-/// of every `(world, node)` walk, world-major.
-#[derive(Default)]
-struct Block {
-    first: NodeId,
-    len: usize,
-    chunks: Vec<u32>,
-    /// `ends[i * len + j]`: where node `first + j`'s chunks in world `i`
-    /// end in `chunks`; they start where the previous entry ends.
-    ends: Vec<u32>,
-    /// Chunks walked so far per node.
-    counts: Vec<u32>,
-    /// The bytes per node the last block held: the next block's size.
-    node_bytes: usize,
-    /// Nodes dropped from blocks' ends so far.
-    #[cfg(test)]
-    dropped: usize,
-}
-
-impl Block {
-    /// Drops the block's nodes from `keep` on, from every world walked.
-    fn truncate(&mut self, keep: usize) {
-        let (mut start, mut write, mut at) = (0, 0, 0);
-        for k in 0..self.ends.len() {
-            let end = self.ends[k] as usize;
-            if k % self.len < keep {
-                self.chunks.copy_within(start..end, write);
-                write += end - start;
-                self.ends[at] = write as u32;
-                at += 1;
-            }
-            start = end;
-        }
-        self.chunks.truncate(write);
-        self.ends.truncate(at);
-        self.counts.truncate(keep);
-        #[cfg(test)]
-        {
-            self.dropped += self.len - keep;
-        }
-        self.len = keep;
-    }
-}
-
-/// Scratch of [`WorldIndex::walk`].
+/// Scratch of [`World::walk`].
 struct Walk {
     reach: Reachability,
-    /// The last walk's chunks.
-    chunks: Vec<u32>,
-    /// The hub-closure components the walk set aside.
-    deferred: Vec<u32>,
-    /// Walks that resumed from deferred components, and walks that hit.
+    /// The closure nodes the walk set aside.
+    deferred: Vec<NodeId>,
+    /// Walks that resumed from set-aside nodes, and walks that hit.
     #[cfg(test)]
     branches: [usize; 2],
-}
-
-fn build_world(
-    pg: &ProbGraph,
-    config: &IndexConfig,
-    i: usize,
-    sampler: &mut WorldSampler,
-) -> (WorldIndex, Vec<u32>) {
-    let mut rng = world_rng(config.seed, i);
-    let world = {
-        let _span = soi_obs::span("index.sample_world");
-        sampler.sample(pg, &mut rng)
-    };
-    let _span = soi_obs::span("index.condense_world");
-    condense_world(&world, config.transitive_reduction)
-}
-
-fn condense_world(world: &DiGraph, reduce: bool) -> (WorldIndex, Vec<u32>) {
-    let cond = Condensation::new(world);
-    let dag = if reduce {
-        // A condensation is acyclic by construction (checked in debug
-        // builds by soi_util::invariant::debug_check_acyclic), and
-        // transitive_reduction only returns None on cyclic input.
-        // xtask-allow: panic_policy
-        transitive::transitive_reduction(&cond.dag).expect("condensation is a DAG")
-    } else {
-        cond.dag
-    };
-    (
-        WorldIndex::from_parts(dag, cond.member_offsets, cond.members),
-        cond.comp_of,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use soi_graph::gen;
-    use soi_graph::DiGraph;
+    use soi_sampling::WorldSampler;
 
     fn test_graph(seed: u64) -> ProbGraph {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
@@ -815,7 +561,7 @@ mod tests {
     /// BFS over the re-sampled world answers, and so does `multi_cascade`
     /// from seeds in the hub closure but outside the hub (plus node 0),
     /// which forces the resume branch. Returns the walk branch counts
-    /// `[resumed from deferred components, hit]`.
+    /// `[resumed from set-aside nodes, hit]`.
     fn assert_hub_walk_matches_bfs(pg: &ProbGraph, num_worlds: usize) -> [usize; 2] {
         let config = IndexConfig {
             num_worlds,
@@ -838,8 +584,8 @@ mod tests {
         };
         for v in 0..n {
             let mut chunks = vec![Vec::new(); num_worlds];
-            for &(i, c) in index.reached_comps(v, &mut q) {
-                chunks[i as usize].extend_from_slice(index.world(i as usize).chunk(c));
+            for pair in index.reached_comps(v, &mut q) {
+                chunks[pair.0 as usize].extend_from_slice(index.chunk(pair));
             }
             for (i, world) in worlds.iter().enumerate() {
                 reach.reachable_from(world, v, &mut want);
@@ -851,10 +597,9 @@ mod tests {
             }
         }
         for (i, world) in worlds.iter().enumerate() {
-            let w = index.world(i);
-            let inside = |v: &NodeId| {
-                let c = index.comp_of(*v, i);
-                in_closure(&w.hub_mask, c) && c != w.hub
+            let hub = index.worlds[i].hub.as_ref();
+            let inside = |&v: &NodeId| {
+                hub.is_some_and(|h| h.closure.contains(v as usize) && !h.scc.contains(v as usize))
             };
             let mut seeds: Vec<NodeId> = (0..n).filter(inside).take(3).collect();
             for _ in 0..2 {
@@ -949,24 +694,22 @@ mod tests {
         assert_ne!(base, key(&test_graph(2), config));
     }
 
-    /// Every `comp_of(v, i)` and every world's DAG and member lists.
+    /// Every world's live arcs, as `(u, v)` pairs, and its hub sets,
+    /// then the closure rows and the fingerprint.
     fn assert_same_index(a: &CascadeIndex, b: &CascadeIndex) {
         assert_eq!(a.num_worlds(), b.num_worlds());
-        for i in 0..a.num_worlds() {
-            let (wa, wb) = (a.world(i), b.world(i));
-            assert_eq!(wa.dag, wb.dag, "world {i}");
-            for c in 0..wa.num_comps() as u32 {
-                assert_eq!(wa.members_of(c), wb.members_of(c), "world {i}, comp {c}");
-            }
-            for v in 0..a.num_nodes() as NodeId {
-                assert_eq!(a.comp_of(v, i), b.comp_of(v, i), "world {i}, node {v}");
-            }
+        for (i, (wa, wb)) in a.worlds.iter().zip(&b.worlds).enumerate() {
+            let arcs = |index: &CascadeIndex, w: &World| live_world(&index.graph, &w.live);
+            assert_eq!(arcs(a, wa), arcs(b, wb), "world {i}");
+            let sets = |w: &World| w.hub.as_ref().map(|h| (h.scc.clone(), h.closure.clone()));
+            assert_eq!(sets(wa), sets(wb), "world {i}");
         }
+        assert_eq!(a.closure_rows(), b.closure_rows());
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
-    /// Two full blocks of worlds and a ragged third.
-    const BLOCKS_OF_WORLDS: usize = 2 * BLOCK + 3;
+    /// More than 64 worlds: closure rows of two words, the second ragged.
+    const TWO_WORD_ROWS: usize = 67;
 
     #[test]
     fn parallel_build_matches_serial() {
@@ -975,7 +718,7 @@ mod tests {
             CascadeIndex::build(
                 &pg,
                 IndexConfig {
-                    num_worlds: BLOCKS_OF_WORLDS,
+                    num_worlds: TWO_WORD_ROWS,
                     seed: 5,
                     transitive_reduction: true,
                     threads,
@@ -994,7 +737,7 @@ mod tests {
     fn build_from_sampled_worlds_matches_build() {
         let pg = test_graph(8);
         let config = IndexConfig {
-            num_worlds: BLOCKS_OF_WORLDS,
+            num_worlds: TWO_WORD_ROWS,
             seed: 13,
             transitive_reduction: true,
             threads: 2,
@@ -1115,58 +858,80 @@ mod tests {
         assert_ne!(mk(1).fingerprint(), mk(2).fingerprint());
     }
 
-    /// The built index's structure, read through public accessors only:
-    /// every world's reduced DAG and member lists, then the component
-    /// matrix. The transitive reduction of a DAG is unique, so however
-    /// the kernels find it the contents stay the same; the hashes and
-    /// [`CascadeIndex::fingerprint`]s below were recorded at commit
-    /// 4ad167f — checkpoints and caches keyed on them stay valid. Every
-    /// weighted-cascade world is all singletons and stores no member
-    /// offsets, and no supercritical world is, so the hashes cover both
-    /// layouts of `members_of`. [`CascadeIndex::memory_bytes`] is pinned
-    /// beside them, so storage that grows again (wider offsets, identity
-    /// member offsets) fails here.
+    /// The built index's structure: every world's live arcs and hub sets,
+    /// hashed, its [`CascadeIndex::fingerprint`], its
+    /// [`CascadeIndex::memory_bytes`] and its number of worlds without a
+    /// hub. The fingerprints were recorded at commit 4ad167f, when every
+    /// world was stored as its reduced condensation; they hash each
+    /// world's condensation size, re-derived from the mask, so
+    /// checkpoints and caches keyed on them stay valid. The content hash,
+    /// the sizes and the hubless counts describe the live-arc layout,
+    /// recorded at the commit that introduced it. Every weighted-cascade
+    /// world is hubless (the BA graph is acyclic), and no supercritical
+    /// one is, so the hashes cover both kinds of world.
     #[test]
     fn index_contents_and_fingerprint_are_pinned() {
         let got = pinned_fixtures().map(|index| {
-            let singletons = (0..index.num_worlds())
-                .filter(|&i| index.world(i).member_offsets.is_empty())
-                .count();
+            let hubless = index.worlds.iter().filter(|w| w.hub.is_none()).count();
             let mut h = soi_util::hash::Mix64Hasher::new();
-            for i in 0..index.num_worlds() {
-                let w = index.world(i);
-                h.update_u64(w.num_comps() as u64);
-                for c in 0..w.num_comps() as u32 {
-                    for list in [w.dag.out_neighbors(c), w.members_of(c)] {
-                        h.update_u64(list.len() as u64);
-                        list.iter().for_each(|&x| h.update_u64(x.into()));
-                    }
-                }
-            }
-            for v in 0..index.num_nodes() as NodeId {
-                for i in 0..index.num_worlds() {
-                    h.update_u64(index.comp_of(v, i).into());
+            let mut update = |list: &[NodeId]| {
+                h.update_u64(list.len() as u64);
+                list.iter().for_each(|&x| h.update_u64(x.into()));
+            };
+            for w in &index.worlds {
+                let world = live_world(&index.graph, &w.live);
+                world.nodes().for_each(|v| update(world.out_neighbors(v)));
+                if let Some(hub) = &w.hub {
+                    let mut members = hub.members.clone();
+                    members.sort_unstable();
+                    update(&members);
+                    let scc = |&v: &NodeId| hub.scc.contains(v as usize);
+                    update(&world.nodes().filter(scc).collect::<Vec<_>>());
                 }
             }
             (
                 h.finish(),
                 index.fingerprint(),
                 index.memory_bytes(),
-                singletons,
+                hubless,
             )
         });
-        // The supercritical fixture's 597 closure nodes add one 4-byte id
-        // and one 16-world row word each.
+        // Both graphs have ~3000 arcs (2985 and 3000): a 4-byte CSR entry
+        // per node and arc, and 47 mask words per world. The supercritical
+        // worlds add two 10-word hub sets and 5477 closure members between
+        // them, and its 597 closure nodes one id and one row word each.
         let pinned = [
-            (0xb22c_85d4_7c6c_fc2d, 0xa731_8c4c_7e3d_6853, 142_936, 16),
+            (0xa3f9_3a46_bdfe_129f, 0xa731_8c4c_7e3d_6853, 20_360, 16),
             (
-                0xe840_0ede_920f_dbba,
+                0xc3c8_acd8_9562_431c,
                 0x4745_6411_1710_acbb,
-                177_220 + 597 * (4 + 8),
+                (601 + 3000) * 4 + 16 * (47 + 2 * 10) * 8 + 5477 * 4 + 597 * (4 + 8),
                 0,
             ),
         ];
         assert_eq!(got, pinned, "got {got:#x?}");
+    }
+
+    /// Every node's sorted `cascades_of` on both pinned fixtures, hashed:
+    /// what any layout of the index must answer. Recorded at commit
+    /// c8e7f23, before worlds became live-arc masks.
+    #[test]
+    fn cascades_are_pinned() {
+        let got = pinned_fixtures().map(|index| {
+            let mut h = soi_util::hash::Mix64Hasher::new();
+            for v in 0..index.num_nodes() as NodeId {
+                for set in index.cascades_of(v) {
+                    h.update_u64(set.len() as u64);
+                    set.iter().for_each(|&x| h.update_u64(x.into()));
+                }
+            }
+            h.finish()
+        });
+        assert_eq!(
+            got,
+            [0x2b12_93ef_08c2_b1ca, 0x89f2_e8be_ca07_b325],
+            "got {got:#x?}"
+        );
     }
 
     /// The indexes [`index_contents_and_fingerprint_are_pinned`] pins: 16
@@ -1201,7 +966,7 @@ mod tests {
                 Err(_) => &zeros[..],
             };
             for i in 0..index.num_worlds() {
-                let held = index.world(i).chunk(HUB_CLOSURE).contains(&v);
+                let held = index.closure(i).contains(&v);
                 assert_eq!(
                     row[i / 64] >> (i % 64) & 1 == 1,
                     held,
@@ -1212,107 +977,151 @@ mod tests {
         nodes.len()
     }
 
-    /// The block walk of nodes `first..first + len` gives every node of
-    /// the block the pairs `reached_comps` gives it, in the same order.
-    fn assert_block_matches_single(
-        index: &CascadeIndex,
-        first: NodeId,
-        len: usize,
-        q: &mut IndexQuery,
-    ) {
-        let mut single = index.query();
-        assert_eq!(index.walk_block(first, len, None, q), len);
-        for v in first..first + len as NodeId {
-            let want = index.reached_comps(v, &mut single).to_vec();
-            assert_eq!(
-                index.block_pairs(v, q),
-                want,
-                "block {first}+{len}, node {v}"
-            );
-        }
+    /// The condensation walk the index ran before its worlds became
+    /// live-arc masks, kept as the mask walk's differential oracle: a
+    /// world re-derived as its reduced condensation, whose hub closure is
+    /// a component bitmask plus a member slice, walked over components
+    /// with the closure components deferred.
+    struct CondensedWorld {
+        cond: Condensation,
+        hub: u32,
+        hub_mask: Vec<u64>,
+        hub_members: Vec<NodeId>,
     }
 
-    /// Every block start and length on a 60-node supercritical graph,
-    /// where walks hit the hub closure and resume from it, and every
-    /// partition into equal blocks of the two pinned fixtures.
-    #[test]
-    fn block_walk_matches_reached_comps() {
-        let index = CascadeIndex::build(
-            &test_graph(12),
-            IndexConfig {
-                num_worlds: 8,
-                seed: 3,
-                ..IndexConfig::default()
-            },
-        );
-        let mut q = index.query();
-        for first in 0..60 {
-            for len in 1..=60 - first as usize {
-                assert_block_matches_single(&index, first, len, &mut q);
-            }
-        }
-        let [resumed, hits] = q.walk.branches;
-        assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
-        for index in pinned_fixtures() {
-            let (n, mut q) = (index.num_nodes(), index.query());
-            for len in [1, 7, 64, 250, n] {
-                for first in (0..n).step_by(len) {
-                    assert_block_matches_single(
-                        &index,
-                        first as NodeId,
-                        len.min(n - first),
-                        &mut q,
-                    );
+    impl CondensedWorld {
+        fn new(world: &DiGraph) -> Self {
+            let mut cond = Condensation::new(world);
+            cond.dag = transitive::transitive_reduction(&cond.dag).unwrap();
+            let hub = (0..cond.num_comps() as u32)
+                .rev()
+                .max_by_key(|&c| cond.comp_size(c));
+            let (mut hub_mask, mut hub_members) = (Vec::<u64>::new(), Vec::new());
+            let mut stack: Vec<u32> = hub.into_iter().collect();
+            while let Some(c) = stack.pop() {
+                let (word, bit) = (c as usize / 64, 1 << (c % 64));
+                if word >= hub_mask.len() {
+                    hub_mask.resize(word + 1, 0);
+                }
+                if hub_mask[word] & bit == 0 {
+                    hub_mask[word] |= bit;
+                    hub_members.extend_from_slice(cond.members_of(c));
+                    stack.extend_from_slice(cond.dag.out_neighbors(c));
                 }
             }
+            // A closure of the hub alone shares nothing: walked plainly.
+            if hub.is_some_and(|c| hub_members.len() == cond.comp_size(c)) {
+                (hub_mask, hub_members) = (Vec::new(), Vec::new());
+            }
+            let hub = hub.unwrap_or(0);
+            CondensedWorld {
+                cond,
+                hub,
+                hub_mask,
+                hub_members,
+            }
+        }
+
+        /// The cascade of `v`, sorted, and whether the walk reached the
+        /// hub.
+        fn cascade(&self, v: NodeId, reach: &mut Reachability) -> (Vec<NodeId>, bool) {
+            let (dag, mask) = (&self.cond.dag, self.hub_mask.as_slice());
+            let in_closure = |c: u32| {
+                mask.get(c as usize / 64)
+                    .is_some_and(|w| w >> (c % 64) & 1 == 1)
+            };
+            let (mut chunks, mut deferred) = (Vec::new(), Vec::new());
+            let source = [self.cond.comp_of[v as usize]];
+            reach.multi_source_deferring(
+                dag,
+                &source,
+                |_| true,
+                in_closure,
+                &mut chunks,
+                &mut deferred,
+            );
+            let hit = deferred.contains(&self.hub);
+            if !hit {
+                reach.resume(dag, |_| true, &deferred, &mut chunks);
+            }
+            let members = chunks.iter().flat_map(|&c| self.cond.members_of(c));
+            let mut set: Vec<NodeId> = members.copied().collect();
+            if hit {
+                set.extend_from_slice(&self.hub_members);
+            }
+            set.sort_unstable();
+            (set, hit)
         }
     }
 
-    /// On a directed BA graph at p = 0.6 (acyclic, so no hub closure, and
-    /// node `v` reaches much of `0..v`: lists grow along the node range),
-    /// the blocks of `reach_block_within` tile the range, and the lists of
-    /// all but a block's last node never exceed the budget, while blocks
-    /// still hold many nodes and nodes are dropped from their ends.
-    #[test]
-    fn block_lists_stay_within_the_budget() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(13);
-        let pg = ProbGraph::fixed(gen::barabasi_albert(400, 3, true, &mut rng), 0.6).unwrap();
-        let index = CascadeIndex::build(
-            &pg,
-            IndexConfig {
-                num_worlds: 16,
-                seed: 5,
-                ..IndexConfig::default()
-            },
-        );
-        assert!(index.closure_rows().0.is_empty(), "no world has a closure");
-        let budget = 40_000;
-        let (mut q, mut single) = (index.query(), index.query());
-        let (mut next, mut longest) = (0, 0);
-        while next < 400 {
-            let block = index.reach_block_within(next..400, budget, &mut q);
-            assert_eq!(block.start, next);
-            assert!(!block.is_empty());
-            longest = longest.max(block.len());
-            let b = &q.block;
-            let last = b.counts[b.len - 1] as usize + index.num_worlds();
-            let held = b.chunks.len() + b.len * index.num_worlds();
-            assert!(
-                (held - last) * 4 <= budget,
-                "block {block:?} holds {} bytes beside its last node",
-                (held - last) * 4
-            );
-            for v in block.clone() {
-                let want = index.reached_comps(v, &mut single).to_vec();
-                assert_eq!(index.block_pairs(v, &mut q), want, "node {v}");
-            }
-            next = block.end;
+    /// For every node and world, the pairs of `reached_comps` hold the
+    /// cascade the condensation walk finds, with a [`HUB_CLOSURE`] pair
+    /// exactly where that walk reached the hub, and every world's closure
+    /// is the condensation's. Returns the mask walk's branch counts
+    /// `[resumed from set-aside nodes, hit]`.
+    fn assert_mask_walk_matches_condensation_walk(index: &CascadeIndex) -> [usize; 2] {
+        let n = index.num_nodes();
+        let oracles: Vec<CondensedWorld> = index
+            .worlds
+            .iter()
+            .map(|w| CondensedWorld::new(&live_world(&index.graph, &w.live)))
+            .collect();
+        for (i, oracle) in oracles.iter().enumerate() {
+            let mut closure = index.closure(i).to_vec();
+            closure.sort_unstable();
+            let mut want = oracle.hub_members.clone();
+            want.sort_unstable();
+            assert_eq!(closure, want, "world {i}");
         }
-        let dropped = q.block.dropped;
-        assert!(
-            longest >= 10 && dropped > 0,
-            "longest {longest}, dropped {dropped}"
-        );
+        let (mut q, mut reach) = (index.query(), Reachability::new(n));
+        for v in 0..n as NodeId {
+            let mut got = vec![(Vec::new(), false); index.num_worlds()];
+            for pair in index.reached_comps(v, &mut q) {
+                let (set, hit) = &mut got[pair.0 as usize];
+                set.extend_from_slice(index.chunk(pair));
+                *hit |= pair.1 == HUB_CLOSURE;
+            }
+            for (i, (oracle, (mut set, hit))) in oracles.iter().zip(got).enumerate() {
+                set.sort_unstable();
+                assert_eq!(
+                    (set, hit),
+                    oracle.cascade(v, &mut reach),
+                    "node {v}, world {i}"
+                );
+            }
+        }
+        q.walk.branches
+    }
+
+    /// The mask walk against the condensation walk on the 60-node
+    /// supercritical graph, where walks both hit the hub and resume; on
+    /// the cycle 0..30 with the path 29 → 30 → … → 39 hanging off it,
+    /// where the 30 cycle nodes hit and the 10 path nodes resume in each
+    /// of 4 worlds; and on both pinned fixtures, one of whose graphs is
+    /// acyclic, so its index runs no Tarjan.
+    #[test]
+    fn mask_walk_matches_the_condensation_walk() {
+        let config = IndexConfig {
+            num_worlds: 8,
+            seed: 3,
+            ..IndexConfig::default()
+        };
+        let index = CascadeIndex::build(&test_graph(12), config);
+        let [resumed, hits] = assert_mask_walk_matches_condensation_walk(&index);
+        assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
+        let mut edges: Vec<(NodeId, NodeId)> = (0..30).map(|v| (v, (v + 1) % 30)).collect();
+        edges.extend((29..39).map(|v| (v, v + 1)));
+        let pg = ProbGraph::fixed(DiGraph::from_edges(40, &edges).unwrap(), 1.0).unwrap();
+        let config = IndexConfig {
+            num_worlds: 4,
+            ..config
+        };
+        let index = CascadeIndex::build(&pg, config);
+        let branches = assert_mask_walk_matches_condensation_walk(&index);
+        assert_eq!(branches, [4 * 10, 4 * 30]);
+        for index in pinned_fixtures() {
+            assert_mask_walk_matches_condensation_walk(&index);
+        }
     }
 
     #[test]
@@ -1325,7 +1134,7 @@ mod tests {
         let index = CascadeIndex::build(
             &test_graph(10),
             IndexConfig {
-                num_worlds: BLOCKS_OF_WORLDS,
+                num_worlds: TWO_WORD_ROWS,
                 seed: 4,
                 ..IndexConfig::default()
             },

@@ -120,7 +120,7 @@ pub fn infmax_celf_resumable(
     let k = k.min(n);
     let mut slot = run.slot(
         KIND_GREEDY,
-        index.fingerprint(),
+        || index.fingerprint(),
         greedy_config_fingerprint(k),
         k,
     );

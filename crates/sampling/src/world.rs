@@ -87,10 +87,26 @@ impl LiveArcs {
         LiveArcs { words }
     }
 
+    /// The world over `num_arcs` CSR arcs that keeps exactly the arcs
+    /// `live` lists (ids below `num_arcs`): a live-edge world drawn by
+    /// another model, such as Linear Threshold, over a fixed arc list.
+    pub fn from_live(num_arcs: usize, live: impl IntoIterator<Item = usize>) -> Self {
+        let mut words = vec![0u64; num_arcs.div_ceil(64)];
+        for e in live {
+            words[e / 64] |= 1 << (e % 64);
+        }
+        LiveArcs { words }
+    }
+
     /// Whether CSR arc `e` survived in this world.
     #[inline]
     pub fn is_live(&self, e: usize) -> bool {
         self.words[e / 64] >> (e % 64) & 1 == 1
+    }
+
+    /// Heap footprint of the mask in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
     }
 }
 

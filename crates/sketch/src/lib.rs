@@ -193,7 +193,7 @@ impl ReachSketches {
     ) -> Result<Outcome<Self>, SoiError> {
         let mut slot = run.slot(
             ckpt::KIND_SKETCH_BUILD,
-            pg.fingerprint(),
+            || pg.fingerprint(),
             Self::config_fingerprint(&config),
             config.num_worlds,
         );

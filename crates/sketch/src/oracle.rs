@@ -149,7 +149,7 @@ fn merging_build_resumable(
 ) -> Result<Outcome<ReachSketches>, SoiError> {
     let mut slot = run.slot(
         ckpt::KIND_SKETCH_BUILD,
-        pg.fingerprint(),
+        || pg.fingerprint(),
         ReachSketches::config_fingerprint(&config),
         config.num_worlds,
     );

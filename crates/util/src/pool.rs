@@ -9,20 +9,16 @@
 //!   set by the CLI's `--threads` flag ([`set_default_threads`]), and
 //!   finally the hardware parallelism — always clamped to
 //!   `[1, work_items]`.
-//! * [`for_each_chunk_with`] fills a slice of slots in parallel, a
-//!   contiguous chunk at a time. The slice is cut into
-//!   [`CHUNKS_PER_WORKER`] chunks per worker; worker `t` starts on chunk
-//!   `t` and then claims the next unclaimed one, so a worker whose slots
-//!   were cheap takes work over from one whose slots were dear (on a BA
-//!   graph the low node ids are the heavy ones). A worker sees each chunk
-//!   whole, so it can order the work inside it as it likes (the batch
-//!   typical-cascade pipeline walks each world once per run of
-//!   consecutive nodes). The claim order decides only *which* worker
-//!   fills a slot: every slot is handed to `f` exactly once and the scope
-//!   joins before returning, so results are position-deterministic
-//!   regardless of worker count and schedule.
-//! * [`for_each_indexed`] / [`for_each_indexed_with`] are its per-slot
-//!   form: `f(i, &mut slots[i])` for every index.
+//! * [`for_each_indexed`] / [`for_each_indexed_with`] fill a slice of
+//!   slots in parallel: `f(i, &mut slots[i])` for every index. The slice
+//!   is cut into [`CHUNKS_PER_WORKER`] contiguous chunks per worker;
+//!   worker `t` starts on chunk `t` and then claims the next unclaimed
+//!   one, so a worker whose slots were cheap takes work over from one
+//!   whose slots were dear (on a BA graph the low node ids are the heavy
+//!   ones). The claim order decides only *which* worker fills a slot:
+//!   every slot is handed to `f` exactly once and the scope joins before
+//!   returning, so results are position-deterministic regardless of
+//!   worker count and schedule.
 //!
 //! Thread-count resolution never affects *what* is computed — workspace
 //! pipelines derive per-unit seeds from `(seed, unit-id)` — only how the
@@ -89,8 +85,9 @@ where
 
 /// [`for_each_indexed`] with per-worker scratch state: each worker calls
 /// `init()` once and threads the state through every chunk it claims —
-/// the pattern index builds use to reuse a sampler allocation across
-/// worlds. With no more slots than workers, slot `t` runs on worker `t`.
+/// the pattern the batch typical-cascade pipeline uses to keep one node
+/// scratch per worker. With no more slots than workers, slot `t` runs on
+/// worker `t`.
 pub fn for_each_indexed_with<T, S, I, F>(slots: &mut [T], requested: usize, init: I, f: F)
 where
     T: Send,
@@ -110,7 +107,7 @@ where
 /// [`effective_threads`]`(requested, slots.len())` scoped workers, each
 /// with one `init()` state threaded through every chunk it claims. Inline,
 /// as one chunk of the whole slice, when one worker suffices.
-pub fn for_each_chunk_with<T, S, I, F>(slots: &mut [T], requested: usize, init: I, f: F)
+fn for_each_chunk_with<T, S, I, F>(slots: &mut [T], requested: usize, init: I, f: F)
 where
     T: Send,
     I: Fn() -> S + Sync,

@@ -246,11 +246,20 @@ impl Run {
     }
 
     /// This run's checkpoint file as used by one pipeline: `kind`, the
-    /// two fingerprints and `total` units pin the file to the run.
-    pub fn slot(&self, kind: u8, graph_fp: u64, config_fp: u64, total: usize) -> Slot<'_> {
+    /// two fingerprints and `total` units pin the file to the run. The
+    /// graph fingerprint can be dear (a cascade index condenses every
+    /// world for it), so `graph_fp` is called only when the run has a
+    /// checkpoint file.
+    pub fn slot(
+        &self,
+        kind: u8,
+        graph_fp: impl FnOnce() -> u64,
+        config_fp: u64,
+        total: usize,
+    ) -> Slot<'_> {
         let last = Checkpoint {
             kind,
-            graph_fingerprint: graph_fp,
+            graph_fingerprint: self.checkpoint.as_ref().map_or(0, |_| graph_fp()),
             config_fingerprint: config_fp,
             total_units: total as u64,
             done_units: 0,
@@ -469,7 +478,7 @@ mod tests {
 
     /// A toy pipeline over the whole policy: unit `i` appends `i`.
     fn toy(run: &Run, total: usize, block: usize) -> Result<Outcome<Vec<u8>>, SoiError> {
-        let mut slot = run.slot(KIND, GRAPH_FP, CONFIG_FP, total);
+        let mut slot = run.slot(KIND, || GRAPH_FP, CONFIG_FP, total);
         let mut value = slot.load()?.map_or_else(Vec::new, |c| c.payload);
         let done = run.blocks(total, value.len(), block, |lo, hi| {
             value.extend((lo..hi).map(|i| i as u8));
@@ -551,21 +560,21 @@ mod tests {
         // Resuming with no file on disk, or with no file configured.
         assert_eq!(
             run(true)
-                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .slot(KIND, || GRAPH_FP, CONFIG_FP, TOTAL)
                 .load()
                 .unwrap(),
             None
         );
         assert_eq!(
             Run::unlimited()
-                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .slot(KIND, || GRAPH_FP, CONFIG_FP, TOTAL)
                 .load()
                 .unwrap(),
             None
         );
         assert!(toy(&run(true), TOTAL, 5).unwrap().is_complete());
         let stored = run(true)
-            .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+            .slot(KIND, || GRAPH_FP, CONFIG_FP, TOTAL)
             .load()
             .unwrap()
             .unwrap();
@@ -576,7 +585,7 @@ mod tests {
         // A run that is not resuming ignores the file.
         assert_eq!(
             run(false)
-                .slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL)
+                .slot(KIND, || GRAPH_FP, CONFIG_FP, TOTAL)
                 .load()
                 .unwrap(),
             None
@@ -585,7 +594,7 @@ mod tests {
         let resuming = run(true);
         let load = |kind, graph_fp, config_fp, total| {
             resuming
-                .slot(kind, graph_fp, config_fp, total)
+                .slot(kind, || graph_fp, config_fp, total)
                 .load()
                 .unwrap_err()
         };
@@ -615,7 +624,7 @@ mod tests {
     #[test]
     fn without_a_file_nothing_is_ever_written() {
         let run = Run::new(Deadline::ticks(100), None, 1, true);
-        let mut slot = run.slot(KIND, GRAPH_FP, CONFIG_FP, TOTAL);
+        let mut slot = run.slot(KIND, || GRAPH_FP, CONFIG_FP, TOTAL);
         slot.save(TOTAL, || panic!("payload encoded without a file"))
             .unwrap();
     }
