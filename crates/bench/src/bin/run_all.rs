@@ -9,21 +9,22 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = soi_bench::Args::parse();
     let dir = Path::new(&args.out);
-    std::fs::create_dir_all(dir).expect("create output dir");
+    std::fs::create_dir_all(dir)?;
 
     for (name, runner) in &args.experiments {
         let path = dir.join(format!("{name}.tsv"));
         eprintln!("=== {} ===", path.display());
         let t = soi_util::Timer::start();
-        let mut out = BufWriter::new(File::create(&path).expect("create output file"));
-        runner(&args, &mut out).expect("experiment failed");
+        let mut out = BufWriter::new(File::create(&path)?);
+        runner(&args, &mut out)?;
         eprintln!(
             "=== {name}.tsv done in {} ===",
             soi_util::timer::format_duration(t.elapsed())
         );
     }
     eprintln!("all experiments written to {}", dir.display());
+    Ok(())
 }

@@ -36,7 +36,7 @@ pub fn table_learners<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
         // Reuse the registry's ground-truth construction (build a -S
         // config to get the planted truth + topology).
         let d = build(net, ProbSource::Saito, args.scale, args.seed);
-        // xtask-allow: panic_policy — Saito datasets always carry truth.
+        #[expect(clippy::expect_used, reason = "Saito datasets always carry truth")]
         let truth = d.ground_truth.expect("learnt config carries truth");
         // The learnt ProbGraph drops zero arcs; re-learn on the topology
         // to get aligned vectors. Use the same log parameters as the
@@ -49,11 +49,11 @@ pub fn table_learners<W: Write>(args: &Args, out: W) -> std::io::Result<()> {
         };
         use soi_util::rng::Rng;
         let in_deg = topology.in_degrees();
+        #[expect(clippy::expect_used, reason = "clamped to [1e-6, 1] below")]
         let truth_pg = soi_graph::ProbGraph::from_fn(topology, |_, v| {
             let factor = 0.3 + 1.7 * rng.random::<f64>();
             (factor / in_deg[v as usize] as f64).clamp(1e-6, 1.0)
         })
-        // xtask-allow: panic_policy — clamped to [1e-6, 1] above.
         .expect("valid");
         debug_assert_eq!(truth_pg.probs(), &truth[..]);
         let items = ((300.0 * args.scale) as usize).clamp(100, 3000);

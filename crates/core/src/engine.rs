@@ -447,7 +447,10 @@ fn solve_blocks<E>(
         soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
             *slot = Some(solve(s, (lo + j) as NodeId))
         });
-        // Scoped threads fill every slot exactly once. xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "scoped threads fill every slot exactly once"
+        )]
         results.extend(block.into_iter().map(|r| r.expect("filled")));
         after_block(&results)
     })?;

@@ -190,7 +190,7 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
         ProbSource::Fixed => Dataset {
             network,
             source,
-            // xtask-allow: panic_policy — 0.1 is a valid probability.
+            #[expect(clippy::expect_used, reason = "0.1 is a valid probability")]
             graph: ProbGraph::fixed(topology, 0.1).expect("0.1 is valid"),
             ground_truth: None,
         },
@@ -204,11 +204,11 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
             // paper's learnt datasets (Table 2).
             use soi_util::rng::Rng;
             let in_deg = topology.in_degrees();
+            #[expect(clippy::expect_used, reason = "clamped to [1e-6, 1] below")]
             let truth = ProbGraph::from_fn(topology, |_, v| {
                 let factor = 0.3 + 1.7 * rng.random::<f64>();
                 (factor / in_deg[v as usize] as f64).clamp(1e-6, 1.0)
             })
-            // xtask-allow: panic_policy — clamped to [1e-6, 1] above.
             .expect("valid probabilities");
             let items = ((300.0 * scale) as usize).clamp(100, 3000);
             let log = generate_log(
@@ -224,9 +224,11 @@ pub fn build(network: Network, source: ProbSource, scale: f64, seed: u64) -> Dat
             } else {
                 learn_goyal(truth.graph(), &log, Some(1))
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "to_prob_graph floors at 1e-4 and both learners emit probabilities in [0, 1]"
+            )]
             let graph = to_prob_graph(truth.graph(), &learned, 1e-4)
-                // xtask-allow: panic_policy — to_prob_graph floors at
-                // 1e-4 and both learners emit probabilities in [0, 1].
                 .expect("learner outputs valid probabilities");
             Dataset {
                 network,

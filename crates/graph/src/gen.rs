@@ -15,16 +15,20 @@ use soi_util::rng::Rng;
 
 /// Finalizes a builder whose arcs were generated with ids `< n`.
 fn build_generated(b: GraphBuilder) -> DiGraph {
-    // xtask-allow: panic_policy — every generator draws ids below its own
-    // node count, so id out of range cannot occur; too many arcs needs a
-    // size `soi generate` refuses before it calls a generator.
+    #[expect(
+        clippy::expect_used,
+        reason = "every generator draws ids below its own node count, so id out of range cannot occur; \
+                  too many arcs needs a size `soi generate` refuses before it calls a generator"
+    )]
     b.build().expect("generated ids in range")
 }
 
 /// Builds from an edge list whose endpoints were generated with ids `< n`.
 fn from_generated_edges(n: usize, edges: &[(NodeId, NodeId)]) -> DiGraph {
-    // xtask-allow: panic_policy — same infallibility argument as
-    // `build_generated`, for generators that emit plain edge lists.
+    #[expect(
+        clippy::expect_used,
+        reason = "same infallibility argument as `build_generated`, for generators that emit plain edge lists"
+    )]
     DiGraph::from_edges(n, edges).expect("generated ids in range")
 }
 

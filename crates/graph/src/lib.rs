@@ -8,9 +8,11 @@
 //!   independent existence probability per arc (§2.1), including the
 //!   *weighted cascade*, *fixed* and *trivalency* assignment models (§6.2);
 //! * [`scc`] — iterative Tarjan strongly-connected components and the
-//!   condensation DAG used by the cascade index (§4);
-//! * [`transitive`] — transitive closure and transitive reduction of DAGs
-//!   (Aho–Garey–Ullman), applied to condensations in Algorithm 1;
+//!   condensation DAG (§4); the cascade index keeps each world as a
+//!   live-arc mask and runs Tarjan only to find a world's hub SCC;
+//! * [`transitive`] — topological order and transitive reduction of DAGs
+//!   (Aho–Garey–Ullman), which the index's fingerprint applies to each
+//!   world's condensation;
 //! * [`reach`] — reachability with reusable scratch space (cascades in a
 //!   possible world are exactly reachability sets, §2.2);
 //! * [`gen`] — synthetic graph generators standing in for the paper's

@@ -73,9 +73,11 @@ pub fn tarjan_scc(g: &DiGraph) -> SccResult {
                 if lowlink[v as usize] == index[v as usize] {
                     // v is the root of an SCC; pop it off Tarjan's stack.
                     loop {
-                        // v itself is on the stack whenever it is an SCC
-                        // root, so the pop cannot underflow before the
-                        // `w == v` break. xtask-allow: panic_policy
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "v itself is on the stack whenever it is an SCC root, \
+                                      so the pop cannot underflow before the `w == v` break"
+                        )]
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w as usize] = false;
                         comp_of[w as usize] = num_comps;
@@ -153,9 +155,11 @@ impl Condensation {
         }
         arcs.sort_unstable();
         arcs.dedup();
-        // Component ids are `< nc` by construction, so the only from_edges
-        // error (node out of range) cannot occur.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "component ids are `< nc` by construction, so the only from_edges error \
+                      (node out of range) cannot occur"
+        )]
         let dag = DiGraph::from_edges(nc, &arcs).expect("component ids in range");
         {
             let (offsets, targets) = dag.csr_parts();

@@ -46,6 +46,7 @@ use soi_graph::{
 };
 use soi_sampling::world::{world_rng, LiveArcs};
 use soi_util::BitSet;
+use std::sync::OnceLock;
 
 /// Build-time options for [`CascadeIndex`].
 #[derive(Clone, Copy, Debug)]
@@ -193,6 +194,8 @@ pub struct CascadeIndex {
     closure_nodes: Vec<NodeId>,
     closure_rows: Vec<u64>,
     config: IndexConfig,
+    /// [`condensations`](Self::condensations), derived on first use.
+    condensations: OnceLock<Vec<(usize, usize)>>,
 }
 
 impl CascadeIndex {
@@ -239,8 +242,10 @@ impl CascadeIndex {
                 .flatten();
             *slot = Some(World { live, hub });
         });
-        // The pool fills every slot before its scope joins.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "the pool fills every slot before its scope joins"
+        )]
         let built = worlds.into_iter().map(|w| w.expect("world built"));
         let worlds: Vec<World> = built.collect();
         let words = num_worlds.div_ceil(64);
@@ -259,6 +264,7 @@ impl CascadeIndex {
             closure_nodes,
             closure_rows,
             config,
+            condensations: OnceLock::new(),
         };
         index.record_build_metrics();
         index
@@ -266,16 +272,25 @@ impl CascadeIndex {
 
     /// Each world's condensation, re-derived from its mask, as
     /// `(components, DAG arcs)`; the DAG transitively reduced when
-    /// `config.transitive_reduction` is set. It costs what a condensing
-    /// build cost, so only the diagnostics below read it.
-    fn condensations(&self) -> Vec<(usize, usize)> {
+    /// `config.transitive_reduction` is set. The first call costs what a
+    /// condensing build cost, so only the diagnostics below read it; later
+    /// calls read the memo.
+    fn condensations(&self) -> &[(usize, usize)] {
+        self.condensations.get_or_init(|| self.condense_worlds())
+    }
+
+    fn condense_worlds(&self) -> Vec<(usize, usize)> {
+        #[cfg(test)]
+        tests::CONDENSE_PASSES.with(|n| n.set(n.get() + 1));
         let mut sizes = vec![(0, 0); self.worlds.len()];
         soi_util::pool::for_each_indexed(&mut sizes, self.config.threads, |i, slot| {
             let cond = Condensation::new(&live_world(&self.graph, &self.worlds[i].live));
             let dag = if self.config.transitive_reduction {
-                // A condensation is acyclic by construction, and
-                // transitive_reduction only returns None on cyclic input.
-                // xtask-allow: panic_policy
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a condensation is acyclic by construction, and \
+                              transitive_reduction only returns None on cyclic input"
+                )]
                 transitive::transitive_reduction(&cond.dag).expect("condensation is a DAG")
             } else {
                 cond.dag
@@ -296,7 +311,7 @@ impl CascadeIndex {
         h.update_u64(self.worlds.len() as u64);
         h.update_u64(self.config.seed);
         h.update_u64(self.config.transitive_reduction as u64);
-        for (comps, arcs) in self.condensations() {
+        for &(comps, arcs) in self.condensations() {
             h.update_u64(comps as u64);
             h.update_u64(arcs as u64);
         }
@@ -339,9 +354,11 @@ impl CascadeIndex {
         let mut arcs: Vec<(NodeId, NodeId)> = worlds.iter().flat_map(|w| w.edges()).collect();
         arcs.sort_unstable();
         arcs.dedup();
-        // Every arc is some world's, so its ends are below `num_nodes`,
-        // and there are no more of them than the worlds hold.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "every arc is some world's, so its ends are below `num_nodes`, \
+                      and there are no more of them than the worlds hold"
+        )]
         let union = DiGraph::from_edges(num_nodes, &arcs).expect("world arcs");
         Self::from_masks(union, worlds.len(), config, |union, i| {
             mask_of(union, worlds[i])
@@ -932,6 +949,30 @@ mod tests {
             [0x2b12_93ef_08c2_b1ca, 0x89f2_e8be_ca07_b325],
             "got {got:#x?}"
         );
+    }
+
+    thread_local! {
+        /// Calls of [`CascadeIndex::condense_worlds`] on this thread.
+        pub(super) static CONDENSE_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The fingerprint and both condensation means share one pass over
+    /// the worlds, and the memo answers what a fresh pass would.
+    #[test]
+    fn the_diagnostics_condense_every_world_once() {
+        for index in pinned_fixtures() {
+            let before = CONDENSE_PASSES.with(|n| n.get());
+            let fingerprint = index.fingerprint();
+            let means = (index.mean_comps(), index.mean_dag_edges());
+            assert_eq!(index.fingerprint(), fingerprint);
+            assert_eq!(CONDENSE_PASSES.with(|n| n.get()) - before, 1);
+            let fresh = index.condense_worlds();
+            assert_eq!(index.condensations(), &fresh[..]);
+            let ell = fresh.len() as f64;
+            let comps = fresh.iter().map(|c| c.0 as f64).sum::<f64>() / ell;
+            let arcs = fresh.iter().map(|c| c.1 as f64).sum::<f64>() / ell;
+            assert_eq!(means, (comps, arcs));
+        }
     }
 
     /// The indexes [`index_contents_and_fingerprint_are_pinned`] pins: 16

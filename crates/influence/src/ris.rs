@@ -35,8 +35,10 @@ fn transpose(pg: &ProbGraph) -> ProbGraph {
             b.add_weighted_edge(v, u, p);
         }
     }
-    // Arcs and probabilities are copied verbatim from a ProbGraph that
-    // already passed validation. xtask-allow: panic_policy
+    #[expect(
+        clippy::expect_used,
+        reason = "arcs and probabilities are copied verbatim from a ProbGraph that already passed validation"
+    )]
     b.build_prob().expect("transpose preserves validity")
 }
 

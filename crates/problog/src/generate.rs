@@ -56,8 +56,10 @@ pub fn generate_log(truth: &ProbGraph, config: &LogGenConfig) -> ActionLog {
             });
         }
     }
-    // Every action's user comes from simulate_ic on `truth`, so ids are
-    // below truth.num_nodes(). xtask-allow: panic_policy
+    #[expect(
+        clippy::expect_used,
+        reason = "every action's user comes from simulate_ic on `truth`, so ids are below truth.num_nodes()"
+    )]
     ActionLog::new(truth.num_nodes(), actions).expect("simulated users are in range")
 }
 

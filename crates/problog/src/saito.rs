@@ -92,8 +92,10 @@ fn build_contexts(graph: &DiGraph, log: &ActionLog) -> Contexts {
                     Some(&tv) => tv > a.time + 1,
                 };
                 if failed {
-                    // `v` comes from out_neighbors(a.user), so the arc
-                    // exists. xtask-allow: panic_policy
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`v` comes from out_neighbors(a.user), so the arc exists"
+                    )]
                     let e = edge_id(graph, a.user, v).expect("iterating real arcs");
                     minus[e as usize] += 1;
                 }

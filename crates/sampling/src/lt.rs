@@ -71,8 +71,10 @@ impl LtGraph {
             .edges()
             .map(|(u, v)| (u, v, 1.0 / in_deg[v as usize] as f64))
             .collect();
-        // Weights 1/inDeg(v) are in (0, 1] and sum to exactly 1 per node.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "weights 1/inDeg(v) are in (0, 1] and sum to exactly 1 per node"
+        )]
         LtGraph::new(graph.num_nodes(), &arcs).expect("uniform weights are valid")
     }
 
@@ -126,8 +128,10 @@ impl LtWorldSampler {
                 }
             }
         }
-        // Sampled arcs are a subset of lt's arcs, so ids are below n.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "sampled arcs are a subset of lt's arcs, so ids are below n"
+        )]
         DiGraph::from_edges(n, &self.edges).expect("ids in range")
     }
 }
@@ -147,12 +151,14 @@ pub fn simulate_lt<R: Rng>(lt: &LtGraph, seeds: &[NodeId], rng: &mut R) -> Vec<N
         }
     }
     while let Some(u) = frontier.pop() {
+        #[expect(
+            clippy::expect_used,
+            reason = "`v` is a forward out-neighbor of `u`, so the reverse lookup always finds the arc"
+        )]
         for &v in lt.forward.out_neighbors(u) {
             if active[v as usize] {
                 continue;
             }
-            // `v` is a forward out-neighbor of `u`, so the reverse
-            // lookup always finds the arc. xtask-allow: panic_policy
             weight_in[v as usize] += lt.weight_between(u, v).expect("forward arc");
             if weight_in[v as usize] >= thresholds[v as usize] {
                 active[v as usize] = true;

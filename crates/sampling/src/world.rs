@@ -142,8 +142,10 @@ pub fn enumerate_worlds(pg: &ProbGraph, mut visit: impl FnMut(&DiGraph, f64)) {
                 e += 1;
             }
         }
-        // World edges are a subset of pg's arcs, so ids are in range.
-        // xtask-allow: panic_policy
+        #[expect(
+            clippy::expect_used,
+            reason = "world edges are a subset of pg's arcs, so ids are in range"
+        )]
         let world = DiGraph::from_edges(pg.num_nodes(), &edges).expect("subset of pg");
         visit(&world, prob);
     }

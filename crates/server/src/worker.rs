@@ -173,6 +173,11 @@ fn worker_loop(shared: Arc<Shared>, generation: u64) {
         // AssertUnwindSafe: engine state is either immutable (graphs,
         // config) or lock-guarded with poison recovery (caches), so a
         // half-finished job cannot leave it inconsistent.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the supervision point: a worker panic becomes a typed internal-error \
+                      response and the worker is respawned"
+        )]
         let outcome = perthread::timed_region(perthread::record_busy, || {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 soi_util::failpoint_crash!("server.worker.dispatch");

@@ -4,9 +4,10 @@
 //! Influence Maximization and Computation") — the workspace's second spread
 //! oracle, selectable alongside the cascade index.
 //!
-//! The cascade index stores every sampled world exactly (condensation +
-//! component matrix); memory grows with ℓ · world structure and becomes the
-//! binding constraint well before million-node graphs. This crate trades
+//! The cascade index stores every sampled world exactly (a live-arc mask,
+//! one bit per arc, plus the hub closure of a supercritical world); memory
+//! grows with ℓ · m bits and the closures, and becomes the binding
+//! constraint well before million-node graphs. This crate trades
 //! exactness for an `O(k · n)` summary over the **same ℓ sampled worlds**:
 //!
 //! 1. every (node, world) pair `(v, i)` gets a fixed uniform 64-bit rank

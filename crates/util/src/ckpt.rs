@@ -230,14 +230,14 @@ impl<'a> ByteReader<'a> {
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, what: &str) -> Result<u64, SoiError> {
         let b = self.take(8, what)?;
-        // take(8) returned exactly 8 bytes. xtask-allow: panic_policy
+        #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte read")))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self, what: &str) -> Result<u32, SoiError> {
         let b = self.take(4, what)?;
-        // take(4) returned exactly 4 bytes. xtask-allow: panic_policy
+        #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
         Ok(u32::from_le_bytes(b.try_into().expect("4-byte read")))
     }
 

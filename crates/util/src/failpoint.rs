@@ -175,16 +175,22 @@ fn parse_spec(spec: &str) -> Result<BTreeMap<String, Armed>, String> {
 
 /// Installs a spec programmatically (replacing any previous state,
 /// including environment-derived state). Intended for in-process tests.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned registry only ever holds test state"
+)]
 pub fn install(spec: &str) -> Result<(), String> {
     let map = parse_spec(spec)?;
-    // A poisoned registry only ever holds test state. xtask-allow: panic_policy
     *REGISTRY.lock().expect("failpoint registry poisoned") = Some(map);
     Ok(())
 }
 
 /// Disarms every failpoint (and suppresses environment re-initialization).
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned registry only ever holds test state"
+)]
 pub fn clear() {
-    // A poisoned registry only ever holds test state. xtask-allow: panic_policy
     *REGISTRY.lock().expect("failpoint registry poisoned") = Some(BTreeMap::new());
 }
 
@@ -195,7 +201,10 @@ pub fn trigger(site: &str) -> Option<Fault> {
     // Every site hit is also a schedule-perturbation point (before the
     // registry lock, so an injected yield/sleep never holds it).
     crate::schedule::perturb(site);
-    // A poisoned registry only ever holds test state. xtask-allow: panic_policy
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned registry only ever holds test state"
+    )]
     let mut guard = REGISTRY.lock().expect("failpoint registry poisoned");
     let map = guard.get_or_insert_with(|| {
         std::env::var(ENV_VAR)
@@ -229,8 +238,10 @@ pub fn trigger(site: &str) -> Option<Fault> {
         Action::Error => Some(Fault {
             site: site.to_string(),
         }),
-        // Panicking is this action's contract: tests arm it on purpose
-        // to prove unwind safety. xtask-allow: panic_policy
+        #[expect(
+            clippy::panic,
+            reason = "panicking is this action's contract: tests arm it on purpose to prove unwind safety"
+        )]
         Action::Panic => panic!("failpoint {site} fired (panic)"),
         Action::Exit(code) => std::process::exit(code),
     }

@@ -55,7 +55,7 @@ impl Mix64Hasher {
         }
         let mut chunks = rest.chunks_exact(8);
         for c in &mut chunks {
-            // chunks_exact(8) yields exactly 8 bytes. xtask-allow: panic_policy
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields exactly 8 bytes")]
             self.absorb(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let tail = chunks.remainder();

@@ -214,9 +214,11 @@ pub fn debug_check_acyclic(offsets: &[u32], targets: &[u32]) {
 /// checker, never a data error, so failing loudly is correct.
 #[cfg(debug_assertions)]
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "debug-only guard; a structural invariant violation is an internal bug, not a recoverable error"
+)]
 fn unreachable_violation(e: &InvariantViolation) -> ! {
-    // xtask-allow: panic_policy — debug-only guard; a structural
-    // invariant violation is an internal bug, not a recoverable error.
     panic!("internal invariant violated: {e}")
 }
 

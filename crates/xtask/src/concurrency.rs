@@ -24,10 +24,10 @@
 //!    atomic's declaration when it is visible in the same file.
 //! 4. **Scoped-spawn discipline**: raw `thread::spawn` (and
 //!    `thread::Builder`) is confined to the files in `SPAWN_ALLOWED` —
-//!    `crates/util/src/pool.rs` and the serving crate's three spawn
-//!    sites (the one accept/drain loop, the supervised worker pool, the
-//!    router's probe thread) plus its integration tests. Everywhere
-//!    else, fan-out goes through `soi_util::pool`'s scoped helpers so
+//!    the serving crate's three spawn sites (the one accept/drain loop,
+//!    the supervised worker pool, the router's probe thread) plus its
+//!    integration tests. Everywhere else, fan-out goes through
+//!    `soi_util::pool`'s helpers, built on `thread::scope`, so
 //!    panics propagate and joins are never forgotten. Test modules are
 //!    out of scope. Mirrors the hermeticity pass's path confinement.
 //!
@@ -50,13 +50,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The only places permitted to call raw `thread::spawn` outside test
-/// modules: the scoped fan-out helper, and the serving crate's spawn
-/// sites, each of which owns its join story — the one accept/drain loop
-/// (connection threads), the supervised worker pool (join + respawn),
-/// the router's probe thread — plus the serving integration tests that
-/// run a daemon in-process.
+/// modules: the serving crate's spawn sites, each of which owns its join
+/// story — the one accept/drain loop (connection threads), the
+/// supervised worker pool (join + respawn), the router's probe thread —
+/// plus the serving integration tests that run a daemon in-process.
 const SPAWN_ALLOWED: &[&str] = &[
-    "crates/util/src/pool.rs",
     "crates/server/src/wire.rs",
     "crates/server/src/worker.rs",
     "crates/server/src/router/mod.rs",
@@ -331,8 +329,8 @@ fn spawn_discipline(path: &Path, file: &SourceFile) -> Vec<Finding> {
                 path: path.to_path_buf(),
                 line: idx + 1,
                 message: format!(
-                    "raw `{what}` outside `crates/util/src/pool.rs` and the serving \
-                     crate's spawn sites (`wire.rs`, `worker.rs`, the router's probe); \
+                    "raw `{what}` outside the serving crate's spawn sites \
+                     (`wire.rs`, `worker.rs`, the router's probe); \
                      use `soi_util::pool`'s scoped helpers so panics propagate and \
                      threads are always joined"
                 ),
@@ -728,13 +726,12 @@ mod tests {
     }
 
     #[test]
-    fn spawn_confined_to_pool_and_the_serving_spawn_sites() {
+    fn spawn_confined_to_the_serving_spawn_sites() {
         let src = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
         let f = lib(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("thread::spawn"));
         for ok in [
-            "crates/util/src/pool.rs",
             "crates/server/src/wire.rs",
             "crates/server/src/worker.rs",
             "crates/server/src/router/mod.rs",
@@ -747,7 +744,9 @@ mod tests {
         }
         // Being in the serving crate is not enough: a second accept loop
         // or a connection thread spawned outside `wire.rs` is a finding.
+        // The pool fans out through `thread::scope` only.
         for denied in [
+            "crates/util/src/pool.rs",
             "crates/server/src/daemon.rs",
             "crates/server/src/client.rs",
             "crates/server/src/router/shard.rs",
@@ -763,6 +762,24 @@ mod tests {
         assert!(lib(in_test).is_empty());
         // Scoped spawns are the sanctioned idiom everywhere.
         assert!(lib("fn f() {\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n").is_empty());
+    }
+
+    #[test]
+    fn every_sanctioned_spawn_file_still_spawns() {
+        // crates/xtask/../.. is the workspace root.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for entry in SPAWN_ALLOWED.iter().filter(|p| p.ends_with(".rs")) {
+            let text = std::fs::read_to_string(root.join(entry))
+                .unwrap_or_else(|e| panic!("{entry} is listed in SPAWN_ALLOWED: {e}"));
+            let spawns = scan(&text)
+                .lines
+                .iter()
+                .any(|l| !l.in_test && l.code.contains("thread::spawn"));
+            assert!(
+                spawns,
+                "{entry} no longer calls `thread::spawn` outside tests"
+            );
+        }
     }
 
     #[test]

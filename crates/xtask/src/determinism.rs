@@ -19,7 +19,7 @@
 //!    `// xtask-allow: determinism`.
 //!
 //! The scan runs on comment- and string-stripped code, so mentioning a
-//! forbidden name in docs is fine. Unlike the panic-policy pass, test
+//! forbidden name in docs is fine. Unlike the panic policy, test
 //! code is *not* exempt: tests assert on golden output, so they must be
 //! deterministic too.
 

@@ -1,13 +1,12 @@
 //! # xtask
 //!
 //! Workspace static analysis for the Spheres-of-Influence repo, run as
-//! `cargo xtask lint` (alias for `cargo run -p xtask -- lint`). Eight
+//! `cargo xtask lint` (alias for `cargo run -p xtask -- lint`). Seven
 //! passes enforce the contracts the experiments depend on:
 //!
 //! | pass               | contract                                              |
 //! |--------------------|-------------------------------------------------------|
 //! | `determinism`      | no entropy-seeded RNGs; no unordered-map emission     |
-//! | `panic_policy`     | library code returns `Result`, it does not abort      |
 //! | `hermeticity`      | no registry dependencies; `std::net` only in `server` |
 //! | `hygiene`          | `//!` docs on every `src/*.rs`; ≥ 1 test per package  |
 //! | `observability`    | library code logs via `soi-obs`, not println/eprintln |
@@ -21,6 +20,13 @@
 //! justification. The runtime counterpart of these static checks lives
 //! in `soi_util::invariant`. See `docs/STATIC_ANALYSIS.md` for the full
 //! policy.
+//!
+//! The panic policy (no `unwrap`, `expect`, `panic!`, `todo!`,
+//! `unimplemented!` or `unreachable!` outside test code, no `unsafe`,
+//! `catch_unwind` only at a supervision point) is not a pass here:
+//! clippy's restriction lints enforce it, with the list written once in
+//! `.github/workflows/ci.yml` and each justified site marked
+//! `#[expect(clippy::…, reason = "…")]`.
 
 pub mod catalog;
 pub mod concurrency;
@@ -28,7 +34,6 @@ pub mod determinism;
 pub mod hermeticity;
 pub mod hygiene;
 pub mod observability;
-pub mod panic_policy;
 pub mod report;
 pub mod source;
 pub mod walk;
@@ -63,7 +68,6 @@ pub fn run_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for (path, file) in &scanned {
         findings.extend(determinism::check(path, file));
-        findings.extend(panic_policy::check(path, file));
         findings.extend(observability::check(path, file));
         findings.extend(hermeticity::check_source(path, file));
         findings.extend(concurrency::check_source(path, file));
@@ -114,7 +118,7 @@ mod tests {
             "[package]\nname = \"bad\"\n\n[dependencies]\nrand = \"0.8\"\n",
         )
         .unwrap();
-        // Missing //! docs, an unwrap, an entropy RNG, and no tests.
+        // Missing //! docs, an entropy RNG, and no tests.
         std::fs::write(
             root.join("src/lib.rs"),
             "pub fn f() { let r = thread_rng(); r.x().unwrap(); }\n",
@@ -122,7 +126,7 @@ mod tests {
         .unwrap();
         let findings = run_lint(&root).unwrap();
         let passes: Vec<&str> = findings.iter().map(|f| f.pass.name()).collect();
-        for expect in ["determinism", "panic_policy", "hermeticity", "hygiene"] {
+        for expect in ["determinism", "hermeticity", "hygiene"] {
             assert!(passes.contains(&expect), "missing {expect}: {findings:?}");
         }
         std::fs::remove_dir_all(&root).unwrap();

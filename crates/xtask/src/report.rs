@@ -14,8 +14,6 @@ use std::path::PathBuf;
 pub enum Pass {
     /// Unseeded randomness or unordered-container emission.
     Determinism,
-    /// `unwrap`/`expect`/`panic!`/`todo!` in library code.
-    PanicPolicy,
     /// External registry dependencies in a Cargo manifest, or network
     /// primitives outside the serving crate.
     Hermeticity,
@@ -39,7 +37,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::Determinism => "determinism",
-            Pass::PanicPolicy => "panic_policy",
             Pass::Hermeticity => "hermeticity",
             Pass::Hygiene => "hygiene",
             Pass::Observability => "observability",
@@ -50,10 +47,9 @@ impl Pass {
     }
 
     /// All passes, in report order.
-    pub fn all() -> [Pass; 8] {
+    pub fn all() -> [Pass; 7] {
         [
             Pass::Determinism,
-            Pass::PanicPolicy,
             Pass::Hermeticity,
             Pass::Hygiene,
             Pass::Observability,
@@ -112,14 +108,14 @@ mod tests {
     #[test]
     fn findings_render_compiler_style() {
         let f = Finding {
-            pass: Pass::PanicPolicy,
+            pass: Pass::Observability,
             path: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
-            message: "forbidden `.unwrap()`".into(),
+            message: "forbidden `eprintln!`".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7: [panic_policy] forbidden `.unwrap()`"
+            "crates/x/src/lib.rs:7: [observability] forbidden `eprintln!`"
         );
     }
 

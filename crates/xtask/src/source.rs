@@ -8,7 +8,8 @@
 //! context the passes need:
 //!
 //! * whether the line sits inside a `#[cfg(test)]` (or `#[test]`) item,
-//!   tracked by brace depth — the panic-policy pass skips those lines;
+//!   tracked by brace depth — the passes that exempt test code skip
+//!   those lines;
 //! * `xtask-allow: <pass>` escape-hatch comments. An allow written on a
 //!   code line suppresses findings on that line; an allow on a
 //!   comment-only line carries forward to the next code line (so a
@@ -374,9 +375,9 @@ mod tests {
 
     #[test]
     fn allow_on_same_line_and_carried_from_comment() {
-        let src = "let a = x.unwrap(); // xtask-allow: panic_policy\n// xtask-allow: determinism — seeded upstream\n// more prose\nlet b = thread_rng();\nlet c = 0;\n";
+        let src = "eprintln!(\"a\"); // xtask-allow: observability\n// xtask-allow: determinism — seeded upstream\n// more prose\nlet b = thread_rng();\nlet c = 0;\n";
         let f = scan(src);
-        assert!(f.lines[0].allows("panic_policy"));
+        assert!(f.lines[0].allows("observability"));
         assert!(f.lines[3].allows("determinism"), "carried across comments");
         assert!(
             !f.lines[4].allows("determinism"),

@@ -67,8 +67,9 @@ fn walk(root: &Path, rel: &Path, tree: &mut Tree) -> std::io::Result<()> {
 }
 
 /// True for library sources: files under a `src/` directory that are not
-/// binary roots (`main.rs`, anything under `src/bin/`). The panic-policy
-/// pass only applies to these.
+/// binary roots (`main.rs`, anything under `src/bin/`). The observability
+/// pass and the concurrency pass's guard and ordering checks apply only
+/// to these.
 pub fn is_library_source(rel: &Path) -> bool {
     let comps: Vec<String> = rel
         .components()

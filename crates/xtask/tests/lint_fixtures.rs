@@ -47,32 +47,6 @@ fn determinism_flags_unordered_emission() {
 }
 
 #[test]
-fn panic_policy_flags_library_unwrap() {
-    assert_flags("panic_policy", "src/lib.rs:4: [panic_policy]");
-}
-
-#[test]
-fn panic_policy_flags_unjustified_unreachable() {
-    assert_flags("panic_policy_unreachable", "src/lib.rs:7: [panic_policy]");
-}
-
-#[test]
-fn panic_policy_flags_catch_unwind_outside_supervisors() {
-    assert_flags("catch_unwind", "src/lib.rs:5: [panic_policy]");
-}
-
-#[test]
-fn catch_unwind_allowed_in_supervision_points() {
-    let out = run_lint(&fixtures_dir().join("catch_unwind_allow"));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "supervision-point catch_unwind flagged:\n{stdout}"
-    );
-    assert!(stdout.trim().is_empty(), "unexpected output:\n{stdout}");
-}
-
-#[test]
 fn hermeticity_flags_registry_dependency() {
     assert_flags("hermeticity", "Cargo.toml:7: [hermeticity]");
 }
@@ -219,9 +193,6 @@ fn each_bad_fixture_reports_exactly_one_finding() {
     for fixture in [
         "determinism_rng",
         "determinism_hashmap",
-        "panic_policy",
-        "panic_policy_unreachable",
-        "catch_unwind",
         "hermeticity",
         "hermeticity_net",
         "hermeticity_connect",
