@@ -1,11 +1,13 @@
 //! Micro-benchmarks for the cascade index (Algorithm 1): construction
-//! (one live-arc mask per world, plus the hub sets of a cyclic graph),
-//! and cascade-extraction queries on G(3000, 15000) below (p = 0.15) and
-//! above (p = 0.30) the giant-SCC threshold, where most walks end in the
-//! largest SCC's precomputed closure. `index_query/all_nodes_wc_ba_20000`
-//! is the batch pipeline's lookup, walk only: `reached_comps` of every
-//! node of a weighted-cascade BA(20000, m = 5) index at `batch-wc`'s
-//! ℓ = 256.
+//! (the live-arc bits of 64 worlds, one column, plus the hub rows of a
+//! cyclic graph), and cascade-extraction queries on G(3000, 15000) below
+//! (p = 0.15) and above (p = 0.30) the giant-SCC threshold, where most
+//! walks end in the largest SCC's precomputed closure. The `all_nodes_*`
+//! rows are the batch pipeline's lookup, walk only: the all-worlds walk
+//! of every node at ℓ = 256, on a weighted-cascade BA(20000, m = 5) index
+//! (`batch-wc`'s shape) and on G(1000, 5000) at p = 0.15 (the shape of
+//! `serve-fabric`'s `web` graph, where a node's cascades are small but
+//! their union over the worlds is not).
 
 use soi_bench::microbench::Bencher;
 use soi_graph::{gen, NodeId, ProbGraph};
@@ -56,21 +58,28 @@ fn bench_query() {
     }
     let mut rng = Xoshiro256pp::seed_from_u64(1);
     let ba = ProbGraph::weighted_cascade(gen::barabasi_albert(20_000, 5, true, &mut rng));
-    let index = CascadeIndex::build(
-        &ba,
-        IndexConfig {
-            num_worlds: 256,
-            seed: 7,
-            ..IndexConfig::default()
-        },
-    );
-    let n = index.num_nodes() as NodeId;
-    let mut q = index.query();
-    b.bench("all_nodes_wc_ba_20000", || {
-        for v in 0..n {
-            black_box(index.reached_comps(v, &mut q));
-        }
-    });
+    let web = ProbGraph::fixed(gen::gnm(1_000, 5_000, &mut rng), 0.15).unwrap();
+    for (label, pg) in [
+        ("all_nodes_wc_ba_20000", ba),
+        ("all_nodes_gnm_1000_p015", web),
+    ] {
+        let index = CascadeIndex::build(
+            &pg,
+            IndexConfig {
+                num_worlds: 256,
+                seed: 7,
+                ..IndexConfig::default()
+            },
+        );
+        let n = index.num_nodes() as NodeId;
+        let mut q = index.query();
+        b.bench(label, || {
+            for v in 0..n {
+                let walked = index.walk(&[v], index.all_worlds(), &mut q);
+                black_box(walked.sets().count());
+            }
+        });
+    }
 }
 
 fn main() {

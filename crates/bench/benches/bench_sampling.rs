@@ -1,11 +1,11 @@
 //! Micro-benchmarks for Monte-Carlo machinery: possible-world
-//! materialization (as a CSR graph, and as the live-arc mask seed
-//! selection keeps per world), lazy cascade sampling, and spread
-//! estimation.
+//! materialization (as a CSR graph, and as a column of the live-arc bits
+//! the cascade index and seed selection keep, 64 worlds drawn in
+//! lockstep), lazy cascade sampling, and spread estimation.
 
 use soi_bench::microbench::Bencher;
 use soi_graph::{gen, ProbGraph};
-use soi_sampling::world::LiveArcs;
+use soi_sampling::world::draw_column;
 use soi_sampling::{estimate_spread, CascadeSampler, WorldSampler};
 use soi_util::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -23,7 +23,9 @@ fn bench_world_sampling() {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         b.bench(n, || sampler.sample(black_box(&pg), &mut rng));
         if n == 10_000 {
-            b.bench("mask_10000", || LiveArcs::sample(black_box(&pg), &mut rng));
+            b.bench("column_64_worlds_10000", || {
+                draw_column(black_box(&pg), 2, 0, 64)
+            });
         }
     }
 }

@@ -1,13 +1,15 @@
 //! The typical-cascade solver (§3–§4, Algorithm 2).
 //!
 //! The batch pipeline solves every node from the index, each one as
-//! [`index_median`] solves it: the node's walk of all ℓ worlds
-//! ([`CascadeIndex::reached_comps`]), then its load and median fit.
+//! [`index_median`] solves it: the node's walk of all ℓ worlds at once
+//! ([`CascadeIndex::walk`]), then its load and median fit.
 
 use soi_graph::{NodeId, ProbGraph};
-use soi_index::{CascadeIndex, IndexQuery, HUB_CLOSURE};
+use soi_index::{CascadeIndex, IndexQuery};
 use soi_jaccard::cost::{Closures, IncrementalCost};
-use soi_jaccard::median::{jaccard_median_loaded, jaccard_median_with, MedianConfig, MedianResult};
+use soi_jaccard::median::{
+    input_set_samples, jaccard_median_loaded, jaccard_median_with, MedianConfig, MedianResult,
+};
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
 use soi_util::rng::derive_seed;
@@ -135,8 +137,10 @@ pub fn typical_cascade_of_set(
 pub struct NodeScratch {
     query: IndexQuery,
     inc: IncrementalCost,
-    /// The worlds whose hub closure the node reaches, as a bitset.
-    hits: Vec<u64>,
+    /// The worlds of the fit's input-set candidates, and each one's
+    /// walked nodes (the other worlds' lists are stale).
+    wanted: Vec<u64>,
+    by_world: Vec<Vec<NodeId>>,
 }
 
 impl NodeScratch {
@@ -145,7 +149,8 @@ impl NodeScratch {
         NodeScratch {
             query: index.query(),
             inc: IncrementalCost::default(),
-            hits: Vec::new(),
+            wanted: Vec::new(),
+            by_world: Vec::new(),
         }
     }
 }
@@ -153,18 +158,16 @@ impl NodeScratch {
 /// Algorithm 2's per-node step: the Jaccard median of `v`'s ℓ indexed
 /// cascades, bit-identical to
 /// `jaccard_median_budgeted(&index.cascades_of(v), median, deadline)`
-/// without materialising those cascades. The evaluator loads its postings
-/// straight from the chunks `v` reaches in each world (span
-/// `engine.index_lookup`: the walk of every world `engine.reach`, then
-/// `engine.load`). A world whose walk reached its largest SCC contributes
-/// that SCC's whole closure (counted in `engine.hub_hits`). When the hit
-/// closures hold more entries than the index's per-node closure rows hold
-/// words ([`Closures::rows_pay`]), the evaluator reads the closures
-/// through those rows under the hit worlds' mask, once per closure node
-/// rather than once per world ([`IncrementalCost::load_closures`]);
-/// otherwise each closure is one more chunk. Only the input-set
-/// candidates the fit asks for are assembled (span `engine.median_fit`,
-/// which spends the deadline's ticks).
+/// without materialising those cascades. The node's walk of all ℓ worlds
+/// at once (span `engine.index_lookup`: the walk `engine.reach`, then
+/// `engine.load`) gives each node it reaches with its world set, and the
+/// worlds whose largest SCC it reached (counted in `engine.hub_hits`),
+/// whose cascades hold that SCC's whole closure. The evaluator loads each
+/// element's samples from its world set, or-ed for a closure node with
+/// its closure row under the hit worlds' mask
+/// ([`IncrementalCost::load_sets`]). Only the input-set candidates the fit
+/// asks for are assembled (span `engine.median_fit`, which spends the
+/// deadline's ticks).
 pub fn index_median(
     index: &CascadeIndex,
     v: NodeId,
@@ -172,68 +175,66 @@ pub fn index_median(
     deadline: &Deadline,
     scratch: &mut NodeScratch,
 ) -> Outcome<MedianResult> {
-    let NodeScratch { query, inc, hits } = scratch;
-    let pairs = {
+    let NodeScratch {
+        query,
+        inc,
+        wanted,
+        by_world,
+    } = scratch;
+    let walked = {
         let _s = soi_obs::span("engine.index_lookup");
-        let pairs = {
+        let walked = {
             let _s = soi_obs::span("engine.reach");
-            index.reached_comps(v, query)
+            index.walk(&[v], index.all_worlds(), query)
         };
         let _load = soi_obs::span("engine.load");
-        load(index, pairs, inc, hits);
-        pairs
+        let (elems, rows) = index.closure_rows();
+        let hits = walked.hits();
+        let members = |i| index.closure(i);
+        let closures = Closures {
+            hits,
+            elems,
+            rows,
+            members,
+        };
+        inc.load_sets(index.num_worlds(), walked.sets(), &closures);
+        // The fit's input-set candidates read their worlds' walked nodes
+        // from one pass over the world sets, under the mask of those
+        // worlds.
+        let ell = index.num_worlds();
+        wanted.clear();
+        wanted.resize(ell.div_ceil(64), 0);
+        by_world.resize_with(ell, Vec::new);
+        for i in input_set_samples(ell) {
+            wanted[i / 64] |= 1 << (i % 64);
+            by_world[i].clear();
+        }
+        for (u, set) in walked.sets() {
+            for_each_masked(set, wanted, |i| by_world[i].push(u));
+        }
+        walked
     };
-    fit(index, pairs, median, deadline, inc, hits)
-}
-
-/// Loads `inc` from a node's `(world, chunk)` pairs, marking in `hits` the
-/// worlds whose hub closure the node reaches.
-fn load<'a>(
-    index: &'a CascadeIndex,
-    pairs: &'a [(u32, u32)],
-    inc: &mut IncrementalCost,
-    hits: &mut Vec<u64>,
-) {
-    let ell = index.num_worlds();
-    hits.clear();
-    hits.resize(ell.div_ceil(64), 0);
-    for &(i, _) in pairs.iter().filter(|p| p.1 == HUB_CLOSURE) {
-        hits[i as usize / 64] |= 1 << (i % 64);
-    }
-    let (elems, rows) = index.closure_rows();
-    let closures = Closures {
-        hits,
-        elems,
-        rows,
-        members: |i| index.closure(i),
-    };
-    let members = |pair: &'a (u32, u32)| (pair.0, index.chunk(pair));
-    if closures.rows_pay() {
-        let others = pairs.iter().filter(|p| p.1 != HUB_CLOSURE);
-        inc.load_closures(ell, others.map(members), &closures);
-    } else {
-        inc.load(ell, pairs.iter().map(members));
-    }
-}
-
-/// The median fit of a node whose pairs [`load`] loaded into `inc`.
-fn fit(
-    index: &CascadeIndex,
-    pairs: &[(u32, u32)],
-    median: &MedianConfig,
-    deadline: &Deadline,
-    inc: &mut IncrementalCost,
-    hits: &[u64],
-) -> Outcome<MedianResult> {
+    let hits = walked.hits();
     let hub_hits: u32 = hits.iter().map(|h| h.count_ones()).sum();
     soi_obs::counter_add!("engine.hub_hits", hub_hits as usize);
     let _s = soi_obs::span("engine.median_fit");
     jaccard_median_loaded(inc, median, deadline, |i, out| {
-        let from = pairs.partition_point(|p| (p.0 as usize) < i);
-        for pair in pairs[from..].iter().take_while(|p| p.0 as usize == i) {
-            out.extend_from_slice(index.chunk(pair));
+        out.extend_from_slice(&by_world[i]);
+        if hits[i / 64] >> (i % 64) & 1 == 1 {
+            out.extend_from_slice(index.closure(i));
         }
     })
+}
+
+/// Calls `f(i)` for each world `i` of `set` that `mask` holds, ascending.
+fn for_each_masked(set: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
+    for (c, (s, m)) in set.iter().zip(mask).enumerate() {
+        let mut word = s & m;
+        while word != 0 {
+            f(c * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
 }
 
 /// The typical cascade of one node as produced by the batch pipeline.

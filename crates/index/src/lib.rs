@@ -4,10 +4,18 @@
 //!
 //! To compute typical cascades for *every* node, the paper samples ℓ
 //! possible worlds once and keeps them for the whole run. This index keeps
-//! each world as its **live-arc mask** ([`LiveArcs`]): one bit per arc of
-//! the graph, drawn once by the coin loop every sampler shares. The
-//! cascade of `v` in world `i` is what a walk from `v` reaches over the
-//! graph's CSR, skipping the arcs dead in world `i`.
+//! them as **live-arc bits** ([`WorldMasks`]): world `i`'s arc `e` is bit
+//! `i % 64` of word `e` in column `i / 64`, so an arc's live worlds are one
+//! row of `⌈ℓ/64⌉` words, drawn 64 worlds at a time by the coin loop every
+//! sampler shares. The cascade of `v` in world `i` is what a walk from `v`
+//! reaches over the graph's CSR, skipping the arcs dead in world `i`.
+//!
+//! A lookup walks all ℓ worlds at once ([`CascadeIndex::walk`]): its state
+//! per node is a **world set** of `⌈ℓ/64⌉` words, the worlds in which the
+//! walk reached the node, and it carries along each arc only the worlds
+//! `new = d_x & row_e & !seen_y` that reach its head for the first time.
+//! A node's ℓ cascades come out of one pass over the nodes any of them
+//! holds, not ℓ passes.
 //!
 //! The paper condenses each world's SCCs and transitively reduces the
 //! condensation, so that queries walk a smaller DAG. Every world of an
@@ -18,22 +26,20 @@
 //!
 //! In a supercritical world most nodes reach the largest SCC, and all of
 //! them then reach the same nodes: the **hub closure**, everything the
-//! largest SCC (ties: the lowest Tarjan component id) reaches. A world
-//! whose hub reaches more than itself keeps the hub SCC and its closure as
-//! n-bit sets, and the closure's members as one slice. A walk does not
-//! expand the closure nodes it meets but sets them aside. If one of them
-//! is a hub node, the whole closure is one chunk ([`HUB_CLOSURE`]);
-//! otherwise the walk resumes from them. The answer is unchanged: a path
-//! from outside the closure into it stays inside it, so every node
-//! outside the closure is reached by a path that never touches the
-//! closure, and a path into the hub enters the closure at a hub node. In
-//! an acyclic graph every SCC is one node, so the hub is Tarjan's first
-//! component, a sink that reaches only itself, and the build runs no
-//! Tarjan at all.
-//! Across worlds, the index also keeps one bit row per node that lies in
-//! some closure, over the worlds whose closure holds it
-//! ([`CascadeIndex::closure_rows`]): a consumer that meets many closures
-//! of one node reads each closure node once, not once per world.
+//! largest SCC (ties: the lowest Tarjan component id) reaches. For a world
+//! whose hub reaches more than itself the index keeps the closure's
+//! members, and one row per node over the worlds whose closure holds it
+//! and over the worlds whose hub SCC holds it
+//! ([`CascadeIndex::closure_rows`]). The walk does not expand a node in
+//! the worlds whose closure holds it but sets it aside there. In the
+//! worlds where a set-aside node is a hub node the cascade is the walked
+//! nodes plus the whole closure (a **hit**); in the others the walk
+//! resumes from the set-aside nodes. The answer is unchanged: a path from
+//! outside the closure into it stays inside it, so every node outside the
+//! closure is reached by a path that never touches the closure, and a path
+//! into the hub enters the closure at a hub node. In an acyclic graph
+//! every SCC is one node, so the hub is Tarjan's first component, a sink
+//! that reaches only itself, and the build runs no Tarjan at all.
 //!
 //! Worlds are derived deterministically from `(seed, world-id)`, so a
 //! build is reproducible bit-for-bit regardless of thread count. The
@@ -44,8 +50,9 @@
 use soi_graph::{
     scc::tarjan_scc, transitive, Condensation, DiGraph, NodeId, ProbGraph, Reachability,
 };
-use soi_sampling::world::{world_rng, LiveArcs};
-use soi_util::BitSet;
+use soi_sampling::world::{draw_column, WorldMasks};
+use soi_util::bitset::ones;
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Build-time options for [`CascadeIndex`].
@@ -75,57 +82,11 @@ impl Default for IndexConfig {
     }
 }
 
-/// The chunk id of a world's whole hub closure in
-/// [`CascadeIndex::reached_comps`]; [`CascadeIndex::chunk`] reads it.
-pub const HUB_CLOSURE: u32 = u32::MAX;
-
-/// One sampled world: its live arcs, and its hub when the hub reaches
-/// more than itself.
-struct World {
-    live: LiveArcs,
-    hub: Option<Hub>,
-}
-
-/// A world's largest SCC (ties: the lowest Tarjan component id) and the
-/// nodes it reaches, as n-bit sets, plus the closure's members.
+/// A world's hub closure: the nodes its largest SCC (ties: the lowest
+/// Tarjan component id) reaches, that SCC's nodes first.
 struct Hub {
-    scc: BitSet,
-    closure: BitSet,
     members: Vec<NodeId>,
-}
-
-impl World {
-    /// The walk from `sources` over the world's live arcs: writes to `out`
-    /// the nodes it reaches, and returns whether it reached a hub node.
-    /// Then `out` holds no closure node, and the cascade is `out` plus the
-    /// whole closure.
-    fn walk(
-        &self,
-        g: &DiGraph,
-        sources: &[NodeId],
-        walk: &mut Walk,
-        out: &mut Vec<NodeId>,
-    ) -> bool {
-        let live = |e| self.live.is_live(e);
-        let Walk {
-            reach, deferred, ..
-        } = walk;
-        let Some(hub) = &self.hub else {
-            reach.multi_source_deferring(g, sources, live, |_| false, out, deferred);
-            return false;
-        };
-        let defer = |v: NodeId| hub.closure.contains(v as usize);
-        reach.multi_source_deferring(g, sources, live, defer, out, deferred);
-        let hit = deferred.iter().any(|&v| hub.scc.contains(v as usize));
-        if !hit && !deferred.is_empty() {
-            reach.resume(g, live, deferred, out);
-        }
-        #[cfg(test)]
-        if hit || !deferred.is_empty() {
-            walk.branches[hit as usize] += 1;
-        }
-        hit
-    }
+    scc_len: usize,
 }
 
 impl Hub {
@@ -140,59 +101,73 @@ impl Hub {
         let hub = (0..scc.num_comps).rev().max_by_key(|&c| sizes[c])?;
         let nodes = (0..n as NodeId).filter(|&v| scc.comp_of[v as usize] as usize == hub);
         let scc: Vec<NodeId> = nodes.collect();
+        // The walk lists its sources first.
         let mut members = Vec::new();
         Reachability::new(n).multi_source(world, &scc, &mut members);
-        let set = |nodes: &[NodeId]| {
-            let mut set = BitSet::new(n);
-            nodes.iter().for_each(|&v| _ = set.insert(v as usize));
-            set
-        };
-        (members.len() > scc.len()).then(|| Hub {
-            scc: set(&scc),
-            closure: set(&members),
+        (members.len() > scc.len()).then_some(Hub {
             members,
+            scc_len: scc.len(),
         })
+    }
+
+    fn scc(&self) -> &[NodeId] {
+        &self.members[..self.scc_len]
     }
 }
 
-/// World `live` of `g` as a graph of its own: `g`'s live arcs, in CSR
-/// order.
-fn live_world(g: &DiGraph, live: &LiveArcs) -> DiGraph {
+/// World `i` of `masks` as a graph of its own: `g`'s arcs live in it, in
+/// CSR order.
+fn live_world(g: &DiGraph, masks: &WorldMasks, i: usize) -> DiGraph {
     let mut offsets = Vec::with_capacity(g.num_nodes() + 1);
     let mut targets = Vec::new();
     offsets.push(0);
     for v in g.nodes() {
         let arcs = g.edge_range(v).zip(g.out_neighbors(v));
-        targets.extend(arcs.filter(|&(e, _)| live.is_live(e)).map(|(_, &w)| w));
+        targets.extend(arcs.filter(|&(e, _)| masks.is_live(i, e)).map(|(_, &w)| w));
         // At most `g`'s arcs, whose count fits a `u32` offset.
         offsets.push(targets.len() as u32);
     }
     DiGraph::from_csr_parts(offsets, targets)
 }
 
-/// `world`'s arcs as a mask over `union`, which holds every one of them.
-fn mask_of(union: &DiGraph, world: &DiGraph) -> LiveArcs {
-    let live = world.nodes().flat_map(|v| {
-        let (first, targets) = (union.edge_range(v).start, union.out_neighbors(v));
-        let arcs = world.out_neighbors(v).iter();
-        arcs.map(move |&w| first + targets.partition_point(|&t| t < w))
-    });
-    LiveArcs::from_live(union.num_edges(), live)
+/// Column `c` of the masks of `worlds` over `union`, which holds every
+/// one of their arcs.
+fn column_of(union: &DiGraph, worlds: &[&DiGraph], c: usize) -> Vec<u64> {
+    let mut words = vec![0u64; union.num_edges()];
+    for (j, world) in worlds.iter().skip(c * 64).take(64).enumerate() {
+        for v in world.nodes() {
+            let (first, targets) = (union.edge_range(v).start, union.out_neighbors(v));
+            for &w in world.out_neighbors(v) {
+                words[first + targets.partition_point(|&t| t < w)] |= 1 << j;
+            }
+        }
+    }
+    words
 }
 
-/// The cascade index: ℓ sampled worlds, each a live-arc mask over one
-/// graph (Algorithm 1).
+/// The cascade index: ℓ sampled worlds, as live-arc bits over one graph
+/// (Algorithm 1).
 pub struct CascadeIndex {
     /// The arcs every world masks: `pg.graph()`, or the union of the
     /// supplied worlds' arcs.
     graph: DiGraph,
-    worlds: Vec<World>,
-    /// The nodes in some world's hub closure, ascending, and for each a
-    /// row of `⌈ℓ/64⌉` words: bit `i % 64` of word `i / 64` is set when
-    /// world `i`'s closure holds the node. Both empty when no world has a
+    masks: WorldMasks,
+    /// Each world's hub closure, in no particular order: empty when its
+    /// hub reaches only itself.
+    closures: Vec<Vec<NodeId>>,
+    /// The nodes in some world's hub closure, ascending, and for each two
+    /// rows of `⌈ℓ/64⌉` words: bit `i % 64` of word `i / 64` is set when
+    /// world `i`'s closure holds the node (`closure_rows`), and when world
+    /// `i`'s hub SCC does (`hub_rows`). All empty when no world has a
     /// closure.
     closure_nodes: Vec<NodeId>,
     closure_rows: Vec<u64>,
+    hub_rows: Vec<u64>,
+    /// Per node, its place in `closure_nodes` plus one, or 0 for a node in
+    /// no closure; empty when no world has a closure.
+    closure_slot: Vec<u32>,
+    /// The world set of all ℓ worlds.
+    all_worlds: Vec<u64>,
     config: IndexConfig,
     /// [`condensations`](Self::condensations), derived on first use.
     condensations: OnceLock<Vec<(usize, usize)>>,
@@ -200,7 +175,8 @@ pub struct CascadeIndex {
 
 impl CascadeIndex {
     /// Builds the index over `config.num_worlds` sampled worlds
-    /// (Algorithm 1). Deterministic in `config.seed`.
+    /// (Algorithm 1), one column of 64 worlds per task on
+    /// `config.threads` workers. Deterministic in `config.seed`.
     ///
     /// ```
     /// use soi_graph::{gen, ProbGraph};
@@ -215,54 +191,65 @@ impl CascadeIndex {
     pub fn build(pg: &ProbGraph, config: IndexConfig) -> Self {
         assert!(config.num_worlds > 0, "need at least one world");
         let _span = soi_obs::span("index.build");
-        Self::from_masks(pg.graph().clone(), config.num_worlds, config, |_, i| {
+        let ell = config.num_worlds;
+        let masks = WorldMasks::from_columns(ell, config.threads, |c| {
             let _span = soi_obs::span("index.sample_world");
-            LiveArcs::sample(pg, &mut world_rng(config.seed, i))
-        })
+            draw_column(pg, config.seed, c, ell)
+        });
+        Self::from_masks(pg.graph().clone(), masks, config)
     }
 
-    /// Builds worlds `0..num_worlds` over `graph`, world `i` masked by
-    /// `mask(&graph, i)`, on `config.threads` workers
-    /// (`soi_util::pool`). World `i` depends only on `i`, so the worker
-    /// partition does not affect the result.
-    fn from_masks(
-        graph: DiGraph,
-        num_worlds: usize,
-        config: IndexConfig,
-        mask: impl Fn(&DiGraph, usize) -> LiveArcs + Sync,
-    ) -> Self {
+    /// The index of the worlds `masks` over `graph`. A cyclic graph's
+    /// worlds are searched for their hubs on `config.threads` workers
+    /// (`soi_util::pool`); world `i`'s hub depends only on `i`, so the
+    /// worker partition does not affect the result.
+    fn from_masks(graph: DiGraph, masks: WorldMasks, config: IndexConfig) -> Self {
+        let ell = masks.num_worlds();
+        let mut hubs: Vec<Option<Hub>> = (0..ell).map(|_| None).collect();
         // Only a cycle of the graph lets a world's hub reach more than
         // itself.
-        let cyclic = transitive::topological_order(&graph).is_none();
-        let mut worlds: Vec<Option<World>> = (0..num_worlds).map(|_| None).collect();
-        soi_util::pool::for_each_indexed(&mut worlds, config.threads, |i, slot| {
-            let live = mask(&graph, i);
-            let hub = cyclic
-                .then(|| Hub::find(&live_world(&graph, &live)))
-                .flatten();
-            *slot = Some(World { live, hub });
-        });
-        #[expect(
-            clippy::expect_used,
-            reason = "the pool fills every slot before its scope joins"
-        )]
-        let built = worlds.into_iter().map(|w| w.expect("world built"));
-        let worlds: Vec<World> = built.collect();
-        let words = num_worlds.div_ceil(64);
-        let mut closure_rows = Vec::new();
-        for (i, w) in worlds.iter().enumerate() {
-            let Some(hub) = &w.hub else { continue };
-            closure_rows.resize(graph.num_nodes() * words, 0);
+        if transitive::topological_order(&graph).is_none() {
+            soi_util::pool::for_each_indexed(&mut hubs, config.threads, |i, slot| {
+                *slot = Hub::find(&live_world(&graph, &masks, i));
+            });
+        }
+        let (n, words) = (graph.num_nodes(), ell.div_ceil(64));
+        let (mut closure_rows, mut hub_rows) = (Vec::new(), Vec::new());
+        for (i, hub) in hubs.iter().enumerate() {
+            let Some(hub) = hub else { continue };
+            closure_rows.resize(n * words, 0);
+            hub_rows.resize(n * words, 0);
             for &v in &hub.members {
                 closure_rows[v as usize * words + i / 64] |= 1 << (i % 64);
             }
+            for &v in hub.scc() {
+                hub_rows[v as usize * words + i / 64] |= 1 << (i % 64);
+            }
         }
-        let closure_nodes = keep_nonzero_rows(&mut closure_rows, words);
+        let closure_nodes = keep_nonzero_rows(&mut closure_rows, &mut hub_rows, words);
+        let mut closure_slot = Vec::new();
+        if !closure_nodes.is_empty() {
+            closure_slot.resize(n, 0);
+            for (at, &v) in (1..).zip(&closure_nodes) {
+                closure_slot[v as usize] = at;
+            }
+        }
+        let mut all_worlds = vec![!0u64; words];
+        if !ell.is_multiple_of(64) {
+            all_worlds[words - 1] = !0 >> (64 - ell % 64);
+        }
         let index = CascadeIndex {
             graph,
-            worlds,
+            masks,
+            closures: hubs
+                .into_iter()
+                .map(|h| h.map_or_else(Vec::new, |h| h.members))
+                .collect(),
             closure_nodes,
             closure_rows,
+            hub_rows,
+            closure_slot,
+            all_worlds,
             config,
             condensations: OnceLock::new(),
         };
@@ -282,9 +269,9 @@ impl CascadeIndex {
     fn condense_worlds(&self) -> Vec<(usize, usize)> {
         #[cfg(test)]
         tests::CONDENSE_PASSES.with(|n| n.set(n.get() + 1));
-        let mut sizes = vec![(0, 0); self.worlds.len()];
+        let mut sizes = vec![(0, 0); self.num_worlds()];
         soi_util::pool::for_each_indexed(&mut sizes, self.config.threads, |i, slot| {
-            let cond = Condensation::new(&live_world(&self.graph, &self.worlds[i].live));
+            let cond = Condensation::new(&live_world(&self.graph, &self.masks, i));
             let dag = if self.config.transitive_reduction {
                 #[expect(
                     clippy::expect_used,
@@ -308,7 +295,7 @@ impl CascadeIndex {
     pub fn fingerprint(&self) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
         h.update_u64(self.num_nodes() as u64);
-        h.update_u64(self.worlds.len() as u64);
+        h.update_u64(self.num_worlds() as u64);
         h.update_u64(self.config.seed);
         h.update_u64(self.config.transitive_reduction as u64);
         for &(comps, arcs) in self.condensations() {
@@ -339,8 +326,8 @@ impl CascadeIndex {
     /// Threshold sampler in `soi-sampling::lt`) plugs into the same
     /// typical-cascade pipeline this way. `config.num_worlds` and
     /// `config.seed` are recorded but ignored for sampling; worlds are
-    /// taken verbatim, in order, each as a mask over the union of their
-    /// arcs, by `config.threads` workers.
+    /// taken verbatim, in order, as masks over the union of their arcs,
+    /// by `config.threads` workers.
     pub fn build_from_worlds<'w>(
         num_nodes: usize,
         worlds: impl Iterator<Item = &'w DiGraph>,
@@ -360,24 +347,23 @@ impl CascadeIndex {
                       and there are no more of them than the worlds hold"
         )]
         let union = DiGraph::from_edges(num_nodes, &arcs).expect("world arcs");
-        Self::from_masks(union, worlds.len(), config, |union, i| {
-            mask_of(union, worlds[i])
-        })
+        let masks = WorldMasks::from_columns(worlds.len(), config.threads, |c| {
+            column_of(&union, &worlds, c)
+        });
+        Self::from_masks(union, masks, config)
     }
 
     /// Records the build's world count and size, and logs them. Every
     /// value is a function of the seeded inputs.
     fn record_build_metrics(&self) {
-        soi_obs::counter_add!("index.worlds_built", self.worlds.len());
+        soi_obs::counter_add!("index.worlds_built", self.num_worlds());
         soi_obs::gauge("index.memory_bytes").set(self.memory_bytes() as f64);
         soi_obs::event!(
             soi_obs::Level::Info,
             "index built: {} worlds, {} with a hub closure, {} closure entries, {} bytes",
-            self.worlds.len(),
-            self.worlds.iter().filter(|w| w.hub.is_some()).count(),
-            (0..self.worlds.len())
-                .map(|i| self.closure(i).len())
-                .sum::<usize>(),
+            self.num_worlds(),
+            self.closures.iter().filter(|c| !c.is_empty()).count(),
+            self.closures.iter().map(Vec::len).sum::<usize>(),
             self.memory_bytes()
         );
     }
@@ -389,7 +375,7 @@ impl CascadeIndex {
 
     /// Number of indexed worlds ℓ.
     pub fn num_worlds(&self) -> usize {
-        self.worlds.len()
+        self.masks.num_worlds()
     }
 
     /// The build configuration.
@@ -400,7 +386,7 @@ impl CascadeIndex {
     /// World `i`'s hub closure, in no particular order: empty when its
     /// hub reaches only itself.
     pub fn closure(&self, i: usize) -> &[NodeId] {
-        self.worlds[i].hub.as_ref().map_or(&[], |h| &h.members)
+        &self.closures[i]
     }
 
     /// The nodes in some world's hub closure, ascending, and each one's
@@ -411,54 +397,153 @@ impl CascadeIndex {
         (&self.closure_nodes, &self.closure_rows)
     }
 
-    /// Creates reusable query scratch sized for this index.
+    /// The world set of all ℓ worlds: `⌈ℓ/64⌉` words, bit `i % 64` of word
+    /// `i / 64` set for every world `i`.
+    pub fn all_worlds(&self) -> &[u64] {
+        &self.all_worlds
+    }
+
+    /// Creates reusable query scratch sized for this index: one `u32` per
+    /// node, and `⌈ℓ/64⌉` words per node a walk touches.
     pub fn query(&self) -> IndexQuery {
+        let words = self.all_worlds.len();
         IndexQuery {
-            walk: Walk {
-                reach: Reachability::new(self.num_nodes()),
-                deferred: Vec::new(),
-                #[cfg(test)]
-                branches: [0; 2],
-            },
+            words,
+            slot: vec![0; self.num_nodes()],
             nodes: Vec::new(),
-            pairs: Vec::new(),
+            sets: Vec::new(),
+            todo: Vec::new(),
+            aside: Vec::new(),
+            queued: Vec::new(),
+            queue: VecDeque::new(),
+            set_aside: Vec::new(),
+            hits: vec![0; words],
         }
     }
 
-    /// The cascade of `v` in world `i`, written to `out` (unsorted,
-    /// no duplicates). `out` is cleared first.
-    pub fn cascade(&self, v: NodeId, i: usize, q: &mut IndexQuery, out: &mut Vec<NodeId>) {
-        self.multi_cascade(std::slice::from_ref(&v), i, q, out)
-    }
-
-    /// The cascade of a seed set in world `i` (union of per-seed
-    /// cascades), written to `out` (unsorted, no duplicates).
-    pub fn multi_cascade(
-        &self,
-        seeds: &[NodeId],
-        i: usize,
-        q: &mut IndexQuery,
-        out: &mut Vec<NodeId>,
-    ) {
-        if self.worlds[i].walk(&self.graph, seeds, &mut q.walk, out) {
-            out.extend_from_slice(self.closure(i));
+    /// The walk from `sources` in the worlds of the world set `start`
+    /// (`⌈ℓ/64⌉` words, as [`all_worlds`](Self::all_worlds)), valid until
+    /// `q` is used again. In each world of `start` it reaches what a
+    /// breadth-first search from `sources` over that world's live arcs
+    /// reaches, and in no other world. Every node it reaches comes with
+    /// its world set; in a world of [`Walked::hits`] the sets leave out
+    /// the world's hub [`closure`](Self::closure), which the cascade holds
+    /// whole.
+    pub fn walk<'q>(&self, sources: &[NodeId], start: &[u64], q: &'q mut IndexQuery) -> Walked<'q> {
+        debug_assert_eq!(start.len(), q.words, "a start set has ⌈ℓ/64⌉ words");
+        q.clear();
+        let defer = !self.closure_slot.is_empty();
+        for &s in sources {
+            for (c, &bits) in start.iter().enumerate() {
+                if bits != 0 {
+                    self.arrive(q, s, c, bits, defer);
+                }
+            }
+        }
+        self.expand(q, defer);
+        if !q.set_aside.is_empty() {
+            let w = q.words;
+            for &t in &q.set_aside {
+                let row = self.closure_slot[q.nodes[t as usize] as usize] as usize - 1;
+                let (aside, hub) = (&q.aside[t as usize * w..], &self.hub_rows[row * w..]);
+                for (hit, (a, h)) in q.hits.iter_mut().zip(aside.iter().zip(hub)) {
+                    *hit |= a & h;
+                }
+            }
+            for at in 0..q.set_aside.len() {
+                let t = q.set_aside[at] as usize;
+                for c in 0..w {
+                    let (aside, hits) = (q.aside[t * w + c], q.hits[c]);
+                    q.sets[t * w + c] &= !(aside & hits);
+                    if aside & !hits != 0 {
+                        q.push(t, c, aside & !hits);
+                    }
+                }
+            }
+            self.expand(q, false);
+        }
+        Walked {
+            words: q.words,
+            nodes: &q.nodes,
+            sets: &q.sets,
+            hits: &q.hits,
         }
     }
 
-    /// Cascade size of `v` in world `i` without materializing node ids.
-    pub fn cascade_size(&self, v: NodeId, i: usize, q: &mut IndexQuery) -> usize {
-        let IndexQuery { walk, nodes, .. } = q;
-        let hit = self.worlds[i].walk(&self.graph, &[v], walk, nodes);
-        nodes.len() + if hit { self.closure(i).len() } else { 0 }
+    /// Reaches `y` in the worlds `bits` of column `c`: the ones that had
+    /// not reached it join its world set, and it expands them later, save
+    /// those whose closure holds `y` when `defer` is set. It sets `y`
+    /// aside in those.
+    #[inline]
+    fn arrive(&self, q: &mut IndexQuery, y: NodeId, c: usize, bits: u64, defer: bool) {
+        let w = q.words;
+        let t = match q.slot[y as usize] {
+            0 => q.touch(y),
+            slot => slot as usize - 1,
+        };
+        let seen = &mut q.sets[t * w + c];
+        let mut new = bits & !*seen;
+        if new == 0 {
+            return;
+        }
+        *seen |= new;
+        if defer {
+            if let Some(row) = (self.closure_slot[y as usize] as usize).checked_sub(1) {
+                let aside = new & self.closure_rows[row * w + c];
+                if aside != 0 {
+                    if q.aside.len() < q.sets.len() {
+                        q.aside.resize(q.sets.len(), 0);
+                    }
+                    if q.aside[t * w..(t + 1) * w].iter().all(|&a| a == 0) {
+                        q.set_aside.push(t as u32);
+                    }
+                    q.aside[t * w + c] |= aside;
+                    new &= !aside;
+                }
+            }
+        }
+        if new != 0 {
+            q.push(t, c, new);
+        }
+    }
+
+    /// Expands the queued nodes, first come first served, until none
+    /// waits: a node carries the worlds it has not expanded yet along each
+    /// arc, to the arc's head in the worlds where the arc is live.
+    fn expand(&self, q: &mut IndexQuery, defer: bool) {
+        let w = q.words;
+        while let Some(t) = q.queue.pop_front() {
+            let t = t as usize;
+            q.queued[t] = false;
+            let x = q.nodes[t];
+            let (arcs, targets) = (self.graph.edge_range(x), self.graph.out_neighbors(x));
+            for c in 0..w {
+                // Worlds that reach `x` while it expands come back with it.
+                let d = std::mem::take(&mut q.todo[t * w + c]);
+                if d == 0 {
+                    continue;
+                }
+                let live = &self.masks.column(c)[arcs.clone()];
+                for (&row, &y) in live.iter().zip(targets) {
+                    if d & row != 0 {
+                        self.arrive(q, y, c, d & row, defer);
+                    }
+                }
+            }
+        }
     }
 
     /// All ℓ cascades of `v` as canonical sorted sets — the input shape
     /// the Jaccard-median machinery expects (Algorithm 2's inner loop).
     pub fn cascades_of(&self, v: NodeId) -> Vec<Vec<NodeId>> {
         let mut q = self.query();
+        let walked = self.walk(&[v], &self.all_worlds, &mut q);
         let mut sets = vec![Vec::new(); self.num_worlds()];
-        for pair in self.reached_comps(v, &mut q) {
-            sets[pair.0 as usize].extend_from_slice(self.chunk(pair));
+        for (u, worlds) in walked.sets() {
+            ones(worlds).for_each(|i| sets[i].push(u));
+        }
+        for i in ones(walked.hits()) {
+            sets[i].extend_from_slice(self.closure(i));
         }
         for set in &mut sets {
             set.sort_unstable();
@@ -466,202 +551,356 @@ impl CascadeIndex {
         sets
     }
 
-    /// What `v` reaches in every world, as `(world, chunk)` pairs in
-    /// ascending world order, valid until `q` is used again. A chunk is a
-    /// node, or [`HUB_CLOSURE`] when `v` reaches the world's largest SCC.
-    /// The cascade of `v` in world `i` is the disjoint union of the
-    /// members ([`chunk`](Self::chunk)) of world `i`'s pairs, so a
-    /// consumer can read all ℓ cascades without materialising them.
-    pub fn reached_comps<'q>(&self, v: NodeId, q: &'q mut IndexQuery) -> &'q [(u32, u32)] {
-        let IndexQuery { walk, nodes, pairs } = q;
-        pairs.clear();
-        for (i, w) in (0..).zip(&self.worlds) {
-            let hit = w.walk(&self.graph, &[v], walk, nodes);
-            pairs.extend(nodes.iter().map(|&u| (i, u)));
-            if hit {
-                pairs.push((i, HUB_CLOSURE));
-            }
-        }
-        pairs
-    }
-
-    /// The members of a [`reached_comps`](Self::reached_comps) pair's
-    /// chunk: its node, or the world's whole hub
-    /// [`closure`](Self::closure) for [`HUB_CLOSURE`].
-    pub fn chunk<'a>(&'a self, pair: &'a (u32, u32)) -> &'a [NodeId] {
-        match pair {
-            &(i, HUB_CLOSURE) => self.closure(i as usize),
-            (_, v) => std::slice::from_ref(v),
-        }
-    }
-
-    /// Heap footprint in bytes of the stored arrays: the graph's CSR,
-    /// every world's mask and hub (two n-bit sets and the closure's
-    /// members), and the closure rows.
+    /// Heap footprint in bytes of the stored arrays: the graph's CSR, the
+    /// worlds' live-arc bits, the hub closures' members, and the closure
+    /// nodes with their rows.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let (offsets, targets) = self.graph.csr_parts();
         let graph = (offsets.len() + targets.len()) * size_of::<u32>();
-        let sets = 2 * self.num_nodes().div_ceil(64) * size_of::<u64>();
-        let hubs = self.worlds.iter().filter_map(|w| w.hub.as_ref());
-        let hubs: usize = hubs
-            .map(|h| sets + h.members.len() * size_of::<NodeId>())
-            .sum();
-        let masks: usize = self.worlds.iter().map(|w| w.live.memory_bytes()).sum();
-        let closures = self.closure_nodes.len() * size_of::<NodeId>()
-            + self.closure_rows.len() * size_of::<u64>();
-        graph + masks + hubs + closures
+        let members: usize = self.closures.iter().map(Vec::len).sum();
+        let ids = members + self.closure_nodes.len() + self.closure_slot.len();
+        let rows = self.closure_rows.len() + self.hub_rows.len();
+        graph + self.masks.memory_bytes() + ids * size_of::<u32>() + rows * size_of::<u64>()
     }
 
     /// Mean number of SCCs per world (diagnostics for EXPERIMENTS.md).
     pub fn mean_comps(&self) -> f64 {
         let comps = self.condensations().iter().map(|c| c.0 as f64).sum::<f64>();
-        comps / self.worlds.len() as f64
+        comps / self.num_worlds() as f64
     }
 
     /// Mean number of condensation arcs per world, after the transitive
     /// reduction when the config asks for it.
     pub fn mean_dag_edges(&self) -> f64 {
         let arcs = self.condensations().iter().map(|c| c.1 as f64).sum::<f64>();
-        arcs / self.worlds.len() as f64
+        arcs / self.num_worlds() as f64
     }
 }
 
-/// Drops the all-zero rows of `words` words from the node-major `rows`,
-/// keeping the others in node order, and returns the nodes they belong to.
-fn keep_nonzero_rows(rows: &mut Vec<u64>, words: usize) -> Vec<NodeId> {
+/// Drops the nodes whose row of `closure` is all zero from the node-major
+/// rows of `words` words of `closure` and `hub`, keeping the others in
+/// node order, and returns the nodes kept. A node's `hub` row is zero
+/// wherever its `closure` row is.
+fn keep_nonzero_rows(closure: &mut Vec<u64>, hub: &mut Vec<u64>, words: usize) -> Vec<NodeId> {
     let mut nodes = Vec::new();
-    for v in 0..rows.len() / words.max(1) {
+    for v in 0..closure.len() / words.max(1) {
         let row = v * words..(v + 1) * words;
-        if rows[row.clone()].iter().any(|&w| w != 0) {
-            rows.copy_within(row, nodes.len() * words);
+        if closure[row.clone()].iter().any(|&w| w != 0) {
+            closure.copy_within(row.clone(), nodes.len() * words);
+            hub.copy_within(row, nodes.len() * words);
             nodes.push(v as NodeId);
         }
     }
-    rows.truncate(nodes.len() * words);
-    rows.shrink_to_fit();
+    for rows in [closure, hub] {
+        rows.truncate(nodes.len() * words);
+        rows.shrink_to_fit();
+    }
     nodes
 }
 
-/// Reusable per-thread query scratch for [`CascadeIndex`].
-pub struct IndexQuery {
-    walk: Walk,
-    /// The nodes of the last walk.
-    nodes: Vec<NodeId>,
-    /// The last [`CascadeIndex::reached_comps`] answer.
-    pairs: Vec<(u32, u32)>,
+/// What a [`CascadeIndex::walk`] reached.
+pub struct Walked<'q> {
+    words: usize,
+    nodes: &'q [NodeId],
+    sets: &'q [u64],
+    hits: &'q [u64],
 }
 
-/// Scratch of [`World::walk`].
-struct Walk {
-    reach: Reachability,
-    /// The closure nodes the walk set aside.
-    deferred: Vec<NodeId>,
-    /// Walks that resumed from set-aside nodes, and walks that hit.
-    #[cfg(test)]
-    branches: [usize; 2],
+impl<'q> Walked<'q> {
+    /// Each node the walk reached, in the order it first did, with its
+    /// world set (`⌈ℓ/64⌉` words): the worlds whose cascade holds it
+    /// outside a hit closure. A set may be empty.
+    pub fn sets(&self) -> impl Iterator<Item = (NodeId, &'q [u64])> + Clone + 'q {
+        let sets = self.sets.chunks_exact(self.words);
+        self.nodes.iter().copied().zip(sets)
+    }
+
+    /// The worlds whose hub closure the walk reached (`⌈ℓ/64⌉` words): the
+    /// cascade of world `i` among them is its walked nodes plus all of
+    /// [`CascadeIndex::closure`]`(i)`, which holds none of them.
+    pub fn hits(&self) -> &'q [u64] {
+        self.hits
+    }
+}
+
+/// Reusable per-thread query scratch for [`CascadeIndex::walk`].
+pub struct IndexQuery {
+    /// `⌈ℓ/64⌉`.
+    words: usize,
+    /// Per node of the graph: its place in `nodes` plus one, or 0 for a
+    /// node the walk has not touched.
+    slot: Vec<u32>,
+    /// The touched nodes, in the order the walk first reached them, and
+    /// for each `words` words of `sets` (the worlds that reached it),
+    /// `todo` (those it has yet to expand) and `aside` (those that set it
+    /// aside; grown only once a node is set aside), and whether it waits
+    /// in `queue`.
+    nodes: Vec<NodeId>,
+    sets: Vec<u64>,
+    todo: Vec<u64>,
+    aside: Vec<u64>,
+    queued: Vec<bool>,
+    /// Places in `nodes` waiting to expand, each at most once: a node
+    /// comes back when more worlds reach it after it expanded.
+    queue: VecDeque<u32>,
+    /// Places in `nodes` of the set-aside nodes.
+    set_aside: Vec<u32>,
+    /// The worlds whose hub the walk reached.
+    hits: Vec<u64>,
+}
+
+impl IndexQuery {
+    /// Forgets the last walk, in time proportional to what it touched.
+    fn clear(&mut self) {
+        for &v in &self.nodes {
+            self.slot[v as usize] = 0;
+        }
+        self.nodes.clear();
+        self.sets.clear();
+        self.todo.clear();
+        self.aside.clear();
+        self.queued.clear();
+        self.set_aside.clear();
+        self.hits.fill(0);
+    }
+
+    /// Adds `y` to the touched nodes, with empty world sets, and returns
+    /// its place.
+    fn touch(&mut self, y: NodeId) -> usize {
+        let t = self.nodes.len();
+        self.nodes.push(y);
+        // At most n nodes, whose count fits a `u32` id.
+        self.slot[y as usize] = t as u32 + 1;
+        self.sets.resize(self.sets.len() + self.words, 0);
+        self.todo.resize(self.todo.len() + self.words, 0);
+        self.queued.push(false);
+        t
+    }
+
+    /// Queues the worlds `bits` of column `c` for touched node `t` to
+    /// expand.
+    #[inline]
+    fn push(&mut self, t: usize, c: usize, bits: u64) {
+        if !self.queued[t] {
+            self.queued[t] = true;
+            self.queue.push_back(t as u32);
+        }
+        self.todo[t * self.words + c] |= bits;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use soi_graph::gen;
+    use soi_sampling::world::world_rng;
     use soi_sampling::WorldSampler;
+    use soi_util::rng::Rng;
+    use soi_util::BitSet;
 
     fn test_graph(seed: u64) -> ProbGraph {
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
         ProbGraph::fixed(gen::gnm(60, 300, &mut rng), 0.3).unwrap()
     }
 
-    /// The differential oracle of the hub walk: for every node and world,
-    /// `cascade`, `cascade_size` and `reached_comps` answer what a plain
-    /// BFS over the re-sampled world answers, and so does `multi_cascade`
-    /// from seeds in the hub closure but outside the hub (plus node 0),
-    /// which forces the resume branch. Returns the walk branch counts
-    /// `[resumed from set-aside nodes, hit]`.
-    fn assert_hub_walk_matches_bfs(pg: &ProbGraph, num_worlds: usize) -> [usize; 2] {
-        let config = IndexConfig {
-            num_worlds,
-            seed: 77,
-            transitive_reduction: true,
-            threads: 1,
-        };
-        let index = CascadeIndex::build(pg, config);
-        let n = pg.num_nodes() as NodeId;
-        let mut sampler = WorldSampler::new();
-        let worlds: Vec<DiGraph> = (0..num_worlds)
-            .map(|i| sampler.sample(pg, &mut world_rng(77, i)))
-            .collect();
-        let mut q = index.query();
-        let mut reach = Reachability::new(n as usize);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        let sorted = |set: &mut Vec<NodeId>| {
-            set.sort_unstable();
-            std::mem::take(set)
-        };
-        for v in 0..n {
-            let mut chunks = vec![Vec::new(); num_worlds];
-            for pair in index.reached_comps(v, &mut q) {
-                chunks[pair.0 as usize].extend_from_slice(index.chunk(pair));
+    /// The walk the index ran one world at a time before it walked all
+    /// ℓ worlds at once, kept as the all-worlds walk's differential
+    /// oracle: a walk over world `i`'s own live arcs that sets aside the
+    /// nodes of its hub closure, then either takes the whole closure (a
+    /// set-aside node is a hub node) or resumes from the set-aside nodes.
+    /// The hub is found again from the world, not read from the index.
+    struct PerWorld {
+        world: DiGraph,
+        scc: BitSet,
+        closure: BitSet,
+        members: Vec<NodeId>,
+    }
+
+    /// How a [`PerWorld`] walk ended.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Branch {
+        Plain,
+        Resumed,
+        Hit,
+    }
+
+    impl PerWorld {
+        fn new(index: &CascadeIndex, i: usize) -> Self {
+            let world = live_world(&index.graph, &index.masks, i);
+            let n = world.num_nodes();
+            let (mut scc, mut closure) = (BitSet::new(n), BitSet::new(n));
+            let mut members = Vec::new();
+            if let Some(hub) = Hub::find(&world) {
+                hub.scc().iter().for_each(|&v| _ = scc.insert(v as usize));
+                hub.members
+                    .iter()
+                    .for_each(|&v| _ = closure.insert(v as usize));
+                members = hub.members;
+                members.sort_unstable();
             }
-            for (i, world) in worlds.iter().enumerate() {
-                reach.reachable_from(world, v, &mut want);
-                let want = sorted(&mut want);
-                index.cascade(v, i, &mut q, &mut got);
-                assert_eq!(sorted(&mut got), want, "cascade: world {i}, node {v}");
-                assert_eq!(sorted(&mut chunks[i]), want, "chunks: world {i}, node {v}");
-                assert_eq!(index.cascade_size(v, i, &mut q), want.len());
+            PerWorld {
+                world,
+                scc,
+                closure,
+                members,
             }
         }
-        for (i, world) in worlds.iter().enumerate() {
-            let hub = index.worlds[i].hub.as_ref();
-            let inside = |&v: &NodeId| {
-                hub.is_some_and(|h| h.closure.contains(v as usize) && !h.scc.contains(v as usize))
+
+        /// The walked nodes, sorted (without the closure on a hit), and
+        /// the branch the walk took.
+        fn walk(&self, sources: &[NodeId], reach: &mut Reachability) -> (Vec<NodeId>, Branch) {
+            let (mut out, mut deferred) = (Vec::new(), Vec::new());
+            let defer = |v: NodeId| self.closure.contains(v as usize);
+            reach.multi_source_deferring(
+                &self.world,
+                sources,
+                |_| true,
+                defer,
+                &mut out,
+                &mut deferred,
+            );
+            let branch = if deferred.iter().any(|&v| self.scc.contains(v as usize)) {
+                Branch::Hit
+            } else if deferred.is_empty() {
+                Branch::Plain
+            } else {
+                reach.resume(&self.world, |_| true, &deferred, &mut out);
+                Branch::Resumed
             };
-            let mut seeds: Vec<NodeId> = (0..n).filter(inside).take(3).collect();
-            for _ in 0..2 {
-                index.multi_cascade(&seeds, i, &mut q, &mut got);
-                reach.multi_source(world, &seeds, &mut want);
+            out.sort_unstable();
+            (out, branch)
+        }
+    }
+
+    fn has(bits: &[u64], i: usize) -> bool {
+        bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Per world, the closure and the hub rows are the oracle's hub's.
+    /// Then, from every node plus up to two random ones, in all worlds and
+    /// in a random world set, the walk's world sets and hits answer what
+    /// the per-world oracle answers in each world of the start set, and
+    /// nothing in the others. Returns the oracle's branch counts
+    /// `[resumed, hit]` over the all-worlds walks from single nodes.
+    fn assert_walk_matches_per_world_walk(index: &CascadeIndex, seed: u64) -> [usize; 2] {
+        let (n, ell) = (index.num_nodes(), index.num_worlds());
+        let oracles: Vec<PerWorld> = (0..ell).map(|i| PerWorld::new(index, i)).collect();
+        let (nodes, rows) = index.closure_rows();
+        let words = ell.div_ceil(64);
+        for (i, oracle) in oracles.iter().enumerate() {
+            let mut closure = index.closure(i).to_vec();
+            closure.sort_unstable();
+            assert_eq!(closure, oracle.members, "world {i}");
+            for (at, &v) in nodes.iter().enumerate() {
+                let row = at * words..(at + 1) * words;
                 assert_eq!(
-                    sorted(&mut got),
-                    sorted(&mut want),
-                    "world {i}, seeds {seeds:?}"
+                    has(&rows[row.clone()], i),
+                    oracle.closure.contains(v as usize)
                 );
-                seeds.push(0);
+                assert_eq!(
+                    has(&index.hub_rows[row], i),
+                    oracle.scc.contains(v as usize)
+                );
             }
         }
-        q.walk.branches
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
+        let (mut q, mut reach) = (index.query(), Reachability::new(n));
+        let mut branches = [0; 2];
+        for v in 0..n as NodeId {
+            let random: Vec<u64> = index
+                .all_worlds()
+                .iter()
+                .map(|w| w & rng.random::<u64>())
+                .collect();
+            let mut sources = vec![v];
+            for start in [index.all_worlds(), &random[..]] {
+                let walked = index.walk(&sources, start, &mut q);
+                let mut got = vec![Vec::new(); ell];
+                for (u, set) in walked.sets() {
+                    ones(set).for_each(|i| got[i].push(u));
+                }
+                for (i, (mut got, oracle)) in got.into_iter().zip(&oracles).enumerate() {
+                    let hit = has(walked.hits(), i);
+                    if !has(start, i) {
+                        assert!(got.is_empty() && !hit, "world {i} is not in the start set");
+                        continue;
+                    }
+                    got.sort_unstable();
+                    let (want, branch) = oracle.walk(&sources, &mut reach);
+                    let at = format!("sources {sources:?}, world {i}");
+                    assert_eq!((got, hit), (want, branch == Branch::Hit), "{at}");
+                    if sources.len() == 1 && start == index.all_worlds() {
+                        match branch {
+                            Branch::Resumed => branches[0] += 1,
+                            Branch::Hit => branches[1] += 1,
+                            Branch::Plain => {}
+                        }
+                    }
+                }
+                let extra = rng.random_range(1usize..3);
+                sources.extend((0..extra).map(|_| rng.random_range(0..n as NodeId)));
+            }
+        }
+        branches
     }
 
+    /// The all-worlds walk against the per-world walk: on the 60-node
+    /// supercritical graph; on the cycle 0..30 with the path 29 → 30 → … →
+    /// 39 hanging off it, whose 30 cycle nodes hit and 10 path nodes
+    /// resume in every world; on both pinned fixtures; and on G(100, 500)
+    /// at p = 0.15, 0.3 and 0.6. ℓ runs over 1, 63, 64, 65 and 130, so
+    /// the last word of a world set is partial or full.
     #[test]
-    fn hub_walk_matches_bfs_on_a_supercritical_graph() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(1);
-        let pg = ProbGraph::fixed(gen::gnm(120, 600, &mut rng), 0.3).unwrap();
-        let [resumed, hits] = assert_hub_walk_matches_bfs(&pg, 12);
-        assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
+    fn walk_matches_the_per_world_walk() {
+        let mut totals = [0; 2];
+        for (k, ell) in [1, 63, 64, 65, 130].into_iter().enumerate() {
+            let config = IndexConfig {
+                num_worlds: ell,
+                seed: 3 + k as u64,
+                ..IndexConfig::default()
+            };
+            let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(k as u64);
+            let gnm = gen::gnm(100, 500, &mut rng);
+            let mut graphs = vec![test_graph(12)];
+            for p in [0.15, 0.3, 0.6] {
+                graphs.push(ProbGraph::fixed(gnm.clone(), p).unwrap());
+            }
+            for (j, pg) in graphs.iter().enumerate() {
+                let index = CascadeIndex::build(pg, config);
+                let [resumed, hits] = assert_walk_matches_per_world_walk(&index, j as u64);
+                totals = [totals[0] + resumed, totals[1] + hits];
+            }
+            let index = CascadeIndex::build(&cycle_with_a_tail(), config);
+            let branches = assert_walk_matches_per_world_walk(&index, 7);
+            assert_eq!(branches, [ell * 10, ell * 30], "ℓ = {ell}");
+        }
+        assert!(totals[0] > 0 && totals[1] > 0, "{totals:?}");
+        for (j, index) in pinned_fixtures().iter().enumerate() {
+            assert_walk_matches_per_world_walk(index, 10 + j as u64);
+        }
     }
 
-    #[test]
-    fn hub_walk_matches_bfs_on_a_weighted_cascade_graph() {
-        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(2);
-        let pg = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 3, true, &mut rng));
-        assert_hub_walk_matches_bfs(&pg, 8);
-    }
-
-    #[test]
-    fn hub_walk_matches_bfs_when_the_hub_reaches_the_whole_world() {
-        // A p = 1 cycle is one SCC: a closure of the hub alone, walked
-        // plainly.
-        let pg = ProbGraph::fixed(gen::cycle(30), 1.0).unwrap();
-        assert_eq!(assert_hub_walk_matches_bfs(&pg, 4), [0, 0]);
-        // The cycle 0..30 with the path 29 → 30 → … → 39 hanging off it:
-        // per world, each node walks three times (cascade, size, chunks),
-        // so the 30 cycle nodes hit 90 times and the 10 path nodes resume
-        // 30 times; then seeds {30, 31, 32} resume and {30, 31, 32, 0} hit.
+    /// The cycle 0..30 with the path 29 → 30 → … → 39 hanging off it, at
+    /// p = 1: one SCC whose closure adds the path.
+    fn cycle_with_a_tail() -> ProbGraph {
         let mut edges: Vec<(NodeId, NodeId)> = (0..30).map(|v| (v, (v + 1) % 30)).collect();
         edges.extend((29..39).map(|v| (v, v + 1)));
-        let pg = ProbGraph::fixed(DiGraph::from_edges(40, &edges).unwrap(), 1.0).unwrap();
-        assert_eq!(assert_hub_walk_matches_bfs(&pg, 4), [4 * 31, 4 * 91]);
+        ProbGraph::fixed(DiGraph::from_edges(40, &edges).unwrap(), 1.0).unwrap()
+    }
+
+    #[test]
+    fn a_hub_that_reaches_only_itself_is_walked_plainly() {
+        // A p = 1 cycle is one SCC: a closure of the hub alone, which the
+        // index does not keep.
+        let pg = ProbGraph::fixed(gen::cycle(30), 1.0).unwrap();
+        let config = IndexConfig {
+            num_worlds: 4,
+            ..IndexConfig::default()
+        };
+        let index = CascadeIndex::build(&pg, config);
+        assert_eq!(index.closure_rows(), (&[][..], &[][..]));
+        assert_eq!(assert_walk_matches_per_world_walk(&index, 1), [0, 0]);
     }
 
     #[test]
@@ -711,17 +950,17 @@ mod tests {
         assert_ne!(base, key(&test_graph(2), config));
     }
 
-    /// Every world's live arcs, as `(u, v)` pairs, and its hub sets,
-    /// then the closure rows and the fingerprint.
+    /// Every world's live arcs, as `(u, v)` pairs, and its closure, then
+    /// the closure and hub rows and the fingerprint.
     fn assert_same_index(a: &CascadeIndex, b: &CascadeIndex) {
         assert_eq!(a.num_worlds(), b.num_worlds());
-        for (i, (wa, wb)) in a.worlds.iter().zip(&b.worlds).enumerate() {
-            let arcs = |index: &CascadeIndex, w: &World| live_world(&index.graph, &w.live);
-            assert_eq!(arcs(a, wa), arcs(b, wb), "world {i}");
-            let sets = |w: &World| w.hub.as_ref().map(|h| (h.scc.clone(), h.closure.clone()));
-            assert_eq!(sets(wa), sets(wb), "world {i}");
+        for i in 0..a.num_worlds() {
+            let arcs = |index: &CascadeIndex| live_world(&index.graph, &index.masks, i);
+            assert_eq!(arcs(a), arcs(b), "world {i}");
+            assert_eq!(a.closure(i), b.closure(i), "world {i}");
         }
         assert_eq!(a.closure_rows(), b.closure_rows());
+        assert_eq!(a.hub_rows, b.hub_rows);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
@@ -793,28 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_size_matches_materialization() {
-        let pg = test_graph(4);
-        let index = CascadeIndex::build(
-            &pg,
-            IndexConfig {
-                num_worlds: 5,
-                seed: 3,
-                ..IndexConfig::default()
-            },
-        );
-        let mut q = index.query();
-        let mut out = Vec::new();
-        for i in 0..5 {
-            for v in (0..60).step_by(11) {
-                index.cascade(v, i, &mut q, &mut out);
-                let len = out.len();
-                assert_eq!(index.cascade_size(v, i, &mut q), len);
-            }
-        }
-    }
-
-    #[test]
     fn multi_cascade_is_union_of_singles() {
         let pg = test_graph(5);
         let index = CascadeIndex::build(
@@ -825,16 +1042,18 @@ mod tests {
                 ..IndexConfig::default()
             },
         );
+        let (a, b) = (index.cascades_of(10), index.cascades_of(20));
         let mut q = index.query();
-        let (mut a, mut b, mut ab) = (Vec::new(), Vec::new(), Vec::new());
+        let walked = index.walk(&[10, 20], index.all_worlds(), &mut q);
         for i in 0..4 {
-            index.cascade(10, i, &mut q, &mut a);
-            index.cascade(20, i, &mut q, &mut b);
-            index.multi_cascade(&[10, 20], i, &mut q, &mut ab);
-            let mut union: Vec<NodeId> = a.iter().chain(b.iter()).copied().collect();
+            let mut ab: Vec<NodeId> = walked.sets().filter(|p| has(p.1, i)).map(|p| p.0).collect();
+            if has(walked.hits(), i) {
+                ab.extend_from_slice(index.closure(i));
+            }
+            ab.sort_unstable();
+            let mut union: Vec<NodeId> = a[i].iter().chain(&b[i]).copied().collect();
             union.sort_unstable();
             union.dedup();
-            ab.sort_unstable();
             assert_eq!(ab, union, "world {i}");
         }
     }
@@ -878,32 +1097,37 @@ mod tests {
     /// The built index's structure: every world's live arcs and hub sets,
     /// hashed, its [`CascadeIndex::fingerprint`], its
     /// [`CascadeIndex::memory_bytes`] and its number of worlds without a
-    /// hub. The fingerprints were recorded at commit 4ad167f, when every
+    /// hub closure. The fingerprints were recorded at commit 4ad167f, when every
     /// world was stored as its reduced condensation; they hash each
     /// world's condensation size, re-derived from the mask, so
     /// checkpoints and caches keyed on them stay valid. The content hash,
-    /// the sizes and the hubless counts describe the live-arc layout,
-    /// recorded at the commit that introduced it. Every weighted-cascade
+    /// recorded when worlds became live-arc masks, is layout-free: it
+    /// hashes each world's arcs, closure and hub SCC. The sizes describe
+    /// the live-arc-bits layout, recorded at the commit that introduced
+    /// it. Every weighted-cascade
     /// world is hubless (the BA graph is acyclic), and no supercritical
     /// one is, so the hashes cover both kinds of world.
     #[test]
     fn index_contents_and_fingerprint_are_pinned() {
         let got = pinned_fixtures().map(|index| {
-            let hubless = index.worlds.iter().filter(|w| w.hub.is_none()).count();
+            let hubless = index.closures.iter().filter(|c| c.is_empty()).count();
             let mut h = soi_util::hash::Mix64Hasher::new();
             let mut update = |list: &[NodeId]| {
                 h.update_u64(list.len() as u64);
                 list.iter().for_each(|&x| h.update_u64(x.into()));
             };
-            for w in &index.worlds {
-                let world = live_world(&index.graph, &w.live);
+            let (nodes, _) = index.closure_rows();
+            let words = index.num_worlds().div_ceil(64);
+            for i in 0..index.num_worlds() {
+                let world = live_world(&index.graph, &index.masks, i);
                 world.nodes().for_each(|v| update(world.out_neighbors(v)));
-                if let Some(hub) = &w.hub {
-                    let mut members = hub.members.clone();
+                if !index.closure(i).is_empty() {
+                    let mut members = index.closure(i).to_vec();
                     members.sort_unstable();
                     update(&members);
-                    let scc = |&v: &NodeId| hub.scc.contains(v as usize);
-                    update(&world.nodes().filter(scc).collect::<Vec<_>>());
+                    let scc = nodes.iter().enumerate();
+                    let scc = scc.filter(|&(at, _)| has(&index.hub_rows[at * words..], i));
+                    update(&scc.map(|(_, &v)| v).collect::<Vec<_>>());
                 }
             }
             (
@@ -914,15 +1138,21 @@ mod tests {
             )
         });
         // Both graphs have ~3000 arcs (2985 and 3000): a 4-byte CSR entry
-        // per node and arc, and 47 mask words per world. The supercritical
-        // worlds add two 10-word hub sets and 5477 closure members between
-        // them, and its 597 closure nodes one id and one row word each.
+        // per node and arc, and one mask word per arc (16 worlds, one
+        // column). The supercritical worlds add 5477 closure members
+        // between them, and its 597 closure nodes one id and two row words
+        // each, plus a 4-byte closure slot per node.
         let pinned = [
-            (0xa3f9_3a46_bdfe_129f, 0xa731_8c4c_7e3d_6853, 20_360, 16),
+            (
+                0xa3f9_3a46_bdfe_129f,
+                0xa731_8c4c_7e3d_6853,
+                601 * 4 + 2985 * 12,
+                16,
+            ),
             (
                 0xc3c8_acd8_9562_431c,
                 0x4745_6411_1710_acbb,
-                (601 + 3000) * 4 + 16 * (47 + 2 * 10) * 8 + 5477 * 4 + 597 * (4 + 8),
+                (601 + 3000) * 4 + 3000 * 8 + 5477 * 4 + 597 * (4 + 2 * 8) + 600 * 4,
                 0,
             ),
         ];
@@ -1063,9 +1293,9 @@ mod tests {
             }
         }
 
-        /// The cascade of `v`, sorted, and whether the walk reached the
-        /// hub.
-        fn cascade(&self, v: NodeId, reach: &mut Reachability) -> (Vec<NodeId>, bool) {
+        /// The cascade of `v`, sorted, whether the walk reached the hub,
+        /// and whether it resumed from set-aside components.
+        fn cascade(&self, v: NodeId, reach: &mut Reachability) -> (Vec<NodeId>, bool, bool) {
             let (dag, mask) = (&self.cond.dag, self.hub_mask.as_slice());
             let in_closure = |c: u32| {
                 mask.get(c as usize / 64)
@@ -1091,21 +1321,19 @@ mod tests {
                 set.extend_from_slice(&self.hub_members);
             }
             set.sort_unstable();
-            (set, hit)
+            (set, hit, !hit && !deferred.is_empty())
         }
     }
 
-    /// For every node and world, the pairs of `reached_comps` hold the
-    /// cascade the condensation walk finds, with a [`HUB_CLOSURE`] pair
-    /// exactly where that walk reached the hub, and every world's closure
-    /// is the condensation's. Returns the mask walk's branch counts
-    /// `[resumed from set-aside nodes, hit]`.
+    /// For every node and world, the walk's world sets hold the cascade
+    /// the condensation walk finds, with a hit exactly where that walk
+    /// reached the hub, and every world's closure is the condensation's.
+    /// Returns the walk's hit count and the number of (node, world) pairs
+    /// whose per-world walk resumes, `[resumed, hit]`.
     fn assert_mask_walk_matches_condensation_walk(index: &CascadeIndex) -> [usize; 2] {
         let n = index.num_nodes();
-        let oracles: Vec<CondensedWorld> = index
-            .worlds
-            .iter()
-            .map(|w| CondensedWorld::new(&live_world(&index.graph, &w.live)))
+        let oracles: Vec<CondensedWorld> = (0..index.num_worlds())
+            .map(|i| CondensedWorld::new(&live_world(&index.graph, &index.masks, i)))
             .collect();
         for (i, oracle) in oracles.iter().enumerate() {
             let mut closure = index.closure(i).to_vec();
@@ -1115,23 +1343,26 @@ mod tests {
             assert_eq!(closure, want, "world {i}");
         }
         let (mut q, mut reach) = (index.query(), Reachability::new(n));
+        let mut branches = [0; 2];
         for v in 0..n as NodeId {
-            let mut got = vec![(Vec::new(), false); index.num_worlds()];
-            for pair in index.reached_comps(v, &mut q) {
-                let (set, hit) = &mut got[pair.0 as usize];
-                set.extend_from_slice(index.chunk(pair));
-                *hit |= pair.1 == HUB_CLOSURE;
+            let walked = index.walk(&[v], index.all_worlds(), &mut q);
+            let mut got = vec![Vec::new(); index.num_worlds()];
+            for (u, set) in walked.sets() {
+                ones(set).for_each(|i| got[i].push(u));
             }
-            for (i, (oracle, (mut set, hit))) in oracles.iter().zip(got).enumerate() {
+            for (i, (oracle, mut set)) in oracles.iter().zip(got).enumerate() {
+                let hit = has(walked.hits(), i);
+                if hit {
+                    set.extend_from_slice(index.closure(i));
+                }
                 set.sort_unstable();
-                assert_eq!(
-                    (set, hit),
-                    oracle.cascade(v, &mut reach),
-                    "node {v}, world {i}"
-                );
+                let (want, want_hit, resumed) = oracle.cascade(v, &mut reach);
+                assert_eq!((set, hit), (want, want_hit), "node {v}, world {i}");
+                branches[0] += resumed as usize;
+                branches[1] += hit as usize;
             }
         }
-        q.walk.branches
+        branches
     }
 
     /// The mask walk against the condensation walk on the 60-node
@@ -1150,14 +1381,11 @@ mod tests {
         let index = CascadeIndex::build(&test_graph(12), config);
         let [resumed, hits] = assert_mask_walk_matches_condensation_walk(&index);
         assert!(resumed > 0 && hits > 0, "resumed {resumed}, hits {hits}");
-        let mut edges: Vec<(NodeId, NodeId)> = (0..30).map(|v| (v, (v + 1) % 30)).collect();
-        edges.extend((29..39).map(|v| (v, v + 1)));
-        let pg = ProbGraph::fixed(DiGraph::from_edges(40, &edges).unwrap(), 1.0).unwrap();
         let config = IndexConfig {
             num_worlds: 4,
             ..config
         };
-        let index = CascadeIndex::build(&pg, config);
+        let index = CascadeIndex::build(&cycle_with_a_tail(), config);
         let branches = assert_mask_walk_matches_condensation_walk(&index);
         assert_eq!(branches, [4 * 10, 4 * 30]);
         for index in pinned_fixtures() {

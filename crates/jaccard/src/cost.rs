@@ -10,15 +10,16 @@
 //! CSR postings and an `O(1)` element → local id map. A whole candidate
 //! set `s` is scored from its elements' postings (`Σ_{e∈s} freq(e)`) or
 //! from per-sample bitset rows (`ℓ·⌈U/64⌉` words), whichever is less.
-//! A collection whose samples share precomputed closures (the cascade
-//! index's hub closures) loads from one bit row per closure element
-//! ([`IncrementalCost::load_closures`]), not one read per closure member.
+//! The cascade index's samples load from one world set per element
+//! ([`IncrementalCost::load_sets`]), and their shared hub closures from
+//! one bit row per closure element, not one read per closure member.
 //! Every cost also comes as an estimate with a margin (`crate::bound`);
 //! a local-search toggle's estimate costs `O(freq(e))` from per-sample
 //! terms cached once per candidate.
 
 use crate::bound::{decide, gamma, Bounded, Site, U};
 use crate::distance::jaccard_distance;
+use soi_util::bitset::ones;
 
 /// Mean Jaccard distance from `candidate` to every set in `samples`
 /// (the unbiased estimator `ρ̂` of the paper). Returns 0 for no samples.
@@ -105,8 +106,8 @@ pub struct IncrementalCost {
     /// per sample, built by the first set scored from them.
     rows: Vec<u64>,
     /// Each element's samples as a bitset, `⌈ℓ/64⌉` words per local id,
-    /// when [`load_closures`](Self::load_closures) read closure rows, else
-    /// empty: `rows` is then their transposition.
+    /// when [`load_sets`](Self::load_sets) read closure rows, else empty:
+    /// `rows` is then their transposition.
     bits: Vec<u64>,
     /// Toggle terms against the current candidate, for an insertion
     /// (`[0]`) and a removal (`[1]`): filled on a direction's first
@@ -173,88 +174,112 @@ impl IncrementalCost {
         self.empty_candidate(num_samples);
     }
 
-    /// [`load`](Self::load) for samples that may also hold a shared
-    /// closure: sample `i` is the union of its `chunks` and, when bit `i`
-    /// of `closures.hits` is set, of `(closures.members)(i)`. A hit
-    /// sample's chunks hold no member of its closure. The state is exactly
-    /// `load`'s over those closures as chunks, but the closures are never
-    /// read element by element: a closure element's count is
-    /// `popcount(row & hits)`, each element gets a sample bitset (its row
-    /// masked by the hits, plus its chunks' bits), and its postings are
-    /// written from it in ascending order. That reads less than `load`
-    /// when [`Closures::rows_pay`]. Needs `num_samples ≥ 1`.
-    pub fn load_closures<'a, I, F>(&mut self, num_samples: usize, chunks: I, closures: &Closures<F>)
+    /// Reloads the evaluator with `num_samples` samples given element by
+    /// element, and `C = ∅`. Each `(element, set)` of `sets` holds a
+    /// distinct element and its world set (`⌈ℓ/64⌉` words, bit `i % 64` of
+    /// word `i / 64` for sample `i`). Sample `i` also holds its closure
+    /// when bit `i` of `closures.hits` is set, and its sets then hold no
+    /// element of that closure. An element's sample bitset is its set,
+    /// plus for a closure element its row masked by the hits, and its
+    /// postings are written from it in ascending order. The hit closures
+    /// are read from their member lists when those hold fewer entries than
+    /// the rows hold words (a few hits), else from the rows; both give the
+    /// same bits. The state is exactly [`load`](Self::load)'s over the same
+    /// samples. Needs `num_samples ≥ 1`.
+    pub fn load_sets<'a, I, F>(&mut self, num_samples: usize, sets: I, closures: &Closures<F>)
     where
-        I: Iterator<Item = (u32, &'a [u32])> + Clone,
+        I: Iterator<Item = (u32, &'a [u64])> + Clone,
         F: Fn(usize) -> &'a [u32],
     {
         let Closures {
             hits,
             elems,
             rows,
-            members,
-        } = closures;
+            ref members,
+        } = *closures;
         let words = num_samples.div_ceil(64);
         debug_assert!(words > 0 && hits.len() == words && rows.len() == elems.len() * words);
-        // Count pass: a closure element's count is a masked popcount.
+        let entries: usize = ones(hits).map(|i| members(i).len()).sum();
+        let (by_members, by_rows) = if entries <= rows.len() {
+            (hits, &[][..])
+        } else {
+            (&[][..], hits)
+        };
+        let hit_rows = || {
+            let rows = elems.iter().zip(rows.chunks_exact(words));
+            rows.filter(move |_| !by_rows.is_empty())
+        };
+        // Count pass: an element's count is the popcount of its set, plus
+        // its hit closures. The rows come in element order, so they go
+        // first: the elements stay nearly sorted for `number`.
         self.clear_ids();
-        if let Some(&last) = elems.last() {
-            if last as usize >= self.ids.len() {
-                self.ids.resize(last as usize + 1, 0);
-            }
+        for (&e, row) in hit_rows() {
+            let masked = row.iter().zip(by_rows).map(|(r, h)| (r & h).count_ones());
+            self.add_count(e, masked.sum());
         }
-        for (&e, row) in elems.iter().zip(rows.chunks_exact(words)) {
-            let count: u32 = row
-                .iter()
-                .zip(*hits)
-                .map(|(r, h)| (r & h).count_ones())
-                .sum();
-            if count > 0 {
-                self.elems.push(e);
-                self.ids[e as usize] = count;
-            }
+        for i in ones(by_members) {
+            members(i).iter().for_each(|&e| self.add_count(e, 1));
         }
-        self.count(chunks.clone());
+        for (e, set) in sets.clone() {
+            let count = set.iter().map(|w| w.count_ones()).sum();
+            self.add_count(e, count);
+        }
         let total = self.number();
-        // Each element's sample bitset: its row masked by the hits, or-ed
-        // with the bits of its chunks.
+        // Each element's sample bitset, then its postings, ascending.
         self.bits.clear();
         self.bits.resize(self.elems.len() * words, 0);
-        for (&e, row) in elems.iter().zip(rows.chunks_exact(words)) {
+        for (e, set) in sets.clone() {
+            if let Some(u) = self.local(e) {
+                self.bits[u * words..(u + 1) * words].copy_from_slice(set);
+            }
+        }
+        for i in ones(by_members) {
+            for &e in members(i) {
+                self.bits[(self.ids[e as usize] as usize - 1) * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+        for (&e, row) in hit_rows() {
             if let Some(u) = self.local(e) {
                 let bits = &mut self.bits[u * words..(u + 1) * words];
-                for (b, (r, h)) in bits.iter_mut().zip(row.iter().zip(*hits)) {
-                    *b = r & h;
+                for (b, (r, h)) in bits.iter_mut().zip(row.iter().zip(by_rows)) {
+                    *b |= r & h;
                 }
             }
         }
-        self.sizes.clear();
-        self.sizes.resize(num_samples, 0.0);
-        for i in Ones::new(hits) {
-            self.sizes[i as usize] += members(i as usize).len() as f64;
-        }
-        for (i, chunk) in chunks {
-            self.sizes[i as usize] += chunk.len() as f64;
-            let (word, bit) = (i as usize / 64, 1 << (i % 64));
-            for &e in chunk {
-                self.bits[(self.ids[e as usize] as usize - 1) * words + word] |= bit;
-            }
-        }
-        // Element u's postings, ascending, end where u + 1's start.
         self.postings.clear();
         self.postings.resize(total, 0);
         for (u, bits) in self.bits.chunks_exact(words).enumerate() {
-            let end = self.offsets.get(u + 2).copied().unwrap_or(total);
-            let postings = &mut self.postings[self.offsets[u + 1]..end];
-            debug_assert_eq!(
-                bits.iter().map(|b| b.count_ones() as usize).sum::<usize>(),
-                postings.len(),
-                "a hit sample's chunk holds a member of its closure"
-            );
-            for (slot, i) in postings.iter_mut().zip(Ones::new(bits)) {
-                *slot = i;
+            let start = self.offsets[u + 1];
+            let postings = self.postings[start..].iter_mut().zip(ones(bits));
+            let written = postings.map(|(slot, i)| *slot = i as u32).count();
+            self.offsets[u + 1] = start + written;
+        }
+        // Sample sizes: one pass over the postings, unless they hold the
+        // rows' many closure entries; then the closures' lengths plus the
+        // sets' bits.
+        self.sizes.clear();
+        self.sizes.resize(num_samples, 0.0);
+        if by_rows.is_empty() {
+            for &i in &self.postings {
+                self.sizes[i as usize] += 1.0;
             }
-            self.offsets[u + 1] = end;
+        } else {
+            for i in ones(hits) {
+                self.sizes[i] += members(i).len() as f64;
+            }
+            for (_, set) in sets {
+                ones(set).for_each(|i| self.sizes[i] += 1.0);
+            }
+        }
+        debug_assert_eq!(
+            self.offsets.last(),
+            Some(&total),
+            "a set holds a hit closure's element"
+        );
+        // Bitsets that hold closure rows are dense enough that transposing
+        // them beats scattering the postings; sparser ones are not.
+        if by_rows.is_empty() {
+            self.bits.clear();
         }
         self.empty_candidate(num_samples);
     }
@@ -271,17 +296,25 @@ impl IncrementalCost {
     /// entry, and pushes the elements not yet counted to `elems`.
     fn count<'a>(&mut self, chunks: impl IntoIterator<Item = (u32, &'a [u32])>) {
         for (_, members) in chunks {
-            for &e in members {
-                let e = e as usize;
-                if e >= self.ids.len() {
-                    self.ids.resize(e + 1, 0);
-                }
-                if self.ids[e] == 0 {
-                    self.elems.push(e as u32);
-                }
-                self.ids[e] += 1;
-            }
+            members.iter().for_each(|&e| self.add_count(e, 1));
         }
+    }
+
+    /// Adds `count` to element `e`'s `ids` entry, pushing `e` to `elems`
+    /// when it was not counted yet. A zero count adds nothing.
+    #[inline]
+    fn add_count(&mut self, e: u32, count: u32) {
+        if count == 0 {
+            return;
+        }
+        let e = e as usize;
+        if e >= self.ids.len() {
+            self.ids.resize(e + 1, 0);
+        }
+        if self.ids[e] == 0 {
+            self.elems.push(e as u32);
+        }
+        self.ids[e] += count;
     }
 
     /// Sorts the counted elements, and replaces each one's count with its
@@ -596,7 +629,7 @@ impl IncrementalCost {
     }
 }
 
-/// The shared closures of [`IncrementalCost::load_closures`]'s samples,
+/// The hub closures [`IncrementalCost::load_sets`]'s samples share,
 /// stored once for all samples.
 pub struct Closures<'c, F> {
     /// The samples that hold their closure: bit `i % 64` of word `i / 64`,
@@ -609,50 +642,6 @@ pub struct Closures<'c, F> {
     pub rows: &'c [u64],
     /// Sample `i`'s closure, in any order.
     pub members: F,
-}
-
-impl<'a, F: Fn(usize) -> &'a [u32]> Closures<'_, F> {
-    /// Whether [`IncrementalCost::load_closures`] reads less than
-    /// [`IncrementalCost::load`] with the hit closures as chunks: whether
-    /// the hit closures hold more entries than the rows hold words.
-    pub fn rows_pay(&self) -> bool {
-        let entries: usize = Ones::new(self.hits)
-            .map(|i| (self.members)(i as usize).len())
-            .sum();
-        entries > self.rows.len()
-    }
-}
-
-/// The set bits of a bitset, ascending.
-struct Ones<'b> {
-    word: u64,
-    base: u32,
-    rest: std::slice::Iter<'b, u64>,
-}
-
-impl<'b> Ones<'b> {
-    fn new(bits: &'b [u64]) -> Self {
-        let (&word, rest) = bits.split_first().unwrap_or((&0, &[]));
-        Ones {
-            word,
-            base: 0,
-            rest: rest.iter(),
-        }
-    }
-}
-
-impl Iterator for Ones<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        while self.word == 0 {
-            self.word = *self.rest.next()?;
-            self.base += 64;
-        }
-        let bit = self.word.trailing_zeros();
-        self.word &= self.word - 1;
-        Some(self.base + bit)
-    }
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` moves to bit
@@ -690,14 +679,6 @@ mod tests {
                 assert_eq!(t[c] >> r & 1, a[r] >> c & 1, "bit ({r}, {c})");
             }
         }
-    }
-
-    #[test]
-    fn ones_lists_set_bits_ascending() {
-        let bits = [0b1001, 0, 1 << 63, 1];
-        assert_eq!(Ones::new(&bits).collect::<Vec<_>>(), [0, 3, 191, 192]);
-        assert_eq!(Ones::new(&[]).count(), 0);
-        assert_eq!(Ones::new(&[0, 0]).count(), 0);
     }
 
     #[test]

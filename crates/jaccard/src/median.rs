@@ -95,8 +95,8 @@ pub fn jaccard_median_budgeted(
 /// [`jaccard_median_budgeted`] on an evaluator already loaded with the ℓ
 /// samples (with `C = ∅`), so a caller can load it from wherever its
 /// samples live. `input_set(i, out)` appends the elements of sample `i`
-/// to the empty `out`, in any order; the fit asks only for the
-/// ⌈ℓ/stride⌉ input-set candidates.
+/// to the empty `out`, in any order; the fit asks only for the samples of
+/// [`input_set_samples`].
 pub fn jaccard_median_loaded(
     inc: &mut IncrementalCost,
     config: &MedianConfig,
@@ -115,8 +115,7 @@ pub fn jaccard_median_loaded(
     let mut done = 0u64;
     let universe_size = inc.universe().count() as u64;
     let mut best = frequency_sweep_budgeted(inc, deadline, &mut done);
-    let stride = ell.div_ceil(24).max(1);
-    let input_evals = ell.div_ceil(stride) as u64;
+    let input_evals = input_set_samples(ell).len() as u64;
     // Planned candidate evaluations: one per prefix, one per input set,
     // and per local-search round at most one per element (it may converge
     // early, and the toggle pool is a subset of the sample universe).
@@ -125,7 +124,7 @@ pub fn jaccard_median_loaded(
     // Evaluate up to 24 evenly-spaced input sets as candidates; only a
     // winner is sorted into a canonical median.
     let mut s = Vec::new();
-    for i in (0..ell).step_by(stride) {
+    for i in input_set_samples(ell) {
         if !deadline.tick(1) {
             return deadline.outcome(best, done, total);
         }
@@ -153,6 +152,12 @@ pub fn jaccard_median_loaded(
         best = local_search_inner(inc, best, config.local_search_rounds, deadline, &mut done);
     }
     deadline.outcome(best, done, total)
+}
+
+/// The samples whose sets a fit over `num_samples` samples tries as
+/// candidates, in the order it tries them: up to 24, evenly spaced.
+pub fn input_set_samples(num_samples: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+    (0..num_samples).step_by(num_samples.div_ceil(24).max(1))
 }
 
 /// The majority median: every element present in at least half of the

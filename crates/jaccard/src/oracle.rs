@@ -6,8 +6,9 @@
 //! local-id [`IncrementalCost`], [`IncrementalCost::cost_of_set`] and the
 //! median pipeline built on them must reproduce it bit for bit: medians,
 //! cost bits, `Outcome` progress and `median.*` counters — whether the
-//! evaluator is loaded from whole sets or from the chunks the cascade
-//! index hands over ([`IncrementalCost::load`]). At the pipeline's ℓ,
+//! evaluator is loaded from whole sets, from chunks
+//! ([`IncrementalCost::load`]) or from the world sets the cascade index
+//! hands over ([`IncrementalCost::load_sets`]). At the pipeline's ℓ,
 //! on cascades with built exact ties, the same holds on both branches of
 //! every bound-decided comparison ([`crate::bound`]).
 
@@ -588,7 +589,7 @@ fn chunk_loads_match_reset_and_the_oracle() {
 }
 
 /// A node's ℓ samples as the cascade index hands them over with its
-/// closure rows: seed `case`'s closure per world (some empty), drawn
+/// closure rows (the chunks stand for the world sets): seed `case`'s closure per world (some empty), drawn
 /// `dense`ly or sparsely from a shared core, each hit as `hit` says
 /// (`None`: none, `Some(1.0)`: every world with a closure), and per sample
 /// other chunks drawn from the core and beyond it, disjoint from the
@@ -659,18 +660,19 @@ fn closure_case(ell: usize, case: u64, dense: bool, hit: Option<f64>) -> Closure
     }
 }
 
-/// The closure loader builds what [`IncrementalCost::load`] builds over
-/// the materialised chunks — each hit world's closure one more chunk —
-/// whichever side of [`Closures::rows_pay`] the case falls on: the
-/// elements, CSR offsets, postings and sizes, and then the per-sample
-/// bitset rows, transposed from the element bitsets or scattered from the
-/// postings. A plain `load` after a closure load keeps none of its
-/// element bitsets.
+/// The world-set loader builds what [`IncrementalCost::load`] builds
+/// over the materialised chunks — each hit world's closure one more chunk
+/// — from each chunk element's world set, given in first-seen order, and
+/// the closures, whether it reads the hit closures from their members or
+/// from the rows: the elements, CSR offsets, postings and sizes, and then
+/// the per-sample bitset rows, transposed from the element bitsets or
+/// scattered from the postings. A plain `load` after a set load keeps
+/// none of its element bitsets.
 #[test]
-fn closure_loads_match_chunk_loads() {
-    let (mut from_rows, mut from_chunks) = (IncrementalCost::default(), IncrementalCost::default());
-    let mut rows_pay = [0; 2];
+fn set_loads_match_chunk_loads() {
+    let (mut from_sets, mut from_chunks) = (IncrementalCost::default(), IncrementalCost::default());
     let (mut unhit_only, mut closure_and_chunk) = (0, 0);
+    let mut by_rows = [0; 2];
     let mut case = 0;
     for ell in [1, 63, 64, 65, 256, 1000] {
         for hit in [None, Some(1.0), Some(0.5), Some(0.05), Some(0.01)] {
@@ -689,27 +691,43 @@ fn closure_loads_match_chunk_loads() {
                 from_chunks.load(ell, materialised.iter().copied());
                 let rows = from_chunks.rows().to_vec();
                 let at = format!("ℓ = {ell}, case {case}");
-                // `from_rows` last read the closure rows of another case.
-                from_rows.load(ell, materialised.iter().copied());
-                assert_eq!(from_rows.rows(), rows, "{at}: a load kept stale bitsets");
+                // `from_sets` last read the world sets of another case.
+                from_sets.load(ell, materialised.iter().copied());
+                assert_eq!(from_sets.rows(), rows, "{at}: a load kept stale bitsets");
+                let words = ell.div_ceil(64);
+                let mut order: Vec<u32> = Vec::new();
+                let mut sets: HashMap<u32, Vec<u64>> = HashMap::new();
+                for (i, chunk) in &c.chunks {
+                    for &e in chunk {
+                        let set = sets.entry(e).or_insert_with(|| {
+                            order.push(e);
+                            vec![0; words]
+                        });
+                        set[*i as usize / 64] |= 1 << (i % 64);
+                    }
+                }
                 let closures = Closures {
                     hits: &c.hits,
                     elems: &c.elems,
                     rows: &c.rows,
                     members: |i: usize| c.closures[i].as_slice(),
                 };
-                if c.hits.iter().any(|&h| h != 0) {
-                    rows_pay[closures.rows_pay() as usize] += 1;
+                let hit_entries: usize = (0..ell)
+                    .filter(|&i| is_hit(i))
+                    .map(|i| c.closures[i].len())
+                    .sum();
+                if hit_entries > 0 {
+                    by_rows[usize::from(hit_entries > c.rows.len())] += 1;
                 }
-                let others = c.chunks.iter().map(|(i, ch)| (*i, ch.as_slice()));
-                from_rows.load_closures(ell, others, &closures);
-                assert_eq!(from_rows.loaded(), from_chunks.loaded(), "{at}");
+                let sets_in_order = order.iter().map(|e| (*e, sets[e].as_slice()));
+                from_sets.load_sets(ell, sets_in_order, &closures);
+                assert_eq!(from_sets.loaded(), from_chunks.loaded(), "{at}");
                 let unhit = |i: usize| !is_hit(i) && c.closures[i].contains(&ONLY_UNHIT);
                 if hit.is_some() && (0..ell).any(unhit) {
-                    assert_eq!(from_rows.frequency(ONLY_UNHIT), 0, "{at}");
+                    assert_eq!(from_sets.frequency(ONLY_UNHIT), 0, "{at}");
                     unhit_only += 1;
                 }
-                assert_eq!(from_rows.rows(), rows, "{at}");
+                assert_eq!(from_sets.rows(), rows, "{at}");
 
                 let in_chunk = |e: &u32| c.chunks.iter().any(|ch| ch.1.contains(e));
                 let hit_closure = (0..ell).filter(|&i| is_hit(i)).flat_map(|i| &c.closures[i]);
@@ -717,8 +735,8 @@ fn closure_loads_match_chunk_loads() {
             }
         }
     }
-    // Of the cases with some hit: [loaded as chunks, read from rows].
-    assert!(rows_pay[0] >= 20 && rows_pay[1] >= 20, "{rows_pay:?}");
+    // Of the cases with a hit: [closures read from members, from rows].
+    assert!(by_rows[0] >= 20 && by_rows[1] >= 20, "{by_rows:?}");
     assert!(unhit_only >= 50 && closure_and_chunk >= 1000);
 }
 

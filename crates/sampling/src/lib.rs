@@ -4,8 +4,8 @@
 //!
 //! * [`WorldSampler`] — materializes possible worlds `G ⊑ 𝒢` under the
 //!   independent-edge semantics of §2.1 (Eq. 1), in CSR form ready for SCC
-//!   and reachability; [`world::LiveArcs`] keeps the same world as one bit
-//!   per arc;
+//!   and reachability; [`world::WorldMasks`] keeps ℓ such worlds as one
+//!   bit per world and arc, drawn 64 worlds at a time;
 //! * [`cascade`] — samples the random cascade `R_s(G)` from a source (or a
 //!   seed set) *without* materializing the world, flipping each arc's coin
 //!   lazily — distribution-equivalent and much faster for single queries;

@@ -4,8 +4,8 @@
 //! independently with its probability (Eq. 1 of the paper). The sampler
 //! emits the surviving subgraph directly in CSR order — per-node target
 //! slices of the input are already sorted, and filtering preserves order —
-//! so no re-sort is needed. [`LiveArcs`] stores the same world as one bit
-//! per arc of the input graph instead.
+//! so no re-sort is needed. [`WorldMasks`] stores ℓ worlds as one bit per
+//! world and arc of the input graph instead, 64 worlds to a column.
 
 use soi_graph::{DiGraph, NodeId, ProbGraph};
 use soi_util::rng::Rng;
@@ -14,8 +14,8 @@ use std::ops::Range;
 /// The one coin loop behind every world: one `rng.random::<f64>() <
 /// probs[e]` draw per arc of `arcs`, in order, calling `live(e)` for each
 /// arc that survives. Drawing `0..m` at once or node range by node range
-/// consumes the same stream, so a mask and a CSR world from equal RNGs
-/// are the same world.
+/// consumes the same stream, so a CSR world and a [`draw_column`] bit from
+/// equal RNGs are the same world.
 #[inline]
 fn flip_coins<R: Rng>(probs: &[f64], arcs: Range<usize>, rng: &mut R, mut live: impl FnMut(usize)) {
     for e in arcs {
@@ -67,47 +67,75 @@ impl WorldSampler {
     }
 }
 
-/// One possible world as a bit per CSR arc of `pg.graph()`: `⌈m/64⌉`
-/// words, `m/8` bytes. Drawn by the coin loop of [`WorldSampler::sample`]
-/// in the same arc order, so the mask from an RNG keeps exactly the arcs
-/// the CSR world from an equal RNG keeps, and leaves the RNG in the same
-/// state.
+/// ℓ possible worlds of one graph as live-arc bits, 64 worlds to a
+/// column: world `i` keeps CSR arc `e` when bit `i % 64` of word `e` of
+/// column `i / 64` is set. A column is one word per arc, so ℓ worlds over
+/// `m` arcs take `⌈ℓ/64⌉·m` words, `ℓ·m/8` bytes when 64 divides ℓ; the
+/// last column of any other ℓ uses only its low `ℓ % 64` bits.
 #[derive(Clone, Debug)]
-pub struct LiveArcs {
-    words: Vec<u64>,
+pub struct WorldMasks {
+    num_worlds: usize,
+    columns: Vec<Vec<u64>>,
 }
 
-impl LiveArcs {
-    /// Draws one possible world of `pg` as a live-arc mask.
-    pub fn sample<R: Rng>(pg: &ProbGraph, rng: &mut R) -> Self {
-        soi_obs::counter_add!("sampling.worlds_sampled", 1);
-        let m = pg.num_edges();
-        let mut words = vec![0u64; m.div_ceil(64)];
-        flip_coins(pg.probs(), 0..m, rng, |e| words[e / 64] |= 1 << (e % 64));
-        LiveArcs { words }
-    }
-
-    /// The world over `num_arcs` CSR arcs that keeps exactly the arcs
-    /// `live` lists (ids below `num_arcs`): a live-edge world drawn by
-    /// another model, such as Linear Threshold, over a fixed arc list.
-    pub fn from_live(num_arcs: usize, live: impl IntoIterator<Item = usize>) -> Self {
-        let mut words = vec![0u64; num_arcs.div_ceil(64)];
-        for e in live {
-            words[e / 64] |= 1 << (e % 64);
+impl WorldMasks {
+    /// The masks of worlds `0..num_worlds`, column `c` from `column(c)`,
+    /// drawn one column per task by `threads` workers
+    /// (`soi_util::pool`, 0 = all cores). A column depends only on its
+    /// index, so the worker partition does not affect the result.
+    pub fn from_columns(
+        num_worlds: usize,
+        threads: usize,
+        column: impl Fn(usize) -> Vec<u64> + Sync,
+    ) -> Self {
+        let mut columns = vec![Vec::new(); num_worlds.div_ceil(64)];
+        soi_util::pool::for_each_indexed(&mut columns, threads, |c, slot| *slot = column(c));
+        WorldMasks {
+            num_worlds,
+            columns,
         }
-        LiveArcs { words }
     }
 
-    /// Whether CSR arc `e` survived in this world.
+    /// The number of worlds ℓ.
+    pub fn num_worlds(&self) -> usize {
+        self.num_worlds
+    }
+
+    /// Column `c`: bit `j` of word `e` is arc `e` of world `64·c + j`.
     #[inline]
-    pub fn is_live(&self, e: usize) -> bool {
-        self.words[e / 64] >> (e % 64) & 1 == 1
+    pub fn column(&self, c: usize) -> &[u64] {
+        &self.columns[c]
     }
 
-    /// Heap footprint of the mask in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+    /// Whether world `i` keeps CSR arc `e`.
+    #[inline]
+    pub fn is_live(&self, i: usize, e: usize) -> bool {
+        self.columns[i / 64][e] >> (i % 64) & 1 == 1
     }
+
+    /// Heap footprint of the masks in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        let words: usize = self.columns.iter().map(Vec::len).sum();
+        words * std::mem::size_of::<u64>()
+    }
+}
+
+/// Column `column` of the [`WorldMasks`] of worlds `0..num_worlds` of
+/// `pg`, world `i` drawn from [`world_rng`]`(seed, i)`: the column's RNGs
+/// run in lockstep, each making for every arc, in CSR order, the draw
+/// [`WorldSampler::sample`] makes, so bit `(e, i)` is arc `e` of the CSR
+/// world that `world_rng(seed, i)` gives.
+pub fn draw_column(pg: &ProbGraph, seed: u64, column: usize, num_worlds: usize) -> Vec<u64> {
+    let worlds = column * 64..num_worlds.min(column * 64 + 64);
+    soi_obs::counter_add!("sampling.worlds_sampled", worlds.len());
+    let mut rngs: Vec<_> = worlds.map(|i| world_rng(seed, i)).collect();
+    let coins = |&p: &f64| {
+        let bits = rngs.iter_mut().enumerate();
+        bits.fold(0, |word, (j, rng)| {
+            word | u64::from(rng.random::<f64>() < p) << j
+        })
+    };
+    pg.probs().iter().map(coins).collect()
 }
 
 /// The RNG that generates world `i` of a run seeded with `seed`.
@@ -218,23 +246,36 @@ mod tests {
         assert_ne!(worlds_a[0], worlds_a[1]);
     }
 
+    /// Bit `(e, i)` of the column draw is arc `e` of `WorldSampler`'s
+    /// world `i` from the same `world_rng`, for ℓ with a ragged last
+    /// column and arc counts that include 0.
     #[test]
-    fn a_mask_is_the_csr_world_of_the_same_stream() {
-        // Arc counts straddle the 64-bit word boundaries, and include 0.
-        for (seed, &arcs) in (0..48u64).zip([0, 1, 63, 64, 65, 127, 128, 300].iter().cycle()) {
+    fn a_column_holds_the_csr_worlds_of_its_streams() {
+        for (seed, &arcs) in (0..16u64).zip([0, 1, 63, 64, 65, 127, 128, 300].iter().cycle()) {
             let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(seed);
             let g = gen::gnm(30, arcs, &mut rng);
             let probs = (0..arcs).map(|_| rng.random::<f64>()).collect();
             let pg = ProbGraph::new(g, probs).unwrap();
-            let (mut a, mut b) = (world_rng(seed, 3), world_rng(seed, 3));
-            let world = WorldSampler::new().sample(&pg, &mut a);
-            let mask = LiveArcs::sample(&pg, &mut b);
-            let live: Vec<(NodeId, NodeId)> = (pg.graph().edges().enumerate())
-                .filter(|&(e, _)| mask.is_live(e))
-                .map(|(_, arc)| arc)
-                .collect();
-            assert_eq!(live, world.edges().collect::<Vec<_>>(), "seed {seed}");
-            assert_eq!(a.random::<u64>(), b.random::<u64>(), "seed {seed}");
+            for ell in [1, 63, 64, 65, 130] {
+                let masks = WorldMasks::from_columns(ell, 2, |c| draw_column(&pg, seed, c, ell));
+                assert_eq!(masks.memory_bytes(), ell.div_ceil(64) * arcs * 8);
+                for i in 0..ell {
+                    let world = WorldSampler::new().sample(&pg, &mut world_rng(seed, i));
+                    let live: Vec<(NodeId, NodeId)> = (pg.graph().edges().enumerate())
+                        .filter(|&(e, _)| masks.is_live(i, e))
+                        .map(|(_, arc)| arc)
+                        .collect();
+                    let want: Vec<_> = world.edges().collect();
+                    assert_eq!(live, want, "seed {seed}, ℓ = {ell}, world {i}");
+                }
+                let last = masks.column((ell - 1) / 64);
+                let high = if ell % 64 == 0 {
+                    0
+                } else {
+                    !0u64 << (ell % 64)
+                };
+                assert!(last.iter().all(|w| w & high == 0), "seed {seed}, ℓ = {ell}");
+            }
         }
     }
 

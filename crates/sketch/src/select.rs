@@ -13,18 +13,19 @@
 //! * when a seed is **selected**, its true marginal coverage is computed
 //!   exactly: a forward BFS per world marks newly covered nodes, the SKIM
 //!   discipline that keeps estimation error from compounding across
-//!   rounds. Each world is drawn once, before the first round, from
-//!   `world_rng(seed, i)` as a [`LiveArcs`] mask over `pg`'s arcs — the
-//!   world the build sampled, bit for bit — and every round's BFS walks
-//!   `pg.graph()` filtered by it. The memory contract is `O(k · n)` for
-//!   the heap and covered sets plus `ℓ · m` bits for the masks.
+//!   rounds. The ℓ worlds are drawn once, before the first round, from
+//!   `world_rng(seed, i)` as [`WorldMasks`] over `pg`'s arcs, 64 worlds
+//!   to a column — the worlds the build sampled, bit for bit — and every
+//!   round's BFS walks `pg.graph()` filtered by world `i`'s bits. The
+//!   memory contract is `O(k · n)` for the heap and covered sets plus
+//!   `ℓ · m` bits for the masks.
 //!
 //! One deadline tick per selection round; on expiry the partial result is
 //! the seed prefix an uninterrupted run would have selected.
 
 use crate::{rank_unit, ReachSketches};
 use soi_graph::{NodeId, ProbGraph};
-use soi_sampling::world::{world_rng, LiveArcs};
+use soi_sampling::world::{draw_column, WorldMasks};
 use soi_util::runtime::{Deadline, Outcome};
 use soi_util::{BitSet, LazyGreedy};
 
@@ -90,9 +91,8 @@ pub fn select_seeds(
     }
 
     let g = pg.graph();
-    let worlds: Vec<LiveArcs> = (0..ell)
-        .map(|i| LiveArcs::sample(pg, &mut world_rng(sk.config().seed, i)))
-        .collect();
+    let (seed, threads) = (sk.config().seed, sk.config().threads);
+    let masks = WorldMasks::from_columns(ell, threads, |c| draw_column(pg, seed, c, ell));
     let mut queue: Vec<NodeId> = Vec::new();
     let mut seeds = Vec::with_capacity(k_seeds);
     let mut coverage = Vec::with_capacity(k_seeds);
@@ -106,7 +106,7 @@ pub fn select_seeds(
         };
         // Exact marginal coverage: forward BFS per world over its live
         // arcs and still-uncovered nodes.
-        for (world, cov) in worlds.iter().zip(&mut covered) {
+        for (i, cov) in covered.iter_mut().enumerate() {
             if cov.contains(node as usize) {
                 continue;
             }
@@ -117,7 +117,7 @@ pub fn select_seeds(
             while let Some(u) = queue.pop() {
                 for e in g.edge_range(u) {
                     let w = g.edge_target(e);
-                    if world.is_live(e) && cov.insert(w as usize) {
+                    if masks.is_live(i, e) && cov.insert(w as usize) {
                         covered_pairs += 1;
                         queue.push(w);
                     }

@@ -94,11 +94,7 @@ impl BitSet {
 
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Ones<'_> {
-        Ones {
-            blocks: &self.blocks,
-            block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
-        }
+        ones(&self.blocks)
     }
 
     /// Collects the elements as `u32` ids (the node-id width used across the
@@ -127,33 +123,50 @@ impl FromIterator<usize> for BitSet {
     }
 }
 
-/// Iterator over set bits; see [`BitSet::iter`].
+/// The set bits of the bitset `blocks` (bit `i % 64` of word `i / 64`),
+/// in increasing order.
+pub fn ones(blocks: &[u64]) -> Ones<'_> {
+    let (&word, rest) = blocks.split_first().unwrap_or((&0, &[]));
+    Ones {
+        word,
+        base: 0,
+        rest: rest.iter(),
+    }
+}
+
+/// Iterator over set bits; see [`ones`].
 pub struct Ones<'a> {
-    blocks: &'a [u64],
-    block_idx: usize,
-    current: u64,
+    word: u64,
+    base: usize,
+    rest: std::slice::Iter<'a, u64>,
 }
 
 impl Iterator for Ones<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.block_idx += 1;
-            if self.block_idx >= self.blocks.len() {
-                return None;
-            }
-            self.current = self.blocks[self.block_idx];
+        while self.word == 0 {
+            self.word = *self.rest.next()?;
+            self.base += BITS;
         }
-        let tz = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.block_idx * BITS + tz)
+        let tz = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + tz)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ones_lists_set_bits_ascending() {
+        let bits = [0b1001, 0, 1 << 63, 1];
+        assert_eq!(ones(&bits).collect::<Vec<_>>(), [0, 3, 191, 192]);
+        assert_eq!(ones(&[]).count(), 0);
+        assert_eq!(ones(&[0, 0]).count(), 0);
+    }
 
     #[test]
     fn insert_contains_remove() {

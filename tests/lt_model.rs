@@ -34,17 +34,13 @@ fn lt_worlds_feed_the_cascade_index() {
     );
     assert_eq!(index.num_worlds(), 32);
     // Index cascades match direct reachability on the same worlds.
-    let mut q = index.query();
-    let mut got = Vec::new();
     let mut reach = Reachability::new(40);
     let mut want = Vec::new();
-    for (i, w) in worlds.iter().enumerate() {
-        for v in (0..40u32).step_by(7) {
-            index.cascade(v, i, &mut q, &mut got);
-            got.sort_unstable();
+    for v in (0..40u32).step_by(7) {
+        for (i, (got, w)) in index.cascades_of(v).iter().zip(&worlds).enumerate() {
             reach.reachable_from(w, v, &mut want);
             want.sort_unstable();
-            assert_eq!(got, want, "world {i} node {v}");
+            assert_eq!(got, &want, "world {i} node {v}");
         }
     }
 }
