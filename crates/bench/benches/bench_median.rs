@@ -44,16 +44,21 @@ fn bench_median_by_regime() {
 
 /// Algorithm 2's per-node step as the batch pipeline runs it: load one
 /// node's 256 indexed cascades into the evaluator straight from the
-/// index, then fit — on the same graph as `large_cascades`, and on a
-/// weighted-cascade BA graph (the `batch-wc` shape: small cascades) at a
-/// node whose time is that graph's mean per node.
+/// index, then fit — on the same graph as `large_cascades`, on a
+/// weighted-cascade BA graph (the `batch-wc` shape: small cascades), and
+/// on a G(1000, 5000) at p = 0.15 (the `serve-fabric` workload's `web`
+/// shape), the last two at a node whose time is that graph's mean per
+/// node.
 fn bench_median_from_index() {
     let mut rng = Xoshiro256pp::seed_from_u64(4);
     let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(2_000, 5, true, &mut rng));
+    let mut rng = Xoshiro256pp::seed_from_u64(5);
+    let web = ProbGraph::fixed(gen::gnm(1_000, 5_000, &mut rng), 0.15).unwrap();
     let b = Bencher::group("median_from_index");
     for (label, pg, v) in [
         ("large_cascades", graph(0.3, 2), 0),
         ("small_cascades", wc, 1_254),
+        ("web_cascades", web, 395),
     ] {
         let config = IndexConfig {
             num_worlds: 256,

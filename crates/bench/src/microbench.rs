@@ -19,10 +19,23 @@
 //! [`write_summary`], which merges its rows by name into the
 //! machine-readable `BENCH_summary.json` at the repository root so CI
 //! and regression tooling can diff runs without scraping stdout.
+//!
+//! A bench binary's first argument that is not a flag filters its cases:
+//! `cargo bench -p soi-bench --bench bench_median -- median_from_index`
+//! runs and records only the cases whose `group/id` contains
+//! `median_from_index`, and replaces only those rows of the summary.
 
 use std::io::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// The name filter of this bench binary: its first argument that is not
+/// a flag (cargo passes `--bench` to every bench target), if any.
+fn filter() -> Option<&'static str> {
+    static FILTER: OnceLock<Option<String>> = OnceLock::new();
+    let first = || std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    FILTER.get_or_init(first).as_deref()
+}
 
 /// One finished micro-benchmark case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,6 +107,10 @@ impl Bencher {
     /// passed through [`std::hint::black_box`] so the computation is not
     /// optimized away.
     pub fn bench<T>(&self, id: impl std::fmt::Display, mut f: impl FnMut() -> T) {
+        let name = format!("{}/{}", self.group, id);
+        if filter().is_some_and(|keep| !name.contains(keep)) {
+            return;
+        }
         // Warmup: at least 3 runs or 50 ms.
         let warm_start = Instant::now();
         let mut warm_iters = 0u32;
@@ -113,12 +130,9 @@ impl Bencher {
         let p90 = percentile(&samples_ns, 90);
         let mean = samples_ns.iter().sum::<u128>() / samples_ns.len() as u128;
         let min = samples_ns[0];
-        println!(
-            "{}/{}\t{}\t{}\t{}\t{}",
-            self.group, id, median, mean, min, self.sample_size
-        );
+        println!("{name}\t{median}\t{mean}\t{min}\t{}", self.sample_size);
         record(BenchRecord {
-            name: format!("{}/{}", self.group, id),
+            name,
             median_ns: median,
             p90_ns: p90,
             mean_ns: mean,
@@ -206,9 +220,10 @@ fn parse_record(line: &str) -> Option<BenchRecord> {
 
 /// Merges this process's results into the JSON summary at `path`:
 /// existing entries of a `group/` emitted here are dropped (a group is
-/// what its bench target last produced), everything else is
-/// kept, and the output is sorted by name.
-pub fn write_summary_to(path: &std::path::Path) -> std::io::Result<()> {
+/// what its bench target last produced) — or, when `by_name` is set (a
+/// filtered run), only the entries of the names emitted here —
+/// everything else is kept, and the output is sorted by name.
+pub fn write_summary_to(path: &std::path::Path, by_name: bool) -> std::io::Result<()> {
     let fresh = RESULTS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -216,8 +231,12 @@ pub fn write_summary_to(path: &std::path::Path) -> std::io::Result<()> {
     let mut merged: Vec<BenchRecord> = std::fs::read_to_string(path)
         .map(|text| text.lines().filter_map(parse_record).collect())
         .unwrap_or_default();
-    let groups: Vec<_> = fresh.iter().map(|r| r.name.split('/').next()).collect();
-    merged.retain(|old| !groups.contains(&old.name.split('/').next()));
+    let key = |name: &str| -> String {
+        let group = name.split('/').next().unwrap_or_default();
+        if by_name { name } else { group }.to_string()
+    };
+    let replaced: Vec<String> = fresh.iter().map(|r| key(&r.name)).collect();
+    merged.retain(|old| !replaced.contains(&key(&old.name)));
     merged.extend(fresh);
     merged.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -235,11 +254,12 @@ pub fn write_summary_to(path: &std::path::Path) -> std::io::Result<()> {
 }
 
 /// [`write_summary_to`] targeting `BENCH_summary.json` at the workspace
-/// root. Bench binaries call this at the end of `main`.
+/// root, by name when a filter picked the cases. Bench binaries call this
+/// at the end of `main`.
 pub fn write_summary() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_summary.json");
-    if let Err(e) = write_summary_to(&path) {
+    if let Err(e) = write_summary_to(&path, filter().is_some()) {
         eprintln!("BENCH_summary.json: {e}");
     }
 }
@@ -350,7 +370,7 @@ mod tests {
             iters: 7,
             extra: Vec::new(),
         });
-        write_summary_to(&path).unwrap();
+        write_summary_to(&path, false).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let records: Vec<BenchRecord> = text.lines().filter_map(parse_record).collect();
         let kept = records.iter().find(|r| r.name == "kept/1").unwrap();
@@ -371,6 +391,40 @@ mod tests {
         assert_eq!(names, sorted, "summary is name-sorted");
         names.dedup();
         assert_eq!(names.len(), records.len(), "no duplicate names");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A filtered run replaces the rows it recorded, and keeps its group's
+    /// other rows as they were.
+    #[test]
+    fn filtered_summary_replaces_only_its_rows() {
+        let path =
+            std::env::temp_dir().join(format!("soi-bench-filtered-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            "{\n\"benches\": [\n\
+             {\"name\":\"filter_test/other\",\"median_ns\":5,\"p90_ns\":5,\"mean_ns\":5,\"min_ns\":5,\"iters\":5},\n\
+             {\"name\":\"filter_test/rerun\",\"median_ns\":1,\"p90_ns\":1,\"mean_ns\":1,\"min_ns\":1,\"iters\":1}\n\
+             ]\n}\n",
+        )
+        .unwrap();
+        let rerun = BenchRecord {
+            name: "filter_test/rerun".into(),
+            median_ns: 42,
+            p90_ns: 43,
+            mean_ns: 42,
+            min_ns: 41,
+            iters: 7,
+            extra: Vec::new(),
+        };
+        record(rerun.clone());
+        write_summary_to(&path, true).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<BenchRecord> = text.lines().filter_map(parse_record).collect();
+        let at = |name: &str| records.iter().find(|r| r.name == name);
+        assert_eq!(at("filter_test/rerun"), Some(&rerun), "its row replaced");
+        let other = at("filter_test/other").map(|r| r.median_ns);
+        assert_eq!(other, Some(5), "the group's other row kept as it was");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -84,6 +84,7 @@ fn report_covers_all_phases_and_is_deterministic_masked() {
             "median.local_search_rounds",
             "median.local_search_toggles",
             "median.prefix_evals",
+            "median.sample_classes",
             "sampling.worlds_sampled",
         ],
         "{a}"
@@ -92,6 +93,8 @@ fn report_covers_all_phases_and_is_deterministic_masked() {
     assert_eq!(counters["index.worlds_built"], 32.0);
     assert_eq!(counters["influence.tc_runs"], 1.0);
     assert_eq!(counters["median.calls"], 40.0, "one fit per node");
+    let classes = counters["median.sample_classes"];
+    assert!((40.0..=32.0 * 40.0).contains(&classes), "{classes} classes");
     assert!(values(&a, "gauge")["index.memory_bytes"] > 0.0, "{a}");
     assert!(a.contains("\"type\":\"span\""), "no spans in report");
     assert!(

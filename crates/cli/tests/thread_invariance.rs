@@ -8,18 +8,19 @@
 //! on the small graph, which is one node partition, and on a graph of
 //! four partitions, so that the partitions fold in parallel.
 //!
-//! The typical-cascade pipeline walks each pool chunk in blocks of
-//! consecutive nodes sized by the index's memory, and the chunks change
-//! with the worker count. On the 333-node graph a block is a node or
-//! two; a BA(2000, m = 5) graph at 64 samples holds tens of nodes per
-//! block.
+//! The typical-cascade pipeline hands each worker the pool chunks it
+//! claims, and the chunks change with the worker count. Each node is one
+//! walk of all its worlds at once, whose world sets the evaluator loads
+//! (`IncrementalCost::load_sets`) on the worker's own scratch, so a node's
+//! answer may not depend on which worker, or which node before it, used
+//! that scratch.
 //!
 //! The weighted-cascade BA graphs have acyclic worlds, which keep no hub
-//! closure. Two G(300, 1500) graphs cover the closure paths of the index
-//! median: at p = 0.3 the worlds have giant closures and the nodes that
-//! hit them take the closure rows (`Closures::rows_pay`); at p = 0.15
-//! the closures are small and the nodes that hit them load each as one
-//! more chunk.
+//! closure. Two G(300, 1500) graphs cover the closure paths of the load:
+//! at p = 0.3 the worlds have giant closures, and a node that hits them
+//! reads the hit closures from the closure rows; at p = 0.15 the
+//! closures are small, and a node that hits them reads each from its
+//! member list.
 
 mod common;
 

@@ -9,7 +9,11 @@
 //! differ by at most `2γₙ·Σ|tᵢ|`. Every value compared here — a cost, a
 //! cost change, a threshold — lies in `[−1, 1]` up to rounding, so each
 //! division by ℓ, subtraction of a tolerance, and the comparison itself
-//! add at most a few `u`.
+//! add at most a few `u`. An estimate sums one product `w_c·t_c` per class
+//! of equal samples where the in-order value sums `t_c` once per sample;
+//! each product adds one rounding, which `crate::cost` derives per site:
+//! the cost's and an input set's margin (`mean_distance_bounded`) and a
+//! toggle's (`IncrementalCost::toggle_delta_bounded`).
 
 /// Unit roundoff of `f64`.
 pub(crate) const U: f64 = f64::EPSILON / 2.0;

@@ -13,13 +13,17 @@
 //! 2. **Local search** — bounded single-element toggles, accepting strict
 //!    improvements, to polish the sweep result.
 //!
-//! Each comparison — a prefix against the best so far, an input set
-//! against the sweep's winner, a toggle's cost change against its
-//! tolerance — is decided from an estimate with a proven margin (the same
-//! terms summed in vectorisable lanes: `2γ_ℓ + 3u` for a cost,
-//! `4γ_{2ℓ} + 5u` for a toggle, `crate::bound`), and from the in-order
-//! values only when the margin straddles the threshold. So every median,
-//! cost bit and tick equals an in-order evaluation's.
+//! The evaluator runs one lane per class of equal samples, weighted by
+//! its sample count ([`IncrementalCost`]). Each comparison — a prefix
+//! against the best so far, an input set against the sweep's winner, a
+//! toggle's cost change against its tolerance — is decided from an
+//! estimate with a proven margin (one product `w_c·d_c` per class, summed
+//! in vectorisable lanes: `2γ_ℓ + 3u` for a cost, whose products' rounding
+//! fits in the margin of one lane per sample since C ≤ ℓ, and `4γ_{2ℓ} +
+//! 9u` for a toggle, `crate::bound`), and from the in-order values over
+//! the ℓ expanded samples only when the margin straddles the threshold.
+//! The reported costs are those in-order values too. So every median, cost
+//! bit and tick equals an in-order evaluation's with one lane per sample.
 //!
 //! An exact exponential solver over tiny universes anchors the tests.
 
@@ -96,7 +100,7 @@ pub fn jaccard_median_budgeted(
 /// samples (with `C = ∅`), so a caller can load it from wherever its
 /// samples live. `input_set(i, out)` appends the elements of sample `i`
 /// to the empty `out`, in any order; the fit asks only for the samples of
-/// [`input_set_samples`].
+/// [`input_set_samples`] that [`scores_input_set`] keeps.
 pub fn jaccard_median_loaded(
     inc: &mut IncrementalCost,
     config: &MedianConfig,
@@ -111,6 +115,7 @@ pub fn jaccard_median_loaded(
         });
     }
     soi_obs::counter_add!("median.calls", 1);
+    soi_obs::counter_add!("median.sample_classes", inc.num_classes());
     soi_obs::event!(soi_obs::Level::Debug, "median fit over {ell} sample sets");
     let mut done = 0u64;
     let universe_size = inc.universe().count() as u64;
@@ -122,7 +127,10 @@ pub fn jaccard_median_loaded(
     let total = universe_size + input_evals + config.local_search_rounds as u64 * universe_size;
 
     // Evaluate up to 24 evenly-spaced input sets as candidates; only a
-    // winner is sorted into a canonical median.
+    // winner is sorted into a canonical median. A candidate in the class
+    // of an earlier one still takes its tick, but is not scored again: it
+    // has that one's cost, which beat no best then, and the best has only
+    // fallen since.
     let mut s = Vec::new();
     for i in input_set_samples(ell) {
         if !deadline.tick(1) {
@@ -130,6 +138,9 @@ pub fn jaccard_median_loaded(
         }
         done += 1;
         soi_obs::counter_add!("median.input_set_evals", 1);
+        if !scores_input_set(inc, i) {
+            continue;
+        }
         s.clear();
         input_set(i, &mut s);
         if let Some(cost) = inc.cost_of_set_below(&s, best.cost - 1e-15) {
@@ -158,6 +169,14 @@ pub fn jaccard_median_loaded(
 /// candidates, in the order it tries them: up to 24, evenly spaced.
 pub fn input_set_samples(num_samples: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
     (0..num_samples).step_by(num_samples.div_ceil(24).max(1))
+}
+
+/// Whether a fit on `inc` scores input-set candidate `i` (one of
+/// [`input_set_samples`]): no earlier candidate lies in its class.
+pub fn scores_input_set(inc: &IncrementalCost, i: usize) -> bool {
+    let class = inc.class_of(i);
+    let mut earlier = input_set_samples(inc.num_samples()).take_while(|&j| j < i);
+    earlier.all(|j| inc.class_of(j) != class)
 }
 
 /// The majority median: every element present in at least half of the
