@@ -13,6 +13,7 @@
 mod common;
 
 use common::{fresh_dir, generate, soi};
+use soi_util::ckpt::{read_checkpoint, write_checkpoint, KIND_GREEDY, KIND_TYPICAL_CASCADES};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -340,6 +341,83 @@ fn error_action_fails_with_runtime_exit_code() {
     assert_code(&out, 1, "error-action run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("graph.io.read"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cascade index's fingerprint at commit 74cb3e5, when it hashed each
+/// world's condensation size, for `make_graph`'s graph at `--samples 32
+/// --seed 4`: the key of the `spheres`, `infmax --method tc` and
+/// `--method greedy` checkpoints that commit wrote for these runs.
+const CONDENSATION_KEY: u64 = 0xa869_d10e_198e_59b3;
+
+/// A checkpoint keyed on the condensation fingerprint, its container and
+/// checksum valid, is refused on `--resume` with the typed
+/// `graph_fingerprint` mismatch and left byte-for-byte as it was.
+#[test]
+fn checkpoints_keyed_on_condensations_are_refused() {
+    let dir = fresh_dir("condensation-key");
+    let graph = make_graph(&dir);
+    let out_path = dir.join("spheres.tsv");
+    let cases = [
+        (
+            "spheres.ckpt",
+            KIND_TYPICAL_CASCADES,
+            "15",
+            "spheres",
+            "--checkpoint-every 10",
+        ),
+        (
+            "infmax-tc.ckpt",
+            KIND_TYPICAL_CASCADES,
+            "15",
+            "infmax",
+            "--k 5 --method tc --checkpoint-every 10",
+        ),
+        (
+            "greedy.ckpt",
+            KIND_GREEDY,
+            "55",
+            "infmax",
+            "--k 5 --method greedy --checkpoint-every 1",
+        ),
+    ];
+    for (file, kind, ticks, command, flags) in cases {
+        let ck = dir.join(format!("ck-{file}"));
+        let cmd = |extra: &[&str]| {
+            let mut c = soi();
+            c.args([command, &graph]).args(flags.split(' '));
+            if command == "spheres" {
+                c.arg("--out").arg(&out_path);
+            }
+            c.args("--samples 32 --seed 4".split(' '));
+            c.arg("--checkpoint-dir").arg(&ck).args(extra);
+            c
+        };
+        assert_code(&run(cmd(&["--deadline-ticks", ticks])), 3, file);
+        let path = ck.join(file);
+        let mut c = read_checkpoint(&path, kind).unwrap();
+        assert_ne!(
+            c.graph_fingerprint, CONDENSATION_KEY,
+            "{file}: key unchanged"
+        );
+        c.graph_fingerprint = CONDENSATION_KEY;
+        write_checkpoint(&path, &c).unwrap();
+        let planted = std::fs::read(&path).unwrap();
+
+        let out = run(cmd(&["--resume"]));
+        assert_code(&out, 1, &format!("{file}: resume from the old key"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("graph_fingerprint"), "{file}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{CONDENSATION_KEY:#018x}")),
+            "{file}: {stderr}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            planted,
+            "{file}: a refused checkpoint was modified"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

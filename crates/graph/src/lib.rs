@@ -11,8 +11,8 @@
 //!   condensation DAG (§4); the cascade index keeps each world as a
 //!   live-arc mask and runs Tarjan only to find a world's hub SCC;
 //! * [`transitive`] — topological order and transitive reduction of DAGs
-//!   (Aho–Garey–Ullman), which the index's fingerprint applies to each
-//!   world's condensation;
+//!   (Aho–Garey–Ullman), which the index's `mean_dag_edges` diagnostic
+//!   applies to each world's condensation;
 //! * [`reach`] — reachability with reusable scratch space (cascades in a
 //!   possible world are exactly reachability sets, §2.2);
 //! * [`gen`] — synthetic graph generators standing in for the paper's

@@ -5,8 +5,8 @@
 //! queries over the same ℓ sampled worlds:
 //!
 //! * the **cascade** index (`soi_index::CascadeIndex`) — exact
-//!   per-world reachability via condensations, the paper's structure and
-//!   the default;
+//!   per-world reachability over ℓ live-arc masks, the paper's structure
+//!   and the default;
 //! * the **sketch** backend (`soi_sketch::ReachSketches`) — bottom-k
 //!   combined reachability sketches (Cohen et al.), `O(k·n)` memory with
 //!   estimator guarantees instead of exactness.

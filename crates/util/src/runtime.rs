@@ -247,8 +247,9 @@ impl Run {
 
     /// This run's checkpoint file as used by one pipeline: `kind`, the
     /// two fingerprints and `total` units pin the file to the run. The
-    /// graph fingerprint can be dear (a cascade index condenses every
-    /// world for it), so `graph_fp` is called only when the run has a
+    /// graph fingerprint is an `O(m)` hash (a cascade index hashes every
+    /// arc's live worlds), and the daemon runs a pipeline per request
+    /// with no file, so `graph_fp` is called only when the run has a
     /// checkpoint file.
     pub fn slot(
         &self,
