@@ -175,16 +175,20 @@ impl Proc {
     /// Spawns the router over `shards` (each entry one shard's
     /// comma-joined replica list).
     pub fn route(shards: &[String]) -> Proc {
-        Proc::route_with(shards, &[])
+        Proc::route_with(shards, &[], None)
     }
 
-    /// Spawns the router with extra flags (e.g. `--overrides-file`).
-    pub fn route_with(shards: &[String], extra: &[&str]) -> Proc {
+    /// Spawns the router with extra flags (e.g. `--overrides-file`),
+    /// optionally with failpoints armed.
+    pub fn route_with(shards: &[String], extra: &[&str], failpoints: Option<&str>) -> Proc {
         let mut cmd = soi();
         cmd.arg("route")
             .args(shards)
             .args(["--backoff-ticks", "0"])
             .args(extra);
+        if let Some(spec) = failpoints {
+            cmd.env(soi_util::failpoint::ENV_VAR, spec);
+        }
         Proc::announce(cmd, "router")
     }
 

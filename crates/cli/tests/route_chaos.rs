@@ -25,6 +25,8 @@
 //!   `internal-error` is relayed verbatim and a retrying client
 //!   converges against the respawned worker;
 //! * `rebalance` re-homes one graph and rejects out-of-range shards;
+//!   its override survives a router restart, and a failed override
+//!   write (`router.overrides.persist=error`) keeps it in memory only;
 //! * aggregated stats — `soi stats` against the router reports the v2
 //!   payload with fabric-summed counters and per-shard replica health;
 //! * hop cost — a near-free request through all four socket legs takes
@@ -195,6 +197,9 @@ fn shard_worker_panic_relays_typed_and_converges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+const COMPUTE: &str =
+    "{\"v\":1,\"id\":5,\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":3}";
+
 #[test]
 fn rebalance_rehomes_one_graph_and_rejects_out_of_range() {
     let dir = fresh_dir("rebalance");
@@ -207,9 +212,7 @@ fn rebalance_rehomes_one_graph_and_rejects_out_of_range() {
     // Re-home `net` onto each shard in turn; traffic follows.
     for shard in [1usize, 0] {
         router.rebalance_net_to(shard);
-        let out = stdout_str(&router.query_one(
-            "{\"v\":1,\"id\":5,\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":3}",
-        ));
+        let out = stdout_str(&router.query_one(COMPUTE));
         assert!(out.contains("\"status\":\"ok\""), "{out}");
     }
     let stats = router.stats();
@@ -231,69 +234,64 @@ fn rebalance_rehomes_one_graph_and_rejects_out_of_range() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `net`'s ring home among two single-replica shards (placement is
+/// deterministic but opaque): one compute through a throwaway router,
+/// then read which replica forwarded it.
+fn ring_home(shards: &[String; 2]) -> usize {
+    let probe = Proc::route(shards);
+    assert!(stdout_str(&probe.query_one(COMPUTE)).contains("\"status\":\"ok\""));
+    let home = usize::from(probe.stats().contains(&format!(
+        "\"addr\":\"{}\",\"healthy\":true,\"forwarded\":1",
+        shards[1]
+    )));
+    probe.shutdown();
+    home
+}
+
+/// Asserts that the stats list the replica at `addr` as healthy with
+/// `n` forwarded requests.
+fn assert_forwarded(stats: &str, addr: &str, n: u32) {
+    let row = format!("\"addr\":\"{addr}\",\"healthy\":true,\"forwarded\":{n}");
+    assert!(stats.contains(&row), "want {row} in {stats}");
+}
+
 #[test]
 fn router_restart_rehomes_from_persisted_overrides() {
     let dir = fresh_dir("override-persist");
     let graph = make_graph(&dir, 16);
     let ovr = dir.join("overrides.ckpt").to_string_lossy().into_owned();
-    let compute = "{\"v\":1,\"id\":5,\"type\":\"typical-cascade\",\"graph\":\"net\",\"source\":3}";
 
     let s0 = Proc::serve(&graph, &[], None);
     let s1 = Proc::serve(&graph, &[], None);
     let shards = [s0.addr(), s1.addr()];
 
-    // Discover `net`'s ring home (placement is deterministic but
-    // opaque): one compute through a throwaway router, then read which
-    // replica forwarded it.
-    let probe = Proc::route(&shards);
-    assert!(stdout_str(&probe.query_one(compute)).contains("\"status\":\"ok\""));
-    let home = usize::from(probe.stats().contains(&format!(
-        "\"addr\":\"{}\",\"healthy\":true,\"forwarded\":1",
-        s1.addr()
-    )));
-    probe.shutdown();
+    let home = ring_home(&shards);
     let target = 1 - home;
     let target_addr = &shards[target];
 
     // First router life: re-home `net` off its ring shard, serve some
     // traffic, drain. The override lands in the checkpoint file.
-    let router = Proc::route_with(&shards, &["--overrides-file", &ovr]);
+    let router = Proc::route_with(&shards, &["--overrides-file", &ovr], None);
     router.rebalance_net_to(target);
     for _ in 0..3 {
-        assert!(stdout_str(&router.query_one(compute)).contains("\"status\":\"ok\""));
+        assert!(stdout_str(&router.query_one(COMPUTE)).contains("\"status\":\"ok\""));
     }
     let stats = router.stats();
-    assert!(
-        stats.contains(&format!(
-            "\"addr\":\"{target_addr}\",\"healthy\":true,\"forwarded\":3"
-        )),
-        "traffic did not follow the rebalance: {stats}"
-    );
+    assert_forwarded(&stats, target_addr, 3);
     router.shutdown();
     assert!(Path::new(&ovr).exists(), "override file not written");
 
     // Second life: same shards, same file, NO rebalance call. The
     // restored override must route `net` to the same shard — and the
     // ring home must see zero forwarded traffic.
-    let reborn = Proc::route_with(&shards, &["--overrides-file", &ovr]);
+    let reborn = Proc::route_with(&shards, &["--overrides-file", &ovr], None);
     for _ in 0..3 {
-        assert!(stdout_str(&reborn.query_one(compute)).contains("\"status\":\"ok\""));
+        assert!(stdout_str(&reborn.query_one(COMPUTE)).contains("\"status\":\"ok\""));
     }
     let stats = reborn.stats();
     save_artifact("route-override-restart.stats.json", &stats);
-    assert!(
-        stats.contains(&format!(
-            "\"addr\":\"{target_addr}\",\"healthy\":true,\"forwarded\":3"
-        )),
-        "restart lost the persisted override: {stats}"
-    );
-    assert!(
-        stats.contains(&format!(
-            "\"addr\":\"{}\",\"healthy\":true,\"forwarded\":0",
-            shards[home]
-        )),
-        "ring home should see no traffic after restart: {stats}"
-    );
+    assert_forwarded(&stats, target_addr, 3);
+    assert_forwarded(&stats, &shards[home], 0);
     assert!(
         stats.contains("\"router.override_persist_errors\":0"),
         "{stats}"
@@ -321,6 +319,50 @@ fn router_restart_rehomes_from_persisted_overrides() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A failed override write leaves the rebalance live in memory only:
+/// the answer is still `ok`, the miss is counted, no file lands, and a
+/// restarted router routes by the ring again.
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
+#[test]
+fn failed_override_persist_keeps_the_rebalance_in_memory() {
+    let dir = fresh_dir("override-persist-error");
+    let graph = make_graph(&dir, 16);
+    let ovr = dir.join("overrides.ckpt").to_string_lossy().into_owned();
+    let s0 = Proc::serve(&graph, &[], None);
+    let s1 = Proc::serve(&graph, &[], None);
+    let shards = [s0.addr(), s1.addr()];
+    let home = ring_home(&shards);
+    let target = 1 - home;
+
+    let fault = Some("router.overrides.persist=error");
+    let armed = Proc::route_with(&shards, &["--overrides-file", &ovr], fault);
+    // Answers `ok` (only an `ok` line says `"rebalanced"`): the miss is
+    // the router's disk, not the client's request.
+    armed.rebalance_net_to(target);
+    assert!(stdout_str(&armed.query_one(COMPUTE)).contains("\"status\":\"ok\""));
+    let stats = armed.stats();
+    assert!(
+        stats.contains("\"router.override_persist_errors\":1"),
+        "{stats}"
+    );
+    assert_forwarded(&stats, &shards[target], 1);
+    armed.shutdown();
+    assert!(!Path::new(&ovr).exists(), "a failed persist wrote the file");
+
+    // Restarted without the failpoint, the router finds no file and
+    // routes `net` by the ring again.
+    let reborn = Proc::route_with(&shards, &["--overrides-file", &ovr], None);
+    assert!(stdout_str(&reborn.query_one(COMPUTE)).contains("\"status\":\"ok\""));
+    let stats = reborn.stats();
+    assert_forwarded(&stats, &shards[home], 1);
+    assert_forwarded(&stats, &shards[target], 0);
+    reborn.shutdown();
+
+    s0.shutdown();
+    s1.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn background_probe_readopts_a_restarted_replica() {
     let dir = fresh_dir("probe-readopt");
@@ -340,6 +382,7 @@ fn background_probe_readopts_a_restarted_replica() {
     let router = Proc::route_with(
         &[format!("{doomed_addr},{}", sibling.addr())],
         &["--probe-interval-ms", "50"],
+        None,
     );
     router.rebalance_net_to(0);
 

@@ -385,6 +385,10 @@ mod tests {
     /// A server that answers with a future protocol version: the client
     /// diagnoses skew with a typed protocol-mismatch, not a parse error.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a scripted peer, joined before the test ends"
+    )]
     fn version_skewed_server_yields_typed_protocol_mismatch() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let port = listener.local_addr().expect("addr").port();
@@ -420,6 +424,10 @@ mod tests {
     /// A scripted server: answers the first request, then slams the
     /// connection and stops listening — the mid-batch-death scenario.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a scripted peer, joined before the test ends"
+    )]
     fn mid_batch_disconnect_synthesizes_typed_lines() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let port = listener.local_addr().expect("addr").port();

@@ -146,6 +146,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a consumer thread, joined before the test ends"
+    )]
     fn pop_blocks_until_item_or_close() {
         let q = Arc::new(Bounded::new(1));
         let q2 = Arc::clone(&q);

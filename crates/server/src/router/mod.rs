@@ -527,6 +527,10 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
     listener.announce(out)?;
 
     let stop = Arc::clone(&listener.stop);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the probe thread polls `stop` and is joined after the listener drains"
+    )]
     let probe_thread = (config.probe_interval_ms > 0).then(|| {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);

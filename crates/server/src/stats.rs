@@ -362,6 +362,10 @@ mod tests {
     /// End-to-end against a scripted server: two polls produce two
     /// snapshots and one delta line.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a scripted peer, joined before the test ends"
+    )]
     fn watch_polls_and_prints_deltas() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let port = listener.local_addr().expect("addr").port();

@@ -236,6 +236,11 @@ impl Listener {
                 open.push(clone);
             }
             let conn = Arc::clone(&conn);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one thread per connection, joined after the drain below; \
+                          `ConnGuard` closes the socket if it unwinds"
+            )]
             threads.push(std::thread::spawn(move || {
                 let (Ok(writer), Ok(guard)) = (stream.try_clone(), stream.try_clone()) else {
                     return;
@@ -340,6 +345,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the listener, joined before the test ends"
+    )]
     fn both_ends_of_a_connection_disable_nagle() {
         let listener = Listener::bind(0).expect("bind");
         let stop = Arc::clone(&listener.stop);

@@ -226,6 +226,11 @@ fn respawn(shared: &Arc<Shared>) {
     // alone; nothing is published through the counter, so Relaxed.
     let generation = shared.next_generation.fetch_add(1, Ordering::Relaxed);
     let clone = Arc::clone(shared);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a panicked worker's replacement; its handle joins `threads`, \
+                  which `WorkerPool::shutdown` joins"
+    )]
     let handle = std::thread::spawn(move || worker_loop(clone, generation));
     shared
         .threads
@@ -260,6 +265,11 @@ impl WorkerPool {
         });
         for generation in 0..workers as u64 {
             let clone = Arc::clone(&shared);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a pool worker; its handle joins `threads`, which \
+                          `WorkerPool::shutdown` joins, and a panic respawns it"
+            )]
             let handle = std::thread::spawn(move || worker_loop(clone, generation));
             shared
                 .threads

@@ -49,6 +49,10 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the front-end's thread; `stop` joins it"
+    )]
     fn start(run: impl FnOnce(&mut Announce) + Send + 'static) -> FrontEnd {
         let (tx, rx) = mpsc::channel();
         let (done_tx, done) = mpsc::channel();

@@ -112,6 +112,10 @@ struct Peer {
 }
 
 impl Peer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the peer's accept thread; `stop` joins it"
+    )]
     fn start(script: impl Fn(TcpStream) + Send + 'static) -> Peer {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();

@@ -109,6 +109,10 @@ fn run_batch(requests: &[String], port: u16) -> String {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the daemon's thread, joined after its shutdown"
+)]
 fn mixed_batch_is_schedule_invariant_across_32_seeds() {
     // One daemon serves every run: arming happens per batch, so a
     // single warm index answers all 33 batches and the test measures

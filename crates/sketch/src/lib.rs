@@ -6,9 +6,10 @@
 //!
 //! The cascade index stores every sampled world exactly (a live-arc mask,
 //! one bit per arc, plus the hub closure of a supercritical world); memory
-//! grows with ℓ · m bits and the closures, and becomes the binding
-//! constraint well before million-node graphs. This crate trades
-//! exactness for an `O(k · n)` summary over the **same ℓ sampled worlds**:
+//! grows with ℓ · m bits and the closures. Which backend is the smaller or
+//! the faster depends on the graph class, its size and ℓ: ROADMAP.md item
+//! 6 records the measured regime. This crate trades exactness for an
+//! `O(k · n)` summary over the **same ℓ sampled worlds**:
 //!
 //! 1. every (node, world) pair `(v, i)` gets a fixed uniform 64-bit rank
 //!    derived from `(seed, i, v)` — a pure function, no stored randomness;

@@ -2,7 +2,7 @@
 //! atomic, and thread usage, so the parallel-scaling refactors promised
 //! in ROADMAP.md can proceed without eyeball-only review.
 //!
-//! Four checks share one source-level model:
+//! Three checks share one source-level model:
 //!
 //! 1. **Lock order** ([`check_lock_order`], workspace-wide): tracks
 //!    `let`-bound `.lock()` guards per file by brace depth and records a
@@ -22,14 +22,10 @@
 //!    justification comment — on the same line, or on the comment
 //!    line(s) immediately above, like `xtask-allow`. Findings name the
 //!    atomic's declaration when it is visible in the same file.
-//! 4. **Scoped-spawn discipline**: raw `thread::spawn` (and
-//!    `thread::Builder`) is confined to the files in `SPAWN_ALLOWED` —
-//!    the serving crate's three spawn sites (the one accept/drain loop,
-//!    the supervised worker pool, the router's probe thread) plus its
-//!    integration tests. Everywhere else, fan-out goes through
-//!    `soi_util::pool`'s helpers, built on `thread::scope`, so
-//!    panics propagate and joins are never forgotten. Test modules are
-//!    out of scope. Mirrors the hermeticity pass's path confinement.
+//!
+//! Raw `thread::spawn` is clippy's rule, not this pass's: the root
+//! `clippy.toml` disallows it, and each site that owns its join carries
+//! an `#[expect(clippy::disallowed_methods, reason = "…")]`.
 //!
 //! **Approximation contract** (same spirit as the determinism pass):
 //! the model over-approximates lock identity — a lock is named by the
@@ -48,18 +44,6 @@ use crate::source::{ident_match, SourceFile};
 use crate::walk::is_library_source;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// The only places permitted to call raw `thread::spawn` outside test
-/// modules: the serving crate's spawn sites, each of which owns its join
-/// story — the one accept/drain loop (connection threads), the
-/// supervised worker pool (join + respawn), the router's probe thread —
-/// plus the serving integration tests that run a daemon in-process.
-const SPAWN_ALLOWED: &[&str] = &[
-    "crates/server/src/wire.rs",
-    "crates/server/src/worker.rs",
-    "crates/server/src/router/mod.rs",
-    "crates/server/tests",
-];
 
 /// Atomic read-modify-write methods that make `Relaxed` a whitelisted
 /// idiom on the same line: counters whose value is only read for
@@ -128,12 +112,11 @@ struct Guard {
     depth: i64,
 }
 
-/// Per-file checks 2–4. Check 1 needs the whole tree; see
+/// Per-file checks 2 and 3. Check 1 needs the whole tree; see
 /// [`check_lock_order`].
 pub fn check_source(path: &Path, file: &SourceFile) -> Vec<Finding> {
     let mut findings = guard_blocking(path, file);
     findings.extend(ordering_audit(path, file));
-    findings.extend(spawn_discipline(path, file));
     findings
 }
 
@@ -301,41 +284,6 @@ fn ordering_audit(path: &Path, file: &SourceFile) -> Vec<Finding> {
                  Acquire/Release — annotate the reasoning"
             ),
         });
-    }
-    findings
-}
-
-/// Check 4: raw `thread::spawn` / `thread::Builder` outside the
-/// sanctioned files (test modules excepted).
-fn spawn_discipline(path: &Path, file: &SourceFile) -> Vec<Finding> {
-    if SPAWN_ALLOWED.iter().any(|p| path.starts_with(p)) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || line.allows(Pass::Concurrency.name()) {
-            continue;
-        }
-        let hit = if line.code.contains("thread::spawn") {
-            Some("thread::spawn")
-        } else if line.code.contains("thread::Builder") {
-            Some("thread::Builder")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            findings.push(Finding {
-                pass: Pass::Concurrency,
-                path: path.to_path_buf(),
-                line: idx + 1,
-                message: format!(
-                    "raw `{what}` outside the serving crate's spawn sites \
-                     (`wire.rs`, `worker.rs`, the router's probe); \
-                     use `soi_util::pool`'s scoped helpers so panics propagate and \
-                     threads are always joined"
-                ),
-            });
-        }
     }
     findings
 }
@@ -726,65 +674,8 @@ mod tests {
     }
 
     #[test]
-    fn spawn_confined_to_the_serving_spawn_sites() {
-        let src = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
-        let f = lib(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("thread::spawn"));
-        for ok in [
-            "crates/server/src/wire.rs",
-            "crates/server/src/worker.rs",
-            "crates/server/src/router/mod.rs",
-            "crates/server/tests/front_end_parity.rs",
-        ] {
-            assert!(
-                check_source(&PathBuf::from(ok), &scan(src)).is_empty(),
-                "{ok} is a sanctioned spawn site"
-            );
-        }
-        // Being in the serving crate is not enough: a second accept loop
-        // or a connection thread spawned outside `wire.rs` is a finding.
-        // The pool fans out through `thread::scope` only.
-        for denied in [
-            "crates/util/src/pool.rs",
-            "crates/server/src/daemon.rs",
-            "crates/server/src/client.rs",
-            "crates/server/src/router/shard.rs",
-        ] {
-            assert_eq!(
-                check_source(&PathBuf::from(denied), &scan(src)).len(),
-                1,
-                "{denied} must not spawn"
-            );
-        }
-        // Test modules may spawn scripted peers anywhere.
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() {\n        std::thread::spawn(|| {});\n    }\n}\n";
-        assert!(lib(in_test).is_empty());
-        // Scoped spawns are the sanctioned idiom everywhere.
-        assert!(lib("fn f() {\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n").is_empty());
-    }
-
-    #[test]
-    fn every_sanctioned_spawn_file_still_spawns() {
-        // crates/xtask/../.. is the workspace root.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for entry in SPAWN_ALLOWED.iter().filter(|p| p.ends_with(".rs")) {
-            let text = std::fs::read_to_string(root.join(entry))
-                .unwrap_or_else(|e| panic!("{entry} is listed in SPAWN_ALLOWED: {e}"));
-            let spawns = scan(&text)
-                .lines
-                .iter()
-                .any(|l| !l.in_test && l.code.contains("thread::spawn"));
-            assert!(
-                spawns,
-                "{entry} no longer calls `thread::spawn` outside tests"
-            );
-        }
-    }
-
-    #[test]
     fn mentions_in_comments_and_strings_pass() {
-        let src = "//! Discusses thread::spawn and Ordering::SeqCst in docs.\nfn f() -> &'static str {\n    \"thread::spawn Ordering::Relaxed .lock() .recv()\"\n}\n";
+        let src = "//! Discusses .lock() and Ordering::SeqCst in docs.\nfn f() -> &'static str {\n    \"Ordering::Relaxed .lock() .recv()\"\n}\n";
         assert!(lib(src).is_empty());
     }
 }

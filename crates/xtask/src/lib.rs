@@ -1,7 +1,7 @@
 //! # xtask
 //!
 //! Workspace static analysis for the Spheres-of-Influence repo, run as
-//! `cargo xtask lint` (alias for `cargo run -p xtask -- lint`). Seven
+//! `cargo xtask lint` (alias for `cargo run -p xtask -- lint`). Six
 //! passes enforce the contracts the experiments depend on:
 //!
 //! | pass               | contract                                              |
@@ -9,9 +9,8 @@
 //! | `determinism`      | no entropy-seeded RNGs; no unordered-map emission     |
 //! | `hermeticity`      | no registry dependencies; `std::net` only in `server` |
 //! | `hygiene`          | `//!` docs on every `src/*.rs`; ≥ 1 test per package  |
-//! | `observability`    | library code logs via `soi-obs`, not println/eprintln |
 //! | `concurrency`      | one global lock order; no guard across blocking calls;|
-//! |                    | justified atomic orderings; scoped spawns only        |
+//! |                    | justified atomic orderings                            |
 //! | `metric_catalog`   | registered metrics ↔ docs/OBSERVABILITY.md catalog   |
 //! | `failpoint_catalog`| planted failpoints ↔ docs/ROBUSTNESS.md catalog      |
 //!
@@ -33,7 +32,6 @@ pub mod concurrency;
 pub mod determinism;
 pub mod hermeticity;
 pub mod hygiene;
-pub mod observability;
 pub mod report;
 pub mod source;
 pub mod walk;
@@ -68,7 +66,6 @@ pub fn run_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for (path, file) in &scanned {
         findings.extend(determinism::check(path, file));
-        findings.extend(observability::check(path, file));
         findings.extend(hermeticity::check_source(path, file));
         findings.extend(concurrency::check_source(path, file));
     }

@@ -1,6 +1,6 @@
 //! Command-line entry point for workspace tasks: `cargo xtask lint`.
 //!
-//! `lint [--root <dir>]` runs the seven static-analysis passes (see the
+//! `lint [--root <dir>]` runs the six static-analysis passes (see the
 //! crate docs and `docs/STATIC_ANALYSIS.md`) and exits nonzero when any
 //! finding is reported. `--root` defaults to the current directory,
 //! which under the `cargo xtask` alias is the workspace root; the flag

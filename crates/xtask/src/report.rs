@@ -19,10 +19,8 @@ pub enum Pass {
     Hermeticity,
     /// Missing module docs or missing tests.
     Hygiene,
-    /// Direct console writes in library code instead of `soi-obs`.
-    Observability,
-    /// Lock-order inversions, guards held across blocking calls,
-    /// unjustified atomic orderings, or unscoped thread spawns.
+    /// Lock-order inversions, guards held across blocking calls, or
+    /// unjustified atomic orderings.
     Concurrency,
     /// Registered metrics and the docs/OBSERVABILITY.md catalog drifted
     /// apart (either direction).
@@ -39,7 +37,6 @@ impl Pass {
             Pass::Determinism => "determinism",
             Pass::Hermeticity => "hermeticity",
             Pass::Hygiene => "hygiene",
-            Pass::Observability => "observability",
             Pass::Concurrency => "concurrency",
             Pass::MetricCatalog => "metric_catalog",
             Pass::FailpointCatalog => "failpoint_catalog",
@@ -47,12 +44,11 @@ impl Pass {
     }
 
     /// All passes, in report order.
-    pub fn all() -> [Pass; 7] {
+    pub fn all() -> [Pass; 6] {
         [
             Pass::Determinism,
             Pass::Hermeticity,
             Pass::Hygiene,
-            Pass::Observability,
             Pass::Concurrency,
             Pass::MetricCatalog,
             Pass::FailpointCatalog,
@@ -108,14 +104,14 @@ mod tests {
     #[test]
     fn findings_render_compiler_style() {
         let f = Finding {
-            pass: Pass::Observability,
+            pass: Pass::Determinism,
             path: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
-            message: "forbidden `eprintln!`".into(),
+            message: "entropy-seeded `thread_rng()`".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7: [observability] forbidden `eprintln!`"
+            "crates/x/src/lib.rs:7: [determinism] entropy-seeded `thread_rng()`"
         );
     }
 

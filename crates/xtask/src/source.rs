@@ -287,27 +287,20 @@ fn parse_allows(raw: &str) -> Vec<String> {
     allows
 }
 
-/// The first `at` where `needle` starts at an identifier boundary and
-/// the text after it, `code[at + needle.len()..]`, passes `after`.
-pub fn find_ident(code: &str, needle: &str, after: impl Fn(&str) -> bool) -> Option<usize> {
+/// The first `at` where `needle` stands at an identifier boundary on
+/// both sides.
+pub fn ident_match(code: &str, needle: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(rel) = code[from..].find(needle) {
         let at = from + rel;
         let before_ok = !code[..at].chars().next_back().is_some_and(is_ident_char);
-        if before_ok && after(&code[at + needle.len()..]) {
+        let after = &code[at + needle.len()..];
+        if before_ok && !after.chars().next().is_some_and(is_ident_char) {
             return Some(at);
         }
         from = at + 1;
     }
     None
-}
-
-/// The first `at` where `needle` stands at an identifier boundary on
-/// both sides.
-pub fn ident_match(code: &str, needle: &str) -> Option<usize> {
-    find_ident(code, needle, |rest| {
-        !rest.chars().next().is_some_and(is_ident_char)
-    })
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -375,9 +368,9 @@ mod tests {
 
     #[test]
     fn allow_on_same_line_and_carried_from_comment() {
-        let src = "eprintln!(\"a\"); // xtask-allow: observability\n// xtask-allow: determinism — seeded upstream\n// more prose\nlet b = thread_rng();\nlet c = 0;\n";
+        let src = "let a = 0; // xtask-allow: concurrency\n// xtask-allow: determinism — seeded upstream\n// more prose\nlet b = thread_rng();\nlet c = 0;\n";
         let f = scan(src);
-        assert!(f.lines[0].allows("observability"));
+        assert!(f.lines[0].allows("concurrency"));
         assert!(f.lines[3].allows("determinism"), "carried across comments");
         assert!(
             !f.lines[4].allows("determinism"),

@@ -28,16 +28,6 @@ impl Tree {
         tree.manifests.sort();
         Ok(tree)
     }
-
-    /// Directories (relative to the root) that contain a `Cargo.toml`,
-    /// i.e. package roots. Sorted; includes the workspace root package
-    /// when the root manifest declares one.
-    pub fn package_dirs(&self) -> Vec<PathBuf> {
-        self.manifests
-            .iter()
-            .map(|m| m.parent().unwrap_or(Path::new("")).to_path_buf())
-            .collect()
-    }
 }
 
 fn walk(root: &Path, rel: &Path, tree: &mut Tree) -> std::io::Result<()> {
@@ -67,9 +57,8 @@ fn walk(root: &Path, rel: &Path, tree: &mut Tree) -> std::io::Result<()> {
 }
 
 /// True for library sources: files under a `src/` directory that are not
-/// binary roots (`main.rs`, anything under `src/bin/`). The observability
-/// pass and the concurrency pass's guard and ordering checks apply only
-/// to these.
+/// binary roots (`main.rs`, anything under `src/bin/`). The concurrency
+/// pass's guard and ordering checks apply only to these.
 pub fn is_library_source(rel: &Path) -> bool {
     let comps: Vec<String> = rel
         .components()
