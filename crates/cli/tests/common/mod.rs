@@ -1,7 +1,8 @@
 //! Shared harness for the subprocess suites: the `soi` binary with a
 //! clean failpoint environment, scratch directories, generated graphs,
 //! CI artifacts, the chaos suites' request batch, and [`Proc`] — a
-//! spawned `soi serve` / `soi route` that announced its port.
+//! spawned `soi serve` / `soi route` that announced its port, killed if
+//! its test ends without shutting it down.
 #![allow(dead_code)] // each test target uses its own subset
 
 use std::io::{BufRead, BufReader};
@@ -118,10 +119,21 @@ pub fn assert_all_answered(text: &str, n: u64) {
 }
 
 /// One spawned `soi serve` or `soi route` process plus the port it
-/// announced on stdout.
+/// announced on stdout. [`Proc::shutdown`] is the graceful end; a
+/// process still running when its `Proc` drops (a failed assertion
+/// unwound past the shutdown) is killed and reaped.
 pub struct Proc {
     pub child: Child,
     pub port: String,
+}
+
+impl Drop for Proc {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
 }
 
 impl Proc {

@@ -24,6 +24,11 @@
 //! * shard worker panic (`server.worker.dispatch=panic@1`) — the typed
 //!   `internal-error` is relayed verbatim and a retrying client
 //!   converges against the respawned worker;
+//! * router hop faults (`router.forward.write` and
+//!   `router.response.write` panicking one client connection's thread)
+//!   — the retrying client reconnects and converges byte-for-byte, and a
+//!   router that exits mid-batch (`router.response.write=exit(41)@K`)
+//!   leaves typed `connection-lost` lines and exit 3;
 //! * `rebalance` re-homes one graph and rejects out-of-range shards;
 //!   its override survives a router restart, and a failed override
 //!   write (`router.overrides.persist=error`) keeps it in memory only;
@@ -193,6 +198,80 @@ fn shard_worker_panic_relays_typed_and_converges() {
     assert_eq!(got, expected, "masked output must converge to fault-free");
 
     router.shutdown();
+    shard.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both router hops armed, one at a time, behind a shard with two
+/// replicas. A panic kills the thread serving one client connection
+/// before the router→shard write or the router→client write; the
+/// retrying client reconnects, resends, and gets the fault-free bytes.
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
+#[test]
+fn router_hop_panics_are_retried_to_the_fault_free_bytes() {
+    let dir = fresh_dir("router-hop-panic");
+    let graph = make_graph(&dir, 16);
+    let reqs = write_batch(&dir, 12);
+    let replicas = [
+        Proc::serve(&graph, &[], None),
+        Proc::serve(&graph, &[], None),
+    ];
+    let shard = format!("{},{}", replicas[0].addr(), replicas[1].addr());
+
+    let base = Proc::route(std::slice::from_ref(&shard));
+    let expected = stdout_str(&base.query_batch(&reqs, "0"));
+    base.shutdown();
+
+    for spec in [
+        "router.forward.write=panic@3",
+        "router.response.write=panic@5",
+    ] {
+        let router = Proc::route_with(std::slice::from_ref(&shard), &[], Some(spec));
+        let got = stdout_str(&router.query_batch(&reqs, "2"));
+        let site = spec.split('=').next().unwrap_or_default();
+        save_artifact(&format!("{site}.transcript.jsonl"), &got);
+        assert_all_answered(&got, 12);
+        assert_eq!(got, expected, "{spec}: masked output must converge");
+        // The router outlived its connection thread and drains cleanly.
+        router.shutdown();
+    }
+    for d in replicas {
+        d.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The router process exits on its 4th client write: every request
+/// after it ends in a typed `connection-lost` line, and `soi query`
+/// exits 3 instead of hanging.
+#[cfg(debug_assertions)] // arms a failpoint; the sites compile out in release
+#[test]
+fn router_death_yields_typed_connection_lost_and_exit_3() {
+    let dir = fresh_dir("router-death");
+    let graph = make_graph(&dir, 16);
+    let reqs = write_batch(&dir, 8);
+    let shard = Proc::serve(&graph, &[], None);
+    let mut router = Proc::route_with(
+        &[shard.addr()],
+        &[],
+        Some("router.response.write=exit(41)@4"),
+    );
+    let out = router.query_batch(&reqs, "1");
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    save_artifact("router-death.transcript.jsonl", &text);
+    assert_all_answered(&text, 8);
+    let lines: Vec<&str> = text.lines().collect();
+    for line in &lines[..3] {
+        assert!(line.contains("\"status\":\"ok\""), "{line}");
+    }
+    for line in &lines[3..] {
+        assert!(line.contains("\"kind\":\"connection-lost\""), "{line}");
+    }
+    assert_eq!(out.status.code(), Some(3), "lost responses must exit 3");
+    assert_eq!(
+        router.child.wait().expect("wait for router").code(),
+        Some(41)
+    );
     shard.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,6 +25,10 @@
 //! * `server.response.write=exit(N)@K` — the daemon process dies mid
 //!   batch; the client synthesizes typed `connection-lost` lines for
 //!   every outstanding request and exits 3 instead of hanging.
+//! * `server.cache.insert=panic@2` — a worker dies between building an
+//!   oracle and publishing it (hit 1 is the startup index warm); the
+//!   request answers typed `internal-error`, nothing half-published is
+//!   served, and the next lookup builds again.
 //!
 //! Masked transcripts and the metrics report land in
 //! `target/chaos-artifacts/` for CI upload.
@@ -185,5 +189,47 @@ fn daemon_death_yields_typed_connection_lost_and_exit_3() {
         Some(41),
         "daemon simulated-crash status"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn panic_before_cache_insert_answers_typed_and_rebuilds() {
+    let dir = fresh_dir("cache-insert");
+    let graph = make_graph(&dir, 16);
+    let sketch = "{\"v\":1,\"id\":1,\"type\":\"spread-estimate\",\"graph\":\"net\",\
+                  \"seeds\":[3],\"samples\":1,\"backend\":\"sketch\"}";
+    let infmax = "{\"v\":1,\"id\":2,\"type\":\"infmax-tc\",\"graph\":\"net\",\"k\":3,\
+                  \"backend\":\"sketch\"}";
+    let ask = |d: &Daemon| stdout_str(&d.query(&["--mask-wall", sketch, infmax]));
+
+    let clean = Daemon::serve(&graph, &["--workers", "1"], None);
+    let expected = ask(&clean);
+    clean.shutdown();
+
+    // Hit 1 is the startup warm of the index; hit 2 is the first sketch
+    // build, whose worker panics before the cache holds it.
+    let chaos = Daemon::serve(
+        &graph,
+        &["--workers", "1"],
+        Some("server.cache.insert=panic@2"),
+    );
+    let bare = ask(&chaos);
+    save_artifact("cache-insert.transcript.jsonl", &bare);
+    let lines: Vec<&str> = bare.lines().collect();
+    assert_eq!(lines.len(), 2, "{bare}");
+    assert!(
+        lines[0].contains("\"id\":1") && lines[0].contains("\"kind\":\"internal-error\""),
+        "{bare}"
+    );
+    assert_eq!(Some(lines[1]), expected.lines().nth(1), "{bare}");
+    // The panicked build was never served: the next request built the
+    // sketches again (misses: warm, panicked build, rebuild), and from
+    // then on every answer is the fault-free one.
+    assert_eq!(ask(&chaos), expected);
+    let stats = stdout_str(&chaos.query_one("{\"v\":1,\"id\":77,\"type\":\"stats\"}"));
+    for needle in ["\"cache_misses\":3", "\"worker_panics\":1"] {
+        assert!(stats.contains(needle), "missing {needle}: {stats}");
+    }
+    chaos.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

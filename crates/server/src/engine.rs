@@ -6,7 +6,11 @@
 //! [`ServerEngine::warm`]) and kept in an LRU cache keyed by
 //! [`CascadeIndex::cache_key_for`], so repeated queries against the same
 //! graph reuse the ℓ sampled worlds instead of resampling — the whole
-//! point of a long-lived daemon over one-shot CLI runs.
+//! point of a long-lived daemon over one-shot CLI runs. An entry also
+//! keeps what `infmax-tc` derives from its oracle and no request
+//! parameter changes: an index entry the spheres of all n nodes, once
+//! one request has solved them all; a sketch entry its worlds' live-arc
+//! masks. Both are freed with the entry.
 //!
 //! Deadlines are deterministic tick budgets
 //! ([`soi_util::runtime::Deadline`], read by [`protocol::deadline`]): a
@@ -20,12 +24,15 @@ use soi_graph::ProbGraph;
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::BackendKind;
 use soi_jaccard::median::MedianConfig;
+use soi_sampling::world::WorldMasks;
 use soi_sketch::{ReachSketches, SketchConfig};
 use soi_util::hash::Mix64Hasher;
 use soi_util::runtime::{Outcome, Progress, Run};
 use soi_util::SoiError;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::convert::Infallible;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Engine-level options fixed at startup.
 #[derive(Clone, Copy, Debug)]
@@ -96,31 +103,77 @@ impl ExecOutput {
 /// must cut the same prefix.
 pub const TC_BLOCK: usize = 64;
 
+/// A warm cascade index and, once an `infmax-tc` has solved all n
+/// nodes, their typical cascades (Σ|sphere| `u32`s). The spheres depend
+/// on the index alone, never on `k` or a deadline.
+struct CascadeEntry {
+    index: Arc<CascadeIndex>,
+    spheres: OnceLock<Vec<Vec<u32>>>,
+}
+
+impl CascadeEntry {
+    /// The spheres an `infmax-tc` under `run` covers: the prefix of the
+    /// n nodes its deadline pays for. Cold, they are solved, and a run
+    /// that solved all n keeps them. Warm, the ticks are spent block by
+    /// block as a cold run spends them, so both cut the same prefix.
+    fn spheres(&self, run: &Run, threads: usize) -> Result<Outcome<Cow<'_, [Vec<u32>]>>, SoiError> {
+        if let Some(all) = self.spheres.get() {
+            let n = all.len();
+            let Ok(done) = run.blocks(n, 0, run.every, |_, _| Ok::<_, Infallible>(()));
+            return Ok(run
+                .deadline
+                .outcome(Cow::Borrowed(&all[..done]), done as u64, n as u64));
+        }
+        let median = MedianConfig::default();
+        let solved = soi_core::all_typical_cascades_resumable(&self.index, &median, threads, run)?
+            .map(|tcs| tcs.into_iter().map(|tc| tc.median).collect::<Vec<_>>());
+        Ok(match solved {
+            // A racing request may have filled it first, with the same
+            // spheres.
+            Outcome::Completed(all) => {
+                Outcome::Completed(Cow::Borrowed(self.spheres.get_or_init(|| all).as_slice()))
+            }
+            Outcome::Partial { value, progress } => Outcome::Partial {
+                value: Cow::Owned(value),
+                progress,
+            },
+        })
+    }
+}
+
+/// Warm bottom-k reachability sketches and, once a sketch-backed
+/// `infmax-tc` has drawn them, the live-arc masks of their ℓ worlds
+/// (ℓ · m bits).
+struct SketchEntry {
+    sketches: ReachSketches,
+    masks: OnceLock<WorldMasks>,
+}
+
 /// A built spread oracle: one of the two backends, `Arc`-shared so cache
 /// eviction never invalidates an oracle a worker is still querying, and
 /// frees it once the last such worker lets go.
 #[derive(Clone)]
 enum SpreadBackend {
     /// A warm cascade index.
-    Cascade(Arc<CascadeIndex>),
+    Cascade(Arc<CascadeEntry>),
     /// Warm bottom-k reachability sketches.
-    Sketch(Arc<ReachSketches>),
+    Sketch(Arc<SketchEntry>),
 }
 
 impl SpreadBackend {
-    /// The cascade index, when that is the selected backend.
-    fn as_cascade(&self) -> Option<&Arc<CascadeIndex>> {
+    /// The cascade entry, when that is the selected backend.
+    fn as_cascade(&self) -> Result<&CascadeEntry, SoiError> {
         match self {
-            SpreadBackend::Cascade(index) => Some(index),
-            SpreadBackend::Sketch(_) => None,
+            SpreadBackend::Cascade(entry) => Ok(entry),
+            SpreadBackend::Sketch(_) => Err(wrong_backend()),
         }
     }
 
-    /// The sketches, when that is the selected backend.
-    fn as_sketch(&self) -> Option<&Arc<ReachSketches>> {
+    /// The sketch entry, when that is the selected backend.
+    fn as_sketch(&self) -> Result<&SketchEntry, SoiError> {
         match self {
-            SpreadBackend::Cascade(_) => None,
-            SpreadBackend::Sketch(sk) => Some(sk),
+            SpreadBackend::Cascade(_) => Err(wrong_backend()),
+            SpreadBackend::Sketch(entry) => Ok(entry),
         }
     }
 }
@@ -228,7 +281,7 @@ impl ServerEngine {
     pub fn index_for(&self, name: &str) -> Result<Arc<CascadeIndex>, SoiError> {
         let mut trace = PhaseTrace::new();
         let oracle = self.oracle(name, BackendKind::Cascade, None, &mut trace)?;
-        oracle.as_cascade().cloned().ok_or_else(wrong_backend)
+        Ok(Arc::clone(&oracle.as_cascade()?.index))
     }
 
     /// The one oracle lookup: the warm spread oracle for (`name`,
@@ -289,12 +342,18 @@ impl ServerEngine {
             BackendKind::Cascade => {
                 soi_util::failpoint!("server.index.build");
                 let _span = soi_obs::span("server.index_build");
-                SpreadBackend::Cascade(Arc::new(CascadeIndex::build(pg, self.index_config())))
+                SpreadBackend::Cascade(Arc::new(CascadeEntry {
+                    index: Arc::new(CascadeIndex::build(pg, self.index_config())),
+                    spheres: OnceLock::new(),
+                }))
             }
             BackendKind::Sketch => {
                 soi_util::failpoint!("server.sketch.build");
                 let _span = soi_obs::span("server.sketch_build");
-                SpreadBackend::Sketch(Arc::new(ReachSketches::build(pg, self.sketch_config(k))))
+                SpreadBackend::Sketch(Arc::new(SketchEntry {
+                    sketches: ReachSketches::build(pg, self.sketch_config(k)),
+                    masks: OnceLock::new(),
+                }))
             }
         })
     }
@@ -327,7 +386,7 @@ impl ServerEngine {
                 ..
             } => {
                 let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
-                let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
+                let index = &oracle.as_cascade()?.index;
                 protocol::check_nodes("source", &[*source], index.num_nodes())?;
                 let deadline = protocol::deadline(*deadline_ticks);
                 let compute_start = std::time::Instant::now();
@@ -360,7 +419,7 @@ impl ServerEngine {
                     // the cache phase carries the (possible) build, the
                     // estimator itself is one O(seeds · k) evaluation.
                     let oracle = self.oracle(graph, BackendKind::Sketch, *sketch_k, trace)?;
-                    let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
+                    let sk = &oracle.as_sketch()?.sketches;
                     let compute_start = std::time::Instant::now();
                     let spread = sk.set_spread(seeds);
                     let payload = protocol::spread_payload(spread, BackendKind::Sketch);
@@ -407,29 +466,22 @@ impl ServerEngine {
                     );
                 }
                 let oracle = self.oracle(graph, BackendKind::Cascade, None, trace)?;
-                let index = oracle.as_cascade().ok_or_else(wrong_backend)?;
+                let entry = oracle.as_cascade()?;
                 let run = Run::new(protocol::deadline(*deadline_ticks), None, TC_BLOCK, false);
                 let compute_start = std::time::Instant::now();
-                let outcome = soi_core::all_typical_cascades_resumable(
-                    index,
-                    &MedianConfig::default(),
-                    self.config.threads,
-                    &run,
-                )?;
-                let spheres: Vec<Vec<u32>> = outcome
-                    .value_ref()
-                    .iter()
-                    .map(|tc| tc.median.clone())
-                    .collect();
-                let run = soi_influence::infmax_tc(&spheres, *k, 0);
-                let payload =
-                    protocol::seeds_payload(&run.seeds, &run.coverage_curve, BackendKind::Cascade);
+                let spheres = entry.spheres(&run, self.config.threads)?;
+                let cover = soi_influence::infmax_tc(spheres.value_ref(), *k, 0);
+                let payload = protocol::seeds_payload(
+                    &cover.seeds,
+                    &cover.coverage_curve,
+                    BackendKind::Cascade,
+                );
                 trace.record(
                     "compute",
                     *k as u64,
                     crate::trace::elapsed_ns(compute_start),
                 );
-                Ok(ExecOutput::new(payload, outcome.progress()))
+                Ok(ExecOutput::new(payload, spheres.progress()))
             }
             control => Err(SoiError::invalid(format!(
                 "control request {:?} routed to the compute engine",
@@ -439,7 +491,8 @@ impl ServerEngine {
     }
 
     /// `infmax-tc` with `"backend":"sketch"`: SKIM-style greedy over the
-    /// warm sketches, one deadline tick per seed selected.
+    /// warm sketches, one deadline tick per seed selected. The entry's
+    /// world masks are drawn by its first such request and kept.
     fn execute_infmax_sketch(
         &self,
         graph: &str,
@@ -449,11 +502,13 @@ impl ServerEngine {
         trace: &mut PhaseTrace,
     ) -> Result<ExecOutput, SoiError> {
         let oracle = self.oracle(graph, BackendKind::Sketch, sketch_k, trace)?;
-        let sk = oracle.as_sketch().ok_or_else(wrong_backend)?;
+        let entry = oracle.as_sketch()?;
         let (pg, _) = self.graph(graph)?;
         let deadline = protocol::deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
-        let outcome = soi_sketch::select_seeds(pg, sk, k, &deadline);
+        let sk = &entry.sketches;
+        let masks = entry.masks.get_or_init(|| soi_sketch::world_masks(pg, sk));
+        let outcome = soi_sketch::select_seeds_with(pg, sk, masks, k, &deadline);
         let run = outcome.value_ref();
         let payload = protocol::seeds_payload(&run.seeds, &run.coverage, BackendKind::Sketch);
         trace.record("compute", k as u64, crate::trace::elapsed_ns(compute_start));
@@ -1055,5 +1110,49 @@ mod tests {
         assert!(weak.upgrade().is_some(), "the cache still holds a");
         let _ = engine.index_for("b").expect("b");
         assert!(weak.upgrade().is_none(), "evicting a freed it");
+
+        // What `infmax-tc` keeps in an entry is freed with the entry.
+        let infmax = |backend| Request::InfmaxTc {
+            graph: "b".into(),
+            k: 2,
+            deadline_ticks: None,
+            backend,
+            sketch_k: None,
+        };
+        let entry = |backend| engine.oracle("b", backend, None, &mut PhaseTrace::new());
+        let cold = engine.execute(&infmax(BackendKind::Cascade)).expect("b");
+        let Ok(SpreadBackend::Cascade(index)) = entry(BackendKind::Cascade) else {
+            panic!("b's index entry");
+        };
+        assert_eq!(index.spheres.get().map(Vec::len), Some(40));
+        let spheres = Arc::downgrade(&index);
+        drop(index);
+        let warm = engine.execute(&infmax(BackendKind::Cascade)).expect("warm");
+        assert_eq!(warm, cold);
+
+        let cold = engine
+            .execute(&infmax(BackendKind::Sketch))
+            .expect("sketch");
+        assert!(
+            spheres.upgrade().is_none(),
+            "evicting b's index freed its spheres"
+        );
+        let Ok(SpreadBackend::Sketch(sketches)) = entry(BackendKind::Sketch) else {
+            panic!("b's sketch entry");
+        };
+        let drawn: *const WorldMasks = sketches.masks.get().expect("b's masks");
+        let masks = Arc::downgrade(&sketches);
+        drop(sketches);
+        let warm = engine.execute(&infmax(BackendKind::Sketch)).expect("warm");
+        assert_eq!(warm, cold);
+        let kept = masks
+            .upgrade()
+            .and_then(|e| e.masks.get().map(|m| m as *const _));
+        assert_eq!(kept, Some(drawn), "a warm request redrew the masks");
+        let _ = engine.index_for("a").expect("a");
+        assert!(
+            masks.upgrade().is_none(),
+            "evicting b's sketches freed their masks"
+        );
     }
 }

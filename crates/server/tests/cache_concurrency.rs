@@ -10,7 +10,9 @@
 //! evicted indexes live while referenced, so *every* response must be
 //! byte-identical (modulo wall clock) to the one a single-threaded
 //! engine produces — a partially built or aliased index would answer
-//! differently.
+//! differently. The same holds for the spheres an index entry keeps:
+//! cold `infmax-tc` requests racing to solve and publish them must each
+//! answer what a serial engine answers.
 
 use soi_graph::{gen, ProbGraph};
 use soi_server::worker::{Job, WorkerPool};
@@ -99,4 +101,68 @@ fn eviction_during_concurrent_builds_never_serves_a_torn_index() {
         assert!(line.contains("\"status\":\"ok\""), "{line}");
         assert_eq!(line, &expected[i], "request {i} diverged from serial");
     }
+}
+
+/// Cold `infmax-tc` requests racing on one graph: every worker may solve
+/// the spheres, the first complete solve is kept, and budgeted requests
+/// may read them mid-race. Each answer must be the serial one.
+#[test]
+fn racing_cold_infmax_requests_answer_identically() {
+    let engine = || {
+        let mut engine = ServerEngine::new(EngineConfig {
+            num_worlds: 8,
+            seed: 5,
+            ..EngineConfig::default()
+        });
+        engine.add_graph("g", graph(13, 150, 450));
+        engine
+    };
+    let request = |i: u64| Envelope {
+        id: i,
+        req: Request::InfmaxTc {
+            graph: "g".into(),
+            k: 5,
+            // Every third request stops after the first block of nodes.
+            deadline_ticks: (i % 3 == 2).then_some(64),
+            backend: soi_influence::BackendKind::Cascade,
+            sketch_k: None,
+        },
+        // A timeline would differ: which worker's lookup built the index
+        // is the race itself.
+        trace: false,
+    };
+    let n: u64 = 12;
+    let serial = engine();
+    let expected: Vec<String> = (0..n)
+        .map(|i| {
+            let line = soi_server::worker::execute_job(&serial, &request(i));
+            soi_obs::report::mask_wall_clock(&line)
+        })
+        .collect();
+    assert!(
+        expected[2].contains("\"status\":\"partial\""),
+        "{}",
+        expected[2]
+    );
+
+    let pool = WorkerPool::start(Arc::new(engine()), 4, 64);
+    let handle = pool.handle();
+    let (tx, rx) = mpsc::channel();
+    for i in 0..n {
+        handle.submit(Job::new(request(i), tx.clone()));
+    }
+    drop(tx);
+    pool.shutdown();
+    let mut answered = 0;
+    for line in rx.iter() {
+        let id = json::parse(&line)
+            .expect("well-formed response")
+            .get("id")
+            .and_then(json::Value::as_u64)
+            .expect("response id");
+        let line = soi_obs::report::mask_wall_clock(&line);
+        assert_eq!(line, expected[id as usize], "request {id} diverged");
+        answered += 1;
+    }
+    assert_eq!(answered, n);
 }

@@ -10,10 +10,11 @@
 //! (wall-masked) responses under *every* schedule — any divergence
 //! means ordering of concurrent work leaked into an answer.
 //!
-//! The workload is the same 122-request mix the `serve-e2e` CI job
-//! drives through the real binary (typical-cascade + spread-estimate +
-//! health per node over 40 nodes, one deadline-limited query, one
-//! infmax), here run in-process against [`soi_server::run_tcp`] so the
+//! The workload is the 122-request mix the `serve-e2e` CI job drove
+//! through the real binary before that job grew to 160 nodes and three
+//! `infmax-tc` lines (typical-cascade + spread-estimate + health per
+//! node over 40 nodes, one deadline-limited query, one infmax), here
+//! run in-process against [`soi_server::run_tcp`] so the
 //! schedule shim can be re-armed per run without respawning a daemon.
 //! Debug builds only in effect: release builds compile the failpoint
 //! macros — and with them the perturbation hook — to nothing.

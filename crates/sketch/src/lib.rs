@@ -51,7 +51,7 @@ use soi_util::runtime::{Outcome, Run};
 use soi_util::SoiError;
 use std::convert::Infallible;
 
-pub use select::{select_seeds, SelectResult};
+pub use select::{select_seeds, select_seeds_with, world_masks, SelectResult};
 
 /// Worlds per deadline check (and per checkpointable unit) in the budgeted
 /// build. Fixed independent of thread count so a partial prefix is

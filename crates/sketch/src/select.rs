@@ -13,12 +13,14 @@
 //! * when a seed is **selected**, its true marginal coverage is computed
 //!   exactly: a forward BFS per world marks newly covered nodes, the SKIM
 //!   discipline that keeps estimation error from compounding across
-//!   rounds. The ℓ worlds are drawn once, before the first round, from
+//!   rounds. The ℓ worlds are drawn before the first round, from
 //!   `world_rng(seed, i)` as [`WorldMasks`] over `pg`'s arcs, 64 worlds
-//!   to a column — the worlds the build sampled, bit for bit — and every
-//!   round's BFS walks `pg.graph()` filtered by world `i`'s bits. The
-//!   memory contract is `O(k · n)` for the heap and covered sets plus
-//!   `ℓ · m` bits for the masks.
+//!   to a column — the worlds the build sampled, bit for bit
+//!   ([`world_masks`]) — and every round's BFS walks `pg.graph()`
+//!   filtered by world `i`'s bits. [`select_seeds`] draws them per call;
+//!   a caller that keeps them (the daemon's sketch cache entry) passes
+//!   them to [`select_seeds_with`]. The memory contract is `O(k · n)` for
+//!   the heap and covered sets plus `ℓ · m` bits for the masks.
 //!
 //! One deadline tick per selection round; on expiry the partial result is
 //! the seed prefix an uninterrupted run would have selected.
@@ -61,13 +63,48 @@ pub(crate) fn residual_gain(sk: &ReachSketches, u: NodeId, covered: &[BitSet]) -
     }
 }
 
+/// The live-arc masks of the ℓ worlds `sk` was built from: world `i`
+/// drawn from `world_rng(seed, i)` over `pg`'s arcs, 64 worlds to a
+/// column, by the build's thread count. `pg` must be the graph the
+/// sketches were built over.
+pub fn world_masks(pg: &ProbGraph, sk: &ReachSketches) -> WorldMasks {
+    let (seed, threads, ell) = (sk.config().seed, sk.config().threads, sk.num_worlds());
+    WorldMasks::from_columns(ell, threads, |c| draw_column(pg, seed, c, ell))
+}
+
 /// Greedy seed selection: lazy residual-sketch estimates drive the heap,
 /// exact forward-BFS coverage updates follow each selection. Deterministic
 /// in the sketch build seed; one deadline tick per round (the first round
 /// always runs). `pg` must be the graph the sketches were built over.
+/// Draws the worlds' masks for this call ([`world_masks`]).
 pub fn select_seeds(
     pg: &ProbGraph,
     sk: &ReachSketches,
+    k_seeds: usize,
+    deadline: &Deadline,
+) -> Outcome<SelectResult> {
+    let _span = soi_obs::span("sketch.select");
+    select(pg, sk, &world_masks(pg, sk), k_seeds, deadline)
+}
+
+/// [`select_seeds`] over masks the caller drew with [`world_masks`] and
+/// kept: the same answer, without redrawing ℓ · m coins.
+pub fn select_seeds_with(
+    pg: &ProbGraph,
+    sk: &ReachSketches,
+    masks: &WorldMasks,
+    k_seeds: usize,
+    deadline: &Deadline,
+) -> Outcome<SelectResult> {
+    let _span = soi_obs::span("sketch.select");
+    select(pg, sk, masks, k_seeds, deadline)
+}
+
+/// The one selection body behind both entry points.
+fn select(
+    pg: &ProbGraph,
+    sk: &ReachSketches,
+    masks: &WorldMasks,
     k_seeds: usize,
     deadline: &Deadline,
 ) -> Outcome<SelectResult> {
@@ -76,9 +113,9 @@ pub fn select_seeds(
         sk.graph_fingerprint(),
         "sketches were built over a different graph"
     );
-    let _span = soi_obs::span("sketch.select");
     let n = sk.num_nodes();
     let ell = sk.num_worlds();
+    assert_eq!(masks.num_worlds(), ell, "masks of a different world count");
     let k_seeds = k_seeds.min(n);
 
     let mut covered: Vec<BitSet> = (0..ell).map(|_| BitSet::new(n)).collect();
@@ -91,8 +128,6 @@ pub fn select_seeds(
     }
 
     let g = pg.graph();
-    let (seed, threads) = (sk.config().seed, sk.config().threads);
-    let masks = WorldMasks::from_columns(ell, threads, |c| draw_column(pg, seed, c, ell));
     let mut queue: Vec<NodeId> = Vec::new();
     let mut seeds = Vec::with_capacity(k_seeds);
     let mut coverage = Vec::with_capacity(k_seeds);

@@ -65,10 +65,12 @@ pub const SITES: &[&str] = &[
     // is exercised by the serve-chaos matrix.
     "sketch.build.block",
     "server.sketch.build",
-    // Router-side sites: exercised by the route-chaos fabric matrix
-    // (crates/cli/tests/route_chaos.rs). `forward.write` fires on the
-    // router→shard hop (failover path), `response.write` on the
-    // router→client hop (client retry path).
+    // Router-side crash sites, armed by the route-chaos fabric matrix
+    // (crates/cli/tests/route_chaos.rs): `forward.write` fires before the
+    // router→shard write, `response.write` before the router→client
+    // write. Neither can return an error, so neither drives a replica
+    // failover: a panic ends one client connection (the client retry
+    // path), an exit ends the router (typed `connection-lost`).
     "router.forward.write",
     "router.response.write",
     // Fires before the override table is persisted after a rebalance;
