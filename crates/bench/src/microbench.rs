@@ -1,8 +1,8 @@
 //! A minimal, dependency-free micro-benchmark harness.
 //!
 //! Replaces the former Criterion benches so the workspace builds with no
-//! external registry dependencies (the hermeticity policy enforced by
-//! `cargo xtask lint`). Each bench target under `benches/` is a plain
+//! external registry dependencies (the hermeticity policy, which CI's
+//! offline `cargo metadata` step enforces). Each bench target under `benches/` is a plain
 //! `fn main()` (`harness = false`) that times closures with
 //! [`Bencher::bench`] and prints one TSV row per case:
 //!

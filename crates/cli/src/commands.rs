@@ -21,7 +21,7 @@ use soi_sketch::{select_seeds, ReachSketches, SketchConfig};
 use soi_util::rng::Xoshiro256pp;
 use soi_util::runtime::{Deadline, Outcome, Run};
 use soi_util::SoiError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -121,14 +121,14 @@ impl RunStatus {
 /// never silently falls back to its default.
 struct Opts {
     positional: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Opts {
     fn parse(args: &[String], flag_names: &str, switch_names: &str) -> Result<Opts, SoiError> {
         let mut positional = Vec::new();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {

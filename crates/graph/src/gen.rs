@@ -38,6 +38,10 @@ pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> DiGraph {
     assert!(n >= 2 || m == 0, "need at least two nodes for any arc");
     let max_arcs = n.saturating_mul(n.saturating_sub(1));
     assert!(m <= max_arcs, "m = {m} exceeds max {max_arcs}");
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership tests only; the arcs come out in draw order, never in the set's order"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(m * 2);
     let mut edges = Vec::with_capacity(m);
     while edges.len() < m {

@@ -15,6 +15,11 @@
 //! exact ties, the same holds on both branches of every bound-decided
 //! comparison ([`crate::bound`]).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the oracle keeps the old evaluator's hash containers verbatim; every iteration of them is sorted before it is read"
+)]
+
 use crate::bound::{DECISIONS, WIDEN};
 use crate::cost::{empirical_cost, Closures, IncrementalCost, FLAT_KEYS};
 use crate::median::{

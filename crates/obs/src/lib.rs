@@ -8,9 +8,9 @@
 //!
 //! Everything lives in one process-global registry so instrumentation
 //! can be dropped into any crate without threading handles through
-//! signatures. The design contract, mirrored by `cargo xtask lint`'s
-//! determinism pass (and CI's clippy console step, which keeps library
-//! code from printing around the event log):
+//! signatures. The design contract, mirrored by clippy's determinism
+//! rule (no hash containers, see `clippy.toml`) and CI's clippy console
+//! step, which keeps library code from printing around the event log:
 //!
 //! - **Counts are deterministic.** Counters, gauges, histogram bucket
 //!   counts, and span *call counts* must depend only on the seeded

@@ -5,6 +5,11 @@
 //! *after* `u`, divided by the number of items `u` acted on:
 //! `p(u, v) = A_{u2v} / A_u` (§6.2).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the arc counters are only looked up, in CSR order; nothing iterates them"
+)]
+
 use crate::log::ActionLog;
 use soi_graph::DiGraph;
 use std::collections::HashMap;

@@ -16,6 +16,11 @@
 //! divides by the total number of attempts. Iterated to convergence, the
 //! likelihood is non-decreasing (a property the tests check).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`time_of` is only looked up; the contexts are built in episode and CSR order"
+)]
+
 use crate::log::ActionLog;
 use soi_graph::{DiGraph, NodeId};
 use std::collections::HashMap;

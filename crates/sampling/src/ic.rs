@@ -117,7 +117,7 @@ mod tests {
         .unwrap();
         let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(4);
         let events = simulate_ic(&pg, &[0], &mut rng);
-        let time_of: std::collections::HashMap<NodeId, u32> =
+        let time_of: std::collections::BTreeMap<NodeId, u32> =
             events.iter().map(|e| (e.node, e.time)).collect();
         for e in &events {
             if e.time == 0 {

@@ -143,7 +143,7 @@ mod tests {
     // Local copy of the majority rule (this crate cannot depend on
     // soi-jaccard without a cycle); mirrors soi_jaccard::median::majority.
     fn soi_jaccard_majority(samples: &[Vec<NodeId>]) -> Vec<NodeId> {
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for s in samples {
             for &v in s {
                 *counts.entry(v).or_insert(0usize) += 1;

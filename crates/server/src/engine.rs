@@ -503,12 +503,12 @@ impl ServerEngine {
     ) -> Result<ExecOutput, SoiError> {
         let oracle = self.oracle(graph, BackendKind::Sketch, sketch_k, trace)?;
         let entry = oracle.as_sketch()?;
-        let (pg, _) = self.graph(graph)?;
+        let (pg, fingerprint) = self.graph(graph)?;
         let deadline = protocol::deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
         let sk = &entry.sketches;
         let masks = entry.masks.get_or_init(|| soi_sketch::world_masks(pg, sk));
-        let outcome = soi_sketch::select_seeds_with(pg, sk, masks, k, &deadline);
+        let outcome = soi_sketch::select_seeds_with(pg, *fingerprint, sk, masks, k, &deadline);
         let run = outcome.value_ref();
         let payload = protocol::seeds_payload(&run.seeds, &run.coverage, BackendKind::Sketch);
         trace.record("compute", k as u64, crate::trace::elapsed_ns(compute_start));

@@ -932,7 +932,7 @@ mod tests {
     #[test]
     fn ranks_are_deterministic_and_pairwise_distinct() {
         assert_eq!(pair_rank(1, 2, 3), pair_rank(1, 2, 3));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for world in 0..8 {
             for node in 0..256u32 {
                 assert!(seen.insert(pair_rank(42, world, node)), "rank collision");

@@ -75,7 +75,8 @@ pub fn world_masks(pg: &ProbGraph, sk: &ReachSketches) -> WorldMasks {
 /// Greedy seed selection: lazy residual-sketch estimates drive the heap,
 /// exact forward-BFS coverage updates follow each selection. Deterministic
 /// in the sketch build seed; one deadline tick per round (the first round
-/// always runs). `pg` must be the graph the sketches were built over.
+/// always runs). `pg` must be the graph the sketches were built over;
+/// its [`ProbGraph::fingerprint`] is checked against the sketches'.
 /// Draws the worlds' masks for this call ([`world_masks`]).
 pub fn select_seeds(
     pg: &ProbGraph,
@@ -84,32 +85,37 @@ pub fn select_seeds(
     deadline: &Deadline,
 ) -> Outcome<SelectResult> {
     let _span = soi_obs::span("sketch.select");
-    select(pg, sk, &world_masks(pg, sk), k_seeds, deadline)
+    let masks = world_masks(pg, sk);
+    select(pg, pg.fingerprint(), sk, &masks, k_seeds, deadline)
 }
 
 /// [`select_seeds`] over masks the caller drew with [`world_masks`] and
-/// kept: the same answer, without redrawing ℓ · m coins.
+/// kept: the same answer, without redrawing ℓ · m coins. `fingerprint`
+/// is `pg`'s [`ProbGraph::fingerprint`], which the caller already holds,
+/// so the check against the sketches costs no pass over the graph.
 pub fn select_seeds_with(
     pg: &ProbGraph,
+    fingerprint: u64,
     sk: &ReachSketches,
     masks: &WorldMasks,
     k_seeds: usize,
     deadline: &Deadline,
 ) -> Outcome<SelectResult> {
     let _span = soi_obs::span("sketch.select");
-    select(pg, sk, masks, k_seeds, deadline)
+    select(pg, fingerprint, sk, masks, k_seeds, deadline)
 }
 
 /// The one selection body behind both entry points.
 fn select(
     pg: &ProbGraph,
+    fingerprint: u64,
     sk: &ReachSketches,
     masks: &WorldMasks,
     k_seeds: usize,
     deadline: &Deadline,
 ) -> Outcome<SelectResult> {
     assert_eq!(
-        pg.fingerprint(),
+        fingerprint,
         sk.graph_fingerprint(),
         "sketches were built over a different graph"
     );
@@ -258,5 +264,15 @@ mod tests {
         let other = ba_graph(30, 7);
         let sk = build(&pg, 8, 8, 1);
         let _ = select_seeds(&other, &sk, 2, &Deadline::unlimited());
+    }
+
+    #[test]
+    #[should_panic(expected = "different graph")]
+    fn a_held_fingerprint_of_another_graph_is_rejected() {
+        let pg = ba_graph(30, 6);
+        let sk = build(&pg, 8, 8, 1);
+        let masks = world_masks(&pg, &sk);
+        let other = ba_graph(30, 7).fingerprint();
+        let _ = select_seeds_with(&pg, other, &sk, &masks, 2, &Deadline::unlimited());
     }
 }

@@ -10,8 +10,9 @@
 //! [`Xoshiro256pp`] (xoshiro256++, seeded through a SplitMix64 expansion)
 //! is the sole generator; there is no ambient/thread-local entropy source
 //! anywhere in the workspace, so a run is a pure function of its seed.
-//! The `xtask` determinism lint enforces this by rejecting any use of the
-//! external `rand` crate or unseeded RNG construction.
+//! The workspace has no external crate (so no `rand`), and the root
+//! `clippy.toml` disallows `std::hash::RandomState`, std's one entropy
+//! source.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 ///
@@ -244,7 +245,7 @@ impl_uniform_int!(u8, u16, u32, u64, usize);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn mix64_is_not_identity_and_spreads() {
@@ -262,7 +263,7 @@ mod tests {
 
     #[test]
     fn derived_seeds_are_distinct() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for seed in 0..16u64 {
             for stream in 0..256u64 {
                 assert!(seen.insert(derive_seed(seed, stream)), "collision");

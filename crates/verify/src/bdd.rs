@@ -29,6 +29,11 @@
 //! recurrence `P(node) = (1 - p_var)·P(lo) + p_var·P(hi)` needs no
 //! level-skip correction.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the memo and unique tables are only looked up; diagram node ids follow construction order"
+)]
+
 use soi_graph::{NodeId, ProbGraph};
 use soi_util::SoiError;
 use std::collections::HashMap;

@@ -27,7 +27,7 @@
 //! `clippy.toml` disallows it, and each site that owns its join carries
 //! an `#[expect(clippy::disallowed_methods, reason = "…")]`.
 //!
-//! **Approximation contract** (same spirit as the determinism pass):
+//! **Approximation contract**:
 //! the model over-approximates lock identity — a lock is named by the
 //! final path segment of the receiver (`self.state.lock()` is `state`),
 //! so same-named fields on different types alias — and under-

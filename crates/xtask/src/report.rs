@@ -12,13 +12,8 @@ use std::path::PathBuf;
 /// accepted by `// xtask-allow: <pass>` comments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
-    /// Unseeded randomness or unordered-container emission.
-    Determinism,
-    /// External registry dependencies in a Cargo manifest, or network
-    /// primitives outside the serving crate.
+    /// Network primitives outside the serving crate.
     Hermeticity,
-    /// Missing module docs or missing tests.
-    Hygiene,
     /// Lock-order inversions, guards held across blocking calls, or
     /// unjustified atomic orderings.
     Concurrency,
@@ -34,9 +29,7 @@ impl Pass {
     /// The pass name as written in reports and allow comments.
     pub fn name(self) -> &'static str {
         match self {
-            Pass::Determinism => "determinism",
             Pass::Hermeticity => "hermeticity",
-            Pass::Hygiene => "hygiene",
             Pass::Concurrency => "concurrency",
             Pass::MetricCatalog => "metric_catalog",
             Pass::FailpointCatalog => "failpoint_catalog",
@@ -44,11 +37,9 @@ impl Pass {
     }
 
     /// All passes, in report order.
-    pub fn all() -> [Pass; 6] {
+    pub fn all() -> [Pass; 4] {
         [
-            Pass::Determinism,
             Pass::Hermeticity,
-            Pass::Hygiene,
             Pass::Concurrency,
             Pass::MetricCatalog,
             Pass::FailpointCatalog,
@@ -104,14 +95,14 @@ mod tests {
     #[test]
     fn findings_render_compiler_style() {
         let f = Finding {
-            pass: Pass::Determinism,
+            pass: Pass::Hermeticity,
             path: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
-            message: "entropy-seeded `thread_rng()`".into(),
+            message: "`std::net` outside `crates/server/`".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7: [determinism] entropy-seeded `thread_rng()`"
+            "crates/x/src/lib.rs:7: [hermeticity] `std::net` outside `crates/server/`"
         );
     }
 
@@ -124,10 +115,10 @@ mod tests {
             message: String::new(),
         };
         let mut v = vec![
-            mk("b.rs", 1, Pass::Hygiene),
-            mk("a.rs", 9, Pass::Determinism),
-            mk("a.rs", 2, Pass::Hygiene),
-            mk("a.rs", 2, Pass::Determinism),
+            mk("b.rs", 1, Pass::Concurrency),
+            mk("a.rs", 9, Pass::Hermeticity),
+            mk("a.rs", 2, Pass::Concurrency),
+            mk("a.rs", 2, Pass::Hermeticity),
         ];
         sort_findings(&mut v);
         let order: Vec<(String, usize, Pass)> = v
@@ -137,10 +128,10 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                ("a.rs".into(), 2, Pass::Determinism),
-                ("a.rs".into(), 2, Pass::Hygiene),
-                ("a.rs".into(), 9, Pass::Determinism),
-                ("b.rs".into(), 1, Pass::Hygiene),
+                ("a.rs".into(), 2, Pass::Hermeticity),
+                ("a.rs".into(), 2, Pass::Concurrency),
+                ("a.rs".into(), 9, Pass::Hermeticity),
+                ("b.rs".into(), 1, Pass::Concurrency),
             ]
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! Walks the lint root recursively, skipping build output (`target/`),
 //! VCS metadata, and lint-test fixture trees (`fixtures/` directories
-//! contain *deliberately* broken crates). Results are sorted so every
+//! hold *deliberately* broken sources). Results are sorted so every
 //! run reports findings in the same order regardless of readdir order.
 
 use std::path::{Path, PathBuf};
@@ -10,27 +10,15 @@ use std::path::{Path, PathBuf};
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".cargo", "fixtures"];
 
-/// All files discovered under a lint root, pre-classified.
-#[derive(Clone, Debug, Default)]
-pub struct Tree {
-    /// Every `.rs` file, sorted, relative to the root.
-    pub rust_files: Vec<PathBuf>,
-    /// Every `Cargo.toml`, sorted, relative to the root.
-    pub manifests: Vec<PathBuf>,
+/// Every `.rs` file under `root`, sorted, relative to the root.
+pub fn rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    walk(root, Path::new(""), &mut files)?;
+    files.sort();
+    Ok(files)
 }
 
-impl Tree {
-    /// Walks `root` and classifies its files.
-    pub fn discover(root: &Path) -> std::io::Result<Tree> {
-        let mut tree = Tree::default();
-        walk(root, Path::new(""), &mut tree)?;
-        tree.rust_files.sort();
-        tree.manifests.sort();
-        Ok(tree)
-    }
-}
-
-fn walk(root: &Path, rel: &Path, tree: &mut Tree) -> std::io::Result<()> {
+fn walk(root: &Path, rel: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let dir = root.join(rel);
     let mut entries: Vec<_> = std::fs::read_dir(&dir)?
         .collect::<Result<Vec<_>, _>>()?
@@ -46,11 +34,9 @@ fn walk(root: &Path, rel: &Path, tree: &mut Tree) -> std::io::Result<()> {
             if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
-            walk(root, &rel_child, tree)?;
-        } else if name == "Cargo.toml" {
-            tree.manifests.push(rel_child);
+            walk(root, &rel_child, files)?;
         } else if name.ends_with(".rs") {
-            tree.rust_files.push(rel_child);
+            files.push(rel_child);
         }
     }
     Ok(())
@@ -99,15 +85,14 @@ mod tests {
         for d in ["src", "target/debug", "tests/fixtures/bad/src"] {
             std::fs::create_dir_all(root.join(d)).unwrap();
         }
-        std::fs::write(root.join("Cargo.toml"), "[package]\n").unwrap();
         std::fs::write(root.join("src/lib.rs"), "//! x\n").unwrap();
         std::fs::write(root.join("target/debug/gen.rs"), "").unwrap();
         std::fs::write(root.join("tests/fixtures/bad/src/lib.rs"), "").unwrap();
-        std::fs::write(root.join("tests/fixtures/bad/Cargo.toml"), "").unwrap();
 
-        let tree = Tree::discover(&root).unwrap();
-        assert_eq!(tree.rust_files, vec![PathBuf::from("src/lib.rs")]);
-        assert_eq!(tree.manifests, vec![PathBuf::from("Cargo.toml")]);
+        assert_eq!(
+            rust_files(&root).unwrap(),
+            vec![PathBuf::from("src/lib.rs")]
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 }
