@@ -7,12 +7,19 @@
 //! of every node at ℓ = 256, on a weighted-cascade BA(20000, m = 5) index
 //! (`batch-wc`'s shape) and on G(1000, 5000) at p = 0.15 (the shape of
 //! `serve-fabric`'s `web` graph, where a node's cascades are small but
-//! their union over the worlds is not).
+//! their union over the worlds is not). `tc_pipeline/wc_ba_20000_k50` is
+//! `infmax --method tc`'s work after the index build on that BA index, on
+//! 2 threads: the bounds pass over all nodes, then the lazy cover for
+//! k = 50, which fits the spheres it reads.
 
 use soi_bench::microbench::Bencher;
+use soi_core::SphereStore;
 use soi_graph::{gen, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
+use soi_influence::infmax_tc_lazy;
+use soi_jaccard::median::MedianConfig;
 use soi_util::rng::Xoshiro256pp;
+use soi_util::runtime::Run;
 use std::hint::black_box;
 
 fn pg(seed: u64, p: f64) -> ProbGraph {
@@ -82,8 +89,28 @@ fn bench_query() {
     }
 }
 
+fn bench_tc_pipeline() {
+    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let ba = ProbGraph::weighted_cascade(gen::barabasi_albert(20_000, 5, true, &mut rng));
+    let config = IndexConfig {
+        num_worlds: 256,
+        seed: 7,
+        threads: 2,
+        ..IndexConfig::default()
+    };
+    let index = CascadeIndex::build(&ba, config);
+    let b = Bencher::group("tc_pipeline").sample_size(10);
+    b.bench("wc_ba_20000_k50", || {
+        let median = MedianConfig::default();
+        let store = SphereStore::bound(black_box(&index), &median, 2, &Run::unlimited());
+        let mut store = store.expect("an unlimited run cannot fail").value();
+        infmax_tc_lazy(&mut store, 50, 0).seeds
+    });
+}
+
 fn main() {
     bench_build();
     bench_query();
+    bench_tc_pipeline();
     soi_bench::microbench::write_summary();
 }

@@ -6,12 +6,12 @@
 //! in `docs/ROBUSTNESS.md`: 0 complete, 1 runtime failure, 2 usage,
 //! 3 deadline expired with partial output.
 
-use soi_core::{typical_cascade, TypicalCascadeConfig};
+use soi_core::{typical_cascade, SphereStore, TypicalCascadeConfig};
 use soi_graph::{csr, gen, io as gio, stats, DiGraph, NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexConfig};
 use soi_influence::{
     degree_discount_seeds, high_degree_seeds, infmax_celf_resumable, infmax_ris_budgeted,
-    infmax_std_mc, infmax_tc, pagerank_seeds, random_seeds, BackendKind,
+    infmax_std_mc, infmax_tc_lazy, pagerank_seeds, random_seeds, BackendKind,
 };
 use soi_jaccard::median::MedianConfig;
 use soi_problog::{
@@ -704,18 +704,12 @@ fn cmd_infmax<W: Write>(
         "tc" => {
             let index = build_index();
             let run = rt.run("infmax-tc.ckpt")?;
-            let outcome = soi_core::all_typical_cascades_resumable(
-                &index,
-                &MedianConfig::default(),
-                0,
-                &run,
-            )?;
+            let outcome = SphereStore::bound(&index, &MedianConfig::default(), 0, &run)?;
             status = finish_run(&run, &outcome);
-            // On expiry the cover runs over the spheres of the solved node
-            // prefix, exactly as the daemon's `infmax-tc` answers partial.
-            let cascades: Vec<Vec<NodeId>> =
-                outcome.value().into_iter().map(|s| s.median).collect();
-            infmax_tc(&cascades, k, 0).seeds
+            // On expiry the cover runs over the bounded node prefix, whose
+            // spheres the daemon's partial `infmax-tc` covers too; it fits
+            // only the spheres it reads.
+            infmax_tc_lazy(&mut outcome.value(), k, 0).seeds
         }
         "greedy" => {
             let index = build_index();

@@ -13,7 +13,9 @@
 mod common;
 
 use common::{fresh_dir, generate, soi};
-use soi_util::ckpt::{read_checkpoint, write_checkpoint, KIND_GREEDY, KIND_TYPICAL_CASCADES};
+use soi_util::ckpt::{
+    read_checkpoint, write_checkpoint, KIND_GREEDY, KIND_SPHERE_BOUNDS, KIND_TYPICAL_CASCADES,
+};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -368,7 +370,7 @@ fn checkpoints_keyed_on_condensations_are_refused() {
         ),
         (
             "infmax-tc.ckpt",
-            KIND_TYPICAL_CASCADES,
+            KIND_SPHERE_BOUNDS,
             "15",
             "infmax",
             "--k 5 --method tc --checkpoint-every 10",
@@ -418,6 +420,52 @@ fn checkpoints_keyed_on_condensations_are_refused() {
             "{file}: a refused checkpoint was modified"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An `infmax-tc.ckpt` written before the sphere store held the solved
+/// node prefix's spheres, a typical-cascade checkpoint — the very file
+/// `spheres` writes under the same budget. `--resume` refuses it with the
+/// typed kind mismatch and leaves it byte-for-byte as it was; a fresh run
+/// then completes.
+#[test]
+fn typical_cascade_checkpoints_are_refused_by_infmax_tc() {
+    let dir = fresh_dir("tc-kind");
+    let graph = make_graph(&dir);
+    let ck = dir.join("ck");
+    let spheres = run({
+        let mut c = soi();
+        c.args(["spheres", &graph, "--out"])
+            .arg(dir.join("spheres.tsv"));
+        c.args("--samples 32 --seed 4 --deadline-ticks 15 --checkpoint-every 10".split(' '));
+        c.arg("--checkpoint-dir").arg(&ck);
+        c
+    });
+    assert_code(&spheres, 3, "budgeted spheres");
+    let path = ck.join("infmax-tc.ckpt");
+    std::fs::rename(ck.join("spheres.ckpt"), &path).unwrap();
+    let planted = std::fs::read(&path).unwrap();
+    let tc = |resume: bool| {
+        let mut c = soi();
+        c.args(["infmax", &graph]);
+        c.args("--k 5 --method tc --samples 32 --seed 4 --checkpoint-every 10".split(' '));
+        c.arg("--checkpoint-dir").arg(&ck);
+        if resume {
+            c.arg("--resume");
+        }
+        c
+    };
+    let out = run(tc(true));
+    assert_code(&out, 1, "resume from a typical-cascade checkpoint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("kind"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        planted,
+        "a refused checkpoint was modified"
+    );
+    std::fs::remove_file(&path).unwrap();
+    assert_code(&run(tc(false)), 0, "fresh run after removing it");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

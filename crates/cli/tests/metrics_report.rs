@@ -92,9 +92,35 @@ fn report_covers_all_phases_and_is_deterministic_masked() {
     assert_eq!(counters["sampling.worlds_sampled"], 32.0);
     assert_eq!(counters["index.worlds_built"], 32.0);
     assert_eq!(counters["influence.tc_runs"], 1.0);
-    assert_eq!(counters["median.calls"], 40.0, "one fit per node");
+    // The lazy cover fits the 22 of 40 spheres its heap reads; `spheres`
+    // fits every node.
+    assert_eq!(counters["median.calls"], 22.0, "fits the cover asked for");
+    let spheres = tmp("spheres.jsonl");
+    let out = soi(&[
+        "spheres",
+        graph.to_str().unwrap(),
+        "--samples",
+        "32",
+        "--seed",
+        "5",
+        "--out",
+        tmp("spheres.tsv").to_str().unwrap(),
+        "--metrics-out",
+        spheres.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let spheres = std::fs::read_to_string(&spheres).unwrap();
+    assert_eq!(
+        values(&spheres, "counter")["median.calls"],
+        40.0,
+        "one fit per node"
+    );
     let classes = counters["median.sample_classes"];
-    assert!((40.0..=32.0 * 40.0).contains(&classes), "{classes} classes");
+    assert!((22.0..=32.0 * 22.0).contains(&classes), "{classes} classes");
     assert!(values(&a, "gauge")["index.memory_bytes"] > 0.0, "{a}");
     assert!(a.contains("\"type\":\"span\""), "no spans in report");
     assert!(

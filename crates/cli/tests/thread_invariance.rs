@@ -27,18 +27,55 @@ mod common;
 use common::{fresh_dir, generate, soi, stdout_str};
 
 /// Stdout of `soi ARGS --threads T`, followed by the `--out` file when
-/// the command writes one.
+/// the command writes one, and for `infmax --method tc` by its count of
+/// fits: the lazy cover fits the nodes its heap asks for, whatever the
+/// thread count.
 fn output_at(args: &[&str], out_file: Option<&str>, threads: &str) -> String {
     let mut command = soi();
     command.args(args).args(["--threads", threads]);
     if let Some(path) = out_file {
         command.args(["--out", path]);
     }
+    let tc = args.windows(2).any(|w| w == ["--method", "tc"]);
+    let dir = std::env::temp_dir().join(format!("soi-threads-{}", std::process::id()));
+    let key = soi_util::hash::hash_bytes(args.join(" ").as_bytes());
+    let metrics = dir.join(format!("metrics-{threads}-{key:x}.jsonl"));
+    if tc {
+        std::fs::create_dir_all(&dir).unwrap();
+        command.arg("--metrics-out").arg(&metrics);
+    }
     let mut text = stdout_str(&command.output().expect("spawn soi"));
     if let Some(path) = out_file {
         text.push_str(&std::fs::read_to_string(path).expect("spheres output"));
     }
+    if tc {
+        let report = std::fs::read_to_string(&metrics).expect("metrics report");
+        let calls = report
+            .lines()
+            .find(|l| l.contains("\"name\":\"median.calls\""))
+            .expect("median.calls in the report");
+        text.push_str(calls);
+    }
     text
+}
+
+/// Each command of `commands` (graph, arguments, `--out` file) prints the
+/// same bytes at `--threads` 1, 2 and 8.
+fn assert_thread_invariant(commands: Vec<(&String, &str, Option<&str>)>) {
+    for (graph, line, out_file) in commands {
+        let mut args: Vec<&str> = line.split(' ').collect();
+        args.insert(1, graph);
+        let args = &args[..];
+        let serial = output_at(args, out_file, "1");
+        assert!(!serial.is_empty(), "{args:?} printed nothing");
+        for threads in ["2", "8"] {
+            assert_eq!(
+                output_at(args, out_file, threads),
+                serial,
+                "{args:?} differs at --threads {threads}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -140,18 +177,39 @@ fn heavy_commands_print_the_same_bytes_at_any_thread_count() {
             ),
         ]);
     }
-    for (graph, line, out_file) in commands {
-        let mut args: Vec<&str> = line.split(' ').collect();
-        args.insert(1, graph);
-        let args = &args[..];
-        let serial = output_at(args, out_file, "1");
-        assert!(!serial.is_empty(), "{args:?} printed nothing");
-        for threads in ["2", "8"] {
-            assert_eq!(
-                output_at(args, out_file, threads),
-                serial,
-                "{args:?} differs at --threads {threads}"
-            );
-        }
-    }
+    assert_thread_invariant(commands);
+}
+
+/// The supercritical arm: G(2000, 10⁴) at p = 0.3 and ℓ = 64, whose worlds
+/// have giant hub closures and whose lazy cover fits most nodes, in
+/// fan-outs of up to 64.
+#[test]
+fn supercritical_commands_print_the_same_bytes_at_any_thread_count() {
+    let dir = fresh_dir("threads-supercritical");
+    let args = [
+        "--model",
+        "gnm",
+        "--nodes",
+        "2000",
+        "--edges",
+        "10000",
+        "--prob",
+        "fixed:0.3",
+        "--seed",
+        "13",
+    ];
+    let graph = generate(&dir, "g.tsv", &args);
+    let spheres_out = dir.join("spheres.tsv").to_string_lossy().into_owned();
+    assert_thread_invariant(vec![
+        (
+            &graph,
+            "infmax --k 10 --method tc --samples 64 --seed 9",
+            None,
+        ),
+        (
+            &graph,
+            "spheres --samples 64 --seed 7",
+            Some(spheres_out.as_str()),
+        ),
+    ]);
 }

@@ -2,14 +2,17 @@
 //!
 //! The batch pipeline solves every node from the index, each one as
 //! [`index_median`] solves it: the node's walk of all ℓ worlds at once
-//! ([`CascadeIndex::walk`]), then its load and median fit.
+//! ([`CascadeIndex::walk`]), then its load and median fit. [`sphere_bound`]
+//! stops after the walk, with a bound on the sphere's size; the sphere
+//! store ([`crate::store`]) runs both.
 
+use crate::store::{block_site, Workers};
 use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery};
 use soi_jaccard::cost::{Closures, IncrementalCost};
 use soi_jaccard::median::{
-    input_set_samples, jaccard_median_loaded, jaccard_median_with, scores_input_set, MedianConfig,
-    MedianResult,
+    input_set_samples, jaccard_median_loaded, jaccard_median_with, median_size_bound,
+    scores_input_set, MedianConfig, MedianResult,
 };
 use soi_sampling::CascadeSampler;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
@@ -133,8 +136,8 @@ pub fn typical_cascade_of_set(
     }
 }
 
-/// Per-worker scratch for [`index_median`]: a worker that solves node
-/// after node keeps one and allocates nothing per node.
+/// Per-worker scratch for [`index_median`] and [`sphere_bound`]: a worker
+/// that solves node after node keeps one and allocates nothing per node.
 pub struct NodeScratch {
     query: IndexQuery,
     inc: IncrementalCost,
@@ -142,6 +145,12 @@ pub struct NodeScratch {
     /// walked nodes (the other worlds' lists are stale).
     wanted: Vec<u64>,
     by_world: Vec<Vec<NodeId>>,
+    /// The bound's cascade sizes, one per world, and its element
+    /// frequencies, one per element of the cascades' union; and per node,
+    /// when the walk hit a closure, the frequency outside it.
+    sizes: Vec<u32>,
+    frequencies: Vec<u32>,
+    outside: Vec<u32>,
 }
 
 impl NodeScratch {
@@ -152,8 +161,88 @@ impl NodeScratch {
             inc: IncrementalCost::default(),
             wanted: Vec::new(),
             by_world: Vec::new(),
+            sizes: Vec::new(),
+            frequencies: Vec::new(),
+            outside: Vec::new(),
         }
     }
+}
+
+/// `B(v)`, the bound [`median_size_bound`] puts on the size of `v`'s
+/// sphere, from `v`'s cascade sizes and element frequencies alone (span
+/// `engine.bound`): the walk of all ℓ worlds (`engine.reach`), then each
+/// world's count of walked nodes plus its closure when the walk hit it,
+/// and each element's count of worlds, its walked world set's plus, for a
+/// closure node, its hit closures'. No load and no fit, so it costs about
+/// what the walk does.
+pub fn sphere_bound(index: &CascadeIndex, v: NodeId, scratch: &mut NodeScratch) -> usize {
+    let _span = soi_obs::span("engine.bound");
+    let NodeScratch {
+        query,
+        sizes,
+        frequencies,
+        outside,
+        ..
+    } = scratch;
+    let walked = {
+        let _s = soi_obs::span("engine.reach");
+        index.walk(&[v], index.all_worlds(), query)
+    };
+    sizes.clear();
+    sizes.resize(index.num_worlds(), 0);
+    frequencies.clear();
+    for (_, set) in walked.sets() {
+        let mut frequency = 0;
+        for (c, &word) in set.iter().enumerate() {
+            frequency += word.count_ones();
+            let sizes = &mut sizes[c * 64..];
+            if word == u64::MAX {
+                // A whole word of worlds, as the source's set has.
+                sizes[..64].iter_mut().for_each(|s| *s += 1);
+                continue;
+            }
+            let mut word = word;
+            while word != 0 {
+                sizes[word.trailing_zeros() as usize] += 1;
+                word &= word - 1;
+            }
+        }
+        if frequency > 0 {
+            frequencies.push(frequency);
+        }
+    }
+    let hits = walked.hits();
+    if hits.iter().any(|&h| h != 0) {
+        // At most n nodes, whose count fits a `u32`.
+        let all = index.all_worlds();
+        for_each_masked(hits, all, |i| sizes[i] += index.closure(i).len() as u32);
+        // A closure node's walked worlds and hit closures are disjoint.
+        outside.resize(index.num_nodes(), 0);
+        for (u, set) in walked.sets() {
+            outside[u as usize] = set.iter().map(|w| w.count_ones()).sum();
+        }
+        frequencies.clear();
+        let (elems, rows) = index.closure_rows();
+        for (&x, row) in elems.iter().zip(rows.chunks_exact(hits.len())) {
+            let hit: u32 = row
+                .iter()
+                .zip(hits)
+                .map(|(r, h)| (r & h).count_ones())
+                .sum();
+            match (hit, outside[x as usize]) {
+                (0, _) => {}
+                (_, 0) => frequencies.push(hit),
+                _ => outside[x as usize] += hit,
+            }
+        }
+        for (u, _) in walked.sets() {
+            let frequency = std::mem::take(&mut outside[u as usize]);
+            if frequency > 0 {
+                frequencies.push(frequency);
+            }
+        }
+    }
+    median_size_bound(sizes, frequencies)
 }
 
 /// Algorithm 2's per-node step: the Jaccard median of `v`'s ℓ indexed
@@ -182,6 +271,7 @@ pub fn index_median(
         inc,
         wanted,
         by_world,
+        ..
     } = scratch;
     let walked = {
         let _s = soi_obs::span("engine.index_lookup");
@@ -266,18 +356,27 @@ pub fn all_typical_cascades(
 ) -> Vec<NodeTypicalCascade> {
     // Nothing can stop it and nothing persists: one block of all n nodes,
     // a single pool fan-out, with no hook that could fail.
-    let run = Run::unlimited();
+    let (run, mut results) = (Run::unlimited(), Vec::new());
     let nothing = || Ok::<(), Infallible>(());
-    let Ok(outcome) = solve_blocks(
-        index,
-        median,
-        threads,
-        &run,
-        Vec::new(),
-        nothing,
-        |_| Ok(()),
-    );
-    outcome.value()
+    let fit = |scratch: &mut NodeScratch, v| fit_node(index, median, scratch, v);
+    let workers = Workers::new(index, threads);
+    let Ok(_) = workers.blocks(&run, &mut results, fit, nothing, |_| nothing());
+    results
+}
+
+/// One node of the fill: its [`index_median`], without a deadline.
+fn fit_node(
+    index: &CascadeIndex,
+    median: &MedianConfig,
+    scratch: &mut NodeScratch,
+    v: NodeId,
+) -> NodeTypicalCascade {
+    let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
+    NodeTypicalCascade {
+        node: v,
+        median: fit.median,
+        training_cost: fit.cost,
+    }
 }
 
 /// Binds the config fingerprint to everything that changes per-node
@@ -363,17 +462,18 @@ fn decode_tc_payload(
     Ok(results)
 }
 
-/// Fault-tolerant [`all_typical_cascades`]: same node-order deterministic
-/// output, plus cooperative deadlines and checkpoint/resume.
+/// Fault-tolerant [`all_typical_cascades`], the sphere store's fill: same
+/// node-order deterministic output, plus cooperative deadlines and
+/// checkpoint/resume.
 ///
-/// Nodes are solved in blocks of `run.every` under [`Run::blocks`], so on
-/// expiry the partial value is an exact node-prefix of the uninterrupted
-/// run (per-node work depends only on the index and the median config,
-/// never on other nodes). After each block a [`KIND_TYPICAL_CASCADES`]
-/// checkpoint is written atomically when a path is configured; resuming
-/// validates the checkpoint against the index fingerprint and median
-/// config and continues from the stored prefix, yielding byte-identical
-/// final output.
+/// Nodes are solved in blocks of `run.every` ([`crate::store`]'s block
+/// loop), so on expiry the partial value is an exact node-prefix of the
+/// uninterrupted run (per-node work depends only on the index and the
+/// median config, never on other nodes). After each block a
+/// [`KIND_TYPICAL_CASCADES`] checkpoint is written atomically when a path
+/// is configured; resuming validates the checkpoint against the index
+/// fingerprint and median config and continues from the stored prefix,
+/// yielding byte-identical final output.
 pub fn all_typical_cascades_resumable(
     index: &CascadeIndex,
     median: &MedianConfig,
@@ -396,76 +496,19 @@ pub fn all_typical_cascades_resumable(
             results.len()
         );
     }
-    solve_blocks(
-        index,
-        median,
-        threads,
+    let fit = |scratch: &mut NodeScratch, v| fit_node(index, median, scratch, v);
+    let done = Workers::new(index, threads).blocks(
         run,
-        results,
-        || {
-            // A crash site only where a crash leaves something to resume
-            // from: runs without a checkpoint file (the daemon) have no
-            // failure source at all.
-            if run.checkpoint.is_some() {
-                soi_util::failpoint!("engine.block");
-            }
-            Ok(())
-        },
+        &mut results,
+        fit,
+        || block_site(run),
         |results| slot.save(results.len(), || encode_tc_payload(results)),
-    )
-}
-
-/// The one body behind both entry points: solves nodes `results.len()..n`
-/// in blocks of `run.every`, one pool fan-out per block, calling
-/// `before_block` / `after_block` around each. It can fail only through
-/// those hooks. Each node is one [`index_median`] call on its worker's
-/// scratch.
-fn solve_blocks<E>(
-    index: &CascadeIndex,
-    median: &MedianConfig,
-    threads: usize,
-    run: &Run,
-    mut results: Vec<NodeTypicalCascade>,
-    mut before_block: impl FnMut() -> Result<(), E>,
-    mut after_block: impl FnMut(&[NodeTypicalCascade]) -> Result<(), E>,
-) -> Result<Outcome<Vec<NodeTypicalCascade>>, E> {
-    let n = index.num_nodes();
-    let threads = soi_util::pool::effective_threads(threads, n);
-    results.reserve(n.saturating_sub(results.len()));
-
-    let solve = |scratch: &mut NodeScratch, v: NodeId| {
-        let fit = index_median(index, v, median, &Deadline::unlimited(), scratch).value();
-        NodeTypicalCascade {
-            node: v,
-            median: fit.median,
-            training_cost: fit.cost,
-        }
-    };
-
-    let done = run.blocks(n, results.len(), run.every, |lo, hi| {
-        before_block()?;
-        let mut block: Vec<Option<NodeTypicalCascade>> = (lo..hi).map(|_| None).collect();
-        // One scratch per worker, kept across chunks.
-        let scratch = || NodeScratch::new(index);
-        soi_util::pool::for_each_indexed_with(&mut block, threads, scratch, |s, j, slot| {
-            *slot = Some(solve(s, (lo + j) as NodeId))
-        });
-        #[expect(
-            clippy::expect_used,
-            reason = "scoped threads fill every slot exactly once"
-        )]
-        results.extend(block.into_iter().map(|r| r.expect("filled")));
-        after_block(&results)
-    })?;
-    soi_obs::event!(
-        soi_obs::Level::Info,
-        "typical cascades solved for {done} of {n} nodes on {threads} thread(s)"
-    );
+    )?;
     Ok(run.deadline.outcome(results, done as u64, n as u64))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use soi_graph::{gen, GraphBuilder};
     use soi_index::IndexConfig;
@@ -866,6 +909,57 @@ mod tests {
             [0x3f26_49e9_127c_5029, 0x7d24_4360_9c43_6752],
             "got {got:#x?}"
         );
+    }
+
+    /// [`spheres_are_pinned`] on the supercritical G(2000, 10⁴) at p = 0.3
+    /// and ℓ = 64, whose worlds have giant hub closures; hash recorded at
+    /// commit ef59657, before the sphere store. Every sphere is also
+    /// within its bound, as `crate::store`'s test checks on the smaller
+    /// fixtures (this fill is the slow one).
+    #[test]
+    fn spheres_are_pinned_supercritical() {
+        let (pg, ell, seed) = supercritical_fixture();
+        let config = IndexConfig {
+            num_worlds: ell,
+            seed,
+            threads: 2,
+            ..IndexConfig::default()
+        };
+        let index = CascadeIndex::build(&pg, config);
+        let results = all_typical_cascades(&index, &MedianConfig::default(), 2);
+        let got = soi_util::hash::hash_bytes(&encode_tc_payload(&results));
+        assert_eq!(got, 0xfc37_7436_037d_3894, "got {got:#x}");
+        let mut scratch = NodeScratch::new(&index);
+        for tc in &results {
+            let bound = sphere_bound(&index, tc.node, &mut scratch);
+            assert!(tc.median.len() <= bound, "node {}: {bound}", tc.node);
+        }
+    }
+
+    /// G(2000, 10⁴) at p = 0.3, with its ℓ and index seed.
+    fn supercritical_fixture() -> (ProbGraph, usize, u64) {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(61);
+        let pg = ProbGraph::fixed(gen::gnm(2000, 10_000, &mut rng), 0.3).unwrap();
+        (pg, 64, 67)
+    }
+
+    /// The graphs of the `spheres_are_pinned*` tests but the supercritical
+    /// one, each with its ℓ and index seed.
+    pub(crate) fn pinned_fixtures() -> Vec<(ProbGraph, usize, u64)> {
+        let mut fixtures = Vec::new();
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(23);
+        let supercritical = ProbGraph::fixed(gen::gnm(300, 1500, &mut rng), 0.3).unwrap();
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(400, 4, true, &mut rng));
+        fixtures.extend([(supercritical, 48, 5), (wc, 48, 5)]);
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(29);
+        let supercritical = ProbGraph::fixed(gen::gnm(200, 1000, &mut rng), 0.3).unwrap();
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(300, 4, true, &mut rng));
+        fixtures.extend([(supercritical, 256, 31), (wc, 256, 31)]);
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(43);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(2000, 5, true, &mut rng));
+        let sparse = ProbGraph::fixed(gen::gnm(300, 1500, &mut rng), 0.15).unwrap();
+        fixtures.extend([(wc, 100, 47), (sparse, 100, 47)]);
+        fixtures
     }
 
     /// The direct-sampling path: median, training-cost and expected-cost

@@ -17,13 +17,18 @@
 //!    overfitting phenomenon Theorem 2 controls.
 //!
 //! [`all_typical_cascades`] is Algorithm 2: one shared index, a median per
-//! node, optionally fanned out over threads.
+//! node, optionally fanned out over threads. [`SphereStore`] holds one
+//! index's spheres for Algorithm 3's cover, fitted only when the cover
+//! reads them and ranked until then by a bound on their size.
 
 pub mod engine;
 pub mod stability;
+pub mod store;
 
 pub use engine::{
-    all_typical_cascades, all_typical_cascades_resumable, index_median, typical_cascade,
-    typical_cascade_of_set, NodeScratch, NodeTypicalCascade, TypicalCascade, TypicalCascadeConfig,
+    all_typical_cascades, all_typical_cascades_resumable, index_median, sphere_bound,
+    typical_cascade, typical_cascade_of_set, NodeScratch, NodeTypicalCascade, TypicalCascade,
+    TypicalCascadeConfig,
 };
 pub use stability::{expected_cost, expected_cost_of_seed_set};
+pub use store::SphereStore;

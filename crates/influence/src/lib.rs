@@ -34,4 +34,4 @@ pub use baselines::{degree_discount_seeds, high_degree_seeds, pagerank_seeds, ra
 pub use greedy::{infmax_celf_resumable, infmax_std, infmax_std_mc, GreedyResult};
 pub use ris::{infmax_ris, infmax_ris_budgeted};
 pub use spread::SpreadOracle;
-pub use tc_cover::{infmax_tc, infmax_tc_budgeted, infmax_tc_weighted, TcResult};
+pub use tc_cover::{infmax_tc, infmax_tc_budgeted, infmax_tc_lazy, infmax_tc_weighted, TcResult};

@@ -8,12 +8,17 @@
 //! the greedy is a `(1 − 1/e)` approximation *to the coverage objective*
 //! (the influence-maximization quality claim is empirical, §6.4).
 //! RIS seed selection ([`crate::ris`]) runs this same cover over its
-//! node → RR-set index.
+//! node → RR-set index. [`infmax_tc_lazy`] runs it without precomputing
+//! every sphere: a stale gain need only bound the fresh one, so a node
+//! enters with a bound on its sphere's size and is fitted when it
+//! surfaces (Cohen's greedy framework, PAPERS.md: each candidate's value
+//! computed only when a round needs it).
 //!
 //! Also here: the §8 future-work extensions — market segments with
 //! different *values* (weighted max-cover) and nodes with different
 //! seeding *costs* (budgeted max-cover via the greedy ratio rule).
 
+use soi_core::SphereStore;
 use soi_graph::NodeId;
 use soi_util::{BitSet, LazyGreedy};
 
@@ -48,28 +53,89 @@ pub struct TcResult {
 /// assert_eq!(run.coverage_curve, vec![3.0, 5.0]);
 /// ```
 pub fn infmax_tc(cascades: &[Vec<NodeId>], k: usize, capture_top: usize) -> TcResult {
-    let values = vec![1.0; universe_size(cascades)];
-    weighted_inner(cascades, &values, k, capture_top)
+    let mut spheres = Given::new(cascades);
+    let values = vec![1.0; spheres.universe];
+    cover(&mut spheres, &values, k, capture_top)
 }
 
 /// Weighted max-cover: node `w` covered is worth `values[w]` (market
 /// segments with different campaign value, §8).
 pub fn infmax_tc_weighted(cascades: &[Vec<NodeId>], values: &[f64], k: usize) -> TcResult {
+    let mut spheres = Given::new(cascades);
     assert!(
-        values.len() >= universe_size(cascades),
+        values.len() >= spheres.universe,
         "values must cover every node appearing in a cascade"
     );
-    weighted_inner(cascades, values, k, 0)
+    cover(&mut spheres, values, k, 0)
 }
 
-fn universe_size(cascades: &[Vec<NodeId>]) -> usize {
-    cascades
-        .iter()
-        .flat_map(|c| c.iter())
-        .map(|&v| v as usize + 1)
-        .max()
-        .unwrap_or(0)
-        .max(cascades.len())
+/// [`infmax_tc`] over the nodes of `store`, fitting only the spheres the
+/// cover reads: a node enters the heap with its sphere-size bound `B(v)`
+/// as a stale gain, and is fitted when it surfaces. Seeds, curve and
+/// rankings equal [`infmax_tc`]'s over all of the store's spheres, and
+/// which nodes are fitted depends only on the heap, never on the thread
+/// count.
+pub fn infmax_tc_lazy(store: &mut SphereStore<'_>, k: usize, capture_top: usize) -> TcResult {
+    let values = vec![1.0; store.num_nodes()];
+    cover(store, &values, k, capture_top)
+}
+
+/// The spheres a cover reads: candidates `0..len`, each with a bound on
+/// its sphere's size until it is fitted.
+trait Spheres {
+    fn len(&self) -> usize;
+    /// An upper bound on `v`'s sphere size.
+    fn size_bound(&self, v: NodeId) -> usize;
+    /// `v`'s sphere, once fitted.
+    fn sphere(&self, v: NodeId) -> Option<&[NodeId]>;
+    /// Fits `nodes`, in one pool fan-out.
+    fn fit(&mut self, nodes: &[NodeId]);
+}
+
+/// Spheres given whole: every one is fitted.
+struct Given<'a> {
+    spheres: &'a [Vec<NodeId>],
+    /// One past the largest node in a sphere, at least the sphere count.
+    universe: usize,
+}
+
+impl<'a> Given<'a> {
+    fn new(spheres: &'a [Vec<NodeId>]) -> Self {
+        let members = spheres.iter().flat_map(|c| c.iter());
+        let universe = members.map(|&v| v as usize + 1).max().unwrap_or(0);
+        Given {
+            spheres,
+            universe: universe.max(spheres.len()),
+        }
+    }
+}
+
+impl Spheres for Given<'_> {
+    fn len(&self) -> usize {
+        self.spheres.len()
+    }
+    fn size_bound(&self, v: NodeId) -> usize {
+        self.spheres[v as usize].len()
+    }
+    fn sphere(&self, v: NodeId) -> Option<&[NodeId]> {
+        Some(&self.spheres[v as usize])
+    }
+    fn fit(&mut self, _: &[NodeId]) {}
+}
+
+impl Spheres for SphereStore<'_> {
+    fn len(&self) -> usize {
+        SphereStore::len(self)
+    }
+    fn size_bound(&self, v: NodeId) -> usize {
+        SphereStore::size_bound(self, v)
+    }
+    fn sphere(&self, v: NodeId) -> Option<&[NodeId]> {
+        SphereStore::sphere(self, v)
+    }
+    fn fit(&mut self, nodes: &[NodeId]) {
+        SphereStore::fit(self, nodes)
+    }
 }
 
 pub(crate) fn gain_of(cascade: &[NodeId], covered: &BitSet, values: &[f64]) -> f64 {
@@ -80,18 +146,25 @@ pub(crate) fn gain_of(cascade: &[NodeId], covered: &BitSet, values: &[f64]) -> f
         .sum()
 }
 
-fn weighted_inner(
-    cascades: &[Vec<NodeId>],
-    values: &[f64],
-    k: usize,
-    capture_top: usize,
-) -> TcResult {
+/// Most un-fitted nodes one fit fan-out takes. A round fits only nodes
+/// whose bound reaches a gain it has scored and still ranks, and the node
+/// that surfaced alone before it has scored that many.
+const FIT_BATCH: usize = 64;
+
+/// The one cover body. A node enters the heap with its exact gain when
+/// its sphere is known, else with its size bound, which bounds its unit
+/// gain; so every stale gain bounds its fresh one, and the heap's argmax
+/// and ranking are exact. When an un-fitted node surfaces, the round
+/// declines, fits the un-fitted nodes in heap order whose bound reaches
+/// the lowest gain the round would still rank among those it has scored
+/// (at most [`FIT_BATCH`]; the surfaced node always among them, and alone
+/// while there is no such gain), and resumes with what it had scored.
+fn cover(spheres: &mut impl Spheres, values: &[f64], k: usize, capture_top: usize) -> TcResult {
     let _span = soi_obs::span("influence.tc_cover");
     soi_obs::counter_add!("influence.tc_runs", 1);
-    let n = cascades.len();
+    let n = spheres.len();
     let k = k.min(n);
-    let universe = universe_size(cascades).max(values.len());
-    let mut covered = BitSet::new(universe);
+    let mut covered = BitSet::new(values.len());
     let mut seeds = Vec::with_capacity(k);
     let mut curve = Vec::with_capacity(k);
     let mut rankings = Vec::new();
@@ -99,17 +172,53 @@ fn weighted_inner(
 
     let mut lazy = LazyGreedy::with_capacity(n);
     for v in 0..n as NodeId {
-        lazy.push(v, gain_of(&cascades[v as usize], &covered, values));
+        let gain = spheres.sphere(v).map_or_else(
+            || spheres.size_bound(v) as f64,
+            |s| gain_of(s, &covered, values),
+        );
+        lazy.push(v, gain);
     }
     for _ in 0..k {
         let mut ranking = Vec::with_capacity(capture_top);
-        let rescore = |v: NodeId| Some(gain_of(&cascades[v as usize], &covered, values));
-        let best = lazy.pop_ranked(capture_top, rescore, |g| ranking.push(g));
+        // The gains this round has scored: its `max(capture_top, 1)`-th
+        // best bounds the last gain the round ranks from below.
+        let mut scored = Vec::new();
+        let best = loop {
+            let mut unfitted = false;
+            let rescore = |v: NodeId| {
+                let Some(sphere) = spheres.sphere(v) else {
+                    unfitted = true;
+                    return None;
+                };
+                let gain = gain_of(sphere, &covered, values);
+                scored.push(gain);
+                Some(gain)
+            };
+            let best = lazy.pop_ranked(capture_top, rescore, |g| ranking.push(g));
+            if !unfitted {
+                break best;
+            }
+            scored.sort_unstable_by(|a, b| b.total_cmp(a));
+            // Until the round has scored enough to rank, fit the surfaced
+            // node alone.
+            let (batch, floor) = match scored.get(capture_top.max(1) - 1) {
+                Some(&floor) => (FIT_BATCH, floor),
+                None => (1, f64::NEG_INFINITY),
+            };
+            let batch = lazy.top_nodes(batch, floor, |v| spheres.sphere(v).is_none());
+            spheres.fit(&batch);
+            lazy.reopen_round();
+        };
         let Some((node, gain)) = best else { break };
         if capture_top > 0 {
             rankings.push(ranking);
         }
-        for &w in &cascades[node as usize] {
+        #[expect(
+            clippy::expect_used,
+            reason = "a node is re-scored, so fitted, before it can win"
+        )]
+        let sphere = spheres.sphere(node).expect("the winner is fitted");
+        for &w in sphere {
             covered.insert(w as usize);
         }
         total += gain;
@@ -135,7 +244,7 @@ pub fn infmax_tc_budgeted(cascades: &[Vec<NodeId>], costs: &[f64], budget: f64) 
     assert_eq!(cascades.len(), costs.len(), "one cost per node");
     assert!(costs.iter().all(|&c| c > 0.0), "costs must be positive");
     let n = cascades.len();
-    let universe = universe_size(cascades);
+    let universe = Given::new(cascades).universe;
     let values = vec![1.0; universe];
 
     // Ratio-greedy pass.
@@ -271,6 +380,70 @@ mod tests {
         let r = infmax_tc_budgeted(&cascades, &costs, 10.0);
         assert_eq!(r.seeds, vec![0], "guard picks the single big set");
         assert_eq!(r.coverage_curve, vec![10.0]);
+    }
+
+    /// The lazy cover over a store picks the full cover's seeds, curve and
+    /// rankings, on the whole node set and on a deadline's node prefix,
+    /// and fits the same nodes at any thread count: on the WC graph far
+    /// fewer than all of them.
+    #[test]
+    fn lazy_cover_equals_the_full_cover() {
+        use soi_core::{all_typical_cascades, SphereStore};
+        use soi_graph::{gen, ProbGraph};
+        use soi_index::{CascadeIndex, IndexConfig};
+        use soi_jaccard::median::MedianConfig;
+        use soi_util::runtime::{Deadline, Run};
+
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(71);
+        let wc = ProbGraph::weighted_cascade(gen::barabasi_albert(600, 3, true, &mut rng));
+        let g = gen::gnm(200, 1000, &mut rng);
+        let graphs = [
+            (wc, true),
+            (ProbGraph::fixed(g.clone(), 0.15).unwrap(), false),
+            (ProbGraph::fixed(g, 0.3).unwrap(), false),
+        ];
+        let median = MedianConfig::default();
+        for (pg, sparse) in &graphs {
+            let config = IndexConfig {
+                num_worlds: 64,
+                seed: 73,
+                ..IndexConfig::default()
+            };
+            let index = CascadeIndex::build(pg, config);
+            let n = index.num_nodes();
+            let full: Vec<Vec<NodeId>> = all_typical_cascades(&index, &median, 2)
+                .into_iter()
+                .map(|tc| tc.median)
+                .collect();
+            for (k, top, ticks) in [(1, 0, None), (10, 0, None), (10, 4, None), (n + 3, 2, None)]
+                .into_iter()
+                .chain([(10, 0, Some(70)), (5, 3, Some(1))])
+            {
+                let mut fitted = Vec::new();
+                for threads in [1, 3] {
+                    let deadline = ticks.map_or_else(Deadline::unlimited, Deadline::ticks);
+                    let run = Run::new(deadline, None, 32, false);
+                    let mut store = SphereStore::bound(&index, &median, threads, &run)
+                        .unwrap()
+                        .value();
+                    let want = infmax_tc(&full[..store.len()], k, top);
+                    let got = infmax_tc_lazy(&mut store, k, top);
+                    let what =
+                        format!("n {n}, k {k}, top {top}, ticks {ticks:?}, threads {threads}");
+                    assert_eq!(got.seeds, want.seeds, "{what}");
+                    assert_eq!(got.coverage_curve, want.coverage_curve, "{what}");
+                    assert_eq!(got.gain_rankings, want.gain_rankings, "{what}");
+                    fitted.push(store.fitted());
+                }
+                assert_eq!(
+                    fitted[0], fitted[1],
+                    "k {k}: fits depend on the thread count"
+                );
+                if *sparse && k == 10 && ticks.is_none() {
+                    assert!(fitted[0] < n / 2, "{} of {n} fitted", fitted[0]);
+                }
+            }
+        }
     }
 
     #[test]

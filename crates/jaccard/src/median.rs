@@ -259,6 +259,143 @@ fn frequency_sweep_budgeted(
     MedianResult { median, cost }
 }
 
+/// An upper bound `B` on the size of the median [`jaccard_median_loaded`]
+/// fits, without a deadline, to samples of sizes `sizes` whose union's
+/// elements lie in `frequencies` samples each (both reordered here), when
+/// some element lies in every sample — as the source does in each of its
+/// cascades.
+///
+/// **Derivation.** Let `s₁ … s_ℓ ≥ 1` be the sizes, `d` the Jaccard
+/// distance and `ρ(C) = (1/ℓ)·Σᵢ d(C, Sᵢ)`.
+///
+/// * The sweep's first prefix is one element `x` of the top frequency.
+///   Some element has frequency ℓ, so `x` does too; it need not be the
+///   source. `x` lies in every sample, so `ρ({x}) = ρ₁ = (1/ℓ)·Σᵢ (1 −
+///   1/sᵢ)`.
+/// * The fit returns a set `M` whose in-order cost `ρ̃(M)` is at most
+///   `ρ̃₁`. The sweep starts from `∅` (cost 1 ≥ ρ̃₁) and keeps a prefix
+///   only below the best so far; the input sets and the polish replace the
+///   best only by a lower cost. Every candidate holds sample elements
+///   alone, so `m = |M|` is at most the union's size `U`. With `H = Σᵢ
+///   1/sᵢ = ℓ·(1 − ρ₁)`, `ℓ·(1 − ρ(M)) ≥ H − ℓ·E`, where `E` bounds the
+///   rounding of `ρ̃(M)` and `ρ̃₁`.
+/// * **Sizes.** For any sets `|M ∩ S| ≤ min(|M|, |S|)` and `|M ∪ S| ≥
+///   max(|M|, |S|)`, so `g(m) = Σᵢ min(m, sᵢ)/max(m, sᵢ) ≥ ℓ·(1 − ρ(M)) ≥
+///   H − ℓ·E`. Sort the sizes. With the `j` sizes at most `m` summing to
+///   `P_j` and the others' reciprocals to `Q_j`, `g(m) = P_j/m + m·Q_j`.
+///   Between two consecutive distinct sizes `j` is fixed and `g` is convex
+///   in `m`; from the largest size up it is `P/m`, decreasing. A convex
+///   function below the threshold at both ends of a segment stays below
+///   it between, so in each segment the passing `m` are an initial run or
+///   none, and a binary search finds the run's last. The largest passing
+///   `m ≤ U`, scanning the segments from the top, bounds `|M|`. Every `m ≤
+///   min sᵢ` passes (`g(m) = m·H`).
+/// * **Frequencies.** `Σᵢ |M ∩ Sᵢ|` is the sum of `M`'s elements'
+///   frequencies, at most `F_m`, the sum of the `m` largest, and `|M ∪ Sᵢ|
+///   ≥ m`; so `F_m/m ≥ ℓ·(1 − ρ(M)) ≥ H − ℓ·E`. `F_m/m`, the mean of the
+///   top `m`, never grows with `m`, so the passing `m` are an initial run.
+///   `m = 1` passes (`F₁ = ℓ ≥ H`).
+/// * `B` is the smaller of the two runs' last `m`, so `1 ≤ B ≤ U`.
+///
+/// **Float margin** (`crate::bound`'s `u` and `γₙ`). An in-order cost sums
+/// ℓ terms in `[0, 1]`, each rounded by at most `2u`, then divides by ℓ:
+/// it lies within `γ_ℓ + 3u` of the real cost, so `ℓ·E ≤ ℓ·(2γ_ℓ + 6u)`.
+/// Here `P_j` and `F_m` are exact. `H̃` and `Q̃_j` sum at most ℓ terms
+/// `c/s` (a size's count over the size), each within `2u` of its value
+/// and all summing to at most ℓ, so they lie within `ℓ·(γ_ℓ + 2u)` of
+/// their real values; `g̃(m)` adds three roundings of terms at most ℓ, so
+/// it lies within `ℓ·(γ_ℓ + 5u)`, and `F_m/m` rounds once, by at most
+/// `ℓ·u`. A test `x̃ ≥ H̃ − ℓ·(4γ_ℓ + 16u)` therefore passes every `m`
+/// the real inequality allows, and a search's last pass is at least the
+/// real run's last.
+pub fn median_size_bound(sizes: &mut [u32], frequencies: &mut [u32]) -> usize {
+    let ell = sizes.len();
+    if ell == 0 {
+        return 0;
+    }
+    // The distinct sizes, descending, each with its count: sizes below 64
+    // (nearly all, on sparse graphs) by counting, the others sorted.
+    let (mut counts, mut large) = ([0usize; 64], 0);
+    for i in 0..ell {
+        let s = sizes[i];
+        debug_assert!(s >= 1, "every sample holds the common element");
+        if s < 64 {
+            counts[s as usize] += 1;
+        } else {
+            sizes[large] = s;
+            large += 1;
+        }
+    }
+    let sizes = &mut sizes[..large];
+    sizes.sort_unstable();
+    let large = sizes
+        .chunk_by(|a, b| a == b)
+        .rev()
+        .map(|r| (r[0] as usize, r.len()));
+    let small = (1..64)
+        .rev()
+        .map(|s| (s, counts[s]))
+        .filter(|&(_, c)| c > 0);
+    let runs = large.chain(small);
+    // Reciprocals summed from the largest size down, smallest terms first.
+    let h: f64 = runs.clone().map(|(s, c)| c as f64 / s as f64).sum();
+    let threshold = h - ell as f64 * (4.0 * crate::bound::gamma(ell) + 16.0 * crate::bound::U);
+    let by_sizes = size_run_end(runs, frequencies.len(), threshold);
+    // The frequency bound, over the `by_sizes` largest frequencies.
+    let keep = by_sizes.min(frequencies.len());
+    if keep < frequencies.len() {
+        frequencies.select_nth_unstable_by(keep, |a, b| b.cmp(a));
+    }
+    let top = &mut frequencies[..keep];
+    top.sort_unstable_by(|a, b| b.cmp(a));
+    let mut sum = 0u64;
+    for (m, &f) in top.iter().enumerate() {
+        sum += u64::from(f);
+        if (sum as f64) / ((m + 1) as f64) < threshold {
+            return m.max(1);
+        }
+    }
+    by_sizes
+}
+
+/// The sizes bound of [`median_size_bound`]: the last `m ≤ union` that
+/// passes `g̃(m) ≥ threshold`, from the distinct sizes `runs`, descending,
+/// each with its count.
+fn size_run_end(
+    runs: impl Iterator<Item = (usize, usize)> + Clone,
+    union: usize,
+    threshold: f64,
+) -> usize {
+    let mut p = runs.clone().map(|(s, c)| (s * c) as u64).sum::<u64>();
+    let mut q = 0.0;
+    // Segment [lo, hi]: the sizes at most `m` are the runs not yet passed.
+    let mut hi = runs.clone().next().map_or(union, |(s, _)| union.max(s));
+    for (lo, count) in runs {
+        let passes = |m: usize| p as f64 / m as f64 + m as f64 * q >= threshold;
+        if passes(hi) {
+            return hi;
+        }
+        if passes(lo) {
+            let (mut pass, mut fail) = (lo, hi);
+            while fail - pass > 1 {
+                let mid = pass + (fail - pass) / 2;
+                if passes(mid) {
+                    pass = mid;
+                } else {
+                    fail = mid;
+                }
+            }
+            return pass;
+        }
+        // The next segment down: the sizes equal to `lo` leave `P`.
+        p -= (lo * count) as u64;
+        q += count as f64 / lo as f64;
+        hi = lo - 1;
+    }
+    // Unreachable: `m = min sᵢ` passes. Every `m` below it does.
+    hi.max(1)
+}
+
 /// Local search from an explicit starting candidate: repeatedly applies
 /// the single-element toggle with the largest strict improvement, for at
 /// most `rounds` full passes over the candidate pool.
@@ -514,6 +651,54 @@ mod tests {
         // Zero budget: the empty-prefix candidate comes back.
         let out = jaccard_median_budgeted(&samples, &MedianConfig::default(), &Deadline::ticks(0));
         assert!(!out.is_complete());
+    }
+
+    /// `median_size_bound` holds for the fitted median and for the exact
+    /// optimum, whose cost is at most ρ₁ too, on random families that
+    /// share an element; it is tight on identical samples.
+    #[test]
+    fn median_size_bound_holds_for_the_fit_and_the_optimum() {
+        let _fits = crate::fits_medians();
+        for case in 0..256u64 {
+            let mut samples = sample_collection(case);
+            for s in &mut samples {
+                if s.first() != Some(&0) {
+                    s.insert(0, 0);
+                }
+            }
+            let mut frequencies = element_frequencies(&samples);
+            let union = frequencies.len();
+            let mut sizes: Vec<u32> = samples.iter().map(|s| s.len() as u32).collect();
+            let bound = median_size_bound(&mut sizes, &mut frequencies);
+            assert!((1..=union).contains(&bound), "case {case}");
+            let fit = jaccard_median(&samples);
+            let exact = exact_median_bruteforce(&samples);
+            assert!(fit.median.len() <= bound, "case {case}: fit {fit:?}");
+            assert!(
+                exact.median.len() <= bound,
+                "case {case}: optimum {exact:?}"
+            );
+        }
+        // Nine equal samples of five: the median is the sample.
+        assert_eq!(median_size_bound(&mut [5; 9], &mut [9; 5]), 5);
+        // Nine samples of five: the common element and four of their own.
+        // The sizes allow P/H = 45/1.8 = 25, the frequencies (8 + m)/m ≥
+        // 1.8, so 10.
+        let mut frequencies = [1; 37];
+        frequencies[7] = 9;
+        assert_eq!(median_size_bound(&mut [5; 9], &mut frequencies), 10);
+        let mut frequencies = [1; 100];
+        frequencies[0] = 4;
+        assert_eq!(median_size_bound(&mut [1, 100, 1, 1], &mut frequencies), 1);
+        assert_eq!(median_size_bound(&mut [], &mut []), 0);
+    }
+
+    /// Each element's count of samples holding it.
+    fn element_frequencies(samples: &[Vec<u32>]) -> Vec<u32> {
+        let mut elements: Vec<u32> = samples.iter().flatten().copied().collect();
+        elements.sort_unstable();
+        let runs = elements.chunk_by(|a, b| a == b);
+        runs.map(|run| run.len() as u32).collect()
     }
 
     /// Reported cost always matches a direct recomputation.

@@ -9,7 +9,8 @@
 //! 0       7     magic  "SOICKPT"
 //! 7       1     format version (currently 1)
 //! 8       1     kind (1 = typical cascades, 2 = greedy seed selection,
-//!                     3 = sketch build, 4 = router overrides)
+//!                     3 = sketch build, 4 = router overrides,
+//!                     5 = sphere bounds)
 //! 9       8     graph fingerprint   (LE u64)
 //! 17      8     config fingerprint  (LE u64)
 //! 25      8     total units of work (LE u64)
@@ -43,6 +44,8 @@ pub const KIND_GREEDY: u8 = 2;
 pub const KIND_SKETCH_BUILD: u8 = 3;
 /// Kind byte for the router's persisted rebalance-override table.
 pub const KIND_ROUTER_OVERRIDES: u8 = 4;
+/// Kind byte for the sphere store's bounds pass (`infmax --method tc`).
+pub const KIND_SPHERE_BOUNDS: u8 = 5;
 
 const HEADER_LEN: usize = 7 + 1 + 1 + 8 * 5;
 
@@ -51,7 +54,8 @@ const HEADER_LEN: usize = 7 + 1 + 1 + 8 * 5;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Pipeline kind ([`KIND_TYPICAL_CASCADES`], [`KIND_GREEDY`],
-    /// [`KIND_SKETCH_BUILD`], or [`KIND_ROUTER_OVERRIDES`]).
+    /// [`KIND_SKETCH_BUILD`], [`KIND_ROUTER_OVERRIDES`] or
+    /// [`KIND_SPHERE_BOUNDS`]).
     pub kind: u8,
     /// Fingerprint of the graph the run operates on.
     pub graph_fingerprint: u64,

@@ -127,6 +127,40 @@ impl LazyGreedy {
         Some((best.node, best.gain))
     }
 
+    /// Makes the next [`pop_ranked`](Self::pop_ranked) continue the round
+    /// a declined `rescore` stopped, so the gains that round re-scored stay
+    /// fresh. Only for a caller whose objective has not changed since: one
+    /// that declined to fetch what it needed, fetched it and retries.
+    pub fn reopen_round(&mut self) {
+        self.round -= 1;
+    }
+
+    /// The first `m` nodes in heap order (gain descending, node ascending)
+    /// that `want` accepts, among the candidates whose gain is at least
+    /// `floor`. The heap is unchanged. `O(p log n)` for the `p` candidates
+    /// passed over.
+    pub fn top_nodes(
+        &mut self,
+        m: usize,
+        floor: f64,
+        mut want: impl FnMut(u32) -> bool,
+    ) -> Vec<u32> {
+        let (mut nodes, mut passed) = (Vec::new(), Vec::new());
+        while nodes.len() < m {
+            let Some(top) = self.heap.pop() else { break };
+            if top.gain < floor {
+                self.heap.push(top);
+                break;
+            }
+            if want(top.node) {
+                nodes.push(top.node);
+            }
+            passed.push(top);
+        }
+        self.heap.extend(passed);
+        nodes
+    }
+
     /// Removes and returns the best candidate already re-scored in the
     /// current round, wherever it sits — for a caller whose `rescore` cap
     /// stopped [`pop_best`](Self::pop_best) but whose round must still
@@ -278,6 +312,28 @@ mod tests {
                 covered |= sets[v as usize];
             }
         }
+    }
+
+    /// A round declined for a fetch and reopened keeps the gains it had
+    /// re-scored: the retry re-scores only what it had not reached, and
+    /// picks what one undeclined round picks.
+    #[test]
+    fn reopened_rounds_keep_their_fresh_gains() {
+        let mut lazy = heap_of(&[9.0, 8.0, 7.0, 6.0]);
+        let fetched = std::cell::Cell::new(false);
+        let mut scored = Vec::new();
+        let mut score = |v: u32| {
+            scored.push(v);
+            // Node 1 needs a fetch before it can be scored.
+            (v != 1 || fetched.get()).then(|| 5.0 - f64::from(v))
+        };
+        assert_eq!(lazy.pop_best(&mut score), None);
+        assert_eq!(lazy.top_nodes(8, 7.0, |v| v != 0), vec![1, 2]);
+        assert_eq!(lazy.top_nodes(1, f64::NEG_INFINITY, |v| v == 3), vec![3]);
+        fetched.set(true);
+        lazy.reopen_round();
+        assert_eq!(lazy.pop_best(&mut score), Some((0, 5.0)));
+        assert_eq!(scored, vec![0, 1, 1, 2, 3]);
     }
 
     #[test]

@@ -7,15 +7,16 @@ use std::path::{Path, PathBuf};
 
 use soi_util::ckpt::{
     read_checkpoint, write_checkpoint, Checkpoint, KIND_GREEDY, KIND_ROUTER_OVERRIDES,
-    KIND_SKETCH_BUILD, KIND_TYPICAL_CASCADES,
+    KIND_SKETCH_BUILD, KIND_SPHERE_BOUNDS, KIND_TYPICAL_CASCADES,
 };
 use soi_util::error::SoiError;
 
-const ALL_KINDS: [u8; 4] = [
+const ALL_KINDS: [u8; 5] = [
     KIND_TYPICAL_CASCADES,
     KIND_GREEDY,
     KIND_SKETCH_BUILD,
     KIND_ROUTER_OVERRIDES,
+    KIND_SPHERE_BOUNDS,
 ];
 
 const GRAPH_FP: u64 = 0x5151_aaaa_bbbb_cccc;

@@ -9,7 +9,8 @@
 //! on deterministic graphs (where the sphere of influence *is* the
 //! reachability set). The Jaccard-median fit is held to the brute-force
 //! optimum on an exact cascade distribution (all worlds of a p = 1/2
-//! graph). Every test is deterministic in its pinned seeds.
+//! graph), and the sphere-size bound the lazy `InfMax_TC` cover ranks by
+//! to both. Every test is deterministic in its pinned seeds.
 
 use soi_graph::{gen, NodeId, ProbGraph};
 use soi_influence::{infmax_ris, BackendKind};
@@ -204,6 +205,21 @@ fn median_fit_stays_near_the_exact_optimum_on_the_exact_distribution() {
             "source {source}: fit {} vs optimum {} (bound {BOUND}×)",
             fit.cost,
             exact.cost
+        );
+        // The lazy cover's sphere-size bound, from the cascade sizes and
+        // element frequencies alone, covers the fit and the optimum: both
+        // cost at most the sweep's first prefix.
+        let mut elements: Vec<NodeId> = cascades.iter().flatten().copied().collect();
+        elements.sort_unstable();
+        let runs = elements.chunk_by(|a, b| a == b);
+        let mut frequencies: Vec<u32> = runs.map(|run| run.len() as u32).collect();
+        let mut sizes: Vec<u32> = cascades.iter().map(|c| c.len() as u32).collect();
+        let bound = soi_jaccard::median::median_size_bound(&mut sizes, &mut frequencies);
+        assert!(
+            exact.median.len() <= bound && fit.median.len() <= bound,
+            "source {source}: B = {bound}, optimum {:?}, fit {:?}",
+            exact.median,
+            fit.median
         );
     }
 }
