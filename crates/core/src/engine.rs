@@ -11,10 +11,10 @@ use soi_graph::{NodeId, ProbGraph};
 use soi_index::{CascadeIndex, IndexQuery};
 use soi_jaccard::cost::{Closures, IncrementalCost};
 use soi_jaccard::median::{
-    input_set_samples, jaccard_median_loaded, jaccard_median_with, median_size_bound,
-    scores_input_set, MedianConfig, MedianResult,
+    jaccard_median_loaded, jaccard_median_with, median_size_bound, MedianConfig, MedianResult,
 };
 use soi_sampling::CascadeSampler;
+use soi_util::bitset::ones;
 use soi_util::ckpt::{ByteReader, Checkpoint, KIND_TYPICAL_CASCADES};
 use soi_util::rng::derive_seed;
 use soi_util::runtime::{Deadline, Outcome, Run};
@@ -141,16 +141,10 @@ pub fn typical_cascade_of_set(
 pub struct NodeScratch {
     query: IndexQuery,
     inc: IncrementalCost,
-    /// The worlds of the fit's input-set candidates, and each one's
-    /// walked nodes (the other worlds' lists are stale).
-    wanted: Vec<u64>,
-    by_world: Vec<Vec<NodeId>>,
     /// The bound's cascade sizes, one per world, and its element
-    /// frequencies, one per element of the cascades' union; and per node,
-    /// when the walk hit a closure, the frequency outside it.
+    /// frequencies, one per element of the cascades' union.
     sizes: Vec<u32>,
     frequencies: Vec<u32>,
-    outside: Vec<u32>,
 }
 
 impl NodeScratch {
@@ -159,11 +153,8 @@ impl NodeScratch {
         NodeScratch {
             query: index.query(),
             inc: IncrementalCost::default(),
-            wanted: Vec::new(),
-            by_world: Vec::new(),
             sizes: Vec::new(),
             frequencies: Vec::new(),
-            outside: Vec::new(),
         }
     }
 }
@@ -172,17 +163,21 @@ impl NodeScratch {
 /// sphere, from `v`'s cascade sizes and element frequencies alone (span
 /// `engine.bound`): the walk of all ℓ worlds (`engine.reach`), then each
 /// world's count of walked nodes plus its closure when the walk hit it,
-/// and each element's count of worlds, its walked world set's plus, for a
-/// closure node, its hit closures'. No load and no fit, so it costs about
-/// what the walk does.
+/// and each element's count of worlds, which is the load's count pass
+/// ([`IncrementalCost::count_sets`]). There is no load and no fit, yet
+/// the walk is under half of the cost where cascades are large: on a
+/// supercritical G(1000, 5000) at p = 0.3 and ℓ = 256, whose walked world
+/// sets hold hundreds of nodes per world outside the hub closures, the
+/// bound measured 57–81 µs per node on one thread of a 2-vCPU host, of
+/// which the walk took 26–35, [`median_size_bound`] 16–22, the counts
+/// 10–16 and the per-world sizes 5–7.
 pub fn sphere_bound(index: &CascadeIndex, v: NodeId, scratch: &mut NodeScratch) -> usize {
     let _span = soi_obs::span("engine.bound");
     let NodeScratch {
         query,
+        inc,
         sizes,
         frequencies,
-        outside,
-        ..
     } = scratch;
     let walked = {
         let _s = soi_obs::span("engine.reach");
@@ -190,11 +185,8 @@ pub fn sphere_bound(index: &CascadeIndex, v: NodeId, scratch: &mut NodeScratch) 
     };
     sizes.clear();
     sizes.resize(index.num_worlds(), 0);
-    frequencies.clear();
     for (_, set) in walked.sets() {
-        let mut frequency = 0;
         for (c, &word) in set.iter().enumerate() {
-            frequency += word.count_ones();
             let sizes = &mut sizes[c * 64..];
             if word == u64::MAX {
                 // A whole word of worlds, as the source's set has.
@@ -207,42 +199,27 @@ pub fn sphere_bound(index: &CascadeIndex, v: NodeId, scratch: &mut NodeScratch) 
                 word &= word - 1;
             }
         }
-        if frequency > 0 {
-            frequencies.push(frequency);
-        }
     }
-    let hits = walked.hits();
-    if hits.iter().any(|&h| h != 0) {
-        // At most n nodes, whose count fits a `u32`.
-        let all = index.all_worlds();
-        for_each_masked(hits, all, |i| sizes[i] += index.closure(i).len() as u32);
-        // A closure node's walked worlds and hit closures are disjoint.
-        outside.resize(index.num_nodes(), 0);
-        for (u, set) in walked.sets() {
-            outside[u as usize] = set.iter().map(|w| w.count_ones()).sum();
-        }
-        frequencies.clear();
-        let (elems, rows) = index.closure_rows();
-        for (&x, row) in elems.iter().zip(rows.chunks_exact(hits.len())) {
-            let hit: u32 = row
-                .iter()
-                .zip(hits)
-                .map(|(r, h)| (r & h).count_ones())
-                .sum();
-            match (hit, outside[x as usize]) {
-                (0, _) => {}
-                (_, 0) => frequencies.push(hit),
-                _ => outside[x as usize] += hit,
-            }
-        }
-        for (u, _) in walked.sets() {
-            let frequency = std::mem::take(&mut outside[u as usize]);
-            if frequency > 0 {
-                frequencies.push(frequency);
-            }
-        }
+    // At most n nodes, whose count fits a `u32`.
+    for i in ones(walked.hits()) {
+        sizes[i] += index.closure(i).len() as u32;
     }
+    inc.count_sets(walked.sets(), &closures(index, walked.hits()), frequencies);
     median_size_bound(sizes, frequencies)
+}
+
+/// The index's hub closures, with the hit words `hits` of one walk.
+fn closures<'a>(
+    index: &'a CascadeIndex,
+    hits: &'a [u64],
+) -> Closures<'a, impl Fn(usize) -> &'a [NodeId]> {
+    let (elems, rows) = index.closure_rows();
+    Closures {
+        hits,
+        elems,
+        rows,
+        members: |i| index.closure(i),
+    }
 }
 
 /// Algorithm 2's per-node step: the Jaccard median of `v`'s ℓ indexed
@@ -256,9 +233,9 @@ pub fn sphere_bound(index: &CascadeIndex, v: NodeId, scratch: &mut NodeScratch) 
 /// element's samples from its world set, or-ed for a closure node with
 /// its closure row under the hit worlds' mask, and folds the worlds with
 /// equal cascades into one weighted class ([`IncrementalCost::load_sets`]).
-/// Only the input-set candidates the fit scores — the first of each class
-/// among them — are assembled (span `engine.median_fit`, which spends the
-/// deadline's ticks).
+/// The fit (span `engine.median_fit`, which spends the deadline's ticks)
+/// reads the cascades from the evaluator's class rows alone, and
+/// materialises one only when it wins as an input-set candidate.
 pub fn index_median(
     index: &CascadeIndex,
     v: NodeId,
@@ -266,67 +243,22 @@ pub fn index_median(
     deadline: &Deadline,
     scratch: &mut NodeScratch,
 ) -> Outcome<MedianResult> {
-    let NodeScratch {
-        query,
-        inc,
-        wanted,
-        by_world,
-        ..
-    } = scratch;
-    let walked = {
+    let NodeScratch { query, inc, .. } = scratch;
+    let hits = {
         let _s = soi_obs::span("engine.index_lookup");
         let walked = {
             let _s = soi_obs::span("engine.reach");
             index.walk(&[v], index.all_worlds(), query)
         };
         let _load = soi_obs::span("engine.load");
-        let (elems, rows) = index.closure_rows();
         let hits = walked.hits();
-        let members = |i| index.closure(i);
-        let closures = Closures {
-            hits,
-            elems,
-            rows,
-            members,
-        };
-        inc.load_sets(index.num_worlds(), walked.sets(), &closures);
-        // The input-set candidates the fit scores read their worlds'
-        // walked nodes from one pass over the world sets, under the mask
-        // of those worlds.
-        let ell = index.num_worlds();
-        wanted.clear();
-        wanted.resize(ell.div_ceil(64), 0);
-        by_world.resize_with(ell, Vec::new);
-        for i in input_set_samples(ell).filter(|&i| scores_input_set(inc, i)) {
-            wanted[i / 64] |= 1 << (i % 64);
-            by_world[i].clear();
-        }
-        for (u, set) in walked.sets() {
-            for_each_masked(set, wanted, |i| by_world[i].push(u));
-        }
-        walked
+        inc.load_sets(index.num_worlds(), walked.sets(), &closures(index, hits));
+        hits
     };
-    let hits = walked.hits();
     let hub_hits: u32 = hits.iter().map(|h| h.count_ones()).sum();
     soi_obs::counter_add!("engine.hub_hits", hub_hits as usize);
     let _s = soi_obs::span("engine.median_fit");
-    jaccard_median_loaded(inc, median, deadline, |i, out| {
-        out.extend_from_slice(&by_world[i]);
-        if hits[i / 64] >> (i % 64) & 1 == 1 {
-            out.extend_from_slice(index.closure(i));
-        }
-    })
-}
-
-/// Calls `f(i)` for each world `i` of `set` that `mask` holds, ascending.
-fn for_each_masked(set: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
-    for (c, (s, m)) in set.iter().zip(mask).enumerate() {
-        let mut word = s & m;
-        while word != 0 {
-            f(c * 64 + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
-    }
+    jaccard_median_loaded(inc, median, deadline)
 }
 
 /// The typical cascade of one node as produced by the batch pipeline.
@@ -934,6 +866,69 @@ pub(crate) mod tests {
             let bound = sphere_bound(&index, tc.node, &mut scratch);
             assert!(tc.median.len() <= bound, "node {}: {bound}", tc.node);
         }
+    }
+
+    /// At every node of the `spheres_are_pinned*` fixtures, the
+    /// supercritical one included, `B(v)` is [`median_size_bound`] over
+    /// the sizes and element counts of `index.cascades_of(v)`, both when
+    /// the hit closures are counted from their members and when from their
+    /// rows; each fixture's `B(v)` vector is pinned to a hash recorded at
+    /// commit 62ee641.
+    #[test]
+    fn bounds_match_the_cascades() {
+        let mut fixtures = pinned_fixtures();
+        fixtures.push(supercritical_fixture());
+        // Nodes that hit a closure, [counted from members, from rows].
+        let mut by_rows = [0; 2];
+        let got: Vec<u64> = fixtures
+            .iter()
+            .map(|(pg, ell, seed)| {
+                let config = IndexConfig {
+                    num_worlds: *ell,
+                    seed: *seed,
+                    threads: 2,
+                    ..IndexConfig::default()
+                };
+                let index = CascadeIndex::build(pg, config);
+                let (mut scratch, mut query) = (NodeScratch::new(&index), index.query());
+                let rows = index.closure_rows().1.len();
+                let mut counts = vec![0u32; index.num_nodes()];
+                let mut h = soi_util::hash::Mix64Hasher::new();
+                for v in 0..index.num_nodes() as NodeId {
+                    let bound = sphere_bound(&index, v, &mut scratch);
+                    let cascades = index.cascades_of(v);
+                    let mut sizes: Vec<u32> = cascades.iter().map(|c| c.len() as u32).collect();
+                    for &u in cascades.iter().flatten() {
+                        counts[u as usize] += 1;
+                    }
+                    let mut frequencies: Vec<u32> =
+                        counts.iter().copied().filter(|&c| c > 0).collect();
+                    counts.fill(0);
+                    let want = median_size_bound(&mut sizes, &mut frequencies);
+                    assert_eq!(bound, want, "ℓ = {ell}, node {v}");
+                    let hits = index.walk(&[v], index.all_worlds(), &mut query).hits();
+                    let hit = |i: &usize| hits[i / 64] >> (i % 64) & 1 == 1;
+                    let entries: usize =
+                        (0..*ell).filter(hit).map(|i| index.closure(i).len()).sum();
+                    if entries > 0 {
+                        by_rows[usize::from(entries > rows)] += 1;
+                    }
+                    h.update_u64(bound as u64);
+                }
+                h.finish()
+            })
+            .collect();
+        assert!(by_rows[0] > 0 && by_rows[1] > 0, "{by_rows:?}");
+        let want = [
+            0x108a_3a1f_5eed_6f87,
+            0xa41d_8925_e262_796e,
+            0xb17d_4aa0_dcce_da8e,
+            0xdbef_610b_a831_eac7,
+            0x66c6_d5ac_1b61_f369,
+            0xdef1_d0f6_b8ba_8b7a,
+            0x11c0_65b6_66c1_34cb,
+        ];
+        assert_eq!(got, want, "got {got:#x?}");
     }
 
     /// G(2000, 10⁴) at p = 0.3, with its ℓ and index seed.

@@ -2,7 +2,7 @@
 //! [`CascadeIndex`].
 //!
 //! Every node's sphere comes from one [`index_median`] call, and every
-//! pass over the nodes runs [`Workers::blocks`]: blocks of `run.every`
+//! pass over the nodes runs `Workers::blocks`: blocks of `run.every`
 //! nodes, one pool fan-out per block, paying one deadline tick per node.
 //! Two passes use it.
 //!

@@ -13,19 +13,23 @@
 //! element → local id map. Both loaders set each element's sample bitset
 //! — from an explicit sample list ([`IncrementalCost::load`]), or from the
 //! cascade index's world sets ([`IncrementalCost::load_sets`], whose shared
-//! hub closures come from one bit row per closure element) — and share
-//! the rest: the bitsets, transposed in 64×64 blocks, are one row per
-//! sample over the local ids, which a hash table groups into the classes,
-//! a match confirmed word for word; each element's postings then come out
-//! ascending from its bitset. A whole candidate set `s` is
-//! scored from its elements' postings or from the class rows (`C·⌈U/64⌉`
-//! words), whichever is less. Every cost also comes as an estimate with a
-//! margin (`crate::bound`), summed as one product `w_c·d_c` per class; a
-//! local-search toggle's estimate costs `O(#classes holding e)` from
-//! per-class terms cached once per candidate. The values the fit reports
-//! or settles a straddle with are summed in sample order over the ℓ
-//! expanded samples, each sample taking its class's term, so they are the
-//! sums an evaluator with one lane per sample computes.
+//! hub closures come from one bit row per closure element; its count pass
+//! alone, [`IncrementalCost::count_sets`], gives the sphere bound its
+//! element frequencies) — and share the rest: the bitsets, transposed in
+//! 64×64 blocks, are one row per sample over the local ids, which a hash
+//! table groups into the classes, a match confirmed word for word; each
+//! element's postings then come out ascending from its bitset. A whole
+//! candidate set `s` is scored from its elements' postings or from the
+//! class rows (`C·⌈U/64⌉` words), whichever is less; a sample is scored
+//! with its class row as the set's mask, so the fit's input-set
+//! candidates need no copy of the samples. Every cost also comes as an
+//! estimate with a margin (`crate::bound`), summed as one product
+//! `w_c·d_c` per class; a local-search toggle's estimate costs
+//! `O(#classes holding e)` from per-class terms cached once per
+//! candidate. The values the fit reports or settles a straddle with are
+//! summed in sample order over the ℓ expanded samples, each sample taking
+//! its class's term, so they are the sums an evaluator with one lane per
+//! sample computes.
 
 use crate::bound::{decide, gamma, Bounded, Site, U};
 use crate::distance::jaccard_distance;
@@ -101,7 +105,10 @@ fn mean_distance_bounded(
 ///
 /// Maintains the candidate `C` implicitly through per-class intersection
 /// counters; `insert`/`remove` cost `O(1 + #classes containing the
-/// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Reusable: a worker
+/// element)` and [`IncrementalCost::cost`] is `O(ℓ)`. Each class keeps its
+/// row, a bitset over the local ids, which is the one copy of its samples
+/// the fit reads: an input-set candidate is scored with its row as the
+/// mask, and a winner is read back out of it. Reusable: a worker
 /// fitting median after median reloads one evaluator in place
 /// ([`IncrementalCost::load`]) and allocates nothing proportional to the
 /// largest element id per fit.
@@ -237,46 +244,18 @@ impl IncrementalCost {
     /// plus for a closure element its row masked by the hits. The hit
     /// closures are read from their member lists when those hold fewer
     /// entries than the rows hold words (a few hits), else from the rows;
-    /// both give the same bits. The state is exactly [`load`](Self::load)'s
-    /// over the same samples. Needs `num_samples ≥ 1`.
-    pub fn load_sets<'a, I, F>(&mut self, num_samples: usize, sets: I, closures: &Closures<F>)
+    /// both give the same bits. The count pass is
+    /// [`count_sets`](Self::count_sets)'s. The state is exactly
+    /// [`load`](Self::load)'s over the same samples. Needs `num_samples ≥
+    /// 1`.
+    pub fn load_sets<'a, I, F>(&mut self, num_samples: usize, sets: I, closures: &Closures<'a, F>)
     where
         I: Iterator<Item = (u32, &'a [u64])> + Clone,
         F: Fn(usize) -> &'a [u32],
     {
-        let Closures {
-            hits,
-            elems,
-            rows,
-            ref members,
-        } = *closures;
         let words = num_samples.div_ceil(64);
-        debug_assert!(words > 0 && hits.len() == words && rows.len() == elems.len() * words);
-        let entries: usize = ones(hits).map(|i| members(i).len()).sum();
-        let (by_members, by_rows) = if entries <= rows.len() {
-            (hits, &[][..])
-        } else {
-            (&[][..], hits)
-        };
-        let hit_rows = || {
-            let rows = elems.iter().zip(rows.chunks_exact(words));
-            rows.filter(move |_| !by_rows.is_empty())
-        };
-        // Count pass: an element's count is the popcount of its set, plus
-        // its hit closures. The rows come in element order, so they go
-        // first: the elements stay nearly sorted for `number`.
-        self.clear_ids();
-        for (&e, row) in hit_rows() {
-            let masked = row.iter().zip(by_rows).map(|(r, h)| (r & h).count_ones());
-            self.add_count(e, masked.sum());
-        }
-        for i in ones(by_members) {
-            members(i).iter().for_each(|&e| self.add_count(e, 1));
-        }
-        for (e, set) in sets.clone() {
-            let count = set.iter().map(|w| w.count_ones()).sum();
-            self.add_count(e, count);
-        }
+        debug_assert_eq!(closures.hits.len(), words);
+        let (by_members, by_rows) = self.count_world_sets(sets.clone(), closures);
         let total = self.number();
         // Each element's sample bitset.
         self.bits.clear();
@@ -287,11 +266,11 @@ impl IncrementalCost {
             }
         }
         for i in ones(by_members) {
-            for &e in members(i) {
+            for &e in (closures.members)(i) {
                 self.bits[(self.ids[e as usize] as usize - 1) * words + i / 64] |= 1 << (i % 64);
             }
         }
-        for (&e, row) in hit_rows() {
+        for (&e, row) in closures.rows_under(by_rows) {
             if let Some(u) = self.local(e) {
                 let bits = &mut self.bits[u * words..(u + 1) * words];
                 for (b, (r, h)) in bits.iter_mut().zip(row.iter().zip(by_rows)) {
@@ -308,6 +287,67 @@ impl IncrementalCost {
             "a set holds a hit closure's element"
         );
         self.finish(num_samples, total);
+    }
+
+    /// The count pass of [`load_sets`](Self::load_sets) over the same
+    /// `sets` and `closures`, alone: replaces `out` with each element's
+    /// count of samples, for every element some sample holds, in no
+    /// particular order. Leaves the evaluator with no samples. Needs ℓ ≥
+    /// 1 (`closures.hits` not empty).
+    pub fn count_sets<'a, I, F>(&mut self, sets: I, closures: &Closures<'a, F>, out: &mut Vec<u32>)
+    where
+        I: Iterator<Item = (u32, &'a [u64])>,
+        F: Fn(usize) -> &'a [u32],
+    {
+        self.count_world_sets(sets, closures);
+        out.clear();
+        out.extend(self.elems.iter().map(|&e| self.ids[e as usize]));
+        self.clear_ids();
+        self.finish(0, 0);
+    }
+
+    /// The count pass of a set load: adds to each element's `ids` entry
+    /// the popcount of its set plus its hit closures, read from their
+    /// members or their rows as [`load_sets`](Self::load_sets) says.
+    /// Returns the hit words read each way, by members and by rows: one of
+    /// the two is empty.
+    fn count_world_sets<'a, I, F>(
+        &mut self,
+        sets: I,
+        closures: &Closures<'a, F>,
+    ) -> (&'a [u64], &'a [u64])
+    where
+        I: Iterator<Item = (u32, &'a [u64])>,
+        F: Fn(usize) -> &'a [u32],
+    {
+        let Closures {
+            hits,
+            elems,
+            rows,
+            ref members,
+        } = *closures;
+        debug_assert!(!hits.is_empty() && rows.len() == elems.len() * hits.len());
+        let entries: usize = ones(hits).map(|i| members(i).len()).sum();
+        let (by_members, by_rows) = if entries <= rows.len() {
+            (hits, &[][..])
+        } else {
+            (&[][..], hits)
+        };
+        // The rows come in element order, so they go first: the elements
+        // stay nearly sorted for `number`.
+        self.clear_ids();
+        for (&e, row) in closures.rows_under(by_rows) {
+            let masked = row.iter().zip(by_rows).map(|(r, h)| (r & h).count_ones());
+            self.add_count(e, masked.sum());
+        }
+        for i in ones(by_members) {
+            members(i).iter().for_each(|&e| self.add_count(e, 1));
+        }
+        for (e, set) in sets {
+            let count = set.iter().map(|w| w.count_ones()).sum();
+            self.add_count(e, count);
+        }
+        (by_members, by_rows)
     }
 
     /// The end of a load, once `bits` holds each element's samples
@@ -686,27 +726,30 @@ impl IncrementalCost {
         Bounded::mean(lanes.iter().sum(), ell, 4.0 * gamma(2 * ell) + 6.0 * U)
     }
 
-    /// Fills `scratch` with every `|s ∩ S_c|`, from the postings of `s`'s
-    /// elements or from the class rows, whichever costs fewer operations.
+    /// Fills `scratch` with every `|s ∩ S_c|` ([`intersect_mask`](Self::intersect_mask)).
     fn intersect(&mut self, s: &[u32]) {
-        let words = self.elems.len().div_ceil(64);
         self.mask.clear();
-        self.mask.resize(words, 0);
-        let mut increments = 0;
+        self.mask.resize(self.elems.len().div_ceil(64), 0);
         for &e in s {
             if let Some(u) = self.local(e) {
                 self.mask[u / 64] |= 1 << (u % 64);
-                increments += self.span(u).len();
             }
         }
+        self.intersect_mask();
+    }
+
+    /// Fills `scratch` with each class's count of the local ids `mask`
+    /// holds, from those ids' postings or from the class rows, whichever
+    /// costs fewer operations.
+    fn intersect_mask(&mut self) {
+        let words = self.mask.len();
+        let increments: usize = ones(&self.mask).map(|u| self.span(u).len()).sum();
         self.scratch.clear();
         if increments <= self.num_classes() * words {
             self.scratch.resize(self.num_classes(), 0.0);
-            for &e in s {
-                if let Some(u) = self.local(e) {
-                    for &c in &self.postings[self.span(u)] {
-                        self.scratch[c as usize] += 1.0;
-                    }
+            for u in ones(&self.mask) {
+                for &c in &self.postings[self.offsets[u]..self.offsets[u + 1]] {
+                    self.scratch[c as usize] += 1.0;
                 }
             }
             return;
@@ -734,22 +777,38 @@ impl IncrementalCost {
         mean_distance(s.len(), &self.sizes, &self.scratch, &self.class_of)
     }
 
-    /// [`cost_of_set`](Self::cost_of_set)`(s)` when it is below `t`: the
-    /// comparison is decided from the set's estimate ([`crate::bound`]),
-    /// and the cost is summed in order only to settle a straddle or to
-    /// report a winner.
-    pub(crate) fn cost_of_set_below(&mut self, s: &[u32], t: f64) -> Option<f64> {
-        let estimate = self.cost_of_set_bounded(s);
-        let exact = || mean_distance(s.len(), &self.sizes, &self.scratch, &self.class_of);
-        decide(Site::InputSet, estimate, Bounded::exact(t), || exact() < t).then(exact)
-    }
-
     /// [`cost_of_set`](Self::cost_of_set)`(s)` as an estimate with its
-    /// margin, leaving `s`'s intersections in `scratch`.
+    /// margin.
+    #[cfg(test)]
     pub(crate) fn cost_of_set_bounded(&mut self, s: &[u32]) -> Bounded {
         self.intersect(s);
         let (sizes, inter, ell) = (&self.sizes, &self.scratch, self.num_samples());
         mean_distance_bounded(s.len(), sizes, inter, &self.weights, ell)
+    }
+
+    /// Sample `i`'s set, ascending: the elements of its class row.
+    pub(crate) fn sample(&self, i: usize) -> Vec<u32> {
+        let (c, words) = (self.class_of(i), self.elems.len().div_ceil(64));
+        let row = &self.rows[c * words..(c + 1) * words];
+        ones(row).map(|u| self.elems[u]).collect()
+    }
+
+    /// [`cost_of_set`](Self::cost_of_set) of [`sample`](Self::sample)`(i)`
+    /// when it is below `t`, scored with the sample's class row as the
+    /// mask: the comparison is decided from the estimate
+    /// ([`crate::bound`]), and the cost is summed in order only to settle a
+    /// straddle or to report a winner.
+    pub(crate) fn sample_cost_below(&mut self, i: usize, t: f64) -> Option<f64> {
+        let (c, words) = (self.class_of(i), self.elems.len().div_ceil(64));
+        self.mask.clear();
+        self.mask
+            .extend_from_slice(&self.rows[c * words..(c + 1) * words]);
+        self.intersect_mask();
+        let (k, ell) = (self.sizes[c] as usize, self.num_samples());
+        let (sizes, inter) = (&self.sizes, &self.scratch);
+        let estimate = mean_distance_bounded(k, sizes, inter, &self.weights, ell);
+        let exact = || mean_distance(k, sizes, inter, &self.class_of);
+        decide(Site::InputSet, estimate, Bounded::exact(t), || exact() < t).then(exact)
     }
 
     /// The current candidate as a canonical sorted vector.
@@ -775,6 +834,15 @@ pub struct Closures<'c, F> {
     pub rows: &'c [u64],
     /// Sample `i`'s closure, in any order.
     pub members: F,
+}
+
+impl<'c, F> Closures<'c, F> {
+    /// Each closure element with its row, when `hits` (the hit words read
+    /// from the rows) is not empty; nothing otherwise.
+    fn rows_under(&self, hits: &[u64]) -> impl Iterator<Item = (&'c u32, &'c [u64])> {
+        let rows = if hits.is_empty() { &[][..] } else { self.rows };
+        self.elems.iter().zip(rows.chunks_exact(self.hits.len()))
+    }
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` moves to bit

@@ -90,22 +90,18 @@ pub fn jaccard_median_budgeted(
     config: &MedianConfig,
     deadline: &Deadline,
 ) -> Outcome<MedianResult> {
-    let mut inc = IncrementalCost::new(samples);
-    jaccard_median_loaded(&mut inc, config, deadline, |i, out| {
-        out.extend_from_slice(&samples[i])
-    })
+    jaccard_median_loaded(&mut IncrementalCost::new(samples), config, deadline)
 }
 
 /// [`jaccard_median_budgeted`] on an evaluator already loaded with the ℓ
 /// samples (with `C = ∅`), so a caller can load it from wherever its
-/// samples live. `input_set(i, out)` appends the elements of sample `i`
-/// to the empty `out`, in any order; the fit asks only for the samples of
-/// [`input_set_samples`] that [`scores_input_set`] keeps.
+/// samples live. The fit reads the samples from the evaluator alone: each
+/// input-set candidate is scored with its class row as the mask, and only
+/// a winner is materialised from that row.
 pub fn jaccard_median_loaded(
     inc: &mut IncrementalCost,
     config: &MedianConfig,
     deadline: &Deadline,
-    mut input_set: impl FnMut(usize, &mut Vec<u32>),
 ) -> Outcome<MedianResult> {
     let ell = inc.num_samples();
     if ell == 0 {
@@ -126,12 +122,10 @@ pub fn jaccard_median_loaded(
     // early, and the toggle pool is a subset of the sample universe).
     let total = universe_size + input_evals + config.local_search_rounds as u64 * universe_size;
 
-    // Evaluate up to 24 evenly-spaced input sets as candidates; only a
-    // winner is sorted into a canonical median. A candidate in the class
-    // of an earlier one still takes its tick, but is not scored again: it
-    // has that one's cost, which beat no best then, and the best has only
-    // fallen since.
-    let mut s = Vec::new();
+    // Evaluate up to 24 evenly-spaced input sets as candidates. A
+    // candidate in the class of an earlier one still takes its tick, but
+    // is not scored again: it has that one's cost, which beat no best
+    // then, and the best has only fallen since.
     for i in input_set_samples(ell) {
         if !deadline.tick(1) {
             return deadline.outcome(best, done, total);
@@ -141,11 +135,8 @@ pub fn jaccard_median_loaded(
         if !scores_input_set(inc, i) {
             continue;
         }
-        s.clear();
-        input_set(i, &mut s);
-        if let Some(cost) = inc.cost_of_set_below(&s, best.cost - 1e-15) {
-            let mut median = s.clone();
-            median.sort_unstable();
+        if let Some(cost) = inc.sample_cost_below(i, best.cost - 1e-15) {
+            let median = inc.sample(i);
             best = MedianResult { median, cost };
         }
     }
@@ -167,13 +158,13 @@ pub fn jaccard_median_loaded(
 
 /// The samples whose sets a fit over `num_samples` samples tries as
 /// candidates, in the order it tries them: up to 24, evenly spaced.
-pub fn input_set_samples(num_samples: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+fn input_set_samples(num_samples: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
     (0..num_samples).step_by(num_samples.div_ceil(24).max(1))
 }
 
 /// Whether a fit on `inc` scores input-set candidate `i` (one of
 /// [`input_set_samples`]): no earlier candidate lies in its class.
-pub fn scores_input_set(inc: &IncrementalCost, i: usize) -> bool {
+fn scores_input_set(inc: &IncrementalCost, i: usize) -> bool {
     let class = inc.class_of(i);
     let mut earlier = input_set_samples(inc.num_samples()).take_while(|&j| j < i);
     earlier.all(|j| inc.class_of(j) != class)

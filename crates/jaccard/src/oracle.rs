@@ -476,12 +476,7 @@ fn median_pipeline_is_bit_identical_to_the_oracle() {
                 let one_shot = bits(jaccard_median_budgeted(&samples, config, &deadline()));
                 assert_eq!(one_shot, want, "case {case}, {config:?}, budget {budget:?}");
                 reused.reset(&samples);
-                let in_place = bits(jaccard_median_loaded(
-                    &mut reused,
-                    config,
-                    &deadline(),
-                    |i, out| out.extend_from_slice(&samples[i]),
-                ));
+                let in_place = bits(jaccard_median_loaded(&mut reused, config, &deadline()));
                 assert_eq!(in_place, want, "case {case}, {config:?}, budget {budget:?}");
             }
         }
@@ -529,8 +524,9 @@ fn chunked(samples: &[Vec<u32>], rng: &mut Xoshiro256pp) -> Vec<(u32, Vec<u32>)>
 
 /// The chunk loader builds what `reset` builds from whole sets — the
 /// elements, CSR offsets, postings and sizes, which also match the
-/// oracle's inverted index — and a fit on it, whose input-set candidates
-/// arrive unsorted, equals the oracle's at every tick budget.
+/// oracle's inverted index — both score every sample from its class row
+/// as [`assert_rows_give_the_samples`] says, and a fit on the chunk load
+/// equals the oracle's at every tick budget.
 #[test]
 fn chunk_loads_match_reset_and_the_oracle() {
     let _fits = crate::fits_medians();
@@ -572,22 +568,16 @@ fn chunk_loads_match_reset_and_the_oracle() {
             let want = &oracle.inverted[e];
             assert_eq!(&postings[offsets[u]..offsets[u + 1]], want, "case {case}");
         }
+        let at = format!("case {case}");
+        assert_rows_give_the_samples(&mut from_chunks, &samples, &format!("{at}, chunks"));
+        assert_rows_give_the_samples(&mut from_sets, &samples, &format!("{at}, sets"));
 
         for config in &CONFIGS {
             for budget in [Some(0), Some(1), Some(7), Some(50), None] {
                 let deadline = || budget.map_or_else(Deadline::unlimited, Deadline::ticks);
                 let want = bits(median_budgeted(&samples, config, &deadline()));
                 load(&mut from_chunks);
-                let got = bits(jaccard_median_loaded(
-                    &mut from_chunks,
-                    config,
-                    &deadline(),
-                    |i, out| {
-                        for (_, c) in chunks.iter().filter(|c| c.0 as usize == i) {
-                            out.extend_from_slice(c);
-                        }
-                    },
-                ));
+                let got = bits(jaccard_median_loaded(&mut from_chunks, config, &deadline()));
                 assert_eq!(got, want, "case {case}, {config:?}, budget {budget:?}");
             }
         }
@@ -692,8 +682,10 @@ fn world_sets(ell: usize, chunks: &[(u32, Vec<u32>)]) -> (Vec<u32>, HashMap<u32,
 /// — from each chunk element's world set, given in first-seen order, and
 /// the closures, whether it reads the hit closures from their members or
 /// from the rows: the elements, CSR offsets, postings and sizes, and then
-/// the class rows. A plain `load` after a set load keeps none of its
-/// element bitsets.
+/// the class rows, from which both score every sample as
+/// [`assert_rows_give_the_samples`] says. Its count pass alone
+/// ([`IncrementalCost::count_sets`]) gives the same frequencies. A plain
+/// `load` after a set load or a count keeps none of its element bitsets.
 #[test]
 fn set_loads_match_chunk_loads() {
     let (mut from_sets, mut from_chunks) = (IncrementalCost::default(), IncrementalCost::default());
@@ -743,6 +735,26 @@ fn set_loads_match_chunk_loads() {
                     unhit_only += 1;
                 }
                 assert_eq!(from_sets.rows(), rows, "{at}");
+                let mut samples = vec![Vec::new(); ell];
+                for (i, members) in &materialised {
+                    samples[*i as usize].extend_from_slice(members);
+                }
+                samples.iter_mut().for_each(|s| s.sort_unstable());
+                assert_rows_give_the_samples(&mut from_sets, &samples, &format!("{at}, sets"));
+                assert_rows_give_the_samples(&mut from_chunks, &samples, &format!("{at}, chunks"));
+                // The count pass alone gives the loaded frequencies, and
+                // leaves no samples behind for the next case's load.
+                let mut want: Vec<u32> = from_chunks
+                    .universe()
+                    .map(|e| from_chunks.frequency(e) as u32)
+                    .collect();
+                let mut counts = Vec::new();
+                let sets_in_order = order.iter().map(|e| (*e, sets[e].as_slice()));
+                from_sets.count_sets(sets_in_order, &closures, &mut counts);
+                want.sort_unstable();
+                counts.sort_unstable();
+                assert_eq!(counts, want, "{at}");
+                assert_eq!(from_sets.num_samples(), 0, "{at}");
 
                 let in_chunk = |e: &u32| c.chunks.iter().any(|ch| ch.1.contains(e));
                 let hit_closure = (0..ell).filter(|&i| is_hit(i)).flat_map(|i| &c.closures[i]);
@@ -753,6 +765,21 @@ fn set_loads_match_chunk_loads() {
     // Of the cases with a hit: [closures read from members, from rows].
     assert!(by_rows[0] >= 20 && by_rows[1] >= 20, "{by_rows:?}");
     assert!(unhit_only >= 50 && closure_and_chunk >= 1000);
+}
+
+/// Every sample `i` of `inc`, loaded with the sorted `samples`, comes out
+/// of its class row as `samples[i]`, and its row-scored cost is
+/// [`IncrementalCost::cost_of_set`]'s bit for bit.
+fn assert_rows_give_the_samples(inc: &mut IncrementalCost, samples: &[Vec<u32>], at: &str) {
+    for (i, s) in samples.iter().enumerate() {
+        assert_eq!(&inc.sample(i), s, "{at}, sample {i}");
+        let by_row = inc.sample_cost_below(i, f64::INFINITY).map(f64::to_bits);
+        assert_eq!(
+            by_row,
+            Some(inc.cost_of_set(s).to_bits()),
+            "{at}, sample {i}"
+        );
+    }
 }
 
 #[test]
@@ -853,9 +880,7 @@ fn fit_loaded(
     } else {
         inc.reset(samples);
     }
-    bits(jaccard_median_loaded(inc, config, deadline, |i, out| {
-        out.extend_from_slice(&samples[i])
-    }))
+    bits(jaccard_median_loaded(inc, config, deadline))
 }
 
 /// Each collection again with its samples duplicated and permuted, loaded
